@@ -137,12 +137,4 @@ double Median(std::vector<double> values) {
                     : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-double Mean(const std::vector<double>& values) {
-  double sum = 0.0;
-  for (double v : values) {
-    sum += v;
-  }
-  return values.empty() ? 0.0 : sum / static_cast<double>(values.size());
-}
-
 }  // namespace terbench

@@ -66,9 +66,6 @@ std::string ReadFile(const std::string& path);
 /// Median of a copy of `values` (0 for an empty input).
 double Median(std::vector<double> values);
 
-/// Arithmetic mean (0 for an empty input).
-double Mean(const std::vector<double>& values);
-
 }  // namespace terbench
 
 #endif  // TERBENCH_BENCH_UTIL_H_

@@ -1,22 +1,27 @@
 // terbench: closed-loop replay benchmark of the TER-iDS engine.
 //
 //   terbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//            [--tmp-dir <dir>]
+//            [--dataset <j>] [--tmp-dir <dir>]
 //
-// One run = the evaluator's set-up (data generation, missing-value
-// injection, ground-truth replay; never timed), several repeated offline
-// builds of the system (their median is setup_s), then one pass over the
-// arrival stream: an untimed warm-up followed by a timed window of
-// --seconds. The caller waits for every ProcessStream call to return before
-// issuing the next (closed loop). Every outcome is checked (one per offered
+// A run measures round(--seconds / pass_seconds) generated datasets (at
+// least two; seeds seed*1000+j), or only dataset j with --dataset. For each
+// dataset: the evaluator's set-up (data generation, missing-value
+// injection, ground-truth replay; never timed), several timed offline
+// builds of the system (set-up samples), then one pass over the arrival
+// stream: an untimed warm-up followed by a fixed number of timed arrivals.
+// The caller waits for every ProcessStream call to return before issuing
+// the next (closed loop). Every outcome is checked (one per offered
 // arrival, in order; each match cross-stream, co-windowed and above alpha)
-// and folded into an order-sensitive digest. With --trace 1 a second,
-// traced pass (repository accessors timed through a RepoStorage decorator)
-// replays exactly the same arrivals and must reproduce the digest.
+// and folded into a per-arrival digest. The process that measures dataset 0
+// also replays it, untimed, with the repository accessors counted through
+// a RepoStorage decorator; the replay must reproduce the digest and the
+// pruning counters (and with --trace 1 a second replay the repository call
+// counts). The async workload replays dataset 0 through the sequential
+// operator as well.
 //
 // The last stdout line is one JSON object: build/host stamp, workload
-// parameters, check results and every metric with its unit. run.py turns
-// it into the benchmark's result line.
+// parameters, check results, the raw figures run.py pools into the
+// end-to-end metrics, and with --trace 1 the per-layer ledger.
 
 #include <algorithm>
 #include <cmath>
@@ -74,9 +79,8 @@ struct Workload {
   int m;      // missing attributes per incomplete tuple
   double rho;
   int topics_in_query;
-  // Execution model (sequential defaults: batch 1, no queue, no scheduler).
+  // Execution model (sequential defaults: batch 1, no scheduler).
   int batch_size;
-  int ingest_queue_depth;
   int sched_threads;
   int refine_threads;
   terids::RepoBackend backend;
@@ -88,11 +92,17 @@ struct Workload {
   int warmup_arrivals;
   // Timed arrivals per pass (fewer if the stream runs dry first).
   int timed_arrivals;
-  // Datasets per run (seeds seed*1000+j): the seed moves each workload's
-  // cost (mined rules, neighbourhood sizes), so a run measures several
-  // datasets and pools them.
-  int datasets;
+  // Nominal timed seconds of one pass. A run measures
+  // round(--seconds / pass_seconds) datasets (seeds seed*1000+j), at least
+  // two: the seed moves each workload's cost (mined rules, neighbourhood
+  // sizes), so a run pools several datasets. The work depends on --seconds
+  // only, never on how fast the host is, so counts repeat for a seed.
+  double pass_seconds;
 };
+
+// Offline builds timed per dataset (the last one serves the pass); setup_s
+// is the median over all of a run's builds.
+constexpr int kBuildsPerDataset = 5;
 
 // Why these three: songs_impute is dominated by CDD selection + DR-index
 // retrieval + Equation-4 accumulation (imputation layers); ebooks_refine
@@ -100,19 +110,19 @@ struct Workload {
 // descriptions, so candidate/refine/maintain dominate; bikes_writes_async
 // absorbs repository samples beside the read path on the unified scheduler
 // over the mmap snapshot (cache refills, overlay writes, exec layer). Its
-// micro-batches run synchronously: behind the async ingest queue, p50
-// latency switched between two levels from one set of runs to the next as
-// the producer/consumer balance followed host load.
+// micro-batches run synchronously (no async ingest queue): behind the
+// queue, p50 latency switched between two levels from one set of runs to
+// the next as the producer/consumer balance followed host load.
 const Workload kWorkloads[] = {
     {"songs_impute", "Songs", 0.005, 200, 0.3, 1, 0.5, 1,
-     1, 0, 0, 1, terids::RepoBackend::kInMemory, 0, 0,
-     2000, 2300, 6},
+     1, 0, 1, terids::RepoBackend::kInMemory, 0, 0,
+     2000, 2300, 1.4},
     {"ebooks_refine", "EBooks", 0.3, 1000, 0.0, 1, 0.3, 1000,
-     1, 0, 0, 1, terids::RepoBackend::kInMemory, 0, 0,
-     2000, 1900, 3},
+     1, 0, 1, terids::RepoBackend::kInMemory, 0, 0,
+     2000, 1200, 1.6},
     {"bikes_writes_async", "Bikes", 0.5, 200, 0.3, 1, 0.5, 1,
-     8, 0, 3, 3, terids::RepoBackend::kMmapSnapshot, 1000, 20,
-     1000, 1200, 10},
+     8, 3, 3, terids::RepoBackend::kMmapSnapshot, 1000, 20,
+     1000, 1200, 0.8},
 };
 
 const Workload* FindWorkload(const std::string& name) {
@@ -144,7 +154,6 @@ EngineConfig ConfigFor(const Workload& w, const terids::Experiment& exp,
   config.repo_backend = w.backend;
   if (!sequential) {
     config.batch_size = w.batch_size;
-    config.ingest_queue_depth = w.ingest_queue_depth;
     config.sched_threads = w.sched_threads;
     config.refine_threads = w.refine_threads;
   }
@@ -469,8 +478,20 @@ size_t Mismatches(const PassResult& x, const PassResult& y) {
   return n;
 }
 
+// Whether two passes over the same arrivals pruned and refined alike.
+bool SamePruneCounts(const PruneStats& x, const PruneStats& y) {
+  return x.total_pairs == y.total_pairs && x.topic_pruned == y.topic_pruned &&
+         x.sim_ub_pruned == y.sim_ub_pruned &&
+         x.prob_ub_pruned == y.prob_ub_pruned &&
+         x.instance_pruned == y.instance_pruned && x.refined == y.refined &&
+         x.matched == y.matched && x.sig_probes == y.sig_probes &&
+         x.sig_saturated == y.sig_saturated && x.sig_rejects == y.sig_rejects &&
+         x.deferred == y.deferred;
+}
+
 // One generated dataset of a run, with its evaluator artifacts.
 struct Dataset {
+  int index = 0;  // j of seed*1000+j
   std::unique_ptr<terids::Experiment> exp;
   std::vector<int64_t> ts_of_rid;  // arrival timestamp of every stream rid
   std::vector<Record> offline;     // repository samples loaded offline
@@ -478,7 +499,7 @@ struct Dataset {
   EngineConfig config;
   EngineConfig seq_config;  // the one-at-a-time operator (the twin)
   size_t num_cdds = 0;
-  std::optional<PassResult> first;  // the dataset's first timed pass
+  PassResult pass;  // the dataset's timed pass
 };
 
 Dataset MakeDataset(const Workload& wl, uint64_t seed) {
@@ -530,7 +551,8 @@ std::optional<double> ResetPeakRss() {
 int Usage() {
   std::fprintf(stderr,
                "usage: terbench --workload <name> --seed <n> --seconds <s> "
-               "--trace <0|1> [--tmp-dir <dir>]\nworkloads:");
+               "--trace <0|1> [--dataset <j>] [--tmp-dir <dir>]\n"
+               "(--dataset requires --trace 0)\nworkloads:");
   for (const Workload& w : kWorkloads) {
     std::fprintf(stderr, " %s", w.name);
   }
@@ -543,6 +565,7 @@ int Run(int argc, char** argv) {
   uint64_t seed = 0;
   double seconds = 0.0;
   int trace = -1;
+  int only_dataset = -1;  // -1: every dataset of the run
   std::string tmp_dir = ".";
   bool have_seed = false;
   for (int i = 1; i + 1 < argc; i += 2) {
@@ -559,6 +582,9 @@ int Run(int argc, char** argv) {
       if (end == val || *end != '\0') seconds = 0.0;
     } else if (key == "--trace") {
       trace = std::strcmp(val, "0") == 0 ? 0 : std::strcmp(val, "1") == 0 ? 1 : -1;
+    } else if (key == "--dataset") {
+      only_dataset = static_cast<int>(std::strtol(val, &end, 10));
+      if (end == val || *end != '\0' || only_dataset < 0) only_dataset = -2;
     } else if (key == "--tmp-dir") {
       tmp_dir = val;
     } else {
@@ -566,8 +592,12 @@ int Run(int argc, char** argv) {
     }
   }
   const Workload* wl = FindWorkload(workload_name);
+  const int num_datasets =
+      wl == nullptr ? 0
+                    : std::max(2, static_cast<int>(std::lround(seconds / wl->pass_seconds)));
   if (wl == nullptr || !have_seed || !(seconds > 0.0) || trace < 0 ||
-      argc % 2 != 1) {
+      argc % 2 != 1 || only_dataset < -1 || only_dataset >= num_datasets ||
+      (only_dataset >= 0 && trace != 0)) {
     return Usage();
   }
   const BuildInfo build = CurrentBuild();
@@ -584,14 +614,20 @@ int Run(int argc, char** argv) {
   // effective ground truth replay all happen inside each Experiment.
   const Clock::time_point eval0 = Clock::now();
   std::vector<Dataset> datasets;
-  for (int j = 0; j < wl->datasets; ++j) {
-    datasets.push_back(MakeDataset(*wl, seed * 1000 + static_cast<uint64_t>(j)));
+  for (int j = 0; j < num_datasets; ++j) {
+    if (only_dataset < 0 || only_dataset == j) {
+      datasets.push_back(MakeDataset(*wl, seed * 1000 + static_cast<uint64_t>(j)));
+      datasets.back().index = j;
+    }
   }
+  // The checks and the trace ledger that replay the first dataset run in
+  // the process that measures it.
+  const bool has_first = only_dataset <= 0;
   const double evaluator_s = SecondsSince(eval0);
   const EngineConfig& config = datasets.front().config;
 
-  // Every offline build of the run is a set-up sample (one extra per
-  // dataset up front besides the one each pass makes); setup_s is their
+  // Every dataset is built kBuildsPerDataset times just before its pass, so
+  // the set-up samples are spread over the whole run; setup_s is their
   // median.
   std::vector<double> setup_total, setup_pivot, setup_mine, setup_load,
       setup_build;
@@ -610,109 +646,96 @@ int Run(int argc, char** argv) {
     setup_build.push_back(sys.build_s);
     return sys;
   };
-  for (Dataset& d : datasets) {
-    timed_build(d);
-  }
 
-  // Timed passes: one fresh system per dataset per round, over the same
-  // arrivals each round. Rounds repeat while another would bring the timed
-  // total closer to --seconds. Each pass must emit exactly what the
-  // dataset's first did.
-  std::vector<PassResult> passes;
+  // Timed passes: one fresh system per dataset.
   std::vector<double> pass_rss_mb;
   bool rss_reset = true;
-  double timed_total = 0.0;
-  size_t repeat_mismatches = 0;
-  double round_s = 0.0;
-  while (passes.empty() || timed_total + 0.5 * round_s < seconds) {
-    const double round_start = timed_total;
-    for (Dataset& d : datasets) {
-      std::optional<double> base_rss = ResetPeakRss();
-      rss_reset = rss_reset && base_rss.has_value();
-      System sys = timed_build(d);
-      PassResult p = RunPass(*wl, *d.exp, d.ts_of_rid, d.held_out, d.config,
-                             &sys, static_cast<size_t>(wl->timed_arrivals),
-                             nullptr);
-      sys = System();
-      pass_rss_mb.push_back(PeakRssMb() - base_rss.value_or(0.0));
-      timed_total += p.window_s;
-      if (d.first.has_value()) {
-        repeat_mismatches += Mismatches(*d.first, p);
-        p.matches.clear();
-        p.arrival_hash.clear();
-      } else {
-        d.first = p;
-      }
-      passes.push_back(std::move(p));
+  for (Dataset& d : datasets) {
+    for (int b = 1; b < kBuildsPerDataset; ++b) {
+      timed_build(d);
     }
-    round_s = timed_total - round_start;
+    std::optional<double> base_rss = ResetPeakRss();
+    rss_reset = rss_reset && base_rss.has_value();
+    System sys = timed_build(d);
+    d.pass = RunPass(*wl, *d.exp, d.ts_of_rid, d.held_out, d.config, &sys,
+                     static_cast<size_t>(wl->timed_arrivals), nullptr);
+    sys = System();
+    pass_rss_mb.push_back(PeakRssMb() - base_rss.value_or(0.0));
+  }
+  const PassResult& first = datasets.front().pass;
+
+  // Reproducibility check, untimed: the first dataset is replayed with its
+  // repository accessors counted (and timed) through TimingStorage. Each
+  // replay must emit exactly the first pass's matches, arrival by arrival,
+  // and repeat its pruning counters; with --trace 1 a second replay must
+  // also repeat the first replay's repository call counts. The first
+  // replay is the traced pass of the ledger.
+  std::vector<RepoCounters> replay_counters(!has_first ? 0 : trace == 1 ? 2 : 1);
+  std::vector<PassResult> replays;
+  size_t replay_mismatches = 0;
+  for (RepoCounters& counters : replay_counters) {
+    Dataset& d = datasets.front();
+    System sys = BuildSystem(d.exp->dataset(), d.offline, d.config, tmp_dir,
+                             &counters);
+    PassResult r = RunPass(*wl, *d.exp, d.ts_of_rid, d.held_out, d.config,
+                           &sys, first.timed, &counters);
+    replay_mismatches += Mismatches(first, r);
+    replay_mismatches += SamePruneCounts(first.count_stats, r.count_stats) ? 0 : 1;
+    if (!replays.empty() && r.repo_count.calls != replays.front().repo_count.calls) {
+      ++replay_mismatches;
+    }
+    replays.push_back(std::move(r));
   }
 
   // The sequential twin: the first dataset's arrivals and absorbs through
   // the one-at-a-time operator (the equivalence oracle). Required for the
   // async workload's output check; timed for the trace ledger.
-  const bool async = config.batch_size > 1 || config.ingest_queue_depth > 0 ||
-                     config.sched_threads > 0;
+  const bool async = config.batch_size > 1 || config.sched_threads > 0;
   size_t twin_mismatches = 0;
   double twin_window_s = 0.0;
   size_t twin_timed = 0;
-  if (async) {
+  if (async && has_first) {
     Dataset& d = datasets.front();
     System twin_sys = BuildSystem(d.exp->dataset(), d.offline, d.seq_config,
                                   tmp_dir, nullptr);
     const PassResult twin =
         RunPass(*wl, *d.exp, d.ts_of_rid, d.held_out, d.seq_config, &twin_sys,
-                d.first->timed, nullptr);
-    twin_mismatches = Mismatches(*d.first, twin);
+                first.timed, nullptr);
+    twin_mismatches = Mismatches(first, twin);
     twin_window_s = twin.window_s;
     twin_timed = twin.timed;
   }
 
-  // Traced pass over the first dataset: identical arrivals with every
-  // repository accessor timed.
-  RepoCounters counters;
-  PassResult traced;
-  size_t traced_mismatches = 0;
-  if (trace == 1) {
-    Dataset& d = datasets.front();
-    System sys = BuildSystem(d.exp->dataset(), d.offline, d.config, tmp_dir,
-                             &counters);
-    traced = RunPass(*wl, *d.exp, d.ts_of_rid, d.held_out, d.config, &sys,
-                     d.first->timed, &counters);
-    traced_mismatches = Mismatches(*d.first, traced);
-  }
-
-  // F-score, micro-averaged over the datasets: each dataset's first pass
-  // against the truth pairs whose later record it processed.
+  // F-score counts (run.py micro-averages them over the run): each
+  // dataset's pass against the truth pairs whose later record it processed.
   size_t tp = 0, returned = 0, truth_pairs = 0;
   for (const Dataset& d : datasets) {
     std::vector<terids::GroundTruthPair> truth;
     for (const terids::GroundTruthPair& p : d.exp->effective_truth()) {
       if (std::max(d.ts_of_rid[p.rid_a], d.ts_of_rid[p.rid_b]) <
-          static_cast<int64_t>(d.first->processed)) {
+          static_cast<int64_t>(d.pass.processed)) {
         truth.push_back(p);
       }
     }
     const terids::PrecisionRecall pr =
-        terids::ComputeFScore(d.first->matches, truth);
+        terids::ComputeFScore(d.pass.matches, truth);
     tp += pr.true_positives;
     returned += pr.returned;
     truth_pairs += pr.truth_size;
   }
-  const double precision = Ratio(static_cast<double>(tp), static_cast<double>(returned));
-  const double recall = Ratio(static_cast<double>(tp), static_cast<double>(truth_pairs));
-  const double f_score = Ratio(2.0 * precision * recall, precision + recall);
 
   // failed: arrivals and absorb calls that were shed/degraded, errored or
-  // failed the output check; an arrival that a later pass, the twin or the
-  // traced replay emitted differently counts once per replay.
+  // failed the output check; an arrival that a replay or the twin emitted
+  // differently counts once per replay, and so does a replay whose counts
+  // differ.
   size_t attempted = 0;
-  size_t failed = repeat_mismatches + twin_mismatches + traced_mismatches;
+  size_t failed = replay_mismatches + twin_mismatches;
   std::vector<double> p50s, p99s, warmups;
   size_t latency_samples = 0;
   size_t p99_beyond = SIZE_MAX;  // fewest samples beyond a pass's p99
   PassResult pooled;  // timed-window ledger summed over passes
-  for (const PassResult& p : passes) {
+  for (const Dataset& d : datasets) {
+    const PassResult& p = d.pass;
     attempted += p.processed + p.absorbs;
     failed += p.order_violations + p.match_violations + p.not_processed +
               p.failed_absorbs;
@@ -725,6 +748,7 @@ int Run(int argc, char** argv) {
     p99_beyond = std::min(p99_beyond, p99.beyond);
     warmups.push_back(p.warmup_s);
     pooled.timed += p.timed;
+    pooled.count_stats.Add(p.count_stats);
     pooled.window_s += p.window_s;
     pooled.cost.Add(p.cost);
     pooled.stream_calls_s += p.stream_calls_s;
@@ -737,38 +761,17 @@ int Run(int argc, char** argv) {
     pooled.admit_block_s += p.admit_block_s;
   }
   failed = std::min(failed, attempted);
-  const bool correct = failed == 0 && cdds_stable && pooled.timed > 0 &&
-                       f_score > 0.0;
-
-  // Throughput pools every pass; latency percentiles are per pass (each
-  // pass is one dataset), averaged.
-  std::vector<Metric> e2e = {
-      {"arrivals_per_s", Ratio(static_cast<double>(pooled.timed), pooled.window_s), "1/s"},
-      {"arrival_p50_ms", Mean(p50s) * 1e3, "ms"},
-      {"arrival_p99_ms", Mean(p99s) * 1e3, "ms"},
-      {"setup_s", Median(setup_total), "s"},
-      {"peak_rss_mb", Mean(pass_rss_mb), "MiB"},
-      {"f_score", f_score, "ratio"},
-      {"ok_pct", attempted == 0 ? 0.0
-                                : 100.0 * static_cast<double>(attempted - failed) /
-                                      static_cast<double>(attempted),
-       "%"},
-  };
+  const bool correct = failed == 0 && cdds_stable && pooled.timed > 0;
 
   std::vector<Metric> layer;
   if (trace == 1) {
+    const PassResult& traced = replays.front();
     const PassResult& l = pooled;
     const CostBreakdown& c = l.cost;
     const size_t n = l.timed;
-    // Counts come from each dataset's first pass; they repeat exactly for
-    // a seed in sequential mode.
-    PruneStats st;
-    size_t count_arrivals = 0;
-    for (const Dataset& d : datasets) {
-      st.Add(d.first->count_stats);
-      count_arrivals += d.first->timed;
-    }
-    const double cn = static_cast<double>(count_arrivals);
+    // Counts repeat exactly for a seed (the replay checks them).
+    const PruneStats& st = l.count_stats;
+    const double cn = static_cast<double>(n);
     const double phases = c.cdd_select_seconds + c.impute_seconds +
                           c.candidate_seconds + c.refine_seconds +
                           c.maintain_seconds;
@@ -820,14 +823,9 @@ int Run(int argc, char** argv) {
     const int concurrency = std::max(1, config.sched_threads + 1);
     layer.push_back({"exec.busy_share", Ratio(busy_s, l.window_s * concurrency), "ratio"});
     // The twin and the traced pass replay the first dataset; compare them
-    // with the untraced passes over that dataset.
-    double first_s = 0.0;
-    size_t first_n = 0;
-    for (size_t k = 0; k < passes.size(); k += datasets.size()) {
-      first_s += passes[k].window_s;
-      first_n += passes[k].timed;
-    }
-    const double per_untraced = Ratio(first_s, static_cast<double>(first_n));
+    // with the untraced pass over that dataset.
+    const double per_untraced =
+        Ratio(first.window_s, static_cast<double>(first.timed));
     // Sequential per-arrival time over async per-arrival time; sequential
     // workloads are their own twin.
     const double twin_ratio =
@@ -852,7 +850,7 @@ int Run(int argc, char** argv) {
     layer.push_back({"eval.unattributed_share",
                      Ratio(l.window_s - l.stream_calls_s - l.absorb_s, l.window_s),
                      "ratio"});
-    // Traced against untraced passes over the same (first) dataset.
+    // Traced against untraced pass over the same (first) dataset.
     const double per_traced = Ratio(traced.window_s, tn);
     layer.push_back({"eval.trace_overhead_pct",
                      100.0 * Ratio(per_traced - per_untraced, per_untraced), "%"});
@@ -878,7 +876,7 @@ int Run(int argc, char** argv) {
   out += "}";
   out += ",\"params\":{";
   out += "\"profile\":\"" + std::string(wl->profile) + "\"";
-  out += ",\"datasets\":" + std::to_string(wl->datasets);
+  out += ",\"datasets\":" + std::to_string(num_datasets);
   out += ",\"dataset_seeds\":\"seed*1000+j\"";
   out += ",\"scale\":" + Num(wl->scale);
   out += ",\"w\":" + std::to_string(wl->w);
@@ -899,52 +897,57 @@ int Run(int argc, char** argv) {
   out += ",\"warmup_arrivals\":" + std::to_string(wl->warmup_arrivals);
   out += ",\"timed_arrivals\":" + std::to_string(wl->timed_arrivals);
   out += "}";
-  out += ",\"run\":{";
-  out += "\"evaluator_s\":" + Num(evaluator_s);
-  out += ",\"passes\":" + std::to_string(passes.size());
-  out += ",\"setup_samples\":" + std::to_string(setup_total.size());
-  out += ",\"warmup_s\":" + Num(Median(warmups));
-  out += ",\"window_s\":" + Num(pooled.window_s);
+  // The raw figures run.py pools across the processes of one run into the
+  // end-to-end metrics (per pass: one entry per measured dataset).
+  auto list = [](const std::vector<double>& v) {
+    std::string s = "[";
+    for (size_t k = 0; k < v.size(); ++k) {
+      s += (k == 0 ? "" : ",") + Num(v[k]);
+    }
+    return s + "]";
+  };
+  std::vector<double> pass_rate, dataset_index;
+  for (const Dataset& d : datasets) {
+    pass_rate.push_back(Ratio(static_cast<double>(d.pass.timed), d.pass.window_s));
+    dataset_index.push_back(static_cast<double>(d.index));
+  }
+  out += ",\"pool\":{";
+  out += "\"datasets\":" + list(dataset_index);
   out += ",\"timed_arrivals\":" + std::to_string(pooled.timed);
-  out += ",\"pass_arrivals_per_s\":[";
-  for (size_t k = 0; k < passes.size(); ++k) {
-    out += (k == 0 ? "" : ",") +
-           Num(Ratio(static_cast<double>(passes[k].timed), passes[k].window_s));
-  }
-  out += "]";
-  out += ",\"pass_rss_mb\":[";
-  for (size_t k = 0; k < pass_rss_mb.size(); ++k) {
-    out += (k == 0 ? "" : ",") + Num(pass_rss_mb[k]);
-  }
-  out += "]";
+  out += ",\"window_s\":" + Num(pooled.window_s);
+  out += ",\"pass_p50_s\":" + list(p50s);
+  out += ",\"pass_p99_s\":" + list(p99s);
+  out += ",\"setup_s\":" + list(setup_total);
+  out += ",\"pass_rss_mb\":" + list(pass_rss_mb);
+  out += ",\"true_positives\":" + std::to_string(tp);
+  out += ",\"returned\":" + std::to_string(returned);
+  out += ",\"truth_pairs\":" + std::to_string(truth_pairs);
   out += ",\"latency_samples\":" + std::to_string(latency_samples);
   out += ",\"min_p99_samples_beyond\":" + std::to_string(p99_beyond);
+  out += "}";
+  out += ",\"run\":{";
+  out += "\"evaluator_s\":" + Num(evaluator_s);
+  out += ",\"warmup_s\":" + list(warmups);
+  out += ",\"pass_arrivals_per_s\":" + list(pass_rate);
   out += ",\"rss_reset\":" + std::string(rss_reset ? "true" : "false");
-  out += ",\"absorbs_per_pass\":" + std::to_string(d0.first->absorbs);
+  out += ",\"absorbs_per_pass\":" + std::to_string(first.absorbs);
   out += ",\"cdds\":" + std::to_string(d0.num_cdds);
-  out += ",\"truth_pairs\":" + std::to_string(truth_pairs);
-  out += ",\"precision\":" + Num(precision);
-  out += ",\"recall\":" + Num(recall);
-  out += ",\"digest\":\"" + std::to_string(d0.first->digest.value()) + "\"";
-  out += ",\"repeat_mismatches\":" + std::to_string(repeat_mismatches);
+  out += ",\"digest\":\"" + std::to_string(first.digest.value()) + "\"";
+  out += ",\"replays\":" + std::to_string(replays.size());
+  out += ",\"replay_mismatches\":" + std::to_string(replay_mismatches);
   out += ",\"twin_mismatches\":" + std::to_string(twin_mismatches);
-  out += ",\"traced_mismatches\":" + std::to_string(traced_mismatches);
   out += ",\"cdds_stable\":" + std::string(cdds_stable ? "true" : "false");
-  out += ",\"failed_pct\":" +
-         Num(attempted == 0 ? 0.0 : 100.0 * static_cast<double>(failed) /
-                                        static_cast<double>(attempted));
   out += "}";
   out += ",\"metrics\":{";
-  bool first = true;
+  bool first_metric = true;
   auto emit = [&](const std::vector<Metric>& ms) {
     for (const Metric& m : ms) {
-      out += first ? "" : ",";
-      first = false;
+      out += first_metric ? "" : ",";
+      first_metric = false;
       out += "\"" + m.name + "\":{\"value\":" + Num(m.value) + ",\"unit\":\"" +
              m.unit + "\"}";
     }
   };
-  emit(e2e);
   emit(layer);
   out += "}}";
   std::printf("%s\n", out.c_str());

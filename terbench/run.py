@@ -3,7 +3,6 @@
 
     python3 terbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
     python3 terbench/run.py --steadiness <N> [--seconds <s>] [--trace 0|1]
-                            [--workloads a,b] [--first-seed <n>]
     python3 terbench/run.py --self-test
 
 A run builds the engine from ../src and the benchmark binary (Release, in
@@ -16,8 +15,8 @@ the end-to-end metrics of BENCHMARK.json with --trace 0, its per-layer
 metrics with --trace 1. It exits non-zero when the output check fails or no
 result could be produced.
 
---steadiness runs every workload N times, interleaved, each time with
-another seed, and prints each metric's median and interquartile range as a
+--seconds defaults to BENCHMARK.json's run_seconds. --steadiness runs every
+workload N times, interleaved, with seeds 1..N, and prints each metric's median and interquartile range as a
 share of the median (Python's statistics.quantiles, n=4), against the
 metric's bound.
 """
@@ -161,13 +160,15 @@ def git_commit():
     return "unknown (not a git checkout)"
 
 
-def run_workload(bdir, workload, seed, seconds, trace, deadline):
+def run_binary(bdir, workload, seed, seconds, trace, dataset, deadline):
     """Runs the binary once; returns (report dict, exit code)."""
     tmp = os.path.join(bdir, "tmp")
     os.makedirs(tmp, exist_ok=True)
     cmd = [os.path.join(bdir, "terbench"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace), "--tmp-dir", tmp]
+    if dataset is not None:
+        cmd += ["--dataset", str(dataset)]
     timeout = max(1.0, deadline - time.monotonic())
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                           timeout=timeout)
@@ -178,13 +179,69 @@ def run_workload(bdir, workload, seed, seconds, trace, deadline):
     return json.loads(lines[-1]), proc.returncode
 
 
-def result_line(report, spec, trace):
+def end_to_end(pools):
+    """The end-to-end metrics of a run from the `pool` objects of its
+    processes: throughput pools every pass, latency percentiles are per pass
+    (one dataset each) averaged, setup_s is the median of every set-up
+    sample, peak RSS the mean per-pass growth, the F-score micro-averaged."""
+    def cat(key):
+        return [v for p in pools for v in p[key]]
+
+    def total(key):
+        return sum(p[key] for p in pools)
+
+    tp, returned, truth = (total("true_positives"), total("returned"),
+                           total("truth_pairs"))
+    precision = tp / returned if returned else 0.0
+    recall = tp / truth if truth else 0.0
+    f_score = (2 * precision * recall / (precision + recall)
+               if precision + recall else 0.0)
+    window = total("window_s")
+    return {
+        "arrivals_per_s": (total("timed_arrivals") / window if window
+                           else 0.0, "1/s"),
+        "arrival_p50_ms": (statistics.mean(cat("pass_p50_s")) * 1e3, "ms"),
+        "arrival_p99_ms": (statistics.mean(cat("pass_p99_s")) * 1e3, "ms"),
+        "setup_s": (statistics.median(cat("setup_s")), "s"),
+        "peak_rss_mb": (statistics.mean(cat("pass_rss_mb")), "MiB"),
+        "f_score": (f_score, "ratio"),
+    }
+
+
+def measure(bdir, workload, seed, seconds, trace, deadline):
+    """One run of a workload. With --trace 0 every dataset is measured in a
+    process of its own (the dataset-0 process also runs the replay checks),
+    so that how fast one process happens to be does not carry the run; the
+    traced ledger comes from one process over all datasets. Returns
+    (metrics {name: {value, unit}}, correct, attempted, failed, reports)."""
+    first, code = run_binary(bdir, workload, seed, seconds, trace,
+                             0 if trace == 0 else None, deadline)
+    reports, codes = [first], [code]
+    if trace == 0:
+        for j in range(1, first["params"]["datasets"]):
+            report, code = run_binary(bdir, workload, seed, seconds, trace, j,
+                                      deadline)
+            reports.append(report)
+            codes.append(code)
+    attempted = sum(r["attempted"] for r in reports)
+    failed = sum(r["failed"] for r in reports)
+    e2e = end_to_end([r["pool"] for r in reports])
+    correct = (all(c == 0 and r["correct"] for c, r in zip(codes, reports))
+               and e2e["f_score"][0] > 0)
+    e2e["ok_pct"] = (100.0 * (attempted - failed) / attempted
+                     if attempted else 0.0, "%")
+    metrics = {k: {"value": v, "unit": u} for k, (v, u) in e2e.items()}
+    metrics.update(first["metrics"])
+    return metrics, correct, attempted, failed, reports
+
+
+def result_line(metrics, correct, attempted, failed, spec, trace):
     wanted = spec["per_layer"] if trace else spec["end_to_end"]
     return {
-        "correct": bool(report["correct"]),
-        "attempted": int(report["attempted"]),
-        "failed": int(report["failed"]),
-        "metrics": select_metrics(report["metrics"], wanted),
+        "correct": bool(correct),
+        "attempted": int(attempted),
+        "failed": int(failed),
+        "metrics": select_metrics(metrics, wanted),
     }
 
 
@@ -199,19 +256,24 @@ def single(args):
                            % (args.workload, ", ".join(names)))
     bdir = build()
     start = time.monotonic()
-    report, code = run_workload(bdir, args.workload, args.seed, args.seconds,
-                                args.trace, start + RUN_TIMEOUT_S)
-    stamp = dict(report.get("stamp", {}))
+    metrics, correct, attempted, failed, reports = measure(
+        bdir, args.workload, args.seed, args.seconds, args.trace,
+        start + RUN_TIMEOUT_S)
+    stamp = dict(reports[0].get("stamp", {}))
     stamp["git_commit"] = git_commit()
     stamp["source_sha256"] = source_digest()
-    stamp["params"] = report.get("params", {})
+    stamp["params"] = reports[0].get("params", {})
     print("stamp " + json.dumps(stamp, sort_keys=True))
-    print("run " + json.dumps(report.get("run", {}), sort_keys=True))
-    for name, m in report["metrics"].items():
+    for r in reports:
+        print("pool " + json.dumps(r["pool"], sort_keys=True))
+        print("run " + json.dumps(r["run"], sort_keys=True))
+    print("  %-40s %14.6g %%" % ("failed_pct",
+                                 100.0 * failed / attempted if attempted else 0))
+    for name, m in metrics.items():
         print("  %-40s %14.6g %s" % (name, m["value"], m["unit"]))
-    result = result_line(report, spec, args.trace)
+    result = result_line(metrics, correct, attempted, failed, spec, args.trace)
     print(json.dumps(result), flush=True)
-    return 0 if code == 0 and result["correct"] else 1
+    return 0 if result["correct"] else 1
 
 
 def quartile_spread(values):
@@ -225,21 +287,20 @@ def quartile_spread(values):
 
 def steadiness(args):
     spec = load_spec()
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
+    workloads = [w["name"] for w in spec["workloads"]]
     bdir = build()
     trace = args.trace
     wanted = spec["per_layer"] if trace else spec["end_to_end"]
     values = {w: {m["name"]: [] for m in wanted} for w in workloads}
     ok = True
     for i in range(args.steadiness):
-        seed = args.first_seed + i
+        seed = 1 + i
         for w in workloads:
             t0 = time.monotonic()
-            report, code = run_workload(bdir, w, seed, args.seconds, trace,
-                                        t0 + RUN_TIMEOUT_S)
-            metrics = select_metrics(report["metrics"], wanted)
-            ok = ok and code == 0 and report["correct"]
+            all_metrics, correct, _, _, _ = measure(
+                bdir, w, seed, args.seconds, trace, t0 + RUN_TIMEOUT_S)
+            metrics = select_metrics(all_metrics, wanted)
+            ok = ok and correct
             for name, m in metrics.items():
                 values[w][name].append(m["value"])
             log("seed %d %-20s %5.1fs %s" % (
@@ -296,6 +357,18 @@ def self_test():
             expect(False, "select_metrics accepted %r" % broken)
         except ValueError:
             pass
+    pool = {"timed_arrivals": 100, "window_s": 0.5, "pass_p50_s": [0.001],
+            "pass_p99_s": [0.004], "setup_s": [0.1, 0.3], "pass_rss_mb": [10.0],
+            "true_positives": 3, "returned": 4, "truth_pairs": 6}
+    other = dict(pool, timed_arrivals=300, pass_p50_s=[0.003],
+                 setup_s=[0.2], pass_rss_mb=[20.0], true_positives=1,
+                 returned=4, truth_pairs=2)
+    e2e = end_to_end([pool, other])
+    expect(abs(e2e["arrivals_per_s"][0] - 400.0) < 1e-9, "pooled rate")
+    expect(abs(e2e["arrival_p50_ms"][0] - 2.0) < 1e-9, "mean p50")
+    expect(e2e["setup_s"][0] == 0.2, "median setup over all samples")
+    expect(e2e["peak_rss_mb"][0] == 15.0, "mean rss")
+    expect(abs(e2e["f_score"][0] - 0.5) < 1e-12, "micro-averaged F-score")
     med, spread = quartile_spread([1.0, 2.0, 3.0, 4.0, 5.0])
     expect(med == 3.0 and abs(spread - 3.0 / 3.0) < 1e-12, "quartile spread")
     print("run.py selftest: %s" % ("all checks passed" if failures == 0
@@ -307,14 +380,14 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload")
     p.add_argument("--seed", type=int)
-    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--seconds", type=float)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--steadiness", type=int, default=0)
-    p.add_argument("--workloads")
-    p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--self-test", action="store_true")
     args = p.parse_args()
     try:
+        if args.seconds is None:
+            args.seconds = load_spec()["run_seconds"]
         if args.self_test:
             return self_test()
         if args.steadiness > 0:

@@ -179,10 +179,7 @@ class TimingStorage final : public terids::RepoStorage {
 /// The workload's record source. Hands out exactly what StreamDriver does
 /// and additionally records, per global timestamp, when the record left
 /// NextBatch and which rid/stream it carried, plus the time spent inside
-/// NextBatch itself. NextBatch runs on the producer thread and the stamps
-/// are read by the outcome sink on the caller thread; the engine's batch
-/// handoff (a mutex-guarded queue, or the same thread when synchronous)
-/// orders the two, and the vectors are sized up front so they never move.
+/// NextBatch itself. The vectors are sized up front so they never move.
 class TimingDriver final : public terids::StreamDriver {
  public:
   explicit TimingDriver(std::vector<std::vector<terids::Record>> sources)
