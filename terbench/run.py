@@ -16,9 +16,9 @@ metrics with --trace 1. It exits non-zero when the output check fails or no
 result could be produced.
 
 --seconds defaults to BENCHMARK.json's run_seconds. --steadiness runs every
-workload N times, interleaved, with seeds 1..N, and prints each metric's median and interquartile range as a
-share of the median (Python's statistics.quantiles, n=4), against the
-metric's bound.
+workload N times, interleaved, with seeds 1..N, and prints each metric's
+median and interquartile range as a share of the median (Python's
+statistics.quantiles, n=4), against the metric's bound.
 """
 
 import argparse
