@@ -1,7 +1,7 @@
 #include "bench_util.h"
 
 #include <algorithm>
-#include <cmath>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -23,22 +23,6 @@
 #endif
 
 namespace terbench {
-
-Percentile PercentileOf(const std::vector<double>& sorted, double q) {
-  Percentile p;
-  p.samples = sorted.size();
-  if (sorted.empty()) {
-    return p;
-  }
-  q = std::clamp(q, 0.0, 100.0);
-  // Nearest rank: the smallest value with at least q% of samples <= it.
-  size_t rank = static_cast<size_t>(
-      std::ceil(q / 100.0 * static_cast<double>(sorted.size())));
-  rank = std::clamp<size_t>(rank, 1, sorted.size());
-  p.value = sorted[rank - 1];
-  p.beyond = sorted.size() - rank;
-  return p;
-}
 
 long long ParseVmHwmKb(const std::string& status_text) {
   std::istringstream in(status_text);
@@ -135,6 +119,75 @@ double Median(std::vector<double> values) {
   const size_t n = values.size();
   return n % 2 == 1 ? values[n / 2]
                     : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+HostReference::HostReference() {
+  uint64_t x = 88172645463325252ULL;  // xorshift64
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (uint32_t i = 0; i < 16384; ++i) {
+    const uint64_t key = next();
+    table_[key] = i;
+    probes_.push_back(key);
+  }
+  for (int i = 0; i < 4096; ++i) {
+    unsorted_.push_back(static_cast<uint32_t>(next()));
+  }
+  scratch_.resize(unsorted_.size());
+  for (int i = 0; i < 3000; ++i) {
+    list_a_.push_back(static_cast<uint32_t>(next() % 20000));
+    list_b_.push_back(static_cast<uint32_t>(next() % 20000));
+  }
+  std::sort(list_a_.begin(), list_a_.end());
+  std::sort(list_b_.begin(), list_b_.end());
+  walk_.resize(size_t{1} << 16);
+  for (uint32_t& v : walk_) {
+    v = static_cast<uint32_t>(next());
+  }
+}
+
+double HostReference::RunOnce() {
+  const auto t0 = std::chrono::steady_clock::now();
+  uint64_t acc = 0;
+  for (size_t i = 0; i < 40000; ++i) {
+    acc += table_.find(probes_[(i * 7919) % probes_.size()])->second;
+  }
+  for (int r = 0; r < 4; ++r) {
+    std::copy(unsorted_.begin(), unsorted_.end(), scratch_.begin());
+    std::sort(scratch_.begin(), scratch_.end());
+    acc += scratch_[scratch_.size() / 2];
+  }
+  for (int r = 0; r < 40; ++r) {
+    size_t i = 0, j = 0;
+    while (i < list_a_.size() && j < list_b_.size()) {
+      if (list_a_[i] < list_b_[j]) {
+        ++i;
+      } else if (list_b_[j] < list_a_[i]) {
+        ++j;
+      } else {
+        ++acc;
+        ++i;
+        ++j;
+      }
+    }
+  }
+  uint32_t at = 0;
+  for (uint32_t i = 0; i < 40000; ++i) {
+    at = walk_[(at ^ i) & (walk_.size() - 1)];
+    acc += at;
+  }
+  uint64_t h = acc;
+  for (int i = 0; i < 300000; ++i) {
+    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+    h ^= h >> 29;
+  }
+  checksum_ = terids::Fnv1aMix(checksum_, h);
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 }  // namespace terbench

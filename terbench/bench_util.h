@@ -3,24 +3,12 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "er/match_set.h"
 
 namespace terbench {
-
-/// A nearest-rank percentile together with the sample count it rests on
-/// and how many samples lie strictly above it, so a report can say whether
-/// the tail it quotes is supported (at least ten samples beyond it).
-struct Percentile {
-  double value = 0.0;
-  size_t samples = 0;
-  size_t beyond = 0;
-};
-
-/// Nearest-rank percentile `q` in [0, 100] of `sorted` (ascending). An
-/// empty input yields a zero value with zero samples.
-Percentile PercentileOf(const std::vector<double>& sorted, double q);
 
 /// The VmHWM (peak resident set) of a /proc/<pid>/status text, in KiB; -1
 /// when the field is missing or malformed.
@@ -65,6 +53,34 @@ std::string ReadFile(const std::string& path);
 
 /// Median of a copy of `values` (0 for an empty input).
 double Median(std::vector<double> values);
+
+/// A fixed unit of CPU work that gauges how fast the host runs at the
+/// moment it runs: hash-table probes, sorts, sorted-list merges, a
+/// dependent random walk and an integer hash chain, all within about 1 MiB
+/// and with no allocation. On a shared host every kind of work, this kernel
+/// included, slows by a common factor (up to 2x, for minutes at a time), so
+/// program times measured beside the kernel's median time can be scaled to
+/// one host speed. The working set is cache-sized on purpose: a kernel that
+/// walked 32 MiB also followed swings in memory latency that the workloads
+/// did not share. The kernel is the benchmark's own code: no change to the
+/// engine changes the work it does.
+class HostReference {
+ public:
+  HostReference();
+  /// Runs the kernel once; returns its wall time in seconds.
+  double RunOnce();
+  /// Folds everything the kernel computed, so the work cannot be optimised
+  /// away; equal after the same number of runs.
+  uint64_t checksum() const { return checksum_; }
+
+ private:
+  std::unordered_map<uint64_t, uint32_t> table_;
+  std::vector<uint64_t> probes_;
+  std::vector<uint32_t> unsorted_, scratch_;
+  std::vector<uint32_t> list_a_, list_b_;
+  std::vector<uint32_t> walk_;  // 256 KiB
+  uint64_t checksum_ = 0;
+};
 
 }  // namespace terbench
 

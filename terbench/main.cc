@@ -4,9 +4,9 @@
 //            [--dataset <j>] [--tmp-dir <dir>]
 //
 // A run measures round(--seconds / pass_seconds) generated datasets (at
-// least two; seeds seed*1000+j), or only dataset j with --dataset. For each
-// dataset: the evaluator's set-up (data generation, missing-value
-// injection, ground-truth replay; never timed), several timed offline
+// least two), or only dataset j with --dataset. For each dataset: the
+// evaluator's set-up (data generation, missing-value injection,
+// ground-truth replay; never timed), several timed offline
 // builds of the system (set-up samples), then one pass over the arrival
 // stream: an untimed warm-up followed by a fixed number of timed arrivals.
 // The caller waits for every ProcessStream call to return before issuing
@@ -93,16 +93,31 @@ struct Workload {
   // Timed arrivals per pass (fewer if the stream runs dry first).
   int timed_arrivals;
   // Nominal timed seconds of one pass. A run measures
-  // round(--seconds / pass_seconds) datasets (seeds seed*1000+j), at least
-  // two: the seed moves each workload's cost (mined rules, neighbourhood
-  // sizes), so a run pools several datasets. The work depends on --seconds
-  // only, never on how fast the host is, so counts repeat for a seed.
+  // round(--seconds / pass_seconds) datasets, at least two. The work
+  // depends on --seconds and the seed only, never on how fast the host is,
+  // so counts repeat for a seed.
   double pass_seconds;
+  // What the run seed draws. The generated data decide the mined rules and
+  // so the neighbourhood sizes and the imputation work: from one data seed
+  // to the next a Songs pass cost up to 3x more. So where tuples miss
+  // values the data family is fixed (dataset j uses data seed
+  // kFamilySeed + j) and the seed draws which arrivals miss which
+  // attributes. A complete stream has no missing values to draw, and its
+  // refinement work repeats within 1% across data seeds, so there the seed
+  // draws the data (seed*1000 + j).
+  bool seed_draws_data;
 };
+
+constexpr uint64_t kFamilySeed = 20210620;
 
 // Offline builds timed per dataset (the last one serves the pass); setup_s
 // is the median over all of a run's builds.
 constexpr int kBuildsPerDataset = 5;
+
+// HostReference runs before each dataset's builds and after its pass, this
+// many times each (about 0.1 s); run.py scales the run's times by the
+// median of all of them.
+constexpr int kHostSamplesPerStage = 25;
 
 // Why these three: songs_impute is dominated by CDD selection + DR-index
 // retrieval + Equation-4 accumulation (imputation layers); ebooks_refine
@@ -112,17 +127,20 @@ constexpr int kBuildsPerDataset = 5;
 // over the mmap snapshot (cache refills, overlay writes, exec layer). Its
 // micro-batches run synchronously (no async ingest queue): behind the
 // queue, p50 latency switched between two levels from one set of runs to
-// the next as the producer/consumer balance followed host load.
+// the next as the producer/consumer balance followed host load. It runs
+// three threads (two scheduler workers plus the caller) on the four-vCPU
+// host: with four, every stall of one thread on the shared host stalled the
+// batch, and five seeds spread 0.25 of the median in p50 against 0.12.
 const Workload kWorkloads[] = {
     {"songs_impute", "Songs", 0.005, 200, 0.3, 1, 0.5, 1,
      1, 0, 1, terids::RepoBackend::kInMemory, 0, 0,
-     2000, 2300, 1.4},
+     2000, 2300, 1.4, false},
     {"ebooks_refine", "EBooks", 0.3, 1000, 0.0, 1, 0.3, 1000,
      1, 0, 1, terids::RepoBackend::kInMemory, 0, 0,
-     2000, 1200, 1.6},
+     2000, 1200, 1.6, true},
     {"bikes_writes_async", "Bikes", 0.5, 200, 0.3, 1, 0.5, 1,
-     8, 3, 3, terids::RepoBackend::kMmapSnapshot, 1000, 20,
-     1000, 1200, 0.8},
+     8, 2, 2, terids::RepoBackend::kMmapSnapshot, 1000, 20,
+     1000, 1200, 0.8, false},
 };
 
 const Workload* FindWorkload(const std::string& name) {
@@ -278,17 +296,33 @@ struct PassResult {
   RepoCounters::Snapshot repo_count;
 };
 
+// One generated dataset of a run, with its evaluator artifacts.
+struct Dataset {
+  int index = 0;  // j
+  std::unique_ptr<terids::Experiment> exp;
+  // The arrival streams: the Experiment's complete sources with the run
+  // seed's missing values.
+  std::vector<std::vector<Record>> streams;
+  std::vector<int64_t> ts_of_rid;  // arrival timestamp of every stream rid
+  std::vector<Record> offline;     // repository samples loaded offline
+  std::vector<Record> held_out;    // samples absorbed while streaming
+  EngineConfig config;
+  EngineConfig seq_config;  // the one-at-a-time operator (the twin)
+  size_t num_cdds = 0;
+  PassResult pass;  // the dataset's timed pass
+};
+
 // Arrivals after each absorb whose imputation cost is charged to the
 // cache refill the absorb forced.
 constexpr size_t kPostAbsorbArrivals = 100;
 
-PassResult RunPass(const Workload& wl, const terids::Experiment& exp,
-                   const std::vector<int64_t>& ts_of_rid,
-                   const std::vector<Record>& held_out,
+PassResult RunPass(const Workload& wl, const Dataset& d,
                    const EngineConfig& config, System* sys,
                    size_t timed_cap, RepoCounters* counters) {
   PassResult res;
-  TimingDriver driver({exp.incomplete_a(), exp.incomplete_b()});
+  const std::vector<int64_t>& ts_of_rid = d.ts_of_rid;
+  const std::vector<Record>& held_out = d.held_out;
+  TimingDriver driver(d.streams);
   const size_t total = driver.total();
   const size_t warmup = std::min<size_t>(wl.warmup_arrivals, total);
   res.arrival_hash.assign(total, 0);
@@ -489,26 +523,22 @@ bool SamePruneCounts(const PruneStats& x, const PruneStats& y) {
          x.deferred == y.deferred;
 }
 
-// One generated dataset of a run, with its evaluator artifacts.
-struct Dataset {
-  int index = 0;  // j of seed*1000+j
-  std::unique_ptr<terids::Experiment> exp;
-  std::vector<int64_t> ts_of_rid;  // arrival timestamp of every stream rid
-  std::vector<Record> offline;     // repository samples loaded offline
-  std::vector<Record> held_out;    // samples absorbed while streaming
-  EngineConfig config;
-  EngineConfig seq_config;  // the one-at-a-time operator (the twin)
-  size_t num_cdds = 0;
-  PassResult pass;  // the dataset's timed pass
-};
-
-Dataset MakeDataset(const Workload& wl, uint64_t seed) {
+// Dataset j of a run with seed `seed` (see Workload::seed_draws_data).
+Dataset MakeDataset(const Workload& wl, uint64_t seed, int j) {
   Dataset d;
+  d.index = j;
+  const uint64_t drawn = seed * 1000 + static_cast<uint64_t>(j);
   d.exp = std::make_unique<terids::Experiment>(
-      terids::ProfileByName(wl.profile), ParamsFor(wl, seed));
+      terids::ProfileByName(wl.profile),
+      ParamsFor(wl, wl.seed_draws_data ? drawn : kFamilySeed + j));
   const terids::GeneratedDataset& ds = d.exp->dataset();
+  // The effective truth replays the complete sources, so it holds for any
+  // missing-value draw.
+  d.streams = {
+      terids::DataGenerator::WithMissing(ds.source_a, wl.xi, wl.m, drawn),
+      terids::DataGenerator::WithMissing(ds.source_b, wl.xi, wl.m, drawn + 1)};
   d.ts_of_rid.assign(ds.source_a.size() + ds.source_b.size(), -1);
-  terids::StreamDriver order({d.exp->incomplete_a(), d.exp->incomplete_b()});
+  terids::StreamDriver order(d.streams);
   while (order.HasNext()) {
     const Record r = order.Next();
     TERIDS_CHECK(r.rid >= 0 && static_cast<size_t>(r.rid) < d.ts_of_rid.size());
@@ -616,8 +646,7 @@ int Run(int argc, char** argv) {
   std::vector<Dataset> datasets;
   for (int j = 0; j < num_datasets; ++j) {
     if (only_dataset < 0 || only_dataset == j) {
-      datasets.push_back(MakeDataset(*wl, seed * 1000 + static_cast<uint64_t>(j)));
-      datasets.back().index = j;
+      datasets.push_back(MakeDataset(*wl, seed, j));
     }
   }
   // The checks and the trace ledger that replay the first dataset run in
@@ -650,17 +679,26 @@ int Run(int argc, char** argv) {
   // Timed passes: one fresh system per dataset.
   std::vector<double> pass_rss_mb;
   bool rss_reset = true;
+  HostReference host;
+  std::vector<double> host_ref_s;
+  auto sample_host = [&] {
+    for (int k = 0; k < kHostSamplesPerStage; ++k) {
+      host_ref_s.push_back(host.RunOnce());
+    }
+  };
   for (Dataset& d : datasets) {
+    sample_host();
     for (int b = 1; b < kBuildsPerDataset; ++b) {
       timed_build(d);
     }
     std::optional<double> base_rss = ResetPeakRss();
     rss_reset = rss_reset && base_rss.has_value();
     System sys = timed_build(d);
-    d.pass = RunPass(*wl, *d.exp, d.ts_of_rid, d.held_out, d.config, &sys,
+    d.pass = RunPass(*wl, d, d.config, &sys,
                      static_cast<size_t>(wl->timed_arrivals), nullptr);
     sys = System();
     pass_rss_mb.push_back(PeakRssMb() - base_rss.value_or(0.0));
+    sample_host();
   }
   const PassResult& first = datasets.front().pass;
 
@@ -677,7 +715,7 @@ int Run(int argc, char** argv) {
     Dataset& d = datasets.front();
     System sys = BuildSystem(d.exp->dataset(), d.offline, d.config, tmp_dir,
                              &counters);
-    PassResult r = RunPass(*wl, *d.exp, d.ts_of_rid, d.held_out, d.config,
+    PassResult r = RunPass(*wl, d, d.config,
                            &sys, first.timed, &counters);
     replay_mismatches += Mismatches(first, r);
     replay_mismatches += SamePruneCounts(first.count_stats, r.count_stats) ? 0 : 1;
@@ -699,7 +737,7 @@ int Run(int argc, char** argv) {
     System twin_sys = BuildSystem(d.exp->dataset(), d.offline, d.seq_config,
                                   tmp_dir, nullptr);
     const PassResult twin =
-        RunPass(*wl, *d.exp, d.ts_of_rid, d.held_out, d.seq_config, &twin_sys,
+        RunPass(*wl, d, d.seq_config, &twin_sys,
                 first.timed, nullptr);
     twin_mismatches = Mismatches(first, twin);
     twin_window_s = twin.window_s;
@@ -730,22 +768,15 @@ int Run(int argc, char** argv) {
   // differ.
   size_t attempted = 0;
   size_t failed = replay_mismatches + twin_mismatches;
-  std::vector<double> p50s, p99s, warmups;
-  size_t latency_samples = 0;
-  size_t p99_beyond = SIZE_MAX;  // fewest samples beyond a pass's p99
+  std::vector<double> warmups;
   PassResult pooled;  // timed-window ledger summed over passes
   for (const Dataset& d : datasets) {
     const PassResult& p = d.pass;
     attempted += p.processed + p.absorbs;
     failed += p.order_violations + p.match_violations + p.not_processed +
               p.failed_absorbs;
-    std::vector<double> lat = p.latency_s;
-    std::sort(lat.begin(), lat.end());
-    p50s.push_back(PercentileOf(lat, 50.0).value);
-    const Percentile p99 = PercentileOf(lat, 99.0);
-    p99s.push_back(p99.value);
-    latency_samples += p99.samples;
-    p99_beyond = std::min(p99_beyond, p99.beyond);
+    pooled.latency_s.insert(pooled.latency_s.end(), p.latency_s.begin(),
+                            p.latency_s.end());
     warmups.push_back(p.warmup_s);
     pooled.timed += p.timed;
     pooled.count_stats.Add(p.count_stats);
@@ -847,6 +878,7 @@ int Run(int argc, char** argv) {
     layer.push_back({"repo.absorb_ms_per_record",
                      Ratio(l.absorb_s * 1e3, static_cast<double>(l.absorbed_records)),
                      "ms"});
+    layer.push_back({"eval.host_ref_ms", Median(host_ref_s) * 1e3, "ms"});
     layer.push_back({"eval.unattributed_share",
                      Ratio(l.window_s - l.stream_calls_s - l.absorb_s, l.window_s),
                      "ratio"});
@@ -877,7 +909,9 @@ int Run(int argc, char** argv) {
   out += ",\"params\":{";
   out += "\"profile\":\"" + std::string(wl->profile) + "\"";
   out += ",\"datasets\":" + std::to_string(num_datasets);
-  out += ",\"dataset_seeds\":\"seed*1000+j\"";
+  out += ",\"data_seeds\":\"" +
+         std::string(wl->seed_draws_data ? "seed*1000+j" : "20210620+j") + "\"";
+  out += ",\"missing_seeds\":\"seed*1000+j, +1\"";
   out += ",\"scale\":" + Num(wl->scale);
   out += ",\"w\":" + std::to_string(wl->w);
   out += ",\"xi\":" + Num(wl->xi);
@@ -915,15 +949,13 @@ int Run(int argc, char** argv) {
   out += "\"datasets\":" + list(dataset_index);
   out += ",\"timed_arrivals\":" + std::to_string(pooled.timed);
   out += ",\"window_s\":" + Num(pooled.window_s);
-  out += ",\"pass_p50_s\":" + list(p50s);
-  out += ",\"pass_p99_s\":" + list(p99s);
+  out += ",\"latency_s\":" + list(pooled.latency_s);
   out += ",\"setup_s\":" + list(setup_total);
   out += ",\"pass_rss_mb\":" + list(pass_rss_mb);
   out += ",\"true_positives\":" + std::to_string(tp);
   out += ",\"returned\":" + std::to_string(returned);
   out += ",\"truth_pairs\":" + std::to_string(truth_pairs);
-  out += ",\"latency_samples\":" + std::to_string(latency_samples);
-  out += ",\"min_p99_samples_beyond\":" + std::to_string(p99_beyond);
+  out += ",\"host_ref_s\":" + list(host_ref_s);
   out += "}";
   out += ",\"run\":{";
   out += "\"evaluator_s\":" + Num(evaluator_s);

@@ -1,5 +1,6 @@
-// Unit checks of the benchmark's own helpers: percentile with sample
-// count, VmHWM parsing, the match digest, and host-stamp parsing. Exits
+// Unit checks of the benchmark's own helpers: median, VmHWM parsing, the
+// match digest, host-stamp parsing and the host reference kernel (run.py
+// --self-test checks the latency percentiles). Exits
 // non-zero on the first failed expectation (checks stay in every build).
 
 #include <cmath>
@@ -20,28 +21,7 @@ void Expect(bool ok, const char* what, int line) {
 }
 #define EXPECT(cond) Expect((cond), #cond, __LINE__)
 
-void TestPercentile() {
-  using terbench::PercentileOf;
-  std::vector<double> v;
-  for (int i = 1; i <= 100; ++i) {
-    v.push_back(i);
-  }
-  const terbench::Percentile p50 = PercentileOf(v, 50.0);
-  EXPECT(p50.value == 50.0 && p50.samples == 100 && p50.beyond == 50);
-  const terbench::Percentile p99 = PercentileOf(v, 99.0);
-  EXPECT(p99.value == 99.0 && p99.beyond == 1);
-  EXPECT(PercentileOf(v, 100.0).value == 100.0);
-  EXPECT(PercentileOf(v, 0.0).value == 1.0);
-  // 1000 samples are the fewest that leave ten beyond the p99.
-  std::vector<double> k(1000);
-  for (int i = 0; i < 1000; ++i) {
-    k[i] = i;
-  }
-  EXPECT(PercentileOf(k, 99.0).beyond == 10);
-  const terbench::Percentile empty = PercentileOf({}, 99.0);
-  EXPECT(empty.samples == 0 && empty.value == 0.0);
-  const terbench::Percentile one = PercentileOf({7.0}, 99.0);
-  EXPECT(one.value == 7.0 && one.samples == 1 && one.beyond == 0);
+void TestMedian() {
   EXPECT(terbench::Median({3.0, 1.0, 2.0}) == 2.0);
   EXPECT(terbench::Median({4.0, 1.0, 2.0, 3.0}) == 2.5);
   EXPECT(terbench::Median({}) == 0.0);
@@ -92,13 +72,23 @@ void TestStamp() {
   EXPECT(!info.compiler.empty() && !info.build_type.empty());
 }
 
+void TestHostReference() {
+  terbench::HostReference a, b;
+  EXPECT(a.RunOnce() > 0.0);
+  b.RunOnce();
+  EXPECT(a.checksum() == b.checksum() && a.checksum() != 0);
+  a.RunOnce();
+  EXPECT(a.checksum() != b.checksum());
+}
+
 }  // namespace
 
 int main() {
-  TestPercentile();
+  TestMedian();
   TestVmHwm();
   TestDigest();
   TestStamp();
+  TestHostReference();
   if (failures == 0) {
     std::printf("terbench selftest: all checks passed\n");
   }
