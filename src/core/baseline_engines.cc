@@ -1,7 +1,5 @@
 #include "core/baseline_engines.h"
 
-#include <unordered_map>
-
 #include "core/terids_engine.h"
 #include "imputation/constraint_imputer.h"
 #include "imputation/rule_based_imputer.h"
@@ -33,9 +31,9 @@ std::vector<ImputedTuple::ImputedAttr> IjGerEngine::Impute(
       ScopedTimer timer(cost ? &cost->cdd_select_seconds : nullptr);
       selected = cdd_index_.SelectRules(r, pc, j);
     }
-    std::unordered_map<ValueId, double> freq;
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
+      counts_.Fit(repo_->domain_size(j));
       // Linear sample retrieval (no DR-index join), but candidate values
       // still come from the pivot-backed neighbor lists — this pipeline has
       // the indexes, it just does not traverse them simultaneously.
@@ -44,13 +42,13 @@ std::vector<ImputedTuple::ImputedAttr> IjGerEngine::Impute(
         for (size_t i = 0; i < repo_->num_samples(); ++i) {
           if (rule.DeterminantsSatisfied(r, *repo_, i)) {
             neighborhoods_.AccumulateRange(j, repo_->sample_value_id(i, j),
-                                           rule.dep_interval, &freq);
+                                           rule.dep_interval, &counts_);
           }
         }
       }
     }
     std::vector<ImputedTuple::Candidate> cands =
-        FinalizeCandidates(freq, config_.max_candidates_per_attr);
+        FinalizeCandidates(&counts_, config_.max_candidates_per_attr);
     if (!cands.empty()) {
       ImputedTuple::ImputedAttr ia;
       ia.attr = j;

@@ -28,6 +28,7 @@ class IjGerEngine : public PipelineBase {
   std::vector<CddRule> rules_;
   CddIndex cdd_index_;
   ValueNeighborhoods neighborhoods_;
+  CandidateCounter counts_;
 };
 
 /// The linear baselines `CDD+ER`, `DD+ER`, `er+ER`: rule-based imputation

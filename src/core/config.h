@@ -94,12 +94,6 @@ struct EngineConfig {
   /// knob sets the shared worker budget. Every setting produces identical
   /// matches, MatchSet, and PruneStats (the equivalence sweep enforces it).
   int sched_threads = 0;
-  /// Enables the batch-scoped CDD-selection memoization probe
-  /// (CostBreakdown::cdd_memo_*). Off by default: the PR-3 measurement
-  /// found a near-zero hit rate on every profile, so the hot loop no
-  /// longer pays for the signature bookkeeping unless explicitly asked to
-  /// re-measure (see ROADMAP).
-  bool cdd_memo_probe = false;
   /// Physical storage backend behind the repository R the engines read
   /// (DESIGN.md §8). Engines never construct repositories themselves —
   /// Experiment::BuildRepository consults this (building and mmapping a

@@ -225,7 +225,6 @@ void PipelineBase::MaintainPhase(ArrivalContext* ctx,
 
 void PipelineBase::IngestBatch(const std::vector<Record>& batch,
                                std::vector<ArrivalContext>* ctxs) {
-  BeginBatch();
   ctxs->reserve(ctxs->size() + batch.size());
   // Impute / candidates / maintain per arrival, in arrival order, with
   // refinement deferred: the window, grid, and imputer state each batch
@@ -474,7 +473,6 @@ size_t PipelineBase::DrainQueue(BatchQueue<IngestedBatch>* queue,
 // --- Operators -------------------------------------------------------------
 
 ArrivalOutcome PipelineBase::ProcessArrival(const Record& r) {
-  BeginBatch();
   ArrivalContext ctx(r);
   ImputePhase(&ctx);
   {

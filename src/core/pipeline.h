@@ -148,12 +148,6 @@ class PipelineBase : public ErPipeline {
                                                         const ProbeCoords& pc,
                                                         CostBreakdown* cost);
 
-  /// Batch-boundary hook, called once before the first arrival of every
-  /// micro-batch (and before each arrival in one-at-a-time processing,
-  /// where every arrival is its own batch). Subclasses reset batch-scoped
-  /// probes here (e.g. the TER-iDS CDD-memoization signature set).
-  virtual void BeginBatch() {}
-
   // --- Arrival pipeline phases (Algorithm 2) -----------------------------
 
   /// Lines 8-10: probe coordinates, imputation, topic classification.
@@ -219,7 +213,7 @@ class PipelineBase : public ErPipeline {
   /// the result set (the single place MatchPairs are constructed).
   void ApplyEvaluation(ArrivalContext* ctx, const WindowTuple* cand,
                        const PairEvaluation& eval);
-  /// Ingest stage: BeginBatch, then impute/candidates/maintain per record
+  /// Ingest stage: impute/candidates/maintain per record
   /// in arrival order with refinement deferred and result-set eviction
   /// parked in each context. Touches windows_/grid_/imputer_ only — under
   /// async ingest it runs on the ingest thread.

@@ -1,10 +1,7 @@
 #include "core/terids_engine.h"
 
-#include <unordered_map>
-
 #include "imputation/rule_based_imputer.h"
 #include "rules/rule_miner.h"
-#include "util/hash.h"
 #include "util/stopwatch.h"
 
 namespace terids {
@@ -17,7 +14,8 @@ TerIdsEngine::TerIdsEngine(Repository* repo, EngineConfig config,
       cdd_index_(repo, &rules_),
       dr_index_(repo),
       neighborhoods_(repo, ValueNeighborhoods::MaxRadiusPerAttr(
-                               rules_, repo->num_attributes())) {
+                               rules_, repo->num_attributes())),
+      dist_memo_(repo->num_attributes()) {
   cdd_index_.Build();
   dr_index_.Build();
 }
@@ -50,82 +48,49 @@ std::vector<AttrBand> TerIdsEngine::BandsForRule(const CddRule& rule,
   return bands;
 }
 
-void TerIdsEngine::BeginBatch() {
-  if (config_.cdd_memo_probe) {
-    batch_cdd_sigs_.clear();
-  }
-}
-
-uint64_t TerIdsEngine::DeterminantSignature(const Record& r,
-                                            int missing_attr) {
-  // FNV-1a over the missing attribute index and every non-missing
-  // attribute's (index, token ids). SelectRules reads nothing else from the
-  // arrival, so equal signatures imply an identical selection result.
-  uint64_t h = kFnv1aOffsetBasis;
-  h = Fnv1aMix(h, static_cast<uint64_t>(static_cast<uint32_t>(missing_attr)));
-  for (int a = 0; a < r.num_attributes(); ++a) {
-    const AttrValue& value = r.values[a];
-    if (value.missing) {
-      continue;
-    }
-    h = Fnv1aMix(h, static_cast<uint64_t>(static_cast<uint32_t>(a)) |
-                        (1ULL << 32));
-    for (Token t : value.tokens) {
-      h = Fnv1aMix(h, static_cast<uint64_t>(static_cast<uint32_t>(t)));
-    }
-  }
-  return h;
-}
-
 std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     const Record& r, const ProbeCoords& pc, CostBreakdown* cost) {
   std::vector<ImputedTuple::ImputedAttr> result;
-  // The index join evaluates each (probe attribute, sample) Jaccard
-  // distance at most once per arrival, no matter how many selected rules
-  // constrain that attribute — this memo is the "simultaneous traversal"
-  // payoff of Section 5.3 that the unindexed baselines do not get.
-  std::unordered_map<uint64_t, double> dist_memo;
-  auto probe_sample_dist = [&](int attr, size_t sample_idx) {
-    const uint64_t key = (static_cast<uint64_t>(sample_idx) << 5) |
-                         static_cast<uint64_t>(attr);
-    auto it = dist_memo.find(key);
-    if (it != dist_memo.end()) {
-      return it->second;
+  // The index join evaluates each probe-to-domain-value Jaccard distance at
+  // most once per arrival, no matter how many selected rules or retrieved
+  // samples carry that value — this memo is the "simultaneous traversal"
+  // payoff of Section 5.3 that the unindexed baselines do not get. A new
+  // epoch invalidates every entry of the previous arrival at once.
+  if (++memo_epoch_ == 0) {
+    for (auto& per_attr : dist_memo_) {
+      per_attr.assign(per_attr.size(), MemoEntry{});
     }
-    const double dist = JaccardDistance(
-        r.values[attr].tokens, repo_->sample(sample_idx).values[attr].tokens);
-    dist_memo.emplace(key, dist);
-    return dist;
+    memo_epoch_ = 1;
+  }
+  auto probe_value_dist = [&](int attr, ValueId vid) {
+    std::vector<MemoEntry>& memo = dist_memo_[attr];
+    if (vid >= memo.size()) {
+      memo.resize(repo_->domain_size(attr));
+    }
+    MemoEntry& entry = memo[vid];
+    if (entry.epoch != memo_epoch_) {
+      entry.dist = JaccardDistance(r.values[attr].tokens,
+                                   repo_->value_tokens(attr, vid));
+      entry.epoch = memo_epoch_;
+    }
+    return entry.dist;
   };
   auto determinants_satisfied = [&](const CddRule& rule, size_t sample_idx) {
     for (const auto& [attr, constraint] : rule.determinants) {
+      const ValueId svid = repo_->sample_value_id(sample_idx, attr);
       if (constraint.kind == AttrConstraint::Kind::kConstant) {
         // Probe-side equality was verified by the CDD-index; check the
         // sample side.
-        if (repo_->sample_value_id(sample_idx, attr) !=
-            constraint.constant_vid) {
+        if (svid != constraint.constant_vid) {
           return false;
         }
-      } else if (!constraint.interval.Contains(
-                     probe_sample_dist(attr, sample_idx))) {
+      } else if (!constraint.interval.Contains(probe_value_dist(attr, svid))) {
         return false;
       }
     }
     return true;
   };
   for (int j : r.MissingAttributes()) {
-    // Memoization probe: would a batch-scoped cache keyed by determinant
-    // signature have answered this selection? Counted only — the selection
-    // still runs, so results are unchanged while CostBreakdown reports the
-    // would-be hit rate. Gated off by default: the measured rate was near
-    // zero on every profile (ROADMAP), so the hot loop skips the signature
-    // hashing unless a run explicitly re-measures.
-    if (config_.cdd_memo_probe && cost != nullptr) {
-      cost->cdd_memo_queries += 1.0;
-      if (!batch_cdd_sigs_.insert(DeterminantSignature(r, j)).second) {
-        cost->cdd_memo_repeats += 1.0;
-      }
-    }
     // CDD selection via the CDD-index.
     std::vector<int> selected;
     {
@@ -140,9 +105,9 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     // precomputed neighbor lists. This is the "simultaneous traversal" of
     // Section 5.3: each distance is computed once per arrival (probe-side)
     // or once per engine lifetime (domain-side), not once per rule.
-    std::unordered_map<ValueId, double> freq;
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
+      counts_.Fit(repo_->domain_size(j));
       // Union bands per attribute.
       const int d = repo_->num_attributes();
       std::vector<AttrBand> union_bands(d);
@@ -181,13 +146,13 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
             // sample value's distance-sorted neighbor list.
             neighborhoods_.AccumulateRange(
                 j, repo_->sample_value_id(sample_idx, j), rule.dep_interval,
-                &freq);
+                &counts_);
           }
         }
       }
     }
     std::vector<ImputedTuple::Candidate> cands =
-        FinalizeCandidates(freq, config_.max_candidates_per_attr);
+        FinalizeCandidates(&counts_, config_.max_candidates_per_attr);
     if (!cands.empty()) {
       ImputedTuple::ImputedAttr ia;
       ia.attr = j;
@@ -199,21 +164,39 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
 }
 
 Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
+  const int d = repo_->num_attributes();
+  std::vector<size_t> domain_before(d);
+  for (int x = 0; x < d; ++x) {
+    domain_before[x] = repo_->domain_size(x);
+  }
+  RuleMiner miner(repo_, MinerOptions{});
+  int widened = 0;
+  Status status = Status::Ok();
   for (const Record& record : batch) {
     const size_t sample_idx = repo_->num_samples();
-    TERIDS_RETURN_IF_ERROR(repo_->AddSample(record));
+    status = repo_->AddSample(record);
+    if (!status.ok()) {
+      break;  // The samples absorbed so far still get the refresh below.
+    }
     dr_index_.InsertSample(sample_idx);
-    // New domain values invalidate the cached value neighborhoods.
-    neighborhoods_.Invalidate();
-    // Widen rules the new sample violates; rebuild index entries of the
-    // widened rules (dependent interval is a leaf aggregate).
-    RuleMiner miner(repo_, MinerOptions{});
-    const int widened = miner.AbsorbNewSample(sample_idx, &rules_);
-    if (widened > 0) {
-      cdd_index_.Build();  // Aggregates changed; rebuild the lattice trees.
+    // Widen rules the new sample violates.
+    widened += miner.AbsorbNewSample(sample_idx, &rules_);
+  }
+  if (widened > 0) {
+    // Dependent intervals are leaf aggregates of the CDD-index; a widened
+    // rule may also outgrow its attribute's neighbourhood radius.
+    cdd_index_.Build();
+    neighborhoods_.SetRadius(ValueNeighborhoods::MaxRadiusPerAttr(rules_, d));
+  }
+  // A new domain value may fall inside any cached list of its attribute.
+  // Existing values keep their pivot coordinates, so the lists of
+  // attributes whose domain did not grow stay exact.
+  for (int x = 0; x < d; ++x) {
+    if (repo_->domain_size(x) != domain_before[x]) {
+      neighborhoods_.Invalidate(x);
     }
   }
-  return Status::Ok();
+  return status;
 }
 
 }  // namespace terids

@@ -2,7 +2,6 @@
 #define TERIDS_CORE_TERIDS_ENGINE_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -37,7 +36,9 @@ class TerIdsEngine : public PipelineBase {
   /// Dynamic repository maintenance (Section 5.5): adds a batch of new
   /// complete tuples to R, extends the DR-index incrementally, widens or
   /// adds CDD rules via the miner's absorb step, and refreshes the
-  /// CDD-index entries of changed rules.
+  /// CDD-index entries of changed rules. Once per batch, the neighbour
+  /// lists of attributes whose domain grew or whose radius widened are
+  /// dropped; all other lists stay cached.
   Status AbsorbRepositoryBatch(const std::vector<Record>& batch);
 
   const CddIndex& cdd_index() const { return cdd_index_; }
@@ -48,28 +49,29 @@ class TerIdsEngine : public PipelineBase {
   std::vector<ImputedTuple::ImputedAttr> Impute(const Record& r,
                                                 const ProbeCoords& pc,
                                                 CostBreakdown* cost) override;
-  /// Resets the batch-scoped CDD-selection memoization probe (see below).
-  void BeginBatch() override;
 
  private:
   std::vector<AttrBand> BandsForRule(const CddRule& rule,
                                      const ProbeCoords& pc) const;
-  /// Determinant signature of one (record, missing attribute) CDD
-  /// selection: a hash of the missing attribute index and every non-missing
-  /// attribute's token set — exactly the inputs SelectRules depends on, so
-  /// two arrivals with equal signatures would hit a selection cache.
-  static uint64_t DeterminantSignature(const Record& r, int missing_attr);
 
   std::vector<CddRule> rules_;
   CddIndex cdd_index_;
   DrIndex dr_index_;
   ValueNeighborhoods neighborhoods_;
-  /// CDD-selection memoization probe: determinant signatures seen since the
-  /// last BeginBatch, reported via CostBreakdown::cdd_memo_{queries,
-  /// repeats}. Only maintained when EngineConfig::cdd_memo_probe is set —
-  /// the PR-3 measurement found a near-zero hit rate, so by default the
-  /// hot loop pays nothing for it (ROADMAP decision).
-  std::unordered_set<uint64_t> batch_cdd_sigs_;
+
+  // Index-join scratch, reused across Impute calls. Like neighborhoods_ it
+  // is owned by the single ingest owner of the pipeline (DESIGN.md §5).
+  /// One probe-to-domain-value distance; valid iff `epoch` equals the
+  /// current Impute call's memo_epoch_ (0 is never current).
+  struct MemoEntry {
+    double dist = 0.0;
+    uint32_t epoch = 0;
+  };
+  /// dist_memo_[attr][vid], grown lazily with dom(attr).
+  std::vector<std::vector<MemoEntry>> dist_memo_;
+  uint32_t memo_epoch_ = 0;
+  /// Equation-4 votes of the missing attribute being imputed.
+  CandidateCounter counts_;
 };
 
 }  // namespace terids

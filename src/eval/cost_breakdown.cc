@@ -14,8 +14,6 @@ CostBreakdown CostBreakdown::Scaled(double factor) const {
   out.candidate_seconds = candidate_seconds * factor;
   out.queue_wait_seconds = queue_wait_seconds * factor;
   out.maintain_seconds = maintain_seconds * factor;
-  out.cdd_memo_queries = cdd_memo_queries * factor;
-  out.cdd_memo_repeats = cdd_memo_repeats * factor;
   return out;
 }
 
@@ -45,13 +43,10 @@ std::string CostBreakdown::ToJson() const {
                 "\"er_seconds\":%.9g,\"refine_seconds\":%.9g,"
                 "\"batch_seconds\":%.9g,\"candidate_seconds\":%.9g,"
                 "\"queue_wait_seconds\":%.9g,\"maintain_seconds\":%.9g,"
-                "\"cdd_memo_queries\":%.9g,"
-                "\"cdd_memo_repeats\":%.9g,\"cdd_memo_hit_rate\":%.9g,"
                 "\"total_seconds\":%.9g}",
                 cdd_select_seconds, impute_seconds, er_seconds,
                 refine_seconds, batch_seconds, candidate_seconds,
-                queue_wait_seconds, maintain_seconds, cdd_memo_queries,
-                cdd_memo_repeats, cdd_memo_hit_rate(), total_seconds());
+                queue_wait_seconds, maintain_seconds, total_seconds());
   return std::string(buf);
 }
 

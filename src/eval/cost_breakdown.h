@@ -32,22 +32,9 @@ struct CostBreakdown {
   /// fan-out, eviction cascade). Not contained in `er_seconds`; overlay
   /// metric feeding the per-arrival kMaintain latency histogram.
   double maintain_seconds = 0.0;
-  /// CDD-selection memoization probe (ROADMAP: measure before building the
-  /// cache): determinant-signature lookups per (arrival, missing attribute)
-  /// and how many of them repeated a signature already seen in the same
-  /// micro-batch — the would-be hit count of a batch-scoped CDD-selection
-  /// cache. Stored as doubles so Add/Scaled/PerArrival apply uniformly.
-  double cdd_memo_queries = 0.0;
-  double cdd_memo_repeats = 0.0;
 
   double total_seconds() const {
     return cdd_select_seconds + impute_seconds + er_seconds;
-  }
-
-  /// Would-be hit rate of a batch-scoped CDD-selection memo (0 when no
-  /// lookups were recorded).
-  double cdd_memo_hit_rate() const {
-    return cdd_memo_queries > 0.0 ? cdd_memo_repeats / cdd_memo_queries : 0.0;
   }
 
   void Add(const CostBreakdown& other) {
@@ -59,8 +46,6 @@ struct CostBreakdown {
     candidate_seconds += other.candidate_seconds;
     queue_wait_seconds += other.queue_wait_seconds;
     maintain_seconds += other.maintain_seconds;
-    cdd_memo_queries += other.cdd_memo_queries;
-    cdd_memo_repeats += other.cdd_memo_repeats;
   }
 
   void Reset() { *this = CostBreakdown(); }

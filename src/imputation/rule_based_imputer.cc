@@ -26,7 +26,7 @@ const std::vector<int>& RuleBasedImputer::RulesForDependent(int attr) const {
 
 void AccumulateCandidates(const Repository& repo, const CddRule& rule,
                           size_t sample_idx, bool use_coord_filter,
-                          std::unordered_map<ValueId, double>* freq) {
+                          CandidateCounter* counts) {
   const int j = rule.dependent;
   const ValueId svid = repo.sample_value_id(sample_idx, j);
   const TokenSet& s_tokens = repo.value_tokens(j, svid);
@@ -42,7 +42,7 @@ void AccumulateCandidates(const Repository& repo, const CddRule& rule,
     for (ValueId val : repo.ValuesInCoordRange(j, band)) {
       const double dist = JaccardDistance(s_tokens, repo.value_tokens(j, val));
       if (dep.Contains(dist)) {
-        (*freq)[val] += 1.0;
+        counts->Add(val);
       }
     }
   } else {
@@ -50,26 +50,30 @@ void AccumulateCandidates(const Repository& repo, const CddRule& rule,
     for (ValueId val = 0; val < dom_size; ++val) {
       const double dist = JaccardDistance(s_tokens, repo.value_tokens(j, val));
       if (dep.Contains(dist)) {
-        (*freq)[val] += 1.0;
+        counts->Add(val);
       }
     }
   }
 }
 
 std::vector<ImputedTuple::Candidate> FinalizeCandidates(
-    const std::unordered_map<ValueId, double>& freq, int max_candidates) {
+    CandidateCounter* counts, int max_candidates) {
   std::vector<ImputedTuple::Candidate> out;
-  if (freq.empty()) {
+  if (counts->empty()) {
     return out;
   }
-  double total = 0.0;
-  for (const auto& [vid, f] : freq) {
-    (void)vid;
+  // Integer votes: the total and every quotient are exact regardless of
+  // the order the values were touched in.
+  uint64_t total = 0;
+  out.reserve(counts->touched().size());
+  for (ValueId vid : counts->touched()) {
+    const uint32_t f = counts->count(vid);
     total += f;
+    out.push_back({vid, static_cast<double>(f)});
   }
-  out.reserve(freq.size());
-  for (const auto& [vid, f] : freq) {
-    out.push_back({vid, f / total});
+  counts->Clear();
+  for (ImputedTuple::Candidate& c : out) {
+    c.prob /= static_cast<double>(total);
   }
   // Deterministic order: probability descending, ValueId ascending. The
   // vid tie-break makes the cap cut identical regardless of accumulation
@@ -114,20 +118,20 @@ std::vector<ImputedTuple::ImputedAttr> RuleBasedImputer::ImputeRecord(
     }
     // Imputation phase: retrieve satisfying samples and accumulate the
     // multi-rule frequency distribution of Equation (4).
-    std::unordered_map<ValueId, double> freq;
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
+      counts_.Fit(repo_->domain_size(j));
       for (const CddRule* rule : applicable) {
         for (size_t i = 0; i < repo_->num_samples(); ++i) {
           if (rule->DeterminantsSatisfied(r, *repo_, i)) {
             AccumulateCandidates(*repo_, *rule, i, options_.use_coord_filter,
-                                 &freq);
+                                 &counts_);
           }
         }
       }
     }
     std::vector<ImputedTuple::Candidate> cands =
-        FinalizeCandidates(freq, options_.max_candidates_per_attr);
+        FinalizeCandidates(&counts_, options_.max_candidates_per_attr);
     if (!cands.empty()) {
       ImputedTuple::ImputedAttr ia;
       ia.attr = j;

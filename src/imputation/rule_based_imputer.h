@@ -1,9 +1,9 @@
 #ifndef TERIDS_IMPUTATION_RULE_BASED_IMPUTER_H_
 #define TERIDS_IMPUTATION_RULE_BASED_IMPUTER_H_
 
-#include <unordered_map>
 #include <vector>
 
+#include "imputation/candidate_counter.h"
 #include "imputation/imputer.h"
 #include "repo/repository.h"
 #include "rules/rule.h"
@@ -49,21 +49,25 @@ class RuleBasedImputer : public Imputer {
   std::vector<CddRule> rules_;
   std::vector<std::vector<int>> by_dependent_;
   RuleImputerOptions options_;
+  /// Equation-4 vote scratch, drained by every FinalizeCandidates call.
+  CandidateCounter counts_;
 };
 
-/// Accumulates, into `freq`, the candidate set cand(s[A_j]) contributed by
+/// Accumulates, into `counts`, the candidate set cand(s[A_j]) contributed by
 /// one (rule, repository sample) combination: every domain value `val` of
 /// attribute `attr_j` with dist(s[A_j], val) inside the rule's dependent
-/// interval gets its frequency bumped by 1 (Section 3). The caller is
-/// responsible for having verified the determinant constraints.
+/// interval gets one vote (Section 3). The caller is responsible for having
+/// verified the determinant constraints and for fitting `counts` to
+/// dom(A_j).
 void AccumulateCandidates(const Repository& repo, const CddRule& rule,
                           size_t sample_idx, bool use_coord_filter,
-                          std::unordered_map<ValueId, double>* freq);
+                          CandidateCounter* counts);
 
-/// Converts an accumulated frequency distribution into the normalized
-/// candidate list of Equation (4), keeping the top `max_candidates`.
+/// Converts the accumulated votes into the normalized candidate list of
+/// Equation (4), keeping the top `max_candidates`, and drains `counts` for
+/// the next attribute.
 std::vector<ImputedTuple::Candidate> FinalizeCandidates(
-    const std::unordered_map<ValueId, double>& freq, int max_candidates);
+    CandidateCounter* counts, int max_candidates);
 
 }  // namespace terids
 

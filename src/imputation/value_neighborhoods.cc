@@ -24,14 +24,17 @@ std::vector<double> ValueNeighborhoods::MaxRadiusPerAttr(
 
 const std::vector<std::pair<double, ValueId>>& ValueNeighborhoods::Neighborhood(
     int attr, ValueId vid) {
-  auto it = cache_[attr].find(vid);
-  if (it != cache_[attr].end()) {
-    return it->second;
+  auto& per_attr = cache_[attr];
+  if (vid >= per_attr.size()) {
+    per_attr.resize(repo_->domain_size(attr));
+  }
+  std::vector<std::pair<double, ValueId>>& neighbors = per_attr[vid];
+  if (!neighbors.empty()) {
+    return neighbors;
   }
   const double radius = radius_[attr];
   const TokenSet& center = repo_->value_tokens(attr, vid);
   const double coord = repo_->coord(attr, vid);
-  std::vector<std::pair<double, ValueId>> neighbors;
   // |coord(v) - coord(center)| <= dist(v, center): the coordinate band is a
   // sound prefilter for the radius ball.
   for (ValueId other : repo_->ValuesInCoordRange(
@@ -43,24 +46,30 @@ const std::vector<std::pair<double, ValueId>>& ValueNeighborhoods::Neighborhood(
     }
   }
   std::sort(neighbors.begin(), neighbors.end());
-  return cache_[attr].emplace(vid, std::move(neighbors)).first->second;
+  return neighbors;
 }
 
-void ValueNeighborhoods::AccumulateRange(
-    int attr, ValueId svid, const Interval& dep,
-    std::unordered_map<ValueId, double>* freq) {
+void ValueNeighborhoods::AccumulateRange(int attr, ValueId svid,
+                                         const Interval& dep,
+                                         CandidateCounter* counts) {
   const auto& neighbors = Neighborhood(attr, svid);
   auto lo = std::lower_bound(neighbors.begin(), neighbors.end(),
                              std::make_pair(dep.lo, static_cast<ValueId>(0)));
   for (auto it = lo; it != neighbors.end() && it->first <= dep.hi; ++it) {
-    (*freq)[it->second] += 1.0;
+    counts->Add(it->second);
   }
 }
 
-void ValueNeighborhoods::Invalidate() {
-  for (auto& per_attr : cache_) {
-    per_attr.clear();
+void ValueNeighborhoods::SetRadius(const std::vector<double>& radius) {
+  TERIDS_CHECK(radius.size() == radius_.size());
+  for (size_t x = 0; x < radius.size(); ++x) {
+    if (radius[x] != radius_[x]) {
+      radius_[x] = radius[x];
+      Invalidate(static_cast<int>(x));
+    }
   }
 }
+
+void ValueNeighborhoods::Invalidate(int attr) { cache_[attr].clear(); }
 
 }  // namespace terids

@@ -1,10 +1,10 @@
 #ifndef TERIDS_IMPUTATION_VALUE_NEIGHBORHOODS_H_
 #define TERIDS_IMPUTATION_VALUE_NEIGHBORHOODS_H_
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "imputation/candidate_counter.h"
 #include "repo/repository.h"
 #include "rules/rule.h"
 
@@ -33,19 +33,25 @@ class ValueNeighborhoods {
   const std::vector<std::pair<double, ValueId>>& Neighborhood(int attr,
                                                               ValueId vid);
 
-  /// Accumulates the candidate slice within `dep` around sample value
-  /// `svid` into `freq` (+1 per value, Equation 3/4 semantics).
+  /// Adds one vote to `counts` for every value in the candidate slice within
+  /// `dep` around sample value `svid` (Equation 3/4 semantics). `counts`
+  /// must already fit dom(attr).
   void AccumulateRange(int attr, ValueId svid, const Interval& dep,
-                       std::unordered_map<ValueId, double>* freq);
+                       CandidateCounter* counts);
 
-  /// Drops all cached lists (repository domains changed).
-  void Invalidate();
+  /// Adopts new per-attribute radii (rules were widened or added) and drops
+  /// the cached lists of every attribute whose radius changed.
+  void SetRadius(const std::vector<double>& radius);
+
+  /// Drops the cached lists of attribute `attr` (its domain grew).
+  void Invalidate(int attr);
 
  private:
   const Repository* repo_;
   std::vector<double> radius_;
-  std::vector<std::unordered_map<ValueId, std::vector<std::pair<double, ValueId>>>>
-      cache_;
+  /// cache_[attr][vid]: the distance-sorted list around vid. A built list
+  /// always holds vid itself (distance 0), so an empty one is "not built".
+  std::vector<std::vector<std::vector<std::pair<double, ValueId>>>> cache_;
 };
 
 }  // namespace terids

@@ -85,30 +85,12 @@ TEST(CostBreakdownTest, ToJsonRendersAllFields) {
   c.candidate_seconds = 0.03125;
   c.queue_wait_seconds = 0.015625;
   c.maintain_seconds = 0.0078125;
-  c.cdd_memo_queries = 8;
-  c.cdd_memo_repeats = 2;
   EXPECT_EQ(c.ToJson(),
             "{\"cdd_select_seconds\":0.125,\"impute_seconds\":0.25,"
             "\"er_seconds\":0.5,\"refine_seconds\":0.375,"
             "\"batch_seconds\":0.0625,\"candidate_seconds\":0.03125,"
             "\"queue_wait_seconds\":0.015625,"
-            "\"maintain_seconds\":0.0078125,\"cdd_memo_queries\":8,"
-            "\"cdd_memo_repeats\":2,\"cdd_memo_hit_rate\":0.25,"
-            "\"total_seconds\":0.875}");
-}
-
-TEST(CostBreakdownTest, CddMemoHitRate) {
-  CostBreakdown c;
-  EXPECT_DOUBLE_EQ(c.cdd_memo_hit_rate(), 0.0);  // no lookups, no division
-  c.cdd_memo_queries = 10;
-  c.cdd_memo_repeats = 4;
-  EXPECT_DOUBLE_EQ(c.cdd_memo_hit_rate(), 0.4);
-  // Counters accumulate and scale like every other field, so per-arrival
-  // normalisation preserves the rate.
-  CostBreakdown sum = c + c;
-  EXPECT_DOUBLE_EQ(sum.cdd_memo_queries, 20.0);
-  EXPECT_DOUBLE_EQ(sum.cdd_memo_repeats, 8.0);
-  EXPECT_DOUBLE_EQ(sum.PerArrival(5).cdd_memo_hit_rate(), 0.4);
+            "\"maintain_seconds\":0.0078125,\"total_seconds\":0.875}");
 }
 
 TEST(CostBreakdownTest, RefineAndBatchTimingsAreOverlays) {

@@ -57,49 +57,6 @@ TEST_F(EngineBehaviorTest, ThreeStreamsMatchAcrossAnyTwo) {
   EXPECT_EQ(engine.results().size(), 3u);
 }
 
-TEST_F(EngineBehaviorTest, CddMemoProbeCountsBatchScopedRepeats) {
-  // The probe is opt-in since the PR-3 measurement found a near-zero hit
-  // rate; runs that want to re-measure flip it on explicitly.
-  config_.cdd_memo_probe = true;
-  TerIdsEngine engine(world_.repo.get(), config_, 2, rules_);
-  // Two incomplete arrivals with identical non-missing values and the same
-  // missing attribute share a determinant signature; a complete arrival
-  // never queries the probe.
-  const std::vector<std::string> incomplete = {"male", "blurred vision", "-",
-                                               "drug therapy"};
-  const std::vector<std::string> complete = {"female", "fever cough", "flu",
-                                             "rest"};
-  std::vector<Record> batch = {Post(1, 0, incomplete), Post(2, 0, complete),
-                               Post(3, 1, incomplete)};
-  CostBreakdown batch_cost;
-  for (ArrivalOutcome& out : engine.ProcessBatch(batch)) {
-    batch_cost.Add(out.cost);
-  }
-  EXPECT_DOUBLE_EQ(batch_cost.cdd_memo_queries, 2.0);
-  EXPECT_DOUBLE_EQ(batch_cost.cdd_memo_repeats, 1.0);
-  EXPECT_DOUBLE_EQ(batch_cost.cdd_memo_hit_rate(), 0.5);
-
-  // The probe is batch-scoped: replaying the same signature in a new batch
-  // is a fresh miss (a would-be cache would have been reset).
-  ArrivalOutcome replay = engine.ProcessArrival(Post(4, 0, incomplete));
-  EXPECT_DOUBLE_EQ(replay.cost.cdd_memo_queries, 1.0);
-  EXPECT_DOUBLE_EQ(replay.cost.cdd_memo_repeats, 0.0);
-}
-
-TEST_F(EngineBehaviorTest, CddMemoProbeOffByDefaultCountsNothing) {
-  TerIdsEngine engine(world_.repo.get(), config_, 2, rules_);
-  const std::vector<std::string> incomplete = {"male", "blurred vision", "-",
-                                               "drug therapy"};
-  CostBreakdown cost;
-  for (ArrivalOutcome& out : engine.ProcessBatch(
-           {Post(1, 0, incomplete), Post(2, 1, incomplete)})) {
-    cost.Add(out.cost);
-  }
-  EXPECT_DOUBLE_EQ(cost.cdd_memo_queries, 0.0);
-  EXPECT_DOUBLE_EQ(cost.cdd_memo_repeats, 0.0);
-  EXPECT_DOUBLE_EQ(cost.cdd_memo_hit_rate(), 0.0);
-}
-
 TEST_F(EngineBehaviorTest, SameStreamDuplicatesNeverPair) {
   TerIdsEngine engine(world_.repo.get(), config_, 2, rules_);
   const std::vector<std::string> diabetic = {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/terids_engine.h"
 #include "imputation/constraint_imputer.h"
 #include "imputation/rule_based_imputer.h"
 #include "imputation/value_neighborhoods.h"
@@ -107,16 +108,18 @@ TEST(ValueNeighborhoodsTest, SlicesMatchBruteForce) {
   ValueNeighborhoods neighborhoods(world.repo.get(), radius);
   const int attr = 2;
   const AttributeDomain& dom = world.repo->domain(attr);
+  CandidateCounter counts;
+  counts.Fit(dom.size());
   for (ValueId center = 0; center < dom.size(); ++center) {
     for (const Interval dep : {Interval::Of(0.0, 0.3), Interval::Of(0.2, 0.6),
                                Interval::Of(0.0, 0.8)}) {
-      std::unordered_map<ValueId, double> freq;
-      neighborhoods.AccumulateRange(attr, center, dep, &freq);
+      neighborhoods.AccumulateRange(attr, center, dep, &counts);
       for (ValueId v = 0; v < dom.size(); ++v) {
         const double dist = JaccardDistance(dom.tokens(center), dom.tokens(v));
-        EXPECT_EQ(freq.count(v) > 0, dep.Contains(dist))
+        EXPECT_EQ(counts.count(v), dep.Contains(dist) ? 1u : 0u)
             << "center=" << center << " v=" << v << " dist=" << dist;
       }
+      counts.Clear();
     }
   }
 }
@@ -127,9 +130,108 @@ TEST(ValueNeighborhoodsTest, InvalidateRebuildsAfterDomainGrowth) {
   ValueNeighborhoods neighborhoods(world.repo.get(), radius);
   const size_t before = neighborhoods.Neighborhood(2, 0).size();
   Tokenizer tok(world.dict.get());
-  world.repo->RegisterValue(2, tok.Tokenize("brand new diagnosis"), "new");
-  neighborhoods.Invalidate();
+  const ValueId added =
+      world.repo->RegisterValue(2, tok.Tokenize("brand new diagnosis"), "new");
+  // Only the grown attribute's lists are dropped; the new value's own list
+  // is built on first use.
+  neighborhoods.Invalidate(2);
   EXPECT_EQ(neighborhoods.Neighborhood(2, 0).size(), before + 1);
+  EXPECT_EQ(neighborhoods.Neighborhood(2, added).size(), before + 1);
+}
+
+TEST(ValueNeighborhoodsTest, SetRadiusRebuildsOnlyChangedAttributes) {
+  ToyWorld world = MakeHealthWorld();
+  const int d = world.repo->num_attributes();
+  std::vector<double> radius(d, 0.0);
+  ValueNeighborhoods neighborhoods(world.repo.get(), radius);
+  // Radius 0 keeps only exact duplicates: each list is its centre.
+  EXPECT_EQ(neighborhoods.Neighborhood(2, 0).size(), 1u);
+  radius[2] = 1.0;
+  neighborhoods.SetRadius(radius);
+  EXPECT_EQ(neighborhoods.Neighborhood(2, 0).size(),
+            world.repo->domain_size(2));
+}
+
+TEST(CandidateCounterTest, FinalizeNormalisesCapsAndDrains) {
+  CandidateCounter counts;
+  counts.Fit(6);
+  // Votes: vid 4 x3, vid 1 x2, vids 0/5 x1 (tie broken by ascending vid).
+  for (ValueId vid : {4, 1, 4, 5, 0, 1, 4}) {
+    counts.Add(vid);
+  }
+  std::vector<ImputedTuple::Candidate> all = FinalizeCandidates(&counts, 8);
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_TRUE(counts.empty());
+  for (ValueId vid = 0; vid < 6; ++vid) {
+    EXPECT_EQ(counts.count(vid), 0u);
+  }
+  const std::vector<std::pair<ValueId, double>> expected = {
+      {4, 3.0 / 7.0}, {1, 2.0 / 7.0}, {0, 1.0 / 7.0}, {5, 1.0 / 7.0}};
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(all[i].vid, expected[i].first);
+    EXPECT_EQ(all[i].prob, expected[i].second);
+  }
+  // Reused after the drain: the cap keeps the top 3 (vid 0 wins the tie
+  // over vid 5) and renormalises over the kept mass.
+  for (ValueId vid : {4, 1, 4, 5, 0, 1, 4}) {
+    counts.Add(vid);
+  }
+  std::vector<ImputedTuple::Candidate> capped = FinalizeCandidates(&counts, 3);
+  ASSERT_EQ(capped.size(), 3u);
+  EXPECT_EQ(capped[2].vid, 0u);
+  EXPECT_DOUBLE_EQ(capped[0].prob + capped[1].prob + capped[2].prob, 1.0);
+  EXPECT_DOUBLE_EQ(capped[0].prob, 0.5);
+}
+
+/// Exposes the engine's index-join imputation for direct comparison.
+class ImputingEngine : public TerIdsEngine {
+ public:
+  using TerIdsEngine::TerIdsEngine;
+  std::vector<ImputedTuple::ImputedAttr> ImputeNow(const Record& r) {
+    return Impute(r, ProbeCoords::Compute(r, *repo_), nullptr);
+  }
+};
+
+// Regression: an absorbed sample can widen a rule's dependent interval past
+// the neighbourhood radius the engine started with. Equation 3 then admits
+// candidates farther away than any cached list reached, so the engine must
+// widen its lists to keep agreeing with a full domain scan.
+TEST(ValueNeighborhoodsTest, AbsorbWideningBeyondRadiusMatchesFullScan) {
+  ToyWorld world = MakeHealthWorld();
+  CddRule rule;  // symptom within 0.5 -> diagnosis within [0, 0.2]
+  rule.dependent = 2;
+  rule.det_mask = 1u << 1;
+  rule.determinants.emplace_back(1, AttrConstraint::MakeInterval(0.0, 0.5));
+  rule.dep_interval = Interval::Of(0.0, 0.2);
+  const EngineConfig config;
+  ImputingEngine engine(world.repo.get(), config, 2, {rule});
+  const Record probe =
+      world.Make(1, {"male", "loss of weight blurred vision", "-", "-"});
+  // Fills the radius-0.2 lists: single-word diagnoses only reach themselves.
+  ASSERT_EQ(engine.ImputeNow(probe).size(), 1u);
+
+  // Same symptoms as a diabetes sample but a diagnosis at distance 1: the
+  // miner widens the rule's dependent interval to [0, 1].
+  const Record widening = world.Make(
+      2000, {"male", "loss of weight blurred vision", "conjunctivitis",
+             "drug therapy"});
+  ASSERT_TRUE(engine.AbsorbRepositoryBatch({widening}).ok());
+  ASSERT_GT(engine.rules()[0].dep_interval.hi, 0.2);
+
+  RuleImputerOptions full_scan;
+  full_scan.use_coord_filter = false;
+  full_scan.max_candidates_per_attr = config.max_candidates_per_attr;
+  RuleBasedImputer linear(world.repo.get(), engine.rules(), full_scan);
+  const auto want = linear.ImputeRecord(probe, nullptr);
+  const auto got = engine.ImputeNow(probe);
+  ASSERT_EQ(want.size(), 1u);
+  ASSERT_GT(want[0].candidates.size(), 1u);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got[0].candidates.size(), want[0].candidates.size());
+  for (size_t c = 0; c < want[0].candidates.size(); ++c) {
+    EXPECT_EQ(got[0].candidates[c].vid, want[0].candidates[c].vid);
+    EXPECT_EQ(got[0].candidates[c].prob, want[0].candidates[c].prob);
+  }
 }
 
 TEST(ConstraintImputerTest, UsesMostRecentCompleteDonor) {
