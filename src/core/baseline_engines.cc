@@ -17,8 +17,7 @@ IjGerEngine::IjGerEngine(Repository* repo, EngineConfig config,
                    /*use_prunings=*/true, "Ij+GER"),
       rules_(std::move(rules)),
       cdd_index_(repo, &rules_),
-      neighborhoods_(repo, ValueNeighborhoods::MaxRadiusPerAttr(
-                               rules_, repo->num_attributes())) {
+      neighborhoods_(repo) {
   cdd_index_.Build();
 }
 
@@ -35,7 +34,7 @@ std::vector<ImputedTuple::ImputedAttr> IjGerEngine::Impute(
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
       counts_.Fit(repo_->domain_size(j));
       // Linear sample retrieval (no DR-index join), but candidate values
-      // still come from the pivot-backed neighbor lists — this pipeline has
+      // still come from the cached neighbor lists — this pipeline has
       // the indexes, it just does not traverse them simultaneously.
       for (int rule_idx : selected) {
         const CddRule& rule = rules_[rule_idx];

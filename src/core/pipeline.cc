@@ -40,6 +40,7 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
   TERIDS_CHECK(repo->has_pivots());
   TERIDS_CHECK(num_streams >= 2);
   TERIDS_CHECK(config_.batch_size >= 1);
+  TERIDS_CHECK(config_.max_candidates_per_attr >= 1);
   TERIDS_CHECK(config_.refine_threads >= 1);
   TERIDS_CHECK(config_.grid_shards >= 1);
   TERIDS_CHECK(config_.ingest_queue_depth >= 0);

@@ -13,8 +13,7 @@ TerIdsEngine::TerIdsEngine(Repository* repo, EngineConfig config,
       rules_(std::move(rules)),
       cdd_index_(repo, &rules_),
       dr_index_(repo),
-      neighborhoods_(repo, ValueNeighborhoods::MaxRadiusPerAttr(
-                               rules_, repo->num_attributes())),
+      neighborhoods_(repo),
       dist_memo_(repo->num_attributes()) {
   cdd_index_.Build();
   dr_index_.Build();
@@ -143,7 +142,8 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
               continue;
             }
             // Candidate set cand(s[A_j]): a binary-searched slice of the
-            // sample value's distance-sorted neighbor list.
+            // sample value's distance-sorted neighbor list, or the whole
+            // domain minus a list prefix when dep reaches distance 1.
             neighborhoods_.AccumulateRange(
                 j, repo_->sample_value_id(sample_idx, j), rule.dep_interval,
                 &counts_);
@@ -164,11 +164,6 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
 }
 
 Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
-  const int d = repo_->num_attributes();
-  std::vector<size_t> domain_before(d);
-  for (int x = 0; x < d; ++x) {
-    domain_before[x] = repo_->domain_size(x);
-  }
   RuleMiner miner(repo_, MinerOptions{});
   int widened = 0;
   Status status = Status::Ok();
@@ -183,19 +178,11 @@ Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
     widened += miner.AbsorbNewSample(sample_idx, &rules_);
   }
   if (widened > 0) {
-    // Dependent intervals are leaf aggregates of the CDD-index; a widened
-    // rule may also outgrow its attribute's neighbourhood radius.
+    // Dependent intervals are leaf aggregates of the CDD-index.
     cdd_index_.Build();
-    neighborhoods_.SetRadius(ValueNeighborhoods::MaxRadiusPerAttr(rules_, d));
   }
-  // A new domain value may fall inside any cached list of its attribute.
-  // Existing values keep their pivot coordinates, so the lists of
-  // attributes whose domain did not grow stay exact.
-  for (int x = 0; x < d; ++x) {
-    if (repo_->domain_size(x) != domain_before[x]) {
-      neighborhoods_.Invalidate(x);
-    }
-  }
+  // The neighbour lists need no refresh here: they do not depend on the
+  // rules, and an attribute whose domain grew rebuilds its lists on next use.
   return status;
 }
 

@@ -36,9 +36,9 @@ class TerIdsEngine : public PipelineBase {
   /// Dynamic repository maintenance (Section 5.5): adds a batch of new
   /// complete tuples to R, extends the DR-index incrementally, widens or
   /// adds CDD rules via the miner's absorb step, and refreshes the
-  /// CDD-index entries of changed rules. Once per batch, the neighbour
-  /// lists of attributes whose domain grew or whose radius widened are
-  /// dropped; all other lists stay cached.
+  /// CDD-index entries of changed rules. The neighbour lists of an
+  /// attribute whose domain grew are rebuilt on their next use; all other
+  /// lists stay cached.
   Status AbsorbRepositoryBatch(const std::vector<Record>& batch);
 
   const CddIndex& cdd_index() const { return cdd_index_; }

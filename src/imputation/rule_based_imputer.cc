@@ -59,36 +59,30 @@ void AccumulateCandidates(const Repository& repo, const CddRule& rule,
 std::vector<ImputedTuple::Candidate> FinalizeCandidates(
     CandidateCounter* counts, int max_candidates) {
   std::vector<ImputedTuple::Candidate> out;
-  if (counts->empty()) {
-    return out;
-  }
   // Integer votes: the total and every quotient are exact regardless of
-  // the order the values were touched in.
-  uint64_t total = 0;
-  out.reserve(counts->touched().size());
-  for (ValueId vid : counts->touched()) {
-    const uint32_t f = counts->count(vid);
-    total += f;
-    out.push_back({vid, static_cast<double>(f)});
-  }
-  counts->Clear();
-  for (ImputedTuple::Candidate& c : out) {
-    c.prob /= static_cast<double>(total);
+  // the order the values were voted for.
+  const uint64_t total = counts->total();
+  if (total == 0) {
+    counts->Clear();
+    return out;
   }
   // Deterministic order: probability descending, ValueId ascending. The
   // vid tie-break makes the cap cut identical regardless of accumulation
   // order, so indexed and linear imputation produce byte-identical tuples.
-  std::sort(out.begin(), out.end(),
-            [](const ImputedTuple::Candidate& a,
-               const ImputedTuple::Candidate& b) {
-              return a.prob != b.prob ? a.prob > b.prob : a.vid < b.vid;
-            });
-  if (static_cast<int>(out.size()) > max_candidates) {
-    // Keep the top candidates and renormalize over the retained set: the
-    // truncated distribution becomes the imputation model. Without this,
-    // capping strands probability mass and a correctly-imputed pair whose
-    // candidates split the vote can never clear the alpha threshold.
-    out.resize(max_candidates);
+  uint64_t kept_votes = 0;
+  counts->ForEachTop(static_cast<size_t>(max_candidates),
+                     [&](ValueId vid, uint32_t f) {
+                       kept_votes += f;
+                       out.push_back({vid, static_cast<double>(f) /
+                                               static_cast<double>(total)});
+                     });
+  counts->Clear();
+  if (kept_votes < total) {
+    // The cap cut: keep the top candidates and renormalize over the
+    // retained set, so the truncated distribution becomes the imputation
+    // model. Without this, capping strands probability mass and a
+    // correctly-imputed pair whose candidates split the vote can never
+    // clear the alpha threshold.
     double kept = 0.0;
     for (const ImputedTuple::Candidate& c : out) {
       kept += c.prob;

@@ -4,45 +4,69 @@
 
 namespace terids {
 
-ValueNeighborhoods::ValueNeighborhoods(const Repository* repo,
-                                       std::vector<double> radius)
-    : repo_(repo), radius_(std::move(radius)) {
+ValueNeighborhoods::ValueNeighborhoods(const Repository* repo) : repo_(repo) {
   TERIDS_CHECK(repo != nullptr);
-  TERIDS_CHECK(static_cast<int>(radius_.size()) == repo->num_attributes());
-  cache_.resize(radius_.size());
+  attrs_.resize(repo->num_attributes());
 }
 
-std::vector<double> ValueNeighborhoods::MaxRadiusPerAttr(
-    const std::vector<CddRule>& rules, int num_attributes) {
-  std::vector<double> radius(num_attributes, 0.0);
-  for (const CddRule& rule : rules) {
-    radius[rule.dependent] =
-        std::max(radius[rule.dependent], rule.dep_interval.hi);
+ValueNeighborhoods::AttrLists& ValueNeighborhoods::Fresh(int attr) {
+  AttrLists& a = attrs_[attr];
+  const size_t n = repo_->domain_size(attr);
+  if (a.built_size == n) {
+    return a;
   }
-  return radius;
+  // Domains only grow and existing values never change, but a new value may
+  // belong in any list of its attribute, so all of them are rebuilt lazily.
+  a.built_size = n;
+  a.postings.clear();
+  a.tokenless.clear();
+  for (ValueId vid = 0; vid < n; ++vid) {
+    const TokenSet& tokens = repo_->value_tokens(attr, vid);
+    if (tokens.empty()) {
+      a.tokenless.push_back(vid);
+    }
+    for (Token t : tokens) {
+      a.postings.emplace_back(t, vid);
+    }
+  }
+  std::sort(a.postings.begin(), a.postings.end());
+  a.lists.assign(n, {});
+  if (seen_.size() < n) {
+    seen_.resize(n, 0);
+  }
+  return a;
 }
 
 const std::vector<std::pair<double, ValueId>>& ValueNeighborhoods::Neighborhood(
     int attr, ValueId vid) {
-  auto& per_attr = cache_[attr];
-  if (vid >= per_attr.size()) {
-    per_attr.resize(repo_->domain_size(attr));
-  }
-  std::vector<std::pair<double, ValueId>>& neighbors = per_attr[vid];
+  AttrLists& a = Fresh(attr);
+  std::vector<std::pair<double, ValueId>>& neighbors = a.lists[vid];
   if (!neighbors.empty()) {
     return neighbors;
   }
-  const double radius = radius_[attr];
   const TokenSet& center = repo_->value_tokens(attr, vid);
-  const double coord = repo_->coord(attr, vid);
-  // |coord(v) - coord(center)| <= dist(v, center): the coordinate band is a
-  // sound prefilter for the radius ball.
-  for (ValueId other : repo_->ValuesInCoordRange(
-           attr, Interval::Of(coord - radius, coord + radius))) {
-    const double dist =
-        JaccardDistance(center, repo_->value_tokens(attr, other));
-    if (dist <= radius) {
-      neighbors.emplace_back(dist, other);
+  if (center.empty()) {
+    // Two empty sets are at distance 0; every other value is at 1.
+    for (ValueId other : a.tokenless) {
+      neighbors.emplace_back(0.0, other);
+    }
+    return neighbors;
+  }
+  if (++seen_epoch_ == 0) {
+    std::fill(seen_.begin(), seen_.end(), 0);
+    seen_epoch_ = 1;
+  }
+  // Exactly the values sharing a token with the centre are below distance 1.
+  for (Token t : center) {
+    auto it = std::lower_bound(a.postings.begin(), a.postings.end(),
+                               std::make_pair(t, static_cast<ValueId>(0)));
+    for (; it != a.postings.end() && it->first == t; ++it) {
+      const ValueId other = it->second;
+      if (seen_[other] != seen_epoch_) {
+        seen_[other] = seen_epoch_;
+        neighbors.emplace_back(
+            JaccardDistance(center, repo_->value_tokens(attr, other)), other);
+      }
     }
   }
   std::sort(neighbors.begin(), neighbors.end());
@@ -53,23 +77,22 @@ void ValueNeighborhoods::AccumulateRange(int attr, ValueId svid,
                                          const Interval& dep,
                                          CandidateCounter* counts) {
   const auto& neighbors = Neighborhood(attr, svid);
+  if (dep.Contains(1.0)) {
+    // Every value outside the list sits at distance 1 and gets a vote; so
+    // does every listed value at distance >= dep.lo. One vote for the whole
+    // domain, minus the listed prefix below dep.lo.
+    counts->AddAll();
+    for (auto it = neighbors.begin();
+         it != neighbors.end() && it->first < dep.lo; ++it) {
+      counts->Remove(it->second);
+    }
+    return;
+  }
   auto lo = std::lower_bound(neighbors.begin(), neighbors.end(),
                              std::make_pair(dep.lo, static_cast<ValueId>(0)));
   for (auto it = lo; it != neighbors.end() && it->first <= dep.hi; ++it) {
     counts->Add(it->second);
   }
 }
-
-void ValueNeighborhoods::SetRadius(const std::vector<double>& radius) {
-  TERIDS_CHECK(radius.size() == radius_.size());
-  for (size_t x = 0; x < radius.size(); ++x) {
-    if (radius[x] != radius_[x]) {
-      radius_[x] = radius[x];
-      Invalidate(static_cast<int>(x));
-    }
-  }
-}
-
-void ValueNeighborhoods::Invalidate(int attr) { cache_[attr].clear(); }
 
 }  // namespace terids

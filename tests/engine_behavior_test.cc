@@ -208,5 +208,15 @@ TEST_F(EngineBehaviorTest, NoRulesMeansUnimputedButStillRunning) {
   EXPECT_EQ(engine.window(0).size(), 1u);
 }
 
+// Regression: a non-positive candidate cap used to pass construction and
+// abort later on a huge allocation inside FinalizeCandidates.
+TEST_F(EngineBehaviorTest, RejectsNonPositiveCandidateCap) {
+  for (int cap : {0, -1}) {
+    config_.max_candidates_per_attr = cap;
+    EXPECT_DEATH(TerIdsEngine(world_.repo.get(), config_, 2, rules_),
+                 "max_candidates_per_attr");
+  }
+}
+
 }  // namespace
 }  // namespace terids

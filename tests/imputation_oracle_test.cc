@@ -58,10 +58,13 @@ bool OracleDeterminantsHold(const CddRule& rule, const Record& r,
 }
 
 /// Equations 3 and 4 by exhaustive scan, then the top-`cap` cut with the
-/// ValueId tie-break and renormalisation over the kept mass.
+/// ValueId tie-break and renormalisation over the kept mass. Sets
+/// `*reached_one` if a rule whose dependent interval reaches distance 1 had
+/// a satisfying sample.
 std::vector<ImputedTuple::ImputedAttr> OracleImpute(
     const Record& r, const Repository& repo, const std::vector<CddRule>& rules,
-    int cap) {
+    int cap, bool* reached_one) {
+  *reached_one = false;
   std::vector<ImputedTuple::ImputedAttr> result;
   for (int j = 0; j < r.num_attributes(); ++j) {
     if (!r.values[j].missing) {
@@ -84,6 +87,7 @@ std::vector<ImputedTuple::ImputedAttr> OracleImpute(
         if (!OracleDeterminantsHold(rule, r, s, repo)) {
           continue;
         }
+        *reached_one = *reached_one || rule.dep_interval.hi >= 1.0;
         for (ValueId v = 0; v < repo.domain_size(j); ++v) {
           if (rule.dep_interval.Contains(JaccardDistance(
                   s.values[j].tokens, repo.value_tokens(j, v)))) {
@@ -160,6 +164,9 @@ struct OracleCoverage {
   int attr_switches = 0;
   /// Candidates that are values the absorb added (the scratch grew).
   int absorbed_value_candidates = 0;
+  /// Arrivals voted on by a rule whose dependent interval reaches distance
+  /// 1, whose votes the engine counts without listing the voted values.
+  int reached_one = 0;
 };
 
 /// Streams the experiment's incomplete arrivals through a RecordingEngine,
@@ -208,9 +215,12 @@ OracleCoverage CheckAgainstOracle(const DatasetProfile& profile,
       continue;  // complete arrival: imputation bypassed
     }
     ++cov.checked;
-    const std::vector<ImputedTuple::ImputedAttr> want = OracleImpute(
-        r, *repo, engine.rules(), config.max_candidates_per_attr);
+    bool reached_one = false;
+    const std::vector<ImputedTuple::ImputedAttr> want =
+        OracleImpute(r, *repo, engine.rules(), config.max_candidates_per_attr,
+                     &reached_one);
     ExpectSameImputation(engine.last, want, r.rid);
+    cov.reached_one += reached_one ? 1 : 0;
     cov.imputed += engine.last.empty() ? 0 : 1;
     const int missing = FirstMissing(r);
     if (prev_missing != -1 && missing != prev_missing) {
@@ -234,12 +244,14 @@ TEST(ImputationOracleTest, CitationsMatchesSectionThree) {
   EXPECT_GT(cov.attr_switches, 50);
   // Post-absorb arrivals draw candidates from the grown domains.
   EXPECT_GT(cov.absorbed_value_candidates, 0);
+  EXPECT_GT(cov.reached_one, 0);
 }
 
 TEST(ImputationOracleTest, SongsMatchesSectionThree) {
   const OracleCoverage cov = CheckAgainstOracle(SongsProfile(), 0.003);
   EXPECT_GT(cov.imputed, 50);
   EXPECT_GT(cov.attr_switches, 50);
+  EXPECT_GT(cov.reached_one, 0);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "core/terids_engine.h"
 #include "imputation/constraint_imputer.h"
 #include "imputation/rule_based_imputer.h"
@@ -102,54 +105,112 @@ TEST_F(RuleBasedImputerTest, RulesForDependentPartitionsRuleSet) {
   EXPECT_EQ(total, rules_.size());
 }
 
+// The values of `attr` at distance < 1 from `center`, sorted the way a
+// neighbour list is.
+std::vector<std::pair<double, ValueId>> BruteForceList(const Repository& repo,
+                                                       int attr,
+                                                       ValueId center) {
+  std::vector<std::pair<double, ValueId>> want;
+  for (ValueId v = 0; v < repo.domain_size(attr); ++v) {
+    const double dist = JaccardDistance(repo.value_tokens(attr, center),
+                                        repo.value_tokens(attr, v));
+    if (dist < 1.0) {
+      want.emplace_back(dist, v);
+    }
+  }
+  std::sort(want.begin(), want.end());
+  return want;
+}
+
+TEST(ValueNeighborhoodsTest, ListIsExactlyValuesBelowDistanceOne) {
+  ToyWorld world = MakeHealthWorld();
+  const ValueId tokenless = world.repo->RegisterValue(3, TokenSet(), "");
+  ValueNeighborhoods neighborhoods(world.repo.get());
+  for (int attr = 0; attr < world.repo->num_attributes(); ++attr) {
+    for (ValueId center = 0; center < world.repo->domain_size(attr);
+         ++center) {
+      EXPECT_EQ(neighborhoods.Neighborhood(attr, center),
+                BruteForceList(*world.repo, attr, center))
+          << "attr=" << attr << " center=" << center;
+    }
+  }
+  // A token-less centre lists the token-less values, at distance 0.
+  const std::vector<std::pair<double, ValueId>> expected = {{0.0, tokenless}};
+  EXPECT_EQ(neighborhoods.Neighborhood(3, tokenless), expected);
+}
+
 TEST(ValueNeighborhoodsTest, SlicesMatchBruteForce) {
   ToyWorld world = MakeHealthWorld();
-  std::vector<double> radius(world.repo->num_attributes(), 0.8);
-  ValueNeighborhoods neighborhoods(world.repo.get(), radius);
-  const int attr = 2;
-  const AttributeDomain& dom = world.repo->domain(attr);
+  world.repo->RegisterValue(3, TokenSet(), "");
+  ValueNeighborhoods neighborhoods(world.repo.get());
+  const std::vector<Interval> deps = {
+      Interval::Of(0.0, 0.3), Interval::Of(0.2, 0.6), Interval::Of(0.0, 0.8),
+      Interval::Of(0.5, 1.0), Interval::Of(1.0, 1.0), Interval::Of(0.0, 1.0),
+      Interval::Of(0.6, 0.6)};
   CandidateCounter counts;
-  counts.Fit(dom.size());
-  for (ValueId center = 0; center < dom.size(); ++center) {
-    for (const Interval dep : {Interval::Of(0.0, 0.3), Interval::Of(0.2, 0.6),
-                               Interval::Of(0.0, 0.8)}) {
-      neighborhoods.AccumulateRange(attr, center, dep, &counts);
-      for (ValueId v = 0; v < dom.size(); ++v) {
-        const double dist = JaccardDistance(dom.tokens(center), dom.tokens(v));
-        EXPECT_EQ(counts.count(v), dep.Contains(dist) ? 1u : 0u)
-            << "center=" << center << " v=" << v << " dist=" << dist;
+  for (int attr : {1, 2, 3}) {
+    const size_t n = world.repo->domain_size(attr);
+    for (ValueId center = 0; center < n; ++center) {
+      // Every dependent interval votes into one counter, as the selected
+      // rules of one arrival do.
+      counts.Fit(n);
+      std::vector<uint32_t> tally(n, 0);
+      for (const Interval& dep : deps) {
+        neighborhoods.AccumulateRange(attr, center, dep, &counts);
+        for (ValueId v = 0; v < n; ++v) {
+          tally[v] += dep.Contains(
+              JaccardDistance(world.repo->value_tokens(attr, center),
+                              world.repo->value_tokens(attr, v)));
+        }
       }
+      uint64_t total = 0;
+      for (ValueId v = 0; v < n; ++v) {
+        EXPECT_EQ(counts.count(v), tally[v])
+            << "attr=" << attr << " center=" << center << " v=" << v;
+        total += tally[v];
+      }
+      EXPECT_EQ(counts.total(), total);
       counts.Clear();
     }
   }
 }
 
-TEST(ValueNeighborhoodsTest, InvalidateRebuildsAfterDomainGrowth) {
+// Domain growth needs no explicit invalidation: the lists notice the new
+// domain size themselves.
+TEST(ValueNeighborhoodsTest, RegisteredValueIsCountedWithoutInvalidate) {
   ToyWorld world = MakeHealthWorld();
-  std::vector<double> radius(world.repo->num_attributes(), 1.0);
-  ValueNeighborhoods neighborhoods(world.repo.get(), radius);
-  const size_t before = neighborhoods.Neighborhood(2, 0).size();
+  const int attr = 3;
+  ValueNeighborhoods neighborhoods(world.repo.get());
   Tokenizer tok(world.dict.get());
-  const ValueId added =
-      world.repo->RegisterValue(2, tok.Tokenize("brand new diagnosis"), "new");
-  // Only the grown attribute's lists are dropped; the new value's own list
-  // is built on first use.
-  neighborhoods.Invalidate(2);
-  EXPECT_EQ(neighborhoods.Neighborhood(2, 0).size(), before + 1);
-  EXPECT_EQ(neighborhoods.Neighborhood(2, added).size(), before + 1);
-}
+  const ValueId center = world.repo->FindValue(attr, tok.Tokenize("eye drop"));
+  ASSERT_NE(center, kInvalidValueId);
+  const Interval near = Interval::Of(0.0, 0.8);
+  const Interval far = Interval::Of(1.0, 1.0);
+  CandidateCounter counts;
+  counts.Fit(world.repo->domain_size(attr));
+  neighborhoods.AccumulateRange(attr, center, near, &counts);  // builds lists
+  counts.Clear();
 
-TEST(ValueNeighborhoodsTest, SetRadiusRebuildsOnlyChangedAttributes) {
-  ToyWorld world = MakeHealthWorld();
-  const int d = world.repo->num_attributes();
-  std::vector<double> radius(d, 0.0);
-  ValueNeighborhoods neighborhoods(world.repo.get(), radius);
-  // Radius 0 keeps only exact duplicates: each list is its centre.
-  EXPECT_EQ(neighborhoods.Neighborhood(2, 0).size(), 1u);
-  radius[2] = 1.0;
-  neighborhoods.SetRadius(radius);
-  EXPECT_EQ(neighborhoods.Neighborhood(2, 0).size(),
-            world.repo->domain_size(2));
+  // Shares "drop" with the centre, at distance 2/3.
+  const ValueId sharing =
+      world.repo->RegisterValue(attr, tok.Tokenize("drop cloth"), "drop cloth");
+  // Shares no token with it, at distance 1.
+  const ValueId disjoint = world.repo->RegisterValue(
+      attr, tok.Tokenize("brand new treatment"), "brand new treatment");
+  counts.Fit(world.repo->domain_size(attr));
+  neighborhoods.AccumulateRange(attr, center, near, &counts);
+  EXPECT_EQ(counts.count(sharing), 1u);
+  EXPECT_EQ(counts.count(disjoint), 0u);
+  counts.Clear();
+  counts.Fit(world.repo->domain_size(attr));
+  neighborhoods.AccumulateRange(attr, center, far, &counts);
+  EXPECT_EQ(counts.count(sharing), 0u);
+  EXPECT_EQ(counts.count(disjoint), 1u);
+  counts.Clear();
+  EXPECT_EQ(neighborhoods.Neighborhood(attr, center),
+            BruteForceList(*world.repo, attr, center));
+  EXPECT_EQ(neighborhoods.Neighborhood(attr, sharing),
+            BruteForceList(*world.repo, attr, sharing));
 }
 
 TEST(CandidateCounterTest, FinalizeNormalisesCapsAndDrains) {
@@ -183,6 +244,112 @@ TEST(CandidateCounterTest, FinalizeNormalisesCapsAndDrains) {
   EXPECT_DOUBLE_EQ(capped[0].prob, 0.5);
 }
 
+// FinalizeCandidates over a materialised count vector, as it was before the
+// counter had a shared base: every value with a non-zero count, sorted by
+// (probability desc, ValueId asc), cut to `cap` and renormalised over the
+// kept mass.
+std::vector<ImputedTuple::Candidate> DenseReferenceFinalize(
+    const std::vector<uint32_t>& counts, int cap) {
+  std::vector<ImputedTuple::Candidate> out;
+  uint64_t total = 0;
+  for (ValueId vid = 0; vid < counts.size(); ++vid) {
+    if (counts[vid] > 0) {
+      total += counts[vid];
+      out.push_back({vid, static_cast<double>(counts[vid])});
+    }
+  }
+  for (ImputedTuple::Candidate& c : out) {
+    c.prob /= static_cast<double>(total);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ImputedTuple::Candidate& a,
+               const ImputedTuple::Candidate& b) {
+              return a.prob != b.prob ? a.prob > b.prob : a.vid < b.vid;
+            });
+  if (static_cast<int>(out.size()) > cap) {
+    out.resize(cap);
+    double kept = 0.0;
+    for (const ImputedTuple::Candidate& c : out) {
+      kept += c.prob;
+    }
+    for (ImputedTuple::Candidate& c : out) {
+      c.prob /= kept;
+    }
+  }
+  return out;
+}
+
+TEST(CandidateCounterTest, FinalizeMatchesDenseReference) {
+  std::mt19937 rng(7);
+  CandidateCounter counts;
+  bool saw_domain_within_cap = false;
+  bool saw_count_dropped_to_zero = false;
+  bool saw_base_tie = false;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t n = 1 + rng() % 12;
+    const int cap = 1 + static_cast<int>(rng() % 14);
+    const uint32_t base = rng() % 4;
+    counts.Fit(n);
+    for (uint32_t b = 0; b < base; ++b) {
+      counts.AddAll();
+    }
+    std::vector<uint32_t> dense(n, base);
+    bool untouched = false;
+    bool returned_to_base = false;
+    for (ValueId vid = 0; vid < n; ++vid) {
+      switch (rng() % 4) {
+        case 0:
+          untouched = true;
+          break;
+        case 1: {
+          const uint32_t up = 1 + rng() % 3;
+          for (uint32_t k = 0; k < up; ++k) {
+            counts.Add(vid);
+          }
+          dense[vid] += up;
+          break;
+        }
+        case 2: {
+          // Lowered, possibly to zero.
+          const uint32_t down = base == 0 ? 0 : 1 + rng() % base;
+          for (uint32_t k = 0; k < down; ++k) {
+            counts.Remove(vid);
+          }
+          dense[vid] -= down;
+          saw_count_dropped_to_zero |= down > 0 && dense[vid] == 0;
+          break;
+        }
+        default:
+          // Adjusted, then back at the base.
+          counts.Add(vid);
+          counts.Remove(vid);
+          returned_to_base = true;
+          break;
+      }
+    }
+    for (ValueId vid = 0; vid < n; ++vid) {
+      ASSERT_EQ(counts.count(vid), dense[vid]) << "trial " << trial;
+    }
+    saw_domain_within_cap |= base > 0 && n <= static_cast<size_t>(cap);
+    saw_base_tie |= base > 0 && untouched && returned_to_base;
+    const std::vector<ImputedTuple::Candidate> want =
+        DenseReferenceFinalize(dense, cap);
+    const std::vector<ImputedTuple::Candidate> got =
+        FinalizeCandidates(&counts, cap);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].vid, want[i].vid) << "trial " << trial << " rank " << i;
+      // Bit-identical, not merely close.
+      EXPECT_EQ(got[i].prob, want[i].prob)
+          << "trial " << trial << " rank " << i;
+    }
+    EXPECT_TRUE(counts.empty());
+  }
+  EXPECT_TRUE(saw_domain_within_cap);
+  EXPECT_TRUE(saw_count_dropped_to_zero);
+  EXPECT_TRUE(saw_base_tie);
+}
+
 /// Exposes the engine's index-join imputation for direct comparison.
 class ImputingEngine : public TerIdsEngine {
  public:
@@ -192,11 +359,11 @@ class ImputingEngine : public TerIdsEngine {
   }
 };
 
-// Regression: an absorbed sample can widen a rule's dependent interval past
-// the neighbourhood radius the engine started with. Equation 3 then admits
-// candidates farther away than any cached list reached, so the engine must
-// widen its lists to keep agreeing with a full domain scan.
-TEST(ValueNeighborhoodsTest, AbsorbWideningBeyondRadiusMatchesFullScan) {
+// Regression: an absorbed sample can widen a rule's dependent interval far
+// past the distances the cached lists were first used at. Equation 3 then
+// admits candidates up to distance 1, and the engine must keep agreeing
+// with a full domain scan.
+TEST(ValueNeighborhoodsTest, AbsorbWideningMatchesFullScan) {
   ToyWorld world = MakeHealthWorld();
   CddRule rule;  // symptom within 0.5 -> diagnosis within [0, 0.2]
   rule.dependent = 2;
@@ -207,7 +374,7 @@ TEST(ValueNeighborhoodsTest, AbsorbWideningBeyondRadiusMatchesFullScan) {
   ImputingEngine engine(world.repo.get(), config, 2, {rule});
   const Record probe =
       world.Make(1, {"male", "loss of weight blurred vision", "-", "-"});
-  // Fills the radius-0.2 lists: single-word diagnoses only reach themselves.
+  // Builds the lists while the rule only reaches distance 0.2.
   ASSERT_EQ(engine.ImputeNow(probe).size(), 1u);
 
   // Same symptoms as a diabetes sample but a diagnosis at distance 1: the
