@@ -7,9 +7,10 @@
 // rho), the regime the executor targets: candidate pairs that survive to
 // the Theorem 4.3/4.4 stage dominate arrival cost. TER-iDS exercises the
 // pruned cascade; CDD+ER exercises the unpruned exact path, which is
-// embarrassingly parallel end-to-end. Speedups are reported against the
-// 1/1 configuration of the same dataset x pipeline; thread speedups
-// require physical cores (a 1-core host shows batching effects only).
+// embarrassingly parallel end-to-end. A row with threads > 1 refines on a
+// scheduler of that many workers. Speedups are reported against the 1/1
+// configuration of the same dataset x pipeline; thread speedups require
+// physical cores (a 1-core host shows batching effects only).
 
 #include <cstdio>
 #include <utility>
@@ -51,7 +52,11 @@ int main() {
     for (PipelineKind kind : kinds) {
       double base_throughput = 0.0;
       for (const auto& [batch, threads] : grid) {
-        PipelineRun run = experiment.Run(kind, batch, threads);
+        EngineConfig config = experiment.MakeConfig();
+        config.batch_size = batch;
+        config.refine_threads = threads;
+        config.sched_threads = threads > 1 ? threads : 0;
+        PipelineRun run = experiment.Run(kind, config);
         const double throughput =
             run.total_seconds > 0
                 ? static_cast<double>(run.arrivals) / run.total_seconds
@@ -68,6 +73,7 @@ int main() {
         ExecKnobs knobs = env_knobs;
         knobs.batch_size = batch;
         knobs.refine_threads = threads;
+        knobs.sched_threads = config.sched_threads;
         reporter.AddKnobRow(knobs)
             .Str("dataset", name)
             .Str("pipeline", PipelineKindName(kind))

@@ -22,7 +22,7 @@ double EnvScale() {
   return v > 0 ? v : 1.0;
 }
 
-int EnvInt(const char* name, int fallback, int min_value) {
+int EnvInt(const char* name, int fallback, int min_value, int max_value) {
   const char* env = std::getenv(name);
   if (env == nullptr || env[0] == '\0') {
     // Unset — and the conventional exported-empty spelling of unset.
@@ -48,6 +48,11 @@ int EnvInt(const char* name, int fallback, int min_value) {
   if (v < min_value) {
     std::fprintf(stderr, "%s: %ld is below the minimum %d; using default %d\n",
                  name, v, min_value, fallback);
+    return fallback;
+  }
+  if (v > max_value) {
+    std::fprintf(stderr, "%s: %ld is above the maximum %d; using default %d\n",
+                 name, v, max_value, fallback);
     return fallback;
   }
   return static_cast<int>(v);
@@ -123,8 +128,7 @@ ExecKnobs EnvExecKnobs() {
   knobs.ingest_queue_depth = EnvInt("TERIDS_BENCH_QUEUE", 0, 0);
   knobs.signature_filter = EnvInt("TERIDS_BENCH_SIGFILTER", 1, 0) != 0;
   knobs.sig_width = EnvSigWidth();
-  knobs.maintain_shards = EnvInt("TERIDS_BENCH_MAINTAIN", 1, 1);
-  knobs.sched_threads = EnvInt("TERIDS_BENCH_SCHED", 0, 0);
+  knobs.sched_threads = EnvInt("TERIDS_BENCH_SCHED", 0, 0, kMaxSchedThreads);
   knobs.repo_backend = EnvRepoBackend();
   knobs.snapshot_decode = EnvSnapshotDecode();
   knobs.overload_policy = EnvOverloadPolicy();
@@ -150,7 +154,6 @@ ExperimentParams BaseParams(const std::string& dataset) {
   params.ingest_queue_depth = knobs.ingest_queue_depth;
   params.signature_filter = knobs.signature_filter;
   params.sig_width = knobs.sig_width;
-  params.maintain_shards = knobs.maintain_shards;
   params.sched_threads = knobs.sched_threads;
   params.repo_backend = knobs.repo_backend;
   params.snapshot_decode = knobs.snapshot_decode;
@@ -251,7 +254,6 @@ JsonReporter::Row& JsonReporter::AddKnobRow(const ExecKnobs& knobs) {
       .Num("ingest_queue_depth", knobs.ingest_queue_depth)
       .Num("signature_filter", knobs.signature_filter ? 1 : 0)
       .Num("sig_width", knobs.sig_width)
-      .Num("maintain_shards", knobs.maintain_shards)
       .Num("sched_threads", knobs.sched_threads)
       .Str("repo_backend", RepoBackendName(knobs.repo_backend))
       .Str("snapshot_decode", SnapshotDecodeName(knobs.snapshot_decode))
@@ -281,13 +283,12 @@ void PrintHeader(const std::string& figure, const std::string& title,
   std::printf(
       "defaults (Table 5, scaled): alpha=%.1f rho=%.1f xi=%.1f eta=%.1f "
       "w=%d m=%d scale=%.3f arrivals=%d bench_scale=%.2f batch=%d "
-      "threads=%d shards=%d queue=%d sigfilter=%d sigwidth=%d maintain=%d "
-      "sched=%d repo=%s snapdecode=%s overload=%s\n",
+      "threads=%d shards=%d queue=%d sigfilter=%d sigwidth=%d sched=%d "
+      "repo=%s snapdecode=%s overload=%s\n",
       params.alpha, params.rho, params.xi, params.eta, params.w, params.m,
       params.scale, params.max_arrivals, EnvScale(), params.batch_size,
       params.refine_threads, params.grid_shards, params.ingest_queue_depth,
-      params.signature_filter ? 1 : 0, params.sig_width,
-      params.maintain_shards, params.sched_threads,
+      params.signature_filter ? 1 : 0, params.sig_width, params.sched_threads,
       RepoBackendName(params.repo_backend),
       SnapshotDecodeName(params.snapshot_decode),
       OverloadPolicyName(params.overload_policy));

@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,24 +18,25 @@ namespace bench {
 /// values > 1 approach the paper's sizes at the cost of wall time.
 double EnvScale();
 
-/// Integer environment knob with a lower bound. Unset variables fall back
-/// to `fallback` silently. A set variable must be a fully valid integer in
+/// Integer environment knob with bounds. Unset variables fall back to
+/// `fallback` silently. A set variable must be a fully valid integer in
 /// range: malformed values (empty, non-numeric, trailing garbage like
-/// "8x"), values that overflow int, and values below `min_value` are all
-/// rejected with a clear one-line stderr message before falling back —
-/// a typo'd knob must never silently reconfigure a benchmark run.
-/// The one shared parser behind every TERIDS_BENCH_* execution knob.
-int EnvInt(const char* name, int fallback, int min_value);
+/// "8x"), values that overflow int, values below `min_value` and values
+/// above `max_value` are all rejected with a clear one-line stderr message
+/// before falling back — a typo'd knob must never silently reconfigure a
+/// benchmark run. The one shared parser behind every TERIDS_BENCH_*
+/// execution knob.
+int EnvInt(const char* name, int fallback, int min_value,
+           int max_value = std::numeric_limits<int>::max());
 
 /// The execution-model knobs, parsed once from TERIDS_BENCH_BATCH /
 /// TERIDS_BENCH_THREADS / TERIDS_BENCH_SHARDS / TERIDS_BENCH_QUEUE
 /// (defaults 1/1/1/0 = the classic one-at-a-time synchronous operator)
 /// plus TERIDS_BENCH_SIGFILTER (0|1, default 1 = signature-bounded Jaccard
-/// kernel on), TERIDS_BENCH_MAINTAIN (maintain_shards, default 1 = serial
-/// grid maintenance), TERIDS_BENCH_SCHED (sched_threads, default 0 =
-/// legacy per-subsystem pools; >= 1 = the unified scheduler's worker
-/// count), the token-signature width from TERIDS_BENCH_SIGWIDTH (64 | 128
-/// | 256, default 64; DESIGN.md §11), the repository storage backend from
+/// kernel on), TERIDS_BENCH_SCHED (sched_threads, default 0 = every
+/// fan-out inline; at most kMaxSchedThreads), the token-signature width
+/// from TERIDS_BENCH_SIGWIDTH (64 | 128 | 256, default 64; DESIGN.md §11),
+/// the repository storage backend from
 /// TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default memory), and the
 /// v2 snapshot decode mode from TERIDS_BENCH_SNAPDECODE ("lazy" | "eager",
 /// default lazy; mmap backend only), and the async-ingest overload policy
@@ -43,8 +45,8 @@ int EnvInt(const char* name, int fallback, int min_value);
 /// Every bench that replays arrivals through Experiment::Run inherits them
 /// via BaseParams, so any figure can be reproduced under micro-batching,
 /// parallel refinement, grid sharding, async ingest, the signature filter
-/// at any width, parallel maintain, the unified scheduler, and either
-/// storage backend without code changes.
+/// at any width, the scheduler, and either storage backend without code
+/// changes.
 struct ExecKnobs {
   int batch_size = 1;
   int refine_threads = 1;
@@ -52,7 +54,6 @@ struct ExecKnobs {
   int ingest_queue_depth = 0;
   bool signature_filter = true;
   int sig_width = 64;
-  int maintain_shards = 1;
   int sched_threads = 0;
   RepoBackend repo_backend = RepoBackend::kInMemory;
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;

@@ -1,19 +1,16 @@
-// Unified-scheduler scaling: end-to-end TER-iDS throughput and per-arrival
-// tail latency as a function of the shared worker count (sched_threads),
-// with the legacy three-pool layout (sched=0) as both the throughput
+// Scheduler scaling: end-to-end TER-iDS throughput and per-arrival tail
+// latency as a function of the shared worker count (sched_threads), with
+// the sequential one-at-a-time operator (row "seq") as both the throughput
 // baseline and the correctness oracle. Not a paper figure — this tracks the
 // ROADMAP item "unified scheduler and tail-latency accounting" (DESIGN.md
 // §10) on top of the reproduced system.
 //
-// Every row runs the identical arrival sequence with every parallel phase
-// enabled (micro-batching, async ingest chain, sharded grid probe, parallel
-// refinement, sharded maintain); only the worker topology varies. sched=0
-// is the seed execution model (one pool per subsystem plus a dedicated
-// ingest thread); sched>=1 routes all four phases through one scheduler of
-// that many workers. Output is bit-identical across the whole sweep by the
-// determinism contract, and this bench refuses to report numbers if not.
-// Parallel speedups require physical cores; a 1-core host shows overhead
-// only.
+// Every other row runs the identical arrival sequence with every parallel
+// phase enabled (micro-batching, async ingest chain, sharded grid probe and
+// maintain, parallel refinement); only the worker count varies. Output is
+// bit-identical across the whole sweep by the determinism contract, and
+// this bench refuses to report numbers if not. Parallel speedups require
+// physical cores; a 1-core host shows overhead only.
 
 #include <cstdio>
 #include <string>
@@ -29,10 +26,10 @@ using namespace terids::bench;
 
 // Per-arrival phase/e2e histograms plus (sched mode) per-work-item service
 // times, as columns of one table row.
-void PrintLatencyRow(int sched, const PipelineRun& run, double throughput,
-                     double speedup) {
+void PrintLatencyRow(const std::string& sched, const PipelineRun& run,
+                     double throughput, double speedup) {
   const LatencyHistogram& e2e = run.arrival_latency.end_to_end;
-  std::printf("%6d %12.4f %12.1f %8.2fx %9.3f %9.3f %9.3f", sched,
+  std::printf("%6s %12.4f %12.1f %8.2fx %9.3f %9.3f %9.3f", sched.c_str(),
               1e3 * run.avg_arrival_seconds, throughput, speedup,
               1e3 * e2e.Percentile(0.50), 1e3 * e2e.Percentile(0.99),
               1e3 * e2e.Percentile(0.999));
@@ -66,11 +63,10 @@ int main() {
   params.refine_threads = 4;
   params.grid_shards = 4;
   params.ingest_queue_depth = 2;
-  params.maintain_shards = 4;
   Experiment experiment(ProfileByName(dataset), params);
   PrintHeader("scheduler",
               "end-to-end throughput + per-arrival tail latency vs "
-              "sched_threads (0 = legacy per-subsystem pools)",
+              "sched_threads (seq = sequential oracle)",
               params);
 
   std::printf(
@@ -79,9 +75,20 @@ int main() {
               "ms/arrival", "arrivals/s", "speedup", "e2e p50", "e2e p99",
               "e2e p999", "ing p99", "cand p99", "ref p99", "mnt p99");
 
-  PipelineRun oracle;
-  double base_throughput = 0.0;
-  for (int sched : {0, 1, 2, 4, 8}) {
+  // The oracle: one arrival at a time, no fan-out, no scheduler.
+  EngineConfig sequential = experiment.MakeConfig();
+  sequential.batch_size = 1;
+  sequential.refine_threads = 1;
+  sequential.grid_shards = 1;
+  sequential.ingest_queue_depth = 0;
+  sequential.sched_threads = 0;
+  const PipelineRun oracle = experiment.Run(PipelineKind::kTerIds, sequential);
+  const double base_throughput =
+      oracle.total_seconds > 0
+          ? static_cast<double>(oracle.arrivals) / oracle.total_seconds
+          : 0.0;
+  PrintLatencyRow("seq", oracle, base_throughput, 1.0);
+  for (int sched : {1, 2, 4, 8}) {
     EngineConfig config = experiment.MakeConfig();
     config.sched_threads = sched;
     PipelineRun run = experiment.Run(PipelineKind::kTerIds, config);
@@ -89,12 +96,9 @@ int main() {
         run.total_seconds > 0
             ? static_cast<double>(run.arrivals) / run.total_seconds
             : 0.0;
-    if (sched == 0) {
-      base_throughput = throughput;
-      oracle = run;
-    } else if (!SameOutput(run.stats, oracle.stats) ||
-               run.final_result_size != oracle.final_result_size ||
-               run.accuracy.f_score != oracle.accuracy.f_score) {
+    if (!SameOutput(run.stats, oracle.stats) ||
+        run.final_result_size != oracle.final_result_size ||
+        run.accuracy.f_score != oracle.accuracy.f_score) {
       // The determinism contract is load-bearing for the scheduler; a bench
       // run that violates it must not report numbers as if it passed.
       std::fprintf(stderr,
@@ -104,34 +108,30 @@ int main() {
     }
     const double speedup =
         base_throughput > 0 ? throughput / base_throughput : 0.0;
-    PrintLatencyRow(sched, run, throughput, speedup);
+    PrintLatencyRow(std::to_string(sched), run, throughput, speedup);
     ExecKnobs knobs = env_knobs;
     knobs.batch_size = params.batch_size;
     knobs.refine_threads = params.refine_threads;
     knobs.grid_shards = params.grid_shards;
     knobs.ingest_queue_depth = params.ingest_queue_depth;
-    knobs.maintain_shards = params.maintain_shards;
     knobs.sched_threads = sched;
     reporter.AddKnobRow(knobs)
         .Str("dataset", dataset)
         .Num("ms_per_arrival", 1e3 * run.avg_arrival_seconds)
         .Num("arrivals_per_sec", throughput)
-        .Num("speedup_vs_legacy_pools", speedup)
+        .Num("speedup_vs_sequential", speedup)
         // Per-arrival latency: phase + end-to-end histograms recorded at
         // each emission (p50/p99/p999/mean/max/count per histogram).
         .Raw("arrival_latency", run.arrival_latency.ToJson())
-        // Per-work-item service times from the scheduler's worker rings
-        // (empty object counts at sched=0: legacy pools don't account).
+        // Per-work-item service times from the scheduler's worker rings.
         .Raw("sched_item_latency", run.sched_item_latency.ToJson());
   }
 
   std::printf(
-      "\nexpected shape: throughput at sched=N tracks the legacy layout at\n"
-      "an equal worker budget (the scheduler adds one queue hop but removes\n"
-      "per-subsystem pool idling); e2e tail percentiles tighten as workers\n"
-      "are added until physical cores are exhausted. Ingest p99 tracks\n"
-      "imputation + candidate probing (the chained stage), refine p99 the\n"
+      "\nexpected shape: e2e tail percentiles tighten as workers are added\n"
+      "until physical cores are exhausted. Ingest p99 tracks imputation +\n"
+      "candidate probing (the chained stage), refine p99 the\n"
       "pair-evaluation fan-out. Every row is bit-identical in output to the\n"
-      "sched=0 three-pool baseline.\n");
+      "sequential seq row.\n");
   return 0;
 }

@@ -9,16 +9,19 @@
 // per shard count, with the 1-shard result as both the throughput baseline
 // and the correctness oracle (the merge contract makes every shard count
 // bit-identical). Section 2 runs the full TER-iDS pipeline over the same
-// profile sweeping shards x ingest queue depth. Parallel speedups require
+// profile sweeping shards x ingest queue depth. A row with shards > 1 fans
+// out on a scheduler of that many workers. Parallel speedups require
 // physical cores; a 1-core host shows overhead only.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "datagen/profiles.h"
 #include "er/topic.h"
+#include "exec/scheduler.h"
 #include "synopsis/sharded_er_grid.h"
 #include "tuple/imputed_tuple.h"
 #include "util/stopwatch.h"
@@ -82,7 +85,10 @@ int main() {
   uint64_t oracle_pruned = 0;
   double base_throughput = 0.0;
   for (int shards : {1, 2, 4, 8}) {
-    ShardedErGrid grid(repo->num_attributes(), params.cell_width, shards);
+    std::unique_ptr<Scheduler> sched =
+        shards > 1 ? std::make_unique<Scheduler>(shards) : nullptr;
+    ShardedErGrid grid(repo->num_attributes(), params.cell_width, shards,
+                       sched.get());
     for (const auto& wt : members) {
       grid.Insert(wt.get());
     }
@@ -122,6 +128,7 @@ int main() {
     std::fflush(stdout);
     ExecKnobs knobs = env_knobs;
     knobs.grid_shards = shards;
+    knobs.sched_threads = shards > 1 ? shards : 0;
     reporter.AddKnobRow(knobs)
         .Str("section", "candidate_phase")
         .Str("dataset", dataset)
@@ -137,9 +144,12 @@ int main() {
   double base_e2e = 0.0;
   for (int shards : {1, 4}) {
     for (int queue : {0, 2}) {
-      PipelineRun run = experiment.Run(PipelineKind::kTerIds,
-                                       /*batch_size=*/8,
-                                       env_knobs.refine_threads, shards, queue);
+      EngineConfig config = experiment.MakeConfig();
+      config.batch_size = 8;
+      config.grid_shards = shards;
+      config.ingest_queue_depth = queue;
+      config.sched_threads = shards > 1 ? shards : 0;
+      PipelineRun run = experiment.Run(PipelineKind::kTerIds, config);
       const double throughput =
           run.total_seconds > 0
               ? static_cast<double>(run.arrivals) / run.total_seconds
@@ -158,6 +168,7 @@ int main() {
       knobs.batch_size = 8;
       knobs.grid_shards = shards;
       knobs.ingest_queue_depth = queue;
+      knobs.sched_threads = config.sched_threads;
       reporter.AddKnobRow(knobs)
           .Str("section", "end_to_end")
           .Str("dataset", dataset)

@@ -24,9 +24,11 @@ find src tests bench examples \
 
 # ---------------------------------------------------------------------------
 # Docs consistency: README.md's execution-knob table is the canonical list
-# of runtime knobs. Fail if an EngineConfig field or a TERIDS_BENCH_* env
-# var exists in the code but is missing from the README, so the table can't
-# silently rot when a knob is added.
+# of runtime knobs, checked in both directions. Fail if an EngineConfig
+# field or a TERIDS_BENCH_* env var exists in the code but is missing from
+# the README (a knob was added), or if a table row names something that is
+# not an EngineConfig field or a TERIDS_BENCH_* var nothing under bench/
+# reads (a knob was deleted), so the table can't silently rot either way.
 # ---------------------------------------------------------------------------
 docs_ok=1
 
@@ -49,6 +51,29 @@ bench_vars=$(grep -rhoE 'TERIDS_BENCH_[A-Z_]+' bench | grep -v '_H_$' | sort -u)
 for var in $bench_vars; do
   if ! grep -q "$var" README.md; then
     echo "error: bench env var '$var' is missing from README.md" >&2
+    docs_ok=0
+  fi
+done
+
+# Reverse direction, over the table rows ("| `knob` | default | env | ...").
+# A var counts as read when bench/ spells it as a string literal (the
+# getenv / EnvInt argument), not when a comment merely mentions it.
+table_rows=$(grep -E '^\| `[a-z_]+` \|' README.md || true)
+read_vars=$(grep -rhoE '"TERIDS_BENCH_[A-Z_]+"' bench | tr -d '"' | sort -u)
+
+for knob in $(printf '%s\n' "$table_rows" | grep -oE '^\| `[a-z_]+`' |
+  grep -oE '[a-z_]+'); do
+  if ! printf '%s\n' $config_knobs | grep -qx "$knob"; then
+    echo "error: README.md knob row '$knob' is not an EngineConfig field" >&2
+    docs_ok=0
+  fi
+done
+
+for var in $(printf '%s\n' "$table_rows" | grep -oE 'TERIDS_BENCH_[A-Z_]+' |
+  sort -u); do
+  if ! printf '%s\n' $read_vars | grep -qx "$var"; then
+    echo "error: README.md knob row names '$var', which nothing under" \
+      "bench/ reads" >&2
     docs_ok=0
   fi
 done

@@ -21,6 +21,10 @@ enum class PipelineKind {
 
 const char* PipelineKindName(PipelineKind kind);
 
+/// Ceiling on EngineConfig::sched_threads: each worker is an OS thread, so
+/// a mistyped worker count must fail the config check rather than spawn.
+inline constexpr int kMaxSchedThreads = 256;
+
 /// Runtime configuration of a TER-iDS query (the problem statement's
 /// parameters plus implementation knobs).
 struct EngineConfig {
@@ -43,21 +47,23 @@ struct EngineConfig {
   /// Micro-batch size callers should feed ProcessBatch (StreamDriver::
   /// NextBatch). 1 = the classic one-arrival-at-a-time operator.
   int batch_size = 1;
-  /// Worker count for the post-pruning refinement cascade. 1 = inline
-  /// sequential refinement. The defaults (1/1) keep pipeline output and
+  /// Refinement fan-out: 1 = inline sequential refinement; > 1 = the
+  /// post-pruning cascade of each batch fans out on the scheduler (width =
+  /// its concurrency). The defaults (1/1) keep pipeline output and
   /// execution bit-for-bit identical to the unbatched operator.
   int refine_threads = 1;
-  /// Number of ER-grid shards (cells partitioned by cell-key hash;
-  /// Candidates fans out over shards and merges deterministically). 1 = the
-  /// original single grid with no fan-out pool. Every setting produces
-  /// identical matches, MatchSet, and PruneStats.
+  /// Number of ER-grid shards (cells partitioned by cell-key hash). With a
+  /// scheduler and > 1 shard, Candidates and the maintain phase fan out
+  /// over shards and merge deterministically; 1 = the original single
+  /// grid. Every setting produces identical matches, MatchSet, and
+  /// PruneStats.
   int grid_shards = 1;
   /// Bound on ingested micro-batches buffered ahead of refinement by the
   /// async ingest path of ProcessStream: 0 = fully synchronous (ingest and
   /// refinement alternate on the calling thread, bit-identical to the
-  /// pre-async operator); >= 1 runs ingest on its own thread so
-  /// imputation/candidate generation of batch k+1 overlaps refinement of
-  /// batch k, at most this many batches ahead.
+  /// pre-async operator); >= 1 runs ingest as a kIngest chain on a
+  /// scheduler worker so imputation/candidate generation of batch k+1
+  /// overlaps refinement of batch k, at most this many batches ahead.
   int ingest_queue_depth = 0;
   /// Enables the signature-bounded Jaccard kernel inside refinement: the
   /// per-(instance, attribute) token signatures precomputed in each
@@ -77,22 +83,16 @@ struct EngineConfig {
   /// outcome counters are bit-identical across widths (equivalence sweep
   /// enforced); only the sig_* observability counters may differ.
   int sig_width = 64;
-  /// MaintainPhase fan-out: 1 = grid insert/remove runs serially on the
-  /// maintaining thread (seed behavior); > 1 = the per-shard insert/remove
-  /// work of one arrival is fanned out across the ER-grid's shards on its
-  /// ThreadPool (effective width is the number of shards the arrival
-  /// touches, at most grid_shards). Shards share no state, so every
-  /// setting produces identical grid contents and results.
-  int maintain_shards = 1;
-  /// Worker count of the unified phase-tagged Scheduler (DESIGN.md §10).
-  /// 0 = legacy per-subsystem execution: the refinement ThreadPool, the
-  /// ER-grid's probe/maintain pool, and the dedicated SPSC ingest thread,
-  /// exactly as configured by the knobs above (seed behavior, the
-  /// equivalence oracle). >= 1 = all four phases (ingest, candidate,
-  /// refine, maintain) dispatch onto one shared pool of this many workers;
-  /// the phase knobs above still gate *whether* each phase fans out, this
-  /// knob sets the shared worker budget. Every setting produces identical
-  /// matches, MatchSet, and PruneStats (the equivalence sweep enforces it).
+  /// Worker count of the phase-tagged Scheduler (DESIGN.md §10), the one
+  /// parallel executor. 0 = no shared workers, so every fan-out runs inline
+  /// on the caller — unless ingest_queue_depth >= 1, whose kIngest chain
+  /// needs a worker: then the scheduler gets one. >= 1 = every phase that
+  /// fans out (ingest, candidate, refine, maintain) dispatches onto one
+  /// pool of this many workers. The phase knobs above (refine_threads > 1,
+  /// grid_shards > 1) decide *whether* a phase fans out; the scheduler
+  /// decides who runs it. At most kMaxSchedThreads. Every setting produces
+  /// identical matches, MatchSet, and PruneStats (the equivalence sweep
+  /// enforces it).
   int sched_threads = 0;
   /// Physical storage backend behind the repository R the engines read
   /// (DESIGN.md §8). Engines never construct repositories themselves —

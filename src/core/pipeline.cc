@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <thread>
 #include <utility>
 
 #include "er/probability.h"
@@ -44,11 +43,18 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
   TERIDS_CHECK(config_.refine_threads >= 1);
   TERIDS_CHECK(config_.grid_shards >= 1);
   TERIDS_CHECK(config_.ingest_queue_depth >= 0);
-  TERIDS_CHECK(config_.maintain_shards >= 1);
   TERIDS_CHECK(config_.sched_threads >= 0);
+  TERIDS_CHECK(config_.sched_threads <= kMaxSchedThreads);
   TERIDS_CHECK(ValidSigBits(config_.sig_width));
-  if (config_.sched_threads >= 1) {
-    sched_ = std::make_unique<Scheduler>(config_.sched_threads);
+  // Async ingest runs as a kIngest chain, which needs one worker even when
+  // no shared workers were asked for.
+  const int workers = std::max(config_.sched_threads,
+                               config_.ingest_queue_depth > 0 ? 1 : 0);
+  if (workers > 0) {
+    sched_ = std::make_unique<Scheduler>(workers);
+  }
+  if (config_.refine_threads > 1) {
+    refiner_ = RefinementExecutor(sched_.get());
   }
   windows_.reserve(num_streams);
   for (int i = 0; i < num_streams; ++i) {
@@ -87,20 +93,6 @@ std::vector<const WindowTuple*> PipelineBase::LinearCandidates(
     }
   }
   return out;
-}
-
-RefinementExecutor* PipelineBase::refiner() {
-  if (refiner_ == nullptr) {
-    if (sched_ != nullptr && config_.refine_threads > 1) {
-      // Unified mode: refinement fans out as kRefine work items on the
-      // shared workers. refine_threads still gates *whether* the phase fans
-      // out; the width is the scheduler's.
-      refiner_ = std::make_unique<RefinementExecutor>(sched_.get());
-    } else {
-      refiner_ = std::make_unique<RefinementExecutor>(config_.refine_threads);
-    }
-  }
-  return refiner_.get();
 }
 
 // --- Phases ----------------------------------------------------------------
@@ -190,8 +182,8 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
     tasks.push_back({ctx->tuple.get(), &ctx->wt->topic, cand});
   }
   std::vector<PairEvaluation> evals;
-  refiner()->Run(tasks, use_prunings_, config_.signature_filter,
-                 config_.gamma, config_.alpha, &evals);
+  refiner_.Run(tasks, use_prunings_, config_.signature_filter, config_.gamma,
+               config_.alpha, &evals);
   for (size_t i = 0; i < ctx->candidates.size(); ++i) {
     ApplyEvaluation(ctx, ctx->candidates[i], evals[i]);
   }
@@ -201,15 +193,13 @@ void PipelineBase::MaintainPhase(ArrivalContext* ctx,
                                  bool defer_result_eviction) {
   ScopedTimer timer(&ctx->out.cost.maintain_seconds);
   // The window push decides the eviction first so the arrival's grid
-  // insert and the expired tuple's grid removal can run as one fan-out
-  // (per-shard tasks on the grid pool when maintain_shards > 1); insert
-  // and removal touch independent tuples, so the order swap with the
-  // original insert-push-remove sequence cannot change the grid.
+  // insert and the expired tuple's grid removal can run as one per-shard
+  // fan-out; insert and removal touch independent tuples, so the order swap
+  // with the original insert-push-remove sequence cannot change the grid.
   std::shared_ptr<WindowTuple> evicted =
       windows_[ctx->record.stream_id].Push(ctx->wt);
   if (grid_ != nullptr) {
-    grid_->Maintain(ctx->wt.get(), evicted.get(),
-                    /*parallel=*/config_.maintain_shards > 1);
+    grid_->Maintain(ctx->wt.get(), evicted.get());
   }
   if (evicted != nullptr) {
     if (!defer_result_eviction) {
@@ -260,8 +250,8 @@ void PipelineBase::RefineAndReplay(std::vector<ArrivalContext>* ctxs) {
   std::vector<PairEvaluation> evals;
   {
     ScopedTimer timer(&refine_wall);
-    refiner()->Run(tasks, use_prunings_, config_.signature_filter,
-                   config_.gamma, config_.alpha, &evals);
+    refiner_.Run(tasks, use_prunings_, config_.signature_filter, config_.gamma,
+                 config_.alpha, &evals);
   }
 
   // Replay in arrival order: evaluations fold into each arrival's stats
@@ -458,8 +448,7 @@ size_t PipelineBase::DrainQueue(BatchQueue<IngestedBatch>* queue,
     for (ArrivalContext& ctx : ib.ctxs) {
       // Stage walls overlap across batches, so their sum upper-bounds the
       // wall attribution of this batch; queue_wait isolates how long
-      // refinement starved for ingest — charged here, once, so the
-      // threaded and scheduled paths account it identically.
+      // refinement starved for ingest.
       ctx.out.disposition = ib.disposition;
       ctx.out.cost.batch_seconds += (ib.ingest_wall + refine_wall) / n;
       ctx.out.cost.queue_wait_seconds += wait_wall / n;
@@ -549,69 +538,25 @@ size_t PipelineBase::ProcessStream(StreamDriver* driver, size_t max_arrivals,
     }
     return processed;
   }
-  return sched_ != nullptr
-             ? ProcessStreamScheduled(driver, max_arrivals, batch_size, sink)
-             : ProcessStreamThreaded(driver, max_arrivals, batch_size, sink);
-}
-
-size_t PipelineBase::ProcessStreamThreaded(StreamDriver* driver,
-                                           size_t max_arrivals,
-                                           size_t batch_size,
-                                           const OutcomeSink& sink) {
-  // Two-stage pipeline over a bounded SPSC handoff. Stage ownership while
-  // the ingest thread runs: windows_/grid_/imputer_/driver belong to the
-  // ingest thread, matches_/cum_stats_/refiner belong to this thread; the
-  // queue's mutex provides the happens-before edge at each batch handoff,
-  // and tuples a later batch evicts stay alive through that batch's
-  // contexts until its own (later) replay.
-  BatchQueue<IngestedBatch> queue(
-      static_cast<size_t>(config_.ingest_queue_depth));
-  std::thread ingest([&] {
-    size_t ingested = 0;
-    while (true) {
-      const ProduceResult result =
-          ProduceOne(driver, max_arrivals, batch_size, &queue, &ingested);
-      if (result == ProduceResult::kCancelled) {
-        return;  // Consumer cancelled (threw); stop ingesting.
-      }
-      if (result == ProduceResult::kExhausted) {
-        queue.Close();
-        return;
-      }
-    }
-  });
-
-  size_t processed = 0;
-  try {
-    processed = DrainQueue(&queue, sink);
-  } catch (...) {
-    // A throwing sink (or refinement) must not unwind past a joinable
-    // ingest thread blocked in Push on this stack frame's queue: cancel
-    // the handoff (unblocks Push, which returns false and stops the
-    // producer within one batch), join, then rethrow.
-    queue.Cancel();
-    ingest.join();
-    throw;
-  }
-  ingest.join();
-  return processed;
+  return ProcessStreamScheduled(driver, max_arrivals, batch_size, sink);
 }
 
 size_t PipelineBase::ProcessStreamScheduled(StreamDriver* driver,
                                             size_t max_arrivals,
                                             size_t batch_size,
                                             const OutcomeSink& sink) {
-  // Same two-stage split and ownership discipline as the threaded path,
-  // but the ingest stage runs as a chain of self-resubmitting kIngest work
-  // items on the shared scheduler (DESIGN.md §10) instead of owning a
-  // thread: each item ingests one batch, pushes it through the bounded
-  // handoff, and submits the next link. At most one link exists at a time,
-  // so driver/windows_/grid_/imputer_ keep a single logical owner (the
-  // scheduler's queue mutex orders consecutive links); the handoff queue's
-  // mutex orders ingest against replay exactly as before. The chain link is
-  // the only scheduler work item that may block (in Push), and the thread
-  // it waits on — this consumer — makes progress without free workers
-  // because its own fan-outs self-drain.
+  // Two-stage pipeline over a bounded handoff. The ingest stage runs as a
+  // chain of self-resubmitting kIngest work items on the scheduler
+  // (DESIGN.md §10): each item ingests one batch, pushes it through the
+  // bounded handoff, and submits the next link. At most one link exists at
+  // a time, so driver/windows_/grid_/imputer_ keep a single logical owner
+  // (the scheduler's queue mutex orders consecutive links), while
+  // matches_/cum_stats_ belong to this consumer thread; the handoff queue's
+  // mutex orders ingest against replay, and tuples a later batch evicts
+  // stay alive through that batch's contexts until its own (later) replay.
+  // The chain link is the only scheduler work item that may block (in
+  // Push), and the thread it waits on — this consumer — makes progress
+  // without free workers because its own fan-outs self-drain.
   BatchQueue<IngestedBatch> queue(
       static_cast<size_t>(config_.ingest_queue_depth));
   // Chain-completion latch (rank kPipelineChain: acquired alone, never
@@ -625,6 +570,12 @@ size_t PipelineBase::ProcessStreamScheduled(StreamDriver* driver,
     MutexLock lock(&chain_mu);
     chain_done = true;
     chain_cv.NotifyAll();
+  };
+  const auto await_chain = [&] {
+    MutexLock lock(&chain_mu);
+    while (!chain_done) {
+      chain_cv.Wait(&chain_mu);
+    }
   };
   std::function<void()> link;
   link = [&] {
@@ -651,16 +602,10 @@ size_t PipelineBase::ProcessStreamScheduled(StreamDriver* driver,
     // returns false, ending the chain within one link) and wait for the
     // final link to retire before unwinding.
     queue.Cancel();
-    MutexLock lock(&chain_mu);
-    while (!chain_done) {
-      chain_cv.Wait(&chain_mu);
-    }
+    await_chain();
     throw;
   }
-  MutexLock lock(&chain_mu);
-  while (!chain_done) {
-    chain_cv.Wait(&chain_mu);
-  }
+  await_chain();
   return processed;
 }
 

@@ -99,8 +99,8 @@ class ErPipeline {
 /// processing), defers all pair refinement into one batch-wide task set,
 /// executes it on the RefinementExecutor, and replays match insertion and
 /// result-set eviction in arrival order. ProcessStream additionally
-/// pipelines the two stages across batches on an ingest thread when
-/// EngineConfig::ingest_queue_depth > 0 (DESIGN.md §7). Output is
+/// pipelines the two stages across batches on a scheduler worker when
+/// EngineConfig::ingest_queue_depth > 0 (DESIGN.md §7, §10). Output is
 /// bit-for-bit identical to sequential processing for every batch_size /
 /// refine_threads / grid_shards / ingest_queue_depth setting.
 ///
@@ -121,12 +121,13 @@ class PipelineBase : public ErPipeline {
   std::vector<ArrivalOutcome> ProcessBatch(
       const std::vector<Record>& batch) override;
   /// With `ingest_queue_depth == 0`, the synchronous default loop. With a
-  /// positive depth, a two-stage pipeline: an ingest thread pulls batches
-  /// from the driver and runs impute/candidates/maintain (the window, grid,
-  /// and imputer state is owned by that thread for the duration), pushing
-  /// ingested batches through a bounded BatchQueue; the calling thread pops
-  /// batches in order, runs deferred refinement + replay, and emits
-  /// outcomes — so ingest of batch k+1 overlaps refinement of batch k.
+  /// positive depth, a two-stage pipeline: a kIngest chain on the scheduler
+  /// pulls batches from the driver and runs impute/candidates/maintain (the
+  /// window, grid, and imputer state is owned by the chain for the
+  /// duration), pushing ingested batches through a bounded BatchQueue; the
+  /// calling thread pops batches in order, runs deferred refinement +
+  /// replay, and emits outcomes — so ingest of batch k+1 overlaps
+  /// refinement of batch k.
   /// Output is bit-identical to the synchronous loop for every queue depth.
   size_t ProcessStream(StreamDriver* driver, size_t max_arrivals,
                        size_t batch_size, const OutcomeSink& sink) override;
@@ -159,9 +160,9 @@ class PipelineBase : public ErPipeline {
   /// evaluations into the arrival's stats and the result set immediately.
   void RefinePhase(ArrivalContext* ctx);
   /// Lines 2-7, 11-13: grid + window insertion and the eviction cascade.
-  /// With `EngineConfig::maintain_shards > 1` the arrival's grid insert and
-  /// the expired tuple's grid removal fan out per shard on the grid's
-  /// ThreadPool (DESIGN.md §9); output is identical for every setting.
+  /// With a scheduler, the arrival's grid insert and the expired tuple's
+  /// grid removal fan out per involved shard (DESIGN.md §9); output is
+  /// identical for every setting.
   /// When `defer_result_eviction`, the expired tuple's MatchSet removal is
   /// left to the caller (batched mode replays it after deferred
   /// refinement, in arrival order) and the tuple is parked in
@@ -170,9 +171,10 @@ class PipelineBase : public ErPipeline {
 
   Repository* repo_;
   EngineConfig config_;
-  /// Unified scheduler (EngineConfig::sched_threads >= 1); null in legacy
-  /// per-pool mode. Declared before every member whose methods dispatch
-  /// onto it so it is destroyed last (after draining all pending work).
+  /// The one parallel executor: max(sched_threads, 1 if
+  /// ingest_queue_depth > 0) workers, null when that is 0 (every fan-out
+  /// inline). Declared before every member whose methods dispatch onto it
+  /// so it is destroyed last (after draining all pending work).
   std::unique_ptr<Scheduler> sched_;
   TopicQuery topic_;
   std::vector<SlidingWindow> windows_;
@@ -216,7 +218,7 @@ class PipelineBase : public ErPipeline {
   /// Ingest stage: impute/candidates/maintain per record
   /// in arrival order with refinement deferred and result-set eviction
   /// parked in each context. Touches windows_/grid_/imputer_ only — under
-  /// async ingest it runs on the ingest thread.
+  /// async ingest it runs in the kIngest chain.
   void IngestBatch(const std::vector<Record>& batch,
                    std::vector<ArrivalContext>* ctxs);
   /// Refine stage: builds the batch-wide task set, runs it on the
@@ -242,35 +244,28 @@ class PipelineBase : public ErPipeline {
   bool PressureHigh(BatchQueue<IngestedBatch>* queue);
   /// One producer step of the async pipeline: pulls the next micro-batch
   /// from the driver, applies config_.overload_policy at admission, and
-  /// hands the ingested batch to `queue`. Shared by the dedicated ingest
-  /// thread and the scheduler's kIngest chain so both paths shed, degrade,
-  /// and account identically. Producer stage: touches windows_/grid_/
-  /// imputer_/driver and the producer fields of shed_.
+  /// hands the ingested batch to `queue` — the body of one kIngest chain
+  /// link. Producer stage: touches windows_/grid_/imputer_/driver and the
+  /// producer fields of shed_.
   ProduceResult ProduceOne(StreamDriver* driver, size_t max_arrivals,
                            size_t batch_size,
                            BatchQueue<IngestedBatch>* queue, size_t* ingested);
-  /// The consumer loop shared by both async paths: pops batches until the
-  /// queue closes, dispatches refinement on each batch's disposition, and
-  /// emits outcomes in arrival order with identical batch/queue-wait/
-  /// latency accounting in both modes. Returns arrivals emitted.
+  /// The async consumer loop: pops batches until the queue closes,
+  /// dispatches refinement on each batch's disposition, and emits outcomes
+  /// in arrival order with batch/queue-wait/latency accounting. Returns
+  /// arrivals emitted.
   size_t DrainQueue(BatchQueue<IngestedBatch>* queue, const OutcomeSink& sink);
-  /// Lazily constructed parallel refiner: a private pool of
-  /// config_.refine_threads workers in legacy mode, a scheduler-dispatching
-  /// executor in unified mode (still inline when refine_threads <= 1).
-  RefinementExecutor* refiner();
   /// Folds one emitted arrival into the per-arrival latency histograms:
   /// phase latencies from the outcome's cost fields, end-to-end from
   /// `e2e_seconds` (batch admission to emission). Caller-thread only.
   void RecordArrivalLatency(const CostBreakdown& cost, double e2e_seconds);
-  /// The two pipelined ProcessStream bodies behind the dispatch in
-  /// ProcessStream: the legacy dedicated ingest thread and the unified
-  /// scheduler's self-resubmitting kIngest chain (DESIGN.md §7, §10).
-  size_t ProcessStreamThreaded(StreamDriver* driver, size_t max_arrivals,
-                               size_t batch_size, const OutcomeSink& sink);
+  /// The pipelined ProcessStream body: the scheduler's self-resubmitting
+  /// kIngest chain feeding DrainQueue (DESIGN.md §7, §10).
   size_t ProcessStreamScheduled(StreamDriver* driver, size_t max_arrivals,
                                 size_t batch_size, const OutcomeSink& sink);
 
-  std::unique_ptr<RefinementExecutor> refiner_;
+  /// Fans refinement out on sched_ when refine_threads > 1, else inline.
+  RefinementExecutor refiner_;
   /// Per-arrival latency accounting, updated at emission on the consumer
   /// (calling) thread only.
   LatencyStats latency_;

@@ -171,7 +171,6 @@ EngineConfig Experiment::MakeConfig() const {
   config.ingest_queue_depth = params_.ingest_queue_depth;
   config.signature_filter = params_.signature_filter;
   config.sig_width = params_.sig_width;
-  config.maintain_shards = params_.maintain_shards;
   config.sched_threads = params_.sched_threads;
   config.repo_backend = params_.repo_backend;
   config.snapshot_decode = params_.snapshot_decode;
@@ -180,24 +179,7 @@ EngineConfig Experiment::MakeConfig() const {
 }
 
 PipelineRun Experiment::Run(PipelineKind kind) {
-  return Run(kind, params_.batch_size, params_.refine_threads);
-}
-
-PipelineRun Experiment::Run(PipelineKind kind, int batch_size,
-                            int refine_threads) {
-  return Run(kind, batch_size, refine_threads, params_.grid_shards,
-             params_.ingest_queue_depth);
-}
-
-PipelineRun Experiment::Run(PipelineKind kind, int batch_size,
-                            int refine_threads, int grid_shards,
-                            int ingest_queue_depth) {
-  EngineConfig config = MakeConfig();
-  config.batch_size = batch_size;
-  config.refine_threads = refine_threads;
-  config.grid_shards = grid_shards;
-  config.ingest_queue_depth = ingest_queue_depth;
-  return Run(kind, config);
+  return Run(kind, MakeConfig());
 }
 
 PipelineRun Experiment::Run(PipelineKind kind, const EngineConfig& config) {

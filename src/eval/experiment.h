@@ -46,12 +46,10 @@ struct ExperimentParams {
   /// width produces bit-identical matches and outcome stats; wider
   /// signatures reject more merges on long token sets.
   int sig_width = 64;
-  /// MaintainPhase grid fan-out (> 1 = per-shard insert/remove on the grid
-  /// pool; identical output for every setting).
-  int maintain_shards = 1;
-  /// Unified scheduler worker count (0 = legacy per-subsystem pools, the
-  /// seed execution model; >= 1 = all phases share one worker pool). Every
-  /// setting produces identical results (DESIGN.md §10).
+  /// Scheduler worker count (0 = every fan-out inline on the caller, one
+  /// worker when ingest_queue_depth >= 1; >= 1 = all phases share one
+  /// worker pool). Every setting produces identical results (DESIGN.md
+  /// §10).
   int sched_threads = 0;
   /// Repository storage backend each Run()'s fresh repository uses. With
   /// kMmapSnapshot, BuildRepository serializes the in-memory build into a
@@ -83,8 +81,8 @@ struct PipelineRun {
   /// ProcessStream recorded at each emission; empty for pipelines that do
   /// not account latency.
   LatencyStats arrival_latency;
-  /// Per-work-item service-time histograms from the unified scheduler
-  /// (sched_threads >= 1); empty in legacy mode.
+  /// Per-work-item service-time histograms from the scheduler; empty when
+  /// the pipeline ran without one.
   LatencyStats sched_item_latency;
   /// Overload-layer accounting (DESIGN.md §13): all-zero under the block
   /// policy or whenever the pressure signal never fired.
@@ -105,18 +103,9 @@ class Experiment {
   /// with the default batch_size=1 / refine_threads=1 this is exactly the
   /// one-at-a-time operator).
   PipelineRun Run(PipelineKind kind);
-  /// Same run with the execution-model knobs overridden; dataset, rules,
-  /// and ground truth are shared, so scaling benches can sweep batch and
-  /// thread settings without rebuilding the experiment.
-  PipelineRun Run(PipelineKind kind, int batch_size, int refine_threads);
-  /// Full execution-model override: micro-batch size, refinement threads,
-  /// ER-grid shard count, and async-ingest queue depth.
-  PipelineRun Run(PipelineKind kind, int batch_size, int refine_threads,
-                  int grid_shards, int ingest_queue_depth);
-  /// Fully explicit run under an arbitrary EngineConfig (start from
-  /// MakeConfig() and tweak); the generalized entry point for knob benches
-  /// that sweep axes without a dedicated override (signature filter,
-  /// maintain shards, ...).
+  /// Same run under an explicit EngineConfig (start from MakeConfig() and
+  /// tweak); dataset, rules, and ground truth are shared, so knob benches
+  /// can sweep execution settings without rebuilding the experiment.
   PipelineRun Run(PipelineKind kind, const EngineConfig& config);
 
   const GeneratedDataset& dataset() const { return dataset_; }

@@ -110,16 +110,6 @@ void ClassifyTasks(const std::vector<RefinementExecutor::Task>& tasks,
 
 }  // namespace
 
-RefinementExecutor::RefinementExecutor(int num_threads)
-    : pool_(std::make_unique<ThreadPool>(num_threads)) {}
-
-RefinementExecutor::RefinementExecutor(Scheduler* scheduler)
-    : scheduler_(scheduler) {
-  TERIDS_CHECK(scheduler != nullptr);
-}
-
-RefinementExecutor::~RefinementExecutor() = default;
-
 PairEvaluation RefinementExecutor::Evaluate(const Task& task,
                                             bool use_prunings,
                                             bool signature_filter,
@@ -153,7 +143,7 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
   if (n == 0) {
     return;
   }
-  if (num_threads() == 1) {
+  if (scheduler_ == nullptr) {
     for (int64_t i = 0; i < n; ++i) {
       (*evaluations)[i] =
           Evaluate(tasks[i], use_prunings, signature_filter, gamma, alpha);
@@ -198,12 +188,8 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
       eval_range(light, begin, std::min(light_n, begin + light_shard_size));
     }
   };
-  const int64_t num_shards = heavy_shards + light_shards;
-  if (scheduler_ != nullptr) {
-    scheduler_->ParallelFor(ExecPhase::kRefine, num_shards, run_shard);
-  } else {
-    pool_->ParallelFor(num_shards, run_shard);
-  }
+  scheduler_->ParallelFor(ExecPhase::kRefine, heavy_shards + light_shards,
+                          run_shard);
 }
 
 }  // namespace terids

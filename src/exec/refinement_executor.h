@@ -1,12 +1,10 @@
 #ifndef TERIDS_EXEC_REFINEMENT_EXECUTOR_H_
 #define TERIDS_EXEC_REFINEMENT_EXECUTOR_H_
 
-#include <memory>
 #include <vector>
 
 #include "er/pruning.h"
 #include "exec/scheduler.h"
-#include "exec/thread_pool.h"
 #include "stream/sliding_window.h"
 
 namespace terids {
@@ -35,10 +33,9 @@ namespace terids {
 /// Locking model (DESIGN.md §12): the executor itself holds no mutex. Task
 /// inputs are immutable for the duration of Run, each worker writes only
 /// its disjoint evaluation slots (plus thread_local scratch), and the
-/// synchronization lives entirely inside the executor it dispatches on —
-/// the private pool's kThreadPool mutex or the shared scheduler's
-/// kScheduler mutex — whose fork/join barrier publishes the slots back to
-/// the caller.
+/// synchronization lives entirely inside the scheduler it dispatches on
+/// (the kScheduler mutex), whose fork/join barrier publishes the slots back
+/// to the caller.
 class RefinementExecutor {
  public:
   /// One pair to evaluate: an arriving probe tuple against one window
@@ -50,13 +47,11 @@ class RefinementExecutor {
     const WindowTuple* candidate = nullptr;
   };
 
-  /// Legacy mode: a private ThreadPool of `num_threads` workers;
-  /// `num_threads` <= 1 evaluates inline on the caller (no pool).
-  explicit RefinementExecutor(int num_threads);
-  /// Unified mode: no private pool — Run fans out as kRefine work items on
-  /// `scheduler` (not owned, must outlive the executor; DESIGN.md §10).
-  explicit RefinementExecutor(Scheduler* scheduler);
-  ~RefinementExecutor();
+  /// Run fans out as kRefine work items on `scheduler` (not owned, must
+  /// outlive the executor; DESIGN.md §10); null evaluates inline on the
+  /// caller.
+  explicit RefinementExecutor(Scheduler* scheduler = nullptr)
+      : scheduler_(scheduler) {}
 
   /// Evaluates a single pair — the unit of work every worker runs, also
   /// usable directly by the sequential refinement loop (no task vector, no
@@ -66,10 +61,10 @@ class RefinementExecutor {
                                  bool signature_filter, double gamma,
                                  double alpha);
 
-  /// Fan-out width Run shards tasks for: the private pool's concurrency in
-  /// legacy mode, the shared scheduler's (workers + caller) in unified mode.
+  /// Fan-out width Run shards tasks for: the scheduler's concurrency
+  /// (workers + caller), or 1 without a scheduler.
   int num_threads() const {
-    return pool_ != nullptr ? pool_->concurrency() : scheduler_->concurrency();
+    return scheduler_ != nullptr ? scheduler_->concurrency() : 1;
   }
 
   /// Evaluates every task. With `use_prunings` the full cascade runs
@@ -81,9 +76,7 @@ class RefinementExecutor {
            std::vector<PairEvaluation>* evaluations);
 
  private:
-  // Exactly one of the two is set (legacy pool vs. shared scheduler).
-  std::unique_ptr<ThreadPool> pool_;
-  Scheduler* scheduler_ = nullptr;
+  Scheduler* scheduler_;
 };
 
 }  // namespace terids

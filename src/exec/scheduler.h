@@ -19,16 +19,15 @@ namespace terids {
 /// serving every parallel phase of the arrival pipeline — ER-grid probe
 /// fan-out (kCandidate), pair refinement (kRefine), sharded window/grid
 /// maintenance (kMaintain), and the chained ingest stage of async
-/// ProcessStream (kIngest) — through one multi-producer submission queue,
-/// replacing the per-subsystem ThreadPools and the dedicated SPSC ingest
-/// thread of the §6–§9 execution model.
+/// ProcessStream (kIngest) — through one multi-producer submission queue.
+/// It is the engine's only parallel executor: no other component starts a
+/// thread.
 ///
 /// Thread-safety: every public method is safe to call concurrently from any
 /// thread. Each ParallelFor is an independent job with its own completion
 /// barrier, so fan-outs from different threads (e.g. the ingest chain's
 /// candidate probe and the caller's refinement) interleave freely on the
-/// shared workers — the restriction that forced per-subsystem pools
-/// (ThreadPool serves one ParallelFor at a time) is gone.
+/// shared workers.
 ///
 /// Blocking discipline: a ParallelFor caller first drains every unclaimed
 /// task of its own job inline, then waits only for tasks already claimed by
@@ -40,8 +39,8 @@ namespace terids {
 /// free worker to make progress.
 ///
 /// Determinism: which worker runs which task is nondeterministic; callers
-/// needing deterministic output must write into per-task slots exactly as
-/// with ThreadPool (RefinementExecutor, ShardedErGrid do).
+/// needing deterministic output must write into per-task slots
+/// (RefinementExecutor, ShardedErGrid do).
 ///
 /// Locking model (DESIGN.md §12): the submission queue, the in-flight
 /// count, and the shutdown flag are guarded by `mu_` (rank
@@ -52,9 +51,8 @@ namespace terids {
 /// BatchQueue push).
 class Scheduler {
  public:
-  /// Spawns `num_workers` >= 1 persistent workers. (A zero-worker scheduler
-  /// is meaningless — EngineConfig::sched_threads == 0 selects the legacy
-  /// per-subsystem pools instead of constructing a Scheduler at all.)
+  /// Spawns `num_workers` >= 1 persistent workers. (A pipeline that needs
+  /// no workers constructs no Scheduler and runs every fan-out inline.)
   explicit Scheduler(int num_workers);
   /// Drains every pending and in-flight work item (nothing submitted is
   /// ever lost), then joins the workers. Callers must not submit
@@ -74,8 +72,8 @@ class Scheduler {
   /// completion barrier). Safe to call concurrently from multiple threads
   /// and to nest inside a work item. If fn throws on the calling thread,
   /// remaining unclaimed tasks are cancelled, in-flight tasks are awaited,
-  /// and the exception is rethrown; fn must not throw on a worker (as with
-  /// ThreadPool, that would terminate).
+  /// and the exception is rethrown; fn must not throw on a worker (that
+  /// would terminate).
   void ParallelFor(ExecPhase phase, int64_t num_tasks,
                    const std::function<void(int64_t)>& fn);
 

@@ -12,11 +12,10 @@ namespace terids {
 
 /// A bounded multi-producer / single-consumer handoff queue for the async
 /// ingest pipeline (DESIGN.md §7, §10): ingested micro-batches are pushed
-/// in FIFO order — by the dedicated ingest thread in legacy mode
-/// (sched_threads = 0), or by whichever scheduler worker runs the current
-/// kIngest chain link in scheduler mode, where successive pushes come from
-/// different threads — the refine (consumer) thread pops them, and the
-/// bound caps how far ingest may run ahead of refinement. Any number of
+/// in FIFO order by whichever scheduler worker runs the current kIngest
+/// chain link, so successive pushes may come from different threads — the
+/// refine (consumer) thread pops them, and the bound caps how far ingest
+/// may run ahead of refinement. Any number of
 /// threads may Push concurrently; Pop is single-consumer. Close is a
 /// producer-side signal, Cancel a consumer-side one; both are safe from any
 /// thread.

@@ -31,8 +31,8 @@ using GridCellKey = uint64_t;
 /// is structural — during a parallel Maintain fan-out each shard is touched
 /// by exactly one task, and Probe is const writing only into the caller's
 /// per-shard ProbeOutput slot — so there is no capability to annotate; the
-/// fan-out barrier (ThreadPool / Scheduler ParallelFor, both ranked
-/// mutexes) supplies the happens-before edges.
+/// fan-out barrier (Scheduler::ParallelFor, a ranked mutex) supplies the
+/// happens-before edges.
 class ErGridShard {
  public:
   /// `dims` = number of attributes d (needed for the per-cell bound

@@ -19,9 +19,6 @@ ShardedErGrid::ShardedErGrid(int dims, double cell_width, int num_shards,
   for (int i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<ErGridShard>(dims));
   }
-  if (num_shards > 1 && scheduler_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(num_shards);
-  }
 }
 
 size_t ShardedErGrid::num_cells() const {
@@ -60,16 +57,16 @@ std::vector<GridCellKey> ShardedErGrid::CellsOf(
 
 void ShardedErGrid::Insert(const WindowTuple* wt) {
   TERIDS_CHECK(wt != nullptr);
-  Maintain(wt, /*expired=*/nullptr, /*parallel=*/false);
+  Maintain(wt, /*expired=*/nullptr);
 }
 
 bool ShardedErGrid::Remove(const WindowTuple* wt) {
   TERIDS_CHECK(wt != nullptr);
-  return Maintain(/*insert=*/nullptr, wt, /*parallel=*/false);
+  return Maintain(/*insert=*/nullptr, wt);
 }
 
 bool ShardedErGrid::Maintain(const WindowTuple* insert,
-                             const WindowTuple* expired, bool parallel) {
+                             const WindowTuple* expired) {
   // Coordinator prologue (serial): route the insert's cell keys, resolve
   // which shards hold the expired tuple, and settle the rid maps — the
   // fan-out below then touches nothing but disjoint shards.
@@ -128,13 +125,10 @@ bool ShardedErGrid::Maintain(const WindowTuple* insert,
       TERIDS_CHECK(shards_[s]->Remove(expired));
     }
   };
-  if (parallel && scheduler_ != nullptr && shards_.size() > 1 &&
-      involved.size() > 1) {
+  if (scheduler_ != nullptr && involved.size() > 1) {
     scheduler_->ParallelFor(ExecPhase::kMaintain,
                             static_cast<int64_t>(involved.size()),
                             maintain_shard);
-  } else if (parallel && pool_ != nullptr && involved.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(involved.size()), maintain_shard);
   } else {
     for (size_t i = 0; i < involved.size(); ++i) {
       maintain_shard(static_cast<int64_t>(i));
@@ -166,8 +160,6 @@ ShardedErGrid::CandidateResult ShardedErGrid::Candidates(
   if (scheduler_ != nullptr && shards_.size() > 1) {
     scheduler_->ParallelFor(ExecPhase::kCandidate,
                             static_cast<int64_t>(shards_.size()), probe_shard);
-  } else if (pool_ != nullptr) {
-    pool_->ParallelFor(static_cast<int64_t>(shards_.size()), probe_shard);
   } else {
     for (size_t i = 0; i < shards_.size(); ++i) {
       probe_shard(static_cast<int64_t>(i));

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "exec/scheduler.h"
-#include "exec/thread_pool.h"
 #include "stream/sliding_window.h"
 #include "synopsis/er_grid_shard.h"
 #include "util/interval.h"
@@ -20,34 +19,32 @@ namespace terids {
 /// The coordinator owns cell geometry: it converts a tuple's imputed
 /// instances to cell keys once, routes each key to shard `key mod
 /// num_shards`, and tracks which shards hold which tuple so removals are
-/// targeted. `Candidates` fans the probe out over all shards — on an
-/// internal ThreadPool when `num_shards > 1`, or as kCandidate work items
-/// on the shared Scheduler when one was passed — and merges the per-shard
-/// verdicts deterministically: per-member verdicts are max-merged (the same
+/// targeted. `Candidates` probes every shard — as kCandidate work items on
+/// the shared Scheduler when one was passed and `num_shards > 1`, inline on
+/// the caller otherwise — and merges the per-shard verdicts
+/// deterministically: per-member verdicts are max-merged (the same
 /// rule a single grid applies across a tuple's cells), prune counters are
 /// summed, and the surviving candidates are emitted in ascending-rid order.
 /// The merged result is therefore bit-identical for every shard count and
 /// independent of fan-out scheduling.
 ///
-/// With `num_shards == 1` there is no pool, no fan-out, and no extra merge
-/// pass — the single-shard configuration is the original ErGrid.
+/// With `num_shards == 1` there is no fan-out and no extra merge pass — the
+/// single-shard configuration is the original ErGrid.
 ///
 /// Locking model (DESIGN.md §12): the coordinator state (`tuple_shards_`,
 /// `multi_shard_tuples_`, the shard array) is owned by the single
 /// maintaining thread — the ingest stage in the async pipeline — and is
 /// never touched from inside a fan-out task; fan-out tasks partition work
-/// per shard and write only into per-task slots. The only mutexes on this
-/// path are inside the executor (lock_rank::kThreadPool / kScheduler),
-/// whose ParallelFor barrier publishes every shard mutation before the
-/// next phase reads it.
+/// per shard and write only into per-task slots. The only mutex on this
+/// path is inside the Scheduler (lock_rank::kScheduler), whose ParallelFor
+/// barrier publishes every shard mutation before the next phase reads it.
 class ShardedErGrid {
  public:
   /// `dims` = number of attributes d; `cell_width` = side length of a cell
-  /// in the converted space; `num_shards` >= 1 partitions. With `scheduler`
-  /// null and `num_shards` > 1 the grid owns a private fan-out ThreadPool
-  /// (legacy mode); with a scheduler, probe and maintain fan-outs dispatch
-  /// as kCandidate / kMaintain work items on the shared workers instead
-  /// (not owned, must outlive the grid; DESIGN.md §10).
+  /// in the converted space; `num_shards` >= 1 partitions. With a
+  /// `scheduler`, probe and maintain fan-outs dispatch as kCandidate /
+  /// kMaintain work items on its workers (not owned, must outlive the grid;
+  /// DESIGN.md §10); without one, every shard is visited inline.
   ShardedErGrid(int dims, double cell_width, int num_shards,
                 Scheduler* scheduler = nullptr);
 
@@ -56,16 +53,14 @@ class ShardedErGrid {
   bool Remove(const WindowTuple* wt);
 
   /// One arrival's window maintenance in a single call: inserts `insert`
-  /// and removes `expired` (either may be null). With `parallel`, the
-  /// per-shard work — this shard's insert keys plus its removal of the
-  /// expired tuple — fans out across the involved shards on the probe
-  /// ThreadPool, or as kMaintain items on the shared Scheduler (DESIGN.md
-  /// §9-§10); shards share no state and each task
-  /// touches exactly one shard, so the grid contents are identical to the
-  /// serial Insert-then-Remove sequence for every setting. Returns false
-  /// iff `expired` was non-null but never inserted.
-  bool Maintain(const WindowTuple* insert, const WindowTuple* expired,
-                bool parallel);
+  /// and removes `expired` (either may be null). With a scheduler and at
+  /// least two involved shards, the per-shard work — this shard's insert
+  /// keys plus its removal of the expired tuple — fans out as kMaintain
+  /// items (DESIGN.md §9-§10); shards share no state and each task touches
+  /// exactly one shard, so the grid contents are identical to the serial
+  /// Insert-then-Remove sequence either way. Returns false iff `expired`
+  /// was non-null but never inserted.
+  bool Maintain(const WindowTuple* insert, const WindowTuple* expired);
 
   size_t num_tuples() const { return tuple_shards_.size(); }
   size_t num_cells() const;
@@ -112,11 +107,7 @@ class ShardedErGrid {
   // skips the cross-shard verdict map entirely — every member's max-merge
   // already happened inside its single shard.
   size_t multi_shard_tuples_ = 0;
-  // Probe fan-out pool; null when single-sharded or when a shared scheduler
-  // was supplied. Mutable because Candidates is logically const but
-  // dispatching a job mutates pool state.
-  mutable std::unique_ptr<ThreadPool> pool_;
-  // Shared scheduler (unified mode); fan-outs go through it when set.
+  // Fan-out executor; null = every shard is visited inline.
   Scheduler* scheduler_ = nullptr;
 };
 

@@ -32,8 +32,6 @@ inline constexpr int kUnranked = 0;
 inline constexpr int kBatchQueue = 100;
 /// core/pipeline.cc — the ProcessStreamScheduled chain-completion latch.
 inline constexpr int kPipelineChain = 200;
-/// exec/thread_pool.h — legacy per-subsystem pool job state.
-inline constexpr int kThreadPool = 300;
 /// exec/scheduler.h — the unified scheduler's submission queue (mu_).
 inline constexpr int kScheduler = 400;
 /// exec/scheduler.h — the external ParallelFor callers' latency ring

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -124,15 +125,16 @@ class EnvIntTest : public ::testing::Test {
     unsetenv(kKnob);
     unsetenv("TERIDS_BENCH_REPO_BACKEND");
     unsetenv("TERIDS_BENCH_SIGFILTER");
-    unsetenv("TERIDS_BENCH_MAINTAIN");
+    unsetenv("TERIDS_BENCH_SCHED");
   }
 
   /// Runs EnvInt and returns {value, stderr output}.
-  std::pair<int, std::string> Parse(const char* env, int fallback,
-                                    int min_value) {
+  std::pair<int, std::string> Parse(
+      const char* env, int fallback, int min_value,
+      int max_value = std::numeric_limits<int>::max()) {
     setenv(kKnob, env, 1);
     ::testing::internal::CaptureStderr();
-    const int v = EnvInt(kKnob, fallback, min_value);
+    const int v = EnvInt(kKnob, fallback, min_value, max_value);
     return {v, ::testing::internal::GetCapturedStderr()};
   }
 };
@@ -178,15 +180,31 @@ TEST_F(EnvIntTest, RejectsBelowMinimumWithMessage) {
   EXPECT_NE(err.find("below the minimum"), std::string::npos) << err;
 }
 
-TEST_F(EnvIntTest, SignatureFilterAndMaintainKnobsParse) {
-  // Defaults: signature filter on, serial maintain.
-  EXPECT_TRUE(EnvExecKnobs().signature_filter);
-  EXPECT_EQ(EnvExecKnobs().maintain_shards, 1);
+TEST_F(EnvIntTest, RejectsAboveMaximumWithMessage) {
+  EXPECT_EQ(Parse("16", 0, 0, 16).first, 16);  // exactly at the maximum
+  const auto [v, err] = Parse("17", 4, 0, 16);
+  EXPECT_EQ(v, 4);
+  EXPECT_NE(err.find("above the maximum 16"), std::string::npos) << err;
+}
+
+TEST_F(EnvIntTest, SignatureFilterKnobParses) {
+  EXPECT_TRUE(EnvExecKnobs().signature_filter);  // default on
   setenv("TERIDS_BENCH_SIGFILTER", "0", 1);
-  setenv("TERIDS_BENCH_MAINTAIN", "4", 1);
-  const ExecKnobs knobs = EnvExecKnobs();
-  EXPECT_FALSE(knobs.signature_filter);
-  EXPECT_EQ(knobs.maintain_shards, 4);
+  EXPECT_FALSE(EnvExecKnobs().signature_filter);
+}
+
+TEST_F(EnvIntTest, SchedKnobIsCappedAtTheCeiling) {
+  // The one knob that starts threads: a value above kMaxSchedThreads falls
+  // back to 0 (inline) with a message instead of reaching the engine.
+  setenv("TERIDS_BENCH_SCHED", std::to_string(kMaxSchedThreads).c_str(), 1);
+  EXPECT_EQ(EnvExecKnobs().sched_threads, kMaxSchedThreads);
+  setenv("TERIDS_BENCH_SCHED", std::to_string(kMaxSchedThreads + 1).c_str(),
+         1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(EnvExecKnobs().sched_threads, 0);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("TERIDS_BENCH_SCHED"), std::string::npos) << err;
+  EXPECT_NE(err.find("above the maximum"), std::string::npos) << err;
 }
 
 TEST_F(EnvIntTest, RepoBackendKnobParsesAndRejectsLoudly) {

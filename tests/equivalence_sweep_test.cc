@@ -7,14 +7,14 @@
 //    changes cost, never results — checked over a grid of query
 //    parameters rather than a single configuration.
 // 2. Across every datagen profile and (batch_size, refine_threads,
-//    grid_shards, ingest_queue_depth, maintain_shards, signature_filter,
-//    sched_threads, sig_width) combination, the batched / parallel /
-//    sharded-grid / async-ingest operator (ProcessStream over ProcessBatch
-//    + RefinementExecutor + ShardedErGrid + BatchQueue, dispatched either
-//    on the legacy per-subsystem pools or the unified Scheduler, with
-//    signatures at any supported width) must be bit-identical to
-//    one-at-a-time ProcessArrival: same per-arrival matches in the same
-//    order, same final MatchSet, same cumulative PruneStats.
+//    grid_shards, ingest_queue_depth, signature_filter, sched_threads,
+//    sig_width) combination, the batched / parallel / sharded-grid /
+//    async-ingest operator (ProcessStream over ProcessBatch +
+//    RefinementExecutor + ShardedErGrid + BatchQueue, fanned out on the
+//    Scheduler, with signatures at any supported width) must be
+//    bit-identical to one-at-a-time ProcessArrival: same per-arrival
+//    matches in the same order, same final MatchSet, same cumulative
+//    PruneStats.
 
 #include <gtest/gtest.h>
 
@@ -84,9 +84,8 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Batched / parallel / sharded / async operator equivalence -------------
 
 // profile, batch, refine_threads, grid_shards, ingest_queue_depth,
-// maintain_shards, signature_filter, sched_threads, sig_width
-using BatchCombo =
-    std::tuple<std::string, int, int, int, int, int, bool, int, int>;
+// signature_filter, sched_threads, sig_width
+using BatchCombo = std::tuple<std::string, int, int, int, int, bool, int, int>;
 
 class BatchEquivalenceSweepTest
     : public ::testing::TestWithParam<BatchCombo> {};
@@ -116,8 +115,7 @@ void ExpectSameStats(const PruneStats& a, const PruneStats& b) {
 
 TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   const auto [profile, batch_size, refine_threads, grid_shards, queue_depth,
-              maintain_shards, signature_filter, sched_threads, sig_width] =
-      GetParam();
+              signature_filter, sched_threads, sig_width] = GetParam();
   ExperimentParams params;
   // Per-profile scale mirrors bench::BaseParams ratios: EBooks (long token
   // sets) and Songs (the 1M-tuple dataset) blow up wall time at a uniform
@@ -130,7 +128,7 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   Experiment experiment(ProfileByName(profile), params);
 
   // The TER-iDS engine covers grid candidates + the pruning cascade (and,
-  // in queue > 0 combos, the async ingest thread); the con+ER baseline
+  // in queue > 0 combos, the async kIngest chain); the con+ER baseline
   // covers linear candidates, the unpruned exact path, and a stateful
   // stream imputer whose OnArrival/OnEvict ordering the batched operator
   // must reproduce — its imputer mutates refinement-visible state, so its
@@ -138,14 +136,13 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
     auto replay = [&](int bs, int threads, int shards, int queue,
-                      int maintain, bool sigfilter, int sched, int width) {
+                      bool sigfilter, int sched, int width) {
       std::unique_ptr<Repository> repo = experiment.BuildRepository();
       EngineConfig config = experiment.MakeConfig();
       config.batch_size = bs;
       config.refine_threads = threads;
       config.grid_shards = shards;
       config.ingest_queue_depth = queue;
-      config.maintain_shards = maintain;
       config.signature_filter = sigfilter;
       config.sched_threads = sched;
       config.sig_width = width;
@@ -177,18 +174,17 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
     };
 
     // The oracle is the seed configuration: one-at-a-time, single shard,
-    // serial maintain, signature filter off (plain merges everywhere) at
-    // the seed's 64-bit width, legacy per-pool execution (no scheduler).
+    // signature filter off (plain merges everywhere) at the seed's 64-bit
+    // width, no scheduler (every phase inline on the caller).
     const ReplayResult sequential =
-        replay(1, 1, 1, 0, /*maintain=*/1, /*sigfilter=*/false, /*sched=*/0,
-               /*width=*/64);
+        replay(1, 1, 1, 0, /*sigfilter=*/false, /*sched=*/0, /*width=*/64);
     const ReplayResult batched =
         replay(batch_size, refine_threads, grid_shards, queue_depth,
-               maintain_shards, signature_filter, sched_threads, sig_width);
+               signature_filter, sched_threads, sig_width);
     EXPECT_EQ(batched.emitted, sequential.emitted)
         << profile << " " << PipelineKindName(kind) << " batch=" << batch_size
         << " threads=" << refine_threads << " shards=" << grid_shards
-        << " queue=" << queue_depth << " maintain=" << maintain_shards
+        << " queue=" << queue_depth
         << " sigfilter=" << signature_filter << " sched=" << sched_threads
         << " width=" << sig_width;
     ASSERT_EQ(batched.final_set.size(), sequential.final_set.size());
@@ -291,8 +287,8 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, RepoBackendEquivalenceTest,
 
 // The admission-control layer (DESIGN.md §13) must be invisible whenever it
 // is allowed to be: overload_policy=block is the backpressure oracle and
-// must be bit-identical to the sequential run on every profile, on both the
-// ingest-thread path (sched=0) and the scheduler's kIngest chain (sched=4).
+// must be bit-identical to the sequential run on every profile, both on the
+// derived one-worker kIngest chain (sched=0) and on four workers (sched=4).
 // The shedding/degrading policies must be bit-identical whenever the
 // pressure signal never fires — enforced here with a queue deep enough
 // that the replay's batch count can never fill it.
@@ -374,7 +370,7 @@ TEST_P(OverloadPolicyEquivalenceTest, PolicyInertWithoutPressure) {
 std::vector<OverloadCombo> OverloadCombos() {
   std::vector<OverloadCombo> combos;
   // block is the oracle under real backpressure (shallow queue): every
-  // profile, both async execution paths.
+  // profile, on the derived single worker and on four workers.
   for (const char* profile :
        {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
     combos.emplace_back(profile, OverloadPolicy::kBlock, 2, 0);
@@ -407,67 +403,66 @@ std::vector<BatchCombo> BatchCombos() {
        {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
     // The PR-2 batch x threads matrix (shards 1, synchronous, signature
     // filter on — every profile exercises the signature kernel against the
-    // sigfilter-off oracle)...
-    for (const auto& [batch, threads] :
-         std::vector<std::pair<int, int>>{{1, 4}, {8, 1}, {8, 4}}) {
-      combos.emplace_back(profile, batch, threads, 1, 0, 1, true, 0, 64);
-    }
-    // ...plus the everything-on configuration per profile, once on the
-    // legacy per-subsystem pools and once on the unified scheduler: sharded
-    // grid + async ingest + parallel refinement + parallel maintain +
-    // signature filter (the TSan job's main data-race surface). The two
-    // runs split the wide-signature coverage between them: every profile
-    // replays everything-on at both 128 and 256 bits against the 64-bit
-    // sigfilter-off oracle.
-    combos.emplace_back(profile, 8, 4, 4, 2, 4, true, 0, 128);
-    combos.emplace_back(profile, 8, 4, 4, 2, 4, true, 4, 256);
+    // sigfilter-off oracle); parallel refinement runs on two workers...
+    combos.emplace_back(profile, 1, 4, 1, 0, true, 2, 64);
+    combos.emplace_back(profile, 8, 1, 1, 0, true, 0, 64);
+    combos.emplace_back(profile, 8, 4, 1, 0, true, 2, 64);
+    // ...plus the everything-on configuration per profile on two and on
+    // four workers: sharded grid probe + maintain, async ingest, parallel
+    // refinement, signature filter (the TSan job's main data-race
+    // surface). The two runs split the wide-signature coverage between
+    // them: every profile replays everything-on at both 128 and 256 bits
+    // against the 64-bit sigfilter-off oracle.
+    combos.emplace_back(profile, 8, 4, 4, 2, true, 2, 128);
+    combos.emplace_back(profile, 8, 4, 4, 2, true, 4, 256);
   }
   // Full shards x queue x threads cross on one profile (the acceptance
-  // matrix): isolates each new axis against the sequential oracle.
-  combos.emplace_back("Citations", 8, 1, 4, 0, 1, true, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 0, 1, true, 0, 64);
-  combos.emplace_back("Citations", 8, 1, 1, 2, 1, true, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 1, 2, 1, true, 0, 64);
-  combos.emplace_back("Citations", 8, 1, 4, 2, 1, true, 0, 64);
+  // matrix): isolates each axis against the sequential oracle. The q2 c0
+  // combos run on the derived one-worker kIngest chain, which also carries
+  // their refine and shard fan-outs.
+  combos.emplace_back("Citations", 8, 1, 4, 0, true, 2, 64);
+  combos.emplace_back("Citations", 8, 4, 4, 0, true, 2, 64);
+  combos.emplace_back("Citations", 8, 1, 1, 2, true, 0, 64);
+  combos.emplace_back("Citations", 8, 4, 1, 2, true, 0, 64);
+  combos.emplace_back("Citations", 8, 1, 4, 2, true, 0, 64);
   // async, batch 1
-  combos.emplace_back("Citations", 1, 1, 4, 2, 1, true, 0, 64);
-  // Maintain-shard and signature-filter axes in isolation: parallel
-  // maintain with everything else sequential, the sig filter both ways,
-  // and parallel maintain under async ingest (maintain fan-out runs on the
-  // ingest thread there).
-  combos.emplace_back("Citations", 1, 1, 4, 0, 4, false, 0, 64);
-  combos.emplace_back("Citations", 1, 1, 4, 0, 4, true, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 0, 4, false, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, 4, false, 0, 64);
-  combos.emplace_back("Bikes", 8, 4, 4, 2, 4, false, 0, 64);
-  // Unified-scheduler axes in isolation (Citations): scheduler constructed
-  // but no phase fans out; each phase fanning out alone on the shared
-  // workers (refine / candidate probe / maintain / the kIngest chain); the
+  combos.emplace_back("Citations", 1, 1, 4, 2, true, 0, 64);
+  // Sharded maintain and the signature filter: one-at-a-time arrivals
+  // whose grid maintain and probe fan out on a single worker, the sig
+  // filter both ways, and the sig-filter-off run under batching and async
+  // ingest (maintain fan-out runs inside the kIngest chain there).
+  combos.emplace_back("Citations", 1, 1, 4, 0, false, 1, 64);
+  combos.emplace_back("Citations", 1, 1, 4, 0, true, 1, 64);
+  combos.emplace_back("Citations", 8, 4, 4, 0, false, 2, 64);
+  combos.emplace_back("Citations", 8, 4, 4, 2, false, 2, 64);
+  combos.emplace_back("Bikes", 8, 4, 4, 2, false, 2, 64);
+  // Scheduler axes in isolation (Citations): scheduler constructed but no
+  // phase fans out; each phase fanning out alone on the shared workers
+  // (refine / candidate probe + maintain / the kIngest chain); the
   // single-worker and two-worker edges of the caller-participation
-  // discipline under the everything-on load; and sigfilter-off + scheduler
-  // against the sigfilter-off oracle.
-  combos.emplace_back("Citations", 1, 1, 1, 0, 1, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 1, 0, 1, true, 4, 64);
-  combos.emplace_back("Citations", 1, 1, 4, 0, 1, true, 4, 64);
-  combos.emplace_back("Citations", 1, 1, 4, 0, 4, true, 4, 64);
-  combos.emplace_back("Citations", 8, 1, 1, 2, 1, true, 4, 64);
+  // discipline under the everything-on load; and sigfilter-off +
+  // scheduler against the sigfilter-off oracle.
+  combos.emplace_back("Citations", 1, 1, 1, 0, true, 4, 64);
+  combos.emplace_back("Citations", 8, 4, 1, 0, true, 4, 64);
+  combos.emplace_back("Citations", 1, 1, 4, 0, true, 4, 64);
+  combos.emplace_back("Citations", 8, 1, 1, 2, true, 4, 64);
   // chain, batch 1
-  combos.emplace_back("Citations", 1, 1, 4, 2, 1, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, 4, true, 1, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, 4, true, 2, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, 4, false, 4, 64);
-  combos.emplace_back("Bikes", 8, 4, 4, 2, 4, false, 4, 64);
+  combos.emplace_back("Citations", 1, 1, 4, 2, true, 4, 64);
+  combos.emplace_back("Citations", 8, 4, 4, 2, true, 1, 64);
+  combos.emplace_back("Citations", 8, 4, 4, 2, true, 2, 64);
+  combos.emplace_back("Citations", 8, 4, 4, 2, false, 4, 64);
+  combos.emplace_back("Bikes", 8, 4, 4, 2, false, 4, 64);
   // sig_width axis in isolation (Citations, everything else sequential):
   // wide signatures + filter against the 64-bit sigfilter-off oracle, plus
   // a sigfilter-off run at 256 bits (widths must be inert with the filter
   // off). The parallel-refinement combos additionally route the wide
   // widths through the executor's batched prefilter.
-  combos.emplace_back("Citations", 1, 1, 1, 0, 1, true, 0, 128);
-  combos.emplace_back("Citations", 1, 1, 1, 0, 1, true, 0, 256);
-  combos.emplace_back("Citations", 1, 1, 1, 0, 1, false, 0, 256);
-  combos.emplace_back("Citations", 1, 4, 1, 0, 1, true, 0, 256);
-  combos.emplace_back("Citations", 8, 4, 1, 0, 1, true, 0, 128);
-  combos.emplace_back("EBooks", 8, 4, 1, 0, 1, true, 0, 256);
+  combos.emplace_back("Citations", 1, 1, 1, 0, true, 0, 128);
+  combos.emplace_back("Citations", 1, 1, 1, 0, true, 0, 256);
+  combos.emplace_back("Citations", 1, 1, 1, 0, false, 0, 256);
+  combos.emplace_back("Citations", 1, 4, 1, 0, true, 1, 256);
+  combos.emplace_back("Citations", 8, 4, 1, 0, true, 1, 128);
+  combos.emplace_back("EBooks", 8, 4, 1, 0, true, 2, 256);
   return combos;
 }
 
@@ -482,14 +477,12 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, BatchEquivalenceSweepTest,
                                   std::to_string(std::get<3>(info.param)) +
                                   "_q" +
                                   std::to_string(std::get<4>(info.param)) +
-                                  "_m" +
-                                  std::to_string(std::get<5>(info.param)) +
-                                  (std::get<6>(info.param) ? "_sig1"
+                                  (std::get<5>(info.param) ? "_sig1"
                                                            : "_sig0") +
                                   "_c" +
-                                  std::to_string(std::get<7>(info.param)) +
+                                  std::to_string(std::get<6>(info.param)) +
                                   "_w" +
-                                  std::to_string(std::get<8>(info.param));
+                                  std::to_string(std::get<7>(info.param));
                          });
 
 }  // namespace

@@ -1,19 +1,17 @@
-// Unit tests of the src/exec subsystem: the fixed-size ThreadPool and the
-// RefinementExecutor's determinism contract (parallel evaluation must be
-// indistinguishable from the sequential pair loop).
+// Unit tests of the RefinementExecutor's determinism contract: evaluation
+// fanned out on a Scheduler must be indistinguishable from the sequential
+// pair loop. (The Scheduler itself is covered by scheduler_test.)
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "er/probability.h"
 #include "er/pruning.h"
 #include "er/topic.h"
 #include "exec/refinement_executor.h"
-#include "exec/thread_pool.h"
+#include "exec/scheduler.h"
 #include "test_util.h"
 
 namespace terids {
@@ -21,43 +19,6 @@ namespace {
 
 using testing_util::MakeHealthWorld;
 using testing_util::ToyWorld;
-
-TEST(ThreadPoolTest, InlineWhenConcurrencyIsOne) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.concurrency(), 1);
-  std::vector<int64_t> order;
-  pool.ParallelFor(5, [&](int64_t i) { order.push_back(i); });
-  // Single-threaded execution is strictly in task order on the caller.
-  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.concurrency(), 4);
-  constexpr int kTasks = 1000;
-  std::vector<std::atomic<int>> hits(kTasks);
-  pool.ParallelFor(kTasks, [&](int64_t i) { hits[i].fetch_add(1); });
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossManyJobs) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int64_t> sum{0};
-    pool.ParallelFor(round, [&](int64_t i) { sum.fetch_add(i); });
-    EXPECT_EQ(sum.load(), static_cast<int64_t>(round) * (round - 1) / 2);
-  }
-}
-
-TEST(ThreadPoolTest, ZeroAndNegativeTaskCountsAreNoOps) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(0, [&](int64_t) { ++calls; });
-  pool.ParallelFor(-3, [&](int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
 
 class RefinementExecutorTest : public ::testing::Test {
  protected:
@@ -108,10 +69,13 @@ TEST_F(RefinementExecutorTest, ParallelEqualsSequentialOnBothCascades) {
       }
     }
 
+    Scheduler sched(3);
     for (bool use_prunings : {true, false}) {
       for (bool signature_filter : {true, false}) {
-        RefinementExecutor sequential(1);
-        RefinementExecutor parallel(4);
+        RefinementExecutor sequential;
+        RefinementExecutor parallel(&sched);
+        ASSERT_EQ(sequential.num_threads(), 1);
+        ASSERT_EQ(parallel.num_threads(), 4);
         std::vector<PairEvaluation> seq_evals;
         std::vector<PairEvaluation> par_evals;
         sequential.Run(tasks, use_prunings, signature_filter, 2.0, 0.4,
@@ -145,7 +109,8 @@ TEST_F(RefinementExecutorTest, ParallelEqualsSequentialOnBothCascades) {
 }
 
 TEST_F(RefinementExecutorTest, EmptyTaskSetYieldsEmptyEvaluations) {
-  RefinementExecutor executor(4);
+  Scheduler sched(1);
+  RefinementExecutor executor(&sched);
   std::vector<PairEvaluation> evals(3);
   executor.Run({}, /*use_prunings=*/true, /*signature_filter=*/true, 2.0,
                0.5, &evals);

@@ -125,8 +125,8 @@ TEST(MutexDeathTest, EqualRankAcquisitionAborts) {
   // is what makes the global order acyclic.
   EXPECT_DEATH(
       {
-        Mutex a(lock_rank::kThreadPool);
-        Mutex b(lock_rank::kThreadPool);
+        Mutex a(lock_rank::kPipelineChain);
+        Mutex b(lock_rank::kPipelineChain);
         MutexLock l1(&a);
         MutexLock l2(&b);
       },

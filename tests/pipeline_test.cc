@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/baseline_engines.h"
 #include "core/pipeline.h"
@@ -180,6 +183,84 @@ TEST_F(PipelineIntegrationTest, DynamicRepositoryAbsorption) {
     engine.ProcessArrival(driver.Next());
   }
   SUCCEED();
+}
+
+// Async ProcessStream whose sink throws mid-stream: the exception must
+// reach the caller, the call must return (the consumer cancels the handoff
+// and waits for the kIngest chain's last link to retire instead of
+// hanging), and the pipeline must then destruct cleanly.
+TEST_F(PipelineIntegrationTest, ThrowingSinkUnwindsTheAsyncIngestChain) {
+  std::unique_ptr<Repository> repo = experiment_.BuildRepository();
+  EngineConfig config = experiment_.MakeConfig();
+  config.batch_size = 4;
+  config.ingest_queue_depth = 1;
+  config.sched_threads = 1;
+  std::unique_ptr<ErPipeline> pipeline = MakePipeline(
+      PipelineKind::kTerIds, repo.get(), config, 2, experiment_.cdds(),
+      experiment_.dds(), experiment_.editing_rules());
+  StreamDriver driver({experiment_.incomplete_a(), experiment_.incomplete_b()});
+  size_t delivered = 0;
+  const ErPipeline::OutcomeSink failing_sink = [&delivered](ArrivalOutcome&&) {
+    if (++delivered == 10) {
+      throw std::runtime_error("sink");
+    }
+  };
+  EXPECT_THROW(pipeline->ProcessStream(&driver, 260, 4, failing_sink),
+               std::runtime_error);
+  EXPECT_EQ(delivered, 10u);
+  // The chain stopped within a couple of batches of the failure (queue
+  // depth 1) instead of ingesting the whole stream.
+  EXPECT_TRUE(driver.HasNext());
+  // The scheduler drains (nothing left blocked) and ran the chain's links.
+  const LatencyStats items = pipeline->ConsumeSchedulerLatencies();
+  EXPECT_GT(items.of(ExecPhase::kIngest).count(), 0u);
+  pipeline.reset();
+}
+
+// sched_threads = 0 with async ingest must still run async: the kIngest
+// chain gets one derived worker. A silent fallback to the synchronous loop
+// would record no kIngest work item.
+TEST_F(PipelineIntegrationTest, AsyncIngestWithoutSchedThreadsGetsOneWorker) {
+  auto replay = [&](const EngineConfig& config, uint64_t* ingest_items) {
+    std::unique_ptr<Repository> repo = experiment_.BuildRepository();
+    std::unique_ptr<ErPipeline> pipeline = MakePipeline(
+        PipelineKind::kTerIds, repo.get(), config, 2, experiment_.cdds(),
+        experiment_.dds(), experiment_.editing_rules());
+    StreamDriver driver(
+        {experiment_.incomplete_a(), experiment_.incomplete_b()});
+    std::vector<std::pair<int64_t, int64_t>> emitted;
+    const auto collect = [&emitted](const ArrivalOutcome& out) {
+      for (const MatchPair& p : out.new_matches) {
+        emitted.emplace_back(p.rid_a, p.rid_b);
+      }
+    };
+    if (config.ingest_queue_depth == 0) {
+      // The oracle: sequential ProcessArrival, one record at a time.
+      for (int i = 0; i < 260 && driver.HasNext(); ++i) {
+        collect(pipeline->ProcessArrival(driver.Next()));
+      }
+    } else {
+      pipeline->ProcessStream(
+          &driver, 260, static_cast<size_t>(config.batch_size),
+          [&collect](ArrivalOutcome&& out) { collect(out); });
+    }
+    *ingest_items =
+        pipeline->ConsumeSchedulerLatencies().of(ExecPhase::kIngest).count();
+    return emitted;
+  };
+
+  uint64_t oracle_items = 0;
+  const auto oracle = replay(experiment_.MakeConfig(), &oracle_items);
+  EXPECT_EQ(oracle_items, 0u);  // no scheduler at all
+  EXPECT_FALSE(oracle.empty());
+
+  EngineConfig async = experiment_.MakeConfig();
+  async.batch_size = 4;
+  async.ingest_queue_depth = 2;
+  async.sched_threads = 0;
+  uint64_t async_items = 0;
+  EXPECT_EQ(replay(async, &async_items), oracle);
+  EXPECT_GT(async_items, 0u);
 }
 
 TEST(MetricsTest, FScoreMath) {

@@ -52,9 +52,9 @@ TEST(SchedulerTest, SingleWorkerStillCompletesLargeFanOut) {
 }
 
 TEST(SchedulerTest, ConcurrentParallelForFromManyThreads) {
-  // The property that forced per-subsystem pools: N threads each issue
-  // fork-joins against the same scheduler, repeatedly, and every task of
-  // every job must run exactly once with each barrier honored.
+  // One scheduler serves every fan-out: N threads each issue fork-joins
+  // against it, repeatedly, and every task of every job must run exactly
+  // once with each barrier honored.
   Scheduler sched(3);
   constexpr int kThreads = 4;
   constexpr int kRounds = 25;

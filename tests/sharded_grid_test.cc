@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "er/topic.h"
+#include "exec/scheduler.h"
 #include "synopsis/sharded_er_grid.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -140,13 +141,16 @@ TEST_F(ShardedGridTest, ShardCountSweepMatchesSingleShardOracle) {
   members.push_back(MakeSpreadTuple(5000, 1));
   members.push_back(MakeSpreadTuple(5001, 1));
 
+  // The sharded grids fan their probe and maintain work out on scheduler
+  // workers; the oracle visits its one shard inline.
+  Scheduler sched(2);
   for (double cell_width : {0.05, 0.2}) {
     ShardedErGrid oracle(dims, cell_width, 1);
     for (const auto& wt : members) {
       oracle.Insert(wt.get());
     }
     for (int shards : {2, 3, 4, 8}) {
-      ShardedErGrid grid(dims, cell_width, shards);
+      ShardedErGrid grid(dims, cell_width, shards, &sched);
       for (const auto& wt : members) {
         grid.Insert(wt.get());
       }
