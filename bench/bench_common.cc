@@ -124,7 +124,6 @@ ExecKnobs EnvExecKnobs() {
   ExecKnobs knobs;
   knobs.batch_size = EnvInt("TERIDS_BENCH_BATCH", 1, 1);
   knobs.refine_threads = EnvInt("TERIDS_BENCH_THREADS", 1, 1);
-  knobs.grid_shards = EnvInt("TERIDS_BENCH_SHARDS", 1, 1);
   knobs.ingest_queue_depth = EnvInt("TERIDS_BENCH_QUEUE", 0, 0);
   knobs.signature_filter = EnvInt("TERIDS_BENCH_SIGFILTER", 1, 0) != 0;
   knobs.sig_width = EnvSigWidth();
@@ -150,7 +149,6 @@ ExperimentParams BaseParams(const std::string& dataset) {
   const ExecKnobs knobs = EnvExecKnobs();
   params.batch_size = knobs.batch_size;
   params.refine_threads = knobs.refine_threads;
-  params.grid_shards = knobs.grid_shards;
   params.ingest_queue_depth = knobs.ingest_queue_depth;
   params.signature_filter = knobs.signature_filter;
   params.sig_width = knobs.sig_width;
@@ -250,7 +248,6 @@ JsonReporter::Row& JsonReporter::AddKnobRow(const ExecKnobs& knobs) {
   return AddRow()
       .Num("batch_size", knobs.batch_size)
       .Num("refine_threads", knobs.refine_threads)
-      .Num("grid_shards", knobs.grid_shards)
       .Num("ingest_queue_depth", knobs.ingest_queue_depth)
       .Num("signature_filter", knobs.signature_filter ? 1 : 0)
       .Num("sig_width", knobs.sig_width)
@@ -283,11 +280,11 @@ void PrintHeader(const std::string& figure, const std::string& title,
   std::printf(
       "defaults (Table 5, scaled): alpha=%.1f rho=%.1f xi=%.1f eta=%.1f "
       "w=%d m=%d scale=%.3f arrivals=%d bench_scale=%.2f batch=%d "
-      "threads=%d shards=%d queue=%d sigfilter=%d sigwidth=%d sched=%d "
+      "threads=%d queue=%d sigfilter=%d sigwidth=%d sched=%d "
       "repo=%s snapdecode=%s overload=%s\n",
       params.alpha, params.rho, params.xi, params.eta, params.w, params.m,
       params.scale, params.max_arrivals, EnvScale(), params.batch_size,
-      params.refine_threads, params.grid_shards, params.ingest_queue_depth,
+      params.refine_threads, params.ingest_queue_depth,
       params.signature_filter ? 1 : 0, params.sig_width, params.sched_threads,
       RepoBackendName(params.repo_backend),
       SnapshotDecodeName(params.snapshot_decode),

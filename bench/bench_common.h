@@ -30,8 +30,8 @@ int EnvInt(const char* name, int fallback, int min_value,
            int max_value = std::numeric_limits<int>::max());
 
 /// The execution-model knobs, parsed once from TERIDS_BENCH_BATCH /
-/// TERIDS_BENCH_THREADS / TERIDS_BENCH_SHARDS / TERIDS_BENCH_QUEUE
-/// (defaults 1/1/1/0 = the classic one-at-a-time synchronous operator)
+/// TERIDS_BENCH_THREADS / TERIDS_BENCH_QUEUE
+/// (defaults 1/1/0 = the classic one-at-a-time synchronous operator)
 /// plus TERIDS_BENCH_SIGFILTER (0|1, default 1 = signature-bounded Jaccard
 /// kernel on), TERIDS_BENCH_SCHED (sched_threads, default 0 = every
 /// fan-out inline; at most kMaxSchedThreads), the token-signature width
@@ -44,13 +44,12 @@ int EnvInt(const char* name, int fallback, int min_value,
 /// "degrade", default block; DESIGN.md §13).
 /// Every bench that replays arrivals through Experiment::Run inherits them
 /// via BaseParams, so any figure can be reproduced under micro-batching,
-/// parallel refinement, grid sharding, async ingest, the signature filter
+/// parallel refinement, async ingest, the signature filter
 /// at any width, the scheduler, and either storage backend without code
 /// changes.
 struct ExecKnobs {
   int batch_size = 1;
   int refine_threads = 1;
-  int grid_shards = 1;
   int ingest_queue_depth = 0;
   bool signature_filter = true;
   int sig_width = 64;
@@ -106,7 +105,7 @@ class JsonReporter {
   bool enabled() const { return !path_.empty(); }
   Row& AddRow();
   /// AddRow with the effective execution-model knob columns pre-stamped
-  /// (batch_size / refine_threads / grid_shards / ingest_queue_depth), so
+  /// (batch_size / refine_threads / ingest_queue_depth), so
   /// artifact rows from different knob settings stay distinguishable.
   Row& AddKnobRow(const ExecKnobs& knobs);
 

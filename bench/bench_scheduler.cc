@@ -6,11 +6,11 @@
 // §10) on top of the reproduced system.
 //
 // Every other row runs the identical arrival sequence with every parallel
-// phase enabled (micro-batching, async ingest chain, sharded grid probe and
-// maintain, parallel refinement); only the worker count varies. Output is
-// bit-identical across the whole sweep by the determinism contract, and
-// this bench refuses to report numbers if not. Parallel speedups require
-// physical cores; a 1-core host shows overhead only.
+// phase enabled (micro-batching, async ingest chain, parallel refinement);
+// only the worker count varies. Output is bit-identical across the whole
+// sweep by the determinism contract, and this bench refuses to report
+// numbers if not. Parallel speedups require physical cores; a 1-core host
+// shows overhead only.
 
 #include <cstdio>
 #include <string>
@@ -57,11 +57,10 @@ int main() {
   const ExecKnobs env_knobs = EnvExecKnobs();
   const std::string dataset = "Citations";
   ExperimentParams params = BaseParams(dataset);
-  // Every parallel phase on, so all four ExecPhases flow through the
+  // Every parallel phase on, so ingest and refinement flow through the
   // scheduler: the sweep isolates worker topology, nothing else.
   params.batch_size = 8;
   params.refine_threads = 4;
-  params.grid_shards = 4;
   params.ingest_queue_depth = 2;
   Experiment experiment(ProfileByName(dataset), params);
   PrintHeader("scheduler",
@@ -79,7 +78,6 @@ int main() {
   EngineConfig sequential = experiment.MakeConfig();
   sequential.batch_size = 1;
   sequential.refine_threads = 1;
-  sequential.grid_shards = 1;
   sequential.ingest_queue_depth = 0;
   sequential.sched_threads = 0;
   const PipelineRun oracle = experiment.Run(PipelineKind::kTerIds, sequential);
@@ -112,7 +110,6 @@ int main() {
     ExecKnobs knobs = env_knobs;
     knobs.batch_size = params.batch_size;
     knobs.refine_threads = params.refine_threads;
-    knobs.grid_shards = params.grid_shards;
     knobs.ingest_queue_depth = params.ingest_queue_depth;
     knobs.sched_threads = sched;
     reporter.AddKnobRow(knobs)

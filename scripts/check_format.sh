@@ -83,6 +83,32 @@ if [[ $docs_ok -ne 1 ]]; then
   exit 1
 fi
 
+# Bench names, checked in both directions: every backticked `bench_<name>`
+# in README.md or EXPERIMENTS.md must be an existing bench/<name>.cc (a
+# bench was deleted), and every bench binary source must be named in
+# README.md (a bench was added).
+for name in $(grep -ohE '`bench_[a-z0-9_]+`' README.md EXPERIMENTS.md |
+  tr -d '`' | sort -u); do
+  if [[ ! -f "bench/$name.cc" ]]; then
+    echo "error: docs name '$name', but bench/$name.cc does not exist" >&2
+    docs_ok=0
+  fi
+done
+
+for src in bench/bench_*.cc; do
+  name=$(basename "$src" .cc)
+  if [[ "$name" != "bench_common" ]] && ! grep -q "\`$name\`" README.md; then
+    echo "error: bench '$name' is missing from README.md" >&2
+    docs_ok=0
+  fi
+done
+
+if [[ $docs_ok -ne 1 ]]; then
+  echo "error: README.md / EXPERIMENTS.md bench names are out of date" \
+    "(see above)" >&2
+  exit 1
+fi
+
 # ---------------------------------------------------------------------------
 # Thread-safety annotation hygiene: every file must use the shared TERIDS_*
 # macros from src/util/thread_annotations.h, never the raw clang attributes.

@@ -52,12 +52,6 @@ struct EngineConfig {
   /// its concurrency). The defaults (1/1) keep pipeline output and
   /// execution bit-for-bit identical to the unbatched operator.
   int refine_threads = 1;
-  /// Number of ER-grid shards (cells partitioned by cell-key hash). With a
-  /// scheduler and > 1 shard, Candidates and the maintain phase fan out
-  /// over shards and merge deterministically; 1 = the original single
-  /// grid. Every setting produces identical matches, MatchSet, and
-  /// PruneStats.
-  int grid_shards = 1;
   /// Bound on ingested micro-batches buffered ahead of refinement by the
   /// async ingest path of ProcessStream: 0 = fully synchronous (ingest and
   /// refinement alternate on the calling thread, bit-identical to the
@@ -86,13 +80,13 @@ struct EngineConfig {
   /// Worker count of the phase-tagged Scheduler (DESIGN.md §10), the one
   /// parallel executor. 0 = no shared workers, so every fan-out runs inline
   /// on the caller — unless ingest_queue_depth >= 1, whose kIngest chain
-  /// needs a worker: then the scheduler gets one. >= 1 = every phase that
-  /// fans out (ingest, candidate, refine, maintain) dispatches onto one
-  /// pool of this many workers. The phase knobs above (refine_threads > 1,
-  /// grid_shards > 1) decide *whether* a phase fans out; the scheduler
-  /// decides who runs it. At most kMaxSchedThreads. Every setting produces
-  /// identical matches, MatchSet, and PruneStats (the equivalence sweep
-  /// enforces it).
+  /// needs a worker: then the scheduler gets one. >= 1 = the async ingest
+  /// chain and the refinement fan-out (the only phases that leave the
+  /// caller) dispatch onto one pool of this many workers. refine_threads >
+  /// 1 decides *whether* refinement fans out; the scheduler decides who
+  /// runs it. At most kMaxSchedThreads. Every setting produces identical
+  /// matches, MatchSet, and PruneStats (the equivalence sweep enforces
+  /// it).
   int sched_threads = 0;
   /// Physical storage backend behind the repository R the engines read
   /// (DESIGN.md §8). Engines never construct repositories themselves —

@@ -41,7 +41,6 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
   TERIDS_CHECK(config_.batch_size >= 1);
   TERIDS_CHECK(config_.max_candidates_per_attr >= 1);
   TERIDS_CHECK(config_.refine_threads >= 1);
-  TERIDS_CHECK(config_.grid_shards >= 1);
   TERIDS_CHECK(config_.ingest_queue_depth >= 0);
   TERIDS_CHECK(config_.sched_threads >= 0);
   TERIDS_CHECK(config_.sched_threads <= kMaxSchedThreads);
@@ -61,9 +60,8 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
     windows_.emplace_back(config_.window_size);
   }
   if (use_grid) {
-    grid_ = std::make_unique<ShardedErGrid>(repo->num_attributes(),
-                                            config_.cell_width,
-                                            config_.grid_shards, sched_.get());
+    grid_ = std::make_unique<ErGrid>(repo->num_attributes(),
+                                     config_.cell_width);
   }
 }
 
@@ -126,7 +124,7 @@ void PipelineBase::CandidatePhase(ArrivalContext* ctx) {
   ScopedTimer timer(&ctx->out.cost.candidate_seconds);
   if (grid_ != nullptr) {
     const bool topic_constrained = !topic_.IsUnconstrained();
-    ShardedErGrid::CandidateResult grid_result =
+    ErGrid::CandidateResult grid_result =
         grid_->Candidates(*ctx->wt, config_.gamma, topic_constrained);
     ctx->candidates = std::move(grid_result.candidates);
     // Grid-level prunes are Theorem 4.1 / Theorem 4.2 kills; account for
@@ -192,14 +190,13 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
 void PipelineBase::MaintainPhase(ArrivalContext* ctx,
                                  bool defer_result_eviction) {
   ScopedTimer timer(&ctx->out.cost.maintain_seconds);
-  // The window push decides the eviction first so the arrival's grid
-  // insert and the expired tuple's grid removal can run as one per-shard
-  // fan-out; insert and removal touch independent tuples, so the order swap
-  // with the original insert-push-remove sequence cannot change the grid.
   std::shared_ptr<WindowTuple> evicted =
       windows_[ctx->record.stream_id].Push(ctx->wt);
   if (grid_ != nullptr) {
-    grid_->Maintain(ctx->wt.get(), evicted.get());
+    grid_->Insert(ctx->wt.get());
+    if (evicted != nullptr) {
+      TERIDS_CHECK(grid_->Remove(evicted.get()));
+    }
   }
   if (evicted != nullptr) {
     if (!defer_result_eviction) {

@@ -23,7 +23,7 @@
 #include "stream/overload.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
-#include "synopsis/sharded_er_grid.h"
+#include "synopsis/er_grid.h"
 #include "tuple/record.h"
 #include "util/stopwatch.h"
 
@@ -102,7 +102,7 @@ class ErPipeline {
 /// pipelines the two stages across batches on a scheduler worker when
 /// EngineConfig::ingest_queue_depth > 0 (DESIGN.md §7, §10). Output is
 /// bit-for-bit identical to sequential processing for every batch_size /
-/// refine_threads / grid_shards / ingest_queue_depth setting.
+/// refine_threads / ingest_queue_depth setting.
 ///
 /// Subclasses override the imputation hook (and inherit either the
 /// grid-based or linear candidate generation depending on configuration).
@@ -160,9 +160,8 @@ class PipelineBase : public ErPipeline {
   /// evaluations into the arrival's stats and the result set immediately.
   void RefinePhase(ArrivalContext* ctx);
   /// Lines 2-7, 11-13: grid + window insertion and the eviction cascade.
-  /// With a scheduler, the arrival's grid insert and the expired tuple's
-  /// grid removal fan out per involved shard (DESIGN.md §9); output is
-  /// identical for every setting.
+  /// The expired tuple must be in the grid: a window/grid desync aborts
+  /// here rather than leave a stale member producing candidates.
   /// When `defer_result_eviction`, the expired tuple's MatchSet removal is
   /// left to the caller (batched mode replays it after deferred
   /// refinement, in arrival order) and the tuple is parked in
@@ -178,7 +177,7 @@ class PipelineBase : public ErPipeline {
   std::unique_ptr<Scheduler> sched_;
   TopicQuery topic_;
   std::vector<SlidingWindow> windows_;
-  std::unique_ptr<ShardedErGrid> grid_;
+  std::unique_ptr<ErGrid> grid_;
   std::unique_ptr<Imputer> imputer_;
   MatchSet matches_;
   PruneStats cum_stats_;

@@ -21,8 +21,8 @@ struct CostBreakdown {
   /// refine-stage walls, which overlap across batches, so it upper-bounds
   /// the true wall attribution.
   double batch_seconds = 0.0;
-  /// Candidate-generation wall time (the sharded ER-grid probe fan-out, or
-  /// the linear window scan). Contained in `er_seconds`; overlay metric.
+  /// Candidate-generation wall time (the ER-grid probe, or the linear
+  /// window scan). Contained in `er_seconds`; overlay metric.
   double candidate_seconds = 0.0;
   /// Time the refine stage spent blocked on the ingest BatchQueue waiting
   /// for the next ingested batch (async mode only; spread evenly across the

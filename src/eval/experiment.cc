@@ -167,7 +167,6 @@ EngineConfig Experiment::MakeConfig() const {
   config.cell_width = params_.cell_width;
   config.batch_size = params_.batch_size;
   config.refine_threads = params_.refine_threads;
-  config.grid_shards = params_.grid_shards;
   config.ingest_queue_depth = params_.ingest_queue_depth;
   config.signature_filter = params_.signature_filter;
   config.sig_width = params_.sig_width;

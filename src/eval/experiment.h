@@ -37,7 +37,6 @@ struct ExperimentParams {
   /// Execution-model knobs (defaults reproduce one-at-a-time processing).
   int batch_size = 1;
   int refine_threads = 1;
-  int grid_shards = 1;
   int ingest_queue_depth = 0;
   /// Signature-bounded Jaccard kernel inside refinement (on by default;
   /// results are bit-identical either way, only merge work is skipped).
@@ -47,9 +46,9 @@ struct ExperimentParams {
   /// signatures reject more merges on long token sets.
   int sig_width = 64;
   /// Scheduler worker count (0 = every fan-out inline on the caller, one
-  /// worker when ingest_queue_depth >= 1; >= 1 = all phases share one
-  /// worker pool). Every setting produces identical results (DESIGN.md
-  /// §10).
+  /// worker when ingest_queue_depth >= 1; >= 1 = async ingest and
+  /// refinement share one worker pool). Every setting produces identical
+  /// results (DESIGN.md §10).
   int sched_threads = 0;
   /// Repository storage backend each Run()'s fresh repository uses. With
   /// kMmapSnapshot, BuildRepository serializes the in-memory build into a

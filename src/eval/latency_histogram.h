@@ -12,7 +12,7 @@ namespace terids {
 /// (src/exec) and the accounting layer agree on one vocabulary.
 enum class ExecPhase {
   kIngest = 0,     // imputation: probe coords, CDD selection, candidates (4)
-  kCandidate = 1,  // ER-grid probe fan-out / linear window scan
+  kCandidate = 1,  // ER-grid probe / linear window scan
   kRefine = 2,     // the Theorem 4.1-4.4 cascade / exact refinement
   kMaintain = 3,   // grid + window insertion, eviction cascade
 };

@@ -16,31 +16,31 @@
 namespace terids {
 
 /// The unified execution scheduler (DESIGN.md §10): one fixed worker pool
-/// serving every parallel phase of the arrival pipeline — ER-grid probe
-/// fan-out (kCandidate), pair refinement (kRefine), sharded window/grid
-/// maintenance (kMaintain), and the chained ingest stage of async
-/// ProcessStream (kIngest) — through one multi-producer submission queue.
-/// It is the engine's only parallel executor: no other component starts a
-/// thread.
+/// serving every parallel phase of the arrival pipeline — pair refinement
+/// (kRefine) and the chained ingest stage of async ProcessStream (kIngest)
+/// — through one multi-producer submission queue. The ER-grid probe and
+/// maintenance run on the caller, so kCandidate and kMaintain carry no
+/// items; the tags stay so every phase reports a (possibly empty) latency
+/// row. It is the engine's only parallel executor: no other component
+/// starts a thread.
 ///
 /// Thread-safety: every public method is safe to call concurrently from any
 /// thread. Each ParallelFor is an independent job with its own completion
-/// barrier, so fan-outs from different threads (e.g. the ingest chain's
-/// candidate probe and the caller's refinement) interleave freely on the
+/// barrier, so fan-outs from different threads interleave freely on the
 /// shared workers.
 ///
 /// Blocking discipline: a ParallelFor caller first drains every unclaimed
 /// task of its own job inline, then waits only for tasks already claimed by
 /// workers. A job therefore completes even when every worker is busy or
-/// blocked elsewhere, which makes nested fan-outs (a kIngest item running a
-/// kMaintain fan-out) and a bounded-queue handoff inside a work item
-/// deadlock-free: at most the ingest chain's single in-flight item ever
-/// blocks, and the thread it waits on (the stream consumer) never needs a
-/// free worker to make progress.
+/// blocked elsewhere, which makes nested fan-outs (a ParallelFor inside a
+/// work item) and a bounded-queue handoff inside a work item deadlock-free:
+/// at most the ingest chain's single in-flight item ever blocks, and the
+/// thread it waits on (the stream consumer) never needs a free worker to
+/// make progress.
 ///
 /// Determinism: which worker runs which task is nondeterministic; callers
 /// needing deterministic output must write into per-task slots
-/// (RefinementExecutor, ShardedErGrid do).
+/// (RefinementExecutor does).
 ///
 /// Locking model (DESIGN.md §12): the submission queue, the in-flight
 /// count, and the shutdown flag are guarded by `mu_` (rank

@@ -17,8 +17,8 @@ namespace terids {
 /// detection.
 ///
 /// The named ranks document the engine's only permitted nesting chains:
-/// handoff queues lock before executor/shard state, which locks before the
-/// latency-histogram rings — "queue before shard before histogram". Today
+/// handoff queues lock before executor state, which locks before the
+/// latency-histogram rings — "queue before scheduler before histogram". Today
 /// the single live nesting is Scheduler::mu_ -> Scheduler::ext_mu_
 /// (ConsumeLatencies folds the external callers' ring while holding the
 /// scheduler queue lock); every other mutex is acquired alone, and the

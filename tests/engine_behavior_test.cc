@@ -9,7 +9,7 @@
 #include "core/terids_engine.h"
 #include "er/probability.h"
 #include "rules/rule_miner.h"
-#include "synopsis/sharded_er_grid.h"
+#include "synopsis/er_grid.h"
 #include "test_util.h"
 
 namespace terids {
@@ -91,9 +91,7 @@ TEST_F(EngineBehaviorTest, RepeatedRunsAreDeterministic) {
 TEST_F(EngineBehaviorTest, ImputedTupleOccupiesMultipleGridCells) {
   // An imputed tuple whose candidate values have spread-out pivot
   // coordinates must be inserted into several cells and fully removed.
-  // Two shards: a spread-out imputed tuple also exercises the coordinator's
-  // multi-shard routing and targeted removal.
-  ShardedErGrid grid(world_.repo->num_attributes(), 0.05, /*num_shards=*/2);
+  ErGrid grid(world_.repo->num_attributes(), 0.05);
   TopicQuery topic(*world_.dict, {"diabetes"});
   Record r = world_.Make(1, {"male", "blurred vision", "-", "drug therapy"});
   r.stream_id = 0;

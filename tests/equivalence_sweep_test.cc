@@ -7,11 +7,11 @@
 //    changes cost, never results — checked over a grid of query
 //    parameters rather than a single configuration.
 // 2. Across every datagen profile and (batch_size, refine_threads,
-//    grid_shards, ingest_queue_depth, signature_filter, sched_threads,
-//    sig_width) combination, the batched / parallel / sharded-grid /
-//    async-ingest operator (ProcessStream over ProcessBatch +
-//    RefinementExecutor + ShardedErGrid + BatchQueue, fanned out on the
-//    Scheduler, with signatures at any supported width) must be
+//    ingest_queue_depth, signature_filter, sched_threads, sig_width)
+//    combination, the batched / parallel / async-ingest operator
+//    (ProcessStream over ProcessBatch + RefinementExecutor + BatchQueue,
+//    fanned out on the Scheduler, with signatures at any supported width)
+//    must be
 //    bit-identical to one-at-a-time ProcessArrival: same per-arrival
 //    matches in the same order, same final MatchSet, same cumulative
 //    PruneStats.
@@ -81,11 +81,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Combo{0.5, 0.5, 0.6}, Combo{0.2, 0.4, 0.5},
                       Combo{0.7, 0.6, 0.2}));
 
-// --- Batched / parallel / sharded / async operator equivalence -------------
+// --- Batched / parallel / async operator equivalence ----------------------
 
-// profile, batch, refine_threads, grid_shards, ingest_queue_depth,
-// signature_filter, sched_threads, sig_width
-using BatchCombo = std::tuple<std::string, int, int, int, int, bool, int, int>;
+// profile, batch, refine_threads, ingest_queue_depth, signature_filter,
+// sched_threads, sig_width
+using BatchCombo = std::tuple<std::string, int, int, int, bool, int, int>;
 
 class BatchEquivalenceSweepTest
     : public ::testing::TestWithParam<BatchCombo> {};
@@ -114,7 +114,7 @@ void ExpectSameStats(const PruneStats& a, const PruneStats& b) {
 }
 
 TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
-  const auto [profile, batch_size, refine_threads, grid_shards, queue_depth,
+  const auto [profile, batch_size, refine_threads, queue_depth,
               signature_filter, sched_threads, sig_width] = GetParam();
   ExperimentParams params;
   // Per-profile scale mirrors bench::BaseParams ratios: EBooks (long token
@@ -135,13 +135,12 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   // pipeline must transparently stay synchronous at any queue depth.
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
-    auto replay = [&](int bs, int threads, int shards, int queue,
-                      bool sigfilter, int sched, int width) {
+    auto replay = [&](int bs, int threads, int queue, bool sigfilter,
+                      int sched, int width) {
       std::unique_ptr<Repository> repo = experiment.BuildRepository();
       EngineConfig config = experiment.MakeConfig();
       config.batch_size = bs;
       config.refine_threads = threads;
-      config.grid_shards = shards;
       config.ingest_queue_depth = queue;
       config.signature_filter = sigfilter;
       config.sched_threads = sched;
@@ -173,18 +172,17 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
       return result;
     };
 
-    // The oracle is the seed configuration: one-at-a-time, single shard,
-    // signature filter off (plain merges everywhere) at the seed's 64-bit
-    // width, no scheduler (every phase inline on the caller).
+    // The oracle is the seed configuration: one-at-a-time, signature
+    // filter off (plain merges everywhere) at the seed's 64-bit width, no
+    // scheduler (every phase inline on the caller).
     const ReplayResult sequential =
-        replay(1, 1, 1, 0, /*sigfilter=*/false, /*sched=*/0, /*width=*/64);
+        replay(1, 1, 0, /*sigfilter=*/false, /*sched=*/0, /*width=*/64);
     const ReplayResult batched =
-        replay(batch_size, refine_threads, grid_shards, queue_depth,
-               signature_filter, sched_threads, sig_width);
+        replay(batch_size, refine_threads, queue_depth, signature_filter,
+               sched_threads, sig_width);
     EXPECT_EQ(batched.emitted, sequential.emitted)
         << profile << " " << PipelineKindName(kind) << " batch=" << batch_size
-        << " threads=" << refine_threads << " shards=" << grid_shards
-        << " queue=" << queue_depth
+        << " threads=" << refine_threads << " queue=" << queue_depth
         << " sigfilter=" << signature_filter << " sched=" << sched_threads
         << " width=" << sig_width;
     ASSERT_EQ(batched.final_set.size(), sequential.final_set.size());
@@ -401,68 +399,63 @@ std::vector<BatchCombo> BatchCombos() {
   std::vector<BatchCombo> combos;
   for (const char* profile :
        {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
-    // The PR-2 batch x threads matrix (shards 1, synchronous, signature
-    // filter on — every profile exercises the signature kernel against the
+    // The PR-2 batch x threads matrix (synchronous, signature filter on —
+    // every profile exercises the signature kernel against the
     // sigfilter-off oracle); parallel refinement runs on two workers...
-    combos.emplace_back(profile, 1, 4, 1, 0, true, 2, 64);
-    combos.emplace_back(profile, 8, 1, 1, 0, true, 0, 64);
-    combos.emplace_back(profile, 8, 4, 1, 0, true, 2, 64);
+    combos.emplace_back(profile, 1, 4, 0, true, 2, 64);
+    combos.emplace_back(profile, 8, 1, 0, true, 0, 64);
+    combos.emplace_back(profile, 8, 4, 0, true, 2, 64);
     // ...plus the everything-on configuration per profile on two and on
-    // four workers: sharded grid probe + maintain, async ingest, parallel
-    // refinement, signature filter (the TSan job's main data-race
-    // surface). The two runs split the wide-signature coverage between
-    // them: every profile replays everything-on at both 128 and 256 bits
-    // against the 64-bit sigfilter-off oracle.
-    combos.emplace_back(profile, 8, 4, 4, 2, true, 2, 128);
-    combos.emplace_back(profile, 8, 4, 4, 2, true, 4, 256);
+    // four workers: async ingest, parallel refinement, signature filter
+    // (the TSan job's main data-race surface). The two runs split the
+    // wide-signature coverage between them: every profile replays
+    // everything-on at both 128 and 256 bits against the 64-bit
+    // sigfilter-off oracle.
+    combos.emplace_back(profile, 8, 4, 2, true, 2, 128);
+    combos.emplace_back(profile, 8, 4, 2, true, 4, 256);
   }
-  // Full shards x queue x threads cross on one profile (the acceptance
-  // matrix): isolates each axis against the sequential oracle. The q2 c0
-  // combos run on the derived one-worker kIngest chain, which also carries
-  // their refine and shard fan-outs.
-  combos.emplace_back("Citations", 8, 1, 4, 0, true, 2, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 0, true, 2, 64);
-  combos.emplace_back("Citations", 8, 1, 1, 2, true, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 1, 2, true, 0, 64);
-  combos.emplace_back("Citations", 8, 1, 4, 2, true, 0, 64);
+  // Full queue x threads cross on one profile (the acceptance matrix):
+  // isolates each axis against the sequential oracle. The q2 c0 combos run
+  // on the derived one-worker kIngest chain, which also carries their
+  // refine fan-outs.
+  combos.emplace_back("Citations", 8, 1, 0, true, 2, 64);
+  combos.emplace_back("Citations", 8, 1, 2, true, 0, 64);
+  combos.emplace_back("Citations", 8, 4, 2, true, 0, 64);
   // async, batch 1
-  combos.emplace_back("Citations", 1, 1, 4, 2, true, 0, 64);
-  // Sharded maintain and the signature filter: one-at-a-time arrivals
-  // whose grid maintain and probe fan out on a single worker, the sig
-  // filter both ways, and the sig-filter-off run under batching and async
-  // ingest (maintain fan-out runs inside the kIngest chain there).
-  combos.emplace_back("Citations", 1, 1, 4, 0, false, 1, 64);
-  combos.emplace_back("Citations", 1, 1, 4, 0, true, 1, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 0, false, 2, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, false, 2, 64);
-  combos.emplace_back("Bikes", 8, 4, 4, 2, false, 2, 64);
+  combos.emplace_back("Citations", 1, 1, 2, true, 0, 64);
+  // The signature filter: one-at-a-time arrivals beside a one-worker
+  // scheduler, the sig filter both ways, and the sig-filter-off run under
+  // batching and async ingest.
+  combos.emplace_back("Citations", 1, 1, 0, false, 1, 64);
+  combos.emplace_back("Citations", 1, 1, 0, true, 1, 64);
+  combos.emplace_back("Citations", 8, 4, 0, false, 2, 64);
+  combos.emplace_back("Citations", 8, 4, 2, false, 2, 64);
+  combos.emplace_back("Bikes", 8, 4, 2, false, 2, 64);
   // Scheduler axes in isolation (Citations): scheduler constructed but no
   // phase fans out; each phase fanning out alone on the shared workers
-  // (refine / candidate probe + maintain / the kIngest chain); the
-  // single-worker and two-worker edges of the caller-participation
-  // discipline under the everything-on load; and sigfilter-off +
-  // scheduler against the sigfilter-off oracle.
-  combos.emplace_back("Citations", 1, 1, 1, 0, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 1, 0, true, 4, 64);
-  combos.emplace_back("Citations", 1, 1, 4, 0, true, 4, 64);
-  combos.emplace_back("Citations", 8, 1, 1, 2, true, 4, 64);
+  // (refine / the kIngest chain); the single-worker and two-worker edges of
+  // the caller-participation discipline under the everything-on load; and
+  // sigfilter-off + scheduler against the sigfilter-off oracle.
+  combos.emplace_back("Citations", 1, 1, 0, true, 4, 64);
+  combos.emplace_back("Citations", 8, 4, 0, true, 4, 64);
+  combos.emplace_back("Citations", 8, 1, 2, true, 4, 64);
   // chain, batch 1
-  combos.emplace_back("Citations", 1, 1, 4, 2, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, true, 1, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, true, 2, 64);
-  combos.emplace_back("Citations", 8, 4, 4, 2, false, 4, 64);
-  combos.emplace_back("Bikes", 8, 4, 4, 2, false, 4, 64);
+  combos.emplace_back("Citations", 1, 1, 2, true, 4, 64);
+  combos.emplace_back("Citations", 8, 4, 2, true, 1, 64);
+  combos.emplace_back("Citations", 8, 4, 2, true, 2, 64);
+  combos.emplace_back("Citations", 8, 4, 2, false, 4, 64);
+  combos.emplace_back("Bikes", 8, 4, 2, false, 4, 64);
   // sig_width axis in isolation (Citations, everything else sequential):
   // wide signatures + filter against the 64-bit sigfilter-off oracle, plus
   // a sigfilter-off run at 256 bits (widths must be inert with the filter
   // off). The parallel-refinement combos additionally route the wide
   // widths through the executor's batched prefilter.
-  combos.emplace_back("Citations", 1, 1, 1, 0, true, 0, 128);
-  combos.emplace_back("Citations", 1, 1, 1, 0, true, 0, 256);
-  combos.emplace_back("Citations", 1, 1, 1, 0, false, 0, 256);
-  combos.emplace_back("Citations", 1, 4, 1, 0, true, 1, 256);
-  combos.emplace_back("Citations", 8, 4, 1, 0, true, 1, 128);
-  combos.emplace_back("EBooks", 8, 4, 1, 0, true, 2, 256);
+  combos.emplace_back("Citations", 1, 1, 0, true, 0, 128);
+  combos.emplace_back("Citations", 1, 1, 0, true, 0, 256);
+  combos.emplace_back("Citations", 1, 1, 0, false, 0, 256);
+  combos.emplace_back("Citations", 1, 4, 0, true, 1, 256);
+  combos.emplace_back("Citations", 8, 4, 0, true, 1, 128);
+  combos.emplace_back("EBooks", 8, 4, 0, true, 2, 256);
   return combos;
 }
 
@@ -473,16 +466,14 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, BatchEquivalenceSweepTest,
                                   std::to_string(std::get<1>(info.param)) +
                                   "_t" +
                                   std::to_string(std::get<2>(info.param)) +
-                                  "_s" +
-                                  std::to_string(std::get<3>(info.param)) +
                                   "_q" +
-                                  std::to_string(std::get<4>(info.param)) +
-                                  (std::get<5>(info.param) ? "_sig1"
+                                  std::to_string(std::get<3>(info.param)) +
+                                  (std::get<4>(info.param) ? "_sig1"
                                                            : "_sig0") +
                                   "_c" +
-                                  std::to_string(std::get<6>(info.param)) +
+                                  std::to_string(std::get<5>(info.param)) +
                                   "_w" +
-                                  std::to_string(std::get<7>(info.param));
+                                  std::to_string(std::get<6>(info.param));
                          });
 
 }  // namespace

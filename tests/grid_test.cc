@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "er/similarity.h"
-#include "synopsis/sharded_er_grid.h"
+#include "synopsis/er_grid.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -18,7 +20,7 @@ class ErGridTest : public ::testing::Test {
   ErGridTest()
       : world_(MakeHealthWorld()),
         topic_(*world_.dict, {"diabetes"}),
-        grid_(world_.repo->num_attributes(), 0.2, /*num_shards=*/1) {}
+        grid_(world_.repo->num_attributes(), 0.2) {}
 
   std::shared_ptr<WindowTuple> MakeTuple(
       int64_t rid, int stream, const std::vector<std::string>& texts) {
@@ -31,9 +33,53 @@ class ErGridTest : public ::testing::Test {
     return wt;
   }
 
+  /// An imputed tuple whose missing `attr` takes up to `count` domain
+  /// values starting at `first`: spread-out instances that occupy several
+  /// cells at a fine cell width.
+  std::shared_ptr<WindowTuple> MakeSpreadTuple(int64_t rid, int stream,
+                                               int attr = 2, int first = 0,
+                                               int count = 5) {
+    std::vector<std::string> texts = {"male", "blurred vision", "diabetes",
+                                      "drug therapy"};
+    texts[attr] = "-";
+    Record r = world_.Make(rid, texts);
+    r.stream_id = stream;
+    const AttributeDomain& dom = world_.repo->domain(attr);
+    ImputedTuple::ImputedAttr ia;
+    ia.attr = attr;
+    const int end = std::min(static_cast<int>(dom.size()), first + count);
+    for (int v = first; v < end; ++v) {
+      ia.candidates.push_back({static_cast<ValueId>(v), 1.0 / count});
+    }
+    auto wt = std::make_shared<WindowTuple>();
+    wt->tuple = std::make_shared<const ImputedTuple>(
+        ImputedTuple::FromImputation(r, world_.repo.get(), {ia}, 16));
+    wt->topic = topic_.Classify(*wt->tuple);
+    return wt;
+  }
+
+  std::vector<std::shared_ptr<WindowTuple>> RandomPool(int count, int stream) {
+    Rng rng(7 + stream);
+    std::vector<std::shared_ptr<WindowTuple>> tuples;
+    for (int i = 0; i < count; ++i) {
+      tuples.push_back(MakeTuple(1000 * (stream + 1) + i, stream,
+                                 kPool[rng.NextBounded(kPool.size())]));
+    }
+    return tuples;
+  }
+
+  static inline const std::vector<std::vector<std::string>> kPool = {
+      {"male", "loss of weight", "diabetes", "drug therapy"},
+      {"female", "fever cough", "flu", "rest"},
+      {"male", "blurred vision", "diabetes", "dietary therapy"},
+      {"female", "red eye shed tears", "conjunctivitis", "eye drop"},
+      {"male", "fever poor appetite", "flu", "drink more"},
+      {"male", "loss of weight thirst", "diabetes", "dietary therapy"},
+  };
+
   ToyWorld world_;
   TopicQuery topic_;
-  ShardedErGrid grid_;
+  ErGrid grid_;
   std::vector<std::shared_ptr<WindowTuple>> keep_alive_;
 };
 
@@ -57,7 +103,7 @@ TEST_F(ErGridTest, CandidatesExcludeSameStream) {
   auto other = MakeTuple(3, 1, {"male", "fever", "flu", "rest"});
   grid_.Insert(same.get());
   grid_.Insert(other.get());
-  ShardedErGrid::CandidateResult result =
+  ErGrid::CandidateResult result =
       grid_.Candidates(*probe, /*gamma=*/2.0, /*topic_constrained=*/false);
   ASSERT_EQ(result.candidates.size(), 1u);
   EXPECT_EQ(result.candidates[0]->rid(), 3);
@@ -69,7 +115,7 @@ TEST_F(ErGridTest, TopicPruningRemovesNonTopicalPairs) {
   auto probe = MakeTuple(1, 0, {"male", "fever", "flu", "rest"});
   auto member = MakeTuple(2, 1, {"male", "fever", "flu", "rest"});
   grid_.Insert(member.get());
-  ShardedErGrid::CandidateResult result =
+  ErGrid::CandidateResult result =
       grid_.Candidates(*probe, /*gamma=*/2.0, /*topic_constrained=*/true);
   EXPECT_TRUE(result.candidates.empty());
   EXPECT_EQ(result.topic_pruned, 1u);
@@ -87,26 +133,17 @@ TEST_F(ErGridTest, TopicPruningRemovesNonTopicalPairs) {
 /// only discard pairs that provably cannot match).
 TEST_F(ErGridTest, CandidatesAreSupersetOfTrueMatches) {
   Rng rng(99);
-  const std::vector<std::vector<std::string>> pool = {
-      {"male", "loss of weight", "diabetes", "drug therapy"},
-      {"female", "fever cough", "flu", "rest"},
-      {"male", "blurred vision", "diabetes", "dietary therapy"},
-      {"female", "red eye shed tears", "conjunctivitis", "eye drop"},
-      {"male", "fever poor appetite", "flu", "drink more"},
-      {"male", "loss of weight thirst", "diabetes", "dietary therapy"},
-  };
   std::vector<std::shared_ptr<WindowTuple>> members;
   for (int i = 0; i < 40; ++i) {
     auto wt = MakeTuple(100 + i, /*stream=*/1,
-                        pool[rng.NextBounded(pool.size())]);
+                        kPool[rng.NextBounded(kPool.size())]);
     members.push_back(wt);
     grid_.Insert(wt.get());
   }
   const double gamma = 2.5;
   for (int p = 0; p < 10; ++p) {
-    auto probe =
-        MakeTuple(1000 + p, 0, pool[rng.NextBounded(pool.size())]);
-    ShardedErGrid::CandidateResult result =
+    auto probe = MakeTuple(1000 + p, 0, kPool[rng.NextBounded(kPool.size())]);
+    ErGrid::CandidateResult result =
         grid_.Candidates(*probe, gamma, /*topic_constrained=*/false);
     for (const auto& member : members) {
       const double sim =
@@ -133,13 +170,131 @@ TEST_F(ErGridTest, RemovalUpdatesAggregates) {
   grid_.Insert(flu.get());
   auto probe = MakeTuple(3, 0, {"female", "cough", "flu", "rest"});
   // Probe is non-topical; only the diabetic member is a viable partner.
-  ShardedErGrid::CandidateResult result = grid_.Candidates(*probe, 0.5, true);
+  ErGrid::CandidateResult result = grid_.Candidates(*probe, 0.5, true);
   EXPECT_EQ(result.candidates.size(), 1u);
 
   grid_.Remove(diabetic.get());
   result = grid_.Candidates(*probe, 0.5, true);
   EXPECT_TRUE(result.candidates.empty());
   EXPECT_EQ(result.topic_pruned, 1u);
+}
+
+TEST_F(ErGridTest, RemoveIsTargetedAndComplete) {
+  ErGrid grid(world_.repo->num_attributes(), 0.05);
+  auto spread = MakeSpreadTuple(1, 1);
+  auto plain = MakeTuple(2, 1, {"male", "fever", "flu", "rest"});
+  grid.Insert(spread.get());
+  ASSERT_GE(grid.num_cells(), 2u);
+  grid.Insert(plain.get());
+  EXPECT_EQ(grid.num_tuples(), 2u);
+  EXPECT_TRUE(grid.Remove(spread.get()));
+  EXPECT_EQ(grid.num_tuples(), 1u);
+  EXPECT_FALSE(grid.Remove(spread.get()));  // Already removed.
+  EXPECT_TRUE(grid.Remove(plain.get()));
+  EXPECT_EQ(grid.num_cells(), 0u);
+  EXPECT_EQ(grid.num_tuples(), 0u);
+}
+
+TEST_F(ErGridTest, CandidatesAreSortedByRid) {
+  auto members = RandomPool(40, /*stream=*/1);
+  // Insert in reverse so sortedness cannot fall out of insertion order.
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    grid_.Insert(it->get());
+  }
+  auto probe = MakeTuple(1, 0, {"male", "fever", "flu", "rest"});
+  const auto result =
+      grid_.Candidates(*probe, 2.0, /*topic_constrained=*/false);
+  ASSERT_FALSE(result.candidates.empty());
+  EXPECT_TRUE(std::is_sorted(
+      result.candidates.begin(), result.candidates.end(),
+      [](const WindowTuple* a, const WindowTuple* b) {
+        return a->rid() < b->rid();
+      }));
+}
+
+std::vector<int64_t> Rids(const ErGrid::CandidateResult& result) {
+  std::vector<int64_t> rids;
+  for (const WindowTuple* wt : result.candidates) {
+    rids.push_back(wt->rid());
+  }
+  return rids;
+}
+
+/// Maintained answer equals recomputation (Berkholz et al.): after every
+/// step of random insert/remove churn, the maintained grid answers every
+/// probe exactly as a grid freshly built from the live members does —
+/// same candidates in the same order, same four counters. A fine cell
+/// width makes the spread imputed tuples occupy several cells, so
+/// removals must restore shared cells' topic and bound aggregates.
+TEST_F(ErGridTest, ChurnMatchesFreshRebuild) {
+  const int dims = world_.repo->num_attributes();
+  const double cell_width = 0.05;
+  std::vector<std::shared_ptr<WindowTuple>> pool = RandomPool(30, 1);
+  for (const auto& wt : RandomPool(30, 0)) {
+    pool.push_back(wt);
+  }
+  for (int i = 0; i < 12; ++i) {
+    pool.push_back(MakeSpreadTuple(5000 + i, /*stream=*/i % 2,
+                                   /*attr=*/1 + i % 3, /*first=*/i % 4,
+                                   /*count=*/2 + i % 4));
+  }
+  std::vector<std::shared_ptr<WindowTuple>> probes = RandomPool(6, 2);
+  probes.push_back(MakeSpreadTuple(9000, 0));
+  probes.push_back(MakeSpreadTuple(9001, 1, /*attr=*/3, /*first=*/1));
+
+  ErGrid grid(dims, cell_width);
+  std::vector<bool> live(pool.size(), false);
+  size_t num_live = 0;
+  size_t multi_cell_inserts = 0;
+  Rng rng(2021);
+  for (int step = 0; step < 300; ++step) {
+    const size_t i = rng.NextBounded(pool.size());
+    // Grow toward about two thirds of the pool, then churn around it.
+    const bool insert = !live[i] && (num_live < 2 * pool.size() / 3 ||
+                                     rng.NextBounded(2) == 0);
+    if (insert) {
+      const size_t cells_before = grid.num_cells();
+      grid.Insert(pool[i].get());
+      if (grid.num_cells() >= cells_before + 2) {
+        ++multi_cell_inserts;
+      }
+      live[i] = true;
+      ++num_live;
+    } else if (live[i]) {
+      ASSERT_TRUE(grid.Remove(pool[i].get()));
+      live[i] = false;
+      --num_live;
+    } else {
+      continue;
+    }
+    ASSERT_EQ(grid.num_tuples(), num_live);
+
+    ErGrid fresh(dims, cell_width);
+    for (size_t j = 0; j < pool.size(); ++j) {
+      if (live[j]) {
+        fresh.Insert(pool[j].get());
+      }
+    }
+    ASSERT_EQ(grid.num_cells(), fresh.num_cells()) << "step " << step;
+    for (const auto& probe : probes) {
+      for (double gamma : {0.5, 2.0, 3.0}) {
+        for (bool constrained : {false, true}) {
+          const auto got = grid.Candidates(*probe, gamma, constrained);
+          const auto want = fresh.Candidates(*probe, gamma, constrained);
+          ASSERT_EQ(got.candidates, want.candidates)
+              << "step " << step << " gamma " << gamma << ": rids "
+              << ::testing::PrintToString(Rids(got)) << " vs "
+              << ::testing::PrintToString(Rids(want));
+          ASSERT_EQ(got.topic_pruned, want.topic_pruned) << "step " << step;
+          ASSERT_EQ(got.sim_pruned, want.sim_pruned) << "step " << step;
+          ASSERT_EQ(got.cells_visited, want.cells_visited)
+              << "step " << step;
+          ASSERT_EQ(got.cells_pruned, want.cells_pruned) << "step " << step;
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_cell_inserts, 0u) << "churn never spanned several cells";
 }
 
 }  // namespace
