@@ -109,6 +109,33 @@ if [[ $docs_ok -ne 1 ]]; then
   exit 1
 fi
 
+# Source paths: every backticked `src/...` path in README.md, DESIGN.md or
+# EXPERIMENTS.md must exist (a file was deleted or renamed). A brace form
+# such as `src/text/token_arena.{h,cc}` names one path per alternative.
+for path in $(grep -ohE '`src/[^` ]*`' README.md DESIGN.md EXPERIMENTS.md |
+  tr -d '`' | sort -u); do
+  expanded=("$path")
+  if [[ "$path" =~ ^([^{]*)\{([^}]*)\}(.*)$ ]]; then
+    expanded=()
+    IFS=, read -ra alternatives <<<"${BASH_REMATCH[2]}"
+    for alt in "${alternatives[@]}"; do
+      expanded+=("${BASH_REMATCH[1]}$alt${BASH_REMATCH[3]}")
+    done
+  fi
+  for file in "${expanded[@]}"; do
+    if [[ ! -e "$file" ]]; then
+      echo "error: docs name '$path', but $file does not exist" >&2
+      docs_ok=0
+    fi
+  done
+done
+
+if [[ $docs_ok -ne 1 ]]; then
+  echo "error: README.md / DESIGN.md / EXPERIMENTS.md source paths are out" \
+    "of date (see above)" >&2
+  exit 1
+fi
+
 # ---------------------------------------------------------------------------
 # Thread-safety annotation hygiene: every file must use the shared TERIDS_*
 # macros from src/util/thread_annotations.h, never the raw clang attributes.

@@ -16,7 +16,7 @@
 #include "exec/refinement_executor.h"
 #include "exec/scheduler.h"
 #include "imputation/imputer.h"
-#include "index/dr_index.h"
+#include "index/cdd_index.h"
 #include "repo/repository.h"
 #include "rules/rule.h"
 #include "stream/batch_queue.h"

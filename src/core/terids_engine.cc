@@ -12,83 +12,148 @@ TerIdsEngine::TerIdsEngine(Repository* repo, EngineConfig config,
                    /*use_prunings=*/true, "TER-iDS"),
       rules_(std::move(rules)),
       cdd_index_(repo, &rules_),
-      dr_index_(repo),
       neighborhoods_(repo),
-      dist_memo_(repo->num_attributes()) {
+      dist_memo_(repo->num_attributes()),
+      sharing_(repo->num_attributes()),
+      sharing_epoch_(repo->num_attributes(), 0),
+      sample_postings_(repo->num_attributes()) {
   cdd_index_.Build();
-  dr_index_.Build();
 }
 
-std::vector<AttrBand> TerIdsEngine::BandsForRule(const CddRule& rule,
-                                                 const ProbeCoords& pc) const {
-  const int d = repo_->num_attributes();
-  std::vector<AttrBand> bands(d);
-  for (const auto& [attr, constraint] : rule.determinants) {
-    AttrBand& band = bands[attr];
-    const int np = repo_->num_pivots(attr);
-    if (constraint.kind == AttrConstraint::Kind::kInterval) {
-      // Triangle inequality: |coord_a(s) - coord_a(r)| <= dist(r, s) <=
-      // eps_max for every pivot a.
-      const double eps = constraint.interval.hi;
-      for (int a = 0; a < np && a < static_cast<int>(pc.coords[attr].size());
-           ++a) {
-        const double c = pc.coords[attr][a];
-        band.pivot_bands.push_back(Interval::Of(c - eps, c + eps));
+void TerIdsEngine::PostNewSamples() {
+  const size_t n = repo_->num_samples();
+  for (; posted_samples_ < n; ++posted_samples_) {
+    for (int x = 0; x < repo_->num_attributes(); ++x) {
+      const ValueId vid = repo_->sample_value_id(posted_samples_, x);
+      std::vector<std::vector<uint32_t>>& by_value = sample_postings_[x];
+      if (vid >= by_value.size()) {
+        by_value.resize(repo_->domain_size(x));
       }
-    } else {
-      // Constant: the sample must carry exactly this value.
-      for (int a = 0; a < np; ++a) {
-        const double c =
-            repo_->pivot_distance(attr, a, constraint.constant_vid);
-        band.pivot_bands.push_back(Interval::Of(c - 1e-9, c + 1e-9));
+      by_value[vid].push_back(static_cast<uint32_t>(posted_samples_));
+    }
+  }
+}
+
+double TerIdsEngine::ProbeDistance(const Record& r, int attr, ValueId vid) {
+  std::vector<MemoEntry>& memo = dist_memo_[attr];
+  if (vid >= memo.size()) {
+    memo.resize(repo_->domain_size(attr));
+  }
+  MemoEntry& entry = memo[vid];
+  if (entry.epoch != memo_epoch_) {
+    entry.dist =
+        JaccardDistance(r.values[attr].tokens, repo_->value_tokens(attr, vid));
+    entry.epoch = memo_epoch_;
+  }
+  return entry.dist;
+}
+
+const std::vector<ValueId>& TerIdsEngine::ProbeSharing(const Record& r,
+                                                       int attr) {
+  if (sharing_epoch_[attr] != memo_epoch_) {
+    neighborhoods_.TokenSharing(attr, r.values[attr].tokens, &sharing_[attr]);
+    sharing_epoch_[attr] = memo_epoch_;
+  }
+  return sharing_[attr];
+}
+
+void TerIdsEngine::JoinDeterminants(const Record& r, const CddRule& rule) {
+  using Kind = AttrConstraint::Kind;
+  hits_.clear();
+  // The start determinant: the first constant, else the interval below 1
+  // with the fewest token-sharing values. An interval that reaches 1.0
+  // admits values sharing no token with the probe, so it cannot start.
+  const std::pair<int, AttrConstraint>* start = nullptr;
+  for (const auto& det : rule.determinants) {
+    if (det.second.kind == Kind::kConstant) {
+      start = &det;
+      break;
+    }
+  }
+  if (start == nullptr) {
+    size_t fewest = 0;
+    for (const auto& det : rule.determinants) {
+      if (det.second.interval.hi < 1.0) {
+        const size_t n = ProbeSharing(r, det.first).size();
+        if (start == nullptr || n < fewest) {
+          start = &det;
+          fewest = n;
+        }
       }
     }
   }
-  return bands;
+  auto satisfies_rest = [&](size_t sample_idx) {
+    for (const auto& det : rule.determinants) {
+      if (&det == start) {
+        continue;
+      }
+      const auto& [attr, constraint] = det;
+      const ValueId svid = repo_->sample_value_id(sample_idx, attr);
+      if (constraint.kind == Kind::kConstant) {
+        // Probe-side equality was verified by the CDD-index.
+        if (svid != constraint.constant_vid) {
+          return false;
+        }
+      } else if (!constraint.interval.Contains(ProbeDistance(r, attr, svid))) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto expand = [&](const std::vector<std::vector<uint32_t>>& by_value,
+                    ValueId vid) {
+    if (vid >= by_value.size()) {
+      return;  // No sample carries vid.
+    }
+    for (uint32_t sample_idx : by_value[vid]) {
+      if (satisfies_rest(sample_idx)) {
+        hits_.push_back(sample_idx);
+      }
+    }
+  };
+  if (start == nullptr) {
+    ++join_paths_.scan;
+    for (size_t s = 0; s < repo_->num_samples(); ++s) {
+      if (satisfies_rest(s)) {
+        hits_.push_back(static_cast<uint32_t>(s));
+      }
+    }
+    return;
+  }
+  const auto& [attr, constraint] = *start;
+  if (constraint.kind == Kind::kConstant) {
+    ++join_paths_.constant;
+    expand(sample_postings_[attr], constraint.constant_vid);
+    return;
+  }
+  ++join_paths_.interval;
+  if (r.values[attr].tokens.empty()) {
+    ++join_paths_.tokenless_probe;
+  }
+  // Every value inside an interval below 1 is token-sharing (or, for a
+  // token-less probe, token-less), so this walk misses no sample.
+  for (ValueId vid : ProbeSharing(r, attr)) {
+    if (constraint.interval.Contains(ProbeDistance(r, attr, vid))) {
+      expand(sample_postings_[attr], vid);
+    }
+  }
 }
 
 std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     const Record& r, const ProbeCoords& pc, CostBreakdown* cost) {
   std::vector<ImputedTuple::ImputedAttr> result;
   // The index join evaluates each probe-to-domain-value Jaccard distance at
-  // most once per arrival, no matter how many selected rules or retrieved
-  // samples carry that value — this memo is the "simultaneous traversal"
-  // payoff of Section 5.3 that the unindexed baselines do not get. A new
-  // epoch invalidates every entry of the previous arrival at once.
+  // most once per arrival, no matter how many selected rules or samples
+  // carry that value — this memo is the "simultaneous traversal" payoff of
+  // Section 5.3 that the unindexed baselines do not get. A new epoch
+  // invalidates every entry of the previous arrival at once.
   if (++memo_epoch_ == 0) {
     for (auto& per_attr : dist_memo_) {
       per_attr.assign(per_attr.size(), MemoEntry{});
     }
+    sharing_epoch_.assign(sharing_epoch_.size(), 0);
     memo_epoch_ = 1;
   }
-  auto probe_value_dist = [&](int attr, ValueId vid) {
-    std::vector<MemoEntry>& memo = dist_memo_[attr];
-    if (vid >= memo.size()) {
-      memo.resize(repo_->domain_size(attr));
-    }
-    MemoEntry& entry = memo[vid];
-    if (entry.epoch != memo_epoch_) {
-      entry.dist = JaccardDistance(r.values[attr].tokens,
-                                   repo_->value_tokens(attr, vid));
-      entry.epoch = memo_epoch_;
-    }
-    return entry.dist;
-  };
-  auto determinants_satisfied = [&](const CddRule& rule, size_t sample_idx) {
-    for (const auto& [attr, constraint] : rule.determinants) {
-      const ValueId svid = repo_->sample_value_id(sample_idx, attr);
-      if (constraint.kind == AttrConstraint::Kind::kConstant) {
-        // Probe-side equality was verified by the CDD-index; check the
-        // sample side.
-        if (svid != constraint.constant_vid) {
-          return false;
-        }
-      } else if (!constraint.interval.Contains(probe_value_dist(attr, svid))) {
-        return false;
-      }
-    }
-    return true;
-  };
   for (int j : r.MissingAttributes()) {
     // CDD selection via the CDD-index.
     std::vector<int> selected;
@@ -96,58 +161,23 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
       ScopedTimer timer(cost ? &cost->cdd_select_seconds : nullptr);
       selected = cdd_index_.SelectRules(r, pc, j);
     }
-    // Sample retrieval: ONE pruned DR-index pass shared by all selected
-    // rules. The per-attribute filter is the union of the rules' coordinate
-    // bands (sound whenever every selected rule constrains the attribute);
-    // retrieved samples are verified against each rule with memoized
-    // probe-sample distances, and candidate values come from the
-    // precomputed neighbor lists. This is the "simultaneous traversal" of
-    // Section 5.3: each distance is computed once per arrival (probe-side)
-    // or once per engine lifetime (domain-side), not once per rule.
+    // The determinant join and the Equation-4 vote. Each satisfying
+    // (rule, sample) pair votes for the candidate set cand(s[A_j]): a
+    // binary-searched slice of the sample value's distance-sorted neighbour
+    // list, or the whole domain minus a list prefix when dep reaches 1.
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
       counts_.Fit(repo_->domain_size(j));
-      // Union bands per attribute.
-      const int d = repo_->num_attributes();
-      std::vector<AttrBand> union_bands(d);
-      std::vector<bool> all_rules_constrain(d, !selected.empty());
-      std::vector<std::vector<Interval>> unions(d);
+      if (!selected.empty()) {
+        PostNewSamples();
+      }
       for (int rule_idx : selected) {
         const CddRule& rule = rules_[rule_idx];
-        const std::vector<AttrBand> bands = BandsForRule(rule, pc);
-        for (int x = 0; x < d; ++x) {
-          if (bands[x].pivot_bands.empty()) {
-            all_rules_constrain[x] = false;
-            continue;
-          }
-          if (unions[x].size() < bands[x].pivot_bands.size()) {
-            unions[x].resize(bands[x].pivot_bands.size(), Interval::Empty());
-          }
-          for (size_t a = 0; a < bands[x].pivot_bands.size(); ++a) {
-            unions[x][a].Union(bands[x].pivot_bands[a]);
-          }
-        }
-      }
-      for (int x = 0; x < d; ++x) {
-        if (all_rules_constrain[x]) {
-          union_bands[x].pivot_bands = unions[x];
-        }
-      }
-
-      if (!selected.empty()) {
-        for (size_t sample_idx : dr_index_.Retrieve(union_bands)) {
-          for (int rule_idx : selected) {
-            const CddRule& rule = rules_[rule_idx];
-            if (!determinants_satisfied(rule, sample_idx)) {
-              continue;
-            }
-            // Candidate set cand(s[A_j]): a binary-searched slice of the
-            // sample value's distance-sorted neighbor list, or the whole
-            // domain minus a list prefix when dep reaches distance 1.
-            neighborhoods_.AccumulateRange(
-                j, repo_->sample_value_id(sample_idx, j), rule.dep_interval,
-                &counts_);
-          }
+        JoinDeterminants(r, rule);
+        for (uint32_t sample_idx : hits_) {
+          neighborhoods_.AccumulateRange(
+              j, repo_->sample_value_id(sample_idx, j), rule.dep_interval,
+              &counts_);
         }
       }
     }
@@ -173,7 +203,6 @@ Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
     if (!status.ok()) {
       break;  // The samples absorbed so far still get the refresh below.
     }
-    dr_index_.InsertSample(sample_idx);
     // Widen rules the new sample violates.
     widened += miner.AbsorbNewSample(sample_idx, &rules_);
   }
@@ -181,8 +210,9 @@ Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
     // Dependent intervals are leaf aggregates of the CDD-index.
     cdd_index_.Build();
   }
-  // The neighbour lists need no refresh here: they do not depend on the
-  // rules, and an attribute whose domain grew rebuilds its lists on next use.
+  // Neither the sample postings nor the neighbour lists need a refresh
+  // here: the next Impute call posts the new samples, and an attribute
+  // whose domain grew rebuilds its lists on next use.
   return status;
 }
 

@@ -7,7 +7,6 @@
 #include "core/pipeline.h"
 #include "imputation/value_neighborhoods.h"
 #include "index/cdd_index.h"
-#include "index/dr_index.h"
 #include "rules/rule.h"
 
 namespace terids {
@@ -15,17 +14,21 @@ namespace terids {
 /// The full TER-iDS processing engine (Algorithm 2, Section 5.3).
 ///
 /// Offline (construction): pivot tables are assumed attached to the
-/// repository; the engine builds the CDD-index I_j over the mined CDD rules
-/// and the DR-index I_R over the repository.
+/// repository; the engine builds the CDD-index I_j over the mined CDD rules.
 ///
 /// Online (per arrival): the index join. For each missing attribute of the
 /// arriving tuple, the CDD-index selects compatible rules (constant
-/// constraints verified against the probe coordinates); each selected rule
-/// is turned into per-attribute coordinate bands that drive a pruned
-/// DR-index retrieval of candidate samples; exact determinant verification
-/// and candidate-value accumulation (Equation 4) complete the imputation.
-/// The imputed tuple then probes the ER-grid, whose cell-level topic and
-/// distance bounds feed the pair-level pruning cascade (Theorems 4.1-4.4).
+/// constraints verified against the probe coordinates). A postings join
+/// then finds, per selected rule, exactly the repository samples that
+/// satisfy its determinants (DESIGN.md §5): a constant reads the samples
+/// carrying that value; an interval below distance 1 walks the probe's
+/// token-sharing values, tests each value's distance once, and expands the
+/// values inside the interval to their samples; the other determinants are
+/// checked per sample. Only a rule whose determinants are all intervals
+/// reaching 1.0 scans every sample. Each satisfying sample votes its
+/// candidate values (Equation 4). The imputed tuple then probes the
+/// ER-grid, whose cell-level topic and distance bounds feed the pair-level
+/// pruning cascade (Theorems 4.1-4.4).
 class TerIdsEngine : public PipelineBase {
  public:
   /// The engine copies `rules` (it owns the vector its CDD-index points
@@ -34,16 +37,25 @@ class TerIdsEngine : public PipelineBase {
                std::vector<CddRule> rules);
 
   /// Dynamic repository maintenance (Section 5.5): adds a batch of new
-  /// complete tuples to R, extends the DR-index incrementally, widens or
-  /// adds CDD rules via the miner's absorb step, and refreshes the
-  /// CDD-index entries of changed rules. The neighbour lists of an
-  /// attribute whose domain grew are rebuilt on their next use; all other
-  /// lists stay cached.
+  /// complete tuples to R, widens or adds CDD rules via the miner's absorb
+  /// step, and refreshes the CDD-index entries of changed rules. The next
+  /// Impute call posts the new samples; the neighbour lists of an attribute
+  /// whose domain grew are rebuilt on their next use, and all other lists
+  /// stay cached.
   Status AbsorbRepositoryBatch(const std::vector<Record>& batch);
 
+  /// How often each path of the determinant join ran: one count per
+  /// selected rule, by the determinant the rule's join started from.
+  struct JoinPaths {
+    uint64_t constant = 0;  // a constant: that value's sample postings
+    uint64_t interval = 0;  // an interval below 1: token-sharing values
+    uint64_t tokenless_probe = 0;  // of `interval`: the probe had no token
+    uint64_t scan = 0;  // every determinant reaches 1.0: all samples
+  };
+
   const CddIndex& cdd_index() const { return cdd_index_; }
-  const DrIndex& dr_index() const { return dr_index_; }
   const std::vector<CddRule>& rules() const { return rules_; }
+  const JoinPaths& join_paths() const { return join_paths_; }
 
  protected:
   std::vector<ImputedTuple::ImputedAttr> Impute(const Record& r,
@@ -51,13 +63,20 @@ class TerIdsEngine : public PipelineBase {
                                                 CostBreakdown* cost) override;
 
  private:
-  std::vector<AttrBand> BandsForRule(const CddRule& rule,
-                                     const ProbeCoords& pc) const;
+  /// Extends the sample postings to every current repository sample.
+  void PostNewSamples();
+  /// Memoised JaccardDistance(r[attr], dom(attr)[vid]) of this call.
+  double ProbeDistance(const Record& r, int attr, ValueId vid);
+  /// This call's token-sharing values of r[attr], computed once.
+  const std::vector<ValueId>& ProbeSharing(const Record& r, int attr);
+  /// Replaces hits_ with the samples satisfying `rule`'s determinants
+  /// against r, each once.
+  void JoinDeterminants(const Record& r, const CddRule& rule);
 
   std::vector<CddRule> rules_;
   CddIndex cdd_index_;
-  DrIndex dr_index_;
   ValueNeighborhoods neighborhoods_;
+  JoinPaths join_paths_;
 
   // Index-join scratch, reused across Impute calls. Like neighborhoods_ it
   // is owned by the single ingest owner of the pipeline (DESIGN.md §5).
@@ -70,6 +89,16 @@ class TerIdsEngine : public PipelineBase {
   /// dist_memo_[attr][vid], grown lazily with dom(attr).
   std::vector<std::vector<MemoEntry>> dist_memo_;
   uint32_t memo_epoch_ = 0;
+  /// sharing_[attr] is ProbeSharing's result, valid iff
+  /// sharing_epoch_[attr] == memo_epoch_.
+  std::vector<std::vector<ValueId>> sharing_;
+  std::vector<uint32_t> sharing_epoch_;
+  /// sample_postings_[attr][vid]: the samples carrying vid on attr, for the
+  /// first posted_samples_ samples (ascending).
+  std::vector<std::vector<std::vector<uint32_t>>> sample_postings_;
+  size_t posted_samples_ = 0;
+  /// The current rule's satisfying samples.
+  std::vector<uint32_t> hits_;
   /// Equation-4 votes of the missing attribute being imputed.
   CandidateCounter counts_;
 };

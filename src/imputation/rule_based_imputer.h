@@ -28,10 +28,11 @@ struct RuleImputerOptions {
 /// One engine serves all three rule families — CDDs (Equations 3/4), DDs,
 /// and editing rules — because they share the representation (rules/rule.h):
 /// construct it with the corresponding miner output. This is the *linear*
-/// strategy (scan all rules, scan all samples); the TER-iDS engine replaces
-/// both scans with the CDD-index / DR-index join but reuses the candidate
-/// accumulation helpers below, so indexed and unindexed paths provably
-/// impute identically.
+/// strategy (scan all rules, scan all samples). The TER-iDS engine replaces
+/// the rule scan with the CDD-index and the sample scan with a postings
+/// join over the probe's token-sharing values (DESIGN.md §5), and shares
+/// FinalizeCandidates below, so both impute byte-identically; the
+/// engine's tests check it against this class.
 class RuleBasedImputer : public Imputer {
  public:
   RuleBasedImputer(const Repository* repo, std::vector<CddRule> rules,

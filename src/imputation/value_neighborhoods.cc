@@ -45,32 +45,39 @@ const std::vector<std::pair<double, ValueId>>& ValueNeighborhoods::Neighborhood(
     return neighbors;
   }
   const TokenSet& center = repo_->value_tokens(attr, vid);
-  if (center.empty()) {
-    // Two empty sets are at distance 0; every other value is at 1.
-    for (ValueId other : a.tokenless) {
-      neighbors.emplace_back(0.0, other);
-    }
-    return neighbors;
+  TokenSharing(attr, center, &sharing_);
+  for (ValueId other : sharing_) {
+    neighbors.emplace_back(
+        JaccardDistance(center, repo_->value_tokens(attr, other)), other);
   }
+  std::sort(neighbors.begin(), neighbors.end());
+  return neighbors;
+}
+
+void ValueNeighborhoods::TokenSharing(int attr, const TokenSet& probe,
+                                      std::vector<ValueId>* out) {
+  const AttrLists& a = Fresh(attr);
+  if (probe.empty()) {
+    // Two empty sets are at distance 0; every other value is at 1.
+    *out = a.tokenless;
+    return;
+  }
+  out->clear();
   if (++seen_epoch_ == 0) {
     std::fill(seen_.begin(), seen_.end(), 0);
     seen_epoch_ = 1;
   }
-  // Exactly the values sharing a token with the centre are below distance 1.
-  for (Token t : center) {
+  // Exactly the values sharing a token with the probe are below distance 1.
+  for (Token t : probe) {
     auto it = std::lower_bound(a.postings.begin(), a.postings.end(),
                                std::make_pair(t, static_cast<ValueId>(0)));
     for (; it != a.postings.end() && it->first == t; ++it) {
-      const ValueId other = it->second;
-      if (seen_[other] != seen_epoch_) {
-        seen_[other] = seen_epoch_;
-        neighbors.emplace_back(
-            JaccardDistance(center, repo_->value_tokens(attr, other)), other);
+      if (seen_[it->second] != seen_epoch_) {
+        seen_[it->second] = seen_epoch_;
+        out->push_back(it->second);
       }
     }
   }
-  std::sort(neighbors.begin(), neighbors.end());
-  return neighbors;
 }
 
 void ValueNeighborhoods::AccumulateRange(int attr, ValueId svid,

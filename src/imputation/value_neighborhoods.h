@@ -11,10 +11,9 @@
 
 namespace terids {
 
-/// Distance-sorted neighbor lists of attribute-domain values, the
-/// value-level companion of the DR-index: for a domain value v of attribute
-/// x, Neighborhood(x, v) lists every value of dom(x) at Jaccard distance
-/// strictly below 1 from v, sorted by distance.
+/// Distance-sorted neighbor lists of attribute-domain values: for a domain
+/// value v of attribute x, Neighborhood(x, v) lists every value of dom(x)
+/// at Jaccard distance strictly below 1 from v, sorted by distance.
 ///
 /// Candidate sets cand(s[A_j]) (Section 3) are binary-searched slices of
 /// these lists, so an index-assisted engine computes each domain-to-domain
@@ -36,6 +35,12 @@ class ValueNeighborhoods {
 
   const std::vector<std::pair<double, ValueId>>& Neighborhood(int attr,
                                                               ValueId vid);
+
+  /// Replaces `*out` with the values of dom(attr) at Jaccard distance below
+  /// 1 from `probe`, in no particular order: the values sharing a token
+  /// with it, or the token-less values when `probe` has no token.
+  void TokenSharing(int attr, const TokenSet& probe,
+                    std::vector<ValueId>* out);
 
   /// Adds one vote to `counts` for every value of dom(attr) whose distance
   /// to sample value `svid` lies in `dep` (Equation 3/4 semantics).
@@ -62,9 +67,11 @@ class ValueNeighborhoods {
   const Repository* repo_;
   std::vector<AttrLists> attrs_;
   /// seen_[vid] == seen_epoch_ marks a value already listed by the current
-  /// list build (0 is never current).
+  /// TokenSharing walk (0 is never current).
   std::vector<uint32_t> seen_;
   uint32_t seen_epoch_ = 0;
+  /// The centre's token-sharing values during a list build.
+  std::vector<ValueId> sharing_;
 };
 
 }  // namespace terids

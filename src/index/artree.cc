@@ -7,7 +7,6 @@
 namespace terids {
 
 void NodeAggregates::Merge(const NodeAggregates& other) {
-  topic_mask |= other.topic_mask;
   dep_interval.Union(other.dep_interval);
   if (aux_dist.size() < other.aux_dist.size()) {
     aux_dist.resize(other.aux_dist.size());
@@ -19,12 +18,6 @@ void NodeAggregates::Merge(const NodeAggregates& other) {
     for (size_t a = 0; a < other.aux_dist[d].size(); ++a) {
       aux_dist[d][a].Union(other.aux_dist[d][a]);
     }
-  }
-  if (size_intervals.size() < other.size_intervals.size()) {
-    size_intervals.resize(other.size_intervals.size(), Interval::Empty());
-  }
-  for (size_t d = 0; d < other.size_intervals.size(); ++d) {
-    size_intervals[d].Union(other.size_intervals[d]);
   }
 }
 
@@ -245,7 +238,6 @@ bool ArTree::Remove(int64_t payload) {
 
 void ArTree::Query(const NodePredicate& should_visit,
                    const EntryVisitor& on_entry) const {
-  last_query_leaves_visited = 0;
   if (root_ == -1) {
     return;
   }
@@ -265,7 +257,6 @@ void ArTree::QueryRec(int node_id, const NodePredicate& should_visit,
     return;
   }
   if (node.leaf) {
-    ++last_query_leaves_visited;
     for (int eid : node.entry_ids) {
       if (entry_live_[eid]) {
         on_entry(entries_[eid]);

@@ -10,28 +10,21 @@
 
 namespace terids {
 
-/// Aggregates carried by aR-tree nodes [20], merged bottom-up.
-///
-/// One concrete struct serves both index uses (Section 5.1):
-///  * CDD-index leaves: `dep_interval` bounds the dependent constraint A_j.I
-///    of the rules below; `aux_dist` bounds the distances from constant
-///    constraints to the auxiliary pivots.
-///  * DR-index leaves: `topic_mask` is the keyword Boolean vector;
-///    `aux_dist` bounds sample-to-auxiliary-pivot distances;
-///    `size_intervals` bounds token-set sizes.
+/// Aggregates carried by aR-tree nodes [20], merged bottom-up. For the
+/// CDD-index (Section 5.1), `dep_interval` bounds the dependent constraint
+/// A_j.I of the rules below and `aux_dist` bounds the distances from
+/// constant constraints to the auxiliary pivots.
 struct NodeAggregates {
-  uint64_t topic_mask = 0;
   Interval dep_interval = Interval::Empty();
   /// aux_dist[dim][a] bounds distances to auxiliary pivot a on dimension
   /// (attribute) dim. Ragged: attributes may have different pivot counts.
   std::vector<std::vector<Interval>> aux_dist;
-  std::vector<Interval> size_intervals;
 
   void Merge(const NodeAggregates& other);
 };
 
-/// One indexed object: a d-dimensional box, an opaque payload id (rule index
-/// or repository sample index), and its leaf-level aggregates.
+/// One indexed object: a d-dimensional box, an opaque payload id (the rule
+/// index in the CDD-index), and its leaf-level aggregates.
 struct ArTreeEntry {
   std::vector<Interval> box;
   int64_t payload = -1;
@@ -44,8 +37,7 @@ struct ArTreeEntry {
 /// payload removals are supported for the dynamic-repository extension
 /// (Section 5.5). Queries are visitor-driven: the caller's node predicate
 /// sees the node's bounding box and merged aggregates and decides descent,
-/// which is how all three pruning families (topic, distance band, size) are
-/// expressed without specializing the tree.
+/// so a pruning rule needs no specialised tree.
 class ArTree {
  public:
   struct NodeView {
@@ -77,9 +69,6 @@ class ArTree {
 
   size_t size() const { return live_entries_; }
   int dims() const { return dims_; }
-  /// Number of leaf nodes whose predicate passed in the last Query call
-  /// (complexity accounting, Section 5.1).
-  mutable uint64_t last_query_leaves_visited = 0;
 
  private:
   struct Node {

@@ -15,6 +15,24 @@ constexpr double kUnusedMarker = -2.0;
 constexpr double kCoordEps = 1e-9;
 }  // namespace
 
+ProbeCoords ProbeCoords::Compute(const Record& r, const Repository& repo) {
+  ProbeCoords pc;
+  const int d = repo.num_attributes();
+  pc.coords.resize(d);
+  for (int x = 0; x < d; ++x) {
+    if (r.values[x].missing) {
+      continue;  // left empty
+    }
+    const int np = repo.num_pivots(x);
+    pc.coords[x].reserve(np);
+    for (int a = 0; a < np; ++a) {
+      pc.coords[x].push_back(
+          JaccardDistance(r.values[x].tokens, repo.pivot_tokens(x, a)));
+    }
+  }
+  return pc;
+}
+
 CddIndex::CddIndex(const Repository* repo, const std::vector<CddRule>* rules)
     : repo_(repo), rules_(rules) {
   TERIDS_CHECK(repo != nullptr);
@@ -92,9 +110,8 @@ bool CddIndex::RemoveRule(int rule_idx) {
   return false;
 }
 
-void CddIndex::ProbeGroup(
-    const Group& group, const Record& r, const ProbeCoords& pc,
-    const std::function<void(const CddRule&, int)>& on_rule) const {
+void CddIndex::ProbeGroup(const Group& group, const Record& r,
+                          const ProbeCoords& pc, std::vector<int>* out) const {
   group.tree.Query(
       [&](const ArTree::NodeView& node) {
         // Per determinant dimension, the node must contain the interval
@@ -131,14 +148,12 @@ void CddIndex::ProbeGroup(
             return;
           }
         }
-        on_rule(rule, rule_idx);
+        out->push_back(rule_idx);
       });
-  last_leaves_ += group.tree.last_query_leaves_visited;
 }
 
 std::vector<int> CddIndex::SelectRules(const Record& r, const ProbeCoords& pc,
                                        int dependent) const {
-  last_leaves_ = 0;
   std::vector<int> out;
   const uint32_t missing = r.MissingMask();
   for (const Group& group : groups_) {
@@ -148,30 +163,9 @@ std::vector<int> CddIndex::SelectRules(const Record& r, const ProbeCoords& pc,
     if ((group.det_mask & missing) != 0) {
       continue;  // A determinant is missing in r; group inapplicable.
     }
-    ProbeGroup(group, r, pc,
-               [&out](const CddRule& rule, int idx) {
-                 (void)rule;
-                 out.push_back(idx);
-               });
+    ProbeGroup(group, r, pc, &out);
   }
   return out;
-}
-
-Interval CddIndex::CoarseDependentBound(const Record& r, const ProbeCoords& pc,
-                                        int dependent) const {
-  Interval bound = Interval::Empty();
-  const uint32_t missing = r.MissingMask();
-  for (const Group& group : groups_) {
-    if (group.dependent != dependent || (group.det_mask & missing) != 0) {
-      continue;
-    }
-    ProbeGroup(group, r, pc,
-               [&bound](const CddRule& rule, int idx) {
-                 (void)idx;
-                 bound.Union(rule.dep_interval);
-               });
-  }
-  return bound;
 }
 
 }  // namespace terids

@@ -4,11 +4,23 @@
 #include <vector>
 
 #include "index/artree.h"
-#include "index/dr_index.h"
 #include "repo/repository.h"
 #include "rules/rule.h"
+#include "tuple/record.h"
 
 namespace terids {
+
+/// Pivot-converted coordinates of a probe record: coords[x][a] =
+/// dist(r[A_x], piv_a[A_x]); coords[x] is empty when r[A_x] is missing.
+/// Computed once per arrival for the CDD-index probe.
+struct ProbeCoords {
+  std::vector<std::vector<double>> coords;
+
+  static ProbeCoords Compute(const Record& r, const Repository& repo);
+
+  bool missing(int attr) const { return coords[attr].empty(); }
+  double main(int attr) const { return coords[attr][0]; }
+};
 
 /// The CDD-index I_j (Section 5.1, Figure 2): a lattice of determinant
 /// attribute sets, each lattice node holding an aR-tree over the constraint
@@ -19,8 +31,8 @@ namespace terids {
 ///  * interval constraint    -> the marker [-1,-1];
 ///  * attribute not in X     -> the marker [-2,-2].
 /// Constant constraints additionally carry their auxiliary-pivot distances
-/// as leaf aggregates; the dependent interval A_j.I is aggregated on every
-/// node so the 3-way join can derive coarse candidate bands early.
+/// as leaf aggregates, and the dependent interval A_j.I is aggregated on
+/// every node; the probe reads only the boxes.
 class CddIndex {
  public:
   CddIndex(const Repository* repo, const std::vector<CddRule>* rules);
@@ -39,18 +51,11 @@ class CddIndex {
   /// constraint geometry is compatible with the probe coordinates: constant
   /// constraints must match the probe value (verified exactly against the
   /// domain). Interval constraints are not filtered here — they constrain
-  /// the (r, sample) pair, which the DR-index side evaluates.
+  /// the (r, sample) pair, which the engine's determinant join evaluates.
   std::vector<int> SelectRules(const Record& r, const ProbeCoords& pc,
                                int dependent) const;
 
-  /// Union bound of the dependent intervals of all rules selected for this
-  /// group probe; used by the engine to size the coarse candidate band of
-  /// the index join before individual rules are examined.
-  Interval CoarseDependentBound(const Record& r, const ProbeCoords& pc,
-                                int dependent) const;
-
   size_t num_groups() const { return groups_.size(); }
-  uint64_t last_query_leaves_visited() const { return last_leaves_; }
 
  private:
   struct Group {
@@ -64,12 +69,11 @@ class CddIndex {
   ArTreeEntry MakeEntry(int rule_idx) const;
   int FindOrAddGroup(int dependent, uint32_t det_mask);
   void ProbeGroup(const Group& group, const Record& r, const ProbeCoords& pc,
-                  const std::function<void(const CddRule&, int)>& on_rule) const;
+                  std::vector<int>* out) const;
 
   const Repository* repo_;
   const std::vector<CddRule>* rules_;
   std::vector<Group> groups_;
-  mutable uint64_t last_leaves_ = 0;
 };
 
 }  // namespace terids

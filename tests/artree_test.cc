@@ -20,7 +20,8 @@ ArTreeEntry RandomEntry(Rng* rng, int dims, int64_t payload) {
   }
   e.agg.dep_interval = Interval::Of(rng->NextDouble() * 0.5,
                                     0.5 + rng->NextDouble() * 0.5);
-  e.agg.topic_mask = rng->NextU64() & 0xF;
+  const double aux = rng->NextDouble();
+  e.agg.aux_dist = {{Interval::Of(aux, std::min(1.0, aux + 0.1))}};
   return e;
 }
 
@@ -155,12 +156,12 @@ TEST_P(ArTreePropertyTest, NodeAggregatesCoverEntries) {
   // only under nodes whose view we just inspected).
   std::vector<const ArTreeEntry*> seen;
   Interval root_dep = Interval::Empty();
-  uint64_t root_mask = 0;
+  Interval root_aux = Interval::Empty();
   tree.Query(
       [&](const ArTree::NodeView& node) {
         if (node.is_leaf) {
           root_dep.Union(node.agg.dep_interval);
-          root_mask |= node.agg.topic_mask;
+          root_aux.Union(node.agg.aux_dist[0][0]);
         }
         return true;
       },
@@ -168,7 +169,8 @@ TEST_P(ArTreePropertyTest, NodeAggregatesCoverEntries) {
   for (const ArTreeEntry* e : seen) {
     EXPECT_LE(root_dep.lo, e->agg.dep_interval.lo);
     EXPECT_GE(root_dep.hi, e->agg.dep_interval.hi);
-    EXPECT_EQ(e->agg.topic_mask & ~root_mask, 0u);
+    EXPECT_LE(root_aux.lo, e->agg.aux_dist[0][0].lo);
+    EXPECT_GE(root_aux.hi, e->agg.aux_dist[0][0].hi);
   }
 }
 
@@ -186,24 +188,18 @@ TEST(ArTreeTest, EmptyTreeQueriesCleanly) {
 
 TEST(NodeAggregatesTest, MergeUnionsEverything) {
   NodeAggregates a;
-  a.topic_mask = 0b01;
   a.dep_interval = Interval::Of(0.1, 0.2);
   a.aux_dist = {{Interval::Of(0.0, 0.1)}};
-  a.size_intervals = {Interval::Of(2, 4)};
 
   NodeAggregates b;
-  b.topic_mask = 0b10;
   b.dep_interval = Interval::Of(0.3, 0.5);
   b.aux_dist = {{Interval::Of(0.4, 0.6), Interval::Of(0.2, 0.3)}};
-  b.size_intervals = {Interval::Of(1, 9)};
 
   a.Merge(b);
-  EXPECT_EQ(a.topic_mask, 0b11u);
   EXPECT_EQ(a.dep_interval, Interval::Of(0.1, 0.5));
   ASSERT_EQ(a.aux_dist[0].size(), 2u);
   EXPECT_EQ(a.aux_dist[0][0], Interval::Of(0.0, 0.6));
   EXPECT_EQ(a.aux_dist[0][1], Interval::Of(0.2, 0.3));
-  EXPECT_EQ(a.size_intervals[0], Interval::Of(1, 9));
 }
 
 }  // namespace

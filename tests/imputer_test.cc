@@ -401,6 +401,171 @@ TEST(ValueNeighborhoodsTest, AbsorbWideningMatchesFullScan) {
   }
 }
 
+void ExpectSameImputation(const std::vector<ImputedTuple::ImputedAttr>& got,
+                          const std::vector<ImputedTuple::ImputedAttr>& want,
+                          int trial) {
+  ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].attr, want[i].attr) << "trial " << trial;
+    ASSERT_EQ(got[i].candidates.size(), want[i].candidates.size())
+        << "trial " << trial << " attr " << want[i].attr;
+    for (size_t c = 0; c < want[i].candidates.size(); ++c) {
+      EXPECT_EQ(got[i].candidates[c].vid, want[i].candidates[c].vid)
+          << "trial " << trial << " rank " << c;
+      // Bit-identical, not merely close.
+      EXPECT_EQ(got[i].candidates[c].prob, want[i].candidates[c].prob)
+          << "trial " << trial << " rank " << c;
+    }
+  }
+}
+
+// The engine's postings join must impute exactly what the linear scan of
+// every (rule, sample) pair imputes, on every path of the join: a constant
+// start, an interval below 1 (also for a token-less probe value), the scan
+// for intervals reaching 1.0, several determinants, token-less domain
+// values and samples absorbed after the postings were built.
+TEST(DeterminantJoinTest, MatchesLinearScanOnEveryPath) {
+  ToyWorld world = MakeHealthWorld();
+  Repository& repo = *world.repo;
+  for (const std::vector<std::string>& texts :
+       {std::vector<std::string>{"female", "", "flu", "rest"},
+        std::vector<std::string>{"male", "fever cough", "flu", ""},
+        std::vector<std::string>{"male", "", "diabetes", "drug therapy"}}) {
+    ASSERT_TRUE(repo.AddSample(world.Make(1100, texts)).ok());
+  }
+  const int d = repo.num_attributes();
+  std::mt19937 rng(7);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  const std::vector<double> his = {0.0, 0.3, 0.5, 0.7, 0.9, 1.0};
+  const std::vector<Interval> deps = {
+      Interval::Of(0.0, 0.0), Interval::Of(0.0, 0.5), Interval::Of(0.2, 0.8),
+      Interval::Of(0.0, 1.0), Interval::Of(0.6, 1.0)};
+  const EngineConfig config;
+  RuleImputerOptions full_scan;
+  full_scan.use_coord_filter = false;
+  full_scan.max_candidates_per_attr = config.max_candidates_per_attr;
+
+  TerIdsEngine::JoinPaths paths;
+  bool saw_several = false;
+  bool saw_tokenless_value = false;
+  bool saw_absorbed = false;
+  int imputed_trials = 0;
+  const int kTrials = 240;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    // A probe: a sample with some values swapped, emptied or missing.
+    Record probe = repo.sample(pick(repo.num_samples()));
+    probe.rid = trial;
+    for (int x = 0; x < d; ++x) {
+      switch (rng() % 8) {
+        case 0:
+          probe.values[x] = repo.sample(pick(repo.num_samples())).values[x];
+          break;
+        case 1:
+          probe.values[x].text.clear();
+          probe.values[x].tokens = TokenSet();
+          break;
+        case 2:
+          probe.values[x] = AttrValue::Missing();
+          break;
+        default:
+          break;
+      }
+    }
+    const int j = static_cast<int>(pick(d));
+    probe.values[j] = AttrValue::Missing();
+
+    std::vector<CddRule> rules;
+    for (int k = 0; k < 6; ++k) {
+      CddRule rule;
+      rule.dependent = k < 4 ? j : static_cast<int>(pick(d));
+      rule.dep_interval = deps[pick(deps.size())];
+      std::vector<int> attrs;
+      for (int x = 0; x < d; ++x) {
+        if (x != rule.dependent) {
+          attrs.push_back(x);
+        }
+      }
+      std::shuffle(attrs.begin(), attrs.end(), rng);
+      attrs.resize(pick(3));
+      std::sort(attrs.begin(), attrs.end());
+      for (int x : attrs) {
+        rule.det_mask |= 1u << x;
+        const ValueId own = probe.values[x].missing
+                                ? kInvalidValueId
+                                : repo.FindValue(x, probe.values[x].tokens);
+        if (rng() % 3 == 0) {
+          rule.determinants.emplace_back(
+              x, AttrConstraint::MakeConstant(
+                     own != kInvalidValueId && rng() % 4 != 0
+                         ? own
+                         : static_cast<ValueId>(pick(repo.domain_size(x)))));
+        } else {
+          const double hi = his[pick(his.size())];
+          rule.determinants.emplace_back(
+              x, AttrConstraint::MakeInterval(rng() % 3 == 0 ? hi / 2 : 0.0,
+                                              hi));
+        }
+      }
+      rules.push_back(std::move(rule));
+    }
+
+    ImputingEngine engine(&repo, config, 2, rules);
+    const auto want = RuleBasedImputer(&repo, rules, full_scan)
+                          .ImputeRecord(probe, nullptr);
+    ExpectSameImputation(engine.ImputeNow(probe), want, trial);
+    imputed_trials += !want.empty();
+
+    const size_t first_absorbed = repo.num_samples();
+    if (trial % 3 == 0) {
+      // A complete copy of the probe joins the repository after the
+      // postings were built; the engine must find it on the next call.
+      Record sample = probe;
+      sample.rid = 5000 + trial;
+      const Record& donor = repo.sample(pick(repo.num_samples()));
+      for (int x = 0; x < d; ++x) {
+        if (sample.values[x].missing) {
+          sample.values[x] = donor.values[x];
+        }
+      }
+      ASSERT_TRUE(engine.AbsorbRepositoryBatch({sample}).ok());
+      const auto want_after =
+          RuleBasedImputer(&repo, engine.rules(), full_scan)
+              .ImputeRecord(probe, nullptr);
+      ExpectSameImputation(engine.ImputeNow(probe), want_after, trial);
+    }
+
+    for (const CddRule& rule : engine.rules()) {
+      if (!rule.ApplicableTo(probe)) {
+        continue;
+      }
+      for (size_t i = 0; i < repo.num_samples(); ++i) {
+        if (!rule.DeterminantsSatisfied(probe, repo, i)) {
+          continue;
+        }
+        saw_several |= rule.determinants.size() >= 2;
+        saw_absorbed |= i >= first_absorbed;
+        for (const auto& [x, constraint] : rule.determinants) {
+          saw_tokenless_value |=
+              repo.value_tokens(x, repo.sample_value_id(i, x)).empty();
+        }
+      }
+    }
+    const TerIdsEngine::JoinPaths& p = engine.join_paths();
+    paths.constant += p.constant;
+    paths.interval += p.interval;
+    paths.tokenless_probe += p.tokenless_probe;
+    paths.scan += p.scan;
+  }
+  EXPECT_GT(imputed_trials, kTrials / 4);
+  EXPECT_GT(paths.constant, 0u);
+  EXPECT_GT(paths.interval, 0u);
+  EXPECT_GT(paths.tokenless_probe, 0u);
+  EXPECT_GT(paths.scan, 0u);
+  EXPECT_TRUE(saw_several);
+  EXPECT_TRUE(saw_tokenless_value);
+  EXPECT_TRUE(saw_absorbed);
+}
+
 TEST(ConstraintImputerTest, UsesMostRecentCompleteDonor) {
   ToyWorld world = MakeHealthWorld();
   ConstraintImputer imputer(world.repo.get(), /*history_cap=*/10);

@@ -1,83 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "index/cdd_index.h"
-#include "index/dr_index.h"
 #include "rules/rule_miner.h"
 #include "test_util.h"
-#include "util/rng.h"
 
 namespace terids {
 namespace {
 
 using testing_util::MakeHealthWorld;
 using testing_util::ToyWorld;
-
-class DrIndexTest : public ::testing::Test {
- protected:
-  DrIndexTest() : world_(MakeHealthWorld()), index_(world_.repo.get()) {
-    index_.Build();
-  }
-  ToyWorld world_;
-  DrIndex index_;
-};
-
-TEST_F(DrIndexTest, UnconstrainedRetrievalReturnsAllSamples) {
-  std::vector<AttrBand> bands(world_.repo->num_attributes());
-  std::vector<size_t> got = index_.Retrieve(bands);
-  EXPECT_EQ(got.size(), world_.repo->num_samples());
-}
-
-TEST_F(DrIndexTest, MainBandRetrievalIsSupersetOfExactMatches) {
-  Rng rng(17);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int attr =
-        static_cast<int>(rng.NextBounded(world_.repo->num_attributes()));
-    const double center = rng.NextDouble();
-    const double eps = 0.05 + rng.NextDouble() * 0.3;
-    std::vector<AttrBand> bands(world_.repo->num_attributes());
-    bands[attr].pivot_bands.push_back(
-        Interval::Of(center - eps, center + eps));
-    std::vector<size_t> got = index_.Retrieve(bands);
-    std::sort(got.begin(), got.end());
-    // Brute-force expectation.
-    std::vector<size_t> want;
-    for (size_t i = 0; i < world_.repo->num_samples(); ++i) {
-      const double coord = world_.repo->coord(
-          attr, world_.repo->sample_value_id(i, attr));
-      if (coord >= center - eps && coord <= center + eps) {
-        want.push_back(i);
-      }
-    }
-    EXPECT_EQ(got, want);
-  }
-}
-
-TEST_F(DrIndexTest, SizeBandFiltersByTokenCount) {
-  std::vector<AttrBand> bands(world_.repo->num_attributes());
-  bands[1].size_band = Interval::Of(4.0, 10.0);  // Long symptom lists only.
-  std::vector<size_t> got = index_.Retrieve(bands);
-  for (size_t i : got) {
-    EXPECT_GE(world_.repo->sample(i).values[1].tokens.size(), 4u);
-  }
-  // And nothing matching was dropped.
-  size_t expect = 0;
-  for (size_t i = 0; i < world_.repo->num_samples(); ++i) {
-    if (world_.repo->sample(i).values[1].tokens.size() >= 4) ++expect;
-  }
-  EXPECT_EQ(got.size(), expect);
-}
-
-TEST_F(DrIndexTest, DynamicInsertIsRetrievable) {
-  Record extra = world_.Make(
-      5000, {"female", "sore throat", "strep", "antibiotics rest"});
-  ASSERT_TRUE(world_.repo->AddSample(extra).ok());
-  index_.InsertSample(world_.repo->num_samples() - 1);
-  std::vector<AttrBand> bands(world_.repo->num_attributes());
-  std::vector<size_t> got = index_.Retrieve(bands);
-  EXPECT_EQ(got.size(), world_.repo->num_samples());
-}
 
 class CddIndexTest : public ::testing::Test {
  protected:
@@ -139,16 +73,6 @@ TEST_F(CddIndexTest, SelectRulesMatchesBruteForce) {
       std::sort(want.begin(), want.end());
       EXPECT_EQ(got, want) << "dependent attr " << j;
     }
-  }
-}
-
-TEST_F(CddIndexTest, CoarseDependentBoundCoversSelectedRules) {
-  Record r = world_.Make(1, {"male", "blurred vision", "-", "drug therapy"});
-  const ProbeCoords pc = ProbeCoords::Compute(r, *world_.repo);
-  const Interval bound = index_->CoarseDependentBound(r, pc, 2);
-  for (int idx : index_->SelectRules(r, pc, 2)) {
-    EXPECT_LE(bound.lo, rules_[idx].dep_interval.lo);
-    EXPECT_GE(bound.hi, rules_[idx].dep_interval.hi);
   }
 }
 

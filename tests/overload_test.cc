@@ -1,19 +1,20 @@
 // Overload-resilience layer (DESIGN.md §13): the adversarial arrival
 // shaper's determinism and invariants, and the admission-control policies'
-// accounting contracts under real, forced queue pressure (slow consumer on
-// a depth-1 ingest queue). Policy *equivalence* when pressure never fires
-// is covered by the equivalence sweep; this file covers behavior when it
-// does fire.
+// accounting contracts under real, forced queue pressure (a consumer that
+// waits for the producer on a depth-1 ingest queue). Policy *equivalence*
+// when pressure never fires is covered by the equivalence sweep; this file
+// covers behavior when it does fire.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -248,6 +249,35 @@ struct PressureRun {
   ShedStats shed;
 };
 
+/// Counts the micro-batches the producer pulls, so the outcome sink can
+/// wait for the producer to move on.
+class PullCountingDriver : public StreamDriver {
+ public:
+  using StreamDriver::StreamDriver;
+
+  std::vector<Record> NextBatch(size_t max_records) override {
+    std::vector<Record> batch = StreamDriver::NextBatch(max_records);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++pulled_;
+    pulled_cv_.notify_all();
+    return batch;
+  }
+
+  /// Blocks until the producer has pulled `more` batches beyond those
+  /// pulled on entry (but no more than `last` in all), or for at most
+  /// `timeout`.
+  void AwaitPulls(size_t more, size_t last, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    const size_t target = std::min(pulled_ + more, last);
+    pulled_cv_.wait_for(lock, timeout, [&] { return pulled_ >= target; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable pulled_cv_;
+  size_t pulled_ = 0;
+};
+
 class OverloadPressureTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -262,14 +292,23 @@ class OverloadPressureTest : public ::testing::Test {
     experiment_ = nullptr;
   }
 
-  // Replays the stream with a deliberately slow consumer (the sink sleeps),
-  // so the depth-1 ingest queue is full nearly every time the producer
-  // checks pressure. sleep_us = 0 gives the unpressured reference run.
-  static PressureRun Replay(OverloadPolicy policy, int sleep_us) {
+  // Replays the stream through a depth-1 ingest queue. Under `pressured`,
+  // the sink stops at the first outcome of a few batches until the
+  // producer has pulled three more batches: the consumer pops nothing
+  // meanwhile, so the first of them fills the queue and the producer
+  // checks pressure on the second against a full queue. A non-blocking
+  // policy (shed_newest, degrade) then pulls the third at once. A blocking
+  // one (shed_oldest, block) waits in Push for the consumer, so the gate
+  // opens after kGateTimeout instead; that only needs the producer to
+  // ingest one batch within it, however the threads are scheduled.
+  static PressureRun Replay(OverloadPolicy policy, bool pressured) {
+    constexpr size_t kBatch = 4;
+    constexpr std::chrono::milliseconds kGateTimeout(1000);
     const ExperimentParams& params = experiment_->params();
+    const size_t last_batch = params.max_arrivals / kBatch;
     std::unique_ptr<Repository> repo = experiment_->BuildRepository();
     EngineConfig config = experiment_->MakeConfig();
-    config.batch_size = 4;
+    config.batch_size = kBatch;
     config.refine_threads = 2;
     config.ingest_queue_depth = 1;
     config.overload_policy = policy;
@@ -277,12 +316,18 @@ class OverloadPressureTest : public ::testing::Test {
         MakePipeline(PipelineKind::kTerIds, repo.get(), config, 2,
                      experiment_->cdds(), experiment_->dds(),
                      experiment_->editing_rules());
-    StreamDriver driver(
+    PullCountingDriver driver(
         {experiment_->incomplete_a(), experiment_->incomplete_b()});
     PressureRun run;
     run.processed = pipeline->ProcessStream(
-        &driver, static_cast<size_t>(params.max_arrivals), 4,
+        &driver, static_cast<size_t>(params.max_arrivals), kBatch,
         [&](ArrivalOutcome&& out) {
+          // Gates at the 10th and 30th emitted batch, once the windows
+          // hold candidates.
+          if (pressured && (run.emitted == 10 * kBatch ||
+                            run.emitted == 30 * kBatch)) {
+            driver.AwaitPulls(3, last_batch, kGateTimeout);
+          }
           ++run.emitted;
           if (out.disposition == ArrivalDisposition::kShed) {
             ++run.emitted_shed;
@@ -292,9 +337,6 @@ class OverloadPressureTest : public ::testing::Test {
           }
           for (const MatchPair& p : out.new_matches) {
             run.matches.emplace_back(p.rid_a, p.rid_b);
-          }
-          if (sleep_us > 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
           }
         });
     run.stats = pipeline->cumulative_stats();
@@ -308,7 +350,7 @@ class OverloadPressureTest : public ::testing::Test {
 Experiment* OverloadPressureTest::experiment_ = nullptr;
 
 TEST_F(OverloadPressureTest, ShedNewestAccountingBalances) {
-  const PressureRun run = Replay(OverloadPolicy::kShedNewest, 400);
+  const PressureRun run = Replay(OverloadPolicy::kShedNewest, true);
   ASSERT_GT(run.shed.pressure_events, 0) << "slow consumer never filled "
                                             "the depth-1 queue";
   EXPECT_GT(run.shed.shed_arrivals, 0);
@@ -329,7 +371,7 @@ TEST_F(OverloadPressureTest, ShedNewestAccountingBalances) {
 }
 
 TEST_F(OverloadPressureTest, ShedOldestEmitsShedOutcomesAndKeepsWindow) {
-  const PressureRun run = Replay(OverloadPolicy::kShedOldest, 400);
+  const PressureRun run = Replay(OverloadPolicy::kShedOldest, true);
   ASSERT_GT(run.shed.pressure_events, 0);
   EXPECT_GT(run.shed.shed_arrivals, 0);
   // Everything is admitted (ingest always runs); shedding happens in-queue,
@@ -344,8 +386,8 @@ TEST_F(OverloadPressureTest, ShedOldestEmitsShedOutcomesAndKeepsWindow) {
 }
 
 TEST_F(OverloadPressureTest, DegradeAdmitsEverythingAndDefersVisibly) {
-  const PressureRun degraded = Replay(OverloadPolicy::kDegrade, 400);
-  const PressureRun reference = Replay(OverloadPolicy::kBlock, 0);
+  const PressureRun degraded = Replay(OverloadPolicy::kDegrade, true);
+  const PressureRun reference = Replay(OverloadPolicy::kBlock, false);
   ASSERT_GT(degraded.shed.pressure_events, 0);
   EXPECT_GT(degraded.shed.degraded_arrivals, 0);
   // Degrade never sheds: everything offered is admitted and emitted.
@@ -371,8 +413,8 @@ TEST_F(OverloadPressureTest, DegradeAdmitsEverythingAndDefersVisibly) {
 }
 
 TEST_F(OverloadPressureTest, BlockShedsNothingUnderTheSamePressure) {
-  const PressureRun run = Replay(OverloadPolicy::kBlock, 400);
-  const PressureRun reference = Replay(OverloadPolicy::kBlock, 0);
+  const PressureRun run = Replay(OverloadPolicy::kBlock, true);
+  const PressureRun reference = Replay(OverloadPolicy::kBlock, false);
   // The oracle policy: pressure manifests as producer blocking only —
   // accounting shows zero shedding and output is the unpressured output.
   EXPECT_EQ(run.shed.shed_arrivals, 0);

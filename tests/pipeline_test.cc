@@ -166,23 +166,71 @@ TEST_F(PipelineIntegrationTest, PruningPowerIsHigh) {
   EXPECT_GT(run.stats.topic_pruned, run.stats.prob_ub_pruned);
 }
 
+/// Exposes the engine's index-join imputation of one record.
+class ImputingEngine : public TerIdsEngine {
+ public:
+  using TerIdsEngine::TerIdsEngine;
+  std::vector<ImputedTuple::ImputedAttr> ImputeNow(const Record& r) {
+    return Impute(r, ProbeCoords::Compute(r, *repo_), nullptr);
+  }
+};
+
+/// The token union of two records' values on `attr`.
+AttrValue UnionValue(const Record& a, const Record& b, int attr) {
+  std::vector<Token> tokens(a.values[attr].tokens.begin(),
+                            a.values[attr].tokens.end());
+  tokens.insert(tokens.end(), b.values[attr].tokens.begin(),
+                b.values[attr].tokens.end());
+  AttrValue v;
+  v.text = a.values[attr].text + " " + b.values[attr].text;
+  v.tokens = TokenSet::FromTokens(std::move(tokens));
+  return v;
+}
+
 TEST_F(PipelineIntegrationTest, DynamicRepositoryAbsorption) {
   std::unique_ptr<Repository> repo = experiment_.BuildRepository();
-  TerIdsEngine engine(repo.get(), experiment_.MakeConfig(), 2,
-                      experiment_.cdds());
+  const std::vector<Record>& records = experiment_.dataset().repo_records;
+  // `fresh` carries, on attributes 0 and 2, token unions that no sample
+  // carries yet. An exact-match rule 0 -> 2 can then only be satisfied by
+  // `fresh` itself, once it is absorbed.
+  Record fresh = records[0];
+  fresh.rid = 1 << 30;
+  fresh.values[0] = UnionValue(records[0], records[1], 0);
+  fresh.values[2] = UnionValue(records[0], records[3], 2);
+  ASSERT_EQ(repo->FindValue(0, fresh.values[0].tokens), kInvalidValueId);
+  ASSERT_EQ(repo->FindValue(2, fresh.values[2].tokens), kInvalidValueId);
+  CddRule exact;
+  exact.dependent = 2;
+  exact.det_mask = 1u << 0;
+  exact.determinants.emplace_back(0, AttrConstraint::MakeInterval(0.0, 0.0));
+  exact.dep_interval = Interval::Of(0.0, 0.0);
+  ImputingEngine engine(repo.get(), experiment_.MakeConfig(), 2, {exact});
+  Record probe = fresh;
+  probe.values[2] = AttrValue::Missing();
+  EXPECT_TRUE(engine.ImputeNow(probe).empty());
+
   const size_t before = repo->num_samples();
-  std::vector<Record> batch(experiment_.dataset().repo_records.begin(),
-                            experiment_.dataset().repo_records.begin() + 5);
-  ASSERT_TRUE(engine.AbsorbRepositoryBatch(batch).ok());
-  EXPECT_EQ(repo->num_samples(), before + 5);
-  EXPECT_EQ(engine.dr_index().size(), before + 5);
-  // The engine still processes arrivals correctly afterwards.
+  ASSERT_TRUE(engine.AbsorbRepositoryBatch({fresh}).ok());
+  ASSERT_EQ(engine.rules()[0].dep_interval, exact.dep_interval);
+  // The absorbed sample's vote is the whole imputation.
+  const auto imputed = engine.ImputeNow(probe);
+  ASSERT_EQ(imputed.size(), 1u);
+  ASSERT_EQ(imputed[0].candidates.size(), 1u);
+  EXPECT_EQ(imputed[0].candidates[0].vid,
+            repo->FindValue(2, fresh.values[2].tokens));
+  EXPECT_EQ(imputed[0].candidates[0].prob, 1.0);
+
+  ASSERT_TRUE(engine
+                  .AbsorbRepositoryBatch(std::vector<Record>(
+                      records.begin(), records.begin() + 5))
+                  .ok());
+  EXPECT_EQ(repo->num_samples(), before + 6);
+  // The engine still processes arrivals afterwards.
   StreamDriver driver(
       {experiment_.dataset().source_a, experiment_.dataset().source_b});
   for (int i = 0; i < 50 && driver.HasNext(); ++i) {
     engine.ProcessArrival(driver.Next());
   }
-  SUCCEED();
 }
 
 // Async ProcessStream whose sink throws mid-stream: the exception must
