@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the hot primitives: Jaccard over
-// interned token sets, aR-tree range queries, and end-to-end TER-iDS
-// arrival processing (one-at-a-time and micro-batched + parallel).
+// interned token sets, aR-tree range queries, the Lemma 4.1-4.3 pair
+// bounds, and end-to-end TER-iDS arrival processing (one-at-a-time and
+// micro-batched + parallel).
 //
 // Results additionally flow through the shared JsonReporter (set
 // TERIDS_BENCH_JSON) by bridging Google Benchmark's reporter interface, so
@@ -15,9 +16,11 @@
 #include "bench_common.h"
 #include "core/terids_engine.h"
 #include "datagen/profiles.h"
+#include "er/bounds.h"
 #include "index/artree.h"
 #include "stream/stream_driver.h"
 #include "text/token_set.h"
+#include "tuple/imputed_tuple.h"
 #include "util/rng.h"
 
 namespace {
@@ -82,6 +85,41 @@ Experiment* SharedCitationsExperiment() {
       new Experiment(ProfileByName("Citations"), params);
   return experiment;
 }
+
+// The Theorem 4.2/4.3 filters of the pair cascade, UbSim plus
+// UbProbPaleyZygmund, of one probe against a 1000-tuple candidate list of
+// complete EBooks tuples (the ebooks_refine replay's pair shape). Items
+// are pairs.
+void BM_PairBounds(benchmark::State& state) {
+  using namespace terids::bench;
+  ExperimentParams params = BaseParams("EBooks");
+  params.scale = 0.3;
+  params.max_arrivals = 1;  // Offline phase only.
+  Experiment experiment(ProfileByName("EBooks"), params);
+  std::unique_ptr<Repository> repo = experiment.BuildRepository();
+  std::vector<ImputedTuple> tuples;
+  for (const auto* source :
+       {&experiment.dataset().source_a, &experiment.dataset().source_b}) {
+    for (const Record& r : *source) {
+      if (tuples.size() < 1001) {
+        tuples.push_back(ImputedTuple::FromComplete(r, repo.get()));
+      }
+    }
+  }
+  const ImputedTuple& probe = tuples.front();
+  const double gamma = experiment.gamma();
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (size_t i = 1; i < tuples.size(); ++i) {
+      sum += UbSim(probe, tuples[i]) +
+             UbProbPaleyZygmund(probe, tuples[i], gamma);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(tuples.size() - 1));
+}
+BENCHMARK(BM_PairBounds);
 
 void BM_TerIdsArrival(benchmark::State& state) {
   Experiment* experiment = SharedCitationsExperiment();

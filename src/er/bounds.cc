@@ -62,20 +62,13 @@ double UbProbPaleyZygmund(const ImputedTuple& a, const ImputedTuple& b,
                           double gamma) {
   const int d = a.num_attributes();
   TERIDS_CHECK(b.num_attributes() == d);
-  double e_x = 0.0;
-  double e_y = 0.0;
-  double lb_x = 0.0;
-  double ub_x = 0.0;
-  double lb_y = 0.0;
-  double ub_y = 0.0;
-  for (int k = 0; k < d; ++k) {
-    e_x += a.expected_pivot_dist(k, 0);
-    e_y += b.expected_pivot_dist(k, 0);
-    lb_x += a.pivot_dist_interval(k, 0).lo;
-    ub_x += a.pivot_dist_interval(k, 0).hi;
-    lb_y += b.pivot_dist_interval(k, 0).lo;
-    ub_y += b.pivot_dist_interval(k, 0).hi;
-  }
+  // Per-tuple sums from the bound block (same k = 0..d-1 accumulation).
+  const double e_x = a.main_pivot_expected_sum();
+  const double e_y = b.main_pivot_expected_sum();
+  const double lb_x = a.main_pivot_lo_sum();
+  const double ub_x = a.main_pivot_hi_sum();
+  const double lb_y = b.main_pivot_lo_sum();
+  const double ub_y = b.main_pivot_hi_sum();
   const double dg = static_cast<double>(d) - gamma;
   const double mass = a.total_prob() * b.total_prob();
 

@@ -19,11 +19,12 @@ double UbSimPivot(const ImputedTuple& a, const ImputedTuple& b);
 double UbSim(const ImputedTuple& a, const ImputedTuple& b);
 
 /// Lemma 4.3: Paley-Zygmund-based upper bound on Pr{sim(a,b) > gamma}.
-/// Uses the main-pivot distance expectations and bounds aggregated on the
-/// tuples; expectations are taken over the normalized instance
-/// distributions, and the returned bound is scaled by the tuples' total
-/// probability masses so it stays an upper bound of the raw (sub-stochastic)
-/// TER-iDS probability even when instance sets were truncated.
+/// Uses the main-pivot distance expectation and bound sums each tuple
+/// aggregates once at construction, so a pair costs O(1); expectations are
+/// taken over the normalized instance distributions, and the returned bound
+/// is scaled by the tuples' total probability masses so it stays an upper
+/// bound of the raw (sub-stochastic) TER-iDS probability even when instance
+/// sets were truncated.
 double UbProbPaleyZygmund(const ImputedTuple& a, const ImputedTuple& b,
                           double gamma);
 

@@ -6,21 +6,6 @@
 
 namespace terids {
 
-void NodeAggregates::Merge(const NodeAggregates& other) {
-  dep_interval.Union(other.dep_interval);
-  if (aux_dist.size() < other.aux_dist.size()) {
-    aux_dist.resize(other.aux_dist.size());
-  }
-  for (size_t d = 0; d < other.aux_dist.size(); ++d) {
-    if (aux_dist[d].size() < other.aux_dist[d].size()) {
-      aux_dist[d].resize(other.aux_dist[d].size(), Interval::Empty());
-    }
-    for (size_t a = 0; a < other.aux_dist[d].size(); ++a) {
-      aux_dist[d][a].Union(other.aux_dist[d][a]);
-    }
-  }
-}
-
 ArTree::ArTree(int dims, int fanout) : dims_(dims), fanout_(fanout) {
   TERIDS_CHECK(dims >= 1);
   TERIDS_CHECK(fanout >= 2);
@@ -105,18 +90,15 @@ int ArTree::BuildRec(std::vector<int>* entry_ids, size_t begin, size_t end,
 void ArTree::RecomputeNode(int node_id) {
   Node& node = nodes_[node_id];
   node.box.clear();
-  node.agg = NodeAggregates();
   if (node.leaf) {
     for (int eid : node.entry_ids) {
       if (!entry_live_[eid]) continue;
       ExtendBox(&node.box, entries_[eid].box);
-      node.agg.Merge(entries_[eid].agg);
     }
   } else {
     for (int child : node.children) {
       if (nodes_[child].box.empty()) continue;
       ExtendBox(&node.box, nodes_[child].box);
-      node.agg.Merge(nodes_[child].agg);
     }
   }
   if (node.box.empty()) {
@@ -250,7 +232,7 @@ void ArTree::QueryRec(int node_id, const NodePredicate& should_visit,
   if (node.leaf && node.entry_ids.empty()) {
     return;
   }
-  NodeView view{node.box, node.agg, node.leaf,
+  NodeView view{node.box, node.leaf,
                 static_cast<int>(node.leaf ? node.entry_ids.size()
                                            : node.children.size())};
   if (!should_visit(view)) {

@@ -10,39 +10,25 @@
 
 namespace terids {
 
-/// Aggregates carried by aR-tree nodes [20], merged bottom-up. For the
-/// CDD-index (Section 5.1), `dep_interval` bounds the dependent constraint
-/// A_j.I of the rules below and `aux_dist` bounds the distances from
-/// constant constraints to the auxiliary pivots.
-struct NodeAggregates {
-  Interval dep_interval = Interval::Empty();
-  /// aux_dist[dim][a] bounds distances to auxiliary pivot a on dimension
-  /// (attribute) dim. Ragged: attributes may have different pivot counts.
-  std::vector<std::vector<Interval>> aux_dist;
-
-  void Merge(const NodeAggregates& other);
-};
-
-/// One indexed object: a d-dimensional box, an opaque payload id (the rule
-/// index in the CDD-index), and its leaf-level aggregates.
+/// One indexed object: a d-dimensional box and an opaque payload id (the
+/// rule index in the CDD-index).
 struct ArTreeEntry {
   std::vector<Interval> box;
   int64_t payload = -1;
-  NodeAggregates agg;
 };
 
-/// Aggregate R-tree over d-dimensional boxes.
+/// Aggregate R-tree over d-dimensional boxes; each node aggregates the
+/// bounding box of the entries below it.
 ///
 /// Construction is bulk (k-d-style sort-tile-recurse); single insertions and
 /// payload removals are supported for the dynamic-repository extension
 /// (Section 5.5). Queries are visitor-driven: the caller's node predicate
-/// sees the node's bounding box and merged aggregates and decides descent,
-/// so a pruning rule needs no specialised tree.
+/// sees the node's bounding box and decides descent, so a pruning rule
+/// needs no specialised tree.
 class ArTree {
  public:
   struct NodeView {
     const std::vector<Interval>& box;
-    const NodeAggregates& agg;
     bool is_leaf;
     int num_children;
   };
@@ -75,7 +61,6 @@ class ArTree {
     bool leaf = true;
     int parent = -1;
     std::vector<Interval> box;
-    NodeAggregates agg;
     std::vector<int> children;       // node ids (internal nodes)
     std::vector<int> entry_ids;      // indices into entries_ (leaves)
   };

@@ -45,17 +45,10 @@ ArTreeEntry CddIndex::MakeEntry(int rule_idx) const {
   ArTreeEntry entry;
   entry.payload = rule_idx;
   entry.box.assign(d, Interval::Point(kUnusedMarker));
-  entry.agg.dep_interval = rule.dep_interval;
-  entry.agg.aux_dist.resize(d);
   for (const auto& [attr, constraint] : rule.determinants) {
     if (constraint.kind == AttrConstraint::Kind::kConstant) {
-      const double coord = repo_->coord(attr, constraint.constant_vid);
-      entry.box[attr] = Interval::Point(coord);
-      const int np = repo_->num_pivots(attr);
-      for (int a = 1; a < np; ++a) {
-        entry.agg.aux_dist[attr].push_back(Interval::Point(
-            repo_->pivot_distance(attr, a, constraint.constant_vid)));
-      }
+      entry.box[attr] =
+          Interval::Point(repo_->coord(attr, constraint.constant_vid));
     } else {
       entry.box[attr] = Interval::Point(kIntervalMarker);
     }

@@ -30,9 +30,7 @@ struct ProbeCoords {
 ///  * constant constraint v  -> the point coord dist(v, piv_1[A_x]);
 ///  * interval constraint    -> the marker [-1,-1];
 ///  * attribute not in X     -> the marker [-2,-2].
-/// Constant constraints additionally carry their auxiliary-pivot distances
-/// as leaf aggregates, and the dependent interval A_j.I is aggregated on
-/// every node; the probe reads only the boxes.
+/// The probe reads only the boxes.
 class CddIndex {
  public:
   CddIndex(const Repository* repo, const std::vector<CddRule>* rules);

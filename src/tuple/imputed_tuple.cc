@@ -159,94 +159,65 @@ void ImputedTuple::BuildTokenArena() {
   union_range_ = arena_.AddRange(all);
 }
 
-double ImputedTuple::instance_pivot_dist(int inst, int attr,
-                                         int pivot_idx) const {
-  TERIDS_CHECK(inst >= 0 && inst < num_instances());
-  const int k = attr_to_imputed_[attr];
-  if (k < 0) {
-    return base_dists_[attr][pivot_idx];
-  }
-  return repo_->pivot_distance(attr, pivot_idx, instances_[inst].choices[k]);
-}
-
 void ImputedTuple::ComputeAggregates() {
   const int d = num_attributes();
   TERIDS_CHECK(repo_->has_pivots());
-
-  // Cache distances from the non-missing base attributes to every pivot.
-  base_dists_.assign(d, {});
+  int max_pivots = 0;
   for (int x = 0; x < d; ++x) {
-    const int np = repo_->num_pivots(x);
-    base_dists_[x].assign(np, 1.0);
-    const AttrValue& v = base_.values[x];
-    if (!v.missing) {
-      for (int a = 0; a < np; ++a) {
-        base_dists_[x][a] = JaccardDistance(v.tokens, repo_->pivot_tokens(x, a));
-      }
-    } else if (attr_to_imputed_[x] < 0) {
-      // Unfilled missing attribute: the instance token set is empty; its
-      // distance to any non-empty pivot is 1 (and 0 to an empty pivot).
-      for (int a = 0; a < np; ++a) {
-        base_dists_[x][a] =
-            JaccardDistance(kEmptyTokenSet, repo_->pivot_tokens(x, a));
-      }
-    }
+    max_pivots = std::max(max_pivots, repo_->num_pivots(x));
   }
-
-  size_intervals_.assign(d, Interval::Empty());
-  dist_intervals_.assign(d, {});
-  expected_dists_.assign(d, {});
+  stride_ = static_cast<size_t>(kPivots + 2 * max_pivots);
+  bounds_.assign(kHeader + static_cast<size_t>(d) * stride_, 0.0);
   const double norm = total_prob_ > 0 ? total_prob_ : 1.0;
 
+  // Interval::Cover on a [lo, hi] slot pair of the block.
+  const auto cover = [](double* slots, double v) {
+    slots[0] = std::min(slots[0], v);
+    slots[1] = std::max(slots[1], v);
+  };
+
   for (int x = 0; x < d; ++x) {
+    double* b = bounds_.data() + kHeader + static_cast<size_t>(x) * stride_;
     const int np = repo_->num_pivots(x);
-    dist_intervals_[x].assign(np, Interval::Empty());
-    expected_dists_[x].assign(np, 0.0);
+    TERIDS_CHECK(np >= 1);
+    b[kNumPivots] = static_cast<double>(np);
+    // Start every interval empty (lo = +inf, hi = -inf), as Interval does.
+    for (int slot = kSizeLo; slot < kPivots + 2 * np; slot += 2) {
+      b[slot] = Interval::Empty().lo;
+      b[slot + 1] = Interval::Empty().hi;
+    }
 
     const int k = attr_to_imputed_[x];
     if (k < 0) {
-      // Single fixed value across all instances.
+      // Single fixed value across all instances. An unfilled missing
+      // attribute has the empty token set: its distance to any non-empty
+      // pivot is 1 (and 0 to an empty pivot).
       const AttrValue& v = base_.values[x];
-      const double size = v.missing ? 0.0 : static_cast<double>(v.tokens.size());
-      size_intervals_[x].Cover(size);
+      const TokenSet& tokens = v.missing ? kEmptyTokenSet : v.tokens;
+      cover(b + kSizeLo, static_cast<double>(tokens.size()));
       for (int a = 0; a < np; ++a) {
-        dist_intervals_[x][a].Cover(base_dists_[x][a]);
-        expected_dists_[x][a] = base_dists_[x][a];
+        cover(b + kPivots + 2 * a,
+              JaccardDistance(tokens, repo_->pivot_tokens(x, a)));
       }
-      continue;
-    }
-    for (const Instance& inst : instances_) {
-      const ValueId vid = inst.choices[k];
-      size_intervals_[x].Cover(
-          static_cast<double>(repo_->value_tokens(x, vid).size()));
-      const double weight = inst.prob / norm;
-      for (int a = 0; a < np; ++a) {
-        const double dist = repo_->pivot_distance(x, a, vid);
-        dist_intervals_[x][a].Cover(dist);
-        expected_dists_[x][a] += weight * dist;
+      b[kExpected] = b[kPivots];
+    } else {
+      for (const Instance& inst : instances_) {
+        const ValueId vid = inst.choices[k];
+        cover(b + kSizeLo,
+              static_cast<double>(repo_->value_tokens(x, vid).size()));
+        const double weight = inst.prob / norm;
+        const double coord = repo_->pivot_distance(x, 0, vid);
+        cover(b + kPivots, coord);
+        b[kExpected] += weight * coord;
+        for (int a = 1; a < np; ++a) {
+          cover(b + kPivots + 2 * a, repo_->pivot_distance(x, a, vid));
+        }
       }
     }
+    bounds_[kSumExpected] += b[kExpected];
+    bounds_[kSumLo] += b[kPivots];
+    bounds_[kSumHi] += b[kPivots + 1];
   }
-}
-
-const Interval& ImputedTuple::token_size_interval(int attr) const {
-  TERIDS_CHECK(attr >= 0 && attr < num_attributes());
-  return size_intervals_[attr];
-}
-
-const Interval& ImputedTuple::pivot_dist_interval(int attr,
-                                                  int pivot_idx) const {
-  TERIDS_CHECK(attr >= 0 && attr < num_attributes());
-  TERIDS_CHECK(pivot_idx >= 0 &&
-               pivot_idx < static_cast<int>(dist_intervals_[attr].size()));
-  return dist_intervals_[attr][pivot_idx];
-}
-
-double ImputedTuple::expected_pivot_dist(int attr, int pivot_idx) const {
-  TERIDS_CHECK(attr >= 0 && attr < num_attributes());
-  TERIDS_CHECK(pivot_idx >= 0 &&
-               pivot_idx < static_cast<int>(expected_dists_[attr].size()));
-  return expected_dists_[attr][pivot_idx];
 }
 
 }  // namespace terids

@@ -22,9 +22,10 @@ namespace terids {
 /// probabilities are kept unnormalized, which Definition 4 explicitly
 /// permits (sum p <= 1).
 ///
-/// After construction the tuple carries the per-attribute aggregates the
-/// ER-grid and the pruning lemmas need: token-set size intervals (Lemma
-/// 4.1), pivot-distance intervals and expectations (Lemmas 4.2, 4.3).
+/// After construction the tuple carries, in one flat bound block, the
+/// per-attribute aggregates the ER-grid and the pruning lemmas need:
+/// token-set size intervals (Lemma 4.1), pivot-distance intervals (Lemma
+/// 4.2), main-pivot expectations and their per-tuple sums (Lemma 4.3).
 class ImputedTuple {
  public:
   /// One candidate value for a missing attribute with its confidence
@@ -100,29 +101,59 @@ class ImputedTuple {
   const TokenArena& token_arena() const { return arena_; }
 
   // ---- Aggregates (valid once pivots are attached to the repository) ----
+  //
+  // All of them live in one flat bound block built once by
+  // ComputeAggregates (DESIGN.md §9), so the per-pair Lemma 4.1-4.3
+  // filters read a single allocation through these inline accessors.
 
   /// [min,max] token-set size across instances on `attr` (|T^-|, |T^+|).
-  const Interval& token_size_interval(int attr) const;
-
-  /// [lb,ub] of dist(instance[attr], piv_a[attr]) across instances.
-  const Interval& pivot_dist_interval(int attr, int pivot_idx) const;
+  Interval token_size_interval(int attr) const {
+    const double* b = attr_bounds(attr);
+    return Interval::Of(b[kSizeLo], b[kSizeHi]);
+  }
 
   /// Number of pivots this tuple has distance aggregates for on `attr`
   /// (the repository's per-attribute pivot count).
   int num_pivot_intervals(int attr) const {
-    return static_cast<int>(dist_intervals_[attr].size());
+    return static_cast<int>(attr_bounds(attr)[kNumPivots]);
   }
 
-  /// E(X_k) w.r.t. pivot `pivot_idx`, expectation over the *normalized*
+  /// [lb,ub] of dist(instance[attr], piv_a[attr]) across instances.
+  Interval pivot_dist_interval(int attr, int pivot_idx) const {
+    const double* b = attr_bounds(attr);
+    TERIDS_CHECK(pivot_idx >= 0 &&
+                 pivot_idx < static_cast<int>(b[kNumPivots]));
+    return Interval::Of(b[kPivots + 2 * pivot_idx],
+                        b[kPivots + 2 * pivot_idx + 1]);
+  }
+
+  /// E(X_k) w.r.t. the main pivot, expectation over the *normalized*
   /// instance distribution (required for the Paley-Zygmund bound to stay an
   /// upper bound when the instance set is truncated).
-  double expected_pivot_dist(int attr, int pivot_idx) const;
+  double expected_pivot_dist(int attr) const {
+    return attr_bounds(attr)[kExpected];
+  }
+
+  /// Lemma 4.3's per-tuple terms over the main pivot: sum_k E(X_k),
+  /// sum_k lb_k and sum_k ub_k, accumulated in k = 0..d-1 order.
+  double main_pivot_expected_sum() const { return bounds_[kSumExpected]; }
+  double main_pivot_lo_sum() const { return bounds_[kSumLo]; }
+  double main_pivot_hi_sum() const { return bounds_[kSumHi]; }
 
   /// Main-pivot coordinate of one instance on one attribute.
   double instance_coord(int inst, int attr) const {
     return instance_pivot_dist(inst, attr, 0);
   }
-  double instance_pivot_dist(int inst, int attr, int pivot_idx) const;
+  /// A fixed attribute's pivot interval is the point [dist, dist], so it
+  /// doubles as the base distance; imputed choices read the repository.
+  double instance_pivot_dist(int inst, int attr, int pivot_idx) const {
+    TERIDS_CHECK(inst >= 0 && inst < num_instances());
+    const Interval dists = pivot_dist_interval(attr, pivot_idx);
+    const int k = attr_to_imputed_[attr];
+    return k < 0 ? dists.lo
+                 : repo_->pivot_distance(attr, pivot_idx,
+                                         instances_[inst].choices[k]);
+  }
 
  private:
   ImputedTuple() = default;
@@ -137,10 +168,28 @@ class ImputedTuple {
   std::vector<Instance> instances_;
   double total_prob_ = 0.0;
 
-  std::vector<Interval> size_intervals_;                // [attr]
-  std::vector<std::vector<Interval>> dist_intervals_;   // [attr][pivot]
-  std::vector<std::vector<double>> expected_dists_;     // [attr][pivot]
-  std::vector<std::vector<double>> base_dists_;         // [attr][pivot]
+  // Bound block layout: [sum E, sum lb, sum ub | attr 0 | attr 1 | ...].
+  // Attribute k starts at kHeader + k * stride_ and holds
+  // [n_k, E(X_k), |T^-|, |T^+|, lb_0, ub_0, ..., lb_{n_k-1}, ub_{n_k-1}],
+  // n_k its pivot count (stored as a double) and stride_ = kPivots +
+  // 2 * max_k n_k; slots past a shorter attribute's pivots are unused.
+  static constexpr int kSumExpected = 0;
+  static constexpr int kSumLo = 1;
+  static constexpr int kSumHi = 2;
+  static constexpr int kHeader = 3;
+  static constexpr int kNumPivots = 0;
+  static constexpr int kExpected = 1;
+  static constexpr int kSizeLo = 2;
+  static constexpr int kSizeHi = 3;
+  static constexpr int kPivots = 4;
+
+  const double* attr_bounds(int attr) const {
+    TERIDS_CHECK(attr >= 0 && attr < num_attributes());
+    return bounds_.data() + kHeader + static_cast<size_t>(attr) * stride_;
+  }
+
+  std::vector<double> bounds_;
+  size_t stride_ = 0;
 
   /// Flat copy of every (instance, attribute) token set plus the record
   /// union, built once at construction. Slot layout: inst * d + attr;

@@ -18,10 +18,6 @@ ArTreeEntry RandomEntry(Rng* rng, int dims, int64_t payload) {
     const double width = rng->NextDouble() * 0.2;
     e.box[d] = Interval::Of(lo, std::min(1.0, lo + width));
   }
-  e.agg.dep_interval = Interval::Of(rng->NextDouble() * 0.5,
-                                    0.5 + rng->NextDouble() * 0.5);
-  const double aux = rng->NextDouble();
-  e.agg.aux_dist = {{Interval::Of(aux, std::min(1.0, aux + 0.1))}};
   return e;
 }
 
@@ -135,10 +131,9 @@ TEST_P(ArTreePropertyTest, RemoveHidesEntries) {
   EXPECT_EQ(got, want);
 }
 
-/// Aggregate soundness: every node's aggregates must cover the aggregates
-/// of all live entries below it (otherwise aggregate-based pruning would be
-/// unsound).
-TEST_P(ArTreePropertyTest, NodeAggregatesCoverEntries) {
+/// Box soundness: every node's bounding box must cover the boxes of all
+/// live entries below it (otherwise box-based pruning would be unsound).
+TEST_P(ArTreePropertyTest, NodeBoxesCoverEntries) {
   Rng rng(GetParam() * 7 + 3);
   const int dims = 2;
   std::vector<ArTreeEntry> entries;
@@ -151,27 +146,27 @@ TEST_P(ArTreePropertyTest, NodeAggregatesCoverEntries) {
     tree.Insert(RandomEntry(&rng, dims, 1000 + i));
   }
 
-  // Visit with an always-true predicate and check, per leaf, that the
-  // node's aggregate covers each emitted entry (the visitor sees entries
-  // only under nodes whose view we just inspected).
-  std::vector<const ArTreeEntry*> seen;
-  Interval root_dep = Interval::Empty();
-  Interval root_aux = Interval::Empty();
+  // Visit with an always-true predicate: the visitor sees a leaf's entries
+  // right after the predicate inspected that leaf, so each emitted entry
+  // must lie inside the most recently seen leaf box.
+  const std::vector<Interval>* leaf_box = nullptr;
+  size_t seen = 0;
   tree.Query(
       [&](const ArTree::NodeView& node) {
         if (node.is_leaf) {
-          root_dep.Union(node.agg.dep_interval);
-          root_aux.Union(node.agg.aux_dist[0][0]);
+          leaf_box = &node.box;
         }
         return true;
       },
-      [&](const ArTreeEntry& entry) { seen.push_back(&entry); });
-  for (const ArTreeEntry* e : seen) {
-    EXPECT_LE(root_dep.lo, e->agg.dep_interval.lo);
-    EXPECT_GE(root_dep.hi, e->agg.dep_interval.hi);
-    EXPECT_LE(root_aux.lo, e->agg.aux_dist[0][0].lo);
-    EXPECT_GE(root_aux.hi, e->agg.aux_dist[0][0].hi);
-  }
+      [&](const ArTreeEntry& entry) {
+        ++seen;
+        ASSERT_NE(leaf_box, nullptr);
+        for (int d = 0; d < dims; ++d) {
+          EXPECT_LE((*leaf_box)[d].lo, entry.box[d].lo);
+          EXPECT_GE((*leaf_box)[d].hi, entry.box[d].hi);
+        }
+      });
+  EXPECT_EQ(seen, tree.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArTreePropertyTest,
@@ -184,22 +179,6 @@ TEST(ArTreeTest, EmptyTreeQueriesCleanly) {
              [&visits](const ArTreeEntry&) { ++visits; });
   EXPECT_EQ(visits, 0);
   EXPECT_EQ(tree.size(), 0u);
-}
-
-TEST(NodeAggregatesTest, MergeUnionsEverything) {
-  NodeAggregates a;
-  a.dep_interval = Interval::Of(0.1, 0.2);
-  a.aux_dist = {{Interval::Of(0.0, 0.1)}};
-
-  NodeAggregates b;
-  b.dep_interval = Interval::Of(0.3, 0.5);
-  b.aux_dist = {{Interval::Of(0.4, 0.6), Interval::Of(0.2, 0.3)}};
-
-  a.Merge(b);
-  EXPECT_EQ(a.dep_interval, Interval::Of(0.1, 0.5));
-  ASSERT_EQ(a.aux_dist[0].size(), 2u);
-  EXPECT_EQ(a.aux_dist[0][0], Interval::Of(0.0, 0.6));
-  EXPECT_EQ(a.aux_dist[0][1], Interval::Of(0.2, 0.3));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "text/token_set.h"
 #include "tuple/imputed_tuple.h"
 #include "tuple/record.h"
 #include "tuple/schema.h"
@@ -130,11 +131,16 @@ TEST(ImputedTupleTest, AggregatesCoverEveryInstance) {
       ImputedTuple::FromImputation(r, world.repo.get(), {ia}, 16);
 
   for (int k = 0; k < t.num_attributes(); ++k) {
-    const Interval& sizes = t.token_size_interval(k);
+    EXPECT_EQ(t.num_pivot_intervals(k), world.repo->num_pivots(k));
+    const Interval sizes = t.token_size_interval(k);
     for (int m = 0; m < t.num_instances(); ++m) {
       const double size = static_cast<double>(t.instance_tokens(m, k).size());
       EXPECT_GE(size, sizes.lo);
       EXPECT_LE(size, sizes.hi);
+      // Main-pivot coordinate of fixed and imputed attributes alike.
+      EXPECT_EQ(t.instance_coord(m, k),
+                JaccardDistance(t.instance_tokens(m, k),
+                                world.repo->pivot_tokens(k, 0)));
       for (int p = 0; p < t.num_pivot_intervals(k); ++p) {
         const double dist = t.instance_pivot_dist(m, k, p);
         EXPECT_GE(dist, t.pivot_dist_interval(k, p).lo - 1e-12);
@@ -153,7 +159,7 @@ TEST(ImputedTupleTest, ExpectedDistIsConvexCombination) {
   ImputedTuple t =
       ImputedTuple::FromImputation(r, world.repo.get(), {ia}, 16);
   for (int k = 0; k < t.num_attributes(); ++k) {
-    const double e = t.expected_pivot_dist(k, 0);
+    const double e = t.expected_pivot_dist(k);
     EXPECT_GE(e, t.pivot_dist_interval(k, 0).lo - 1e-12);
     EXPECT_LE(e, t.pivot_dist_interval(k, 0).hi + 1e-12);
   }
