@@ -15,11 +15,27 @@ namespace bench {
 
 double EnvScale() {
   const char* env = std::getenv("TERIDS_BENCH_SCALE");
-  if (env == nullptr) {
+  if (env == nullptr || env[0] == '\0') {
     return 1.0;
   }
-  const double v = std::atof(env);
-  return v > 0 ? v : 1.0;
+  char* end = nullptr;
+  const double v = std::strtod(env, &end);
+  if (end == env || *end != '\0') {
+    std::fprintf(stderr,
+                 "TERIDS_BENCH_SCALE: '%s' is not a number (trailing garbage "
+                 "rejected); using default 1\n",
+                 env);
+    return 1.0;
+  }
+  // The negated form also rejects NaN, which compares false to everything.
+  if (!(v > 0.0 && v <= kMaxBenchScale)) {
+    std::fprintf(stderr,
+                 "TERIDS_BENCH_SCALE: '%s' is not a finite value in (0, %g]; "
+                 "using default 1\n",
+                 env, kMaxBenchScale);
+    return 1.0;
+  }
+  return v;
 }
 
 int EnvInt(const char* name, int fallback, int min_value, int max_value) {
@@ -106,18 +122,6 @@ OverloadPolicy EnvOverloadPolicy() {
   return policy;
 }
 
-int EnvSigWidth() {
-  const int v = EnvInt("TERIDS_BENCH_SIGWIDTH", 64, 64);
-  if (v != 64 && v != 128 && v != 256) {
-    std::fprintf(stderr,
-                 "TERIDS_BENCH_SIGWIDTH: %d is not a signature width "
-                 "(expected 64, 128 or 256); using default 64\n",
-                 v);
-    return 64;
-  }
-  return v;
-}
-
 }  // namespace
 
 ExecKnobs EnvExecKnobs() {
@@ -125,8 +129,6 @@ ExecKnobs EnvExecKnobs() {
   knobs.batch_size = EnvInt("TERIDS_BENCH_BATCH", 1, 1);
   knobs.refine_threads = EnvInt("TERIDS_BENCH_THREADS", 1, 1);
   knobs.ingest_queue_depth = EnvInt("TERIDS_BENCH_QUEUE", 0, 0);
-  knobs.signature_filter = EnvInt("TERIDS_BENCH_SIGFILTER", 1, 0) != 0;
-  knobs.sig_width = EnvSigWidth();
   knobs.sched_threads = EnvInt("TERIDS_BENCH_SCHED", 0, 0, kMaxSchedThreads);
   knobs.repo_backend = EnvRepoBackend();
   knobs.snapshot_decode = EnvSnapshotDecode();
@@ -150,8 +152,6 @@ ExperimentParams BaseParams(const std::string& dataset) {
   params.batch_size = knobs.batch_size;
   params.refine_threads = knobs.refine_threads;
   params.ingest_queue_depth = knobs.ingest_queue_depth;
-  params.signature_filter = knobs.signature_filter;
-  params.sig_width = knobs.sig_width;
   params.sched_threads = knobs.sched_threads;
   params.repo_backend = knobs.repo_backend;
   params.snapshot_decode = knobs.snapshot_decode;
@@ -249,8 +249,6 @@ JsonReporter::Row& JsonReporter::AddKnobRow(const ExecKnobs& knobs) {
       .Num("batch_size", knobs.batch_size)
       .Num("refine_threads", knobs.refine_threads)
       .Num("ingest_queue_depth", knobs.ingest_queue_depth)
-      .Num("signature_filter", knobs.signature_filter ? 1 : 0)
-      .Num("sig_width", knobs.sig_width)
       .Num("sched_threads", knobs.sched_threads)
       .Str("repo_backend", RepoBackendName(knobs.repo_backend))
       .Str("snapshot_decode", SnapshotDecodeName(knobs.snapshot_decode))
@@ -280,12 +278,11 @@ void PrintHeader(const std::string& figure, const std::string& title,
   std::printf(
       "defaults (Table 5, scaled): alpha=%.1f rho=%.1f xi=%.1f eta=%.1f "
       "w=%d m=%d scale=%.3f arrivals=%d bench_scale=%.2f batch=%d "
-      "threads=%d queue=%d sigfilter=%d sigwidth=%d sched=%d "
+      "threads=%d queue=%d sched=%d "
       "repo=%s snapdecode=%s overload=%s\n",
       params.alpha, params.rho, params.xi, params.eta, params.w, params.m,
       params.scale, params.max_arrivals, EnvScale(), params.batch_size,
-      params.refine_threads, params.ingest_queue_depth,
-      params.signature_filter ? 1 : 0, params.sig_width, params.sched_threads,
+      params.refine_threads, params.ingest_queue_depth, params.sched_threads,
       RepoBackendName(params.repo_backend),
       SnapshotDecodeName(params.snapshot_decode),
       OverloadPolicyName(params.overload_policy));

@@ -13,9 +13,18 @@
 namespace terids {
 namespace bench {
 
+/// The largest accepted TERIDS_BENCH_SCALE: BaseParams derives the window
+/// (200 * scale) and the arrival cap (4 * window) as ints, which stay far
+/// inside int range up to this value.
+inline constexpr double kMaxBenchScale = 10000.0;
+
 /// Global size multiplier from the TERIDS_BENCH_SCALE environment variable
 /// (default 1.0). Values < 1 shrink every dataset/window for quick runs;
-/// values > 1 approach the paper's sizes at the cost of wall time.
+/// values > 1 approach the paper's sizes at the cost of wall time. Parsed
+/// like EnvInt: unset or empty falls back silently, while a value that is
+/// not wholly a number ("abc", "0.2x") or not finite and in
+/// (0, kMaxBenchScale] is rejected with a one-line stderr message before
+/// falling back to 1.0.
 double EnvScale();
 
 /// Integer environment knob with bounds. Unset variables fall back to
@@ -32,11 +41,9 @@ int EnvInt(const char* name, int fallback, int min_value,
 /// The execution-model knobs, parsed once from TERIDS_BENCH_BATCH /
 /// TERIDS_BENCH_THREADS / TERIDS_BENCH_QUEUE
 /// (defaults 1/1/0 = the classic one-at-a-time synchronous operator)
-/// plus TERIDS_BENCH_SIGFILTER (0|1, default 1 = signature-bounded Jaccard
-/// kernel on), TERIDS_BENCH_SCHED (sched_threads, default 0 = every
-/// fan-out inline; at most kMaxSchedThreads), the token-signature width
-/// from TERIDS_BENCH_SIGWIDTH (64 | 128 | 256, default 64; DESIGN.md §11),
-/// the repository storage backend from
+/// plus TERIDS_BENCH_SCHED (sched_threads, default 0 = every
+/// fan-out inline; at most kMaxSchedThreads), the repository storage
+/// backend from
 /// TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default memory), and the
 /// v2 snapshot decode mode from TERIDS_BENCH_SNAPDECODE ("lazy" | "eager",
 /// default lazy; mmap backend only), and the async-ingest overload policy
@@ -44,15 +51,12 @@ int EnvInt(const char* name, int fallback, int min_value,
 /// "degrade", default block; DESIGN.md §13).
 /// Every bench that replays arrivals through Experiment::Run inherits them
 /// via BaseParams, so any figure can be reproduced under micro-batching,
-/// parallel refinement, async ingest, the signature filter
-/// at any width, the scheduler, and either storage backend without code
-/// changes.
+/// parallel refinement, async ingest, the scheduler, and either storage
+/// backend without code changes.
 struct ExecKnobs {
   int batch_size = 1;
   int refine_threads = 1;
   int ingest_queue_depth = 0;
-  bool signature_filter = true;
-  int sig_width = 64;
   int sched_threads = 0;
   RepoBackend repo_backend = RepoBackend::kInMemory;
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;

@@ -136,6 +136,33 @@ if [[ $docs_ok -ne 1 ]]; then
   exit 1
 fi
 
+# Prose about deleted knobs: every backticked `EngineConfig::<name>` in
+# README.md, DESIGN.md or EXPERIMENTS.md must name a live EngineConfig field,
+# and every TERIDS_BENCH_* variable named there must be one that bench/ reads
+# (as a string literal, like the table check above).
+docs=(README.md DESIGN.md EXPERIMENTS.md)
+for field in $(grep -ohE '`EngineConfig::[A-Za-z_]+' "${docs[@]}" |
+  sed 's/^`EngineConfig:://' | sort -u); do
+  if ! printf '%s\n' $config_knobs | grep -qx "$field"; then
+    echo "error: docs name 'EngineConfig::$field', which is not an" \
+      "EngineConfig field" >&2
+    docs_ok=0
+  fi
+done
+
+for var in $(grep -ohE 'TERIDS_BENCH_[A-Z_]+' "${docs[@]}" | sort -u); do
+  if ! printf '%s\n' $read_vars | grep -qx "$var"; then
+    echo "error: docs name '$var', which nothing under bench/ reads" >&2
+    docs_ok=0
+  fi
+done
+
+if [[ $docs_ok -ne 1 ]]; then
+  echo "error: README.md / DESIGN.md / EXPERIMENTS.md name deleted knobs" \
+    "(see above)" >&2
+  exit 1
+fi
+
 # ---------------------------------------------------------------------------
 # Thread-safety annotation hygiene: every file must use the shared TERIDS_*
 # macros from src/util/thread_annotations.h, never the raw clang attributes.

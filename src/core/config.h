@@ -59,24 +59,6 @@ struct EngineConfig {
   /// scheduler worker so imputation/candidate generation of batch k+1
   /// overlaps refinement of batch k, at most this many batches ahead.
   int ingest_queue_depth = 0;
-  /// Enables the signature-bounded Jaccard kernel inside refinement: the
-  /// per-(instance, attribute) token signatures precomputed in each
-  /// tuple's TokenArena give an O(words) popcount upper bound that rejects
-  /// instance pairs before any token merge runs (DESIGN.md §9, §11). The
-  /// bound only skips merges whose sim > gamma verdict is already decided,
-  /// so emitted matches, MatchSet, and PruneStats are bit-identical with
-  /// the filter on or off (the equivalence sweep enforces it).
-  bool signature_filter = true;
-  /// Width in bits of the per-(instance, attribute) token signatures: 64,
-  /// 128, or 256 (DESIGN.md §11). Wider signatures halve/quarter the hash
-  /// collision rate, tightening the popcount upper bound on long token
-  /// sets (fewer saturated probes, more merge-free rejects) at the price
-  /// of 2x/4x signature memory and popcount work per probe — the batch
-  /// sweep vectorizes the extra words (AVX2/NEON when available). Any
-  /// width changes merge counts only: matches, MatchSet, and PruneStats'
-  /// outcome counters are bit-identical across widths (equivalence sweep
-  /// enforced); only the sig_* observability counters may differ.
-  int sig_width = 64;
   /// Worker count of the phase-tagged Scheduler (DESIGN.md §10), the one
   /// parallel executor. 0 = no shared workers, so every fan-out runs inline
   /// on the caller — unless ingest_queue_depth >= 1, whose kIngest chain

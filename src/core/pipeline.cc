@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "er/probability.h"
-#include "text/similarity_kernels.h"
 #include "util/mutex.h"
 #include "util/stopwatch.h"
 
@@ -44,7 +43,6 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
   TERIDS_CHECK(config_.ingest_queue_depth >= 0);
   TERIDS_CHECK(config_.sched_threads >= 0);
   TERIDS_CHECK(config_.sched_threads <= kMaxSchedThreads);
-  TERIDS_CHECK(ValidSigBits(config_.sig_width));
   // Async ingest runs as a kIngest chain, which needs one worker even when
   // no shared workers were asked for.
   const int workers = std::max(config_.sched_threads,
@@ -106,14 +104,13 @@ void PipelineBase::ImputePhase(ArrivalContext* ctx) {
   const ProbeCoords pc = ProbeCoords::Compute(r, *repo_);
   if (r.IsComplete()) {
     ctx->tuple = std::make_shared<const ImputedTuple>(
-        ImputedTuple::FromComplete(r, repo_, config_.sig_width));
+        ImputedTuple::FromComplete(r, repo_));
   } else {
     std::vector<ImputedTuple::ImputedAttr> imputed =
         Impute(r, pc, &ctx->out.cost);
     ctx->tuple = std::make_shared<const ImputedTuple>(
         ImputedTuple::FromImputation(r, repo_, std::move(imputed),
-                                     config_.max_instances,
-                                     config_.sig_width));
+                                     config_.max_instances));
   }
   ctx->wt = std::make_shared<WindowTuple>();
   ctx->wt->tuple = ctx->tuple;
@@ -168,8 +165,7 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
       task.probe_topic = &ctx->wt->topic;
       task.candidate = cand;
       const PairEvaluation eval = RefinementExecutor::Evaluate(
-          task, use_prunings_, config_.signature_filter, config_.gamma,
-          config_.alpha);
+          task, use_prunings_, config_.gamma, config_.alpha);
       ApplyEvaluation(ctx, cand, eval);
     }
     return;
@@ -180,8 +176,7 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
     tasks.push_back({ctx->tuple.get(), &ctx->wt->topic, cand});
   }
   std::vector<PairEvaluation> evals;
-  refiner_.Run(tasks, use_prunings_, config_.signature_filter, config_.gamma,
-               config_.alpha, &evals);
+  refiner_.Run(tasks, use_prunings_, config_.gamma, config_.alpha, &evals);
   for (size_t i = 0; i < ctx->candidates.size(); ++i) {
     ApplyEvaluation(ctx, ctx->candidates[i], evals[i]);
   }
@@ -247,8 +242,7 @@ void PipelineBase::RefineAndReplay(std::vector<ArrivalContext>* ctxs) {
   std::vector<PairEvaluation> evals;
   {
     ScopedTimer timer(&refine_wall);
-    refiner_.Run(tasks, use_prunings_, config_.signature_filter, config_.gamma,
-                 config_.alpha, &evals);
+    refiner_.Run(tasks, use_prunings_, config_.gamma, config_.alpha, &evals);
   }
 
   // Replay in arrival order: evaluations fold into each arrival's stats
@@ -295,7 +289,7 @@ void PipelineBase::ReplayShed(std::vector<ArrivalContext>* ctxs) {
 }
 
 void PipelineBase::RefineAndReplayDegraded(std::vector<ArrivalContext>* ctxs) {
-  // Bound-only verdicts are O(d · sig_words) per pair — cheaper than the
+  // Bound-only verdicts are O(d) popcounts per pair — cheaper than the
   // dispatch that parallel refinement would cost — so the degraded replay
   // stays inline on the consumer thread, in arrival order.
   for (ArrivalContext& ctx : *ctxs) {

@@ -10,7 +10,6 @@ RefineResult RefineProbability(const ImputedTuple& a,
                                const ImputedTuple& b,
                                const TopicQuery::TupleTopic& b_topic,
                                double gamma, double alpha,
-                               bool signature_filter,
                                SigFilterCounters* sig_counters) {
   RefineResult result;
   // Unprocessed mass starts at the full joint mass; Theorem 4.4's
@@ -24,9 +23,8 @@ RefineResult RefineProbability(const ImputedTuple& a,
       remaining -= joint;
       ++result.pairs_evaluated;
       const bool topical = ta || b_topic.instance_matches[mp];
-      if (topical && InstanceSimilarityExceeds(a, m, b, mp, gamma,
-                                               signature_filter,
-                                               sig_counters)) {
+      if (topical &&
+          InstanceSimilarityExceeds(a, m, b, mp, gamma, sig_counters)) {
         result.probability += joint;
       }
       if (result.probability > alpha) {
@@ -45,18 +43,14 @@ RefineResult RefineProbability(const ImputedTuple& a,
 double ExactProbability(const ImputedTuple& a,
                         const TopicQuery::TupleTopic& a_topic,
                         const ImputedTuple& b,
-                        const TopicQuery::TupleTopic& b_topic, double gamma,
-                        bool signature_filter,
-                        SigFilterCounters* sig_counters) {
+                        const TopicQuery::TupleTopic& b_topic, double gamma) {
   double prob = 0.0;
   for (int m = 0; m < a.num_instances(); ++m) {
     const double pa = a.instance_prob(m);
     const bool ta = a_topic.instance_matches[m];
     for (int mp = 0; mp < b.num_instances(); ++mp) {
       const bool topical = ta || b_topic.instance_matches[mp];
-      if (topical && InstanceSimilarityExceeds(a, m, b, mp, gamma,
-                                               signature_filter,
-                                               sig_counters)) {
+      if (topical && InstanceSimilarity(a, m, b, mp) > gamma) {
         prob += pa * b.instance_prob(mp);
       }
     }

@@ -30,28 +30,29 @@ struct RefineResult {
 /// certified a non-match; if (accumulated) > alpha it is certified a match.
 ///
 /// `a_topic` / `b_topic` carry the precomputed per-instance 𝜛 flags of the
-/// two tuples under the query topic. With `signature_filter` each instance
-/// pair's sim > gamma verdict goes through the signature-bounded kernel
+/// two tuples under the query topic. Each instance pair's sim > gamma
+/// verdict goes through the signature-bounded kernel
 /// (InstanceSimilarityExceeds), which may skip merges but never changes a
-/// verdict — the result is bit-identical either way. `sig_counters`, when
-/// non-null, accumulates the filter's saturation observability counters
-/// (SigFilterCounters) across the evaluated instance pairs.
+/// verdict. `sig_counters`, when non-null, accumulates the kernel's
+/// observability counters (SigFilterCounters) across the evaluated
+/// instance pairs.
 RefineResult RefineProbability(const ImputedTuple& a,
                                const TopicQuery::TupleTopic& a_topic,
                                const ImputedTuple& b,
                                const TopicQuery::TupleTopic& b_topic,
                                double gamma, double alpha,
-                               bool signature_filter = true,
                                SigFilterCounters* sig_counters = nullptr);
 
 /// Exact (never early-terminated) form, for tests, ground-truth
-/// computation, and the unpruned baselines.
+/// computation, and the unpruned baselines. Deliberately the plain
+/// reference: every instance pair is decided by `InstanceSimilarity(...) >
+/// gamma` over full merges, with no signature bound, so comparing TER-iDS
+/// against an unpruned baseline also checks the signature kernel against
+/// plain merges end to end.
 double ExactProbability(const ImputedTuple& a,
                         const TopicQuery::TupleTopic& a_topic,
                         const ImputedTuple& b,
-                        const TopicQuery::TupleTopic& b_topic, double gamma,
-                        bool signature_filter = true,
-                        SigFilterCounters* sig_counters = nullptr);
+                        const TopicQuery::TupleTopic& b_topic, double gamma);
 
 }  // namespace terids
 

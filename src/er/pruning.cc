@@ -10,8 +10,7 @@ PairEvaluation EvaluatePair(const ImputedTuple& a,
                             const TopicQuery::TupleTopic& a_topic,
                             const ImputedTuple& b,
                             const TopicQuery::TupleTopic& b_topic,
-                            double gamma, double alpha,
-                            bool signature_filter) {
+                            double gamma, double alpha) {
   PairEvaluation eval;
 
   // Theorem 4.1: no instance of either tuple contains a query keyword.
@@ -34,8 +33,8 @@ PairEvaluation EvaluatePair(const ImputedTuple& a,
 
   // Refinement with Theorem 4.4 early termination.
   SigFilterCounters sig;
-  RefineResult refine = RefineProbability(a, a_topic, b, b_topic, gamma,
-                                          alpha, signature_filter, &sig);
+  RefineResult refine =
+      RefineProbability(a, a_topic, b, b_topic, gamma, alpha, &sig);
   eval.sig_probes = sig.probes;
   eval.sig_saturated = sig.saturated;
   eval.sig_rejects = sig.rejects;
@@ -78,21 +77,18 @@ PairEvaluation EvaluatePairBounds(const ImputedTuple& a,
   // attribute: if even the summed upper bounds cannot clear gamma, the pair
   // is a sound Theorem 4.2-style kill without touching a token.
   if (a.num_instances() == 1 && b.num_instances() == 1) {
-    const int words = a.token_arena().sig_words();
-    if (b.token_arena().sig_words() == words) {
-      const int d = a.num_attributes();
-      double sim_ub = 0.0;
-      for (int attr = 0; attr < d; ++attr) {
-        const TokenView va = a.instance_token_view(0, attr);
-        const TokenView vb = b.instance_token_view(0, attr);
-        sim_ub += SigJaccardUpperBound(va.len, va.sig, vb.len, vb.sig, words);
-        eval.sig_probes += 1;
-      }
-      if (sim_ub <= gamma) {
-        eval.sig_rejects += 1;
-        eval.outcome = PairOutcome::kSimUbPruned;
-        return eval;
-      }
+    const int d = a.num_attributes();
+    double sim_ub = 0.0;
+    for (int attr = 0; attr < d; ++attr) {
+      const TokenView va = a.instance_token_view(0, attr);
+      const TokenView vb = b.instance_token_view(0, attr);
+      sim_ub += SigJaccardUpperBound(va.len, va.sig, vb.len, vb.sig);
+      eval.sig_probes += 1;
+    }
+    if (sim_ub <= gamma) {
+      eval.sig_rejects += 1;
+      eval.outcome = PairOutcome::kSimUbPruned;
+      return eval;
     }
   }
 

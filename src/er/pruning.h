@@ -40,10 +40,10 @@ struct PruneStats {
   /// probes inspected by the popcount pass, how many were saturated (> 75%
   /// of bits set — the regime where the bound loosens), and how many
   /// instance pairs the pass certified merge-free. Unlike every counter
-  /// above these are cost-side diagnostics, not outcome counts: saturated /
-  /// rejects legitimately vary with EngineConfig::sig_width (probes does
-  /// not), and all three are zero with the filter off, so the equivalence
-  /// sweep's stats comparison deliberately excludes them.
+  /// above these are cost-side diagnostics, not outcome counts: the
+  /// unpruned baselines decide pairs by plain merges (ExactProbability) and
+  /// leave all three at zero, so the equivalence sweep's stats comparison
+  /// deliberately excludes them.
   uint64_t sig_probes = 0;
   uint64_t sig_saturated = 0;
   uint64_t sig_rejects = 0;
@@ -109,8 +109,8 @@ struct PruneStats {
                    instance_pruned);
   }
   /// Fraction (in percent) of signature probes that were saturated — the
-  /// production-visible signal that the configured sig_width is too narrow
-  /// for the workload's token-set lengths.
+  /// production-visible signal that 64-bit signatures are too narrow for
+  /// the workload's token-set lengths.
   double SigSaturatedPct() const {
     return sig_probes == 0 ? 0.0
                            : 100.0 * static_cast<double>(sig_saturated) /
@@ -125,8 +125,8 @@ struct PairEvaluation {
   /// Meaningful only when `outcome == kMatched`.
   double probability = 0.0;
   /// Signature-filter observability for this pair (folded into PruneStats'
-  /// sig_* counters by the pipeline); all zero when the filter is off or
-  /// the cascade pruned the pair before refinement.
+  /// sig_* counters by the pipeline); all zero when the cascade pruned the
+  /// pair before refinement or an unpruned baseline refined it.
   uint64_t sig_probes = 0;
   uint64_t sig_saturated = 0;
   uint64_t sig_rejects = 0;
@@ -138,23 +138,21 @@ struct PairEvaluation {
 /// fires, refines the exact probability. Pure function of its arguments —
 /// no shared mutable state — so concurrent calls on distinct or identical
 /// pairs are safe; callers fold the returned evaluation into their own
-/// PruneStats via PruneStats::Record. `signature_filter` routes the
-/// refinement's instance-level verdicts through the signature-bounded
-/// Jaccard kernel; it skips merges only, so the outcome (and therefore
-/// every PruneStats counter) is identical with it on or off.
+/// PruneStats via PruneStats::Record. Refinement's instance-level
+/// verdicts go through the signature-bounded Jaccard kernel, which skips
+/// merges only: the outcome equals the plain-merge one.
 PairEvaluation EvaluatePair(const ImputedTuple& a,
                             const TopicQuery::TupleTopic& a_topic,
                             const ImputedTuple& b,
                             const TopicQuery::TupleTopic& b_topic,
-                            double gamma, double alpha,
-                            bool signature_filter = true);
+                            double gamma, double alpha);
 
 /// Degrade-mode evaluation (DESIGN.md §13): only the merge-free prefix of
 /// the cascade runs — the Theorem 4.1 topic kill, the Theorem 4.2
 /// similarity upper bound, the Theorem 4.3 probability bound, and, for
 /// single-instance pairs, the signature-only Jaccard upper bound of
 /// DESIGN.md §11 summed across attributes. No token merge and no exact
-/// refinement ever execute, so the cost per pair is O(d · sig_words). Every
+/// refinement ever execute, so the cost per pair is O(d) popcounts. Every
 /// prune it reports is sound (the same bound EvaluatePair would have
 /// applied); pairs none of the bounds decides come back as
 /// PairOutcome::kDeferred — explicitly unresolved, never silently refuted

@@ -44,11 +44,10 @@ double InstanceSimilarity(const ImputedTuple& a, int inst_a,
 
 bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
                                const ImputedTuple& b, int inst_b, double gamma,
-                               bool signature_filter,
                                SigFilterCounters* counters) {
   const int d = a.num_attributes();
   TERIDS_CHECK(b.num_attributes() == d);
-  if (!signature_filter || d > kMaxAttrs) {
+  if (d > kMaxAttrs) {
     return InstanceSimilarity(a, inst_a, b, inst_b) > gamma;
   }
 
@@ -59,21 +58,19 @@ bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
   // the exact verdict is false. The bound arithmetic is shared with the
   // executor's batched prefilter (SigFilterCandidates), which reproduces
   // exactly this accumulation.
-  const int words = a.token_arena().sig_words();
-  TERIDS_CHECK(b.token_arena().sig_words() == words);
-  const int sat_threshold = (3 * a.token_arena().sig_bits()) / 4;
+  constexpr int kSatThreshold = 48;  // 75% of the 64 signature bits
   double ub[kMaxAttrs];
   double total_ub = 0.0;
   for (int k = 0; k < d; ++k) {
     const TokenView va = a.instance_token_view(inst_a, k);
     const TokenView vb = b.instance_token_view(inst_b, k);
-    const SigPopCounts pops = SigPopCount(va.sig, vb.sig, words);
+    const SigPopCounts pops = SigPopCount(va.sig, vb.sig);
     ub[k] = SigJaccardUpperBoundFromPops(va.len, vb.len, pops);
     total_ub += ub[k];
     if (counters != nullptr) {
       counters->probes += 2;
-      counters->saturated += (pops.a > sat_threshold ? 1u : 0u) +
-                             (pops.b > sat_threshold ? 1u : 0u);
+      counters->saturated += (pops.a > kSatThreshold ? 1u : 0u) +
+                             (pops.b > kSatThreshold ? 1u : 0u);
     }
   }
   if (total_ub <= gamma) {

@@ -18,14 +18,11 @@ double InstanceSimilarity(const ImputedTuple& a, int inst_a,
 /// Observability counters for the signature filter pass (PruneStats'
 /// sig_* fields; DESIGN.md §11). `probes` counts signatures inspected by
 /// pass 1 (two per attribute per filtered instance pair) — invariant
-/// across widths and execution modes, because the filter never changes
-/// which instance pairs are visited. `saturated` counts probed signatures
-/// with more than 75% of their bits set (the regime where the popcount
-/// bound goes loose); `rejects` counts instance pairs pass 1 certified
-/// merge-free. Both depend on the configured width — that is the point:
-/// they are how a production run observes whether its width is wide
-/// enough — so they are deliberately excluded from the equivalence
-/// sweep's stats comparison.
+/// across execution modes, because the filter never changes which
+/// instance pairs are visited. `saturated` counts probed signatures with
+/// more than 48 of their 64 bits set (the regime where the popcount bound
+/// goes loose); `rejects` counts instance pairs pass 1 certified
+/// merge-free.
 struct SigFilterCounters {
   uint64_t probes = 0;
   uint64_t saturated = 0;
@@ -33,19 +30,17 @@ struct SigFilterCounters {
 };
 
 /// The refinement hot-path kernel: decides InstanceSimilarity(a, b) > gamma
-/// without necessarily running any merge. With `signature_filter`, the
-/// per-attribute signature Jaccard upper bounds are summed first — if even
-/// the bound cannot exceed gamma the pair is rejected in O(d) popcounts
-/// over the tuples' configured signature width — and the exact
+/// without necessarily running any merge. The per-attribute signature
+/// Jaccard upper bounds are summed first — if even the bound cannot exceed
+/// gamma the pair is rejected in O(d) popcounts — and the exact
 /// per-attribute merges that do run terminate early once the accumulated
 /// exact sum either exceeds gamma or provably cannot. The returned verdict
-/// is always exactly `InstanceSimilarity(...) > gamma` at every width:
-/// bounds only skip work whose outcome is decided, never change it.
-/// `counters`, when non-null and the filter runs, accumulates the
-/// saturation observability counters above.
+/// is always exactly `InstanceSimilarity(...) > gamma`: bounds only skip
+/// work whose outcome is decided, never change it. `counters`, when
+/// non-null and the signature pass runs, accumulates the observability
+/// counters above.
 bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
                                const ImputedTuple& b, int inst_b, double gamma,
-                               bool signature_filter,
                                SigFilterCounters* counters = nullptr);
 
 /// The equivalent distance form used by the pivot bounds: dist(a, b) =

@@ -168,8 +168,6 @@ EngineConfig Experiment::MakeConfig() const {
   config.batch_size = params_.batch_size;
   config.refine_threads = params_.refine_threads;
   config.ingest_queue_depth = params_.ingest_queue_depth;
-  config.signature_filter = params_.signature_filter;
-  config.sig_width = params_.sig_width;
   config.sched_threads = params_.sched_threads;
   config.repo_backend = params_.repo_backend;
   config.snapshot_decode = params_.snapshot_decode;

@@ -38,13 +38,6 @@ struct ExperimentParams {
   int batch_size = 1;
   int refine_threads = 1;
   int ingest_queue_depth = 0;
-  /// Signature-bounded Jaccard kernel inside refinement (on by default;
-  /// results are bit-identical either way, only merge work is skipped).
-  bool signature_filter = true;
-  /// Token-signature width in bits (64 / 128 / 256, DESIGN.md §11). Any
-  /// width produces bit-identical matches and outcome stats; wider
-  /// signatures reject more merges on long token sets.
-  int sig_width = 64;
   /// Scheduler worker count (0 = every fan-out inline on the caller, one
   /// worker when ingest_queue_depth >= 1; >= 1 = async ingest and
   /// refinement share one worker pool). Every setting produces identical

@@ -5,15 +5,14 @@
 
 #include "er/probability.h"
 #include "text/similarity_kernels.h"
-#include "util/status.h"
 
 namespace terids {
 
 namespace {
 
 /// Stack-budget mirror of similarity.cc's kMaxAttrs: schemas wider than
-/// this skip the signature machinery entirely (the per-pair kernel falls
-/// back to plain exact merges there too).
+/// this skip the batched prefilter (the per-pair kernel falls back to
+/// plain exact merges there too).
 constexpr int kPrefilterMaxAttrs = 64;
 
 /// Splits the task list into `heavy` (tasks that may run token merges —
@@ -29,21 +28,18 @@ constexpr int kPrefilterMaxAttrs = 64;
 /// verify-heavy work, instead of merges interleaved with popcount-only
 /// rejects.
 void ClassifyTasks(const std::vector<RefinementExecutor::Task>& tasks,
-                   bool signature_filter, double gamma,
-                   std::vector<int64_t>* heavy, std::vector<int64_t>* light) {
+                   double gamma, std::vector<int64_t>* heavy,
+                   std::vector<int64_t>* light) {
   const int64_t n = static_cast<int64_t>(tasks.size());
   heavy->reserve(static_cast<size_t>(n));
-  const ImputedTuple& first = *tasks[0].probe;
-  const int d = first.num_attributes();
-  if (!signature_filter || d > kPrefilterMaxAttrs) {
+  const int d = tasks[0].probe->num_attributes();
+  if (d > kPrefilterMaxAttrs) {
     for (int64_t i = 0; i < n; ++i) {
       heavy->push_back(i);
     }
     return;
   }
-  const TokenArena& arena = first.token_arena();
-  const int words = arena.sig_words();
-  // SoA gather of the (pair, attribute) lens + signature words for the
+  // SoA gather of the (pair, attribute) lens + signatures for the
   // single-instance pairs, row-major — the layout SigFilterCandidates
   // sweeps in one pass. Thread-local scratch: Run dispatches from one
   // thread, and steady-state batches then reuse the buffers.
@@ -70,16 +66,14 @@ void ClassifyTasks(const std::vector<RefinementExecutor::Task>& tasks,
       heavy->push_back(i);
       continue;
     }
-    TERIDS_CHECK(t.probe->token_arena().sig_words() == words);
-    TERIDS_CHECK(cand.tuple->token_arena().sig_words() == words);
     eligible.push_back(i);
     for (int k = 0; k < d; ++k) {
       const TokenView va = t.probe->instance_token_view(0, k);
       const TokenView vb = cand.tuple->instance_token_view(0, k);
       len_a.push_back(va.len);
       len_b.push_back(vb.len);
-      sig_a.insert(sig_a.end(), va.sig, va.sig + words);
-      sig_b.insert(sig_b.end(), vb.sig, vb.sig + words);
+      sig_a.push_back(va.sig);
+      sig_b.push_back(vb.sig);
     }
   }
   if (eligible.empty()) {
@@ -88,7 +82,6 @@ void ClassifyTasks(const std::vector<RefinementExecutor::Task>& tasks,
   SigFilterBatch batch;
   batch.num_pairs = eligible.size();
   batch.d = d;
-  batch.sig_bits = arena.sig_bits();
   batch.len_a = len_a.data();
   batch.len_b = len_b.data();
   batch.sig_a = sig_a.data();
@@ -112,31 +105,24 @@ void ClassifyTasks(const std::vector<RefinementExecutor::Task>& tasks,
 
 PairEvaluation RefinementExecutor::Evaluate(const Task& task,
                                             bool use_prunings,
-                                            bool signature_filter,
                                             double gamma, double alpha) {
   const WindowTuple& cand = *task.candidate;
   if (use_prunings) {
     return EvaluatePair(*task.probe, *task.probe_topic, *cand.tuple,
-                        cand.topic, gamma, alpha, signature_filter);
+                        cand.topic, gamma, alpha);
   }
-  // Unpruned baselines: every pair is fully refined with the exact
-  // probability, matching the sequential unpruned loop bit-for-bit.
+  // Unpruned baselines: every pair is fully refined with the plain-merge
+  // exact probability, matching the sequential unpruned loop bit-for-bit.
   PairEvaluation eval;
-  SigFilterCounters sig;
-  eval.probability =
-      ExactProbability(*task.probe, *task.probe_topic, *cand.tuple,
-                       cand.topic, gamma, signature_filter, &sig);
-  eval.sig_probes = sig.probes;
-  eval.sig_saturated = sig.saturated;
-  eval.sig_rejects = sig.rejects;
+  eval.probability = ExactProbability(*task.probe, *task.probe_topic,
+                                      *cand.tuple, cand.topic, gamma);
   eval.outcome = eval.probability > alpha ? PairOutcome::kMatched
                                           : PairOutcome::kRefuted;
   return eval;
 }
 
 void RefinementExecutor::Run(const std::vector<Task>& tasks,
-                             bool use_prunings, bool signature_filter,
-                             double gamma, double alpha,
+                             bool use_prunings, double gamma, double alpha,
                              std::vector<PairEvaluation>* evaluations) {
   const int64_t n = static_cast<int64_t>(tasks.size());
   evaluations->resize(tasks.size());
@@ -145,8 +131,7 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
   }
   if (scheduler_ == nullptr) {
     for (int64_t i = 0; i < n; ++i) {
-      (*evaluations)[i] =
-          Evaluate(tasks[i], use_prunings, signature_filter, gamma, alpha);
+      (*evaluations)[i] = Evaluate(tasks[i], use_prunings, gamma, alpha);
     }
     return;
   }
@@ -159,7 +144,7 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
   // bit-identical to the sequential loop regardless of placement.
   std::vector<int64_t> heavy;
   std::vector<int64_t> light;
-  ClassifyTasks(tasks, signature_filter, gamma, &heavy, &light);
+  ClassifyTasks(tasks, gamma, &heavy, &light);
   const int64_t heavy_n = static_cast<int64_t>(heavy.size());
   const int64_t light_n = static_cast<int64_t>(light.size());
   // Contiguous shards, several per worker so an expensive stretch of pairs
@@ -175,8 +160,7 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
                               int64_t end) {
     for (int64_t j = begin; j < end; ++j) {
       const int64_t i = index[j];
-      (*evaluations)[i] =
-          Evaluate(tasks[i], use_prunings, signature_filter, gamma, alpha);
+      (*evaluations)[i] = Evaluate(tasks[i], use_prunings, gamma, alpha);
     }
   };
   const auto run_shard = [&](int64_t shard) {

@@ -27,8 +27,8 @@ namespace terids {
 /// single-instance pairs), and heavy tasks are sharded finely while light
 /// ones go into 8x coarser shards. The prefilter decides placement only —
 /// every task still runs the unchanged Evaluate — so outputs and stats are
-/// bit-identical with the prefilter active, inactive (signature_filter
-/// off), or on the sequential path (which never runs it).
+/// bit-identical with the prefilter active or on the sequential path
+/// (which never runs it).
 ///
 /// Locking model (DESIGN.md §12): the executor itself holds no mutex. Task
 /// inputs are immutable for the duration of Run, each worker writes only
@@ -55,11 +55,9 @@ class RefinementExecutor {
 
   /// Evaluates a single pair — the unit of work every worker runs, also
   /// usable directly by the sequential refinement loop (no task vector, no
-  /// dispatch). `signature_filter` enables the signature-bounded Jaccard
-  /// kernel inside refinement (verdicts identical either way).
+  /// dispatch).
   static PairEvaluation Evaluate(const Task& task, bool use_prunings,
-                                 bool signature_filter, double gamma,
-                                 double alpha);
+                                 double gamma, double alpha);
 
   /// Fan-out width Run shards tasks for: the scheduler's concurrency
   /// (workers + caller), or 1 without a scheduler.
@@ -71,9 +69,8 @@ class RefinementExecutor {
   /// (EvaluatePair); without it the exact probability is always computed,
   /// reproducing the unpruned baselines. `evaluations` is resized to
   /// `tasks.size()`.
-  void Run(const std::vector<Task>& tasks, bool use_prunings,
-           bool signature_filter, double gamma, double alpha,
-           std::vector<PairEvaluation>* evaluations);
+  void Run(const std::vector<Task>& tasks, bool use_prunings, double gamma,
+           double alpha, std::vector<PairEvaluation>* evaluations);
 
  private:
   Scheduler* scheduler_;

@@ -78,40 +78,12 @@ size_t IntersectGallop(const Token* a, size_t na, const Token* b, size_t nb) {
 namespace {
 
 /// Portable scalar core, the bit-identity reference for every SIMD path.
-/// Word count templated so the width-64 common case keeps a branch-free
-/// inner body.
-template <int kWords>
-void PopsScalarT(const uint64_t* a, const uint64_t* b, size_t n, uint32_t* pa,
-                 uint32_t* pb, uint32_t* pc) {
+void PopsScalar(const uint64_t* a, const uint64_t* b, size_t n, uint32_t* pa,
+                uint32_t* pb, uint32_t* pc) {
   for (size_t i = 0; i < n; ++i) {
-    uint32_t ca = 0;
-    uint32_t cb = 0;
-    uint32_t cc = 0;
-    for (int w = 0; w < kWords; ++w) {
-      const uint64_t wa = a[i * kWords + w];
-      const uint64_t wb = b[i * kWords + w];
-      ca += static_cast<uint32_t>(PopCount64(wa));
-      cb += static_cast<uint32_t>(PopCount64(wb));
-      cc += static_cast<uint32_t>(PopCount64(wa & wb));
-    }
-    pa[i] = ca;
-    pb[i] = cb;
-    pc[i] = cc;
-  }
-}
-
-void PopsScalar(const uint64_t* a, const uint64_t* b, size_t n, int words,
-                uint32_t* pa, uint32_t* pb, uint32_t* pc) {
-  switch (words) {
-    case 1:
-      PopsScalarT<1>(a, b, n, pa, pb, pc);
-      return;
-    case 2:
-      PopsScalarT<2>(a, b, n, pa, pb, pc);
-      return;
-    default:
-      PopsScalarT<4>(a, b, n, pa, pb, pc);
-      return;
+    pa[i] = static_cast<uint32_t>(PopCount64(a[i]));
+    pb[i] = static_cast<uint32_t>(PopCount64(b[i]));
+    pc[i] = static_cast<uint32_t>(PopCount64(a[i] & b[i]));
   }
 }
 
@@ -135,53 +107,31 @@ __attribute__((target("avx2"))) inline void LanePopcounts(__m256i v,
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), sums);
 }
 
-/// The signature streams are contiguous uint64 arrays (entry-major), so one
-/// 256-bit load covers 4 / `words` whole entries; the per-lane popcounts
-/// fold back into per-entry counts with at most three scalar adds.
+/// The signature streams are contiguous uint64 arrays, so one 256-bit load
+/// covers four entries; each 64-bit lane's popcount is one entry's count.
 __attribute__((target("avx2"))) void PopsAvx2(const uint64_t* a,
                                               const uint64_t* b, size_t n,
-                                              int words, uint32_t* pa,
-                                              uint32_t* pb, uint32_t* pc) {
-  const size_t per_vec = static_cast<size_t>(4 / words);
+                                              uint32_t* pa, uint32_t* pb,
+                                              uint32_t* pc) {
   size_t e = 0;
   uint64_t la[4];
   uint64_t lb[4];
   uint64_t lc[4];
-  for (; e + per_vec <= n; e += per_vec) {
-    const __m256i va = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a + e * static_cast<size_t>(words)));
-    const __m256i vb = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b + e * static_cast<size_t>(words)));
+  for (; e + 4 <= n; e += 4) {
+    const __m256i va =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + e));
+    const __m256i vb =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + e));
     LanePopcounts(va, la);
     LanePopcounts(vb, lb);
     LanePopcounts(_mm256_and_si256(va, vb), lc);
-    switch (words) {
-      case 1:
-        for (size_t k = 0; k < 4; ++k) {
-          pa[e + k] = static_cast<uint32_t>(la[k]);
-          pb[e + k] = static_cast<uint32_t>(lb[k]);
-          pc[e + k] = static_cast<uint32_t>(lc[k]);
-        }
-        break;
-      case 2:
-        pa[e] = static_cast<uint32_t>(la[0] + la[1]);
-        pb[e] = static_cast<uint32_t>(lb[0] + lb[1]);
-        pc[e] = static_cast<uint32_t>(lc[0] + lc[1]);
-        pa[e + 1] = static_cast<uint32_t>(la[2] + la[3]);
-        pb[e + 1] = static_cast<uint32_t>(lb[2] + lb[3]);
-        pc[e + 1] = static_cast<uint32_t>(lc[2] + lc[3]);
-        break;
-      default:
-        pa[e] = static_cast<uint32_t>(la[0] + la[1] + la[2] + la[3]);
-        pb[e] = static_cast<uint32_t>(lb[0] + lb[1] + lb[2] + lb[3]);
-        pc[e] = static_cast<uint32_t>(lc[0] + lc[1] + lc[2] + lc[3]);
-        break;
+    for (size_t k = 0; k < 4; ++k) {
+      pa[e + k] = static_cast<uint32_t>(la[k]);
+      pb[e + k] = static_cast<uint32_t>(lb[k]);
+      pc[e + k] = static_cast<uint32_t>(lc[k]);
     }
   }
-  if (e < n) {
-    const size_t off = e * static_cast<size_t>(words);
-    PopsScalar(a + off, b + off, n - e, words, pa + e, pb + e, pc + e);
-  }
+  PopsScalar(a + e, b + e, n - e, pa + e, pb + e, pc + e);
 }
 
 #endif  // TERIDS_SIMD_AVX2
@@ -194,59 +144,29 @@ inline uint64x2_t LanePopcounts128(uint64x2_t v) {
   return vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(vreinterpretq_u8_u64(v)))));
 }
 
-void PopsNeon(const uint64_t* a, const uint64_t* b, size_t n, int words,
-              uint32_t* pa, uint32_t* pb, uint32_t* pc) {
-  if (words == 4) {
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t* ea = a + i * 4;
-      const uint64_t* eb = b + i * 4;
-      const uint64x2_t a0 = vld1q_u64(ea);
-      const uint64x2_t a1 = vld1q_u64(ea + 2);
-      const uint64x2_t b0 = vld1q_u64(eb);
-      const uint64x2_t b1 = vld1q_u64(eb + 2);
-      const uint64x2_t ca =
-          vaddq_u64(LanePopcounts128(a0), LanePopcounts128(a1));
-      const uint64x2_t cb =
-          vaddq_u64(LanePopcounts128(b0), LanePopcounts128(b1));
-      const uint64x2_t cc = vaddq_u64(LanePopcounts128(vandq_u64(a0, b0)),
-                                      LanePopcounts128(vandq_u64(a1, b1)));
-      pa[i] = static_cast<uint32_t>(vaddvq_u64(ca));
-      pb[i] = static_cast<uint32_t>(vaddvq_u64(cb));
-      pc[i] = static_cast<uint32_t>(vaddvq_u64(cc));
-    }
-    return;
-  }
-  const size_t per_vec = static_cast<size_t>(2 / words);
+void PopsNeon(const uint64_t* a, const uint64_t* b, size_t n, uint32_t* pa,
+              uint32_t* pb, uint32_t* pc) {
   size_t e = 0;
-  for (; e + per_vec <= n; e += per_vec) {
-    const uint64x2_t va = vld1q_u64(a + e * static_cast<size_t>(words));
-    const uint64x2_t vb = vld1q_u64(b + e * static_cast<size_t>(words));
+  for (; e + 2 <= n; e += 2) {
+    const uint64x2_t va = vld1q_u64(a + e);
+    const uint64x2_t vb = vld1q_u64(b + e);
     const uint64x2_t ca = LanePopcounts128(va);
     const uint64x2_t cb = LanePopcounts128(vb);
     const uint64x2_t cc = LanePopcounts128(vandq_u64(va, vb));
-    if (words == 1) {
-      pa[e] = static_cast<uint32_t>(vgetq_lane_u64(ca, 0));
-      pb[e] = static_cast<uint32_t>(vgetq_lane_u64(cb, 0));
-      pc[e] = static_cast<uint32_t>(vgetq_lane_u64(cc, 0));
-      pa[e + 1] = static_cast<uint32_t>(vgetq_lane_u64(ca, 1));
-      pb[e + 1] = static_cast<uint32_t>(vgetq_lane_u64(cb, 1));
-      pc[e + 1] = static_cast<uint32_t>(vgetq_lane_u64(cc, 1));
-    } else {
-      pa[e] = static_cast<uint32_t>(vaddvq_u64(ca));
-      pb[e] = static_cast<uint32_t>(vaddvq_u64(cb));
-      pc[e] = static_cast<uint32_t>(vaddvq_u64(cc));
-    }
+    pa[e] = static_cast<uint32_t>(vgetq_lane_u64(ca, 0));
+    pb[e] = static_cast<uint32_t>(vgetq_lane_u64(cb, 0));
+    pc[e] = static_cast<uint32_t>(vgetq_lane_u64(cc, 0));
+    pa[e + 1] = static_cast<uint32_t>(vgetq_lane_u64(ca, 1));
+    pb[e + 1] = static_cast<uint32_t>(vgetq_lane_u64(cb, 1));
+    pc[e + 1] = static_cast<uint32_t>(vgetq_lane_u64(cc, 1));
   }
-  if (e < n) {
-    const size_t off = e * static_cast<size_t>(words);
-    PopsScalar(a + off, b + off, n - e, words, pa + e, pb + e, pc + e);
-  }
+  PopsScalar(a + e, b + e, n - e, pa + e, pb + e, pc + e);
 }
 
 #endif  // TERIDS_SIMD_NEON
 
-using PopsFn = void (*)(const uint64_t*, const uint64_t*, size_t, int,
-                        uint32_t*, uint32_t*, uint32_t*);
+using PopsFn = void (*)(const uint64_t*, const uint64_t*, size_t, uint32_t*,
+                        uint32_t*, uint32_t*);
 
 struct SimdDispatch {
   PopsFn fn = &PopsScalar;
@@ -284,16 +204,16 @@ const SimdDispatch& ActiveDispatch() {
 const char* SimdDispatchName() { return ActiveDispatch().name; }
 
 void SigPopCountBatch(const uint64_t* sig_a, const uint64_t* sig_b,
-                      size_t entries, int words, uint32_t* pa, uint32_t* pb,
-                      uint32_t* pc, bool force_scalar) {
+                      size_t entries, uint32_t* pa, uint32_t* pb, uint32_t* pc,
+                      bool force_scalar) {
   if (entries == 0) {
     return;
   }
   if (force_scalar) {
-    PopsScalar(sig_a, sig_b, entries, words, pa, pb, pc);
+    PopsScalar(sig_a, sig_b, entries, pa, pb, pc);
     return;
   }
-  ActiveDispatch().fn(sig_a, sig_b, entries, words, pa, pb, pc);
+  ActiveDispatch().fn(sig_a, sig_b, entries, pa, pb, pc);
 }
 
 size_t SigFilterCandidates(const SigFilterBatch& batch, double gamma,
@@ -307,7 +227,6 @@ size_t SigFilterCandidates(const SigFilterBatch& batch, double gamma,
     return 0;
   }
   const int d = batch.d;
-  const int words = SigWords(batch.sig_bits);
   const size_t entries = n * static_cast<size_t>(d);
   // Thread-local scratch keeps the steady-state filter allocation-free; the
   // executor calls this from the dispatching thread only.
@@ -317,7 +236,7 @@ size_t SigFilterCandidates(const SigFilterBatch& batch, double gamma,
   pops_a.resize(entries);
   pops_b.resize(entries);
   pops_c.resize(entries);
-  SigPopCountBatch(batch.sig_a, batch.sig_b, entries, words, pops_a.data(),
+  SigPopCountBatch(batch.sig_a, batch.sig_b, entries, pops_a.data(),
                    pops_b.data(), pops_c.data());
   size_t count = 0;
   for (size_t i = 0; i < n; ++i) {

@@ -13,68 +13,37 @@ namespace terids {
 /// Flat, allocation-free primitives behind every Jaccard evaluation: sorted
 /// token spans (raw pointer + length, as stored by TokenArena), set
 /// intersection (linear merge for balanced sizes, galloping for skewed
-/// ones), and the hashed-bitmap signature whose popcount yields an O(1)
-/// upper bound on intersection size. Signatures are width-parameterized
-/// (64 / 128 / 256 bits, stored as `uint64_t words[bits/64]`, DESIGN.md
-/// §11): wider bitmaps saturate later on long token sets, tightening the
-/// bound. All kernels are exact or sound: the two intersection algorithms
-/// return identical counts, and the signature bound is always >= the exact
-/// intersection size at every width — it can only skip merges whose verdict
-/// is already decided, never change one.
+/// ones), and the 64-bit hashed-bitmap signature whose popcount yields an
+/// O(1) upper bound on intersection size (DESIGN.md §11). All kernels are
+/// exact or sound: the two intersection algorithms return identical
+/// counts, and the signature bound is always >= the exact intersection
+/// size — it can only skip merges whose verdict is already decided, never
+/// change one.
 
 /// Spans whose larger side is at least this many times the smaller one are
 /// intersected by galloping instead of the linear merge: the merge is
 /// O(n + m) while galloping is O(n log m), which wins once m >> n.
 inline constexpr size_t kGallopSkewRatio = 8;
 
-/// The supported signature widths and their word counts. 64 is the PR-5
-/// layout and the equivalence oracle; 128/256 trade 1-3 extra words per
-/// range for a tighter bound on long token sets.
-inline constexpr int kMaxSigBits = 256;
-inline constexpr int kMaxSigWords = kMaxSigBits / 64;
-
-inline constexpr bool ValidSigBits(int sig_bits) {
-  return sig_bits == 64 || sig_bits == 128 || sig_bits == 256;
-}
-inline constexpr int SigWords(int sig_bits) { return sig_bits / 64; }
-
 /// The one multiplicative-hash constant behind every signature bit, hoisted
 /// so the kernel, the arena build, and the tests can never drift apart
 /// (2^64 / phi — the Fibonacci hashing multiplier).
 inline constexpr uint64_t kSigHashMul = UINT64_C(0x9E3779B97F4A7C15);
 
-/// Bit index of one token in a width-`sig_bits` signature: the top
-/// log2(sig_bits) bits of the multiplicative hash (shift 58 / 57 / 56 for
-/// 64 / 128 / 256). Tokens are dense dictionary ids, so taking low bits
+/// Bit index of one token in the 64-bit signature: the top 6 bits of the
+/// multiplicative hash. Tokens are dense dictionary ids, so taking low bits
 /// directly would alias consecutive ids into runs; the multiply spreads
-/// them uniformly. Because the widths share one hash, the 64-bit index is
-/// the 256-bit index >> 2: every narrower signature is an exact OR-
-/// coarsening of the wider one (what makes saturation monotone in width).
-inline int SignatureBit(Token t, int sig_bits) {
-  const uint64_t h = static_cast<uint64_t>(t) * kSigHashMul;
-  const int shift = sig_bits == 64 ? 58 : sig_bits == 128 ? 57 : 56;
-  return static_cast<int>(h >> shift);
-}
-inline int SignatureBit(Token t) { return SignatureBit(t, 64); }
-
-/// Builds the width-`sig_bits` hashed-bitmap signature of a sorted,
-/// deduplicated token span into `out[0 .. SigWords(sig_bits))`.
-inline void BuildTokenSignature(const Token* tokens, size_t n, int sig_bits,
-                                uint64_t* out) {
-  const int words = SigWords(sig_bits);
-  for (int w = 0; w < words; ++w) {
-    out[w] = 0;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const int bit = SignatureBit(tokens[i], sig_bits);
-    out[bit >> 6] |= uint64_t{1} << (bit & 63);
-  }
+/// them uniformly.
+inline int SignatureBit(Token t) {
+  return static_cast<int>((static_cast<uint64_t>(t) * kSigHashMul) >> 58);
 }
 
-/// The 64-bit signature as a single word (the width-64 special case).
+/// The 64-bit hashed-bitmap signature of a sorted, deduplicated span.
 inline uint64_t TokenSignature(const Token* tokens, size_t n) {
   uint64_t sig = 0;
-  BuildTokenSignature(tokens, n, 64, &sig);
+  for (size_t i = 0; i < n; ++i) {
+    sig |= uint64_t{1} << SignatureBit(tokens[i]);
+  }
   return sig;
 }
 
@@ -106,15 +75,8 @@ struct SigPopCounts {
   int b = 0;       // popcount(sb)
 };
 
-[[nodiscard]] inline SigPopCounts SigPopCount(const uint64_t* sa, const uint64_t* sb,
-                                int words) {
-  SigPopCounts p;
-  for (int w = 0; w < words; ++w) {
-    p.common += PopCount64(sa[w] & sb[w]);
-    p.a += PopCount64(sa[w]);
-    p.b += PopCount64(sb[w]);
-  }
-  return p;
+[[nodiscard]] inline SigPopCounts SigPopCount(uint64_t sa, uint64_t sb) {
+  return SigPopCounts{PopCount64(sa & sb), PopCount64(sa), PopCount64(sb)};
 }
 
 /// Signature-based upper bound on |A ∩ B| from the popcounts and exact set
@@ -150,25 +112,14 @@ struct SigPopCounts {
   return static_cast<double>(ub) / static_cast<double>(na + nb - ub);
 }
 
-/// Width-parameterized bounds over multi-word signatures.
-[[nodiscard]] inline size_t SigIntersectionUpperBound(size_t na, const uint64_t* sa,
-                                        size_t nb, const uint64_t* sb,
-                                        int words) {
-  return SigIntersectionUpperBoundFromPops(na, nb, SigPopCount(sa, sb, words));
-}
-[[nodiscard]] inline double SigJaccardUpperBound(size_t na, const uint64_t* sa, size_t nb,
-                                   const uint64_t* sb, int words) {
-  return SigJaccardUpperBoundFromPops(na, nb, SigPopCount(sa, sb, words));
-}
-
-/// The single-word (width-64) forms the PR-5 call sites and tests use.
+/// The bounds straight from two signatures.
 [[nodiscard]] inline size_t SigIntersectionUpperBound(size_t na, uint64_t sa, size_t nb,
                                         uint64_t sb) {
-  return SigIntersectionUpperBound(na, &sa, nb, &sb, 1);
+  return SigIntersectionUpperBoundFromPops(na, nb, SigPopCount(sa, sb));
 }
 [[nodiscard]] inline double SigJaccardUpperBound(size_t na, uint64_t sa, size_t nb,
                                    uint64_t sb) {
-  return SigJaccardUpperBound(na, &sa, nb, &sb, 1);
+  return SigJaccardUpperBoundFromPops(na, nb, SigPopCount(sa, sb));
 }
 
 /// Exact Jaccard similarity of two sorted spans; bit-identical to
@@ -187,29 +138,26 @@ struct SigPopCounts {
 // --- Batched candidate-list filtering (DESIGN.md §11) -----------------------
 
 /// Computes the per-entry signature popcounts (popcount(a), popcount(b),
-/// popcount(a & b)) for `entries` signature pairs laid out contiguously
-/// (entry i occupies sig_a[i*words .. i*words+words)), dispatching to the
-/// widest SIMD implementation the CPU supports — AVX2 on x86-64 (runtime
-/// feature detection, no -mavx2 build flag required), NEON on aarch64 —
-/// unless `force_scalar` or the TERIDS_SIMD=off environment override is
-/// set. Integer popcounts only, so every implementation is bit-identical
-/// to the portable scalar core.
+/// popcount(a & b)) for the `entries` signature pairs sig_a[i] / sig_b[i],
+/// dispatching to the widest SIMD implementation the CPU supports — AVX2
+/// on x86-64 (runtime feature detection, no -mavx2 build flag required),
+/// NEON on aarch64 — unless `force_scalar` or the TERIDS_SIMD=off
+/// environment override is set. Integer popcounts only, so every
+/// implementation is bit-identical to the portable scalar core.
 void SigPopCountBatch(const uint64_t* sig_a, const uint64_t* sig_b,
-                      size_t entries, int words, uint32_t* pa, uint32_t* pb,
-                      uint32_t* pc, bool force_scalar = false);
+                      size_t entries, uint32_t* pa, uint32_t* pb, uint32_t* pc,
+                      bool force_scalar = false);
 
 /// The active SigPopCountBatch dispatch target: "avx2", "neon", or
 /// "scalar" (resolved once at first use; TERIDS_SIMD=off forces scalar).
 const char* SimdDispatchName();
 
 /// One batched filter pass over a candidate list: `num_pairs` rows of `d`
-/// attribute spans each, flattened row-major (lens at [row * d + k],
-/// signature words at [(row * d + k) * SigWords(sig_bits)]). The SoA
-/// layout mirrors the TokenArena's so gathering is a straight copy.
+/// attribute spans each, flattened row-major (lens and signatures at
+/// [row * d + k]).
 struct SigFilterBatch {
   size_t num_pairs = 0;
   int d = 0;
-  int sig_bits = 64;
   const uint32_t* len_a = nullptr;
   const uint32_t* len_b = nullptr;
   const uint64_t* sig_a = nullptr;

@@ -1,15 +1,9 @@
 #include "text/token_arena.h"
 
+#include "text/similarity_kernels.h"
 #include "util/status.h"
 
 namespace terids {
-
-void TokenArena::SetSigBits(int sig_bits) {
-  TERIDS_CHECK(ValidSigBits(sig_bits));
-  TERIDS_CHECK(ranges_.empty());  // widths cannot be mixed within an arena
-  sig_bits_ = sig_bits;
-  words_ = SigWords(sig_bits);
-}
 
 uint32_t TokenArena::AddRange(const Token* tokens, size_t n) {
   TERIDS_CHECK(tokens_.size() + n <=
@@ -17,11 +11,8 @@ uint32_t TokenArena::AddRange(const Token* tokens, size_t n) {
   Range r;
   r.offset = static_cast<uint32_t>(tokens_.size());
   r.len = static_cast<uint32_t>(n);
+  r.sig = TokenSignature(tokens, n);
   tokens_.insert(tokens_.end(), tokens, tokens + n);
-  sigs_.resize(sigs_.size() + static_cast<size_t>(words_));
-  BuildTokenSignature(tokens_.data() + r.offset, r.len, sig_bits_,
-                      sigs_.data() + sigs_.size() -
-                          static_cast<size_t>(words_));
   const uint32_t id = static_cast<uint32_t>(ranges_.size());
   ranges_.push_back(r);
   return id;
@@ -35,7 +26,6 @@ void TokenArena::PushSlot(uint32_t range_id) {
 void TokenArena::Reserve(size_t tokens, size_t ranges, size_t slots) {
   tokens_.reserve(tokens);
   ranges_.reserve(ranges);
-  sigs_.reserve(ranges * static_cast<size_t>(words_));
   slot_ranges_.reserve(slots);
 }
 

@@ -5,22 +5,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "text/similarity_kernels.h"
 #include "text/token_dict.h"
 
 namespace terids {
 
 /// A read-only view of one token set inside a TokenArena: a sorted,
-/// deduplicated span plus a pointer to its precomputed hashed-bitmap
-/// signature (`TokenArena::sig_words()` words wide — 1, 2, or 4 for the
-/// 64 / 128 / 256-bit widths of DESIGN.md §11). This is the unit the
-/// refinement hot path operates on — sequential memory instead of
-/// per-value heap vectors, and an O(words) popcount bound before any
-/// merge.
+/// deduplicated span plus its precomputed 64-bit hashed-bitmap signature
+/// (DESIGN.md §11). This is the unit the refinement hot path operates on —
+/// sequential memory instead of per-value heap vectors, and an O(1)
+/// popcount bound before any merge.
 struct TokenView {
   const Token* data = nullptr;
   uint32_t len = 0;
-  const uint64_t* sig = nullptr;
+  uint64_t sig = 0;
 
   bool empty() const { return len == 0; }
 };
@@ -29,9 +26,9 @@ struct TokenView {
 /// (DESIGN.md §9): every distinct token set is appended once into a single
 /// contiguous Token buffer (a "range": offset + length), and slots map
 /// logical positions — (instance, attribute) cells, plus the cached
-/// record-union — onto ranges. Signatures live in their own contiguous
-/// word array (one stride of sig_words() per range), so the batched filter
-/// sweep reads them as one flat stream. Slots freely alias ranges, so an
+/// record-union — onto ranges. Each range stores its signature beside its
+/// offset and length, so one range lookup yields the whole view. Slots
+/// freely alias ranges, so an
 /// attribute shared by all instances (or two instances choosing the same
 /// imputed value) stores its tokens exactly once while every slot lookup
 /// stays O(1).
@@ -42,14 +39,6 @@ struct TokenView {
 class TokenArena {
  public:
   static constexpr uint32_t kInvalidRange = static_cast<uint32_t>(-1);
-
-  /// Selects the signature width (64, 128, or 256 bits; default 64, the
-  /// PR-5 layout and the equivalence oracle). Must be called before the
-  /// first AddRange — widths cannot be mixed within one arena.
-  void SetSigBits(int sig_bits);
-
-  int sig_bits() const { return sig_bits_; }
-  int sig_words() const { return words_; }
 
   /// Appends a copy of the sorted, deduplicated span (TokenSet order) and
   /// returns the range id. Signatures are computed here, once per range.
@@ -64,9 +53,7 @@ class TokenArena {
   TokenView slot(size_t i) const { return range(slot_ranges_[i]); }
   TokenView range(uint32_t range_id) const {
     const Range& r = ranges_[range_id];
-    return TokenView{tokens_.data() + r.offset, r.len,
-                     sigs_.data() + static_cast<size_t>(range_id) *
-                                        static_cast<size_t>(words_)};
+    return TokenView{tokens_.data() + r.offset, r.len, r.sig};
   }
 
   size_t num_slots() const { return slot_ranges_.size(); }
@@ -80,13 +67,11 @@ class TokenArena {
   struct Range {
     uint32_t offset = 0;
     uint32_t len = 0;
+    uint64_t sig = 0;
   };
 
-  int sig_bits_ = 64;
-  int words_ = 1;
   std::vector<Token> tokens_;
   std::vector<Range> ranges_;
-  std::vector<uint64_t> sigs_;         // range id -> words_ signature words
   std::vector<uint32_t> slot_ranges_;  // slot index -> range id
 };
 

@@ -5,18 +5,17 @@
 
 namespace terids {
 
-ImputedTuple ImputedTuple::FromComplete(Record record, const Repository* repo,
-                                        int sig_bits) {
-  return FromImputation(std::move(record), repo, {}, 1, sig_bits);
+ImputedTuple ImputedTuple::FromComplete(Record record,
+                                        const Repository* repo) {
+  return FromImputation(std::move(record), repo, {}, 1);
 }
 
 ImputedTuple ImputedTuple::FromImputation(Record record, const Repository* repo,
                                           std::vector<ImputedAttr> imputed,
-                                          int max_instances, int sig_bits) {
+                                          int max_instances) {
   TERIDS_CHECK(repo != nullptr);
   TERIDS_CHECK(max_instances >= 1);
   ImputedTuple tuple;
-  tuple.arena_.SetSigBits(sig_bits);
   tuple.base_ = std::move(record);
   tuple.repo_ = repo;
   tuple.imputed_ = std::move(imputed);

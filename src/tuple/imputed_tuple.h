@@ -49,10 +49,7 @@ class ImputedTuple {
   };
 
   /// Wraps a complete record as a single-instance tuple with probability 1.
-  /// `sig_bits` selects the token-signature width of the tuple's arena
-  /// (EngineConfig::sig_width; 64 = the PR-5 layout and default).
-  static ImputedTuple FromComplete(Record record, const Repository* repo,
-                                   int sig_bits = 64);
+  static ImputedTuple FromComplete(Record record, const Repository* repo);
 
   /// Builds from an incomplete record plus one candidate distribution per
   /// missing attribute. Attributes of `record` that are missing but have no
@@ -60,7 +57,7 @@ class ImputedTuple {
   /// found no candidates), contributing an empty token set.
   static ImputedTuple FromImputation(Record record, const Repository* repo,
                                      std::vector<ImputedAttr> imputed,
-                                     int max_instances, int sig_bits = 64);
+                                     int max_instances);
 
   const Record& base() const { return base_; }
   int64_t rid() const { return base_.rid; }
@@ -83,9 +80,9 @@ class ImputedTuple {
   const TokenSet& instance_tokens(int inst, int attr) const;
 
   /// Flat arena view of the same token set: contiguous span + precomputed
-  /// hashed-bitmap signature (token_arena().sig_bits() wide, DESIGN.md §9,
-  /// §11), the representation the refinement kernels read. Bounds-unchecked
-  /// beyond the slot math — callers are the hot path.
+  /// 64-bit hashed-bitmap signature (DESIGN.md §9, §11), the representation
+  /// the refinement kernels read. Bounds-unchecked beyond the slot math —
+  /// callers are the hot path.
   TokenView instance_token_view(int inst, int attr) const {
     return arena_.slot(static_cast<size_t>(inst) *
                            static_cast<size_t>(num_attributes()) +
@@ -96,9 +93,6 @@ class ImputedTuple {
   /// attributes), used by the heterogeneous-schema similarity so no union
   /// is re-allocated per pair.
   TokenView union_token_view() const { return arena_.range(union_range_); }
-
-  /// The tuple's flat token storage (diagnostics / benches).
-  const TokenArena& token_arena() const { return arena_; }
 
   // ---- Aggregates (valid once pivots are attached to the repository) ----
   //

@@ -124,7 +124,6 @@ class EnvIntTest : public ::testing::Test {
   void TearDown() override {
     unsetenv(kKnob);
     unsetenv("TERIDS_BENCH_REPO_BACKEND");
-    unsetenv("TERIDS_BENCH_SIGFILTER");
     unsetenv("TERIDS_BENCH_SCHED");
   }
 
@@ -187,12 +186,6 @@ TEST_F(EnvIntTest, RejectsAboveMaximumWithMessage) {
   EXPECT_NE(err.find("above the maximum 16"), std::string::npos) << err;
 }
 
-TEST_F(EnvIntTest, SignatureFilterKnobParses) {
-  EXPECT_TRUE(EnvExecKnobs().signature_filter);  // default on
-  setenv("TERIDS_BENCH_SIGFILTER", "0", 1);
-  EXPECT_FALSE(EnvExecKnobs().signature_filter);
-}
-
 TEST_F(EnvIntTest, SchedKnobIsCappedAtTheCeiling) {
   // The one knob that starts threads: a value above kMaxSchedThreads falls
   // back to 0 (inline) with a message instead of reaching the engine.
@@ -217,6 +210,75 @@ TEST_F(EnvIntTest, RepoBackendKnobParsesAndRejectsLoudly) {
   EXPECT_EQ(EnvExecKnobs().repo_backend, RepoBackend::kInMemory);
   EXPECT_NE(::testing::internal::GetCapturedStderr().find("not a backend"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// EnvScale: TERIDS_BENCH_SCALE must be wholly a finite number in
+// (0, kMaxBenchScale]; anything else falls back to 1 with the same kind of
+// one-line message EnvInt prints, instead of silently reconfiguring a run
+// (or, for huge values, overflowing the int window BaseParams derives).
+// ---------------------------------------------------------------------------
+
+class EnvScaleTest : public ::testing::Test {
+ protected:
+  void TearDown() override { unsetenv("TERIDS_BENCH_SCALE"); }
+
+  /// Runs EnvScale under `env` and returns {value, stderr output}.
+  std::pair<double, std::string> Parse(const char* env) {
+    setenv("TERIDS_BENCH_SCALE", env, 1);
+    ::testing::internal::CaptureStderr();
+    const double v = EnvScale();
+    return {v, ::testing::internal::GetCapturedStderr()};
+  }
+
+  void ExpectRejected(const char* env, const char* reason) {
+    const auto [v, err] = Parse(env);
+    EXPECT_EQ(v, 1.0) << env;
+    EXPECT_NE(err.find("TERIDS_BENCH_SCALE"), std::string::npos) << err;
+    EXPECT_NE(err.find(reason), std::string::npos) << err;
+    EXPECT_NE(err.find("using default 1"), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << "one line: " << err;
+  }
+};
+
+TEST_F(EnvScaleTest, UnsetAndEmptyFallBackSilently) {
+  unsetenv("TERIDS_BENCH_SCALE");
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(EnvScale(), 1.0);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  const auto [v, err] = Parse("");
+  EXPECT_EQ(v, 1.0);
+  EXPECT_EQ(err, "");
+}
+
+TEST_F(EnvScaleTest, ParsesValidValues) {
+  for (const char* env : {"0.05", "2", "1e-3"}) {
+    const auto [v, err] = Parse(env);
+    EXPECT_DOUBLE_EQ(v, std::strtod(env, nullptr)) << env;
+    EXPECT_EQ(err, "") << env;
+  }
+  EXPECT_EQ(Parse("10000").first, kMaxBenchScale);  // exactly at the ceiling
+}
+
+TEST_F(EnvScaleTest, RejectsNonNumericAndTrailingGarbage) {
+  ExpectRejected("abc", "not a number");
+  ExpectRejected("0.2x", "not a number");
+}
+
+TEST_F(EnvScaleTest, RejectsNonFiniteAndOutOfRange) {
+  ExpectRejected("inf", "not a finite value in (0, 10000]");
+  ExpectRejected("nan", "not a finite value in (0, 10000]");
+  ExpectRejected("1e10", "not a finite value in (0, 10000]");
+  ExpectRejected("-1", "not a finite value in (0, 10000]");
+  ExpectRejected("0", "not a finite value in (0, 10000]");
+  // A huge scale must never reach BaseParams' static_cast<int>(200 * scale)
+  // (undefined behaviour): rejected, it leaves the default window.
+  setenv("TERIDS_BENCH_SCALE", "1e10", 1);
+  ::testing::internal::CaptureStderr();
+  const ExperimentParams params = BaseParams("Citations");
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(params.w, 200);
+  EXPECT_EQ(params.max_arrivals, 800);
 }
 
 }  // namespace

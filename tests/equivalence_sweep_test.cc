@@ -1,17 +1,17 @@
 // Parameterized end-to-end soundness sweeps.
 //
-// 1. Across combinations of (alpha, rho, xi), the fully indexed + pruned
-//    TER-iDS engine must report exactly the same pair set as the
-//    unindexed, unpruned CDD+ER baseline. This is the strongest property
-//    the system has — every index, synopsis, bound, and pruning theorem
-//    changes cost, never results — checked over a grid of query
-//    parameters rather than a single configuration.
+// 1. Across every datagen profile and combinations of (alpha, rho, xi),
+//    the fully indexed + pruned TER-iDS engine must report exactly the
+//    same pair set as the unindexed, unpruned CDD+ER baseline. This is the
+//    strongest property the system has — every index, synopsis, bound, and
+//    pruning theorem changes cost, never results — checked over a grid of
+//    query parameters rather than a single configuration. The baseline
+//    decides every instance pair by plain merges (ExactProbability), so
+//    this also checks the 64-bit signature kernel end to end.
 // 2. Across every datagen profile and (batch_size, refine_threads,
-//    ingest_queue_depth, signature_filter, sched_threads, sig_width)
-//    combination, the batched / parallel / async-ingest operator
-//    (ProcessStream over ProcessBatch + RefinementExecutor + BatchQueue,
-//    fanned out on the Scheduler, with signatures at any supported width)
-//    must be
+//    ingest_queue_depth, sched_threads) combination, the batched /
+//    parallel / async-ingest operator (ProcessStream over ProcessBatch +
+//    RefinementExecutor + BatchQueue, fanned out on the Scheduler) must be
 //    bit-identical to one-at-a-time ProcessArrival: same per-arrival
 //    matches in the same order, same final MatchSet, same cumulative
 //    PruneStats.
@@ -31,20 +31,30 @@
 namespace terids {
 namespace {
 
-using Combo = std::tuple<double, double, double>;  // alpha, rho, xi
+// profile, alpha, rho, xi
+using Combo = std::tuple<std::string, double, double, double>;
 
 class EquivalenceSweepTest : public ::testing::TestWithParam<Combo> {};
 
+/// Per-profile scale mirroring bench::BaseParams ratios: EBooks (long token
+/// sets) and Songs (the 1M-tuple dataset) blow up wall time at a uniform
+/// scale without adding coverage.
+double SweepScale(const std::string& profile) {
+  if (profile == "EBooks") return 0.012;
+  if (profile == "Songs") return 0.002;
+  return 0.04;
+}
+
 TEST_P(EquivalenceSweepTest, TerIdsEqualsUnprunedBaseline) {
-  const auto [alpha, rho, xi] = GetParam();
+  const auto [profile, alpha, rho, xi] = GetParam();
   ExperimentParams params;
-  params.scale = 0.04;
+  params.scale = SweepScale(profile);
   params.w = 50;
   params.max_arrivals = 220;
   params.alpha = alpha;
   params.rho = rho;
   params.xi = xi;
-  Experiment experiment(CitationsProfile(), params);
+  Experiment experiment(ProfileByName(profile), params);
 
   auto collect = [&](PipelineKind kind) {
     std::unique_ptr<Repository> repo = experiment.BuildRepository();
@@ -69,23 +79,32 @@ TEST_P(EquivalenceSweepTest, TerIdsEqualsUnprunedBaseline) {
 
   const auto terids = collect(PipelineKind::kTerIds);
   const auto baseline = collect(PipelineKind::kCddEr);
-  EXPECT_EQ(terids, baseline)
-      << "alpha=" << alpha << " rho=" << rho << " xi=" << xi;
+  EXPECT_EQ(terids, baseline) << profile << " alpha=" << alpha
+                              << " rho=" << rho << " xi=" << xi;
 }
 
+// The full grid on Citations, plus two combos per other profile: the
+// Table 5 defaults and one off-default point.
 INSTANTIATE_TEST_SUITE_P(
     ParamGrid, EquivalenceSweepTest,
-    ::testing::Values(Combo{0.1, 0.5, 0.3}, Combo{0.5, 0.5, 0.3},
-                      Combo{0.8, 0.5, 0.3}, Combo{0.5, 0.3, 0.3},
-                      Combo{0.5, 0.7, 0.3}, Combo{0.5, 0.5, 0.0},
-                      Combo{0.5, 0.5, 0.6}, Combo{0.2, 0.4, 0.5},
-                      Combo{0.7, 0.6, 0.2}));
+    ::testing::Values(
+        Combo{"Citations", 0.1, 0.5, 0.3}, Combo{"Citations", 0.5, 0.5, 0.3},
+        Combo{"Citations", 0.8, 0.5, 0.3}, Combo{"Citations", 0.5, 0.3, 0.3},
+        Combo{"Citations", 0.5, 0.7, 0.3}, Combo{"Citations", 0.5, 0.5, 0.0},
+        Combo{"Citations", 0.5, 0.5, 0.6}, Combo{"Citations", 0.2, 0.4, 0.5},
+        Combo{"Citations", 0.7, 0.6, 0.2}, Combo{"Anime", 0.5, 0.5, 0.3},
+        Combo{"Anime", 0.2, 0.4, 0.5}, Combo{"Bikes", 0.5, 0.5, 0.3},
+        Combo{"Bikes", 0.8, 0.3, 0.6}, Combo{"EBooks", 0.5, 0.5, 0.3},
+        Combo{"EBooks", 0.1, 0.7, 0.2}, Combo{"Songs", 0.5, 0.5, 0.3},
+        Combo{"Songs", 0.7, 0.6, 0.5}),
+    [](const ::testing::TestParamInfo<Combo>& info) {
+      return std::get<0>(info.param) + "_" + std::to_string(info.index);
+    });
 
 // --- Batched / parallel / async operator equivalence ----------------------
 
-// profile, batch, refine_threads, ingest_queue_depth, signature_filter,
-// sched_threads, sig_width
-using BatchCombo = std::tuple<std::string, int, int, int, bool, int, int>;
+// profile, batch, refine_threads, ingest_queue_depth, sched_threads
+using BatchCombo = std::tuple<std::string, int, int, int, int>;
 
 class BatchEquivalenceSweepTest
     : public ::testing::TestWithParam<BatchCombo> {};
@@ -97,9 +116,9 @@ struct ReplayResult {
 };
 
 // Deliberately compares only the outcome counters: the sig_* observability
-// counters (sig_probes / sig_saturated / sig_rejects) legitimately vary
-// with signature_filter and sig_width — they count filter work, not
-// results — so they are excluded from the bit-identity contract.
+// counters (sig_probes / sig_saturated / sig_rejects) count filter work,
+// not results — the unpruned baselines leave them at zero — so they are
+// excluded from the bit-identity contract.
 void ExpectSameStats(const PruneStats& a, const PruneStats& b) {
   EXPECT_EQ(a.total_pairs, b.total_pairs);
   EXPECT_EQ(a.topic_pruned, b.topic_pruned);
@@ -115,14 +134,9 @@ void ExpectSameStats(const PruneStats& a, const PruneStats& b) {
 
 TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   const auto [profile, batch_size, refine_threads, queue_depth,
-              signature_filter, sched_threads, sig_width] = GetParam();
+              sched_threads] = GetParam();
   ExperimentParams params;
-  // Per-profile scale mirrors bench::BaseParams ratios: EBooks (long token
-  // sets) and Songs (the 1M-tuple dataset) blow up wall time at a uniform
-  // scale without adding coverage.
-  params.scale = 0.04;
-  if (profile == "EBooks") params.scale = 0.012;
-  if (profile == "Songs") params.scale = 0.002;
+  params.scale = SweepScale(profile);
   params.w = 50;
   params.max_arrivals = 220;
   Experiment experiment(ProfileByName(profile), params);
@@ -135,16 +149,13 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
   // pipeline must transparently stay synchronous at any queue depth.
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
-    auto replay = [&](int bs, int threads, int queue, bool sigfilter,
-                      int sched, int width) {
+    auto replay = [&](int bs, int threads, int queue, int sched) {
       std::unique_ptr<Repository> repo = experiment.BuildRepository();
       EngineConfig config = experiment.MakeConfig();
       config.batch_size = bs;
       config.refine_threads = threads;
       config.ingest_queue_depth = queue;
-      config.signature_filter = sigfilter;
       config.sched_threads = sched;
-      config.sig_width = width;
       std::unique_ptr<ErPipeline> pipeline =
           MakePipeline(kind, repo.get(), config, 2, experiment.cdds(),
                        experiment.dds(), experiment.editing_rules());
@@ -172,19 +183,15 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
       return result;
     };
 
-    // The oracle is the seed configuration: one-at-a-time, signature
-    // filter off (plain merges everywhere) at the seed's 64-bit width, no
-    // scheduler (every phase inline on the caller).
-    const ReplayResult sequential =
-        replay(1, 1, 0, /*sigfilter=*/false, /*sched=*/0, /*width=*/64);
+    // The oracle is the default sequential ProcessArrival configuration:
+    // one-at-a-time, no scheduler (every phase inline on the caller).
+    const ReplayResult sequential = replay(1, 1, 0, /*sched=*/0);
     const ReplayResult batched =
-        replay(batch_size, refine_threads, queue_depth, signature_filter,
-               sched_threads, sig_width);
+        replay(batch_size, refine_threads, queue_depth, sched_threads);
     EXPECT_EQ(batched.emitted, sequential.emitted)
         << profile << " " << PipelineKindName(kind) << " batch=" << batch_size
         << " threads=" << refine_threads << " queue=" << queue_depth
-        << " sigfilter=" << signature_filter << " sched=" << sched_threads
-        << " width=" << sig_width;
+        << " sched=" << sched_threads;
     ASSERT_EQ(batched.final_set.size(), sequential.final_set.size());
     for (size_t i = 0; i < batched.final_set.size(); ++i) {
       EXPECT_EQ(batched.final_set[i].rid_a, sequential.final_set[i].rid_a);
@@ -215,9 +222,7 @@ class RepoBackendEquivalenceTest
 TEST_P(RepoBackendEquivalenceTest, MmapSnapshotEqualsInMemoryOracle) {
   const std::string profile = GetParam();
   ExperimentParams params;
-  params.scale = 0.04;
-  if (profile == "EBooks") params.scale = 0.012;
-  if (profile == "Songs") params.scale = 0.002;
+  params.scale = SweepScale(profile);
   params.w = 50;
   params.max_arrivals = 220;
   Experiment experiment(ProfileByName(profile), params);
@@ -300,9 +305,7 @@ class OverloadPolicyEquivalenceTest
 TEST_P(OverloadPolicyEquivalenceTest, PolicyInertWithoutPressure) {
   const auto [profile, policy, queue_depth, sched_threads] = GetParam();
   ExperimentParams params;
-  params.scale = 0.04;
-  if (profile == "EBooks") params.scale = 0.012;
-  if (profile == "Songs") params.scale = 0.002;
+  params.scale = SweepScale(profile);
   params.w = 50;
   params.max_arrivals = 220;
   Experiment experiment(ProfileByName(profile), params);
@@ -399,63 +402,40 @@ std::vector<BatchCombo> BatchCombos() {
   std::vector<BatchCombo> combos;
   for (const char* profile :
        {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
-    // The PR-2 batch x threads matrix (synchronous, signature filter on —
-    // every profile exercises the signature kernel against the
-    // sigfilter-off oracle); parallel refinement runs on two workers...
-    combos.emplace_back(profile, 1, 4, 0, true, 2, 64);
-    combos.emplace_back(profile, 8, 1, 0, true, 0, 64);
-    combos.emplace_back(profile, 8, 4, 0, true, 2, 64);
+    // The batch x threads matrix (synchronous); parallel refinement
+    // runs on two workers...
+    combos.emplace_back(profile, 1, 4, 0, 2);
+    combos.emplace_back(profile, 8, 1, 0, 0);
+    combos.emplace_back(profile, 8, 4, 0, 2);
     // ...plus the everything-on configuration per profile on two and on
-    // four workers: async ingest, parallel refinement, signature filter
-    // (the TSan job's main data-race surface). The two runs split the
-    // wide-signature coverage between them: every profile replays
-    // everything-on at both 128 and 256 bits against the 64-bit
-    // sigfilter-off oracle.
-    combos.emplace_back(profile, 8, 4, 2, true, 2, 128);
-    combos.emplace_back(profile, 8, 4, 2, true, 4, 256);
+    // four workers: async ingest, parallel refinement through the batched
+    // signature prefilter (the TSan job's main data-race surface).
+    combos.emplace_back(profile, 8, 4, 2, 2);
+    combos.emplace_back(profile, 8, 4, 2, 4);
   }
   // Full queue x threads cross on one profile (the acceptance matrix):
   // isolates each axis against the sequential oracle. The q2 c0 combos run
   // on the derived one-worker kIngest chain, which also carries their
   // refine fan-outs.
-  combos.emplace_back("Citations", 8, 1, 0, true, 2, 64);
-  combos.emplace_back("Citations", 8, 1, 2, true, 0, 64);
-  combos.emplace_back("Citations", 8, 4, 2, true, 0, 64);
+  combos.emplace_back("Citations", 8, 1, 0, 2);
+  combos.emplace_back("Citations", 8, 1, 2, 0);
+  combos.emplace_back("Citations", 8, 4, 2, 0);
   // async, batch 1
-  combos.emplace_back("Citations", 1, 1, 2, true, 0, 64);
-  // The signature filter: one-at-a-time arrivals beside a one-worker
-  // scheduler, the sig filter both ways, and the sig-filter-off run under
-  // batching and async ingest.
-  combos.emplace_back("Citations", 1, 1, 0, false, 1, 64);
-  combos.emplace_back("Citations", 1, 1, 0, true, 1, 64);
-  combos.emplace_back("Citations", 8, 4, 0, false, 2, 64);
-  combos.emplace_back("Citations", 8, 4, 2, false, 2, 64);
-  combos.emplace_back("Bikes", 8, 4, 2, false, 2, 64);
+  combos.emplace_back("Citations", 1, 1, 2, 0);
   // Scheduler axes in isolation (Citations): scheduler constructed but no
-  // phase fans out; each phase fanning out alone on the shared workers
-  // (refine / the kIngest chain); the single-worker and two-worker edges of
-  // the caller-participation discipline under the everything-on load; and
-  // sigfilter-off + scheduler against the sigfilter-off oracle.
-  combos.emplace_back("Citations", 1, 1, 0, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 0, true, 4, 64);
-  combos.emplace_back("Citations", 8, 1, 2, true, 4, 64);
+  // phase fans out (one and four workers); each phase fanning out alone on
+  // the shared workers (refine / the kIngest chain); the single-worker edge
+  // of the caller-participation discipline under the everything-on load;
+  // and parallel refinement on one worker, per arrival and batched.
+  combos.emplace_back("Citations", 1, 1, 0, 1);
+  combos.emplace_back("Citations", 1, 1, 0, 4);
+  combos.emplace_back("Citations", 8, 4, 0, 4);
+  combos.emplace_back("Citations", 8, 1, 2, 4);
   // chain, batch 1
-  combos.emplace_back("Citations", 1, 1, 2, true, 4, 64);
-  combos.emplace_back("Citations", 8, 4, 2, true, 1, 64);
-  combos.emplace_back("Citations", 8, 4, 2, true, 2, 64);
-  combos.emplace_back("Citations", 8, 4, 2, false, 4, 64);
-  combos.emplace_back("Bikes", 8, 4, 2, false, 4, 64);
-  // sig_width axis in isolation (Citations, everything else sequential):
-  // wide signatures + filter against the 64-bit sigfilter-off oracle, plus
-  // a sigfilter-off run at 256 bits (widths must be inert with the filter
-  // off). The parallel-refinement combos additionally route the wide
-  // widths through the executor's batched prefilter.
-  combos.emplace_back("Citations", 1, 1, 0, true, 0, 128);
-  combos.emplace_back("Citations", 1, 1, 0, true, 0, 256);
-  combos.emplace_back("Citations", 1, 1, 0, false, 0, 256);
-  combos.emplace_back("Citations", 1, 4, 0, true, 1, 256);
-  combos.emplace_back("Citations", 8, 4, 0, true, 1, 128);
-  combos.emplace_back("EBooks", 8, 4, 0, true, 2, 256);
+  combos.emplace_back("Citations", 1, 1, 2, 4);
+  combos.emplace_back("Citations", 8, 4, 2, 1);
+  combos.emplace_back("Citations", 1, 4, 0, 1);
+  combos.emplace_back("Citations", 8, 4, 0, 1);
   return combos;
 }
 
@@ -468,12 +448,8 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, BatchEquivalenceSweepTest,
                                   std::to_string(std::get<2>(info.param)) +
                                   "_q" +
                                   std::to_string(std::get<3>(info.param)) +
-                                  (std::get<4>(info.param) ? "_sig1"
-                                                           : "_sig0") +
                                   "_c" +
-                                  std::to_string(std::get<5>(info.param)) +
-                                  "_w" +
-                                  std::to_string(std::get<6>(info.param));
+                                  std::to_string(std::get<4>(info.param));
                          });
 
 }  // namespace

@@ -27,11 +27,10 @@ class RefinementExecutorTest : public ::testing::Test {
   /// Window tuple over a complete toy record.
   std::shared_ptr<WindowTuple> MakeTuple(int64_t rid,
                                          const std::vector<std::string>& texts,
-                                         const TopicQuery& topic,
-                                         int sig_bits = 64) {
+                                         const TopicQuery& topic) {
     auto wt = std::make_shared<WindowTuple>();
     wt->tuple = std::make_shared<const ImputedTuple>(ImputedTuple::FromComplete(
-        world_.Make(rid, texts), world_.repo.get(), sig_bits));
+        world_.Make(rid, texts), world_.repo.get()));
     wt->topic = topic.Classify(*wt->tuple);
     return wt;
   }
@@ -51,60 +50,52 @@ TEST_F(RefinementExecutorTest, ParallelEqualsSequentialOnBothCascades) {
       {"male", "loss of weight", "diabetes", "dietary therapy"},
       {"female", "fever low spirit", "pneumonia", "antibiotics"},
   };
-  // Every width routes the parallel Run through the batched signature
-  // prefilter (heavy/light placement); the evaluations must nevertheless
-  // be bit-identical to the sequential executor's, including the sig_*
+  // The parallel Run goes through the batched signature prefilter
+  // (heavy/light placement); the evaluations must nevertheless be
+  // bit-identical to the sequential executor's, including the sig_*
   // observability counters (Evaluate is pure, placement changes nothing).
-  for (const int sig_bits : {64, 128, 256}) {
-    std::shared_ptr<WindowTuple> probe = MakeTuple(
-        1, {"male", "fever cough", "flu", "drink more"}, topic, sig_bits);
-    std::vector<std::shared_ptr<WindowTuple>> cands;
-    std::vector<RefinementExecutor::Task> tasks;
-    for (size_t i = 0; i < texts.size(); ++i) {
-      for (int rep = 0; rep < 13; ++rep) {  // enough tasks to shard
-        cands.push_back(MakeTuple(static_cast<int64_t>(100 + cands.size()),
-                                  texts[i], topic, sig_bits));
-        tasks.push_back(
-            {probe->tuple.get(), &probe->topic, cands.back().get()});
-      }
+  std::shared_ptr<WindowTuple> probe =
+      MakeTuple(1, {"male", "fever cough", "flu", "drink more"}, topic);
+  std::vector<std::shared_ptr<WindowTuple>> cands;
+  std::vector<RefinementExecutor::Task> tasks;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    for (int rep = 0; rep < 13; ++rep) {  // enough tasks to shard
+      cands.push_back(MakeTuple(static_cast<int64_t>(100 + cands.size()),
+                                texts[i], topic));
+      tasks.push_back({probe->tuple.get(), &probe->topic, cands.back().get()});
     }
+  }
 
-    Scheduler sched(3);
-    for (bool use_prunings : {true, false}) {
-      for (bool signature_filter : {true, false}) {
-        RefinementExecutor sequential;
-        RefinementExecutor parallel(&sched);
-        ASSERT_EQ(sequential.num_threads(), 1);
-        ASSERT_EQ(parallel.num_threads(), 4);
-        std::vector<PairEvaluation> seq_evals;
-        std::vector<PairEvaluation> par_evals;
-        sequential.Run(tasks, use_prunings, signature_filter, 2.0, 0.4,
-                       &seq_evals);
-        parallel.Run(tasks, use_prunings, signature_filter, 2.0, 0.4,
-                     &par_evals);
-        ASSERT_EQ(seq_evals.size(), tasks.size());
-        ASSERT_EQ(par_evals.size(), tasks.size());
-        PruneStats seq_stats;
-        PruneStats par_stats;
-        for (size_t i = 0; i < tasks.size(); ++i) {
-          EXPECT_EQ(par_evals[i].outcome, seq_evals[i].outcome)
-              << "task " << i << " width " << sig_bits;
-          EXPECT_DOUBLE_EQ(par_evals[i].probability, seq_evals[i].probability)
-              << "task " << i << " width " << sig_bits;
-          EXPECT_EQ(par_evals[i].sig_probes, seq_evals[i].sig_probes)
-              << "task " << i << " width " << sig_bits;
-          EXPECT_EQ(par_evals[i].sig_saturated, seq_evals[i].sig_saturated)
-              << "task " << i << " width " << sig_bits;
-          EXPECT_EQ(par_evals[i].sig_rejects, seq_evals[i].sig_rejects)
-              << "task " << i << " width " << sig_bits;
-          seq_stats.Record(seq_evals[i].outcome);
-          par_stats.Record(par_evals[i].outcome);
-        }
-        EXPECT_EQ(seq_stats.total_pairs, tasks.size());
-        EXPECT_EQ(par_stats.matched, seq_stats.matched);
-        EXPECT_EQ(par_stats.refined, seq_stats.refined);
-      }
+  Scheduler sched(3);
+  for (bool use_prunings : {true, false}) {
+    RefinementExecutor sequential;
+    RefinementExecutor parallel(&sched);
+    ASSERT_EQ(sequential.num_threads(), 1);
+    ASSERT_EQ(parallel.num_threads(), 4);
+    std::vector<PairEvaluation> seq_evals;
+    std::vector<PairEvaluation> par_evals;
+    sequential.Run(tasks, use_prunings, 2.0, 0.4, &seq_evals);
+    parallel.Run(tasks, use_prunings, 2.0, 0.4, &par_evals);
+    ASSERT_EQ(seq_evals.size(), tasks.size());
+    ASSERT_EQ(par_evals.size(), tasks.size());
+    PruneStats seq_stats;
+    PruneStats par_stats;
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_EQ(par_evals[i].outcome, seq_evals[i].outcome) << "task " << i;
+      EXPECT_DOUBLE_EQ(par_evals[i].probability, seq_evals[i].probability)
+          << "task " << i;
+      EXPECT_EQ(par_evals[i].sig_probes, seq_evals[i].sig_probes)
+          << "task " << i;
+      EXPECT_EQ(par_evals[i].sig_saturated, seq_evals[i].sig_saturated)
+          << "task " << i;
+      EXPECT_EQ(par_evals[i].sig_rejects, seq_evals[i].sig_rejects)
+          << "task " << i;
+      seq_stats.Record(seq_evals[i].outcome);
+      par_stats.Record(par_evals[i].outcome);
     }
+    EXPECT_EQ(seq_stats.total_pairs, tasks.size());
+    EXPECT_EQ(par_stats.matched, seq_stats.matched);
+    EXPECT_EQ(par_stats.refined, seq_stats.refined);
   }
 }
 
@@ -112,8 +103,7 @@ TEST_F(RefinementExecutorTest, EmptyTaskSetYieldsEmptyEvaluations) {
   Scheduler sched(1);
   RefinementExecutor executor(&sched);
   std::vector<PairEvaluation> evals(3);
-  executor.Run({}, /*use_prunings=*/true, /*signature_filter=*/true, 2.0,
-               0.5, &evals);
+  executor.Run({}, /*use_prunings=*/true, 2.0, 0.5, &evals);
   EXPECT_TRUE(evals.empty());
 }
 

@@ -4,29 +4,32 @@
 //    here verbatim as the oracle), IntersectLinear, and IntersectGallop —
 //    agree exactly on randomized token sets covering empty, duplicated, and
 //    heavily skewed inputs.
-// 2. The signature bound is sound at every width (64 / 128 / 256):
-//    SigIntersectionUpperBound is always >= the exact intersection size and
-//    SigJaccardUpperBound >= the exact Jaccard similarity, so the signature
-//    filter can only skip merges, never flip a verdict; wider signatures
-//    only tighten the bound (OR-coarsening monotonicity).
-// 3. SignatureBit spreads dense dictionary ids uniformly across all three
-//    widths (chi-square pinned), for both random and sequential ids.
+// 2. The 64-bit signature bound is sound: SigIntersectionUpperBound is
+//    always >= the exact intersection size and SigJaccardUpperBound >= the
+//    exact Jaccard similarity, so the signature filter can only skip
+//    merges, never flip a verdict.
+// 3. SignatureBit spreads dense dictionary ids uniformly over the 64 bits
+//    (chi-square pinned), for both random and sequential ids.
 // 4. The SIMD-dispatched batch popcounts (SigPopCountBatch) agree exactly
 //    with the forced-scalar core, and SigFilterCandidates reproduces the
 //    per-pair pass-1 decision bit for bit.
-// 5. TokenArena views are faithful at every width: every (instance,
-//    attribute) slot of an ImputedTuple holds exactly instance_tokens(),
-//    with the matching signature words, and InstanceSimilarityExceeds
-//    equals InstanceSimilarity > gamma for both filter settings.
+// 5. TokenArena views are faithful: every (instance, attribute) slot of an
+//    ImputedTuple holds exactly instance_tokens() with its signature, and
+//    InstanceSimilarityExceeds equals InstanceSimilarity > gamma, on toy
+//    tuples and on the generated EBooks profile's long token sets.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "datagen/profiles.h"
 #include "er/similarity.h"
+#include "eval/experiment.h"
 #include "text/similarity_kernels.h"
 #include "text/token_arena.h"
 #include "text/token_set.h"
@@ -126,51 +129,12 @@ TEST(SimilarityKernelTest, SignatureBoundDominatesExactIntersection) {
   EXPECT_DOUBLE_EQ(SigJaccardUpperBound(0, 0, 0, 0), 1.0);
 }
 
-TEST(SimilarityKernelTest, SignatureBoundSoundAndMonotoneAcrossWidths) {
-  // At every width the bound dominates the exact intersection, and because
-  // the widths share one hash (the 64-bit index is the 256-bit index >> 2,
-  // so narrower signatures are OR-coarsenings of wider ones) the bound can
-  // only tighten as the width grows.
-  std::mt19937_64 rng(20210620);
-  const int widths[] = {64, 128, 256};
-  for (int rep = 0; rep < 1500; ++rep) {
-    const Token universe = rep % 3 == 0 ? 48 : 20000;
-    const TokenSet a = TokenSet::FromTokens(RandomTokens(&rng, 300, universe));
-    const TokenSet b = TokenSet::FromTokens(RandomTokens(&rng, 300, universe));
-    const size_t exact = a.IntersectionSize(b);
-    const double exact_jac = JaccardSimilarity(a, b);
-    size_t prev_bound = std::min(a.size(), b.size()) + 1;
-    for (const int bits : widths) {
-      uint64_t sa[kMaxSigWords];
-      uint64_t sb[kMaxSigWords];
-      BuildTokenSignature(a.data(), a.size(), bits, sa);
-      BuildTokenSignature(b.data(), b.size(), bits, sb);
-      const int words = SigWords(bits);
-      const size_t bound =
-          SigIntersectionUpperBound(a.size(), sa, b.size(), sb, words);
-      ASSERT_GE(bound, exact) << "width " << bits;
-      ASSERT_LE(bound, std::min(a.size(), b.size())) << "width " << bits;
-      ASSERT_LE(bound, prev_bound) << "width " << bits;
-      prev_bound = bound;
-      ASSERT_GE(SigJaccardUpperBound(a.size(), sa, b.size(), sb, words),
-                exact_jac)
-          << "width " << bits;
-      if (bits == 64) {
-        // The legacy single-word overloads are the words=1 special case.
-        ASSERT_EQ(bound,
-                  SigIntersectionUpperBound(a.size(), sa[0], b.size(), sb[0]));
-        ASSERT_EQ(sa[0], TokenSignature(a.data(), a.size()));
-      }
-    }
-  }
-}
-
-TEST(SimilarityKernelTest, SignatureBitUniformAcrossWidths) {
+TEST(SimilarityKernelTest, SignatureBitUniform) {
   // Chi-square uniformity of SignatureBit over both random and sequential
-  // (dense dictionary id) tokens, for all three widths. Threshold is
-  // dof + 4 * sqrt(2 * dof) — about 4 standard deviations above the mean
-  // of the chi-square distribution, and deterministic here since both the
-  // hash and the PRNG seed are fixed.
+  // (dense dictionary id) tokens. Threshold is dof + 4 * sqrt(2 * dof) —
+  // about 4 standard deviations above the mean of the chi-square
+  // distribution, and deterministic here since both the hash and the PRNG
+  // seed are fixed.
   std::mt19937_64 rng(7);
   const int kSamples = 100000;
   std::vector<Token> random_tokens(kSamples);
@@ -180,61 +144,54 @@ TEST(SimilarityKernelTest, SignatureBitUniformAcrossWidths) {
     random_tokens[i] = tok_dist(rng);
     sequential_tokens[i] = static_cast<Token>(i);
   }
-  for (const int bits : {64, 128, 256}) {
-    for (const auto* tokens : {&random_tokens, &sequential_tokens}) {
-      std::vector<int> counts(bits, 0);
-      for (const Token t : *tokens) {
-        const int bit = SignatureBit(t, bits);
-        ASSERT_GE(bit, 0);
-        ASSERT_LT(bit, bits);
-        ++counts[bit];
-      }
-      const double expected = static_cast<double>(kSamples) / bits;
-      double chi2 = 0.0;
-      for (const int c : counts) {
-        const double d = c - expected;
-        chi2 += d * d / expected;
-      }
-      const double dof = bits - 1;
-      const double threshold = dof + 4.0 * std::sqrt(2.0 * dof);
-      EXPECT_LT(chi2, threshold)
-          << "width " << bits << " "
-          << (tokens == &random_tokens ? "random" : "sequential");
+  for (const auto* tokens : {&random_tokens, &sequential_tokens}) {
+    std::vector<int> counts(64, 0);
+    for (const Token t : *tokens) {
+      const int bit = SignatureBit(t);
+      ASSERT_GE(bit, 0);
+      ASSERT_LT(bit, 64);
+      ++counts[bit];
     }
+    const double expected = static_cast<double>(kSamples) / 64;
+    double chi2 = 0.0;
+    for (const int c : counts) {
+      const double d = c - expected;
+      chi2 += d * d / expected;
+    }
+    const double dof = 63;
+    const double threshold = dof + 4.0 * std::sqrt(2.0 * dof);
+    EXPECT_LT(chi2, threshold)
+        << (tokens == &random_tokens ? "random" : "sequential");
   }
 }
 
-TEST(SimilarityKernelTest, BatchPopcountsMatchScalarAcrossWidths) {
+TEST(SimilarityKernelTest, BatchPopcountsMatchScalar) {
   // The dispatched SigPopCountBatch (AVX2 / NEON when the host supports
-  // them) must agree word-for-word with the forced-scalar core — integer
+  // them) must agree entry-for-entry with the forced-scalar core — integer
   // popcounts leave no room for drift. Entry counts are chosen to cover
   // full vectors plus every tail length.
   std::mt19937_64 rng(99);
   std::uniform_int_distribution<uint64_t> word_dist;
-  for (const int bits : {64, 128, 256}) {
-    const int words = SigWords(bits);
-    for (const size_t entries : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 64u, 1001u}) {
-      std::vector<uint64_t> sa(entries * words);
-      std::vector<uint64_t> sb(entries * words);
-      for (auto& w : sa) w = word_dist(rng);
-      for (auto& w : sb) w = word_dist(rng);
-      std::vector<uint32_t> pa_s(entries), pb_s(entries), pc_s(entries);
-      std::vector<uint32_t> pa_v(entries), pb_v(entries), pc_v(entries);
-      SigPopCountBatch(sa.data(), sb.data(), entries, words, pa_s.data(),
-                       pb_s.data(), pc_s.data(), /*force_scalar=*/true);
-      SigPopCountBatch(sa.data(), sb.data(), entries, words, pa_v.data(),
-                       pb_v.data(), pc_v.data(), /*force_scalar=*/false);
-      for (size_t i = 0; i < entries; ++i) {
-        ASSERT_EQ(pa_s[i], pa_v[i]) << bits << " entry " << i;
-        ASSERT_EQ(pb_s[i], pb_v[i]) << bits << " entry " << i;
-        ASSERT_EQ(pc_s[i], pc_v[i]) << bits << " entry " << i;
-        // Cross-check one entry against the per-pair SigPopCount.
-        const SigPopCounts p =
-            SigPopCount(sa.data() + i * words, sb.data() + i * words, words);
-        ASSERT_EQ(static_cast<uint32_t>(p.a), pa_s[i]);
-        ASSERT_EQ(static_cast<uint32_t>(p.b), pb_s[i]);
-        ASSERT_EQ(static_cast<uint32_t>(p.common), pc_s[i]);
-      }
+  for (const size_t entries : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 64u, 1001u}) {
+    std::vector<uint64_t> sa(entries);
+    std::vector<uint64_t> sb(entries);
+    for (auto& w : sa) w = word_dist(rng);
+    for (auto& w : sb) w = word_dist(rng);
+    std::vector<uint32_t> pa_s(entries), pb_s(entries), pc_s(entries);
+    std::vector<uint32_t> pa_v(entries), pb_v(entries), pc_v(entries);
+    SigPopCountBatch(sa.data(), sb.data(), entries, pa_s.data(), pb_s.data(),
+                     pc_s.data(), /*force_scalar=*/true);
+    SigPopCountBatch(sa.data(), sb.data(), entries, pa_v.data(), pb_v.data(),
+                     pc_v.data(), /*force_scalar=*/false);
+    for (size_t i = 0; i < entries; ++i) {
+      ASSERT_EQ(pa_s[i], pa_v[i]) << "entry " << i;
+      ASSERT_EQ(pb_s[i], pb_v[i]) << "entry " << i;
+      ASSERT_EQ(pc_s[i], pc_v[i]) << "entry " << i;
+      // Cross-check each entry against the per-pair SigPopCount.
+      const SigPopCounts p = SigPopCount(sa[i], sb[i]);
+      ASSERT_EQ(static_cast<uint32_t>(p.a), pa_s[i]);
+      ASSERT_EQ(static_cast<uint32_t>(p.b), pb_s[i]);
+      ASSERT_EQ(static_cast<uint32_t>(p.common), pc_s[i]);
     }
   }
 }
@@ -245,58 +202,47 @@ TEST(SimilarityKernelTest, BatchedFilterMatchesPerPairPassOne) {
   // per-attribute Jaccard upper bounds in attribute order, survive iff the
   // sum exceeds gamma.
   std::mt19937_64 rng(1234);
-  for (const int bits : {64, 128, 256}) {
-    const int words = SigWords(bits);
-    for (const int d : {1, 3, 4}) {
-      const size_t num_pairs = 257;  // covers several survivor bitmap words
-      std::vector<uint32_t> len_a, len_b;
-      std::vector<uint64_t> sig_a, sig_b;
-      std::vector<std::vector<Token>> toks_a, toks_b;
-      for (size_t i = 0; i < num_pairs; ++i) {
-        for (int k = 0; k < d; ++k) {
-          const Token universe = (i + k) % 2 == 0 ? 40 : 8000;
-          const TokenSet a =
-              TokenSet::FromTokens(RandomTokens(&rng, 60, universe));
-          const TokenSet b =
-              TokenSet::FromTokens(RandomTokens(&rng, 60, universe));
-          len_a.push_back(static_cast<uint32_t>(a.size()));
-          len_b.push_back(static_cast<uint32_t>(b.size()));
-          uint64_t wa[kMaxSigWords];
-          uint64_t wb[kMaxSigWords];
-          BuildTokenSignature(a.data(), a.size(), bits, wa);
-          BuildTokenSignature(b.data(), b.size(), bits, wb);
-          sig_a.insert(sig_a.end(), wa, wa + words);
-          sig_b.insert(sig_b.end(), wb, wb + words);
-        }
+  for (const int d : {1, 3, 4}) {
+    const size_t num_pairs = 257;  // covers several survivor bitmap words
+    std::vector<uint32_t> len_a, len_b;
+    std::vector<uint64_t> sig_a, sig_b;
+    for (size_t i = 0; i < num_pairs; ++i) {
+      for (int k = 0; k < d; ++k) {
+        const Token universe = (i + k) % 2 == 0 ? 40 : 8000;
+        const TokenSet a =
+            TokenSet::FromTokens(RandomTokens(&rng, 60, universe));
+        const TokenSet b =
+            TokenSet::FromTokens(RandomTokens(&rng, 60, universe));
+        len_a.push_back(static_cast<uint32_t>(a.size()));
+        len_b.push_back(static_cast<uint32_t>(b.size()));
+        sig_a.push_back(TokenSignature(a.data(), a.size()));
+        sig_b.push_back(TokenSignature(b.data(), b.size()));
       }
-      SigFilterBatch batch;
-      batch.num_pairs = num_pairs;
-      batch.d = d;
-      batch.sig_bits = bits;
-      batch.len_a = len_a.data();
-      batch.len_b = len_b.data();
-      batch.sig_a = sig_a.data();
-      batch.sig_b = sig_b.data();
-      const double gamma = 0.35 * d;
-      std::vector<uint64_t> survivors((num_pairs + 63) / 64, ~uint64_t{0});
-      const size_t count = SigFilterCandidates(batch, gamma, survivors.data());
-      size_t expect_count = 0;
-      for (size_t i = 0; i < num_pairs; ++i) {
-        double total_ub = 0.0;
-        for (int k = 0; k < d; ++k) {
-          const size_t e = i * d + k;
-          total_ub += SigJaccardUpperBound(len_a[e], sig_a.data() + e * words,
-                                           len_b[e], sig_b.data() + e * words,
-                                           words);
-        }
-        const bool expect_survive = total_ub > gamma;
-        expect_count += expect_survive ? 1 : 0;
-        ASSERT_EQ((survivors[i >> 6] >> (i & 63)) & 1,
-                  expect_survive ? 1u : 0u)
-            << "width " << bits << " d " << d << " row " << i;
-      }
-      ASSERT_EQ(count, expect_count);
     }
+    SigFilterBatch batch;
+    batch.num_pairs = num_pairs;
+    batch.d = d;
+    batch.len_a = len_a.data();
+    batch.len_b = len_b.data();
+    batch.sig_a = sig_a.data();
+    batch.sig_b = sig_b.data();
+    const double gamma = 0.35 * d;
+    std::vector<uint64_t> survivors((num_pairs + 63) / 64, ~uint64_t{0});
+    const size_t count = SigFilterCandidates(batch, gamma, survivors.data());
+    size_t expect_count = 0;
+    for (size_t i = 0; i < num_pairs; ++i) {
+      double total_ub = 0.0;
+      for (int k = 0; k < d; ++k) {
+        const size_t e = i * d + k;
+        total_ub +=
+            SigJaccardUpperBound(len_a[e], sig_a[e], len_b[e], sig_b[e]);
+      }
+      const bool expect_survive = total_ub > gamma;
+      expect_count += expect_survive ? 1 : 0;
+      ASSERT_EQ((survivors[i >> 6] >> (i & 63)) & 1, expect_survive ? 1u : 0u)
+          << "d " << d << " row " << i;
+    }
+    ASSERT_EQ(count, expect_count);
   }
 }
 
@@ -326,28 +272,19 @@ TEST(SimilarityKernelTest, ArenaViewsMatchInstanceTokens) {
   for (ValueId vid = 0; vid < std::min<ValueId>(3, domain.size()); ++vid) {
     ia.candidates.push_back({vid, 0.3});
   }
-  for (const int bits : {64, 128, 256}) {
-    const ImputedTuple tuple = ImputedTuple::FromImputation(
-        r, world.repo.get(), {ia}, /*max_instances=*/4, bits);
-    ASSERT_EQ(tuple.token_arena().sig_bits(), bits);
-    for (int m = 0; m < tuple.num_instances(); ++m) {
-      for (int k = 0; k < tuple.num_attributes(); ++k) {
-        const TokenSet& expect = tuple.instance_tokens(m, k);
-        const TokenView view = tuple.instance_token_view(m, k);
-        ASSERT_EQ(view.len, expect.size());
-        EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
-                               view.data));
-        uint64_t want[kMaxSigWords];
-        BuildTokenSignature(view.data, view.len, bits, want);
-        for (int w = 0; w < SigWords(bits); ++w) {
-          EXPECT_EQ(view.sig[w], want[w]) << "width " << bits << " word " << w;
-        }
-      }
-    }
-  }
   const ImputedTuple tuple = ImputedTuple::FromImputation(
       r, world.repo.get(), {ia}, /*max_instances=*/4);
-  ASSERT_EQ(tuple.token_arena().sig_bits(), 64);
+  ASSERT_GT(tuple.num_instances(), 1);
+  for (int m = 0; m < tuple.num_instances(); ++m) {
+    for (int k = 0; k < tuple.num_attributes(); ++k) {
+      const TokenSet& expect = tuple.instance_tokens(m, k);
+      const TokenView view = tuple.instance_token_view(m, k);
+      ASSERT_EQ(view.len, expect.size());
+      EXPECT_TRUE(std::equal(expect.begin(), expect.end(), view.data));
+      EXPECT_EQ(view.sig, TokenSignature(expect.data(), expect.size()))
+          << "instance " << m << " attribute " << k;
+    }
+  }
   // The cached record union is the sorted, deduplicated union of the
   // base record's non-missing attributes.
   std::vector<Token> expect_union;
@@ -364,6 +301,34 @@ TEST(SimilarityKernelTest, ArenaViewsMatchInstanceTokens) {
                          union_view.data));
 }
 
+/// Checks InstanceSimilarityExceeds against the plain-merge verdict for
+/// every instance pair of `tuples`: at random gammas in [0, d], and at the
+/// two gammas straddling the exact similarity, where a bound that rounds
+/// the wrong way would flip the verdict.
+void ExpectExceedsMatchesExact(const std::vector<ImputedTuple>& tuples,
+                               std::mt19937_64* rng) {
+  std::uniform_real_distribution<double> gamma_dist(
+      0.0, tuples.front().num_attributes());
+  for (const ImputedTuple& a : tuples) {
+    for (const ImputedTuple& b : tuples) {
+      for (int ma = 0; ma < a.num_instances(); ++ma) {
+        for (int mb = 0; mb < b.num_instances(); ++mb) {
+          const double exact = InstanceSimilarity(a, ma, b, mb);
+          std::vector<double> gammas = {exact, std::nextafter(exact, -1.0)};
+          for (int rep = 0; rep < 6; ++rep) {
+            gammas.push_back(gamma_dist(*rng));
+          }
+          for (const double gamma : gammas) {
+            ASSERT_EQ(InstanceSimilarityExceeds(a, ma, b, mb, gamma),
+                      exact > gamma)
+                << "rids " << a.rid() << "/" << b.rid() << " gamma " << gamma;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimilarityKernelTest, ExceedsVerdictMatchesExactSimilarity) {
   ToyWorld world = MakeHealthWorld();
   std::mt19937_64 rng(7);
@@ -374,51 +339,52 @@ TEST(SimilarityKernelTest, ExceedsVerdictMatchesExactSimilarity) {
       {"-", "red eye itchy", "conjunctivitis", "eye drop"},
       {"male", "fever cough headache", "flu", "drink more"},
   };
-  // The verdict must equal the exact comparison at every signature width,
-  // with the filter on or off — widths change merge counts only.
-  for (const int bits : {64, 128, 256}) {
-    std::vector<ImputedTuple> tuples;
-    for (size_t i = 0; i < texts.size(); ++i) {
-      Record r = world.Make(static_cast<int64_t>(i), texts[i]);
-      std::vector<ImputedTuple::ImputedAttr> imputed;
-      for (int j : r.MissingAttributes()) {
-        ImputedTuple::ImputedAttr ia;
-        ia.attr = j;
-        const AttributeDomain& domain = world.repo->domain(j);
-        for (ValueId vid = 0; vid < std::min<ValueId>(3, domain.size());
-             ++vid) {
-          ia.candidates.push_back({vid, 0.25});
-        }
-        imputed.push_back(std::move(ia));
+  std::vector<ImputedTuple> tuples;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    Record r = world.Make(static_cast<int64_t>(i), texts[i]);
+    std::vector<ImputedTuple::ImputedAttr> imputed;
+    for (int j : r.MissingAttributes()) {
+      ImputedTuple::ImputedAttr ia;
+      ia.attr = j;
+      const AttributeDomain& domain = world.repo->domain(j);
+      for (ValueId vid = 0; vid < std::min<ValueId>(3, domain.size());
+           ++vid) {
+        ia.candidates.push_back({vid, 0.25});
       }
-      tuples.push_back(ImputedTuple::FromImputation(
-          r, world.repo.get(), std::move(imputed), 4, bits));
+      imputed.push_back(std::move(ia));
     }
-    std::uniform_real_distribution<double> gamma_dist(0.0, 4.0);
-    for (const ImputedTuple& a : tuples) {
-      for (const ImputedTuple& b : tuples) {
-        // The cached-union overload must agree exactly with the Record
-        // overload (both read the same one UnionRecordTokensInto semantics).
-        EXPECT_DOUBLE_EQ(HeterogeneousRecordSimilarity(a, b),
-                         HeterogeneousRecordSimilarity(a.base(), b.base()));
-        for (int ma = 0; ma < a.num_instances(); ++ma) {
-          for (int mb = 0; mb < b.num_instances(); ++mb) {
-            const double exact = InstanceSimilarity(a, ma, b, mb);
-            for (int rep = 0; rep < 8; ++rep) {
-              const double gamma = gamma_dist(rng);
-              const bool expect = exact > gamma;
-              EXPECT_EQ(InstanceSimilarityExceeds(a, ma, b, mb, gamma, true),
-                        expect)
-                  << "width " << bits;
-              EXPECT_EQ(InstanceSimilarityExceeds(a, ma, b, mb, gamma, false),
-                        expect)
-                  << "width " << bits;
-            }
-          }
-        }
-      }
+    tuples.push_back(ImputedTuple::FromImputation(
+        r, world.repo.get(), std::move(imputed), 4));
+  }
+  for (const ImputedTuple& a : tuples) {
+    for (const ImputedTuple& b : tuples) {
+      // The cached-union overload must agree exactly with the Record
+      // overload (both read the same one UnionRecordTokensInto semantics).
+      EXPECT_DOUBLE_EQ(HeterogeneousRecordSimilarity(a, b),
+                       HeterogeneousRecordSimilarity(a.base(), b.base()));
     }
   }
+  ExpectExceedsMatchesExact(tuples, &rng);
+
+  // One more input: complete tuples of the generated EBooks profile, which
+  // carries the longest token sets of the five profiles — the regime where
+  // 64-bit signatures come closest to saturating and the popcount bound is
+  // loosest.
+  ExperimentParams params;
+  params.scale = 0.012;
+  params.w = 50;
+  params.max_arrivals = 100;
+  Experiment experiment(EBooksProfile(), params);
+  std::unique_ptr<Repository> repo = experiment.BuildRepository();
+  std::vector<ImputedTuple> ebooks;
+  for (const std::vector<Record>* source :
+       {&experiment.dataset().source_a, &experiment.dataset().source_b}) {
+    for (size_t i = 0; i < std::min<size_t>(30, source->size()); ++i) {
+      ebooks.push_back(ImputedTuple::FromComplete((*source)[i], repo.get()));
+    }
+  }
+  ASSERT_FALSE(ebooks.empty());
+  ExpectExceedsMatchesExact(ebooks, &rng);
 }
 
 }  // namespace
