@@ -25,7 +25,7 @@ int main() {
   JsonReporter reporter("batch_scaling");
   // The queue knob rides along from the environment (the sweep axes here
   // stay batch x threads).
-  const ExecKnobs env_knobs = EnvExecKnobs();
+  const ExecKnobs env_knobs = BenchKnobs();
   const std::vector<std::pair<int, int>> grid = {
       {1, 1}, {8, 1}, {1, 4}, {8, 4}};
   const std::vector<PipelineKind> kinds = {PipelineKind::kTerIds,

@@ -136,6 +136,16 @@ ExecKnobs EnvExecKnobs() {
   return knobs;
 }
 
+double BenchScale() {
+  static const double kScale = EnvScale();
+  return kScale;
+}
+
+const ExecKnobs& BenchKnobs() {
+  static const ExecKnobs kKnobs = EnvExecKnobs();
+  return kKnobs;
+}
+
 ExperimentParams BaseParams(const std::string& dataset) {
   ExperimentParams params;
   // Per-dataset size scale: preserves the relative ordering of Table 4
@@ -144,11 +154,11 @@ ExperimentParams BaseParams(const std::string& dataset) {
   double scale = 0.3;
   if (dataset == "EBooks") scale = 0.1;
   if (dataset == "Songs") scale = 0.004;
-  params.scale = scale * EnvScale();
-  params.w = static_cast<int>(200 * EnvScale());  // paper default w = 1000
+  params.scale = scale * BenchScale();
+  params.w = static_cast<int>(200 * BenchScale());  // paper default w = 1000
   if (params.w < 40) params.w = 40;
   params.max_arrivals = 4 * params.w;
-  const ExecKnobs knobs = EnvExecKnobs();
+  const ExecKnobs& knobs = BenchKnobs();
   params.batch_size = knobs.batch_size;
   params.refine_threads = knobs.refine_threads;
   params.ingest_queue_depth = knobs.ingest_queue_depth;
@@ -265,7 +275,7 @@ JsonReporter::~JsonReporter() {
     return;
   }
   out << "{\"figure\":\"" << JsonEscape(figure_)
-      << "\",\"bench_scale\":" << NumToJson(EnvScale()) << ",\"rows\":[";
+      << "\",\"bench_scale\":" << NumToJson(BenchScale()) << ",\"rows\":[";
   for (size_t i = 0; i < rows_.size(); ++i) {
     out << (i == 0 ? "" : ",") << "{" << rows_[i].body_ << "}";
   }
@@ -281,7 +291,7 @@ void PrintHeader(const std::string& figure, const std::string& title,
       "threads=%d queue=%d sched=%d "
       "repo=%s snapdecode=%s overload=%s\n",
       params.alpha, params.rho, params.xi, params.eta, params.w, params.m,
-      params.scale, params.max_arrivals, EnvScale(), params.batch_size,
+      params.scale, params.max_arrivals, BenchScale(), params.batch_size,
       params.refine_threads, params.ingest_queue_depth, params.sched_threads,
       RepoBackendName(params.repo_backend),
       SnapshotDecodeName(params.snapshot_decode),

@@ -64,6 +64,12 @@ struct ExecKnobs {
 };
 ExecKnobs EnvExecKnobs();
 
+/// EnvScale() and EnvExecKnobs() as this process runs with them: each is
+/// parsed on first use only, so a rejected value is reported once however
+/// many BaseParams / PrintHeader / JsonReporter calls read it.
+double BenchScale();
+const ExecKnobs& BenchKnobs();
+
 /// Baseline parameters for one dataset: Table 5 defaults with sizes scaled
 /// so the full suite finishes on one core (see EXPERIMENTS.md §Scaling).
 /// Paper -> bench mapping: w 1000 -> 200, arrivals capped at 800, dataset

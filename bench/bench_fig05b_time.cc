@@ -9,7 +9,7 @@ int main() {
   using namespace terids;
   using namespace terids::bench;
   ExperimentParams base = BaseParams("Citations");
-  const ExecKnobs knobs = EnvExecKnobs();
+  const ExecKnobs knobs = BenchKnobs();
   JsonReporter reporter("Figure 5(b)");
   PrintHeader("Figure 5(b)", "wall clock time (ms/arrival) vs data sets",
               base);

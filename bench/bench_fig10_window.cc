@@ -10,7 +10,7 @@ int main() {
   using namespace terids::bench;
   TimeSweep("Figure 10", "w", {100, 160, 200, 400, 600},
             [](ExperimentParams* p, double v) {
-              p->w = static_cast<int>(v * EnvScale());
+              p->w = static_cast<int>(v * BenchScale());
               if (p->w < 20) p->w = 20;
               p->max_arrivals = 4 * p->w;
             },

@@ -67,7 +67,7 @@ struct RunResult {
 
 int main() {
   JsonReporter reporter("overload");
-  ExecKnobs knobs = EnvExecKnobs();
+  ExecKnobs knobs = BenchKnobs();
   // The overload layer only exists on the async ingest path, and pressure
   // needs real batches: force the async knobs up to a floor (env values
   // above the floor are kept).

@@ -153,7 +153,7 @@ long RssDeltaKb(long before, long after) {
 
 int main() {
   JsonReporter reporter("repo_backends");
-  const ExecKnobs env_knobs = EnvExecKnobs();
+  const ExecKnobs env_knobs = BenchKnobs();
   const std::string dataset = "Citations";
   ExperimentParams params = BaseParams(dataset);
   Experiment experiment(ProfileByName(dataset), params);

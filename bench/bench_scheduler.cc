@@ -54,7 +54,7 @@ bool SameOutput(const PruneStats& a, const PruneStats& b) {
 
 int main() {
   JsonReporter reporter("scheduler");
-  const ExecKnobs env_knobs = EnvExecKnobs();
+  const ExecKnobs env_knobs = BenchKnobs();
   const std::string dataset = "Citations";
   ExperimentParams params = BaseParams(dataset);
   // Every parallel phase on, so ingest and refinement flow through the

@@ -12,7 +12,7 @@ int main() {
   using namespace terids;
   using namespace terids::bench;
   ExperimentParams base = BaseParams("Citations");
-  const ExecKnobs knobs = EnvExecKnobs();
+  const ExecKnobs knobs = BenchKnobs();
   JsonReporter reporter("Table 4");
   PrintHeader("Table 4", "the tested data sets (generated substitutes)",
               base);

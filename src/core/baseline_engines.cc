@@ -33,7 +33,7 @@ std::vector<ImputedTuple::ImputedAttr> IjGerEngine::Impute(
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
       counts_.Fit(repo_->domain_size(j));
-      // Linear sample retrieval (no DR-index join), but candidate values
+      // Linear sample retrieval (no postings join), but candidate values
       // still come from the cached neighbor lists — this pipeline has
       // the indexes, it just does not traverse them simultaneously.
       for (int rule_idx : selected) {

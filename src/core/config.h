@@ -11,7 +11,7 @@ namespace terids {
 
 /// Identifies one of the evaluated processing pipelines (Section 6.1).
 enum class PipelineKind {
-  kTerIds,        // Full approach: CDD-index + DR-index + ER-grid join.
+  kTerIds,        // Full approach: CDD-index + postings join + ER-grid.
   kIjGer,         // Indexes without join: CDD-index + linear samples + grid.
   kCddEr,         // CDD imputation without indexes + linear ER.
   kDdEr,          // DD imputation + linear ER.

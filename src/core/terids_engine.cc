@@ -1,7 +1,8 @@
 #include "core/terids_engine.h"
 
+#include <algorithm>
+
 #include "imputation/rule_based_imputer.h"
-#include "rules/rule_miner.h"
 #include "util/stopwatch.h"
 
 namespace terids {
@@ -34,6 +35,17 @@ void TerIdsEngine::PostNewSamples() {
   }
 }
 
+void TerIdsEngine::BeginProbe() {
+  // A new epoch invalidates every entry of the previous probe at once.
+  if (++memo_epoch_ == 0) {
+    for (auto& per_attr : dist_memo_) {
+      per_attr.assign(per_attr.size(), MemoEntry{});
+    }
+    sharing_epoch_.assign(sharing_epoch_.size(), 0);
+    memo_epoch_ = 1;
+  }
+}
+
 double TerIdsEngine::ProbeDistance(const Record& r, int attr, ValueId vid) {
   std::vector<MemoEntry>& memo = dist_memo_[attr];
   if (vid >= memo.size()) {
@@ -57,7 +69,8 @@ const std::vector<ValueId>& TerIdsEngine::ProbeSharing(const Record& r,
   return sharing_[attr];
 }
 
-void TerIdsEngine::JoinDeterminants(const Record& r, const CddRule& rule) {
+void TerIdsEngine::JoinDeterminants(const Record& r, const CddRule& rule,
+                                    JoinPaths* paths) {
   using Kind = AttrConstraint::Kind;
   hits_.clear();
   // The start determinant: the first constant, else the interval below 1
@@ -90,7 +103,7 @@ void TerIdsEngine::JoinDeterminants(const Record& r, const CddRule& rule) {
       const auto& [attr, constraint] = det;
       const ValueId svid = repo_->sample_value_id(sample_idx, attr);
       if (constraint.kind == Kind::kConstant) {
-        // Probe-side equality was verified by the CDD-index.
+        // Probe-side equality is the caller's check.
         if (svid != constraint.constant_vid) {
           return false;
         }
@@ -112,7 +125,7 @@ void TerIdsEngine::JoinDeterminants(const Record& r, const CddRule& rule) {
     }
   };
   if (start == nullptr) {
-    ++join_paths_.scan;
+    ++paths->scan;
     for (size_t s = 0; s < repo_->num_samples(); ++s) {
       if (satisfies_rest(s)) {
         hits_.push_back(static_cast<uint32_t>(s));
@@ -122,13 +135,13 @@ void TerIdsEngine::JoinDeterminants(const Record& r, const CddRule& rule) {
   }
   const auto& [attr, constraint] = *start;
   if (constraint.kind == Kind::kConstant) {
-    ++join_paths_.constant;
+    ++paths->constant;
     expand(sample_postings_[attr], constraint.constant_vid);
     return;
   }
-  ++join_paths_.interval;
+  ++paths->interval;
   if (r.values[attr].tokens.empty()) {
-    ++join_paths_.tokenless_probe;
+    ++paths->tokenless_probe;
   }
   // Every value inside an interval below 1 is token-sharing (or, for a
   // token-less probe, token-less), so this walk misses no sample.
@@ -145,15 +158,8 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
   // The index join evaluates each probe-to-domain-value Jaccard distance at
   // most once per arrival, no matter how many selected rules or samples
   // carry that value — this memo is the "simultaneous traversal" payoff of
-  // Section 5.3 that the unindexed baselines do not get. A new epoch
-  // invalidates every entry of the previous arrival at once.
-  if (++memo_epoch_ == 0) {
-    for (auto& per_attr : dist_memo_) {
-      per_attr.assign(per_attr.size(), MemoEntry{});
-    }
-    sharing_epoch_.assign(sharing_epoch_.size(), 0);
-    memo_epoch_ = 1;
-  }
+  // Section 5.3 that the unindexed baselines do not get.
+  BeginProbe();
   for (int j : r.MissingAttributes()) {
     // CDD selection via the CDD-index.
     std::vector<int> selected;
@@ -173,7 +179,8 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
       }
       for (int rule_idx : selected) {
         const CddRule& rule = rules_[rule_idx];
-        JoinDeterminants(r, rule);
+        // The CDD-index verified the probe side of constant determinants.
+        JoinDeterminants(r, rule, &join_paths_);
         for (uint32_t sample_idx : hits_) {
           neighborhoods_.AccumulateRange(
               j, repo_->sample_value_id(sample_idx, j), rule.dep_interval,
@@ -194,25 +201,49 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
 }
 
 Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
-  RuleMiner miner(repo_, MinerOptions{});
-  int widened = 0;
+  const size_t first = repo_->num_samples();
   Status status = Status::Ok();
   for (const Record& record : batch) {
-    const size_t sample_idx = repo_->num_samples();
     status = repo_->AddSample(record);
     if (!status.ok()) {
-      break;  // The samples absorbed so far still get the refresh below.
+      break;  // The samples absorbed so far are still joined below.
     }
-    // Widen rules the new sample violates.
-    widened += miner.AbsorbNewSample(sample_idx, &rules_);
   }
-  if (widened > 0) {
-    // Dependent intervals are leaf aggregates of the CDD-index.
+  PostNewSamples();
+  // Each new sample probes every rule against the samples before it, so
+  // each pair counts once, as when absorbing one record at a time; Cover is
+  // min/max, so the order does not matter.
+  JoinPaths absorb_paths;  // join_paths_ counts imputation joins only.
+  bool widened = false;
+  for (size_t idx = first; idx < repo_->num_samples(); ++idx) {
+    const Record& r = batch[idx - first];
+    BeginProbe();
+    for (CddRule& rule : rules_) {
+      // The probe side of constants, which the CDD-index checks for Impute.
+      if (std::any_of(rule.determinants.begin(), rule.determinants.end(),
+                      [&](const auto& det) {
+                        return det.second.kind ==
+                                   AttrConstraint::Kind::kConstant &&
+                               repo_->sample_value_id(idx, det.first) !=
+                                   det.second.constant_vid;
+                      })) {
+        continue;
+      }
+      JoinDeterminants(r, rule, &absorb_paths);
+      for (uint32_t other : hits_) {
+        if (other < idx) {  // Not itself, nor a later record of the batch.
+          const double dep_dist = ProbeDistance(
+              r, rule.dependent, repo_->sample_value_id(other, rule.dependent));
+          widened |= !rule.dep_interval.Contains(dep_dist);
+          rule.dep_interval.Cover(dep_dist);
+          ++rule.support;
+        }
+      }
+    }
+  }
+  if (widened) {
     cdd_index_.Build();
   }
-  // Neither the sample postings nor the neighbour lists need a refresh
-  // here: the next Impute call posts the new samples, and an attribute
-  // whose domain grew rebuilds its lists on next use.
   return status;
 }
 

@@ -32,19 +32,18 @@ namespace terids {
 class TerIdsEngine : public PipelineBase {
  public:
   /// The engine copies `rules` (it owns the vector its CDD-index points
-  /// into). `dynamic_repository` enables the Section 5.5 extension hooks.
+  /// into).
   TerIdsEngine(Repository* repo, EngineConfig config, int num_streams,
                std::vector<CddRule> rules);
 
   /// Dynamic repository maintenance (Section 5.5): adds a batch of new
-  /// complete tuples to R, widens or adds CDD rules via the miner's absorb
-  /// step, and refreshes the CDD-index entries of changed rules. The next
-  /// Impute call posts the new samples; the neighbour lists of an attribute
-  /// whose domain grew are rebuilt on their next use, and all other lists
-  /// stay cached.
+  /// complete tuples to R up to the first one AddSample rejects, then widens
+  /// every rule whose determinants a new sample meets with an earlier one
+  /// but whose dependent interval the pair breaks, found by the determinant
+  /// join with the new sample as the probe (DESIGN.md §5).
   Status AbsorbRepositoryBatch(const std::vector<Record>& batch);
 
-  /// How often each path of the determinant join ran: one count per
+  /// How often each path of Impute's determinant join ran: one count per
   /// selected rule, by the determinant the rule's join started from.
   struct JoinPaths {
     uint64_t constant = 0;  // a constant: that value's sample postings
@@ -65,23 +64,27 @@ class TerIdsEngine : public PipelineBase {
  private:
   /// Extends the sample postings to every current repository sample.
   void PostNewSamples();
-  /// Memoised JaccardDistance(r[attr], dom(attr)[vid]) of this call.
+  /// Starts a new probe, forgetting the previous probe's memos.
+  void BeginProbe();
+  /// Memoised JaccardDistance(r[attr], dom(attr)[vid]) of this probe.
   double ProbeDistance(const Record& r, int attr, ValueId vid);
-  /// This call's token-sharing values of r[attr], computed once.
+  /// This probe's token-sharing values of r[attr], computed once.
   const std::vector<ValueId>& ProbeSharing(const Record& r, int attr);
   /// Replaces hits_ with the samples satisfying `rule`'s determinants
-  /// against r, each once.
-  void JoinDeterminants(const Record& r, const CddRule& rule);
+  /// against r, each once, counting the path in `paths`. The caller checks
+  /// the probe side of constants.
+  void JoinDeterminants(const Record& r, const CddRule& rule,
+                        JoinPaths* paths);
 
   std::vector<CddRule> rules_;
   CddIndex cdd_index_;
   ValueNeighborhoods neighborhoods_;
   JoinPaths join_paths_;
 
-  // Index-join scratch, reused across Impute calls. Like neighborhoods_ it
-  // is owned by the single ingest owner of the pipeline (DESIGN.md §5).
+  // Index-join scratch, reused across probes. Like neighborhoods_ it is
+  // owned by the single ingest owner of the pipeline (DESIGN.md §5).
   /// One probe-to-domain-value distance; valid iff `epoch` equals the
-  /// current Impute call's memo_epoch_ (0 is never current).
+  /// current probe's memo_epoch_ (0 is never current).
   struct MemoEntry {
     double dist = 0.0;
     uint32_t epoch = 0;

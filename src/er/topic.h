@@ -31,7 +31,7 @@ class TopicQuery {
   bool Matches(const TokenSet& tokens) const;
 
   /// Keyword bitmask of a token set: bit (i % 64) set iff keyword i occurs.
-  /// Masks are used as aggregate filters (DR-index, ER-grid); hashing
+  /// Masks are used as aggregate filters (ER-grid cells); hashing
   /// keywords onto 64 bits can only create false "possibly matches", never
   /// false prunes.
   uint64_t MaskOf(const TokenSet& tokens) const;

@@ -71,6 +71,7 @@ int CddIndex::FindOrAddGroup(int dependent, uint32_t det_mask) {
 }
 
 void CddIndex::Build() {
+  ++num_builds_;
   groups_.clear();
   // Partition rules into lattice groups, then bulk load each group's tree.
   std::vector<std::vector<ArTreeEntry>> group_entries;

@@ -54,6 +54,8 @@ class CddIndex {
                                int dependent) const;
 
   size_t num_groups() const { return groups_.size(); }
+  /// How many times Build() has run.
+  int num_builds() const { return num_builds_; }
 
  private:
   struct Group {
@@ -72,6 +74,7 @@ class CddIndex {
   const Repository* repo_;
   const std::vector<CddRule>* rules_;
   std::vector<Group> groups_;
+  int num_builds_ = 0;
 };
 
 }  // namespace terids

@@ -24,8 +24,8 @@ struct AttributePivots {
 /// Physical storage behind a Repository (DESIGN.md §8): per-attribute value
 /// domains, the complete sample tuples with their ValueIds, and — once
 /// pivots are attached — the pivot-distance tables and sorted main-pivot
-/// coordinate lists that back the DR-index, the CDD-index geometry, and
-/// imputation candidate retrieval.
+/// coordinate lists that back the CDD-index geometry and the rule-based
+/// imputer's coordinate prefilter.
 ///
 /// The read path is the hot interface every engine layer goes through (via
 /// the Repository facade). The write path exists for repository maintenance:

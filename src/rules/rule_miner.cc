@@ -289,35 +289,4 @@ std::vector<CddRule> RuleMiner::MineEditingRules() const {
   return rules;
 }
 
-int RuleMiner::AbsorbNewSample(size_t sample_idx,
-                               std::vector<CddRule>* rules) const {
-  TERIDS_CHECK(rules != nullptr);
-  TERIDS_CHECK(sample_idx < repo_->num_samples());
-  const Record& s_new = repo_->sample(sample_idx);
-  int widened = 0;
-  for (CddRule& rule : *rules) {
-    bool rule_widened = false;
-    for (size_t other = 0; other < repo_->num_samples(); ++other) {
-      if (other == sample_idx) continue;
-      // Treat s_new as the probe record r: the determinant check is
-      // symmetric in the two tuples for both constraint kinds.
-      if (!rule.DeterminantsSatisfied(s_new, *repo_, other)) {
-        continue;
-      }
-      const double dep_dist =
-          JaccardDistance(s_new.values[rule.dependent].tokens,
-                          repo_->sample(other).values[rule.dependent].tokens);
-      if (!rule.dep_interval.Contains(dep_dist)) {
-        rule.dep_interval.Cover(dep_dist);
-        rule_widened = true;
-      }
-      ++rule.support;
-    }
-    if (rule_widened) {
-      ++widened;
-    }
-  }
-  return widened;
-}
-
 }  // namespace terids

@@ -79,14 +79,6 @@ class RuleMiner {
   std::vector<CddRule> MineDds() const;
   std::vector<CddRule> MineEditingRules() const;
 
-  /// Dynamic repository maintenance (Section 5.5): checks `sample_idx`
-  /// (already added to the repository) against `rules`; any rule whose
-  /// determinants some (rule-satisfying) pair involving the new sample
-  /// meets, but whose dependent constraint that pair violates, gets its
-  /// dependent interval widened to cover the pair. Returns the number of
-  /// rules widened.
-  int AbsorbNewSample(size_t sample_idx, std::vector<CddRule>* rules) const;
-
  private:
   struct PairSample {
     size_t a;

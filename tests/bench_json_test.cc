@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -279,6 +281,42 @@ TEST_F(EnvScaleTest, RejectsNonFiniteAndOutOfRange) {
   ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(params.w, 200);
   EXPECT_EQ(params.max_arrivals, 800);
+}
+
+// ---------------------------------------------------------------------------
+// BenchScale / BenchKnobs: every TERIDS_BENCH_* variable is parsed once per
+// process, so a rejected value warns once however many BaseParams,
+// PrintHeader and JsonReporter calls read it. The calls run in a fresh
+// child process ("threadsafe" death-test style re-executes this binary), in
+// which nothing has parsed the environment yet.
+// ---------------------------------------------------------------------------
+
+TEST(BenchEnvTest, RejectedValueWarnsOncePerProcess) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  setenv("TERIDS_BENCH_SCALE", "abc", 1);
+  setenv("TERIDS_BENCH_BATCH", "8x", 1);
+  const std::string json = ::testing::TempDir() + "/bench_env_test.json";
+  setenv("TERIDS_BENCH_JSON", json.c_str(), 1);
+  EXPECT_EXIT(
+      {
+        ::testing::internal::CaptureStderr();
+        for (int i = 0; i < 3; ++i) {
+          const ExperimentParams params = BaseParams("Bikes");
+          PrintHeader("Figure Z", "env", params);
+          JsonReporter reporter("Figure Z");
+          reporter.AddKnobRow(BenchKnobs());
+        }
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        std::fputs(err.c_str(), stderr);
+        std::exit(static_cast<int>(std::count(err.begin(), err.end(), '\n')));
+      },
+      ::testing::ExitedWithCode(2),
+      "TERIDS_BENCH_SCALE: 'abc' is not a number[^\n]*\n"
+      "TERIDS_BENCH_BATCH: '8x' is not an integer");
+  std::remove(json.c_str());
+  unsetenv("TERIDS_BENCH_SCALE");
+  unsetenv("TERIDS_BENCH_BATCH");
+  unsetenv("TERIDS_BENCH_JSON");
 }
 
 }  // namespace

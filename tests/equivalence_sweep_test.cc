@@ -209,10 +209,10 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
 // MmapSnapshotStorage (snapshot write -> mmap reopen, DESIGN.md §8) must be
 // bit-identical to the InMemoryStorage oracle: same per-arrival matches in
 // the same order, same final MatchSet, same cumulative PruneStats. TER-iDS
-// exercises the full read path (domains, pivot tables, coordinate scans,
-// DR-index build over samples); con+ER additionally exercises the dynamic
-// overlay, because its imputer registers stream values into the domains
-// after the snapshot was opened. The mmap backend runs under both v2
+// exercises the full read path (domains, pivot tables, the samples behind
+// the determinant join's postings); con+ER additionally exercises the
+// dynamic overlay, because its imputer registers stream values into the
+// domains after the snapshot was opened. The mmap backend runs under both v2
 // decode modes: kEager (everything materialized at open, the v1-equivalent
 // oracle path) and kLazy (sections decode on first touch mid-replay), so
 // lazy first-touch decode is proven output-invariant on every profile.

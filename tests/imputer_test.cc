@@ -566,6 +566,161 @@ TEST(DeterminantJoinTest, MatchesLinearScanOnEveryPath) {
   EXPECT_TRUE(saw_absorbed);
 }
 
+// AbsorbRepositoryBatch finds the pairs that widen rules through the
+// determinant join. It must count `support` and widen `dep_interval`
+// exactly as a naive scan that absorbs one record at a time, checking each
+// against every sample before it, and rebuild the CDD-index iff some rule
+// widened. The batches cover constant-start, interval-start and scan rules,
+// token-less values, records that pair with earlier records of their own
+// batch, and a batch cut short by an incomplete record.
+TEST(AbsorbJoinTest, MatchesOneAtATimeScan) {
+  ToyWorld world = MakeHealthWorld();
+  Repository& repo = *world.repo;
+  const int d = repo.num_attributes();
+  std::mt19937 rng(11);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  const std::vector<double> his = {0.0, 0.3, 0.5, 0.7, 0.9, 1.0};
+  const std::vector<Interval> deps = {
+      Interval::Of(0.0, 0.0), Interval::Of(0.0, 0.3), Interval::Of(0.2, 0.8),
+      Interval::Of(0.0, 1.0)};
+  enum Start { kConstantStart, kIntervalStart, kScan };
+  auto start_of = [](const CddRule& rule) {
+    bool below_one = false;
+    for (const auto& [x, constraint] : rule.determinants) {
+      if (constraint.kind == AttrConstraint::Kind::kConstant) {
+        return kConstantStart;
+      }
+      below_one |= constraint.interval.hi < 1.0;
+    }
+    return below_one ? kIntervalStart : kScan;
+  };
+
+  bool saw_start[3] = {false, false, false};
+  bool saw_tokenless_probe = false;
+  bool saw_within_batch = false;
+  bool saw_cut_batch = false;
+  int widening_batches = 0;
+  const int kTrials = 150;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::vector<CddRule> rules;
+    for (int k = 0; k < 8; ++k) {
+      CddRule rule;
+      rule.dependent = static_cast<int>(pick(d));
+      rule.dep_interval = deps[pick(deps.size())];
+      rule.support = static_cast<int>(pick(3));
+      std::vector<int> attrs;
+      for (int x = 0; x < d; ++x) {
+        if (x != rule.dependent) {
+          attrs.push_back(x);
+        }
+      }
+      std::shuffle(attrs.begin(), attrs.end(), rng);
+      attrs.resize(pick(3));
+      std::sort(attrs.begin(), attrs.end());
+      for (int x : attrs) {
+        rule.det_mask |= 1u << x;
+        if (rng() % 3 == 0) {
+          rule.determinants.emplace_back(
+              x, AttrConstraint::MakeConstant(
+                     repo.sample_value_id(pick(repo.num_samples()), x)));
+        } else {
+          const double hi = his[pick(his.size())];
+          rule.determinants.emplace_back(
+              x, AttrConstraint::MakeInterval(rng() % 3 == 0 ? hi / 2 : 0.0,
+                                              hi));
+        }
+      }
+      rules.push_back(std::move(rule));
+    }
+    TerIdsEngine engine(&repo, EngineConfig{}, 2, rules);
+
+    // Each record copies a sample or an earlier record of the batch, with
+    // some values swapped or emptied; one in five batches holds an
+    // incomplete record that stops the absorb.
+    std::vector<Record> batch;
+    const size_t batch_size = 1 + pick(4);
+    const size_t cut = rng() % 5 == 0 ? pick(batch_size) : batch_size;
+    for (size_t b = 0; b < batch_size; ++b) {
+      Record record = !batch.empty() && rng() % 2 == 0
+                          ? batch[pick(batch.size())]
+                          : repo.sample(pick(repo.num_samples()));
+      record.rid = 7000 + 10 * trial + static_cast<int64_t>(b);
+      for (int x = 0; x < d; ++x) {
+        switch (rng() % 6) {
+          case 0:
+            record.values[x] = repo.sample(pick(repo.num_samples())).values[x];
+            break;
+          case 1:
+            record.values[x].text.clear();
+            record.values[x].tokens = TokenSet();
+            break;
+          default:
+            break;
+        }
+      }
+      if (b == cut) {
+        record.values[pick(d)] = AttrValue::Missing();
+      }
+      batch.push_back(std::move(record));
+    }
+
+    const size_t first = repo.num_samples();
+    const int builds = engine.cdd_index().num_builds();
+    const Status status = engine.AbsorbRepositoryBatch(batch);
+    ASSERT_EQ(status.ok(), cut == batch_size) << "trial " << trial;
+    ASSERT_EQ(repo.num_samples(), first + std::min(cut, batch_size));
+
+    // The reference: one record at a time, against every earlier sample.
+    std::vector<CddRule> want = rules;
+    bool widened = false;
+    for (size_t idx = first; idx < repo.num_samples(); ++idx) {
+      const Record& probe = repo.sample(idx);
+      for (CddRule& rule : want) {
+        for (size_t other = 0; other < idx; ++other) {
+          if (!rule.DeterminantsSatisfied(probe, repo, other)) {
+            continue;
+          }
+          const double dep_dist =
+              JaccardDistance(probe.values[rule.dependent].tokens,
+                              repo.sample(other).values[rule.dependent].tokens);
+          if (!rule.dep_interval.Contains(dep_dist)) {
+            rule.dep_interval.Cover(dep_dist);
+            widened = true;
+          }
+          ++rule.support;
+          saw_start[start_of(rule)] = true;
+          saw_within_batch |= other >= first;
+          saw_cut_batch |= cut < batch_size;
+          for (const auto& [x, constraint] : rule.determinants) {
+            saw_tokenless_probe |= probe.values[x].tokens.empty();
+          }
+        }
+      }
+    }
+    ASSERT_EQ(engine.rules().size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      const CddRule& got = engine.rules()[i];
+      EXPECT_EQ(got.support, want[i].support) << "trial " << trial;
+      // Bit-identical, not merely close.
+      EXPECT_EQ(got.dep_interval.lo, want[i].dep_interval.lo)
+          << "trial " << trial;
+      EXPECT_EQ(got.dep_interval.hi, want[i].dep_interval.hi)
+          << "trial " << trial;
+    }
+    EXPECT_EQ(engine.cdd_index().num_builds() - builds, widened ? 1 : 0)
+        << "trial " << trial;
+    widening_batches += widened;
+  }
+  EXPECT_TRUE(saw_start[kConstantStart]);
+  EXPECT_TRUE(saw_start[kIntervalStart]);
+  EXPECT_TRUE(saw_start[kScan]);
+  EXPECT_TRUE(saw_tokenless_probe);
+  EXPECT_TRUE(saw_within_batch);
+  EXPECT_TRUE(saw_cut_batch);
+  EXPECT_GT(widening_batches, 0);
+  EXPECT_LT(widening_batches, kTrials);
+}
+
 TEST(ConstraintImputerTest, UsesMostRecentCompleteDonor) {
   ToyWorld world = MakeHealthWorld();
   ConstraintImputer imputer(world.repo.get(), /*history_cap=*/10);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/terids_engine.h"
 #include "rules/rule.h"
 #include "rules/rule_miner.h"
 #include "test_util.h"
@@ -176,24 +177,27 @@ TEST_F(MinerTest, MiningIsDeterministic) {
   }
 }
 
-TEST_F(MinerTest, AbsorbNewSampleWidensViolatedRules) {
+TEST_F(MinerTest, AbsorbRepositoryBatchWidensViolatedRules) {
   MinerOptions opts;
   opts.min_support = 2;
   RuleMiner miner(world_.repo.get(), opts);
-  std::vector<CddRule> rules = miner.MineCdds();
-  ASSERT_FALSE(rules.empty());
+  const std::vector<CddRule> mined = miner.MineCdds();
+  ASSERT_FALSE(mined.empty());
+  TerIdsEngine engine(world_.repo.get(), EngineConfig{}, 2, mined);
 
   // A sample that matches existing determinants but carries an unusual
   // dependent value forces widening of some rule.
   Record oddball = world_.Make(
       3000, {"male", "loss of weight", "zebra fever syndrome", "surgery"});
-  ASSERT_TRUE(world_.repo->AddSample(oddball).ok());
-  const int widened =
-      miner.AbsorbNewSample(world_.repo->num_samples() - 1, &rules);
-  EXPECT_GT(widened, 0);
-  for (const CddRule& rule : rules) {
+  ASSERT_TRUE(engine.AbsorbRepositoryBatch({oddball}).ok());
+  int widened = 0;
+  for (size_t i = 0; i < mined.size(); ++i) {
+    const CddRule& rule = engine.rules()[i];
     EXPECT_LE(rule.dep_interval.lo, rule.dep_interval.hi);
+    EXPECT_GE(rule.support, mined[i].support);
+    widened += !(rule.dep_interval == mined[i].dep_interval);
   }
+  EXPECT_GT(widened, 0);
 }
 
 }  // namespace
