@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the hot primitives: Jaccard over
 // interned token sets, aR-tree range queries, the Lemma 4.1-4.3 pair
-// bounds, and end-to-end TER-iDS arrival processing (one-at-a-time and
-// micro-batched + parallel).
+// bounds, ER-grid churn, and end-to-end TER-iDS arrival processing
+// (one-at-a-time and micro-batched + parallel).
 //
 // Results additionally flow through the shared JsonReporter (set
 // TERIDS_BENCH_JSON) by bridging Google Benchmark's reporter interface, so
@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "er/bounds.h"
 #include "index/artree.h"
 #include "stream/stream_driver.h"
+#include "synopsis/er_grid.h"
 #include "text/token_set.h"
 #include "tuple/imputed_tuple.h"
 #include "util/rng.h"
@@ -120,6 +122,65 @@ void BM_PairBounds(benchmark::State& state) {
                           static_cast<int64_t>(tuples.size() - 1));
 }
 BENCHMARK(BM_PairBounds);
+
+// Steady-state ER-grid maintenance and probe at w = 1000 per stream over
+// complete EBooks tuples (the ebooks_refine replay's grid shape): each item
+// is one arrival, alternating streams, that probes the grid, is inserted,
+// and evicts its stream's oldest tuple, as the pipeline's candidate and
+// maintain phases do.
+void BM_ErGridChurn(benchmark::State& state) {
+  using namespace terids::bench;
+  const size_t w = 1000;
+  ExperimentParams params = BaseParams("EBooks");
+  params.scale = 0.3;
+  params.max_arrivals = 1;  // Offline phase only.
+  Experiment experiment(ProfileByName("EBooks"), params);
+  std::unique_ptr<Repository> repo = experiment.BuildRepository();
+  const TopicQuery all_topics;
+  std::vector<std::shared_ptr<WindowTuple>> pools[2];
+  const std::vector<Record>* sources[2] = {&experiment.dataset().source_a,
+                                           &experiment.dataset().source_b};
+  for (int s = 0; s < 2; ++s) {
+    for (const Record& r : *sources[s]) {
+      auto wt = std::make_shared<WindowTuple>();
+      wt->tuple = std::make_shared<const ImputedTuple>(
+          ImputedTuple::FromComplete(r, repo.get()));
+      wt->topic = all_topics.Classify(*wt->tuple);
+      pools[s].push_back(std::move(wt));
+    }
+    // A re-inserted tuple must have left the window long before.
+    if (pools[s].size() <= w) {
+      state.SkipWithError("EBooks source smaller than the window");
+      return;
+    }
+  }
+  const double gamma = experiment.gamma();
+  ErGrid grid(repo->num_attributes(), params.cell_width);
+  std::deque<const WindowTuple*> windows[2];
+  size_t next[2] = {0, 0};
+  auto arrive = [&](int s, bool probe) {
+    const WindowTuple* wt = pools[s][next[s]++ % pools[s].size()].get();
+    if (probe) {
+      benchmark::DoNotOptimize(
+          grid.Candidates(*wt, gamma, /*topic_constrained=*/false));
+    }
+    windows[s].push_back(wt);
+    grid.Insert(wt);
+    if (windows[s].size() > w) {
+      grid.Remove(windows[s].front());
+      windows[s].pop_front();
+    }
+  };
+  for (size_t i = 0; i < 2 * w; ++i) {
+    arrive(static_cast<int>(i % 2), /*probe=*/false);
+  }
+  size_t arrivals = 0;
+  for (auto _ : state) {
+    arrive(static_cast<int>(arrivals++ % 2), /*probe=*/true);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(arrivals));
+}
+BENCHMARK(BM_ErGridChurn);
 
 void BM_TerIdsArrival(benchmark::State& state) {
   Experiment* experiment = SharedCitationsExperiment();

@@ -214,7 +214,6 @@ Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
   // each pair counts once, as when absorbing one record at a time; Cover is
   // min/max, so the order does not matter.
   JoinPaths absorb_paths;  // join_paths_ counts imputation joins only.
-  bool widened = false;
   for (size_t idx = first; idx < repo_->num_samples(); ++idx) {
     const Record& r = batch[idx - first];
     BeginProbe();
@@ -234,16 +233,14 @@ Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
         if (other < idx) {  // Not itself, nor a later record of the batch.
           const double dep_dist = ProbeDistance(
               r, rule.dependent, repo_->sample_value_id(other, rule.dependent));
-          widened |= !rule.dep_interval.Contains(dep_dist);
           rule.dep_interval.Cover(dep_dist);
           ++rule.support;
         }
       }
     }
   }
-  if (widened) {
-    cdd_index_.Build();
-  }
+  // The CDD-index encodes only determinant geometry, which an absorb never
+  // changes, so it needs no rebuild.
   return status;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/hash.h"
 #include "util/status.h"
@@ -10,7 +9,7 @@
 namespace terids {
 
 ErGrid::ErGrid(int dims, double cell_width)
-    : dims_(dims), cell_width_(cell_width) {
+    : dims_(dims), cell_width_(cell_width), coords_(dims) {
   TERIDS_CHECK(dims >= 1);
   TERIDS_CHECK(cell_width > 0.0);
 }
@@ -25,72 +24,151 @@ GridCellKey ErGrid::KeyOf(const std::vector<int32_t>& coords) const {
   return h;
 }
 
-std::vector<GridCellKey> ErGrid::CellsOf(const ImputedTuple& tuple) const {
-  std::vector<GridCellKey> keys;
-  std::vector<int32_t> coords(dims_);
+void ErGrid::CellsOf(const ImputedTuple& tuple) {
+  keys_.clear();
   for (int m = 0; m < tuple.num_instances(); ++m) {
     for (int k = 0; k < dims_; ++k) {
-      coords[k] = static_cast<int32_t>(
+      coords_[k] = static_cast<int32_t>(
           std::floor(tuple.instance_coord(m, k) / cell_width_));
     }
-    keys.push_back(KeyOf(coords));
+    keys_.push_back(KeyOf(coords_));
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
 }
 
-void ErGrid::AddMember(Cell* cell, const WindowTuple* wt) const {
-  cell->members.push_back(wt);
-  cell->topic_mask |= wt->topic.possible_mask;
-  cell->any_topic = cell->any_topic || wt->topic.any;
-  if (cell->bounds.empty()) {
-    cell->bounds.assign(dims_, Interval::Empty());
+uint32_t ErGrid::SlotFor(GridCellKey key) {
+  auto [it, inserted] =
+      slot_of_.emplace(key, static_cast<uint32_t>(cells_.size()));
+  if (!inserted) {
+    return it->second;
   }
+  if (!free_cells_.empty()) {
+    it->second = free_cells_.back();
+    free_cells_.pop_back();
+  } else {
+    cells_.emplace_back();
+    cells_.back().bounds.resize(dims_);
+  }
+  cells_[it->second].key = key;
+  return it->second;
+}
+
+void ErGrid::RefreshBounds(Cell* cell) const {
   for (int k = 0; k < dims_; ++k) {
-    cell->bounds[k].Union(wt->tuple->pivot_dist_interval(k, 0));
-  }
-}
-
-void ErGrid::RebuildCell(Cell* cell) const {
-  std::vector<const WindowTuple*> members = std::move(cell->members);
-  *cell = Cell();
-  for (const WindowTuple* wt : members) {
-    AddMember(cell, wt);
+    Interval& b = cell->bounds[k];
+    b = Interval::Empty();
+    for (const Lane& lane : cell->lanes) {
+      if (!lane.lo_min[k].empty()) {
+        b.lo = std::min(b.lo, lane.lo_min[k].front().value);
+      }
+      if (!lane.hi_max[k].empty()) {
+        b.hi = std::max(b.hi, lane.hi_max[k].front().value);
+      }
+    }
   }
 }
 
 void ErGrid::Insert(const WindowTuple* wt) {
   TERIDS_CHECK(wt != nullptr);
   const int64_t rid = wt->rid();
-  TERIDS_CHECK(tuple_cells_.count(rid) == 0);
-  std::vector<GridCellKey> keys = CellsOf(*wt->tuple);
-  for (GridCellKey key : keys) {
-    AddMember(&cells_[key], wt);
+  // (rid, 0) sorts first among the pairs of `rid`.
+  const auto pos = std::lower_bound(registry_.begin(), registry_.end(),
+                                    std::make_pair(rid, uint32_t{0}));
+  TERIDS_CHECK(pos == registry_.end() || pos->first != rid);
+  const int stream = wt->stream_id();
+  TERIDS_CHECK(stream >= 0);
+
+  uint32_t index;
+  if (!free_entries_.empty()) {
+    index = free_entries_.back();
+    free_entries_.pop_back();
+  } else {
+    index = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
   }
-  tuple_cells_.emplace(rid, std::move(keys));
+  registry_.insert(pos, {rid, index});
+  Entry& entry = entries_[index];
+  entry.wt = wt;
+  entry.stream = stream;
+  entry.topical = wt->topic.any;
+  entry.seq = next_seq_++;
+  entry.slots.clear();
+
+  const ImputedTuple& tuple = *wt->tuple;
+  CellsOf(tuple);
+  for (GridCellKey key : keys_) {
+    const uint32_t slot = SlotFor(key);
+    entry.slots.push_back(slot);
+    Cell& cell = cells_[slot];
+    if (cell.lanes.size() <= static_cast<size_t>(stream)) {
+      cell.lanes.resize(stream + 1);
+      for (Lane& lane : cell.lanes) {
+        lane.lo_min.resize(dims_);
+        lane.hi_max.resize(dims_);
+      }
+    }
+    Lane& lane = cell.lanes[stream];
+    lane.seqs.push_back(entry.seq);
+    for (int k = 0; k < dims_; ++k) {
+      const Interval iv = tuple.pivot_dist_interval(k, 0);
+      if (iv.empty()) {
+        continue;
+      }
+      // A newer member at least as extreme outlives the older ones, which
+      // can never be the extreme again.
+      Ring<Extreme>& lo = lane.lo_min[k];
+      while (!lo.empty() && lo.back().value >= iv.lo) {
+        lo.pop_back();
+      }
+      lo.push_back({entry.seq, iv.lo});
+      Ring<Extreme>& hi = lane.hi_max[k];
+      while (!hi.empty() && hi.back().value <= iv.hi) {
+        hi.pop_back();
+      }
+      hi.push_back({entry.seq, iv.hi});
+    }
+    ++cell.members;
+    cell.topical += entry.topical ? 1 : 0;
+    RefreshBounds(&cell);
+  }
 }
 
 bool ErGrid::Remove(const WindowTuple* wt) {
   TERIDS_CHECK(wt != nullptr);
-  auto it = tuple_cells_.find(wt->rid());
-  if (it == tuple_cells_.end()) {
+  const auto pos = std::lower_bound(registry_.begin(), registry_.end(),
+                                    std::make_pair(wt->rid(), uint32_t{0}));
+  if (pos == registry_.end() || pos->first != wt->rid()) {
     return false;
   }
-  for (GridCellKey key : it->second) {
-    auto cit = cells_.find(key);
-    TERIDS_CHECK(cit != cells_.end());
-    Cell& cell = cit->second;
-    cell.members.erase(
-        std::remove(cell.members.begin(), cell.members.end(), wt),
-        cell.members.end());
-    if (cell.members.empty()) {
-      cells_.erase(cit);
+  const uint32_t index = pos->second;
+  const Entry& entry = entries_[index];
+  TERIDS_CHECK(entry.wt == wt);
+  for (uint32_t slot : entry.slots) {
+    Cell& cell = cells_[slot];
+    Lane& lane = cell.lanes[entry.stream];
+    // FIFO contract: the tuple is its stream's oldest member in this cell.
+    TERIDS_CHECK(!lane.seqs.empty() && lane.seqs.front() == entry.seq);
+    lane.seqs.pop_front();
+    for (int k = 0; k < dims_; ++k) {
+      if (!lane.lo_min[k].empty() && lane.lo_min[k].front().seq == entry.seq) {
+        lane.lo_min[k].pop_front();
+      }
+      if (!lane.hi_max[k].empty() && lane.hi_max[k].front().seq == entry.seq) {
+        lane.hi_max[k].pop_front();
+      }
+    }
+    --cell.members;
+    cell.topical -= entry.topical ? 1 : 0;
+    if (cell.members == 0) {
+      slot_of_.erase(cell.key);
+      free_cells_.push_back(slot);
     } else {
-      RebuildCell(&cell);
+      RefreshBounds(&cell);
     }
   }
-  tuple_cells_.erase(it);
+  registry_.erase(pos);
+  free_entries_.push_back(index);
   return true;
 }
 
@@ -107,65 +185,47 @@ ErGrid::CandidateResult ErGrid::Candidates(const WindowTuple& probe,
     q_bounds[k] = q.pivot_dist_interval(k, 0);
   }
 
-  // Per-member verdict: 0 = topic-pruned, 1 = sim-pruned, 2 = candidate. A
-  // tuple spanning several cells takes the max verdict over its cells.
-  std::unordered_map<int64_t, std::pair<const WindowTuple*, int>> verdicts;
-  for (const auto& [key, cell] : cells_) {
-    (void)key;
+  // Cell-level topic pruning (Theorem 4.1): if the probe can never be
+  // topical, a pair survives only with a member that can be.
+  const bool probe_topic_pass = !topic_constrained || probe.topic.any;
+  std::vector<uint8_t> sim_pass(cells_.size(), 0);
+  for (size_t slot = 0; slot < cells_.size(); ++slot) {
+    const Cell& cell = cells_[slot];
+    if (cell.members == 0) {
+      continue;
+    }
     ++result.cells_visited;
-
-    // Cell-level topic pruning (Theorem 4.1): if the probe can never be
-    // topical and no member of this cell can be topical, every pair with
-    // this cell is out.
-    const bool cell_topic_pass =
-        !topic_constrained || probe.topic.any || cell.any_topic;
-
     // Cell-level distance lower bound (Lemma 4.2 with the cell's bounds).
     double lb_dist = 0.0;
     for (int k = 0; k < dims_ && lb_dist < dist_budget; ++k) {
       lb_dist += q_bounds[k].MinAbsDiff(cell.bounds[k]);
     }
-    const bool cell_sim_pass = lb_dist < dist_budget;
-
-    if (cell_topic_pass && !cell_sim_pass) {
+    sim_pass[slot] = lb_dist < dist_budget;
+    if ((probe_topic_pass || cell.topical > 0) && !sim_pass[slot]) {
       ++result.cells_pruned;
     }
-
-    for (const WindowTuple* member : cell.members) {
-      if (member->stream_id() == probe.stream_id() ||
-          member->rid() == probe.rid()) {
-        continue;
-      }
-      int verdict;
-      if (topic_constrained && !probe.topic.any && !member->topic.any) {
-        verdict = 0;  // Topic-pruned regardless of geometry.
-      } else if (!cell_sim_pass) {
-        verdict = 1;
-      } else {
-        verdict = 2;
-      }
-      auto [it, inserted] =
-          verdicts.emplace(member->rid(), std::make_pair(member, verdict));
-      if (!inserted && verdict > it->second.second) {
-        it->second.second = verdict;
-      }
-    }
   }
 
-  for (const auto& [rid, pv] : verdicts) {
-    (void)rid;
-    if (pv.second == 2) {
-      result.candidates.push_back(pv.first);
-    } else if (pv.second == 1) {
-      ++result.sim_pruned;
-    } else {
+  // A tuple is topic-pruned regardless of geometry, and otherwise survives
+  // if any cell it occupies passes the distance bound.
+  for (const auto& [rid, index] : registry_) {
+    const Entry& entry = entries_[index];
+    if (entry.stream == probe.stream_id() || rid == probe.rid()) {
+      continue;
+    }
+    if (!probe_topic_pass && !entry.topical) {
       ++result.topic_pruned;
+      continue;
+    }
+    const bool pass =
+        std::any_of(entry.slots.begin(), entry.slots.end(),
+                    [&sim_pass](uint32_t slot) { return sim_pass[slot]; });
+    if (pass) {
+      result.candidates.push_back(entry.wt);
+    } else {
+      ++result.sim_pruned;
     }
   }
-  std::sort(result.candidates.begin(), result.candidates.end(),
-            [](const WindowTuple* a, const WindowTuple* b) {
-              return a->rid() < b->rid();
-            });
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "stream/sliding_window.h"
@@ -14,13 +15,23 @@ namespace terids {
 /// the cell's integer coordinates).
 using GridCellKey = uint64_t;
 
-/// The ER-grid synopsis G_ER (Section 5.2, DESIGN.md §7): a hash map of
-/// lazily materialized cells over the converted (pivot-distance) space.
-/// Each imputed instance of a tuple lands in the cell holding its
-/// coordinates, so a tuple occupies one cell per distinct instance cell.
-/// Cells aggregate the keyword Boolean vector and per-dimension coordinate
-/// bounds of their members, which drive cell-level topic and distance-bound
+/// The ER-grid synopsis G_ER (Section 5.2, DESIGN.md §7): lazily
+/// materialized cells over the converted (pivot-distance) space. Each
+/// imputed instance of a tuple lands in the cell holding its coordinates,
+/// so a tuple occupies one cell per distinct instance cell. Cells aggregate
+/// how many members can be topical and the per-dimension coordinate bounds
+/// of their members, which drive cell-level topic and distance-bound
 /// pruning in `Candidates`.
+///
+/// Windows are FIFO per stream, so removals follow insertion order per
+/// stream: `Remove` must be handed each stream's oldest live tuple, which
+/// is then the oldest member of that stream in every cell it occupies (a
+/// `TERIDS_CHECK` failure otherwise). That makes every update amortised
+/// O(d) per occupied cell: each (cell, stream) lane keeps its members'
+/// sequence numbers in a ring and sliding-window minima/maxima of the
+/// member bounds in monotone rings, and the cell bounds are the extremes
+/// over the lane fronts — exactly what a rebuild from the live members
+/// would compute.
 ///
 /// Locking model (DESIGN.md §12): deliberately mutex-free. The grid is
 /// single-writer — the pipeline's maintaining thread (the ingest stage in
@@ -34,11 +45,12 @@ class ErGrid {
 
   void Insert(const WindowTuple* wt);
   /// Removes an expired tuple from every cell it occupies. Returns false if
-  /// it was never inserted.
+  /// it was never inserted. The tuple must be the oldest live tuple of its
+  /// stream.
   bool Remove(const WindowTuple* wt);
 
-  size_t num_tuples() const { return tuple_cells_.size(); }
-  size_t num_cells() const { return cells_.size(); }
+  size_t num_tuples() const { return registry_.size(); }
+  size_t num_cells() const { return slot_of_.size(); }
 
   /// Candidate retrieval for a probe tuple, with cell-level topic and
   /// distance-bound pruning.
@@ -62,24 +74,101 @@ class ErGrid {
                              bool topic_constrained) const;
 
  private:
+  /// A FIFO ring over a power-of-two vector that keeps its capacity, so a
+  /// steady window allocates nothing.
+  template <typename T>
+  class Ring {
+   public:
+    bool empty() const { return size_ == 0; }
+    const T& front() const { return buf_[head_]; }
+    const T& back() const { return buf_[(head_ + size_ - 1) & mask()]; }
+    void push_back(const T& v) {
+      if (size_ == buf_.size()) {
+        Grow();
+      }
+      buf_[(head_ + size_) & mask()] = v;
+      ++size_;
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & mask();
+      --size_;
+    }
+    void pop_back() { --size_; }
+
+   private:
+    size_t mask() const { return buf_.size() - 1; }
+    void Grow() {
+      std::vector<T> grown(buf_.empty() ? 4 : 2 * buf_.size());
+      for (size_t i = 0; i < size_; ++i) {
+        grown[i] = buf_[(head_ + i) & mask()];
+      }
+      buf_ = std::move(grown);
+      head_ = 0;
+    }
+
+    std::vector<T> buf_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
+  /// One member bound in a monotone ring: the member's sequence number and
+  /// its `lo` (minimum rings) or `hi` (maximum rings) on one dimension.
+  struct Extreme {
+    uint64_t seq = 0;
+    double value = 0.0;
+  };
+
+  /// The members of one stream in one cell, oldest first.
+  struct Lane {
+    Ring<uint64_t> seqs;
+    /// Per dimension, the members' `lo` ascending and `hi` descending from
+    /// the front: each front is the lane's extreme. Members whose interval
+    /// on the dimension is empty are left out, as `Interval::Union` skips
+    /// them.
+    std::vector<Ring<Extreme>> lo_min;
+    std::vector<Ring<Extreme>> hi_max;
+  };
+
   struct Cell {
-    std::vector<const WindowTuple*> members;
-    uint64_t topic_mask = 0;
-    bool any_topic = false;
+    GridCellKey key = 0;
+    uint32_t members = 0;  // 0 marks a free slot
+    uint32_t topical = 0;  // members whose topic.any is set
+    std::vector<Lane> lanes;       // by stream id
     std::vector<Interval> bounds;  // per-dim cover of member intervals
   };
 
+  /// One live tuple.
+  struct Entry {
+    const WindowTuple* wt = nullptr;
+    int stream = 0;
+    bool topical = false;
+    uint64_t seq = 0;
+    std::vector<uint32_t> slots;  // the cells it occupies
+  };
+
   GridCellKey KeyOf(const std::vector<int32_t>& coords) const;
-  /// The sorted, deduplicated keys of the cells `tuple`'s instances occupy.
-  std::vector<GridCellKey> CellsOf(const ImputedTuple& tuple) const;
-  void AddMember(Cell* cell, const WindowTuple* wt) const;
-  void RebuildCell(Cell* cell) const;
+  /// Fills keys_ with the sorted, deduplicated keys of the cells `tuple`'s
+  /// instances occupy.
+  void CellsOf(const ImputedTuple& tuple);
+  /// The slot of the cell with `key`, materialized if absent.
+  uint32_t SlotFor(GridCellKey key);
+  /// Recomputes `cell->bounds` from its lane fronts.
+  void RefreshBounds(Cell* cell) const;
 
   int dims_;
   double cell_width_;
-  std::unordered_map<GridCellKey, Cell> cells_;
-  // rid -> the cell keys the tuple occupies (for removal).
-  std::unordered_map<int64_t, std::vector<GridCellKey>> tuple_cells_;
+  std::vector<Cell> cells_;
+  std::vector<uint32_t> free_cells_;
+  /// Touched only when a cell is materialized or emptied.
+  std::unordered_map<GridCellKey, uint32_t> slot_of_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> free_entries_;
+  /// (rid, entry index) of every live tuple, in ascending rid order.
+  std::vector<std::pair<int64_t, uint32_t>> registry_;
+  uint64_t next_seq_ = 0;
+  // Insert scratch.
+  std::vector<int32_t> coords_;
+  std::vector<GridCellKey> keys_;
 };
 
 }  // namespace terids

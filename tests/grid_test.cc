@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -221,11 +222,13 @@ std::vector<int64_t> Rids(const ErGrid::CandidateResult& result) {
 }
 
 /// Maintained answer equals recomputation (Berkholz et al.): after every
-/// step of random insert/remove churn, the maintained grid answers every
+/// step of random insert/evict churn, the maintained grid answers every
 /// probe exactly as a grid freshly built from the live members does —
-/// same candidates in the same order, same four counters. A fine cell
-/// width makes the spread imputed tuples occupy several cells, so
-/// removals must restore shared cells' topic and bound aggregates.
+/// same candidates in the same order, same four counters. Each eviction
+/// takes the oldest live tuple of its stream, as a FIFO window does; pool
+/// tuples go live in random order, so window order is not rid order. A
+/// fine cell width makes the spread imputed tuples occupy several cells,
+/// so evictions must restore shared cells' topic and bound aggregates.
 TEST_F(ErGridTest, ChurnMatchesFreshRebuild) {
   const int dims = world_.repo->num_attributes();
   const double cell_width = 0.05;
@@ -244,11 +247,13 @@ TEST_F(ErGridTest, ChurnMatchesFreshRebuild) {
 
   ErGrid grid(dims, cell_width);
   std::vector<bool> live(pool.size(), false);
+  std::deque<size_t> windows[2];  // live pool indices per stream, oldest first
   size_t num_live = 0;
   size_t multi_cell_inserts = 0;
   Rng rng(2021);
   for (int step = 0; step < 300; ++step) {
     const size_t i = rng.NextBounded(pool.size());
+    std::deque<size_t>& window = windows[pool[i]->stream_id()];
     // Grow toward about two thirds of the pool, then churn around it.
     const bool insert = !live[i] && (num_live < 2 * pool.size() / 3 ||
                                      rng.NextBounded(2) == 0);
@@ -259,10 +264,13 @@ TEST_F(ErGridTest, ChurnMatchesFreshRebuild) {
         ++multi_cell_inserts;
       }
       live[i] = true;
+      window.push_back(i);
       ++num_live;
-    } else if (live[i]) {
-      ASSERT_TRUE(grid.Remove(pool[i].get()));
-      live[i] = false;
+    } else if (!window.empty()) {
+      const size_t oldest = window.front();
+      window.pop_front();
+      ASSERT_TRUE(grid.Remove(pool[oldest].get()));
+      live[oldest] = false;
       --num_live;
     } else {
       continue;
@@ -295,6 +303,21 @@ TEST_F(ErGridTest, ChurnMatchesFreshRebuild) {
     }
   }
   EXPECT_GT(multi_cell_inserts, 0u) << "churn never spanned several cells";
+}
+
+/// The FIFO contract: removing a tuple while an older tuple of its stream
+/// still shares a cell with it is a desync between window and grid.
+TEST_F(ErGridTest, RemoveOutOfFifoOrderDies) {
+  auto older = MakeTuple(1, 1, {"male", "fever", "flu", "rest"});
+  auto newer = MakeTuple(2, 1, {"male", "fever", "flu", "rest"});
+  grid_.Insert(older.get());
+  grid_.Insert(newer.get());
+  ASSERT_EQ(grid_.num_cells(), 1u);
+  EXPECT_DEATH(grid_.Remove(newer.get()), "TERIDS_CHECK failed");
+  // The oldest goes first, then the next.
+  EXPECT_TRUE(grid_.Remove(older.get()));
+  EXPECT_TRUE(grid_.Remove(newer.get()));
+  EXPECT_EQ(grid_.num_cells(), 0u);
 }
 
 }  // namespace

@@ -569,8 +569,9 @@ TEST(DeterminantJoinTest, MatchesLinearScanOnEveryPath) {
 // AbsorbRepositoryBatch finds the pairs that widen rules through the
 // determinant join. It must count `support` and widen `dep_interval`
 // exactly as a naive scan that absorbs one record at a time, checking each
-// against every sample before it, and rebuild the CDD-index iff some rule
-// widened. The batches cover constant-start, interval-start and scan rules,
+// against every sample before it. The CDD-index encodes only determinant
+// geometry, so it is never rebuilt, and its rule selection must still equal
+// a freshly built index's. The batches cover constant-start, interval-start and scan rules,
 // token-less values, records that pair with earlier records of their own
 // batch, and a batch cut short by an incomplete record.
 TEST(AbsorbJoinTest, MatchesOneAtATimeScan) {
@@ -599,6 +600,7 @@ TEST(AbsorbJoinTest, MatchesOneAtATimeScan) {
   bool saw_tokenless_probe = false;
   bool saw_within_batch = false;
   bool saw_cut_batch = false;
+  bool saw_selection = false;
   int widening_batches = 0;
   const int kTrials = 150;
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -707,8 +709,22 @@ TEST(AbsorbJoinTest, MatchesOneAtATimeScan) {
       EXPECT_EQ(got.dep_interval.hi, want[i].dep_interval.hi)
           << "trial " << trial;
     }
-    EXPECT_EQ(engine.cdd_index().num_builds() - builds, widened ? 1 : 0)
-        << "trial " << trial;
+    EXPECT_EQ(engine.cdd_index().num_builds(), builds) << "trial " << trial;
+    CddIndex fresh(&repo, &engine.rules());
+    fresh.Build();
+    std::vector<Record> probes = batch;
+    probes.push_back(repo.sample(pick(repo.num_samples())));
+    for (const Record& probe : probes) {
+      for (int j = 0; j < d; ++j) {
+        Record missing = probe;
+        missing.values[j] = AttrValue::Missing();
+        const ProbeCoords pc = ProbeCoords::Compute(missing, repo);
+        const std::vector<int> selected = fresh.SelectRules(missing, pc, j);
+        EXPECT_EQ(engine.cdd_index().SelectRules(missing, pc, j), selected)
+            << "trial " << trial << " attr " << j;
+        saw_selection |= !selected.empty();
+      }
+    }
     widening_batches += widened;
   }
   EXPECT_TRUE(saw_start[kConstantStart]);
@@ -717,6 +733,7 @@ TEST(AbsorbJoinTest, MatchesOneAtATimeScan) {
   EXPECT_TRUE(saw_tokenless_probe);
   EXPECT_TRUE(saw_within_batch);
   EXPECT_TRUE(saw_cut_batch);
+  EXPECT_TRUE(saw_selection);
   EXPECT_GT(widening_batches, 0);
   EXPECT_LT(widening_batches, kTrials);
 }
