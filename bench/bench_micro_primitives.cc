@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the hot primitives: Jaccard over
 // interned token sets, aR-tree range queries, the Lemma 4.1-4.3 pair
-// bounds, ER-grid churn, and end-to-end TER-iDS arrival processing
+// bounds, ER-grid churn, the pair cascade per pair vs batched over grid
+// rows, and end-to-end TER-iDS arrival processing
 // (one-at-a-time and micro-batched + parallel).
 //
 // Results additionally flow through the shared JsonReporter (set
@@ -18,6 +19,7 @@
 #include "core/terids_engine.h"
 #include "datagen/profiles.h"
 #include "er/bounds.h"
+#include "er/pruning.h"
 #include "index/artree.h"
 #include "stream/stream_driver.h"
 #include "synopsis/er_grid.h"
@@ -181,6 +183,93 @@ void BM_ErGridChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(arrivals));
 }
 BENCHMARK(BM_ErGridChurn);
+
+// One EBooks-shaped probe against the 1000 grid candidates of a full
+// stream-A window of complete EBooks tuples (the ebooks_refine pair
+// shape). range(0) = 0 runs the per-pair EvaluatePair loop over the
+// candidates; 1 runs EvaluateCandidates over their grid rows and then
+// EvaluatePair on the pairs it passes, as the pipeline does. Probes rotate
+// over 64 stream-B tuples whose candidate lists are built untimed. Items
+// are candidate pairs.
+void BM_PairCascade(benchmark::State& state) {
+  using namespace terids::bench;
+  const size_t w = 1000;
+  const size_t num_probes = 64;
+  ExperimentParams params = BaseParams("EBooks");
+  params.scale = 0.3;
+  params.rho = 0.3;
+  params.max_arrivals = 1;  // Offline phase only.
+  Experiment experiment(ProfileByName("EBooks"), params);
+  std::unique_ptr<Repository> repo = experiment.BuildRepository();
+  const EngineConfig config = experiment.MakeConfig();
+  const TopicQuery all_topics;
+  const std::vector<Record>& source_a = experiment.dataset().source_a;
+  const std::vector<Record>& source_b = experiment.dataset().source_b;
+  if (source_a.size() < w || source_b.size() < num_probes) {
+    state.SkipWithError("EBooks sources smaller than the window");
+    return;
+  }
+  auto make = [&](Record r, int stream) {
+    r.stream_id = stream;
+    auto wt = std::make_shared<WindowTuple>();
+    wt->tuple = std::make_shared<const ImputedTuple>(
+        ImputedTuple::FromComplete(std::move(r), repo.get()));
+    wt->topic = all_topics.Classify(*wt->tuple);
+    return wt;
+  };
+  ErGrid grid(repo->num_attributes(), params.cell_width);
+  std::vector<std::shared_ptr<WindowTuple>> window;
+  for (size_t i = 0; i < w; ++i) {
+    window.push_back(make(source_a[i], 0));
+    grid.Insert(window.back().get());
+  }
+  struct Probe {
+    std::shared_ptr<WindowTuple> wt;
+    ErGrid::CandidateResult cands;
+  };
+  std::vector<Probe> probes;
+  for (size_t i = 0; i < num_probes; ++i) {
+    Probe probe;
+    probe.wt = make(source_b[i], 1);
+    probe.cands = grid.Candidates(*probe.wt, config.gamma,
+                                  /*topic_constrained=*/false);
+    probes.push_back(std::move(probe));
+  }
+  const bool batched = state.range(0) == 1;
+  const PairRowLayout& layout = grid.row_layout();
+  std::vector<double> probe_row(layout.stride());
+  std::vector<PairEvaluation> evals;
+  std::vector<uint32_t> passed;
+  size_t pairs = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    const Probe& probe = probes[next++ % probes.size()];
+    const ImputedTuple& q = *probe.wt->tuple;
+    const std::vector<const WindowTuple*>& cands = probe.cands.candidates;
+    uint64_t matched = 0;
+    if (batched) {
+      layout.Write(q, probe.wt->topic.any, probe_row.data());
+      EvaluateCandidates(layout, probe_row.data(), grid.rows(),
+                         probe.cands.slots.data(), probe.cands.slots.size(),
+                         config.gamma, config.alpha, &evals, &passed);
+      for (uint32_t i : passed) {
+        matched += EvaluatePair(q, probe.wt->topic, *cands[i]->tuple,
+                                cands[i]->topic, config.gamma, config.alpha)
+                       .matched();
+      }
+    } else {
+      for (const WindowTuple* cand : cands) {
+        matched += EvaluatePair(q, probe.wt->topic, *cand->tuple,
+                                cand->topic, config.gamma, config.alpha)
+                       .matched();
+      }
+    }
+    benchmark::DoNotOptimize(matched);
+    pairs += cands.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(pairs));
+}
+BENCHMARK(BM_PairCascade)->Arg(0)->Arg(1);
 
 void BM_TerIdsArrival(benchmark::State& state) {
   Experiment* experiment = SharedCitationsExperiment();

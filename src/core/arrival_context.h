@@ -57,7 +57,9 @@ struct ArrivalContext {
   std::shared_ptr<WindowTuple> wt;
 
   // --- CandidatePhase outputs ---------------------------------------------
-  /// Surviving candidates after grid / linear generation. Raw pointers into
+  /// Candidates left for per-pair refinement: after grid / linear
+  /// generation and, on the grid path, the batched cascade (whose rejects
+  /// are already folded into `out.stats`). Raw pointers into
   /// window tuples; in batched mode `evicted` below keeps candidates a
   /// later batch arrival expires alive until refinement has run.
   std::vector<const WindowTuple*> candidates;

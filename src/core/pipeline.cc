@@ -118,20 +118,51 @@ void PipelineBase::ImputePhase(ArrivalContext* ctx) {
 }
 
 void PipelineBase::CandidatePhase(ArrivalContext* ctx) {
-  ScopedTimer timer(&ctx->out.cost.candidate_seconds);
-  if (grid_ != nullptr) {
+  if (grid_ == nullptr) {
+    ScopedTimer timer(&ctx->out.cost.candidate_seconds);
+    ctx->candidates = LinearCandidates(*ctx->wt, &ctx->out.stats);
+    return;
+  }
+  ErGrid::CandidateResult grid_result;
+  {
+    ScopedTimer timer(&ctx->out.cost.candidate_seconds);
     const bool topic_constrained = !topic_.IsUnconstrained();
-    ErGrid::CandidateResult grid_result =
+    grid_result =
         grid_->Candidates(*ctx->wt, config_.gamma, topic_constrained);
-    ctx->candidates = std::move(grid_result.candidates);
     // Grid-level prunes are Theorem 4.1 / Theorem 4.2 kills; account for
     // them in this arrival's pair statistics.
     ctx->out.stats.total_pairs +=
         grid_result.topic_pruned + grid_result.sim_pruned;
     ctx->out.stats.topic_pruned += grid_result.topic_pruned;
     ctx->out.stats.sim_ub_pruned += grid_result.sim_pruned;
-  } else {
-    ctx->candidates = LinearCandidates(*ctx->wt, &ctx->out.stats);
+  }
+  if (!use_prunings_ || grid_result.slots.empty()) {
+    ctx->candidates = std::move(grid_result.candidates);
+    return;
+  }
+  // The batched pair cascade over the candidates' grid rows, charged to
+  // refinement: its rejects fold into this arrival's stats here, and only
+  // the pairs it passes stay candidates for EvaluatePair. It runs before
+  // MaintainPhase, so no later arrival has reused a candidate's slot yet.
+  ScopedTimer timer(&ctx->out.cost.refine_seconds);
+  const PairRowLayout& layout = grid_->row_layout();
+  probe_row_.resize(layout.stride());
+  layout.Write(*ctx->tuple, ctx->wt->topic.any, probe_row_.data());
+  EvaluateCandidates(layout, probe_row_.data(), grid_->rows(),
+                     grid_result.slots.data(), grid_result.slots.size(),
+                     config_.gamma, config_.alpha, &kernel_evals_,
+                     &kernel_passed_);
+  ctx->candidates.clear();
+  ctx->candidates.reserve(kernel_passed_.size());
+  size_t next = 0;
+  for (size_t i = 0; i < grid_result.candidates.size(); ++i) {
+    const WindowTuple* cand = grid_result.candidates[i];
+    if (next < kernel_passed_.size() && kernel_passed_[next] == i) {
+      ctx->candidates.push_back(cand);
+      ++next;
+    } else {
+      ApplyEvaluation(ctx, cand, kernel_evals_[i]);
+    }
   }
 }
 
@@ -276,11 +307,12 @@ void PipelineBase::ReplayShed(std::vector<ArrivalContext>* ctxs) {
     shed_.shed_pairs += static_cast<int64_t>(ctx.candidates.size());
     shed_.shed_by_phase[static_cast<int>(ExecPhase::kRefine)] +=
         static_cast<int64_t>(ctx.candidates.size());
-    // The grid-level kills already folded into the arrival's stats stand
-    // (they happened at ingest); the surviving candidate pairs are counted
-    // shed, never evaluated. The deferred result-set eviction still
-    // replays, so the window/grid/result-set invariants hold exactly as if
-    // the batch had refined — only its verdicts are missing.
+    // The grid-level kills and the batched cascade's rejects already folded
+    // into the arrival's stats stand (they happened at ingest); the
+    // remaining candidate pairs are counted shed, never evaluated. The
+    // deferred result-set eviction still replays, so the window/grid/
+    // result-set invariants hold exactly as if the batch had refined — only
+    // its verdicts are missing.
     cum_stats_.Add(ctx.out.stats);
     if (ctx.evicted != nullptr) {
       matches_.RemoveAllWith(ctx.evicted->rid());

@@ -89,8 +89,11 @@ class ErPipeline {
 /// into four explicit phases (DESIGN.md §6):
 ///
 ///   ImputePhase    — probe coordinates, imputation, topic classification
-///   CandidatePhase — ER-grid probe or linear window scan
-///   RefinePhase    — the Theorem 4.1-4.4 cascade / exact refinement
+///   CandidatePhase — ER-grid probe or linear window scan, then the
+///                    batched Theorem 4.1-4.3 + signature cascade over the
+///                    candidates' grid rows
+///   RefinePhase    — the per-pair cascade / exact refinement of the pairs
+///                    the batched cascade passed
 ///   MaintainPhase  — grid + window insertion, eviction cascade
 ///
 /// ProcessArrival runs the phases back-to-back for one record; the batched
@@ -154,10 +157,15 @@ class PipelineBase : public ErPipeline {
   /// Lines 8-10: probe coordinates, imputation, topic classification.
   void ImputePhase(ArrivalContext* ctx);
   /// Lines 14-16: candidate generation (grid probe or linear scan); grid
-  /// cell-level kills are charged to the arrival's PruneStats.
+  /// cell-level kills are charged to the arrival's PruneStats. With the
+  /// grid and the prunings, the batched pair cascade (EvaluateCandidates)
+  /// then decides Theorems 4.1-4.3 and the signature reject over the
+  /// candidates' grid rows, folds its rejects into the arrival's stats and
+  /// leaves only the pairs it passes as candidates.
   void CandidatePhase(ArrivalContext* ctx);
-  /// Lines 17-26: sequential pair cascade over the candidates, folding
-  /// evaluations into the arrival's stats and the result set immediately.
+  /// Lines 17-26: the per-pair cascade (EvaluatePair) over the remaining
+  /// candidates, folding evaluations into the arrival's stats and the
+  /// result set immediately.
   void RefinePhase(ArrivalContext* ctx);
   /// Lines 2-7, 11-13: grid + window insertion and the eviction cascade.
   /// The expired tuple must be in the grid: a window/grid desync aborts
@@ -265,6 +273,10 @@ class PipelineBase : public ErPipeline {
 
   /// Fans refinement out on sched_ when refine_threads > 1, else inline.
   RefinementExecutor refiner_;
+  /// Batched-cascade scratch of CandidatePhase (ingest side).
+  std::vector<double> probe_row_;
+  std::vector<PairEvaluation> kernel_evals_;
+  std::vector<uint32_t> kernel_passed_;
   /// Per-arrival latency accounting, updated at emission on the consumer
   /// (calling) thread only.
   LatencyStats latency_;

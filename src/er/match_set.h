@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace terids {
@@ -17,8 +16,10 @@ struct MatchPair {
 };
 
 /// The entity result set ES maintained by Algorithm 1/2: current matching
-/// pairs over the live sliding windows, with O(1) insertion and efficient
-/// removal of every pair involving an expired tuple.
+/// pairs over the live sliding windows. Each rid keeps a flat vector of
+/// its partners and their probabilities, so expiring a tuple walks its own
+/// vector once and swap-erases it from each partner's vector: no per-pair
+/// hash node is touched.
 class MatchSet {
  public:
   /// Inserts or updates a pair; order of the two rids is irrelevant.
@@ -36,18 +37,26 @@ class MatchSet {
   /// Probability of a pair, or -1 if absent.
   double ProbabilityOf(int64_t rid_a, int64_t rid_b) const;
 
-  size_t size() const { return pairs_.size(); }
-  bool empty() const { return pairs_.empty(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  /// Snapshot of the current result set.
+  /// Snapshot of the current result set, sorted by (rid_a, rid_b).
   std::vector<MatchPair> ToVector() const;
 
  private:
-  static uint64_t Key(int64_t a, int64_t b);
+  struct Partner {
+    int64_t rid = -1;
+    double probability = 0.0;
+  };
 
-  std::unordered_map<uint64_t, MatchPair> pairs_;
-  // rid -> partner rids, for expiration.
-  std::unordered_map<int64_t, std::unordered_set<int64_t>> partners_;
+  /// `other` in `rid`'s partner vector, or null.
+  const Partner* Find(int64_t rid, int64_t other) const;
+  /// Swap-erases `other` from `rid`'s partner vector, dropping the vector
+  /// once it is empty. Returns false if `other` was not there.
+  bool ErasePartner(int64_t rid, int64_t other);
+
+  std::unordered_map<int64_t, std::vector<Partner>> partners_;
+  size_t size_ = 0;
 };
 
 }  // namespace terids

@@ -1,10 +1,13 @@
 #ifndef TERIDS_ER_PRUNING_H_
 #define TERIDS_ER_PRUNING_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "er/topic.h"
 #include "tuple/imputed_tuple.h"
+#include "tuple/pair_row.h"
 
 namespace terids {
 
@@ -146,6 +149,26 @@ PairEvaluation EvaluatePair(const ImputedTuple& a,
                             const ImputedTuple& b,
                             const TopicQuery::TupleTopic& b_topic,
                             double gamma, double alpha);
+
+/// The batched pair cascade (DESIGN.md §6): decides one probe against a
+/// whole candidate list over fixed-stride rows, with the probe's terms
+/// hoisted. Candidate i's row starts at rows + slots[i] * layout.stride();
+/// `probe_row` is the probe's own row (PairRowLayout::Write). For each
+/// candidate the kernel applies, in EvaluatePair's order, Theorem 4.1,
+/// Theorem 4.2 (the UbSim arithmetic), Theorem 4.3 (the
+/// UbProbPaleyZygmund arithmetic) and, for single-instance pairs with
+/// d <= kSigPassMaxAttrs and alpha >= 0, the pass-1 signature reject of
+/// InstanceSimilarityExceeds through SigFilterCandidates. A candidate one
+/// of them rejects gets in (*evals)[i] exactly the outcome and the three
+/// sig counters EvaluatePair would return for it. Every other index is
+/// appended to `passed` in ascending order; those pairs pass EvaluatePair's
+/// Theorem 4.1-4.3 checks by construction and go to it unchanged.
+/// `evals` is resized to n; entries of passed indices are left default.
+void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
+                        const double* rows, const uint32_t* slots, size_t n,
+                        double gamma, double alpha,
+                        std::vector<PairEvaluation>* evals,
+                        std::vector<uint32_t>* passed);
 
 /// Degrade-mode evaluation (DESIGN.md §13): only the merge-free prefix of
 /// the cascade runs — the Theorem 4.1 topic kill, the Theorem 4.2

@@ -8,15 +8,6 @@
 
 namespace terids {
 
-namespace {
-
-/// Stack budget for the hot kernel's per-attribute bound buffer. Schemas in
-/// this library never exceed 32 attributes (tuple/record.h); wider ones
-/// fall back to the plain exact path rather than spilling to the heap.
-constexpr int kMaxAttrs = 64;
-
-}  // namespace
-
 double RecordSimilarity(const Record& a, const Record& b) {
   TERIDS_CHECK(a.num_attributes() == b.num_attributes());
   double sim = 0.0;
@@ -47,7 +38,7 @@ bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
                                SigFilterCounters* counters) {
   const int d = a.num_attributes();
   TERIDS_CHECK(b.num_attributes() == d);
-  if (d > kMaxAttrs) {
+  if (d > kSigPassMaxAttrs) {
     return InstanceSimilarity(a, inst_a, b, inst_b) > gamma;
   }
 
@@ -56,10 +47,9 @@ bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
   // rounding is monotone step-by-step and the floating-point exact sum can
   // never exceed the floating-point bound sum: bound <= gamma certifies
   // the exact verdict is false. The bound arithmetic is shared with the
-  // executor's batched prefilter (SigFilterCandidates), which reproduces
-  // exactly this accumulation.
-  constexpr int kSatThreshold = 48;  // 75% of the 64 signature bits
-  double ub[kMaxAttrs];
+  // batched pair cascade (EvaluateCandidates via SigFilterCandidates),
+  // which reproduces exactly this accumulation.
+  double ub[kSigPassMaxAttrs];
   double total_ub = 0.0;
   for (int k = 0; k < d; ++k) {
     const TokenView va = a.instance_token_view(inst_a, k);
@@ -69,8 +59,8 @@ bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
     total_ub += ub[k];
     if (counters != nullptr) {
       counters->probes += 2;
-      counters->saturated += (pops.a > kSatThreshold ? 1u : 0u) +
-                             (pops.b > kSatThreshold ? 1u : 0u);
+      counters->saturated += (pops.a > kSigSaturatedBits ? 1u : 0u) +
+                             (pops.b > kSigSaturatedBits ? 1u : 0u);
     }
   }
   if (total_ub <= gamma) {

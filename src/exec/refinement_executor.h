@@ -20,15 +20,9 @@ namespace terids {
 /// evaluations into PruneStats / the match set in task (candidate) order,
 /// which reproduces the sequential loop exactly.
 ///
-/// Before fanning out, the parallel path runs the batched signature
-/// prefilter (SigFilterCandidates, DESIGN.md §11): one SoA popcount sweep
-/// over the candidate list classifies tasks as merge-capable ("heavy") or
-/// provably merge-free ("light" — topic-killed or signature-rejected
-/// single-instance pairs), and heavy tasks are sharded finely while light
-/// ones go into 8x coarser shards. The prefilter decides placement only —
-/// every task still runs the unchanged Evaluate — so outputs and stats are
-/// bit-identical with the prefilter active or on the sequential path
-/// (which never runs it).
+/// On the grid path the tasks are the pairs the batched cascade
+/// (EvaluateCandidates, DESIGN.md §6) passed at ingest, so every shard
+/// holds verify-heavy work and the tasks are sharded uniformly.
 ///
 /// Locking model (DESIGN.md §12): the executor itself holds no mutex. Task
 /// inputs are immutable for the duration of Run, each worker writes only

@@ -79,7 +79,9 @@ struct ShedStats {
   double admit_block_seconds = 0.0;
 
   // --- Refinement (consumer stage) -----------------------------------------
-  /// Candidate pairs whose evaluation was skipped entirely (shed_oldest).
+  /// Candidate pairs whose evaluation was skipped entirely (shed_oldest):
+  /// those the batched cascade passed at ingest. Its rejects were already
+  /// decided there, like the grid's kills.
   int64_t shed_pairs = 0;
   /// Degrade-mode pairs the cheap bounds could not decide, recorded as
   /// PairOutcome::kDeferred (never as a refute).

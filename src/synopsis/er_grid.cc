@@ -79,6 +79,10 @@ void ErGrid::Insert(const WindowTuple* wt) {
   const int stream = wt->stream_id();
   TERIDS_CHECK(stream >= 0);
 
+  const ImputedTuple& tuple = *wt->tuple;
+  if (row_layout_.stride() == 0) {
+    row_layout_ = PairRowLayout::For(tuple);
+  }
   uint32_t index;
   if (!free_entries_.empty()) {
     index = free_entries_.back();
@@ -86,7 +90,11 @@ void ErGrid::Insert(const WindowTuple* wt) {
   } else {
     index = static_cast<uint32_t>(entries_.size());
     entries_.emplace_back();
+    rows_.resize(rows_.size() + row_layout_.stride());
   }
+  // Write checks that the tuple has the grid's layout.
+  row_layout_.Write(tuple, wt->topic.any,
+                    rows_.data() + index * row_layout_.stride());
   registry_.insert(pos, {rid, index});
   Entry& entry = entries_[index];
   entry.wt = wt;
@@ -95,7 +103,6 @@ void ErGrid::Insert(const WindowTuple* wt) {
   entry.seq = next_seq_++;
   entry.slots.clear();
 
-  const ImputedTuple& tuple = *wt->tuple;
   CellsOf(tuple);
   for (GridCellKey key : keys_) {
     const uint32_t slot = SlotFor(key);
@@ -172,6 +179,15 @@ bool ErGrid::Remove(const WindowTuple* wt) {
   return true;
 }
 
+const double* ErGrid::row_of(int64_t rid) const {
+  const auto pos = std::lower_bound(registry_.begin(), registry_.end(),
+                                    std::make_pair(rid, uint32_t{0}));
+  if (pos == registry_.end() || pos->first != rid) {
+    return nullptr;
+  }
+  return rows_.data() + pos->second * row_layout_.stride();
+}
+
 ErGrid::CandidateResult ErGrid::Candidates(const WindowTuple& probe,
                                            double gamma,
                                            bool topic_constrained) const {
@@ -222,6 +238,7 @@ ErGrid::CandidateResult ErGrid::Candidates(const WindowTuple& probe,
                     [&sim_pass](uint32_t slot) { return sim_pass[slot]; });
     if (pass) {
       result.candidates.push_back(entry.wt);
+      result.slots.push_back(index);
     } else {
       ++result.sim_pruned;
     }

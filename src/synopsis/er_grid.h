@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "stream/sliding_window.h"
+#include "tuple/pair_row.h"
 #include "util/interval.h"
 
 namespace terids {
@@ -33,6 +34,12 @@ using GridCellKey = uint64_t;
 /// over the lane fronts — exactly what a rebuild from the live members
 /// would compute.
 ///
+/// Each live tuple also owns one fixed-stride PairRow (tuple/pair_row.h) in
+/// a slab indexed by its entry slot: Insert writes it once from the tuple,
+/// Remove frees the slot, and `Candidates` reports each candidate's slot so
+/// the batched pair cascade (EvaluateCandidates, er/pruning.h) decides the
+/// whole list over rows.
+///
 /// Locking model (DESIGN.md §12): deliberately mutex-free. The grid is
 /// single-writer — the pipeline's maintaining thread (the ingest stage in
 /// the async pipeline) owns every Insert/Remove/Candidates call — so there
@@ -52,11 +59,21 @@ class ErGrid {
   size_t num_tuples() const { return registry_.size(); }
   size_t num_cells() const { return slot_of_.size(); }
 
+  /// The layout of every row, fixed by the first Insert (unset before).
+  const PairRowLayout& row_layout() const { return row_layout_; }
+  /// The row slab: the row of entry slot `s` starts at
+  /// rows() + s * row_layout().stride(). Valid until the next Insert.
+  const double* rows() const { return rows_.data(); }
+  /// The row of the live tuple `rid`, or null (inspection / tests).
+  const double* row_of(int64_t rid) const;
+
   /// Candidate retrieval for a probe tuple, with cell-level topic and
   /// distance-bound pruning.
   struct CandidateResult {
     /// Surviving candidates in ascending-rid order.
     std::vector<const WindowTuple*> candidates;
+    /// The entry slot of each candidate (its PairRow), in the same order.
+    std::vector<uint32_t> slots;
     /// Tuples (from other streams) pruned because neither they nor the
     /// probe can contain a query keyword (Theorem 4.1 at grid level).
     uint64_t topic_pruned = 0;
@@ -163,6 +180,9 @@ class ErGrid {
   std::unordered_map<GridCellKey, uint32_t> slot_of_;
   std::vector<Entry> entries_;
   std::vector<uint32_t> free_entries_;
+  PairRowLayout row_layout_;
+  /// One PairRow per entry slot, live or free.
+  std::vector<double> rows_;
   /// (rid, entry index) of every live tuple, in ascending rid order.
   std::vector<std::pair<int64_t, uint32_t>> registry_;
   uint64_t next_seq_ = 0;

@@ -131,6 +131,10 @@ __attribute__((target("avx2"))) void PopsAvx2(const uint64_t* a,
       pc[e + k] = static_cast<uint32_t>(lc[k]);
     }
   }
+  // The rest of the program is SSE code: leaving the upper ymm halves dirty
+  // makes every later SSE instruction pay a transition or merge penalty,
+  // and gcc inserts no vzeroupper before the tail call below.
+  _mm256_zeroupper();
   PopsScalar(a + e, b + e, n - e, pa + e, pb + e, pc + e);
 }
 
@@ -228,8 +232,7 @@ size_t SigFilterCandidates(const SigFilterBatch& batch, double gamma,
   }
   const int d = batch.d;
   const size_t entries = n * static_cast<size_t>(d);
-  // Thread-local scratch keeps the steady-state filter allocation-free; the
-  // executor calls this from the dispatching thread only.
+  // Thread-local scratch keeps the steady-state filter allocation-free.
   thread_local std::vector<uint32_t> pops_a;
   thread_local std::vector<uint32_t> pops_b;
   thread_local std::vector<uint32_t> pops_c;

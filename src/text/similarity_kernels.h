@@ -66,6 +66,15 @@ inline uint64_t TokenSignature(const Token* tokens, size_t n) {
   return IntersectLinear(a, na, b, nb);
 }
 
+/// Widest schema the per-instance signature pass runs on (the kernel keeps
+/// one bound per attribute on the stack); wider schemas decide every
+/// instance pair by plain exact merges.
+inline constexpr int kSigPassMaxAttrs = 64;
+
+/// A signature with more set bits than this (75% of the 64) is counted
+/// saturated (SigFilterCounters): the regime where its bound loosens.
+inline constexpr int kSigSaturatedBits = 48;
+
 /// The three popcounts one signature pair reduces to; every bound below is
 /// pure arithmetic over them, so batched (SIMD) and per-pair (scalar) paths
 /// share one definition and stay bit-identical.
@@ -90,26 +99,27 @@ struct SigPopCounts {
 /// c <= d_A and c <= d_B.
 [[nodiscard]] inline size_t SigIntersectionUpperBoundFromPops(size_t na, size_t nb,
                                                 const SigPopCounts& p) {
-  if (p.common == 0) {
-    return 0;
-  }
   const size_t common = static_cast<size_t>(p.common);
   const size_t ub_a = na - static_cast<size_t>(p.a) + common;
   const size_t ub_b = nb - static_cast<size_t>(p.b) + common;
-  return std::min(ub_a, ub_b);
+  return p.common == 0 ? 0 : std::min(ub_a, ub_b);
 }
 
 /// Upper bound on the Jaccard similarity of two sets from sizes +
 /// popcounts alone. Jaccard = i / (|A| + |B| - i) is increasing in i, so
 /// substituting the intersection upper bound is sound. Two empty sets have
 /// similarity 1 by convention (mirrors JaccardSimilarity).
+/// Selects rather than branches, as the batched pass runs it per
+/// (pair, attribute): the quotient (NaN for two empty sets) is dropped
+/// when unused.
 [[nodiscard]] inline double SigJaccardUpperBoundFromPops(size_t na, size_t nb,
                                            const SigPopCounts& p) {
-  if (na == 0 && nb == 0) {
-    return 1.0;
-  }
+  // Counts fit in 32 bits, so the signed conversions are exact (and one
+  // instruction each, unlike size_t's).
   const size_t ub = SigIntersectionUpperBoundFromPops(na, nb, p);
-  return static_cast<double>(ub) / static_cast<double>(na + nb - ub);
+  const double ratio = static_cast<double>(static_cast<int64_t>(ub)) /
+                       static_cast<double>(static_cast<int64_t>(na + nb - ub));
+  return na == 0 && nb == 0 ? 1.0 : ratio;
 }
 
 /// The bounds straight from two signatures.

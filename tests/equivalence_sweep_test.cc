@@ -408,8 +408,8 @@ std::vector<BatchCombo> BatchCombos() {
     combos.emplace_back(profile, 8, 1, 0, 0);
     combos.emplace_back(profile, 8, 4, 0, 2);
     // ...plus the everything-on configuration per profile on two and on
-    // four workers: async ingest, parallel refinement through the batched
-    // signature prefilter (the TSan job's main data-race surface).
+    // four workers: async ingest and parallel refinement (the TSan job's
+    // main data-race surface).
     combos.emplace_back(profile, 8, 4, 2, 2);
     combos.emplace_back(profile, 8, 4, 2, 4);
   }

@@ -50,10 +50,10 @@ TEST_F(RefinementExecutorTest, ParallelEqualsSequentialOnBothCascades) {
       {"male", "loss of weight", "diabetes", "dietary therapy"},
       {"female", "fever low spirit", "pneumonia", "antibiotics"},
   };
-  // The parallel Run goes through the batched signature prefilter
-  // (heavy/light placement); the evaluations must nevertheless be
-  // bit-identical to the sequential executor's, including the sig_*
-  // observability counters (Evaluate is pure, placement changes nothing).
+  // The parallel Run shards the tasks across workers; the evaluations must
+  // nevertheless be bit-identical to the sequential executor's, including
+  // the sig_* observability counters (Evaluate is pure, placement changes
+  // nothing).
   std::shared_ptr<WindowTuple> probe =
       MakeTuple(1, {"male", "fever cough", "flu", "drink more"}, topic);
   std::vector<std::shared_ptr<WindowTuple>> cands;

@@ -5,18 +5,26 @@
 // values, imputed by the rule-based imputer. After every arrival the
 // maintained grid must answer exactly as a grid freshly built from the
 // live window tuples: same candidates in the same order, same four
-// counters, for both topic_constrained values.
+// counters, for both topic_constrained values — and every live tuple's
+// PairRow must equal one freshly written from its WindowTuple. A second
+// check does the same for the result set: after every arrival the
+// pipeline's matches must be exactly the cross-stream pairs of the live
+// windows whose ExactProbability exceeds alpha.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "datagen/generator.h"
 #include "datagen/profiles.h"
+#include "er/probability.h"
 #include "eval/experiment.h"
 #include "imputation/rule_based_imputer.h"
 #include "stream/sliding_window.h"
@@ -113,6 +121,19 @@ TEST_P(GridMaintenanceTest, MaintainedGridEqualsFreshGrid) {
     }
     ASSERT_EQ(grid.num_tuples(), fresh.num_tuples());
     ASSERT_EQ(grid.num_cells(), fresh.num_cells()) << "arrival " << arrival;
+    const PairRowLayout& layout = grid.row_layout();
+    std::vector<double> want_row(layout.stride());
+    for (const SlidingWindow& window : windows) {
+      for (const auto& live : window.tuples()) {
+        const double* got_row = grid.row_of(live->rid());
+        ASSERT_NE(got_row, nullptr) << "rid " << live->rid();
+        layout.Write(*live->tuple, live->topic.any, want_row.data());
+        ASSERT_EQ(std::memcmp(got_row, want_row.data(),
+                              layout.stride() * sizeof(double)),
+                  0)
+            << "arrival " << arrival << " rid " << live->rid();
+      }
+    }
     std::vector<const WindowTuple*> probes = {wt.get()};
     if (evicted != nullptr) {
       probes.push_back(evicted.get());
@@ -143,6 +164,60 @@ TEST_P(GridMaintenanceTest, MaintainedGridEqualsFreshGrid) {
   EXPECT_GT(multi_cell_tuples, 0) << "no imputed tuple spanned several cells";
   EXPECT_GT(sim_pruned, 0u);
   EXPECT_GT(topic_pruned, 0u);
+}
+
+TEST_P(GridMaintenanceTest, MaintainedResultsEqualFreshEvaluation) {
+  const std::string profile = GetParam();
+  ExperimentParams params;
+  params.scale = Scale(profile);
+  params.w = 40;
+  params.xi = 0.3;
+  params.alpha = 0.3;
+  Experiment experiment(ProfileByName(profile), params);
+  std::unique_ptr<Repository> repo = experiment.BuildRepository();
+  const EngineConfig config = experiment.MakeConfig();
+  std::unique_ptr<ErPipeline> engine = MakePipeline(
+      PipelineKind::kTerIds, repo.get(), config, 2, experiment.cdds(),
+      experiment.dds(), experiment.editing_rules());
+  const auto* base = dynamic_cast<const PipelineBase*>(engine.get());
+  ASSERT_NE(base, nullptr);
+  std::vector<Record> inc_a = DataGenerator::WithMissing(
+      experiment.dataset().source_a, params.xi, params.m, params.seed);
+  std::vector<Record> inc_b = DataGenerator::WithMissing(
+      experiment.dataset().source_b, params.xi, params.m, params.seed + 1);
+  StreamDriver driver({inc_a, inc_b});
+  size_t max_matches = 0;
+  int evicted_matches = 0;
+  size_t previous = 0;
+  for (int arrival = 0; arrival < 240 && driver.HasNext(); ++arrival) {
+    const ArrivalOutcome out = engine->ProcessArrival(driver.Next());
+    std::vector<std::pair<int64_t, int64_t>> want;
+    for (const auto& a : base->window(0).tuples()) {
+      for (const auto& b : base->window(1).tuples()) {
+        if (ExactProbability(*a->tuple, a->topic, *b->tuple, b->topic,
+                             config.gamma) > config.alpha) {
+          want.emplace_back(std::min(a->rid(), b->rid()),
+                            std::max(a->rid(), b->rid()));
+        }
+      }
+    }
+    std::sort(want.begin(), want.end());
+    std::vector<std::pair<int64_t, int64_t>> got;
+    for (const MatchPair& p : engine->results().ToVector()) {
+      got.emplace_back(p.rid_a, p.rid_b);
+      ASSERT_TRUE(engine->results().Contains(p.rid_b, p.rid_a));
+      ASSERT_EQ(engine->results().ProbabilityOf(p.rid_a, p.rid_b),
+                p.probability);
+    }
+    ASSERT_EQ(got, want) << "arrival " << arrival;
+    ASSERT_EQ(engine->results().size(), got.size());
+    evicted_matches += previous + out.new_matches.size() > got.size();
+    previous = got.size();
+    max_matches = std::max(max_matches, got.size());
+  }
+  EXPECT_GT(max_matches, 0u);
+  EXPECT_GT(evicted_matches, 0)
+      << "no eviction removed a match; max " << max_matches;
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, GridMaintenanceTest,

@@ -1,0 +1,404 @@
+// Equivalence of the batched pair cascade with the per-pair reference: for
+// every probe and candidate, EvaluateCandidates followed by EvaluatePair on
+// the pairs it passes must give the same outcome and the same three
+// signature counters as EvaluatePair alone. Generated streams of all five
+// profiles (complete and half-missing) are replayed through real windows
+// and an ER-grid, whose rows the kernel reads; constructed cases cover
+// empty token sets, sub-stochastic single-instance tuples, non-topical
+// pairs and a schema too wide for the signature pass.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "datagen/generator.h"
+#include "datagen/profiles.h"
+#include "er/pruning.h"
+#include "er/topic.h"
+#include "eval/experiment.h"
+#include "imputation/rule_based_imputer.h"
+#include "pivot/pivot_selector.h"
+#include "stream/sliding_window.h"
+#include "stream/stream_driver.h"
+#include "synopsis/er_grid.h"
+#include "test_util.h"
+#include "text/similarity_kernels.h"
+#include "tuple/pair_row.h"
+#include "util/bits.h"
+
+namespace terids {
+namespace {
+
+/// How the kernel decided the pairs it rejected.
+struct Tally {
+  uint64_t pairs = 0;
+  uint64_t passed = 0;
+  uint64_t topic = 0;
+  uint64_t sim = 0;
+  uint64_t prob = 0;
+  uint64_t sig = 0;
+};
+
+/// Runs EvaluateCandidates for `probe` over the rows of `cands` (slot
+/// `slots[i]` in `rows`) and checks every verdict against EvaluatePair.
+void ExpectKernelMatchesPerPair(const PairRowLayout& layout,
+                                const double* rows, const WindowTuple& probe,
+                                const std::vector<const WindowTuple*>& cands,
+                                const std::vector<uint32_t>& slots,
+                                double gamma, double alpha, Tally* tally) {
+  ASSERT_EQ(cands.size(), slots.size());
+  if (cands.empty()) {
+    return;  // An empty grid has no row layout yet.
+  }
+  std::vector<double> probe_row(layout.stride());
+  layout.Write(*probe.tuple, probe.topic.any, probe_row.data());
+  std::vector<PairEvaluation> evals;
+  std::vector<uint32_t> passed;
+  EvaluateCandidates(layout, probe_row.data(), rows, slots.data(),
+                     slots.size(), gamma, alpha, &evals, &passed);
+  ASSERT_EQ(evals.size(), cands.size());
+  ASSERT_TRUE(std::is_sorted(passed.begin(), passed.end()));
+  ASSERT_TRUE(std::adjacent_find(passed.begin(), passed.end()) ==
+              passed.end());
+  const bool sig_pass = probe.tuple->num_instances() == 1 &&
+                        layout.dims() <= kSigPassMaxAttrs && alpha >= 0.0;
+  size_t next = 0;
+  for (size_t i = 0; i < cands.size(); ++i) {
+    const WindowTuple& cand = *cands[i];
+    const PairEvaluation want = EvaluatePair(
+        *probe.tuple, probe.topic, *cand.tuple, cand.topic, gamma, alpha);
+    const std::string where = "probe " + std::to_string(probe.rid()) +
+                              " cand " + std::to_string(cand.rid()) +
+                              " gamma " + std::to_string(gamma) + " alpha " +
+                              std::to_string(alpha);
+    ++tally->pairs;
+    if (next < passed.size() && passed[next] == i) {
+      ++next;
+      ++tally->passed;
+      // EvaluatePair decides a passed pair itself; the kernel's checks
+      // must have left nothing for Theorems 4.1-4.3 or pass 1 to reject.
+      ASSERT_NE(want.outcome, PairOutcome::kTopicPruned) << where;
+      ASSERT_NE(want.outcome, PairOutcome::kSimUbPruned) << where;
+      ASSERT_NE(want.outcome, PairOutcome::kProbUbPruned) << where;
+      if (sig_pass && cand.tuple->num_instances() == 1) {
+        ASSERT_EQ(want.sig_rejects, 0u) << where;
+      }
+      continue;
+    }
+    const PairEvaluation& got = evals[i];
+    ASSERT_EQ(static_cast<int>(got.outcome), static_cast<int>(want.outcome))
+        << where;
+    ASSERT_EQ(got.probability, want.probability) << where;
+    ASSERT_EQ(got.sig_probes, want.sig_probes) << where;
+    ASSERT_EQ(got.sig_saturated, want.sig_saturated) << where;
+    ASSERT_EQ(got.sig_rejects, want.sig_rejects) << where;
+    switch (got.outcome) {
+      case PairOutcome::kTopicPruned:
+        ++tally->topic;
+        break;
+      case PairOutcome::kSimUbPruned:
+        ++tally->sim;
+        break;
+      case PairOutcome::kProbUbPruned:
+        ++tally->prob;
+        break;
+      default:
+        ++tally->sig;
+        break;
+    }
+  }
+  ASSERT_EQ(next, passed.size());
+}
+
+/// Rows for `cands` in slots 0..n-1, for cases built without a grid.
+void ExpectKernelMatchesPerPair(const WindowTuple& probe,
+                                const std::vector<const WindowTuple*>& cands,
+                                double gamma, double alpha, Tally* tally) {
+  const PairRowLayout layout = PairRowLayout::For(*probe.tuple);
+  std::vector<double> rows(cands.size() * layout.stride());
+  std::vector<uint32_t> slots;
+  for (size_t i = 0; i < cands.size(); ++i) {
+    layout.Write(*cands[i]->tuple, cands[i]->topic.any,
+                 rows.data() + i * layout.stride());
+    slots.push_back(static_cast<uint32_t>(i));
+  }
+  ExpectKernelMatchesPerPair(layout, rows.data(), probe, cands, slots, gamma,
+                             alpha, tally);
+}
+
+double Scale(const std::string& profile) {
+  if (profile == "EBooks") return 0.012;
+  if (profile == "Songs") return 0.002;
+  return 0.04;
+}
+
+using StreamCase = std::tuple<std::string, double>;  // profile, xi
+
+class PairCascadeStreamTest : public ::testing::TestWithParam<StreamCase> {};
+
+TEST_P(PairCascadeStreamTest, KernelThenPerPairEqualsPerPair) {
+  const auto [profile, xi] = GetParam();
+  ExperimentParams params;
+  params.scale = Scale(profile);
+  params.w = 30;
+  params.xi = xi;
+  Experiment experiment(ProfileByName(profile), params);
+  std::unique_ptr<Repository> repo = experiment.BuildRepository();
+  const EngineConfig config = experiment.MakeConfig();
+  const int dims = repo->num_attributes();
+  const TopicQuery constrained(repo->dict(), config.keywords);
+  const TopicQuery unconstrained;
+  ASSERT_FALSE(constrained.IsUnconstrained());
+
+  Tally tally;
+  for (const TopicQuery* topic : {&constrained, &unconstrained}) {
+    RuleBasedImputer imputer(repo.get(), experiment.cdds(),
+                             RuleImputerOptions());
+    std::vector<Record> inc_a = DataGenerator::WithMissing(
+        experiment.dataset().source_a, xi, params.m, params.seed);
+    std::vector<Record> inc_b = DataGenerator::WithMissing(
+        experiment.dataset().source_b, xi, params.m, params.seed + 1);
+    StreamDriver driver({inc_a, inc_b});
+    std::vector<SlidingWindow> windows(2, SlidingWindow(params.w));
+    ErGrid grid(dims, config.cell_width);
+    for (int arrival = 0; arrival < 150 && driver.HasNext(); ++arrival) {
+      const Record r = driver.Next();
+      auto wt = std::make_shared<WindowTuple>();
+      wt->tuple = std::make_shared<const ImputedTuple>(
+          r.IsComplete()
+              ? ImputedTuple::FromComplete(r, repo.get())
+              : ImputedTuple::FromImputation(r, repo.get(),
+                                             imputer.ImputeRecord(r, nullptr),
+                                             config.max_instances));
+      wt->topic = topic->Classify(*wt->tuple);
+      for (double rho : {0.2, 0.5, 0.8}) {
+        const double gamma = rho * dims;
+        for (bool topic_constrained : {false, true}) {
+          const ErGrid::CandidateResult cands =
+              grid.Candidates(*wt, gamma, topic_constrained);
+          for (double alpha : {0.0, 0.3, 0.6, 0.9}) {
+            ExpectKernelMatchesPerPair(grid.row_layout(), grid.rows(), *wt,
+                                       cands.candidates, cands.slots, gamma,
+                                       alpha, &tally);
+            if (::testing::Test::HasFatalFailure()) {
+              return;
+            }
+          }
+        }
+      }
+      std::shared_ptr<WindowTuple> evicted = windows[r.stream_id].Push(wt);
+      grid.Insert(wt.get());
+      if (evicted != nullptr) {
+        ASSERT_TRUE(grid.Remove(evicted.get()));
+      }
+    }
+  }
+  EXPECT_GT(tally.passed, 0u);
+  EXPECT_GT(tally.topic, 0u);
+  EXPECT_GT(tally.sim, 0u);
+  EXPECT_GT(tally.sig, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Profiles, PairCascadeStreamTest,
+    ::testing::Combine(::testing::Values("Citations", "Anime", "Bikes",
+                                         "EBooks", "Songs"),
+                       ::testing::Values(0.0, 0.5)),
+    [](const ::testing::TestParamInfo<StreamCase>& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) == 0.0 ? "_complete" : "_missing");
+    });
+
+std::shared_ptr<WindowTuple> MakeWindowTuple(ImputedTuple tuple,
+                                             const TopicQuery& topic) {
+  auto wt = std::make_shared<WindowTuple>();
+  wt->tuple = std::make_shared<const ImputedTuple>(std::move(tuple));
+  wt->topic = topic.Classify(*wt->tuple);
+  return wt;
+}
+
+/// Every ordered pair of `tuples` at gammas across [0, d] and alphas
+/// around the sub-stochastic masses used below.
+Tally CheckAllPairs(const std::vector<std::shared_ptr<WindowTuple>>& tuples) {
+  Tally tally;
+  const int d = tuples.front()->tuple->num_attributes();
+  for (const auto& probe : tuples) {
+    std::vector<const WindowTuple*> cands;
+    for (const auto& cand : tuples) {
+      if (cand != probe) {
+        cands.push_back(cand.get());
+      }
+    }
+    for (int g = 0; g <= 4 * d; ++g) {
+      for (double alpha : {0.0, 0.2, 0.35, 0.36, 0.6, 0.9}) {
+        ExpectKernelMatchesPerPair(*probe, cands, 0.25 * g, alpha, &tally);
+        if (::testing::Test::HasFatalFailure()) {
+          return tally;
+        }
+      }
+    }
+  }
+  return tally;
+}
+
+/// Text of distinct words whose token signature has exactly `bits` bits
+/// set, each word adding one bit.
+std::string WordsWithSignatureBits(TokenDict* dict, int bits) {
+  std::string text;
+  uint64_t sig = 0;
+  for (int i = 0; PopCount64(sig) < bits; ++i) {
+    const std::string word = "sat" + std::to_string(i);
+    const uint64_t bit = uint64_t{1} << SignatureBit(dict->Intern(word));
+    if ((sig & bit) == 0) {
+      sig |= bit;
+      text += word + " ";
+    }
+  }
+  return text;
+}
+
+TEST(PairCascadeTest, ConstructedEdgeCases) {
+  using testing_util::MakeHealthWorld;
+  using testing_util::ToyWorld;
+  ToyWorld world = MakeHealthWorld();
+  const Repository* repo = world.repo.get();
+  // An imputed attribute with one candidate keeps one instance whose
+  // probability (and the tuple's total) is below 1.
+  auto single_candidate = [&](Record r, int attr, double prob) {
+    ImputedTuple::ImputedAttr ia;
+    ia.attr = attr;
+    ia.candidates.push_back({0, prob});
+    return ImputedTuple::FromImputation(std::move(r), repo, {ia}, 4);
+  };
+  auto several_candidates = [&](Record r, int attr) {
+    ImputedTuple::ImputedAttr ia;
+    ia.attr = attr;
+    for (ValueId vid = 0; vid < std::min<ValueId>(3, repo->domain(attr).size());
+         ++vid) {
+      ia.candidates.push_back({vid, 0.3});
+    }
+    return ImputedTuple::FromImputation(std::move(r), repo, {ia}, 4);
+  };
+  for (const TopicQuery& topic :
+       {TopicQuery(world.repo->dict(), {"conjunctivitis"}), TopicQuery()}) {
+    std::vector<std::shared_ptr<WindowTuple>> tuples;
+    tuples.push_back(MakeWindowTuple(
+        ImputedTuple::FromComplete(
+            world.Make(1, {"male", "loss of weight", "diabetes",
+                           "drug therapy"}),
+            repo),
+        topic));
+    // Missing diagnoses with no candidates: empty token sets, so two of
+    // them have Jaccard 1 on that attribute.
+    for (int64_t rid : {2, 3}) {
+      tuples.push_back(MakeWindowTuple(
+          ImputedTuple::FromImputation(
+              world.Make(rid, {"male", "loss of weight", "-",
+                               "drug therapy"}),
+              repo, {}, 4),
+          topic));
+    }
+    tuples.push_back(MakeWindowTuple(
+        ImputedTuple::FromImputation(
+            world.Make(4, {"-", "-", "-", "-"}), repo, {}, 4),
+        topic));
+    tuples.push_back(MakeWindowTuple(
+        single_candidate(world.Make(5, {"male", "loss of weight", "-",
+                                        "drug therapy"}),
+                         2, 0.6),
+        topic));
+    tuples.push_back(MakeWindowTuple(
+        single_candidate(world.Make(6, {"female", "red eye itchy", "-",
+                                        "eye drop"}),
+                         2, 0.6),
+        topic));
+    tuples.push_back(MakeWindowTuple(
+        several_candidates(world.Make(7, {"male", "blurred vision", "-",
+                                          "drug therapy"}),
+                           2),
+        topic));
+    tuples.push_back(MakeWindowTuple(
+        ImputedTuple::FromComplete(
+            world.Make(8, {"female", "red eye itchy", "conjunctivitis",
+                           "eye drop"}),
+            repo),
+        topic));
+    // Signatures at and just past the saturation threshold.
+    for (int bits : {kSigSaturatedBits, kSigSaturatedBits + 1}) {
+      tuples.push_back(MakeWindowTuple(
+          ImputedTuple::FromComplete(
+              world.Make(10 + bits,
+                         {"male", WordsWithSignatureBits(world.dict.get(), bits),
+                          "diabetes", "drug therapy"}),
+              repo),
+          topic));
+    }
+    ASSERT_EQ(tuples[4]->tuple->num_instances(), 1);
+    ASSERT_LT(tuples[4]->tuple->total_prob(), 1.0);
+    ASSERT_GT(tuples[6]->tuple->num_instances(), 1);
+    const Tally tally = CheckAllPairs(tuples);
+    if (HasFatalFailure()) {
+      return;
+    }
+    EXPECT_GT(tally.sim, 0u);
+    EXPECT_GT(tally.sig, 0u);
+    EXPECT_GT(tally.passed, 0u);
+    if (!topic.IsUnconstrained()) {
+      EXPECT_GT(tally.topic, 0u) << "no non-topical pair";
+    }
+  }
+}
+
+TEST(PairCascadeTest, WideSchemaHasNoSignatureReject) {
+  // d > kSigPassMaxAttrs: InstanceSimilarityExceeds skips pass 1, so the
+  // kernel must not reject by signature either.
+  const int d = kSigPassMaxAttrs + 2;
+  std::vector<std::string> names;
+  for (int k = 0; k < d; ++k) {
+    names.push_back("a" + std::to_string(k));
+  }
+  Schema schema(names);
+  TokenDict dict;
+  Repository repo(&schema, &dict);
+  const std::vector<std::string> words = {"red", "green", "blue", "cyan",
+                                          "magenta", "yellow", "black"};
+  auto texts = [&](int seed) {
+    std::vector<std::string> t;
+    for (int k = 0; k < d; ++k) {
+      t.push_back(words[(seed * 3 + k) % words.size()] + " " +
+                  words[(seed + 2 * k) % words.size()]);
+    }
+    return t;
+  };
+  for (int s = 0; s < 6; ++s) {
+    ASSERT_TRUE(
+        repo.AddSample(testing_util::MakeRecord(schema, &dict, 100 + s,
+                                                texts(s)))
+            .ok());
+  }
+  PivotOptions popts;
+  popts.cnt_max = 2;
+  PivotSelector selector(&repo, popts);
+  repo.AttachPivots(selector.SelectAll());
+  const TopicQuery topic;
+  std::vector<std::shared_ptr<WindowTuple>> tuples;
+  for (int s = 0; s < 6; ++s) {
+    tuples.push_back(MakeWindowTuple(
+        ImputedTuple::FromComplete(
+            testing_util::MakeRecord(schema, &dict, s, texts(s % 4)), &repo),
+        topic));
+  }
+  const Tally tally = CheckAllPairs(tuples);
+  if (HasFatalFailure()) {
+    return;
+  }
+  EXPECT_EQ(tally.sig, 0u);
+  EXPECT_GT(tally.passed, 0u);
+}
+
+}  // namespace
+}  // namespace terids
