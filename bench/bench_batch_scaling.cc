@@ -23,8 +23,8 @@ int main() {
   using namespace terids;
   using namespace terids::bench;
   JsonReporter reporter("batch_scaling");
-  // The queue knob rides along from the environment (the sweep axes here
-  // stay batch x threads).
+  // The backend knobs ride along from the environment (the sweep axes
+  // here stay batch x threads).
   const ExecKnobs env_knobs = BenchKnobs();
   const std::vector<std::pair<int, int>> grid = {
       {1, 1}, {8, 1}, {1, 4}, {8, 4}};

@@ -106,33 +106,15 @@ SnapshotDecode EnvSnapshotDecode() {
   return decode;
 }
 
-OverloadPolicy EnvOverloadPolicy() {
-  const char* env = std::getenv("TERIDS_BENCH_OVERLOAD");
-  OverloadPolicy policy = OverloadPolicy::kBlock;
-  if (env == nullptr || env[0] == '\0') {
-    return policy;
-  }
-  if (!ParseOverloadPolicy(env, &policy)) {
-    std::fprintf(stderr,
-                 "TERIDS_BENCH_OVERLOAD: '%s' is not an overload policy "
-                 "(expected 'block', 'shed_newest', 'shed_oldest' or "
-                 "'degrade'); using default 'block'\n",
-                 env);
-  }
-  return policy;
-}
-
 }  // namespace
 
 ExecKnobs EnvExecKnobs() {
   ExecKnobs knobs;
   knobs.batch_size = EnvInt("TERIDS_BENCH_BATCH", 1, 1);
   knobs.refine_threads = EnvInt("TERIDS_BENCH_THREADS", 1, 1);
-  knobs.ingest_queue_depth = EnvInt("TERIDS_BENCH_QUEUE", 0, 0);
   knobs.sched_threads = EnvInt("TERIDS_BENCH_SCHED", 0, 0, kMaxSchedThreads);
   knobs.repo_backend = EnvRepoBackend();
   knobs.snapshot_decode = EnvSnapshotDecode();
-  knobs.overload_policy = EnvOverloadPolicy();
   return knobs;
 }
 
@@ -161,11 +143,9 @@ ExperimentParams BaseParams(const std::string& dataset) {
   const ExecKnobs& knobs = BenchKnobs();
   params.batch_size = knobs.batch_size;
   params.refine_threads = knobs.refine_threads;
-  params.ingest_queue_depth = knobs.ingest_queue_depth;
   params.sched_threads = knobs.sched_threads;
   params.repo_backend = knobs.repo_backend;
   params.snapshot_decode = knobs.snapshot_decode;
-  params.overload_policy = knobs.overload_policy;
   return params;
 }
 
@@ -258,11 +238,9 @@ JsonReporter::Row& JsonReporter::AddKnobRow(const ExecKnobs& knobs) {
   return AddRow()
       .Num("batch_size", knobs.batch_size)
       .Num("refine_threads", knobs.refine_threads)
-      .Num("ingest_queue_depth", knobs.ingest_queue_depth)
       .Num("sched_threads", knobs.sched_threads)
       .Str("repo_backend", RepoBackendName(knobs.repo_backend))
-      .Str("snapshot_decode", SnapshotDecodeName(knobs.snapshot_decode))
-      .Str("overload_policy", OverloadPolicyName(knobs.overload_policy));
+      .Str("snapshot_decode", SnapshotDecodeName(knobs.snapshot_decode));
 }
 
 JsonReporter::~JsonReporter() {
@@ -288,14 +266,12 @@ void PrintHeader(const std::string& figure, const std::string& title,
   std::printf(
       "defaults (Table 5, scaled): alpha=%.1f rho=%.1f xi=%.1f eta=%.1f "
       "w=%d m=%d scale=%.3f arrivals=%d bench_scale=%.2f batch=%d "
-      "threads=%d queue=%d sched=%d "
-      "repo=%s snapdecode=%s overload=%s\n",
+      "threads=%d sched=%d repo=%s snapdecode=%s\n",
       params.alpha, params.rho, params.xi, params.eta, params.w, params.m,
       params.scale, params.max_arrivals, BenchScale(), params.batch_size,
-      params.refine_threads, params.ingest_queue_depth, params.sched_threads,
+      params.refine_threads, params.sched_threads,
       RepoBackendName(params.repo_backend),
-      SnapshotDecodeName(params.snapshot_decode),
-      OverloadPolicyName(params.overload_policy));
+      SnapshotDecodeName(params.snapshot_decode));
 }
 
 namespace {

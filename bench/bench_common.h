@@ -39,28 +39,22 @@ int EnvInt(const char* name, int fallback, int min_value,
            int max_value = std::numeric_limits<int>::max());
 
 /// The execution-model knobs, parsed once from TERIDS_BENCH_BATCH /
-/// TERIDS_BENCH_THREADS / TERIDS_BENCH_QUEUE
-/// (defaults 1/1/0 = the classic one-at-a-time synchronous operator)
-/// plus TERIDS_BENCH_SCHED (sched_threads, default 0 = every
+/// TERIDS_BENCH_THREADS (defaults 1/1 = the classic one-at-a-time
+/// operator) plus TERIDS_BENCH_SCHED (sched_threads, default 0 = every
 /// fan-out inline; at most kMaxSchedThreads), the repository storage
-/// backend from
-/// TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default memory), and the
-/// v2 snapshot decode mode from TERIDS_BENCH_SNAPDECODE ("lazy" | "eager",
-/// default lazy; mmap backend only), and the async-ingest overload policy
-/// from TERIDS_BENCH_OVERLOAD ("block" | "shed_newest" | "shed_oldest" |
-/// "degrade", default block; DESIGN.md §13).
+/// backend from TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default
+/// memory), and the v2 snapshot decode mode from TERIDS_BENCH_SNAPDECODE
+/// ("lazy" | "eager", default lazy; mmap backend only).
 /// Every bench that replays arrivals through Experiment::Run inherits them
 /// via BaseParams, so any figure can be reproduced under micro-batching,
-/// parallel refinement, async ingest, the scheduler, and either storage
-/// backend without code changes.
+/// parallel refinement, the scheduler, and either storage backend without
+/// code changes.
 struct ExecKnobs {
   int batch_size = 1;
   int refine_threads = 1;
-  int ingest_queue_depth = 0;
   int sched_threads = 0;
   RepoBackend repo_backend = RepoBackend::kInMemory;
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
-  OverloadPolicy overload_policy = OverloadPolicy::kBlock;
 };
 ExecKnobs EnvExecKnobs();
 
@@ -115,7 +109,7 @@ class JsonReporter {
   bool enabled() const { return !path_.empty(); }
   Row& AddRow();
   /// AddRow with the effective execution-model knob columns pre-stamped
-  /// (batch_size / refine_threads / ingest_queue_depth), so
+  /// (batch_size / refine_threads / sched_threads), so
   /// artifact rows from different knob settings stay distinguishable.
   Row& AddKnobRow(const ExecKnobs& knobs);
 

@@ -5,12 +5,11 @@
 // ROADMAP item "unified scheduler and tail-latency accounting" (DESIGN.md
 // §10) on top of the reproduced system.
 //
-// Every other row runs the identical arrival sequence with every parallel
-// phase enabled (micro-batching, async ingest chain, parallel refinement);
-// only the worker count varies. Output is bit-identical across the whole
-// sweep by the determinism contract, and this bench refuses to report
-// numbers if not. Parallel speedups require physical cores; a 1-core host
-// shows overhead only.
+// Every other row runs the identical arrival sequence with micro-batching
+// and parallel refinement enabled; only the worker count varies. Output is
+// bit-identical across the whole sweep by the determinism contract, and
+// this bench refuses to report numbers if not. Parallel speedups require
+// physical cores; a 1-core host shows overhead only.
 
 #include <cstdio>
 #include <string>
@@ -57,11 +56,10 @@ int main() {
   const ExecKnobs env_knobs = BenchKnobs();
   const std::string dataset = "Citations";
   ExperimentParams params = BaseParams(dataset);
-  // Every parallel phase on, so ingest and refinement flow through the
-  // scheduler: the sweep isolates worker topology, nothing else.
+  // Refinement fans out on the scheduler: the sweep isolates worker
+  // topology, nothing else.
   params.batch_size = 8;
   params.refine_threads = 4;
-  params.ingest_queue_depth = 2;
   Experiment experiment(ProfileByName(dataset), params);
   PrintHeader("scheduler",
               "end-to-end throughput + per-arrival tail latency vs "
@@ -69,7 +67,7 @@ int main() {
               params);
 
   std::printf(
-      "\n-- end-to-end TER-iDS, all phases parallel; latency in ms --\n");
+      "\n-- end-to-end TER-iDS, refinement parallel; latency in ms --\n");
   std::printf("%6s %12s %12s %9s %9s %9s %9s %9s %9s %9s %9s\n", "sched",
               "ms/arrival", "arrivals/s", "speedup", "e2e p50", "e2e p99",
               "e2e p999", "ing p99", "cand p99", "ref p99", "mnt p99");
@@ -78,7 +76,6 @@ int main() {
   EngineConfig sequential = experiment.MakeConfig();
   sequential.batch_size = 1;
   sequential.refine_threads = 1;
-  sequential.ingest_queue_depth = 0;
   sequential.sched_threads = 0;
   const PipelineRun oracle = experiment.Run(PipelineKind::kTerIds, sequential);
   const double base_throughput =
@@ -110,7 +107,6 @@ int main() {
     ExecKnobs knobs = env_knobs;
     knobs.batch_size = params.batch_size;
     knobs.refine_threads = params.refine_threads;
-    knobs.ingest_queue_depth = params.ingest_queue_depth;
     knobs.sched_threads = sched;
     reporter.AddKnobRow(knobs)
         .Str("dataset", dataset)
@@ -126,9 +122,8 @@ int main() {
 
   std::printf(
       "\nexpected shape: e2e tail percentiles tighten as workers are added\n"
-      "until physical cores are exhausted. Ingest p99 tracks imputation +\n"
-      "candidate probing (the chained stage), refine p99 the\n"
-      "pair-evaluation fan-out. Every row is bit-identical in output to the\n"
-      "sequential seq row.\n");
+      "until physical cores are exhausted. Ingest p99 tracks imputation,\n"
+      "refine p99 the pair-evaluation fan-out. Every row is bit-identical\n"
+      "in output to the sequential seq row.\n");
   return 0;
 }

@@ -32,9 +32,11 @@ find src tests bench examples \
 # ---------------------------------------------------------------------------
 docs_ok=1
 
-# EngineConfig field names: lines like "  int sched_threads = 0;" inside
-# struct EngineConfig of src/core/config.h.
+# Settable EngineConfig field names: lines like "  int sched_threads = 0;"
+# inside struct EngineConfig of src/core/config.h. A `static constexpr`
+# member is a constant, not a knob, so it is skipped.
 config_knobs=$(awk '/^struct EngineConfig/,/^};/' src/core/config.h |
+  grep -v '^  static constexpr ' |
   grep -oE '^  [A-Za-z_:<>]+( [A-Za-z_:<>]+)* [a-z_]+ *[=;]' |
   grep -oE '[a-z_]+ *[=;]$' | grep -oE '^[a-z_]+')
 

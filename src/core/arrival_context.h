@@ -12,15 +12,9 @@
 
 namespace terids {
 
-/// How the overload layer treated one arrival (DESIGN.md §13).
+/// Read by terbench; always kProcessed since async ingest was removed.
 enum class ArrivalDisposition {
-  /// Fully processed — the only disposition outside overload pressure.
   kProcessed = 0,
-  /// Refinement was stripped (shed_oldest): evictions replayed, no pair
-  /// verdicts, no matches. (shed_newest arrivals emit no outcome at all.)
-  kShed = 1,
-  /// Refined with signature-bound-only verdicts; undecided pairs deferred.
-  kDegraded = 2,
 };
 
 /// What one arrival produced.
@@ -31,11 +25,10 @@ struct ArrivalOutcome {
   CostBreakdown cost;
   /// Pair pruning statistics of this arrival (Figure 4).
   PruneStats stats;
-  /// The arrival's global timestamp (StreamDriver stamp), so sinks can join
-  /// outcomes back to release schedules even when shedding makes emission
-  /// index != timestamp. -1 until ImputePhase stamps it.
+  /// The arrival's global timestamp (StreamDriver stamp). -1 until
+  /// ImputePhase stamps it.
   int64_t timestamp = -1;
-  /// How the overload layer treated this arrival.
+  /// Read by terbench; always kProcessed since async ingest was removed.
   ArrivalDisposition disposition = ArrivalDisposition::kProcessed;
 };
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "repo/repo_backend.h"
-#include "stream/overload.h"
 
 namespace terids {
 
@@ -52,23 +51,16 @@ struct EngineConfig {
   /// its concurrency). The defaults (1/1) keep pipeline output and
   /// execution bit-for-bit identical to the unbatched operator.
   int refine_threads = 1;
-  /// Bound on ingested micro-batches buffered ahead of refinement by the
-  /// async ingest path of ProcessStream: 0 = fully synchronous (ingest and
-  /// refinement alternate on the calling thread, bit-identical to the
-  /// pre-async operator); >= 1 runs ingest as a kIngest chain on a
-  /// scheduler worker so imputation/candidate generation of batch k+1
-  /// overlaps refinement of batch k, at most this many batches ahead.
-  int ingest_queue_depth = 0;
+  /// Read by terbench; always 0 since async ingest was removed.
+  static constexpr int ingest_queue_depth = 0;
   /// Worker count of the phase-tagged Scheduler (DESIGN.md §10), the one
-  /// parallel executor. 0 = no shared workers, so every fan-out runs inline
-  /// on the caller — unless ingest_queue_depth >= 1, whose kIngest chain
-  /// needs a worker: then the scheduler gets one. >= 1 = the async ingest
-  /// chain and the refinement fan-out (the only phases that leave the
-  /// caller) dispatch onto one pool of this many workers. refine_threads >
-  /// 1 decides *whether* refinement fans out; the scheduler decides who
-  /// runs it. At most kMaxSchedThreads. Every setting produces identical
-  /// matches, MatchSet, and PruneStats (the equivalence sweep enforces
-  /// it).
+  /// parallel executor. 0 = no workers, so every fan-out runs inline on
+  /// the caller. >= 1 = the refinement fan-out (the only phase that leaves
+  /// the caller) dispatches onto a pool of this many workers.
+  /// refine_threads > 1 decides *whether* refinement fans out; the
+  /// scheduler decides who runs it. At most kMaxSchedThreads. Every setting
+  /// produces identical matches, MatchSet, and PruneStats (the equivalence
+  /// sweep enforces it).
   int sched_threads = 0;
   /// Physical storage backend behind the repository R the engines read
   /// (DESIGN.md §8). Engines never construct repositories themselves —
@@ -85,21 +77,6 @@ struct EngineConfig {
   /// and for v1 snapshot files (always eager). Both modes yield
   /// bit-identical results (the equivalence sweep enforces it).
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
-  /// What the async ingest path does when refinement falls behind the
-  /// arrival stream (DESIGN.md §13). kBlock (default, seed behavior, the
-  /// equivalence oracle): backpressure — the producer blocks until a queue
-  /// slot frees; every arrival is fully processed. kShedNewest: drop the
-  /// newest batch before ingestion when the pressure signal fires.
-  /// kShedOldest: always ingest, but strip refinement from the
-  /// longest-waiting queued batch when the queue is full. kDegrade: admit
-  /// everything (the queue bound is waived under pressure) and refine
-  /// pressured batches with signature-bound-only verdicts, recording
-  /// undecided pairs as deferred. Only meaningful with
-  /// ingest_queue_depth >= 1; the synchronous operator never sheds. block
-  /// is bit-identical to the oracle; the other policies are bit-identical
-  /// too whenever the pressure signal never fires (the equivalence sweep
-  /// enforces both).
-  OverloadPolicy overload_policy = OverloadPolicy::kBlock;
 };
 
 }  // namespace terids

@@ -1,30 +1,12 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "er/probability.h"
-#include "util/mutex.h"
 #include "util/stopwatch.h"
 
 namespace terids {
-
-size_t ErPipeline::ProcessStream(StreamDriver* driver, size_t max_arrivals,
-                                 size_t batch_size, const OutcomeSink& sink) {
-  TERIDS_CHECK(driver != nullptr);
-  TERIDS_CHECK(batch_size >= 1);
-  size_t processed = 0;
-  while (processed < max_arrivals && driver->HasNext()) {
-    const std::vector<Record> batch =
-        driver->NextBatch(std::min(batch_size, max_arrivals - processed));
-    for (ArrivalOutcome& outcome : ProcessBatch(batch)) {
-      sink(std::move(outcome));
-      ++processed;
-    }
-  }
-  return processed;
-}
 
 PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
                            int num_streams, bool use_grid, bool use_prunings,
@@ -40,15 +22,10 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
   TERIDS_CHECK(config_.batch_size >= 1);
   TERIDS_CHECK(config_.max_candidates_per_attr >= 1);
   TERIDS_CHECK(config_.refine_threads >= 1);
-  TERIDS_CHECK(config_.ingest_queue_depth >= 0);
   TERIDS_CHECK(config_.sched_threads >= 0);
   TERIDS_CHECK(config_.sched_threads <= kMaxSchedThreads);
-  // Async ingest runs as a kIngest chain, which needs one worker even when
-  // no shared workers were asked for.
-  const int workers = std::max(config_.sched_threads,
-                               config_.ingest_queue_depth > 0 ? 1 : 0);
-  if (workers > 0) {
-    sched_ = std::make_unique<Scheduler>(workers);
+  if (config_.sched_threads > 0) {
+    sched_ = std::make_unique<Scheduler>(config_.sched_threads);
   }
   if (config_.refine_threads > 1) {
     refiner_ = RefinementExecutor(sched_.get());
@@ -299,190 +276,6 @@ void PipelineBase::RefineAndReplay(std::vector<ArrivalContext>* ctxs) {
   }
 }
 
-// --- Overload layer (DESIGN.md §13) ----------------------------------------
-
-void PipelineBase::ReplayShed(std::vector<ArrivalContext>* ctxs) {
-  for (ArrivalContext& ctx : *ctxs) {
-    shed_.shed_arrivals += 1;
-    shed_.shed_pairs += static_cast<int64_t>(ctx.candidates.size());
-    shed_.shed_by_phase[static_cast<int>(ExecPhase::kRefine)] +=
-        static_cast<int64_t>(ctx.candidates.size());
-    // The grid-level kills and the batched cascade's rejects already folded
-    // into the arrival's stats stand (they happened at ingest); the
-    // remaining candidate pairs are counted shed, never evaluated. The
-    // deferred result-set eviction still replays, so the window/grid/
-    // result-set invariants hold exactly as if the batch had refined — only
-    // its verdicts are missing.
-    cum_stats_.Add(ctx.out.stats);
-    if (ctx.evicted != nullptr) {
-      matches_.RemoveAllWith(ctx.evicted->rid());
-    }
-  }
-}
-
-void PipelineBase::RefineAndReplayDegraded(std::vector<ArrivalContext>* ctxs) {
-  // Bound-only verdicts are O(d) popcounts per pair — cheaper than the
-  // dispatch that parallel refinement would cost — so the degraded replay
-  // stays inline on the consumer thread, in arrival order.
-  for (ArrivalContext& ctx : *ctxs) {
-    for (const WindowTuple* cand : ctx.candidates) {
-      const PairEvaluation eval =
-          EvaluatePairBounds(*ctx.tuple, ctx.wt->topic, *cand->tuple,
-                             cand->topic, config_.gamma, config_.alpha);
-      ApplyEvaluation(&ctx, cand, eval);
-      if (eval.outcome == PairOutcome::kDeferred) {
-        shed_.deferred_pairs += 1;
-        shed_.shed_by_phase[static_cast<int>(ExecPhase::kRefine)] += 1;
-      }
-    }
-    cum_stats_.Add(ctx.out.stats);
-    if (ctx.evicted != nullptr) {
-      matches_.RemoveAllWith(ctx.evicted->rid());
-    }
-  }
-}
-
-bool PipelineBase::PressureHigh(BatchQueue<IngestedBatch>* queue) {
-  if (queue->size() >= queue->capacity()) {
-    return true;
-  }
-  if (sched_ != nullptr) {
-    // Second signal: the handoff has room but the consumer's fan-outs are
-    // drowning the shared workers — unclaimed non-ingest tasks piled up
-    // past a multiple of the queue bound.
-    const std::array<int64_t, kNumExecPhases> backlog =
-        sched_->ApproxBacklogByPhase();
-    int64_t pending = 0;
-    for (int p = 0; p < kNumExecPhases; ++p) {
-      if (p != static_cast<int>(ExecPhase::kIngest)) {
-        pending += backlog[p];
-      }
-    }
-    if (pending > kSchedBacklogPressureFactor *
-                      static_cast<int64_t>(queue->capacity())) {
-      return true;
-    }
-  }
-  return false;
-}
-
-PipelineBase::ProduceResult PipelineBase::ProduceOne(
-    StreamDriver* driver, size_t max_arrivals, size_t batch_size,
-    BatchQueue<IngestedBatch>* queue, size_t* ingested) {
-  if (*ingested >= max_arrivals || !driver->HasNext()) {
-    return ProduceResult::kExhausted;
-  }
-  const std::vector<Record> batch =
-      driver->NextBatch(std::min(batch_size, max_arrivals - *ingested));
-  if (batch.empty()) {
-    return ProduceResult::kExhausted;
-  }
-  *ingested += batch.size();
-  shed_.offered_arrivals += static_cast<int64_t>(batch.size());
-
-  const OverloadPolicy policy = config_.overload_policy;
-  // shed_newest decides *before* ingestion: a shed batch must never touch
-  // the window, grid, or imputer, so the engine state equals a run over the
-  // admitted subsequence and the policy needs no compensating replay.
-  if (policy == OverloadPolicy::kShedNewest && PressureHigh(queue)) {
-    shed_.pressure_events += 1;
-    shed_.shed_batches += 1;
-    shed_.shed_arrivals += static_cast<int64_t>(batch.size());
-    shed_.shed_by_phase[static_cast<int>(ExecPhase::kIngest)] +=
-        static_cast<int64_t>(batch.size());
-    return ProduceResult::kContinue;
-  }
-
-  IngestedBatch ib;
-  ib.admit.Restart();
-  {
-    ScopedTimer timer(&ib.ingest_wall);
-    IngestBatch(batch, &ib.ctxs);
-  }
-  shed_.admitted_arrivals += static_cast<int64_t>(batch.size());
-
-  if (policy == OverloadPolicy::kShedOldest) {
-    // Sacrifice the longest-waiting queued batch: mark it shed in place,
-    // atomically against a concurrent Pop. The following bounded Push then
-    // blocks at most for one (cheap) shed replay. Re-marking an already
-    // shed front batch would double-count, hence the disposition guard.
-    bool marked = false;
-    queue->MutateOldestIfFull([&](IngestedBatch* oldest) {
-      if (oldest->disposition == ArrivalDisposition::kProcessed) {
-        oldest->disposition = ArrivalDisposition::kShed;
-        marked = true;
-      }
-    });
-    if (marked) {
-      shed_.pressure_events += 1;
-      shed_.shed_batches += 1;
-    }
-  } else if (policy == OverloadPolicy::kDegrade && PressureHigh(queue)) {
-    shed_.pressure_events += 1;
-    ib.disposition = ArrivalDisposition::kDegraded;
-    shed_.degraded_batches += 1;
-    shed_.degraded_arrivals += static_cast<int64_t>(ib.ctxs.size());
-    // Admission must never block under degradation: the overshoot rides
-    // past the capacity bound and the consumer absorbs it bound-only.
-    return queue->ForcePush(std::move(ib)) ? ProduceResult::kContinue
-                                           : ProduceResult::kCancelled;
-  }
-
-  double block_wall = 0.0;
-  bool pushed;
-  {
-    ScopedTimer timer(&block_wall);
-    pushed = queue->Push(std::move(ib));
-  }
-  shed_.admit_block_seconds += block_wall;
-  return pushed ? ProduceResult::kContinue : ProduceResult::kCancelled;
-}
-
-size_t PipelineBase::DrainQueue(BatchQueue<IngestedBatch>* queue,
-                                const OutcomeSink& sink) {
-  size_t processed = 0;
-  IngestedBatch ib;
-  while (true) {
-    double wait_wall = 0.0;
-    bool popped;
-    {
-      ScopedTimer timer(&wait_wall);
-      popped = queue->Pop(&ib);
-    }
-    if (!popped) {
-      break;
-    }
-    double refine_wall = 0.0;
-    {
-      ScopedTimer timer(&refine_wall);
-      switch (ib.disposition) {
-        case ArrivalDisposition::kProcessed:
-          RefineAndReplay(&ib.ctxs);
-          break;
-        case ArrivalDisposition::kShed:
-          ReplayShed(&ib.ctxs);
-          break;
-        case ArrivalDisposition::kDegraded:
-          RefineAndReplayDegraded(&ib.ctxs);
-          break;
-      }
-    }
-    const double n = static_cast<double>(ib.ctxs.size());
-    for (ArrivalContext& ctx : ib.ctxs) {
-      // Stage walls overlap across batches, so their sum upper-bounds the
-      // wall attribution of this batch; queue_wait isolates how long
-      // refinement starved for ingest.
-      ctx.out.disposition = ib.disposition;
-      ctx.out.cost.batch_seconds += (ib.ingest_wall + refine_wall) / n;
-      ctx.out.cost.queue_wait_seconds += wait_wall / n;
-      RecordArrivalLatency(ctx.out.cost, ib.admit.ElapsedSeconds());
-      sink(std::move(ctx.out));
-      ++processed;
-    }
-  }
-  return processed;
-}
-
 // --- Operators -------------------------------------------------------------
 
 ArrivalOutcome PipelineBase::ProcessArrival(const Record& r) {
@@ -539,96 +332,17 @@ size_t PipelineBase::ProcessStream(StreamDriver* driver, size_t max_arrivals,
                                    const OutcomeSink& sink) {
   TERIDS_CHECK(driver != nullptr);
   TERIDS_CHECK(batch_size >= 1);
-  // An imputer that writes state refinement reads (the constraint-based
-  // baseline registers stream values into repository domains) must not
-  // overlap the two stages; its pipeline stays synchronous at any depth.
-  const bool async_safe =
-      imputer_ == nullptr || !imputer_->MutatesRefinementState();
-  if (config_.ingest_queue_depth <= 0 || !async_safe) {
-    // Fully synchronous: the default alternating loop, bit-identical to the
-    // pre-async operator (including the one-at-a-time path for batch 1),
-    // with per-arrival latency stamped at emission.
-    size_t processed = 0;
-    while (processed < max_arrivals && driver->HasNext()) {
-      const std::vector<Record> batch =
-          driver->NextBatch(std::min(batch_size, max_arrivals - processed));
-      Stopwatch admit;
-      for (ArrivalOutcome& outcome : ProcessBatch(batch)) {
-        RecordArrivalLatency(outcome.cost, admit.ElapsedSeconds());
-        sink(std::move(outcome));
-        ++processed;
-      }
-    }
-    return processed;
-  }
-  return ProcessStreamScheduled(driver, max_arrivals, batch_size, sink);
-}
-
-size_t PipelineBase::ProcessStreamScheduled(StreamDriver* driver,
-                                            size_t max_arrivals,
-                                            size_t batch_size,
-                                            const OutcomeSink& sink) {
-  // Two-stage pipeline over a bounded handoff. The ingest stage runs as a
-  // chain of self-resubmitting kIngest work items on the scheduler
-  // (DESIGN.md §10): each item ingests one batch, pushes it through the
-  // bounded handoff, and submits the next link. At most one link exists at
-  // a time, so driver/windows_/grid_/imputer_ keep a single logical owner
-  // (the scheduler's queue mutex orders consecutive links), while
-  // matches_/cum_stats_ belong to this consumer thread; the handoff queue's
-  // mutex orders ingest against replay, and tuples a later batch evicts
-  // stay alive through that batch's contexts until its own (later) replay.
-  // The chain link is the only scheduler work item that may block (in
-  // Push), and the thread it waits on — this consumer — makes progress
-  // without free workers because its own fan-outs self-drain.
-  BatchQueue<IngestedBatch> queue(
-      static_cast<size_t>(config_.ingest_queue_depth));
-  // Chain-completion latch (rank kPipelineChain: acquired alone, never
-  // nested with the queue's or the scheduler's mutex — a chain link holds
-  // no lock when it runs).
-  Mutex chain_mu(lock_rank::kPipelineChain);
-  CondVar chain_cv;
-  bool chain_done = false;
-  size_t ingested = 0;
-  const auto finish_chain = [&] {
-    MutexLock lock(&chain_mu);
-    chain_done = true;
-    chain_cv.NotifyAll();
-  };
-  const auto await_chain = [&] {
-    MutexLock lock(&chain_mu);
-    while (!chain_done) {
-      chain_cv.Wait(&chain_mu);
-    }
-  };
-  std::function<void()> link;
-  link = [&] {
-    const ProduceResult result =
-        ProduceOne(driver, max_arrivals, batch_size, &queue, &ingested);
-    if (result == ProduceResult::kContinue) {
-      sched_->Submit(ExecPhase::kIngest, link);
-      return;
-    }
-    if (result == ProduceResult::kExhausted) {
-      queue.Close();
-    }
-    // kExhausted or kCancelled (consumer threw): the chain ends here.
-    finish_chain();
-  };
-  sched_->Submit(ExecPhase::kIngest, link);
-
   size_t processed = 0;
-  try {
-    processed = DrainQueue(&queue, sink);
-  } catch (...) {
-    // `queue`, `link`, and the chain flags live on this frame, so no chain
-    // link may outlive it: cancel the handoff (a blocked or later Push
-    // returns false, ending the chain within one link) and wait for the
-    // final link to retire before unwinding.
-    queue.Cancel();
-    await_chain();
-    throw;
+  while (processed < max_arrivals && driver->HasNext()) {
+    const std::vector<Record> batch =
+        driver->NextBatch(std::min(batch_size, max_arrivals - processed));
+    Stopwatch admit;
+    for (ArrivalOutcome& outcome : ProcessBatch(batch)) {
+      RecordArrivalLatency(outcome.cost, admit.ElapsedSeconds());
+      sink(std::move(outcome));
+      ++processed;
+    }
   }
-  await_chain();
   return processed;
 }
 

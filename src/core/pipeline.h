@@ -19,8 +19,6 @@
 #include "index/cdd_index.h"
 #include "repo/repository.h"
 #include "rules/rule.h"
-#include "stream/batch_queue.h"
-#include "stream/overload.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
 #include "synopsis/er_grid.h"
@@ -59,13 +57,10 @@ class ErPipeline {
 
   /// Drives the pipeline over `driver` until `max_arrivals` records have
   /// been consumed (or the driver runs dry), feeding micro-batches of up to
-  /// `batch_size` records and handing every outcome to `sink` in arrival
-  /// order. Returns the number of arrivals processed. The default loops
-  /// NextBatch -> ProcessBatch synchronously; PipelineBase overrides it
-  /// with an async double-buffered ingest loop when
-  /// EngineConfig::ingest_queue_depth > 0.
+  /// `batch_size` records through ProcessBatch and handing every outcome to
+  /// `sink` in arrival order. Returns the number of arrivals processed.
   virtual size_t ProcessStream(StreamDriver* driver, size_t max_arrivals,
-                               size_t batch_size, const OutcomeSink& sink);
+                               size_t batch_size, const OutcomeSink& sink) = 0;
 
   virtual const MatchSet& results() const = 0;
   virtual const PruneStats& cumulative_stats() const = 0;
@@ -78,10 +73,11 @@ class ErPipeline {
   /// its per-work-item service-time histograms, clearing them. Empty stats
   /// for pipelines without a scheduler. Call only at stream quiescence.
   virtual LatencyStats ConsumeSchedulerLatencies() { return LatencyStats(); }
-  /// Admission-control accounting of the async ProcessStream (DESIGN.md
-  /// §13), or null for pipelines without an overload layer. Read only after
-  /// the stream has quiesced (ProcessStream returned).
-  virtual const ShedStats* shed_stats() const { return nullptr; }
+};
+
+/// Read by terbench; always 0 since async ingest was removed.
+struct ShedStats {
+  double admit_block_seconds = 0.0;
 };
 
 /// Shared implementation: sliding windows, optional ER-grid, result-set
@@ -101,11 +97,10 @@ class ErPipeline {
 /// (so intra-batch pairs and evictions behave exactly as in sequential
 /// processing), defers all pair refinement into one batch-wide task set,
 /// executes it on the RefinementExecutor, and replays match insertion and
-/// result-set eviction in arrival order. ProcessStream additionally
-/// pipelines the two stages across batches on a scheduler worker when
-/// EngineConfig::ingest_queue_depth > 0 (DESIGN.md §7, §10). Output is
-/// bit-for-bit identical to sequential processing for every batch_size /
-/// refine_threads / ingest_queue_depth setting.
+/// result-set eviction in arrival order. ProcessStream loops NextBatch ->
+/// ProcessBatch -> sink on the calling thread. Output is bit-for-bit
+/// identical to sequential processing for every batch_size /
+/// refine_threads / sched_threads setting.
 ///
 /// Subclasses override the imputation hook (and inherit either the
 /// grid-based or linear candidate generation depending on configuration).
@@ -123,15 +118,8 @@ class PipelineBase : public ErPipeline {
   ArrivalOutcome ProcessArrival(const Record& r) override;
   std::vector<ArrivalOutcome> ProcessBatch(
       const std::vector<Record>& batch) override;
-  /// With `ingest_queue_depth == 0`, the synchronous default loop. With a
-  /// positive depth, a two-stage pipeline: a kIngest chain on the scheduler
-  /// pulls batches from the driver and runs impute/candidates/maintain (the
-  /// window, grid, and imputer state is owned by the chain for the
-  /// duration), pushing ingested batches through a bounded BatchQueue; the
-  /// calling thread pops batches in order, runs deferred refinement +
-  /// replay, and emits outcomes — so ingest of batch k+1 overlaps
-  /// refinement of batch k.
-  /// Output is bit-identical to the synchronous loop for every queue depth.
+  /// The synchronous NextBatch -> ProcessBatch -> sink loop, with
+  /// per-arrival latency stamped at emission.
   size_t ProcessStream(StreamDriver* driver, size_t max_arrivals,
                        size_t batch_size, const OutcomeSink& sink) override;
   const MatchSet& results() const override { return matches_; }
@@ -140,7 +128,11 @@ class PipelineBase : public ErPipeline {
   LatencyStats ConsumeSchedulerLatencies() override {
     return sched_ != nullptr ? sched_->ConsumeLatencies() : LatencyStats();
   }
-  const ShedStats* shed_stats() const override { return &shed_; }
+  /// Read by terbench; always 0 since async ingest was removed.
+  const ShedStats* shed_stats() const {
+    static const ShedStats kNone;
+    return &kNone;
+  }
 
   /// Live tuples of one stream's window (inspection / tests).
   const SlidingWindow& window(int stream_id) const;
@@ -178,10 +170,10 @@ class PipelineBase : public ErPipeline {
 
   Repository* repo_;
   EngineConfig config_;
-  /// The one parallel executor: max(sched_threads, 1 if
-  /// ingest_queue_depth > 0) workers, null when that is 0 (every fan-out
-  /// inline). Declared before every member whose methods dispatch onto it
-  /// so it is destroyed last (after draining all pending work).
+  /// The one parallel executor: sched_threads workers, null when that is
+  /// 0 (every fan-out inline). Declared before every member whose methods
+  /// dispatch onto it so it is destroyed last (after draining all pending
+  /// work).
   std::unique_ptr<Scheduler> sched_;
   TopicQuery topic_;
   std::vector<SlidingWindow> windows_;
@@ -193,29 +185,6 @@ class PipelineBase : public ErPipeline {
   std::string name_;
 
  private:
-  /// One micro-batch after the ingest stage: per-arrival contexts with
-  /// impute/candidates/maintain done and refinement pending, plus the
-  /// ingest-stage wall time (charged into batch_seconds at replay) and the
-  /// admission stopwatch started when the batch left the driver (the
-  /// end-to-end latency origin for each of its arrivals).
-  struct IngestedBatch {
-    std::vector<ArrivalContext> ctxs;
-    double ingest_wall = 0.0;
-    Stopwatch admit;
-    /// How the overload layer routed this batch (DESIGN.md §13): the
-    /// producer stage stamps it at admission (degrade) or in place on the
-    /// queue under the queue mutex (shed_oldest); the consumer stage
-    /// dispatches refinement on it.
-    ArrivalDisposition disposition = ArrivalDisposition::kProcessed;
-  };
-
-  /// Result of one producer step of the async pipeline.
-  enum class ProduceResult {
-    kContinue,   // a batch was admitted (or shed); keep producing
-    kExhausted,  // stream dry or max_arrivals reached; Close() the queue
-    kCancelled,  // consumer cancelled the handoff; stop silently
-  };
-
   std::vector<const WindowTuple*> LinearCandidates(const WindowTuple& probe,
                                                    PruneStats* stats) const;
   /// Folds one pair evaluation into the arrival's outcome and, on a match,
@@ -224,67 +193,26 @@ class PipelineBase : public ErPipeline {
                        const PairEvaluation& eval);
   /// Ingest stage: impute/candidates/maintain per record
   /// in arrival order with refinement deferred and result-set eviction
-  /// parked in each context. Touches windows_/grid_/imputer_ only — under
-  /// async ingest it runs in the kIngest chain.
+  /// parked in each context.
   void IngestBatch(const std::vector<Record>& batch,
                    std::vector<ArrivalContext>* ctxs);
   /// Refine stage: builds the batch-wide task set, runs it on the
   /// RefinementExecutor, and replays match insertion, stats accumulation,
-  /// and deferred result-set evictions in arrival order. Touches matches_
-  /// and cum_stats_ only — under async ingest it runs on the calling
-  /// thread, concurrently with the next batch's ingest.
+  /// and deferred result-set evictions in arrival order.
   void RefineAndReplay(std::vector<ArrivalContext>* ctxs);
-  /// Shed replay (disposition kShed, DESIGN.md §13): no pair is evaluated —
-  /// candidate pairs are counted into ShedStats — but the batch's deferred
-  /// result-set evictions still run and its stats still accumulate, so the
-  /// window/grid/result-set invariants survive the shed. Consumer stage.
-  void ReplayShed(std::vector<ArrivalContext>* ctxs);
-  /// Degraded replay (disposition kDegraded): every candidate pair goes
-  /// through the bound-only EvaluatePairBounds inline (cheap enough that
-  /// fan-out would cost more than it saves); decided pairs fold in exactly
-  /// like full evaluations, undecided ones are recorded deferred. Evictions
-  /// and stats replay as in RefineAndReplay. Consumer stage.
-  void RefineAndReplayDegraded(std::vector<ArrivalContext>* ctxs);
-  /// The queue-pressure signal (DESIGN.md §13): handoff-queue occupancy at
-  /// capacity, or the scheduler's unclaimed non-ingest backlog exceeding
-  /// kSchedBacklogPressureFactor x the queue capacity. Producer stage.
-  bool PressureHigh(BatchQueue<IngestedBatch>* queue);
-  /// One producer step of the async pipeline: pulls the next micro-batch
-  /// from the driver, applies config_.overload_policy at admission, and
-  /// hands the ingested batch to `queue` — the body of one kIngest chain
-  /// link. Producer stage: touches windows_/grid_/imputer_/driver and the
-  /// producer fields of shed_.
-  ProduceResult ProduceOne(StreamDriver* driver, size_t max_arrivals,
-                           size_t batch_size,
-                           BatchQueue<IngestedBatch>* queue, size_t* ingested);
-  /// The async consumer loop: pops batches until the queue closes,
-  /// dispatches refinement on each batch's disposition, and emits outcomes
-  /// in arrival order with batch/queue-wait/latency accounting. Returns
-  /// arrivals emitted.
-  size_t DrainQueue(BatchQueue<IngestedBatch>* queue, const OutcomeSink& sink);
   /// Folds one emitted arrival into the per-arrival latency histograms:
   /// phase latencies from the outcome's cost fields, end-to-end from
-  /// `e2e_seconds` (batch admission to emission). Caller-thread only.
+  /// `e2e_seconds` (batch admission to emission).
   void RecordArrivalLatency(const CostBreakdown& cost, double e2e_seconds);
-  /// The pipelined ProcessStream body: the scheduler's self-resubmitting
-  /// kIngest chain feeding DrainQueue (DESIGN.md §7, §10).
-  size_t ProcessStreamScheduled(StreamDriver* driver, size_t max_arrivals,
-                                size_t batch_size, const OutcomeSink& sink);
 
   /// Fans refinement out on sched_ when refine_threads > 1, else inline.
   RefinementExecutor refiner_;
-  /// Batched-cascade scratch of CandidatePhase (ingest side).
+  /// Batched-cascade scratch of CandidatePhase.
   std::vector<double> probe_row_;
   std::vector<PairEvaluation> kernel_evals_;
   std::vector<uint32_t> kernel_passed_;
-  /// Per-arrival latency accounting, updated at emission on the consumer
-  /// (calling) thread only.
+  /// Per-arrival latency accounting, updated at emission.
   LatencyStats latency_;
-  /// Overload accounting (DESIGN.md §13). Field ownership is split by
-  /// pipeline stage exactly as documented on ShedStats — admission fields
-  /// belong to the producer, refinement fields to the consumer — and
-  /// readers wait for stream quiescence, so no lock is needed.
-  ShedStats shed_;
 };
 
 /// Constructs one of the six evaluated pipelines. The rule vectors are

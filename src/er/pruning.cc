@@ -201,49 +201,4 @@ void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
   }
 }
 
-PairEvaluation EvaluatePairBounds(const ImputedTuple& a,
-                                  const TopicQuery::TupleTopic& a_topic,
-                                  const ImputedTuple& b,
-                                  const TopicQuery::TupleTopic& b_topic,
-                                  double gamma, double alpha) {
-  PairEvaluation eval;
-
-  // The merge-free prefix of EvaluatePair, verbatim: Theorems 4.1-4.3.
-  if (!a_topic.any && !b_topic.any) {
-    eval.outcome = PairOutcome::kTopicPruned;
-    return eval;
-  }
-  if (UbSim(a, b) <= gamma) {
-    eval.outcome = PairOutcome::kSimUbPruned;
-    return eval;
-  }
-  if (UbProbPaleyZygmund(a, b, gamma) <= alpha) {
-    eval.outcome = PairOutcome::kProbUbPruned;
-    return eval;
-  }
-
-  // Single-instance pairs are deterministic, so sim(a, b) is the plain
-  // attribute-wise Jaccard sum and the §11 signature bound applies per
-  // attribute: if even the summed upper bounds cannot clear gamma, the pair
-  // is a sound Theorem 4.2-style kill without touching a token.
-  if (a.num_instances() == 1 && b.num_instances() == 1) {
-    const int d = a.num_attributes();
-    double sim_ub = 0.0;
-    for (int attr = 0; attr < d; ++attr) {
-      const TokenView va = a.instance_token_view(0, attr);
-      const TokenView vb = b.instance_token_view(0, attr);
-      sim_ub += SigJaccardUpperBound(va.len, va.sig, vb.len, vb.sig);
-      eval.sig_probes += 1;
-    }
-    if (sim_ub <= gamma) {
-      eval.sig_rejects += 1;
-      eval.outcome = PairOutcome::kSimUbPruned;
-      return eval;
-    }
-  }
-
-  eval.outcome = PairOutcome::kDeferred;
-  return eval;
-}
-
 }  // namespace terids

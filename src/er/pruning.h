@@ -19,10 +19,6 @@ enum class PairOutcome {
   kInstancePruned,  // Theorem 4.4 early termination below alpha
   kRefuted,         // fully refined, probability <= alpha
   kMatched,         // probability > alpha
-  /// Degrade-mode only (EvaluatePairBounds, DESIGN.md §13): none of the
-  /// cheap bounds decided the pair and exact refinement was skipped under
-  /// overload. Explicitly unresolved — not a refute, never a match.
-  kDeferred,
 };
 
 /// Per-strategy pruning counters, reported as the "pruning power" of
@@ -50,10 +46,7 @@ struct PruneStats {
   uint64_t sig_probes = 0;
   uint64_t sig_saturated = 0;
   uint64_t sig_rejects = 0;
-  /// Pairs left undecided by degrade-mode bound-only evaluation (DESIGN.md
-  /// §13). Always zero outside overload degradation, so the equivalence
-  /// sweep's outcome comparison keeps it (a degraded run is *supposed* to
-  /// differ, and visibly so).
+  /// Read by terbench; always 0 since async ingest was removed.
   uint64_t deferred = 0;
 
   void Add(const PruneStats& other) {
@@ -67,7 +60,6 @@ struct PruneStats {
     sig_probes += other.sig_probes;
     sig_saturated += other.sig_saturated;
     sig_rejects += other.sig_rejects;
-    deferred += other.deferred;
   }
 
   /// Folds one pair evaluation into the counters. This is the only way the
@@ -95,9 +87,6 @@ struct PruneStats {
       case PairOutcome::kMatched:
         ++refined;
         ++matched;
-        break;
-      case PairOutcome::kDeferred:
-        ++deferred;
         break;
     }
   }
@@ -169,22 +158,6 @@ void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
                         double gamma, double alpha,
                         std::vector<PairEvaluation>* evals,
                         std::vector<uint32_t>* passed);
-
-/// Degrade-mode evaluation (DESIGN.md §13): only the merge-free prefix of
-/// the cascade runs — the Theorem 4.1 topic kill, the Theorem 4.2
-/// similarity upper bound, the Theorem 4.3 probability bound, and, for
-/// single-instance pairs, the signature-only Jaccard upper bound of
-/// DESIGN.md §11 summed across attributes. No token merge and no exact
-/// refinement ever execute, so the cost per pair is O(d) popcounts. Every
-/// prune it reports is sound (the same bound EvaluatePair would have
-/// applied); pairs none of the bounds decides come back as
-/// PairOutcome::kDeferred — explicitly unresolved, never silently refuted
-/// and never matched. Pure function, safe to call concurrently.
-PairEvaluation EvaluatePairBounds(const ImputedTuple& a,
-                                  const TopicQuery::TupleTopic& a_topic,
-                                  const ImputedTuple& b,
-                                  const TopicQuery::TupleTopic& b_topic,
-                                  double gamma, double alpha);
 
 }  // namespace terids
 

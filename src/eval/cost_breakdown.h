@@ -17,16 +17,12 @@ struct CostBreakdown {
   double refine_seconds = 0.0;
   /// Wall time of the whole batched operator attributed evenly across the
   /// batch's arrivals. Overlaps the three phases; zero in one-at-a-time
-  /// processing. Under async ingest this sums the ingest-stage and
-  /// refine-stage walls, which overlap across batches, so it upper-bounds
-  /// the true wall attribution.
+  /// processing.
   double batch_seconds = 0.0;
   /// Candidate-generation wall time (the ER-grid probe, or the linear
   /// window scan). Contained in `er_seconds`; overlay metric.
   double candidate_seconds = 0.0;
-  /// Time the refine stage spent blocked on the ingest BatchQueue waiting
-  /// for the next ingested batch (async mode only; spread evenly across the
-  /// batch's arrivals). Zero wait = ingest keeps up = the overlap is real.
+  /// Read by terbench; always 0 since async ingest was removed.
   double queue_wait_seconds = 0.0;
   /// Window/grid maintenance wall time (window push, grid insert/remove
   /// fan-out, eviction cascade). Not contained in `er_seconds`; overlay

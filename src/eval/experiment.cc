@@ -167,11 +167,9 @@ EngineConfig Experiment::MakeConfig() const {
   config.cell_width = params_.cell_width;
   config.batch_size = params_.batch_size;
   config.refine_threads = params_.refine_threads;
-  config.ingest_queue_depth = params_.ingest_queue_depth;
   config.sched_threads = params_.sched_threads;
   config.repo_backend = params_.repo_backend;
   config.snapshot_decode = params_.snapshot_decode;
-  config.overload_policy = params_.overload_policy;
   return config;
 }
 
@@ -194,8 +192,7 @@ PipelineRun Experiment::Run(PipelineKind kind, const EngineConfig& config) {
   std::vector<MatchPair> all_matches;
   Stopwatch total_watch;
   // ProcessStream replays every arrival through the pipeline's streaming
-  // operator: the synchronous NextBatch/ProcessBatch loop by default, the
-  // async double-buffered ingest loop when ingest_queue_depth > 0.
+  // operator: the NextBatch/ProcessBatch loop.
   run.arrivals = pipeline->ProcessStream(
       &driver, cap, static_cast<size_t>(config.batch_size),
       [&](ArrivalOutcome&& outcome) {
@@ -214,9 +211,6 @@ PipelineRun Experiment::Run(PipelineKind kind, const EngineConfig& config) {
     run.arrival_latency = *latencies;
   }
   run.sched_item_latency = pipeline->ConsumeSchedulerLatencies();
-  if (const ShedStats* shed = pipeline->shed_stats()) {
-    run.shed = *shed;
-  }
   return run;
 }
 

@@ -37,11 +37,9 @@ struct ExperimentParams {
   /// Execution-model knobs (defaults reproduce one-at-a-time processing).
   int batch_size = 1;
   int refine_threads = 1;
-  int ingest_queue_depth = 0;
-  /// Scheduler worker count (0 = every fan-out inline on the caller, one
-  /// worker when ingest_queue_depth >= 1; >= 1 = async ingest and
-  /// refinement share one worker pool). Every setting produces identical
-  /// results (DESIGN.md §10).
+  /// Scheduler worker count (0 = every fan-out inline on the caller; >= 1
+  /// = refinement fans out on a pool of this many workers). Every setting
+  /// produces identical results (DESIGN.md §10).
   int sched_threads = 0;
   /// Repository storage backend each Run()'s fresh repository uses. With
   /// kMmapSnapshot, BuildRepository serializes the in-memory build into a
@@ -52,11 +50,6 @@ struct ExperimentParams {
   /// first-touch section decode vs decode-all-at-open; DESIGN.md §8).
   /// Results are bit-identical either way (equivalence sweep enforced).
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
-  /// Overload policy of the async ingest path (DESIGN.md §13). kBlock
-  /// (default) is the backpressure oracle — bit-identical results; the
-  /// shedding/degrading policies trade completeness for bounded sojourn
-  /// under pressure and are bit-identical whenever pressure never fires.
-  OverloadPolicy overload_policy = OverloadPolicy::kBlock;
 };
 
 /// One pipeline's measured run.
@@ -76,9 +69,6 @@ struct PipelineRun {
   /// Per-work-item service-time histograms from the scheduler; empty when
   /// the pipeline ran without one.
   LatencyStats sched_item_latency;
-  /// Overload-layer accounting (DESIGN.md §13): all-zero under the block
-  /// policy or whenever the pressure signal never fired.
-  ShedStats shed;
 };
 
 /// Builds one dataset + repository + rules under fixed parameters and runs
@@ -103,8 +93,8 @@ class Experiment {
   const GeneratedDataset& dataset() const { return dataset_; }
   const ExperimentParams& params() const { return params_; }
   /// The incomplete arrival sources Run() streams (post-WithMissing), so
-  /// overload benches can reshape them (ArrivalShaper) and drive a custom
-  /// StreamDriver over the same content.
+  /// benches and tests can drive a custom StreamDriver over the same
+  /// content.
   const std::vector<Record>& incomplete_a() const { return incomplete_a_; }
   const std::vector<Record>& incomplete_b() const { return incomplete_b_; }
   double gamma() const;

@@ -11,7 +11,10 @@ namespace terids {
 /// same tags key the per-arrival phase-latency histograms, so the scheduler
 /// (src/exec) and the accounting layer agree on one vocabulary.
 enum class ExecPhase {
-  kIngest = 0,     // imputation: probe coords, CDD selection, candidates (4)
+  /// Imputation: probe coords, CDD selection. Keys the per-arrival impute
+  /// latency; read by terbench (exec.items.ingest); always 0 as a scheduler
+  /// item since async ingest was removed.
+  kIngest = 0,
   kCandidate = 1,  // ER-grid probe / linear window scan
   kRefine = 2,     // the Theorem 4.1-4.4 cascade / exact refinement
   kMaintain = 3,   // grid + window insertion, eviction cascade

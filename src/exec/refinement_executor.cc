@@ -39,12 +39,11 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
     }
     return;
   }
-  // Contiguous shards, several per worker so an expensive stretch of pairs
-  // (deep instance cross products) does not serialize the whole batch. On
-  // the grid path the batched cascade already dropped the merge-free pairs
-  // at ingest, so shards hold only pairs that may reach token merges.
-  const int64_t shard_size = std::max<int64_t>(
-      1, n / (static_cast<int64_t>(num_threads()) * 4));
+  // At most one contiguous shard per participant (workers + caller): the
+  // batched cascade leaves few pairs per batch, so finer shards would cost
+  // one scheduler item per pair.
+  const int64_t max_shards = std::min<int64_t>(n, num_threads());
+  const int64_t shard_size = (n + max_shards - 1) / max_shards;
   const int64_t shards = (n + shard_size - 1) / shard_size;
   const auto run_shard = [&](int64_t shard) {
     const int64_t begin = shard * shard_size;

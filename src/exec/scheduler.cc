@@ -91,11 +91,7 @@ bool Scheduler::ClaimTask(std::shared_ptr<Job>* job, int64_t* task) {
 void Scheduler::RunTask(const std::shared_ptr<Job>& job, int64_t task,
                         LatencyRing* ring) {
   const uint64_t start = NowNanos();
-  if (job->fn != nullptr) {
-    (*job->fn)(task);
-  } else {
-    job->single();
-  }
+  (*job->fn)(task);
   if (ring != nullptr) {
     ring->Record(job->phase, NowNanos() - start);
   }
@@ -147,10 +143,8 @@ void Scheduler::ParallelFor(ExecPhase phase, int64_t num_tasks,
   job->total = num_tasks;
   Enqueue(job);
 
-  // Participate: claim tasks from our own job only. Claiming from other
-  // jobs would risk executing an item that blocks (the ingest chain's
-  // bounded-queue Push) on the very thread that must make progress to
-  // unblock it.
+  // Participate: claim tasks from our own job only, so the caller's wait
+  // never depends on another job's tasks.
   for (;;) {
     int64_t task;
     {
@@ -209,14 +203,6 @@ void Scheduler::ParallelFor(ExecPhase phase, int64_t num_tasks,
   }
 }
 
-void Scheduler::Submit(ExecPhase phase, std::function<void()> fn) {
-  auto job = std::make_shared<Job>();
-  job->phase = phase;
-  job->single = std::move(fn);
-  job->total = 1;
-  Enqueue(std::move(job));
-}
-
 bool Scheduler::QuiescedLocked() const {
   if (in_flight_ > 0) {
     return false;
@@ -251,16 +237,6 @@ LatencyStats Scheduler::ConsumeLatencies() {
     rings_.back().FoldInto(&out);
   }
   return out;
-}
-
-std::array<int64_t, kNumExecPhases> Scheduler::ApproxBacklogByPhase() {
-  std::array<int64_t, kNumExecPhases> backlog{};
-  MutexLock lock(&mu_);
-  for (const std::shared_ptr<Job>& job : queue_) {
-    const int phase = static_cast<int>(job->phase);
-    backlog[phase] += job->total - job->next;
-  }
-  return backlog;
 }
 
 }  // namespace terids

@@ -1,7 +1,6 @@
 #ifndef TERIDS_EXEC_SCHEDULER_H_
 #define TERIDS_EXEC_SCHEDULER_H_
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -16,13 +15,13 @@
 namespace terids {
 
 /// The unified execution scheduler (DESIGN.md §10): one fixed worker pool
-/// serving every parallel phase of the arrival pipeline — pair refinement
-/// (kRefine) and the chained ingest stage of async ProcessStream (kIngest)
-/// — through one multi-producer submission queue. The ER-grid probe and
-/// maintenance run on the caller, so kCandidate and kMaintain carry no
-/// items; the tags stay so every phase reports a (possibly empty) latency
-/// row. It is the engine's only parallel executor: no other component
-/// starts a thread.
+/// serving the one parallel phase of the arrival pipeline — the pair
+/// refinement fan-out (kRefine) — through fork-join ParallelFor jobs on one
+/// multi-producer submission queue. Ingest, the ER-grid probe and
+/// maintenance run on the caller, so kIngest, kCandidate and kMaintain
+/// carry no items; the tags stay so every phase reports a (possibly empty)
+/// latency row. It is the engine's only parallel executor: no other
+/// component starts a thread.
 ///
 /// Thread-safety: every public method is safe to call concurrently from any
 /// thread. Each ParallelFor is an independent job with its own completion
@@ -31,12 +30,9 @@ namespace terids {
 ///
 /// Blocking discipline: a ParallelFor caller first drains every unclaimed
 /// task of its own job inline, then waits only for tasks already claimed by
-/// workers. A job therefore completes even when every worker is busy or
-/// blocked elsewhere, which makes nested fan-outs (a ParallelFor inside a
-/// work item) and a bounded-queue handoff inside a work item deadlock-free:
-/// at most the ingest chain's single in-flight item ever blocks, and the
-/// thread it waits on (the stream consumer) never needs a free worker to
-/// make progress.
+/// workers. A job therefore completes even when every worker is busy
+/// elsewhere, which makes nested fan-outs (a ParallelFor inside a work
+/// item) deadlock-free.
 ///
 /// Determinism: which worker runs which task is nondeterministic; callers
 /// needing deterministic output must write into per-task slots
@@ -47,8 +43,7 @@ namespace terids {
 /// lock_rank::kScheduler); the external callers' latency ring is guarded by
 /// `ext_mu_` (rank kLatencyRing, the one mutex legitimately acquired while
 /// holding `mu_` — ConsumeLatencies). Work items always run with both
-/// released, so an item may take lower-ranked locks (the ingest chain's
-/// BatchQueue push).
+/// released.
 class Scheduler {
  public:
   /// Spawns `num_workers` >= 1 persistent workers. (A pipeline that needs
@@ -77,15 +72,9 @@ class Scheduler {
   void ParallelFor(ExecPhase phase, int64_t num_tasks,
                    const std::function<void(int64_t)>& fn);
 
-  /// Fire-and-forget: enqueues one work item for any worker to run. Items
-  /// submitted from the same thread run in submission order relative to
-  /// each other only if a chain resubmits from inside the item (the ingest
-  /// pattern); unrelated items may interleave. `fn` must not throw.
-  void Submit(ExecPhase phase, std::function<void()> fn);
-
-  /// Blocks until every submitted work item (fork-join and detached) has
-  /// finished and the queue is empty. Concurrent submitters can starve the
-  /// drain; the intended use is quiescing between streams.
+  /// Blocks until every submitted task has finished and the queue is
+  /// empty. Concurrent submitters can starve the drain; the intended use is
+  /// quiescing between streams.
   void Drain();
 
   /// Drains, then merges and clears every worker's latency ring: per-phase
@@ -95,27 +84,17 @@ class Scheduler {
   /// measure.
   LatencyStats ConsumeLatencies();
 
-  /// Snapshot of the per-phase backlog: unclaimed tasks of every queued job,
-  /// bucketed by the job's phase (claimed-but-unfinished tasks are not
-  /// attributed — they are already running, not waiting). Approximate by
-  /// nature: stale the instant the lock drops — the overload pressure
-  /// signal's second input (DESIGN.md §13), never a synchronization
-  /// primitive.
-  std::array<int64_t, kNumExecPhases> ApproxBacklogByPhase();
-
  private:
-  /// One submitted unit: either a fork-join job of `total` indexed tasks or
-  /// a detached single item (total == 1, `single` set). Lifetime is managed
-  /// by shared_ptr: the queue and every claiming worker hold references, so
-  /// a detached job dies with its last task and a fork-join job lives on
-  /// the caller's stack frame past the barrier. The mutable counters
-  /// (`next`, `total`, `finished`) are guarded by the owning scheduler's
-  /// `mu_` — expressed here as a comment rather than an annotation because
-  /// the analysis cannot name another object's member as the capability.
+  /// One submitted fork-join job of `total` indexed tasks. Lifetime is
+  /// managed by shared_ptr: the queue and every claiming worker hold
+  /// references, so the job lives past the caller's barrier until its last
+  /// claimant lets go. The mutable counters (`next`, `total`, `finished`)
+  /// are guarded by the owning scheduler's `mu_` — expressed here as a
+  /// comment rather than an annotation because the analysis cannot name
+  /// another object's member as the capability.
   struct Job {
-    ExecPhase phase = ExecPhase::kIngest;
+    ExecPhase phase = ExecPhase::kRefine;
     const std::function<void(int64_t)>* fn = nullptr;
-    std::function<void()> single;
     int64_t next = 0;      // first unclaimed task index
     int64_t total = 0;     // one past the last task index
     int64_t finished = 0;  // tasks completed (== claims, eventually)

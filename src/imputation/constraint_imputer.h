@@ -31,10 +31,6 @@ class ConstraintImputer : public Imputer {
   void OnArrival(const Record& r) override;
   void OnEvict(const Record& r) override;
 
-  /// ImputeRecord registers donor values into the repository's domains,
-  /// which refinement reads; ingest must not overlap refinement.
-  bool MutatesRefinementState() const override { return true; }
-
  private:
   Repository* repo_;
   int history_cap_;

@@ -28,15 +28,6 @@ class Imputer {
   /// (the constraint-based baseline) observe arrivals and evictions here.
   virtual void OnArrival(const Record& r) { (void)r; }
   virtual void OnEvict(const Record& r) { (void)r; }
-
-  /// Whether imputation mutates state that pair refinement also reads. The
-  /// constraint-based imputer registers stream values into the
-  /// repository's attribute domains, which refinement dereferences through
-  /// ImputedTuple::instance_tokens — overlapping the two stages would race
-  /// on the domain vectors. PipelineBase::ProcessStream falls back to the
-  /// synchronous loop for such imputers (output is identical either way;
-  /// only the overlap is lost).
-  virtual bool MutatesRefinementState() const { return false; }
 };
 
 }  // namespace terids

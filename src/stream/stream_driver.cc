@@ -1,7 +1,6 @@
 #include "stream/stream_driver.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "util/status.h"
 
@@ -50,59 +49,6 @@ void StreamDriver::Reset() {
   next_stream_ = 0;
   emitted_ = 0;
   clock_ = 0;
-}
-
-PacedStreamDriver::PacedStreamDriver(std::vector<std::vector<Record>> sources,
-                                     std::vector<double> release_seconds)
-    : StreamDriver(std::move(sources)), release_(std::move(release_seconds)) {
-  TERIDS_CHECK(release_.size() >= total());
-  for (size_t i = 1; i < release_.size(); ++i) {
-    TERIDS_CHECK(release_[i] >= release_[i - 1]);
-  }
-}
-
-void PacedStreamDriver::Start() {
-  if (!started_) {
-    start_ = std::chrono::steady_clock::now();
-    started_ = true;
-  }
-}
-
-double PacedStreamDriver::SecondsSinceStart() const {
-  if (!started_) {
-    return 0.0;
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
-}
-
-std::vector<Record> PacedStreamDriver::NextBatch(size_t max_records) {
-  Start();
-  if (!HasNext() || max_records == 0) {
-    return {};
-  }
-  // Sleep until the next unreleased arrival is due, then hand out every
-  // arrival that is already due. Under offered load beyond capacity the
-  // consumer falls behind the schedule and each call returns a backlog of
-  // due arrivals immediately — exactly the overload the benches measure.
-  const double due = release_[emitted()];
-  const double now = SecondsSinceStart();
-  if (due > now) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(due - now));
-  }
-  std::vector<Record> batch;
-  const double horizon = SecondsSinceStart();
-  while (batch.size() < max_records && HasNext() &&
-         release_[emitted()] <= horizon) {
-    batch.push_back(Next());
-  }
-  return batch;
-}
-
-void PacedStreamDriver::Reset() {
-  StreamDriver::Reset();
-  started_ = false;
 }
 
 }  // namespace terids

@@ -1,7 +1,6 @@
 #ifndef TERIDS_STREAM_STREAM_DRIVER_H_
 #define TERIDS_STREAM_STREAM_DRIVER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -11,10 +10,9 @@ namespace terids {
 
 /// Interleaves n record sources into one global arrival order (Definition
 /// 1: one tuple per timestamp). Round-robin across sources, which models
-/// the paper's setting of n streams progressing together; a seeded random
-/// interleaving is also available for robustness tests. Virtual so pacing
-/// wrappers (PacedStreamDriver) can reshape *when* arrivals are handed out
-/// without touching what they contain.
+/// the paper's setting of n streams progressing together. Virtual so
+/// wrappers can observe or time how arrivals are handed out without
+/// touching what they contain.
 class StreamDriver {
  public:
   /// `sources[i]` becomes stream id i. Records receive their stream id and
@@ -49,39 +47,6 @@ class StreamDriver {
   size_t emitted_ = 0;
   size_t total_ = 0;
   int64_t clock_ = 0;
-};
-
-/// Real-time pacing wrapper for overload experiments (DESIGN.md §13): the
-/// interleaving and contents are exactly the base driver's, but arrival i
-/// carries a release offset (seconds from Start) and NextBatch blocks until
-/// the next unreleased arrival is due, then returns every already due
-/// arrival (up to the batch bound). Offered load is therefore set by the
-/// release schedule, not by how fast the consumer polls. Determinism of
-/// *content* is untouched — only wall-clock timing is introduced — which is
-/// why this lives in the bench/test layer of the API and the engines never
-/// construct one.
-class PacedStreamDriver : public StreamDriver {
- public:
-  /// `release_seconds[i]` is arrival i's offset from Start(); must be
-  /// non-decreasing and cover at least StreamDriver::total() entries.
-  PacedStreamDriver(std::vector<std::vector<Record>> sources,
-                    std::vector<double> release_seconds);
-
-  /// Starts the wall-clock timeline; NextBatch calls it lazily on first
-  /// use, benches call it explicitly to anchor sojourn measurement.
-  void Start();
-  /// Seconds since Start() (0 if not started).
-  double SecondsSinceStart() const;
-  /// Arrival i's scheduled release offset.
-  double release_seconds(size_t i) const { return release_[i]; }
-
-  std::vector<Record> NextBatch(size_t max_records) override;
-  void Reset() override;
-
- private:
-  std::vector<double> release_;
-  std::chrono::steady_clock::time_point start_;
-  bool started_ = false;
 };
 
 }  // namespace terids

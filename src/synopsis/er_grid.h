@@ -41,9 +41,8 @@ using GridCellKey = uint64_t;
 /// whole list over rows.
 ///
 /// Locking model (DESIGN.md §12): deliberately mutex-free. The grid is
-/// single-writer — the pipeline's maintaining thread (the ingest stage in
-/// the async pipeline) owns every Insert/Remove/Candidates call — so there
-/// is no capability to annotate.
+/// single-writer — the pipeline's calling thread owns every
+/// Insert/Remove/Candidates call — so there is no capability to annotate.
 class ErGrid {
  public:
   /// `dims` = number of attributes d; `cell_width` = side length of a cell

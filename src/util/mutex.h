@@ -16,22 +16,15 @@ namespace terids {
 /// (the default) skip the order check but still participate in re-entrancy
 /// detection.
 ///
-/// The named ranks document the engine's only permitted nesting chains:
-/// handoff queues lock before executor state, which locks before the
-/// latency-histogram rings — "queue before scheduler before histogram". Today
-/// the single live nesting is Scheduler::mu_ -> Scheduler::ext_mu_
-/// (ConsumeLatencies folds the external callers' ring while holding the
-/// scheduler queue lock); every other mutex is acquired alone, and the
-/// ranks keep it that way as the serving layer multiplies lock
-/// interactions.
+/// The named ranks document the engine's only permitted nesting chain:
+/// executor state locks before the latency-histogram rings — "scheduler
+/// before histogram". The single live nesting is Scheduler::mu_ ->
+/// Scheduler::ext_mu_ (ConsumeLatencies folds the external callers' ring
+/// while holding the scheduler queue lock).
 namespace lock_rank {
 
 /// Default: exempt from the order check (re-entrancy still fatal).
 inline constexpr int kUnranked = 0;
-/// stream/batch_queue.h — the bounded ingest->refine handoff.
-inline constexpr int kBatchQueue = 100;
-/// core/pipeline.cc — the ProcessStreamScheduled chain-completion latch.
-inline constexpr int kPipelineChain = 200;
 /// exec/scheduler.h — the unified scheduler's submission queue (mu_).
 inline constexpr int kScheduler = 400;
 /// exec/scheduler.h — the external ParallelFor callers' latency ring

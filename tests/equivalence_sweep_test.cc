@@ -9,12 +9,11 @@
 //    decides every instance pair by plain merges (ExactProbability), so
 //    this also checks the 64-bit signature kernel end to end.
 // 2. Across every datagen profile and (batch_size, refine_threads,
-//    ingest_queue_depth, sched_threads) combination, the batched /
-//    parallel / async-ingest operator (ProcessStream over ProcessBatch +
-//    RefinementExecutor + BatchQueue, fanned out on the Scheduler) must be
-//    bit-identical to one-at-a-time ProcessArrival: same per-arrival
-//    matches in the same order, same final MatchSet, same cumulative
-//    PruneStats.
+//    sched_threads) combination, the batched / parallel operator
+//    (ProcessStream over ProcessBatch + RefinementExecutor, fanned out on
+//    the Scheduler) must be bit-identical to one-at-a-time ProcessArrival:
+//    same per-arrival matches in the same order, same final MatchSet, same
+//    cumulative PruneStats.
 
 #include <gtest/gtest.h>
 
@@ -101,10 +100,10 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_" + std::to_string(info.index);
     });
 
-// --- Batched / parallel / async operator equivalence ----------------------
+// --- Batched / parallel operator equivalence ------------------------------
 
-// profile, batch, refine_threads, ingest_queue_depth, sched_threads
-using BatchCombo = std::tuple<std::string, int, int, int, int>;
+// profile, batch, refine_threads, sched_threads
+using BatchCombo = std::tuple<std::string, int, int, int>;
 
 class BatchEquivalenceSweepTest
     : public ::testing::TestWithParam<BatchCombo> {};
@@ -127,34 +126,28 @@ void ExpectSameStats(const PruneStats& a, const PruneStats& b) {
   EXPECT_EQ(a.instance_pruned, b.instance_pruned);
   EXPECT_EQ(a.refined, b.refined);
   EXPECT_EQ(a.matched, b.matched);
-  // Degradation is required to be *visible*: outside the degrade policy
-  // under pressure, no pair may ever be recorded as deferred.
-  EXPECT_EQ(a.deferred, b.deferred);
 }
 
 TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
-  const auto [profile, batch_size, refine_threads, queue_depth,
-              sched_threads] = GetParam();
+  const auto [profile, batch_size, refine_threads, sched_threads] =
+      GetParam();
   ExperimentParams params;
   params.scale = SweepScale(profile);
   params.w = 50;
   params.max_arrivals = 220;
   Experiment experiment(ProfileByName(profile), params);
 
-  // The TER-iDS engine covers grid candidates + the pruning cascade (and,
-  // in queue > 0 combos, the async kIngest chain); the con+ER baseline
-  // covers linear candidates, the unpruned exact path, and a stateful
-  // stream imputer whose OnArrival/OnEvict ordering the batched operator
-  // must reproduce — its imputer mutates refinement-visible state, so its
-  // pipeline must transparently stay synchronous at any queue depth.
+  // The TER-iDS engine covers grid candidates + the pruning cascade; the
+  // con+ER baseline covers linear candidates, the unpruned exact path, and
+  // a stateful stream imputer whose OnArrival/OnEvict ordering the batched
+  // operator must reproduce.
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
-    auto replay = [&](int bs, int threads, int queue, int sched) {
+    auto replay = [&](int bs, int threads, int sched) {
       std::unique_ptr<Repository> repo = experiment.BuildRepository();
       EngineConfig config = experiment.MakeConfig();
       config.batch_size = bs;
       config.refine_threads = threads;
-      config.ingest_queue_depth = queue;
       config.sched_threads = sched;
       std::unique_ptr<ErPipeline> pipeline =
           MakePipeline(kind, repo.get(), config, 2, experiment.cdds(),
@@ -167,8 +160,7 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
       StreamDriver driver({inc_a, inc_b});
       ReplayResult result;
       // ProcessStream is the one operator entry point under test: the
-      // synchronous NextBatch/ProcessBatch loop when queue == 0, the async
-      // double-buffered ingest pipeline when queue > 0.
+      // NextBatch/ProcessBatch loop.
       pipeline->ProcessStream(&driver,
                               static_cast<size_t>(params.max_arrivals),
                               static_cast<size_t>(bs),
@@ -185,13 +177,12 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
 
     // The oracle is the default sequential ProcessArrival configuration:
     // one-at-a-time, no scheduler (every phase inline on the caller).
-    const ReplayResult sequential = replay(1, 1, 0, /*sched=*/0);
+    const ReplayResult sequential = replay(1, 1, /*sched=*/0);
     const ReplayResult batched =
-        replay(batch_size, refine_threads, queue_depth, sched_threads);
+        replay(batch_size, refine_threads, sched_threads);
     EXPECT_EQ(batched.emitted, sequential.emitted)
         << profile << " " << PipelineKindName(kind) << " batch=" << batch_size
-        << " threads=" << refine_threads << " queue=" << queue_depth
-        << " sched=" << sched_threads;
+        << " threads=" << refine_threads << " sched=" << sched_threads;
     ASSERT_EQ(batched.final_set.size(), sequential.final_set.size());
     for (size_t i = 0; i < batched.final_set.size(); ++i) {
       EXPECT_EQ(batched.final_set[i].rid_a, sequential.final_set[i].rid_a);
@@ -286,156 +277,26 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, RepoBackendEquivalenceTest,
                          [](const ::testing::TestParamInfo<std::string>&
                                 info) { return info.param; });
 
-// --- Overload-policy equivalence -------------------------------------------
-
-// The admission-control layer (DESIGN.md §13) must be invisible whenever it
-// is allowed to be: overload_policy=block is the backpressure oracle and
-// must be bit-identical to the sequential run on every profile, both on the
-// derived one-worker kIngest chain (sched=0) and on four workers (sched=4).
-// The shedding/degrading policies must be bit-identical whenever the
-// pressure signal never fires — enforced here with a queue deep enough
-// that the replay's batch count can never fill it.
-//
-// profile, policy, ingest_queue_depth, sched_threads
-using OverloadCombo = std::tuple<std::string, OverloadPolicy, int, int>;
-
-class OverloadPolicyEquivalenceTest
-    : public ::testing::TestWithParam<OverloadCombo> {};
-
-TEST_P(OverloadPolicyEquivalenceTest, PolicyInertWithoutPressure) {
-  const auto [profile, policy, queue_depth, sched_threads] = GetParam();
-  ExperimentParams params;
-  params.scale = SweepScale(profile);
-  params.w = 50;
-  params.max_arrivals = 220;
-  Experiment experiment(ProfileByName(profile), params);
-
-  auto replay = [&](OverloadPolicy pol, int queue, int sched) {
-    std::unique_ptr<Repository> repo = experiment.BuildRepository();
-    EngineConfig config = experiment.MakeConfig();
-    config.batch_size = 8;
-    config.refine_threads = queue > 0 ? 4 : 1;
-    config.ingest_queue_depth = queue;
-    config.sched_threads = sched;
-    config.overload_policy = pol;
-    std::unique_ptr<ErPipeline> pipeline =
-        MakePipeline(PipelineKind::kTerIds, repo.get(), config, 2,
-                     experiment.cdds(), experiment.dds(),
-                     experiment.editing_rules());
-    std::vector<Record> inc_a = DataGenerator::WithMissing(
-        experiment.dataset().source_a, params.xi, params.m, params.seed);
-    std::vector<Record> inc_b = DataGenerator::WithMissing(
-        experiment.dataset().source_b, params.xi, params.m, params.seed + 1);
-    StreamDriver driver({inc_a, inc_b});
-    ReplayResult result;
-    pipeline->ProcessStream(&driver,
-                            static_cast<size_t>(params.max_arrivals),
-                            /*batch_size=*/8,
-                            [&result](ArrivalOutcome&& out) {
-                              for (const MatchPair& p : out.new_matches) {
-                                result.emitted.emplace_back(p.rid_a,
-                                                            p.rid_b);
-                              }
-                            });
-    result.final_set = pipeline->results().ToVector();
-    result.stats = pipeline->cumulative_stats();
-    if (pol != OverloadPolicy::kBlock) {
-      // No pressure, no shedding: the accounting must agree.
-      const ShedStats* shed = pipeline->shed_stats();
-      EXPECT_NE(shed, nullptr);
-      if (shed != nullptr) {
-        EXPECT_EQ(shed->shed_arrivals, 0);
-        EXPECT_EQ(shed->degraded_arrivals, 0);
-        EXPECT_EQ(shed->pressure_events, 0);
-      }
-    }
-    return result;
-  };
-
-  const ReplayResult sequential =
-      replay(OverloadPolicy::kBlock, /*queue=*/0, /*sched=*/0);
-  const ReplayResult policy_run = replay(policy, queue_depth, sched_threads);
-  EXPECT_EQ(policy_run.emitted, sequential.emitted)
-      << profile << " policy=" << OverloadPolicyName(policy)
-      << " queue=" << queue_depth << " sched=" << sched_threads;
-  ASSERT_EQ(policy_run.final_set.size(), sequential.final_set.size());
-  for (size_t i = 0; i < policy_run.final_set.size(); ++i) {
-    EXPECT_EQ(policy_run.final_set[i].rid_a, sequential.final_set[i].rid_a);
-    EXPECT_EQ(policy_run.final_set[i].rid_b, sequential.final_set[i].rid_b);
-    EXPECT_DOUBLE_EQ(policy_run.final_set[i].probability,
-                     sequential.final_set[i].probability);
-  }
-  ExpectSameStats(policy_run.stats, sequential.stats);
-}
-
-std::vector<OverloadCombo> OverloadCombos() {
-  std::vector<OverloadCombo> combos;
-  // block is the oracle under real backpressure (shallow queue): every
-  // profile, on the derived single worker and on four workers.
-  for (const char* profile :
-       {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
-    combos.emplace_back(profile, OverloadPolicy::kBlock, 2, 0);
-    combos.emplace_back(profile, OverloadPolicy::kBlock, 2, 4);
-  }
-  // Non-block policies with a queue the replay cannot fill: the pressure
-  // signal stays quiet, so they must be bit-identical too.
-  for (OverloadPolicy policy :
-       {OverloadPolicy::kShedNewest, OverloadPolicy::kShedOldest,
-        OverloadPolicy::kDegrade}) {
-    combos.emplace_back("Citations", policy, 64, 0);
-  }
-  return combos;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, OverloadPolicyEquivalenceTest,
-    ::testing::ValuesIn(OverloadCombos()),
-    [](const ::testing::TestParamInfo<OverloadCombo>& info) {
-      return std::get<0>(info.param) +
-             std::string("_") +
-             OverloadPolicyName(std::get<1>(info.param)) + "_q" +
-             std::to_string(std::get<2>(info.param)) + "_c" +
-             std::to_string(std::get<3>(info.param));
-    });
-
 std::vector<BatchCombo> BatchCombos() {
   std::vector<BatchCombo> combos;
   for (const char* profile :
        {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
-    // The batch x threads matrix (synchronous); parallel refinement
-    // runs on two workers...
-    combos.emplace_back(profile, 1, 4, 0, 2);
-    combos.emplace_back(profile, 8, 1, 0, 0);
-    combos.emplace_back(profile, 8, 4, 0, 2);
-    // ...plus the everything-on configuration per profile on two and on
-    // four workers: async ingest and parallel refinement (the TSan job's
-    // main data-race surface).
-    combos.emplace_back(profile, 8, 4, 2, 2);
-    combos.emplace_back(profile, 8, 4, 2, 4);
+    // The batch x threads matrix; parallel refinement runs on two and on
+    // four workers (the TSan job's main data-race surface).
+    combos.emplace_back(profile, 1, 4, 2);
+    combos.emplace_back(profile, 8, 1, 0);
+    combos.emplace_back(profile, 8, 4, 2);
+    combos.emplace_back(profile, 8, 4, 4);
   }
-  // Full queue x threads cross on one profile (the acceptance matrix):
-  // isolates each axis against the sequential oracle. The q2 c0 combos run
-  // on the derived one-worker kIngest chain, which also carries their
-  // refine fan-outs.
-  combos.emplace_back("Citations", 8, 1, 0, 2);
-  combos.emplace_back("Citations", 8, 1, 2, 0);
-  combos.emplace_back("Citations", 8, 4, 2, 0);
-  // async, batch 1
-  combos.emplace_back("Citations", 1, 1, 2, 0);
-  // Scheduler axes in isolation (Citations): scheduler constructed but no
-  // phase fans out (one and four workers); each phase fanning out alone on
-  // the shared workers (refine / the kIngest chain); the single-worker edge
-  // of the caller-participation discipline under the everything-on load;
-  // and parallel refinement on one worker, per arrival and batched.
-  combos.emplace_back("Citations", 1, 1, 0, 1);
-  combos.emplace_back("Citations", 1, 1, 0, 4);
-  combos.emplace_back("Citations", 8, 4, 0, 4);
-  combos.emplace_back("Citations", 8, 1, 2, 4);
-  // chain, batch 1
-  combos.emplace_back("Citations", 1, 1, 2, 4);
-  combos.emplace_back("Citations", 8, 4, 2, 1);
-  combos.emplace_back("Citations", 1, 4, 0, 1);
-  combos.emplace_back("Citations", 8, 4, 0, 1);
+  // Scheduler axes in isolation (Citations): scheduler constructed but
+  // refinement inline (one, two and four workers), and parallel refinement
+  // on one worker — the single-worker edge of the caller-participation
+  // discipline — per arrival and batched.
+  combos.emplace_back("Citations", 1, 1, 1);
+  combos.emplace_back("Citations", 1, 1, 4);
+  combos.emplace_back("Citations", 8, 1, 2);
+  combos.emplace_back("Citations", 1, 4, 1);
+  combos.emplace_back("Citations", 8, 4, 1);
   return combos;
 }
 
@@ -446,10 +307,8 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, BatchEquivalenceSweepTest,
                                   std::to_string(std::get<1>(info.param)) +
                                   "_t" +
                                   std::to_string(std::get<2>(info.param)) +
-                                  "_q" +
-                                  std::to_string(std::get<3>(info.param)) +
                                   "_c" +
-                                  std::to_string(std::get<4>(info.param));
+                                  std::to_string(std::get<3>(info.param));
                          });
 
 }  // namespace

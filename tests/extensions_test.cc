@@ -1,10 +1,9 @@
-// Tests for the paper's noted extensions: time-based sliding windows and
-// the heterogeneous-schema similarity.
+// Tests for the paper's noted extension to heterogeneous schemas: the
+// pooled-token similarity.
 
 #include <gtest/gtest.h>
 
 #include "er/similarity.h"
-#include "stream/time_window.h"
 #include "test_util.h"
 
 namespace terids {
@@ -12,64 +11,6 @@ namespace {
 
 using testing_util::MakeHealthWorld;
 using testing_util::ToyWorld;
-
-class TimeWindowTest : public ::testing::Test {
- protected:
-  TimeWindowTest() : world_(MakeHealthWorld()) {}
-
-  std::shared_ptr<WindowTuple> At(int64_t rid, int64_t timestamp) {
-    Record r = world_.Make(rid, {"male", "fever", "flu", "rest"});
-    r.timestamp = timestamp;
-    auto wt = std::make_shared<WindowTuple>();
-    wt->tuple = std::make_shared<const ImputedTuple>(
-        ImputedTuple::FromComplete(r, world_.repo.get()));
-    return wt;
-  }
-
-  ToyWorld world_;
-};
-
-TEST_F(TimeWindowTest, KeepsTuplesWithinDuration) {
-  TimeBasedWindow window(10);
-  EXPECT_TRUE(window.Push(At(1, 0)).empty());
-  EXPECT_TRUE(window.Push(At(2, 5)).empty());
-  EXPECT_TRUE(window.Push(At(3, 9)).empty());
-  EXPECT_EQ(window.size(), 3u);
-}
-
-TEST_F(TimeWindowTest, EvictsExpiredBatch) {
-  TimeBasedWindow window(10);
-  window.Push(At(1, 0));
-  window.Push(At(2, 1));
-  window.Push(At(3, 8));
-  // Arrival at t=11 expires tuples with timestamp <= 1.
-  auto evicted = window.Push(At(4, 11));
-  ASSERT_EQ(evicted.size(), 2u);
-  EXPECT_EQ(evicted[0]->rid(), 1);
-  EXPECT_EQ(evicted[1]->rid(), 2);
-  EXPECT_EQ(window.size(), 2u);
-}
-
-TEST_F(TimeWindowTest, MultipleArrivalsPerTimestamp) {
-  // The time-based model's distinguishing feature (Section 2.1): several
-  // tuples may share one timestamp and expire together.
-  TimeBasedWindow window(5);
-  window.Push(At(1, 3));
-  window.Push(At(2, 3));
-  window.Push(At(3, 3));
-  EXPECT_EQ(window.size(), 3u);
-  auto evicted = window.AdvanceTo(8);
-  EXPECT_EQ(evicted.size(), 3u);
-  EXPECT_EQ(window.size(), 0u);
-}
-
-TEST_F(TimeWindowTest, AdvanceToNeverMovesBackwards) {
-  TimeBasedWindow window(10);
-  window.Push(At(1, 7));
-  EXPECT_TRUE(window.AdvanceTo(3).empty());  // Clock stays at 7.
-  EXPECT_EQ(window.size(), 1u);
-  EXPECT_EQ(window.AdvanceTo(17).size(), 1u);
-}
 
 TEST(HeterogeneousSimilarityTest, PoolsTokensAcrossAttributes) {
   ToyWorld world = MakeHealthWorld();

@@ -18,21 +18,18 @@ namespace {
 TEST(MutexTest, InOrderNestedAcquisitionPasses) {
   // The sanctioned direction: low rank outside, high rank inside — the
   // same shape as Scheduler::ConsumeLatencies (kScheduler -> kLatencyRing).
-  Mutex low(lock_rank::kBatchQueue);
-  Mutex mid(lock_rank::kScheduler);
+  Mutex low(lock_rank::kScheduler);
   Mutex high(lock_rank::kLatencyRing);
   {
     MutexLock l1(&low);
-    MutexLock l2(&mid);
-    MutexLock l3(&high);
+    MutexLock l2(&high);
     low.AssertHeld();
-    mid.AssertHeld();
     high.AssertHeld();
   }
   // Fully released: the same chain must be reacquirable.
   {
     MutexLock l1(&low);
-    MutexLock l2(&mid);
+    MutexLock l2(&high);
   }
 }
 
@@ -84,8 +81,8 @@ TEST(MutexTest, CondVarWaitWhileHoldingALowerRankedLockPasses) {
   // Waiting on a high-ranked mutex while holding a lower-ranked one is the
   // in-order shape; the wait's reacquisition must not re-run the order
   // check against the still-held low-ranked lock in a way that misfires.
-  Mutex low(lock_rank::kBatchQueue);
-  Mutex high(lock_rank::kScheduler);
+  Mutex low(lock_rank::kScheduler);
+  Mutex high(lock_rank::kLatencyRing);
   CondVar cv;
   bool ready = false;
   std::thread signaller([&] {
@@ -109,10 +106,10 @@ TEST(MutexDeathTest, OutOfOrderAcquisitionAborts) {
   }
   EXPECT_DEATH(
       {
-        Mutex high(lock_rank::kScheduler);
-        Mutex low(lock_rank::kBatchQueue);
+        Mutex high(lock_rank::kLatencyRing);
+        Mutex low(lock_rank::kScheduler);
         MutexLock l1(&high);
-        MutexLock l2(&low);  // 100 after 400: order inversion
+        MutexLock l2(&low);  // 400 after 500: order inversion
       },
       "lock-rank violation: out-of-order acquisition");
 }
@@ -125,8 +122,8 @@ TEST(MutexDeathTest, EqualRankAcquisitionAborts) {
   // is what makes the global order acyclic.
   EXPECT_DEATH(
       {
-        Mutex a(lock_rank::kPipelineChain);
-        Mutex b(lock_rank::kPipelineChain);
+        Mutex a(lock_rank::kScheduler);
+        Mutex b(lock_rank::kScheduler);
         MutexLock l1(&a);
         MutexLock l2(&b);
       },

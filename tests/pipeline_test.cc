@@ -233,16 +233,16 @@ TEST_F(PipelineIntegrationTest, DynamicRepositoryAbsorption) {
   }
 }
 
-// Async ProcessStream whose sink throws mid-stream: the exception must
-// reach the caller, the call must return (the consumer cancels the handoff
-// and waits for the kIngest chain's last link to retire instead of
-// hanging), and the pipeline must then destruct cleanly.
-TEST_F(PipelineIntegrationTest, ThrowingSinkUnwindsTheAsyncIngestChain) {
+// ProcessStream whose sink throws mid-stream while refinement fans out on
+// the scheduler: the exception must reach the caller at the failing
+// delivery, the driver must not be drained, the scheduler must still
+// quiesce, and the pipeline must then destruct cleanly.
+TEST_F(PipelineIntegrationTest, ThrowingSinkUnwindsTheRefineFanOut) {
   std::unique_ptr<Repository> repo = experiment_.BuildRepository();
   EngineConfig config = experiment_.MakeConfig();
   config.batch_size = 4;
-  config.ingest_queue_depth = 1;
   config.sched_threads = 1;
+  config.refine_threads = 2;
   std::unique_ptr<ErPipeline> pipeline = MakePipeline(
       PipelineKind::kTerIds, repo.get(), config, 2, experiment_.cdds(),
       experiment_.dds(), experiment_.editing_rules());
@@ -256,59 +256,40 @@ TEST_F(PipelineIntegrationTest, ThrowingSinkUnwindsTheAsyncIngestChain) {
   EXPECT_THROW(pipeline->ProcessStream(&driver, 260, 4, failing_sink),
                std::runtime_error);
   EXPECT_EQ(delivered, 10u);
-  // The chain stopped within a couple of batches of the failure (queue
-  // depth 1) instead of ingesting the whole stream.
   EXPECT_TRUE(driver.HasNext());
-  // The scheduler drains (nothing left blocked) and ran the chain's links.
   const LatencyStats items = pipeline->ConsumeSchedulerLatencies();
-  EXPECT_GT(items.of(ExecPhase::kIngest).count(), 0u);
+  EXPECT_EQ(items.of(ExecPhase::kIngest).count(), 0u);
   pipeline.reset();
 }
 
-// sched_threads = 0 with async ingest must still run async: the kIngest
-// chain gets one derived worker. A silent fallback to the synchronous loop
-// would record no kIngest work item.
-TEST_F(PipelineIntegrationTest, AsyncIngestWithoutSchedThreadsGetsOneWorker) {
-  auto replay = [&](const EngineConfig& config, uint64_t* ingest_items) {
-    std::unique_ptr<Repository> repo = experiment_.BuildRepository();
-    std::unique_ptr<ErPipeline> pipeline = MakePipeline(
-        PipelineKind::kTerIds, repo.get(), config, 2, experiment_.cdds(),
-        experiment_.dds(), experiment_.editing_rules());
-    StreamDriver driver(
-        {experiment_.incomplete_a(), experiment_.incomplete_b()});
-    std::vector<std::pair<int64_t, int64_t>> emitted;
-    const auto collect = [&emitted](const ArrivalOutcome& out) {
-      for (const MatchPair& p : out.new_matches) {
-        emitted.emplace_back(p.rid_a, p.rid_b);
-      }
-    };
-    if (config.ingest_queue_depth == 0) {
-      // The oracle: sequential ProcessArrival, one record at a time.
-      for (int i = 0; i < 260 && driver.HasNext(); ++i) {
-        collect(pipeline->ProcessArrival(driver.Next()));
-      }
-    } else {
-      pipeline->ProcessStream(
-          &driver, 260, static_cast<size_t>(config.batch_size),
-          [&collect](ArrivalOutcome&& out) { collect(out); });
-    }
-    *ingest_items =
-        pipeline->ConsumeSchedulerLatencies().of(ExecPhase::kIngest).count();
-    return emitted;
-  };
-
-  uint64_t oracle_items = 0;
-  const auto oracle = replay(experiment_.MakeConfig(), &oracle_items);
-  EXPECT_EQ(oracle_items, 0u);  // no scheduler at all
-  EXPECT_FALSE(oracle.empty());
-
-  EngineConfig async = experiment_.MakeConfig();
-  async.batch_size = 4;
-  async.ingest_queue_depth = 2;
-  async.sched_threads = 0;
-  uint64_t async_items = 0;
-  EXPECT_EQ(replay(async, &async_items), oracle);
-  EXPECT_GT(async_items, 0u);
+// A batched run with refinement fanned out on two workers (the shape of
+// terbench's bikes_writes_async) reports the async-ingest fields terbench
+// still reads as zero: every outcome kProcessed, no admission block, no
+// queue wait, no deferred pair, no kIngest work item.
+TEST_F(PipelineIntegrationTest, BatchedFanOutReportsNoAsyncIngestWork) {
+  std::unique_ptr<Repository> repo = experiment_.BuildRepository();
+  EngineConfig config = experiment_.MakeConfig();
+  config.batch_size = 8;
+  config.sched_threads = 2;
+  config.refine_threads = 2;
+  TerIdsEngine engine(repo.get(), config, 2, experiment_.cdds());
+  StreamDriver driver({experiment_.incomplete_a(), experiment_.incomplete_b()});
+  size_t not_processed = 0;
+  double queue_wait = 0.0;
+  const size_t processed =
+      engine.ProcessStream(&driver, 260, 8, [&](ArrivalOutcome&& out) {
+        not_processed += out.disposition != ArrivalDisposition::kProcessed;
+        queue_wait += out.cost.queue_wait_seconds;
+      });
+  EXPECT_EQ(processed, 260u);
+  EXPECT_EQ(not_processed, 0u);
+  EXPECT_EQ(queue_wait, 0.0);
+  EXPECT_EQ(engine.shed_stats()->admit_block_seconds, 0.0);
+  EXPECT_EQ(engine.cumulative_stats().deferred, 0u);
+  EXPECT_GT(engine.cumulative_stats().refined, 0u);
+  const LatencyStats items = engine.ConsumeSchedulerLatencies();
+  EXPECT_EQ(items.of(ExecPhase::kIngest).count(), 0u);
+  EXPECT_GT(items.of(ExecPhase::kRefine).count(), 0u);
 }
 
 TEST(MetricsTest, FScoreMath) {
