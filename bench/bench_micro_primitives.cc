@@ -1,8 +1,7 @@
 // Google-benchmark microbenchmarks of the hot primitives: Jaccard over
-// interned token sets, aR-tree range queries, the Lemma 4.1-4.3 pair
-// bounds, ER-grid churn, the pair cascade per pair vs batched over grid
-// rows, and end-to-end TER-iDS arrival processing
-// (one-at-a-time and micro-batched + parallel).
+// interned token sets, the Lemma 4.1-4.3 pair bounds, ER-grid churn, the
+// pair cascade per pair vs batched over grid rows, and end-to-end TER-iDS
+// arrival processing (one-at-a-time and micro-batched + parallel).
 //
 // Results additionally flow through the shared JsonReporter (set
 // TERIDS_BENCH_JSON) by bridging Google Benchmark's reporter interface, so
@@ -20,7 +19,6 @@
 #include "datagen/profiles.h"
 #include "er/bounds.h"
 #include "er/pruning.h"
-#include "index/artree.h"
 #include "stream/stream_driver.h"
 #include "synopsis/er_grid.h"
 #include "text/token_set.h"
@@ -49,37 +47,6 @@ void BM_JaccardSimilarity(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JaccardSimilarity)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_ArTreeRangeQuery(benchmark::State& state) {
-  Rng rng(2);
-  const int n = static_cast<int>(state.range(0));
-  const int dims = 4;
-  std::vector<ArTreeEntry> entries;
-  for (int i = 0; i < n; ++i) {
-    ArTreeEntry e;
-    e.payload = i;
-    for (int d = 0; d < dims; ++d) {
-      e.box.push_back(Interval::Point(rng.NextDouble()));
-    }
-    entries.push_back(std::move(e));
-  }
-  ArTree tree(dims);
-  tree.BulkLoad(std::move(entries));
-  std::vector<Interval> query(dims, Interval::Of(0.4, 0.6));
-  for (auto _ : state) {
-    size_t hits = 0;
-    tree.Query(
-        [&query](const ArTree::NodeView& node) {
-          for (int d = 0; d < 4; ++d) {
-            if (!node.box[d].Overlaps(query[d])) return false;
-          }
-          return true;
-        },
-        [&hits](const ArTreeEntry&) { ++hits; });
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_ArTreeRangeQuery)->Arg(1000)->Arg(10000);
 
 Experiment* SharedCitationsExperiment() {
   using namespace terids::bench;

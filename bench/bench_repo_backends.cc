@@ -9,15 +9,15 @@
 // FindValue) and sorted-coordinate range scans — against both backends,
 // with the in-memory results as the correctness oracle. Section 3 runs the
 // full TER-iDS pipeline end to end per backend. Section 4 is the cold-open
-// study: the same repository written as a v1 and a v2 snapshot file, opened
-// v1-eager / v2-eager / v2-lazy, measuring open latency, time to first
-// arrival (engine construction + one record, where lazy decode pays its
-// deferred cost), and resident-set growth — with a fresh-reopen read oracle
-// proving every mode serves identical bytes. Expected shape: the mmap
-// backend pays a small indirection/merge overhead on reads in exchange for
-// a build-once file whose geometry tables live in the page cache instead
-// of the heap, and the v2 lazy open is orders of magnitude faster than any
-// eager open because it touches only the header + section TOC.
+// study: one snapshot file opened v2-eager / v2-lazy, measuring open
+// latency, time to first arrival (engine construction + one record, where
+// lazy decode pays its deferred cost), and resident-set growth — with a
+// fresh-reopen read oracle proving every mode serves identical bytes.
+// Expected shape: the mmap backend pays a small indirection/merge overhead
+// on reads in exchange for a build-once file whose geometry tables live in
+// the page cache instead of the heap, and the v2 lazy open is orders of
+// magnitude faster than the eager open because it touches only the header
+// + section TOC.
 
 #include <algorithm>
 #include <cstdio>
@@ -34,7 +34,6 @@
 #include "core/pipeline.h"
 #include "datagen/profiles.h"
 #include "repo/repository.h"
-#include "repo/snapshot_format.h"
 #include "repo/snapshot_writer.h"
 #include "stream/stream_driver.h"
 #include "util/rng.h"
@@ -273,16 +272,13 @@ int main() {
         .Num("matches", static_cast<double>(run.final_result_size));
   }
 
-  // --- Section 4: cold open across format versions + decode modes --------
-  // The same repository written as v1 (monolithic payload, decoded at open)
-  // and v2 (section TOC, lazily decodable). Per mode: open latency, time to
-  // first arrival (engine construction + one record — where lazy decode
-  // pays for the sections the engine actually touches), and RSS growth.
-  const std::string v1_path = UniqueSnapshotPath("terids-bench-cold-v1");
+  // --- Section 4: cold open across decode modes ---------------------------
+  // One snapshot file (section TOC, lazily decodable), decoded at open or on
+  // first touch. Per mode: open latency, time to first arrival (engine
+  // construction + one record — where lazy decode pays for the sections the
+  // engine actually touches), and RSS growth.
   const std::string v2_path = UniqueSnapshotPath("terids-bench-cold-v2");
-  if (!WriteRepositorySnapshot(*memory, v1_path, snapshot::kVersionEager)
-           .ok() ||
-      !WriteRepositorySnapshot(*memory, v2_path, snapshot::kVersion).ok()) {
+  if (!WriteRepositorySnapshot(*memory, v2_path).ok()) {
     std::fprintf(stderr, "FATAL: cold-open snapshot write failed\n");
     return 1;
   }
@@ -294,16 +290,14 @@ int main() {
     SnapshotDecode decode;
   };
   const ColdMode cold_modes[] = {
-      {"v1-eager", &v1_path, SnapshotDecode::kEager},
       {"v2-eager", &v2_path, SnapshotDecode::kEager},
       {"v2-lazy", &v2_path, SnapshotDecode::kLazy},
   };
-  std::printf("\n-- cold open: %ld-byte v1 file, %ld-byte v2 file --\n",
-              FileSizeBytes(v1_path), FileSizeBytes(v2_path));
+  std::printf("\n-- cold open: %ld-byte v2 file --\n", FileSizeBytes(v2_path));
   std::printf("%-9s %12s %18s %13s %16s\n", "mode", "open_ms",
               "first_arrival_ms", "rss_open_kb", "rss_arrival_kb");
-  double cold_open_ms[3] = {0.0, 0.0, 0.0};
-  for (int i = 0; i < 3; ++i) {
+  double cold_open_ms[2] = {0.0, 0.0};
+  for (int i = 0; i < 2; ++i) {
     const ColdMode& mode = cold_modes[i];
 #if defined(__GLIBC__)
     // Return freed heap from the previous mode to the OS so this mode's
@@ -326,7 +320,7 @@ int main() {
     // Time to first arrival: build the TER-iDS engine over the cold
     // repository and push one record through it.
     Stopwatch arrival_watch;
-    std::unique_ptr<ErPipeline> pipeline = MakePipeline(
+    std::unique_ptr<PipelineBase> pipeline = MakePipeline(
         PipelineKind::kTerIds, cold_repo.get(), experiment.MakeConfig(),
         /*num_streams=*/2, experiment.cdds(), experiment.dds(),
         experiment.editing_rules());
@@ -372,12 +366,11 @@ int main() {
              static_cast<double>(RssDeltaKb(rss_before, rss_open)))
         .Num("rss_first_arrival_delta_kb",
              static_cast<double>(RssDeltaKb(rss_before, rss_arrival)))
-        .Num("speedup_vs_v1_eager", speedup);
+        .Num("speedup_vs_v2_eager", speedup);
   }
-  std::remove(v1_path.c_str());
   std::remove(v2_path.c_str());
-  std::printf("cold-open speedup, v2-lazy over v1-eager: %.1fx\n",
-              cold_open_ms[0] / std::max(cold_open_ms[2], 1e-6));
+  std::printf("cold-open speedup, v2-lazy over v2-eager: %.1fx\n",
+              cold_open_ms[0] / std::max(cold_open_ms[1], 1e-6));
 
   std::printf(
       "\nexpected shape: snapshot write + mmap open amortize to near-zero\n"

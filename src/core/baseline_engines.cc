@@ -17,18 +17,16 @@ IjGerEngine::IjGerEngine(Repository* repo, EngineConfig config,
                    /*use_prunings=*/true, "Ij+GER"),
       rules_(std::move(rules)),
       cdd_index_(repo, &rules_),
-      neighborhoods_(repo) {
-  cdd_index_.Build();
-}
+      neighborhoods_(repo) {}
 
 std::vector<ImputedTuple::ImputedAttr> IjGerEngine::Impute(
-    const Record& r, const ProbeCoords& pc, CostBreakdown* cost) {
+    const Record& r, CostBreakdown* cost) {
   std::vector<ImputedTuple::ImputedAttr> result;
   for (int j : r.MissingAttributes()) {
     std::vector<int> selected;
     {
       ScopedTimer timer(cost ? &cost->cdd_select_seconds : nullptr);
-      selected = cdd_index_.SelectRules(r, pc, j);
+      selected = cdd_index_.SelectRules(r, j);
     }
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
@@ -76,12 +74,11 @@ LinearRulePipeline::LinearRulePipeline(Repository* repo, EngineConfig config,
 }
 
 // ---------------------------------------------------------------------------
-// ConstraintErPipeline
+// ConstraintPipeline
 // ---------------------------------------------------------------------------
 
-ConstraintErPipeline::ConstraintErPipeline(Repository* repo,
-                                           EngineConfig config,
-                                           int num_streams)
+ConstraintPipeline::ConstraintPipeline(Repository* repo, EngineConfig config,
+                                       int num_streams)
     : PipelineBase(repo, std::move(config), num_streams, /*use_grid=*/false,
                    /*use_prunings=*/false, "con+ER") {
   imputer_ =
@@ -92,12 +89,10 @@ ConstraintErPipeline::ConstraintErPipeline(Repository* repo,
 // Factory
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<ErPipeline> MakePipeline(PipelineKind kind, Repository* repo,
-                                         const EngineConfig& config,
-                                         int num_streams,
-                                         const std::vector<CddRule>& cdds,
-                                         const std::vector<CddRule>& dds,
-                                         const std::vector<CddRule>& editing) {
+std::unique_ptr<PipelineBase> MakePipeline(
+    PipelineKind kind, Repository* repo, const EngineConfig& config,
+    int num_streams, const std::vector<CddRule>& cdds,
+    const std::vector<CddRule>& dds, const std::vector<CddRule>& editing) {
   switch (kind) {
     case PipelineKind::kTerIds:
       return std::make_unique<TerIdsEngine>(repo, config, num_streams, cdds);
@@ -113,7 +108,7 @@ std::unique_ptr<ErPipeline> MakePipeline(PipelineKind kind, Repository* repo,
       return std::make_unique<LinearRulePipeline>(repo, config, num_streams,
                                                   editing, "er+ER");
     case PipelineKind::kConstraintEr:
-      return std::make_unique<ConstraintErPipeline>(repo, config, num_streams);
+      return std::make_unique<ConstraintPipeline>(repo, config, num_streams);
   }
   return nullptr;
 }

@@ -21,7 +21,6 @@ class IjGerEngine : public PipelineBase {
 
  protected:
   std::vector<ImputedTuple::ImputedAttr> Impute(const Record& r,
-                                                const ProbeCoords& pc,
                                                 CostBreakdown* cost) override;
 
  private:
@@ -43,9 +42,9 @@ class LinearRulePipeline : public PipelineBase {
 
 /// `con+ER`: constraint-based imputation from the stream itself (no
 /// repository access) followed by a linear window scan.
-class ConstraintErPipeline : public PipelineBase {
+class ConstraintPipeline : public PipelineBase {
  public:
-  ConstraintErPipeline(Repository* repo, EngineConfig config, int num_streams);
+  ConstraintPipeline(Repository* repo, EngineConfig config, int num_streams);
 };
 
 }  // namespace terids

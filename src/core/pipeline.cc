@@ -47,8 +47,7 @@ const SlidingWindow& PipelineBase::window(int stream_id) const {
 }
 
 std::vector<ImputedTuple::ImputedAttr> PipelineBase::Impute(
-    const Record& r, const ProbeCoords& pc, CostBreakdown* cost) {
-  (void)pc;
+    const Record& r, CostBreakdown* cost) {
   TERIDS_CHECK(imputer_ != nullptr);
   return imputer_->ImputeRecord(r, cost);
 }
@@ -78,13 +77,12 @@ void PipelineBase::ImputePhase(ArrivalContext* ctx) {
   if (imputer_ != nullptr) {
     imputer_->OnArrival(r);
   }
-  const ProbeCoords pc = ProbeCoords::Compute(r, *repo_);
   if (r.IsComplete()) {
     ctx->tuple = std::make_shared<const ImputedTuple>(
         ImputedTuple::FromComplete(r, repo_));
   } else {
     std::vector<ImputedTuple::ImputedAttr> imputed =
-        Impute(r, pc, &ctx->out.cost);
+        Impute(r, &ctx->out.cost);
     ctx->tuple = std::make_shared<const ImputedTuple>(
         ImputedTuple::FromImputation(r, repo_, std::move(imputed),
                                      config_.max_instances));

@@ -16,7 +16,6 @@
 #include "exec/refinement_executor.h"
 #include "exec/scheduler.h"
 #include "imputation/imputer.h"
-#include "index/cdd_index.h"
 #include "repo/repository.h"
 #include "rules/rule.h"
 #include "stream/sliding_window.h"
@@ -27,64 +26,19 @@
 
 namespace terids {
 
-/// Common interface of the TER-iDS engine and all baselines: an online
-/// operator that consumes stream arrivals — one at a time or in
-/// timestamp-ordered micro-batches — and continuously maintains the
-/// TER-iDS result set ES (Algorithm 1).
-class ErPipeline {
- public:
-  virtual ~ErPipeline() = default;
-  virtual const std::string& name() const = 0;
-  virtual ArrivalOutcome ProcessArrival(const Record& r) = 0;
-
-  /// Processes a timestamp-ordered micro-batch (StreamDriver::NextBatch)
-  /// and returns one outcome per record, in arrival order. Semantically
-  /// identical to calling ProcessArrival on each record in order — the
-  /// default does exactly that; PipelineBase overrides it to amortize work
-  /// across the batch and refine candidate pairs in parallel.
-  virtual std::vector<ArrivalOutcome> ProcessBatch(
-      const std::vector<Record>& batch) {
-    std::vector<ArrivalOutcome> outcomes;
-    outcomes.reserve(batch.size());
-    for (const Record& r : batch) {
-      outcomes.push_back(ProcessArrival(r));
-    }
-    return outcomes;
-  }
-
-  /// Sink for per-arrival outcomes, invoked strictly in arrival order.
-  using OutcomeSink = std::function<void(ArrivalOutcome&&)>;
-
-  /// Drives the pipeline over `driver` until `max_arrivals` records have
-  /// been consumed (or the driver runs dry), feeding micro-batches of up to
-  /// `batch_size` records through ProcessBatch and handing every outcome to
-  /// `sink` in arrival order. Returns the number of arrivals processed.
-  virtual size_t ProcessStream(StreamDriver* driver, size_t max_arrivals,
-                               size_t batch_size, const OutcomeSink& sink) = 0;
-
-  virtual const MatchSet& results() const = 0;
-  virtual const PruneStats& cumulative_stats() const = 0;
-
-  /// Per-arrival latency histograms (phase + end-to-end) accumulated by
-  /// ProcessStream, or null for pipelines that do not account latency.
-  /// Read-only; single-threaded access once the stream has completed.
-  virtual const LatencyStats* arrival_latencies() const { return nullptr; }
-  /// Drains the unified scheduler (if this pipeline runs one) and returns
-  /// its per-work-item service-time histograms, clearing them. Empty stats
-  /// for pipelines without a scheduler. Call only at stream quiescence.
-  virtual LatencyStats ConsumeSchedulerLatencies() { return LatencyStats(); }
-};
-
 /// Read by terbench; always 0 since async ingest was removed.
 struct ShedStats {
   double admit_block_seconds = 0.0;
 };
 
-/// Shared implementation: sliding windows, optional ER-grid, result-set
-/// maintenance with eviction cascade, and the refinement loop, decomposed
-/// into four explicit phases (DESIGN.md §6):
+/// The online operator shared by the TER-iDS engine and all baselines: it
+/// consumes stream arrivals, one at a time or in timestamp-ordered
+/// micro-batches, and continuously maintains the TER-iDS result set ES
+/// (Algorithm 1). It owns the sliding windows, the optional ER-grid,
+/// result-set maintenance with the eviction cascade, and the refinement
+/// loop, decomposed into four explicit phases (DESIGN.md §6):
 ///
-///   ImputePhase    — probe coordinates, imputation, topic classification
+///   ImputePhase    — imputation, topic classification
 ///   CandidatePhase — ER-grid probe or linear window scan, then the
 ///                    batched Theorem 4.1-4.3 + signature cascade over the
 ///                    candidates' grid rows
@@ -104,7 +58,7 @@ struct ShedStats {
 ///
 /// Subclasses override the imputation hook (and inherit either the
 /// grid-based or linear candidate generation depending on configuration).
-class PipelineBase : public ErPipeline {
+class PipelineBase {
  public:
   /// `num_streams` windows are created. If `use_grid`, candidates come from
   /// the ER-grid with cell-level pruning; otherwise from a linear window
@@ -113,19 +67,35 @@ class PipelineBase : public ErPipeline {
   /// unpruned baselines).
   PipelineBase(Repository* repo, EngineConfig config, int num_streams,
                bool use_grid, bool use_prunings, std::string name);
+  virtual ~PipelineBase() = default;
 
-  const std::string& name() const override { return name_; }
-  ArrivalOutcome ProcessArrival(const Record& r) override;
-  std::vector<ArrivalOutcome> ProcessBatch(
-      const std::vector<Record>& batch) override;
-  /// The synchronous NextBatch -> ProcessBatch -> sink loop, with
-  /// per-arrival latency stamped at emission.
+  const std::string& name() const { return name_; }
+  ArrivalOutcome ProcessArrival(const Record& r);
+  /// Processes a timestamp-ordered micro-batch (StreamDriver::NextBatch)
+  /// and returns one outcome per record, in arrival order. Semantically
+  /// identical to calling ProcessArrival on each record in order; batches
+  /// amortize work and refine candidate pairs in parallel.
+  std::vector<ArrivalOutcome> ProcessBatch(const std::vector<Record>& batch);
+
+  /// Sink for per-arrival outcomes, invoked strictly in arrival order.
+  using OutcomeSink = std::function<void(ArrivalOutcome&&)>;
+
+  /// The synchronous NextBatch -> ProcessBatch -> sink loop: drives the
+  /// pipeline over `driver` until `max_arrivals` records have been consumed
+  /// (or the driver runs dry), in micro-batches of up to `batch_size`
+  /// records, with per-arrival latency stamped at emission. Returns the
+  /// number of arrivals processed.
   size_t ProcessStream(StreamDriver* driver, size_t max_arrivals,
-                       size_t batch_size, const OutcomeSink& sink) override;
-  const MatchSet& results() const override { return matches_; }
-  const PruneStats& cumulative_stats() const override { return cum_stats_; }
-  const LatencyStats* arrival_latencies() const override { return &latency_; }
-  LatencyStats ConsumeSchedulerLatencies() override {
+                       size_t batch_size, const OutcomeSink& sink);
+  const MatchSet& results() const { return matches_; }
+  const PruneStats& cumulative_stats() const { return cum_stats_; }
+  /// Per-arrival latency histograms (phase + end-to-end) accumulated by
+  /// ProcessStream. Read once the stream has completed.
+  const LatencyStats& arrival_latencies() const { return latency_; }
+  /// Drains the scheduler (if sched_threads > 0) and returns its
+  /// per-work-item service-time histograms, clearing them. Call only at
+  /// stream quiescence.
+  LatencyStats ConsumeSchedulerLatencies() {
     return sched_ != nullptr ? sched_->ConsumeLatencies() : LatencyStats();
   }
   /// Read by terbench; always 0 since async ingest was removed.
@@ -141,12 +111,11 @@ class PipelineBase : public ErPipeline {
   /// Imputation hook: candidate distributions for the missing attributes of
   /// `r`. Default delegates to `imputer_` (must be set by the subclass).
   virtual std::vector<ImputedTuple::ImputedAttr> Impute(const Record& r,
-                                                        const ProbeCoords& pc,
                                                         CostBreakdown* cost);
 
   // --- Arrival pipeline phases (Algorithm 2) -----------------------------
 
-  /// Lines 8-10: probe coordinates, imputation, topic classification.
+  /// Lines 8-10: imputation, topic classification.
   void ImputePhase(ArrivalContext* ctx);
   /// Lines 14-16: candidate generation (grid probe or linear scan); grid
   /// cell-level kills are charged to the arrival's PruneStats. With the
@@ -218,12 +187,10 @@ class PipelineBase : public ErPipeline {
 /// Constructs one of the six evaluated pipelines. The rule vectors are
 /// copied into the pipeline (each pipeline owns its rules). `repo` must
 /// outlive the pipeline and have pivots attached.
-std::unique_ptr<ErPipeline> MakePipeline(PipelineKind kind, Repository* repo,
-                                         const EngineConfig& config,
-                                         int num_streams,
-                                         const std::vector<CddRule>& cdds,
-                                         const std::vector<CddRule>& dds,
-                                         const std::vector<CddRule>& editing);
+std::unique_ptr<PipelineBase> MakePipeline(
+    PipelineKind kind, Repository* repo, const EngineConfig& config,
+    int num_streams, const std::vector<CddRule>& cdds,
+    const std::vector<CddRule>& dds, const std::vector<CddRule>& editing);
 
 }  // namespace terids
 

@@ -1,7 +1,5 @@
 #include "core/terids_engine.h"
 
-#include <algorithm>
-
 #include "imputation/rule_based_imputer.h"
 #include "util/stopwatch.h"
 
@@ -17,9 +15,7 @@ TerIdsEngine::TerIdsEngine(Repository* repo, EngineConfig config,
       dist_memo_(repo->num_attributes()),
       sharing_(repo->num_attributes()),
       sharing_epoch_(repo->num_attributes(), 0),
-      sample_postings_(repo->num_attributes()) {
-  cdd_index_.Build();
-}
+      sample_postings_(repo->num_attributes()) {}
 
 void TerIdsEngine::PostNewSamples() {
   const size_t n = repo_->num_samples();
@@ -153,7 +149,7 @@ void TerIdsEngine::JoinDeterminants(const Record& r, const CddRule& rule,
 }
 
 std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
-    const Record& r, const ProbeCoords& pc, CostBreakdown* cost) {
+    const Record& r, CostBreakdown* cost) {
   std::vector<ImputedTuple::ImputedAttr> result;
   // The index join evaluates each probe-to-domain-value Jaccard distance at
   // most once per arrival, no matter how many selected rules or samples
@@ -165,7 +161,7 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     std::vector<int> selected;
     {
       ScopedTimer timer(cost ? &cost->cdd_select_seconds : nullptr);
-      selected = cdd_index_.SelectRules(r, pc, j);
+      selected = cdd_index_.SelectRules(r, j);
     }
     // The determinant join and the Equation-4 vote. Each satisfying
     // (rule, sample) pair votes for the candidate set cand(s[A_j]): a
@@ -179,7 +175,7 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
       }
       for (int rule_idx : selected) {
         const CddRule& rule = rules_[rule_idx];
-        // The CDD-index verified the probe side of constant determinants.
+        // The CDD-index matched the probe side of constant determinants.
         JoinDeterminants(r, rule, &join_paths_);
         for (uint32_t sample_idx : hits_) {
           neighborhoods_.AccumulateRange(
@@ -219,13 +215,8 @@ Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
     BeginProbe();
     for (CddRule& rule : rules_) {
       // The probe side of constants, which the CDD-index checks for Impute.
-      if (std::any_of(rule.determinants.begin(), rule.determinants.end(),
-                      [&](const auto& det) {
-                        return det.second.kind ==
-                                   AttrConstraint::Kind::kConstant &&
-                               repo_->sample_value_id(idx, det.first) !=
-                                   det.second.constant_vid;
-                      })) {
+      if (!rule.ConstantsMatch(
+              [&](int attr) { return repo_->sample_value_id(idx, attr); })) {
         continue;
       }
       JoinDeterminants(r, rule, &absorb_paths);
@@ -239,8 +230,8 @@ Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
       }
     }
   }
-  // The CDD-index encodes only determinant geometry, which an absorb never
-  // changes, so it needs no rebuild.
+  // The CDD-index lists rules by dependent attribute, which an absorb never
+  // changes.
   return status;
 }
 

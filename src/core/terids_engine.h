@@ -14,11 +14,11 @@ namespace terids {
 /// The full TER-iDS processing engine (Algorithm 2, Section 5.3).
 ///
 /// Offline (construction): pivot tables are assumed attached to the
-/// repository; the engine builds the CDD-index I_j over the mined CDD rules.
+/// repository; the engine lists the mined CDD rules in the CDD-index I_j.
 ///
 /// Online (per arrival): the index join. For each missing attribute of the
-/// arriving tuple, the CDD-index selects compatible rules (constant
-/// constraints verified against the probe coordinates). A postings join
+/// arriving tuple, the CDD-index selects the applicable rules (constant
+/// constraints matched against the probe's interned values). A postings join
 /// then finds, per selected rule, exactly the repository samples that
 /// satisfy its determinants (DESIGN.md §5): a constant reads the samples
 /// carrying that value; an interval below distance 1 walks the probe's
@@ -58,7 +58,6 @@ class TerIdsEngine : public PipelineBase {
 
  protected:
   std::vector<ImputedTuple::ImputedAttr> Impute(const Record& r,
-                                                const ProbeCoords& pc,
                                                 CostBreakdown* cost) override;
 
  private:

@@ -180,7 +180,7 @@ PipelineRun Experiment::Run(PipelineKind kind) {
 PipelineRun Experiment::Run(PipelineKind kind, const EngineConfig& config) {
   TERIDS_CHECK(config.batch_size >= 1);
   std::unique_ptr<Repository> repo = BuildRepository();
-  std::unique_ptr<ErPipeline> pipeline = MakePipeline(
+  std::unique_ptr<PipelineBase> pipeline = MakePipeline(
       kind, repo.get(), config, /*num_streams=*/2, cdds_, dds_, editing_);
   TERIDS_CHECK(pipeline != nullptr);
 
@@ -207,9 +207,7 @@ PipelineRun Experiment::Run(PipelineKind kind, const EngineConfig& config) {
   run.stats = pipeline->cumulative_stats();
   run.accuracy = ComputeFScore(all_matches, effective_truth_);
   run.final_result_size = pipeline->results().size();
-  if (const LatencyStats* latencies = pipeline->arrival_latencies()) {
-    run.arrival_latency = *latencies;
-  }
+  run.arrival_latency = pipeline->arrival_latencies();
   run.sched_item_latency = pipeline->ConsumeSchedulerLatencies();
   return run;
 }

@@ -63,8 +63,7 @@ struct PipelineRun {
   PrecisionRecall accuracy;
   size_t final_result_size = 0;
   /// Per-arrival latency histograms (phase + end-to-end) the pipeline's
-  /// ProcessStream recorded at each emission; empty for pipelines that do
-  /// not account latency.
+  /// ProcessStream recorded at each emission.
   LatencyStats arrival_latency;
   /// Per-work-item service-time histograms from the scheduler; empty when
   /// the pipeline ran without one.

@@ -11,9 +11,9 @@ namespace terids {
 /// same tags key the per-arrival phase-latency histograms, so the scheduler
 /// (src/exec) and the accounting layer agree on one vocabulary.
 enum class ExecPhase {
-  /// Imputation: probe coords, CDD selection. Keys the per-arrival impute
-  /// latency; read by terbench (exec.items.ingest); always 0 as a scheduler
-  /// item since async ingest was removed.
+  /// Imputation: CDD selection and the determinant join. Keys the
+  /// per-arrival impute latency; read by terbench (exec.items.ingest);
+  /// always 0 as a scheduler item since async ingest was removed.
   kIngest = 0,
   kCandidate = 1,  // ER-grid probe / linear window scan
   kRefine = 2,     // the Theorem 4.1-4.4 cascade / exact refinement

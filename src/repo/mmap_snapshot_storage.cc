@@ -123,7 +123,7 @@ void MmapSnapshotStorage::Unmap() {
 MmapSnapshotStorage::~MmapSnapshotStorage() { Unmap(); }
 
 // ---------------------------------------------------------------------------
-// Shared block parsers (v1 payload blocks == v2 section bodies)
+// Section body parsers
 // ---------------------------------------------------------------------------
 
 Status MmapSnapshotStorage::ParseDomainBlock(snapshot::Cursor* cur, int attr,
@@ -214,65 +214,7 @@ void MmapSnapshotStorage::BuildFindIndex(int attr) const {
 }
 
 // ---------------------------------------------------------------------------
-// v1: monolithic payload, always decoded eagerly at open
-// ---------------------------------------------------------------------------
-
-Status MmapSnapshotStorage::ParseV1(const snapshot::Header& header) {
-  if (snapshot::Checksum(payload_, payload_len_) != header.payload_checksum) {
-    return Status::InvalidArgument("snapshot payload checksum mismatch");
-  }
-  snapshot::Cursor cur(payload_, payload_len_);
-
-  // ---- Domains ---------------------------------------------------------
-  for (int x = 0; x < d_; ++x) {
-    uint64_t dom_size = 0;
-    TERIDS_RETURN_IF_ERROR(ParseDomainBlock(&cur, x, &dom_size));
-    base_[x].size = dom_size;
-    BuildFindIndex(x);
-  }
-
-  // ---- Pivot geometry --------------------------------------------------
-  if (has_pivots_) {
-    pivots_.resize(static_cast<size_t>(d_));
-    for (int x = 0; x < d_; ++x) {
-      uint64_t np = 0;
-      if (!cur.ReadU64(&np)) return Truncated();
-      if (np == 0) {
-        return Status::InvalidArgument("snapshot attribute has zero pivots");
-      }
-      num_pivots_[x] = static_cast<int>(np);
-      for (uint64_t a = 0; a < np; ++a) {
-        uint64_t ntokens = 0;
-        if (!cur.ReadU64(&ntokens)) return Truncated();
-        const Token* ptokens = cur.Array<Token>(ntokens);
-        if (!cur.ok()) return Truncated();
-        TERIDS_RETURN_IF_ERROR(
-            ValidateTokenRun(ptokens, ntokens, dict_tokens_, "pivot"));
-        pivots_[x].pivots.push_back(TokenSet::View(ptokens, ntokens));
-      }
-    }
-    for (int x = 0; x < d_; ++x) {
-      base_[x].dists.resize(pivots_[x].pivots.size());
-      for (size_t a = 0; a < pivots_[x].pivots.size(); ++a) {
-        base_[x].dists[a] = cur.Array<double>(base_[x].size);
-      }
-    }
-    for (int x = 0; x < d_; ++x) {
-      base_[x].coord_keys = cur.Array<double>(base_[x].size);
-      base_[x].coord_vids = cur.Array<uint32_t>(base_[x].size);
-    }
-    if (!cur.ok()) return Truncated();
-  }
-
-  // ---- Samples ---------------------------------------------------------
-  TERIDS_RETURN_IF_ERROR(ParseSamplesBlock(&cur));
-
-  decoded_all_ = true;
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// v2: TOC at open, per-section decode on first touch (or forced at open)
+// TOC at open, per-section decode on first touch (or forced at open)
 // ---------------------------------------------------------------------------
 
 Status MmapSnapshotStorage::ParseToc(const snapshot::Header& header) {
@@ -493,12 +435,10 @@ Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict,
   if (std::memcmp(header.magic, snapshot::kMagic, sizeof(header.magic)) != 0) {
     return Status::InvalidArgument("snapshot magic mismatch (not a snapshot)");
   }
-  if (header.version != snapshot::kVersion &&
-      header.version != snapshot::kVersionEager) {
+  if (header.version != snapshot::kVersion) {
     return Status::InvalidArgument(
         "snapshot version " + std::to_string(header.version) +
-        " unsupported (expected " + std::to_string(snapshot::kVersionEager) +
-        " or " + std::to_string(snapshot::kVersion) + ")");
+        " unsupported (expected " + std::to_string(snapshot::kVersion) + ")");
   }
   if (header.num_attributes != static_cast<uint32_t>(num_attributes)) {
     return Status::FailedPrecondition(
@@ -515,9 +455,12 @@ Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict,
   if (header.payload_bytes != payload_len_) {
     return Status::InvalidArgument("snapshot payload truncated");
   }
+  if (header.has_pivots == 0) {
+    return Status::InvalidArgument(
+        "snapshot without pivot geometry unsupported");
+  }
 
   d_ = num_attributes;
-  has_pivots_ = header.has_pivots != 0;
   base_samples_ = header.num_samples;
   dict_tokens_ = header.dict_tokens;
   base_.resize(static_cast<size_t>(d_));
@@ -526,39 +469,29 @@ Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict,
   find_once_ = std::make_unique<std::once_flag[]>(static_cast<size_t>(d_));
   geometry_once_ = std::make_unique<std::once_flag[]>(static_cast<size_t>(d_));
 
-  if (header.version == snapshot::kVersionEager) {
-    // v1's single whole-payload checksum forces a full read; the decode
-    // knob is moot.
-    TERIDS_RETURN_IF_ERROR(ParseV1(header));
-  } else {
-    if (!has_pivots_) {
-      return Status::InvalidArgument(
-          "v2 snapshot without pivot geometry unsupported");
+  TERIDS_RETURN_IF_ERROR(ParseToc(header));
+  if (decode == SnapshotDecode::kEager) {
+    // Force every section through the same decode the lazy path runs on
+    // first touch, so corruption fails the open and the materialized state
+    // is identical by construction.
+    for (int x = 0; x < d_; ++x) {
+      TERIDS_RETURN_IF_ERROR(DecodeDomain(x));
     }
-    TERIDS_RETURN_IF_ERROR(ParseToc(header));
-    if (decode == SnapshotDecode::kEager) {
-      // Force every section through the same decode the lazy path runs on
-      // first touch, so corruption fails the open and the materialized
-      // state is identical by construction.
-      for (int x = 0; x < d_; ++x) {
-        TERIDS_RETURN_IF_ERROR(DecodeDomain(x));
-      }
-      for (int x = 0; x < d_; ++x) {
-        BuildFindIndex(x);
-      }
-      TERIDS_RETURN_IF_ERROR(DecodePivotTokens());
-      for (int x = 0; x < d_; ++x) {
-        TERIDS_RETURN_IF_ERROR(DecodeGeometry(x));
-      }
-      TERIDS_RETURN_IF_ERROR(DecodeSamples());
-      decoded_all_ = true;
+    for (int x = 0; x < d_; ++x) {
+      BuildFindIndex(x);
     }
+    TERIDS_RETURN_IF_ERROR(DecodePivotTokens());
+    for (int x = 0; x < d_; ++x) {
+      TERIDS_RETURN_IF_ERROR(DecodeGeometry(x));
+    }
+    TERIDS_RETURN_IF_ERROR(DecodeSamples());
+    decoded_all_ = true;
   }
 
   // ---- Overlay scaffolding --------------------------------------------
   overlay_.resize(static_cast<size_t>(d_));
   for (int x = 0; x < d_; ++x) {
-    overlay_[x].dists.resize(has_pivots_ ? num_pivots_[x] : 0);
+    overlay_[x].dists.resize(num_pivots_[x]);
   }
   return Status::Ok();
 }
@@ -664,14 +597,12 @@ ValueId MmapSnapshotStorage::sample_value_id(size_t i, int attr) const {
 }
 
 int MmapSnapshotStorage::num_pivots(int attr) const {
-  TERIDS_CHECK(has_pivots_);
   TERIDS_CHECK(attr >= 0 && attr < d_);
   return num_pivots_[attr];
 }
 
 const TokenSet& MmapSnapshotStorage::pivot_tokens(int attr,
                                                   int pivot_idx) const {
-  TERIDS_CHECK(has_pivots_);
   TERIDS_CHECK(attr >= 0 && attr < d_);
   TERIDS_CHECK(pivot_idx >= 0 && pivot_idx < num_pivots(attr));
   EnsurePivotTokens();
@@ -680,7 +611,6 @@ const TokenSet& MmapSnapshotStorage::pivot_tokens(int attr,
 
 double MmapSnapshotStorage::pivot_distance(int attr, int pivot_idx,
                                            ValueId vid) const {
-  TERIDS_CHECK(has_pivots_);
   TERIDS_CHECK(attr >= 0 && attr < d_);
   TERIDS_CHECK(pivot_idx >= 0 && pivot_idx < num_pivots(attr));
   const BaseDomain& dom = base_[attr];
@@ -696,7 +626,6 @@ double MmapSnapshotStorage::pivot_distance(int attr, int pivot_idx,
 
 void MmapSnapshotStorage::AppendValuesInCoordRange(
     int attr, const Interval& interval, std::vector<ValueId>* out) const {
-  TERIDS_CHECK(has_pivots_);
   TERIDS_CHECK(attr >= 0 && attr < d_);
   if (interval.empty()) {
     return;
@@ -741,9 +670,7 @@ ValueId MmapSnapshotStorage::RegisterValue(int attr, const TokenSet& tokens,
                                            const std::string& text) {
   TERIDS_CHECK(attr >= 0 && attr < d_);
   EnsureFindIndex(attr);
-  if (has_pivots_) {
-    EnsurePivotTokens();
-  }
+  EnsurePivotTokens();
   const BaseDomain& dom = base_[attr];
   // Base values are immutable and deduplicated; only a genuinely new token
   // set lands in the overlay.
@@ -760,7 +687,7 @@ ValueId MmapSnapshotStorage::RegisterValue(int attr, const TokenSet& tokens,
   const size_t before = over.extra.size();
   const ValueId local = over.extra.FindOrAdd(tokens, text);
   const ValueId global = static_cast<ValueId>(dom.size) + local;
-  if (over.extra.size() != before && has_pivots_) {
+  if (over.extra.size() != before) {
     const size_t np = pivots_[attr].pivots.size();
     for (size_t a = 0; a < np; ++a) {
       over.dists[a].push_back(

@@ -27,7 +27,7 @@ namespace terids {
 /// data in on demand and can evict it under pressure — the path to
 /// repositories larger than RAM.
 ///
-/// v2 snapshots additionally decode *lazily*: Open validates the header
+/// Snapshots decode *lazily*: Open validates the header
 /// and the checksummed section TOC (O(header + TOC) bytes), and each
 /// section — a domain, the pivot token sets, an attribute's geometry, the
 /// sample table — is verified against its own checksum and materialized
@@ -35,8 +35,8 @@ namespace terids {
 /// first touch safely; a checksum or structure failure detected at that
 /// point is fatal (the snapshot was validated as openable, so a bad
 /// section is data corruption mid-run). SnapshotDecode::kEager forces
-/// every section through the same decode at open, restoring the
-/// v1-equivalent fail-at-open behavior; v1 files always decode eagerly.
+/// every section through the same decode at open, so corruption fails the
+/// open instead. Version 1 files are refused at open.
 ///
 /// Dynamic-repository writes (Section 5.5: the constraint imputer's
 /// RegisterValue, AbsorbRepositoryBatch's AddSample) land in an in-memory
@@ -49,11 +49,11 @@ namespace terids {
 /// only the lazy first-touch decode of the immutable base is.
 class MmapSnapshotStorage final : public RepoStorage {
  public:
-  /// Maps and validates `path` (magic, version, attribute count, TOC or
-  /// payload checksum, token ids against `dict`). Returns InvalidArgument /
-  /// FailedPrecondition with a precise reason on any mismatch. Under
-  /// kLazy (v2 files only), per-section validation is deferred to first
-  /// touch.
+  /// Maps and validates `path` (magic, version, attribute count, TOC
+  /// checksum, token ids against `dict`). Returns InvalidArgument /
+  /// FailedPrecondition with a precise reason on any mismatch, including a
+  /// version-1 file. Under kLazy, per-section validation is deferred to
+  /// first touch.
   static Result<std::unique_ptr<MmapSnapshotStorage>> Open(
       int num_attributes, const TokenDict* dict, const std::string& path,
       SnapshotDecode decode = SnapshotDecode::kLazy);
@@ -77,7 +77,8 @@ class MmapSnapshotStorage final : public RepoStorage {
   const Record& sample(size_t i) const override;
   ValueId sample_value_id(size_t i, int attr) const override;
 
-  bool has_pivots() const override { return has_pivots_; }
+  /// Open refuses a snapshot without pivot geometry.
+  bool has_pivots() const override { return true; }
   int num_pivots(int attr) const override;
   const TokenSet& pivot_tokens(int attr, int pivot_idx) const override;
   double pivot_distance(int attr, int pivot_idx, ValueId vid) const override;
@@ -99,13 +100,12 @@ class MmapSnapshotStorage final : public RepoStorage {
   Status MapFile(const std::string& path);
   Status Parse(int num_attributes, const TokenDict* dict,
                SnapshotDecode decode);
-  Status ParseV1(const snapshot::Header& header);
   Status ParseToc(const snapshot::Header& header);
   void Unmap();
 
   /// One attribute's immutable base image. Everything except `size` is
-  /// filled by the section decoders; `size` comes from the TOC (v2) or the
-  /// eager parse (v1) so domain_size never forces a decode.
+  /// filled by the section decoders; `size` comes from the TOC so
+  /// domain_size never forces a decode.
   struct BaseDomain {
     size_t size = 0;
     std::vector<TokenSet> tokens;  // views over the mapped token column
@@ -113,7 +113,7 @@ class MmapSnapshotStorage final : public RepoStorage {
     const uint64_t* text_offsets = nullptr;
     const int32_t* freqs = nullptr;
     std::unordered_multimap<uint64_t, ValueId> by_hash;  // built on demand
-    // Pivot geometry (zero-copy columns; empty when !has_pivots_).
+    // Pivot geometry (zero-copy columns).
     std::vector<const double*> dists;  // dists[a][vid]
     const double* coord_keys = nullptr;
     const uint32_t* coord_vids = nullptr;
@@ -127,12 +127,12 @@ class MmapSnapshotStorage final : public RepoStorage {
     std::vector<std::pair<double, ValueId>> sorted_coords;  // global ids
   };
 
-  // ---- v2 section decode (see DESIGN.md §8) ----------------------------
+  // ---- Section decode (see DESIGN.md §8) -------------------------------
   // Decode* verify the section checksum and materialize into the mutable
   // base structures; they are called either eagerly at open (errors become
   // the Open Status) or from the Ensure* wrappers under a once_flag
   // (errors abort: first-touch corruption). Ensure* are no-ops once
-  // decoded_all_ is set (v1 files and eager opens).
+  // decoded_all_ is set (eager opens).
 
   Status DecodeDomain(int attr) const;
   Status DecodePivotTokens() const;
@@ -146,8 +146,7 @@ class MmapSnapshotStorage final : public RepoStorage {
   void EnsureGeometry(int attr) const;
   void EnsureSamples() const;
 
-  /// Shared block parsers: the byte layout of a v2 domain/samples section
-  /// equals the corresponding v1 payload block. ParseDomainBlock reports
+  /// Section body parsers. ParseDomainBlock reports
   /// the parsed domain size through `dom_size_out` instead of writing
   /// BaseDomain::size — under lazy decode that field is read concurrently
   /// by domain_size() and must only ever be written at open.
@@ -166,11 +165,10 @@ class MmapSnapshotStorage final : public RepoStorage {
   size_t payload_len_ = 0;
 
   int d_ = 0;
-  bool has_pivots_ = false;
   uint64_t dict_tokens_ = 0;
   std::vector<int> num_pivots_;  // per attribute; known without decode
 
-  // v2 TOC, validated at open; entries indexed by role.
+  // The section TOC, validated at open; entries indexed by role.
   std::vector<snapshot::SectionEntry> toc_domain_;    // [d_]
   snapshot::SectionEntry toc_pivot_tokens_ = {};
   std::vector<snapshot::SectionEntry> toc_geometry_;  // [d_]
@@ -195,7 +193,7 @@ class MmapSnapshotStorage final : public RepoStorage {
   mutable const uint32_t* base_sample_vids_ = nullptr;  // row-major [i*d_+x]
   size_t base_samples_ = 0;
 
-  bool decoded_all_ = false;  // v1 file or eager open: Ensure* are no-ops
+  bool decoded_all_ = false;  // eager open: Ensure* are no-ops
   // std::once_flag is immovable, so the per-attribute flags live in
   // fixed arrays allocated once at open rather than inside BaseDomain.
   std::unique_ptr<std::once_flag[]> domain_once_;

@@ -19,11 +19,10 @@ const char* RepoBackendName(RepoBackend backend);
 /// Returns false, leaving *backend untouched, on any other input.
 bool ParseRepoBackend(const std::string& name, RepoBackend* backend);
 
-/// How MmapSnapshotStorage materializes a v2 snapshot's sections.
-/// Irrelevant to the in-memory backend; v1 snapshot files decode eagerly
-/// regardless (their single whole-payload checksum forces a full read).
+/// How MmapSnapshotStorage materializes a snapshot's sections.
+/// Irrelevant to the in-memory backend.
 enum class SnapshotDecode {
-  kEager,  // Decode every section at open — the v1-equivalent oracle.
+  kEager,  // Decode every section at open: corruption fails the open.
   kLazy,   // O(header + TOC) open; sections decode on first touch.
 };
 

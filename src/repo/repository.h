@@ -27,7 +27,7 @@ class InMemoryStorage;
 /// accessors, so the same engine runs unchanged over the in-memory vectors
 /// (the default) or a read-only mmap snapshot whose numeric geometry
 /// tables, token columns, and display texts are served zero-copy from the
-/// page cache instead of rebuilt on the heap — with v2 snapshots decoding
+/// page cache instead of rebuilt on the heap — with snapshots decoding
 /// per-section on first touch (see DESIGN.md §8). Backends are required to
 /// be bit-identical on the read path; the equivalence sweep enforces it
 /// end to end.
@@ -44,8 +44,8 @@ class Repository {
   /// Opens a Repository over the snapshot file at `path` with the
   /// MmapSnapshotStorage backend. Fails with a precise Status if the file
   /// is missing, corrupt, or disagrees with `schema`/`dict`. `decode`
-  /// picks the v2 materialization strategy (lazy first-touch decode vs
-  /// decode-everything-at-open); v1 files always decode eagerly.
+  /// picks the materialization strategy (lazy first-touch decode vs
+  /// decode-everything-at-open).
   static Result<std::unique_ptr<Repository>> OpenSnapshot(
       const Schema* schema, const TokenDict* dict, const std::string& path,
       SnapshotDecode decode = SnapshotDecode::kLazy);

@@ -25,15 +25,10 @@ namespace snapshot {
 /// preceded by padding to 8-byte alignment so doubles and 64-bit offsets
 /// can be read in place. Integers are host-endian: the snapshot is a local
 /// cache artifact regenerated from the source data, not an interchange
-/// format. The header carries a version (bumped on any layout change).
+/// format. The header carries a version (bumped on any layout change);
+/// Open refuses every version but kVersion.
 ///
-/// **v1** (kVersionEager): the payload is one monolithic blob —
-/// per-attribute domains, pivot tokens, distance columns, coordinate
-/// lists, samples — and `payload_checksum` is the FNV-1a over all of it,
-/// verified at open before any byte is trusted. Opening therefore reads
-/// the whole file.
-///
-/// **v2** (kVersion, the current writer output): the payload begins with a
+/// **v2** (kVersion, the only layout): the payload begins with a
 /// section TOC — a u64 section count followed by SectionEntry records —
 /// and `payload_checksum` covers only those TOC bytes. Each section
 /// carries its own FNV-1a checksum in its TOC entry, verified when that
@@ -43,8 +38,7 @@ namespace snapshot {
 /// one size a reader needs before decoding (domain size, pivot count,
 /// sample count).
 inline constexpr char kMagic[8] = {'T', 'E', 'R', 'I', 'D', 'S', 'N', 'P'};
-inline constexpr uint32_t kVersionEager = 1;  // legacy whole-payload checksum
-inline constexpr uint32_t kVersion = 2;       // section TOC + lazy decode
+inline constexpr uint32_t kVersion = 2;  // section TOC + lazy decode
 
 struct Header {
   char magic[8];
@@ -53,7 +47,7 @@ struct Header {
   uint64_t num_samples;
   uint64_t dict_tokens;  // TokenDict size at write; every token id is < this.
   uint64_t payload_bytes;
-  uint64_t payload_checksum;  // v1: FNV-1a over the payload; v2: over the TOC.
+  uint64_t payload_checksum;  // FNV-1a over the TOC.
   uint8_t has_pivots;
   uint8_t reserved[7];
 };

@@ -107,7 +107,7 @@ void AppendCoordLists(const Repository& repo, int attr,
   out->AppendArray(vids.data(), vids.size());
 }
 
-/// v2 per-attribute geometry section: a self-describing (dom, np) prefix,
+/// Per-attribute geometry section: a self-describing (dom, np) prefix,
 /// then the pivot-distance columns and the sorted coordinate lists for
 /// this attribute only, so a lazy reader can decode one attribute's
 /// geometry without touching any other section.
@@ -155,25 +155,6 @@ void AppendSamples(const Repository& repo, snapshot::Builder* out) {
   out->AppendArray(text_offsets.data(), text_offsets.size());
 }
 
-/// v1 monolithic payload: domains, pivot tokens, every attribute's
-/// distance columns, every attribute's coordinate lists, samples.
-std::string BuildPayloadV1(const Repository& repo) {
-  snapshot::Builder payload;
-  const int d = repo.num_attributes();
-  for (int x = 0; x < d; ++x) {
-    AppendDomain(repo, x, &payload);
-  }
-  AppendPivotTokens(repo, &payload);
-  for (int x = 0; x < d; ++x) {
-    AppendDistColumns(repo, x, &payload);
-  }
-  for (int x = 0; x < d; ++x) {
-    AppendCoordLists(repo, x, &payload);
-  }
-  AppendSamples(repo, &payload);
-  return payload.bytes();
-}
-
 struct SectionBlob {
   snapshot::SectionKind kind;
   uint64_t attr;
@@ -183,11 +164,9 @@ struct SectionBlob {
 
 uint64_t Align8(uint64_t n) { return (n + 7) / 8 * 8; }
 
-/// v2 payload: TOC (count + entries), then each section at its 8-aligned
-/// offset. Section contents reuse the v1 encoders, so the bytes inside a
-/// domain or samples section are identical across versions; only the
-/// framing (and the per-attribute geometry regrouping) differs.
-std::string BuildPayloadV2(const Repository& repo, uint64_t* toc_checksum) {
+/// The payload: TOC (count + entries), then each section at its 8-aligned
+/// offset.
+std::string BuildPayload(const Repository& repo, uint64_t* toc_checksum) {
   const int d = repo.num_attributes();
   std::vector<SectionBlob> sections;
   sections.reserve(2 * static_cast<size_t>(d) + 2);
@@ -315,16 +294,6 @@ std::string UniqueSnapshotPath(const std::string& prefix) {
 
 Status WriteRepositorySnapshot(const Repository& repo,
                                const std::string& path) {
-  return WriteRepositorySnapshot(repo, path, snapshot::kVersion);
-}
-
-Status WriteRepositorySnapshot(const Repository& repo, const std::string& path,
-                               uint32_t format_version) {
-  if (format_version != snapshot::kVersion &&
-      format_version != snapshot::kVersionEager) {
-    return Status::InvalidArgument("unsupported snapshot format version: " +
-                                   std::to_string(format_version));
-  }
   if (!repo.has_pivots()) {
     // Nothing in the snapshot's geometry sections would be meaningful, and
     // the read-only backend cannot run AttachPivots later.
@@ -333,18 +302,12 @@ Status WriteRepositorySnapshot(const Repository& repo, const std::string& path,
   }
 
   uint64_t checksum = 0;
-  std::string payload;
-  if (format_version == snapshot::kVersion) {
-    payload = BuildPayloadV2(repo, &checksum);
-  } else {
-    payload = BuildPayloadV1(repo);
-    checksum = snapshot::Checksum(payload.data(), payload.size());
-  }
+  const std::string payload = BuildPayload(repo, &checksum);
 
   snapshot::Header header;
   std::memset(&header, 0, sizeof(header));
   std::memcpy(header.magic, snapshot::kMagic, sizeof(header.magic));
-  header.version = format_version;
+  header.version = snapshot::kVersion;
   header.num_attributes = static_cast<uint32_t>(repo.num_attributes());
   header.num_samples = repo.num_samples();
   header.dict_tokens = repo.dict().size();

@@ -1,7 +1,6 @@
 #ifndef TERIDS_REPO_SNAPSHOT_WRITER_H_
 #define TERIDS_REPO_SNAPSHOT_WRITER_H_
 
-#include <cstdint>
 #include <string>
 
 #include "util/status.h"
@@ -11,12 +10,9 @@ namespace terids {
 class Repository;
 
 /// Serializes `repo`'s storage into the columnar snapshot format of
-/// DESIGN.md §8 at `path`, ready to be opened by MmapSnapshotStorage.
-/// `format_version` selects the on-disk layout: snapshot::kVersion (v2,
-/// the default — section TOC with per-section checksums, lazily
-/// decodable) or snapshot::kVersionEager (v1, the legacy monolithic
-/// payload, kept writable for backward-compatibility tests and for
-/// producing files older readers accept).
+/// DESIGN.md §8 at `path`, ready to be opened by MmapSnapshotStorage: the
+/// v2 layout (snapshot::kVersion), a section TOC with per-section
+/// checksums, lazily decodable.
 ///
 /// The write is atomic: bytes land in a same-directory temp file which is
 /// flushed, fsync'd, and renamed over `path`. A crash or error mid-write
@@ -31,8 +27,6 @@ class Repository;
 /// in-memory backend maintains exactly the (coord, ValueId)-ascending
 /// order, the rebuilt lists are bit-identical to the oracle's.
 Status WriteRepositorySnapshot(const Repository& repo, const std::string& path);
-Status WriteRepositorySnapshot(const Repository& repo, const std::string& path,
-                               uint32_t format_version);
 
 /// Collision-resistant path for a throwaway snapshot file under TMPDIR
 /// (or /tmp): `<dir>/<prefix>-<pid>-<random tag>-<counter>.snap`. The

@@ -46,8 +46,7 @@ struct AttrConstraint {
 /// whose dependent interval is [0, 0] (exact copy).
 struct CddRule {
   int dependent = -1;
-  /// Bit x set iff attribute x is a determinant. (The aR-tree encodes
-  /// non-determinant attributes as the paper's [-1,-1] "missing" marker.)
+  /// Bit x set iff attribute x is a determinant.
   uint32_t det_mask = 0;
   /// (attribute, constraint) pairs sorted by attribute index.
   std::vector<std::pair<int, AttrConstraint>> determinants;
@@ -62,6 +61,21 @@ struct CddRule {
   /// True iff every determinant attribute is non-missing in `r` (the rule
   /// can be evaluated against r at all).
   bool ApplicableTo(const Record& r) const;
+
+  /// True iff every constant determinant equals the probe's value, where
+  /// `probe_vid(x)` is the probe's interned ValueId on attribute x
+  /// (kInvalidValueId when the value is not in dom(A_x)). Values are
+  /// interned by token set, so this is the r[A_x] = v test of Definition 3.
+  template <typename ProbeVid>
+  bool ConstantsMatch(const ProbeVid& probe_vid) const {
+    for (const auto& [attr, constraint] : determinants) {
+      if (constraint.kind == AttrConstraint::Kind::kConstant &&
+          probe_vid(attr) != constraint.constant_vid) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   /// True iff (r, sample `sample_idx` of repo) satisfy phi[X]: every
   /// interval determinant's Jaccard distance lies inside its interval, and

@@ -187,8 +187,7 @@ std::vector<CddRule> RuleMiner::MineWithMode(bool dd_mode) const {
           const CddRule& r1 = level1[x1].front();
           const CddRule& r2 = level1[x2].front();
           // Constant constraints rarely co-occur often enough; combine only
-          // interval constraints, which is also what keeps the aR-tree
-          // geometry of combined rules simple.
+          // interval constraints.
           if (r1.determinants[0].second.kind != AttrConstraint::Kind::kInterval ||
               r2.determinants[0].second.kind != AttrConstraint::Kind::kInterval) {
             continue;

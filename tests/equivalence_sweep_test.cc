@@ -57,7 +57,7 @@ TEST_P(EquivalenceSweepTest, TerIdsEqualsUnprunedBaseline) {
 
   auto collect = [&](PipelineKind kind) {
     std::unique_ptr<Repository> repo = experiment.BuildRepository();
-    std::unique_ptr<ErPipeline> pipeline = MakePipeline(
+    std::unique_ptr<PipelineBase> pipeline = MakePipeline(
         kind, repo.get(), experiment.MakeConfig(), 2, experiment.cdds(),
         experiment.dds(), experiment.editing_rules());
     std::vector<Record> inc_a = DataGenerator::WithMissing(
@@ -149,7 +149,7 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
       config.batch_size = bs;
       config.refine_threads = threads;
       config.sched_threads = sched;
-      std::unique_ptr<ErPipeline> pipeline =
+      std::unique_ptr<PipelineBase> pipeline =
           MakePipeline(kind, repo.get(), config, 2, experiment.cdds(),
                        experiment.dds(), experiment.editing_rules());
       std::vector<Record> inc_a = DataGenerator::WithMissing(
@@ -227,7 +227,7 @@ TEST_P(RepoBackendEquivalenceTest, MmapSnapshotEqualsInMemoryOracle) {
       EngineConfig config = experiment.MakeConfig();
       config.repo_backend = backend;
       config.snapshot_decode = decode;
-      std::unique_ptr<ErPipeline> pipeline =
+      std::unique_ptr<PipelineBase> pipeline =
           MakePipeline(kind, repo.get(), config, 2, experiment.cdds(),
                        experiment.dds(), experiment.editing_rules());
       std::vector<Record> inc_a = DataGenerator::WithMissing(

@@ -176,7 +176,7 @@ TEST_P(GridMaintenanceTest, MaintainedResultsEqualFreshEvaluation) {
   Experiment experiment(ProfileByName(profile), params);
   std::unique_ptr<Repository> repo = experiment.BuildRepository();
   const EngineConfig config = experiment.MakeConfig();
-  std::unique_ptr<ErPipeline> engine = MakePipeline(
+  std::unique_ptr<PipelineBase> engine = MakePipeline(
       PipelineKind::kTerIds, repo.get(), config, 2, experiment.cdds(),
       experiment.dds(), experiment.editing_rules());
   const auto* base = dynamic_cast<const PipelineBase*>(engine.get());

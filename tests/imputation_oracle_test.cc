@@ -32,9 +32,8 @@ class RecordingEngine : public TerIdsEngine {
 
  protected:
   std::vector<ImputedTuple::ImputedAttr> Impute(const Record& r,
-                                                const ProbeCoords& pc,
                                                 CostBreakdown* cost) override {
-    last = TerIdsEngine::Impute(r, pc, cost);
+    last = TerIdsEngine::Impute(r, cost);
     ++impute_calls;
     return last;
   }

@@ -55,7 +55,7 @@ TEST_F(PipelineIntegrationTest, AllPipelinesRunToCompletion) {
 TEST_F(PipelineIntegrationTest, IndexedAndLinearCddPipelinesAgree) {
   auto collect = [&](PipelineKind kind) {
     std::unique_ptr<Repository> repo = experiment_.BuildRepository();
-    std::unique_ptr<ErPipeline> pipeline = MakePipeline(
+    std::unique_ptr<PipelineBase> pipeline = MakePipeline(
         kind, repo.get(), experiment_.MakeConfig(), 2, experiment_.cdds(),
         experiment_.dds(), experiment_.editing_rules());
     std::vector<Record> inc_a = DataGenerator::WithMissing(
@@ -84,7 +84,7 @@ TEST_F(PipelineIntegrationTest, IndexedAndLinearCddPipelinesAgree) {
 
 TEST_F(PipelineIntegrationTest, ReportedPairsSpanTwoStreams) {
   std::unique_ptr<Repository> repo = experiment_.BuildRepository();
-  std::unique_ptr<ErPipeline> pipeline = MakePipeline(
+  std::unique_ptr<PipelineBase> pipeline = MakePipeline(
       PipelineKind::kTerIds, repo.get(), experiment_.MakeConfig(), 2,
       experiment_.cdds(), experiment_.dds(), experiment_.editing_rules());
   const int64_t a_size =
@@ -103,7 +103,7 @@ TEST_F(PipelineIntegrationTest, ReportedPairsSpanTwoStreams) {
 TEST_F(PipelineIntegrationTest, MatchProbabilitiesExceedAlpha) {
   std::unique_ptr<Repository> repo = experiment_.BuildRepository();
   const EngineConfig config = experiment_.MakeConfig();
-  std::unique_ptr<ErPipeline> pipeline = MakePipeline(
+  std::unique_ptr<PipelineBase> pipeline = MakePipeline(
       PipelineKind::kTerIds, repo.get(), config, 2, experiment_.cdds(),
       experiment_.dds(), experiment_.editing_rules());
   StreamDriver driver(
@@ -171,7 +171,7 @@ class ImputingEngine : public TerIdsEngine {
  public:
   using TerIdsEngine::TerIdsEngine;
   std::vector<ImputedTuple::ImputedAttr> ImputeNow(const Record& r) {
-    return Impute(r, ProbeCoords::Compute(r, *repo_), nullptr);
+    return Impute(r, nullptr);
   }
 };
 
@@ -243,16 +243,17 @@ TEST_F(PipelineIntegrationTest, ThrowingSinkUnwindsTheRefineFanOut) {
   config.batch_size = 4;
   config.sched_threads = 1;
   config.refine_threads = 2;
-  std::unique_ptr<ErPipeline> pipeline = MakePipeline(
+  std::unique_ptr<PipelineBase> pipeline = MakePipeline(
       PipelineKind::kTerIds, repo.get(), config, 2, experiment_.cdds(),
       experiment_.dds(), experiment_.editing_rules());
   StreamDriver driver({experiment_.incomplete_a(), experiment_.incomplete_b()});
   size_t delivered = 0;
-  const ErPipeline::OutcomeSink failing_sink = [&delivered](ArrivalOutcome&&) {
-    if (++delivered == 10) {
-      throw std::runtime_error("sink");
-    }
-  };
+  const PipelineBase::OutcomeSink failing_sink =
+      [&delivered](ArrivalOutcome&&) {
+        if (++delivered == 10) {
+          throw std::runtime_error("sink");
+        }
+      };
   EXPECT_THROW(pipeline->ProcessStream(&driver, 260, 4, failing_sink),
                std::runtime_error);
   EXPECT_EQ(delivered, 10u);

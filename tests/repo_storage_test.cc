@@ -220,6 +220,17 @@ TEST_F(SnapshotCorruptionTest, FutureVersionIsRejected) {
   EXPECT_NE(status.message().find("version"), std::string::npos);
 }
 
+// Version 1 (one monolithic payload under one checksum) is no longer read.
+TEST_F(SnapshotCorruptionTest, Version1IsRejected) {
+  std::string corrupt = bytes_;
+  corrupt[8] = 1;  // Header.version low byte.
+  const Status status = Reopen(corrupt);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("version 1 unsupported"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(SnapshotCorruptionTest, SchemaArityMismatchIsRejected) {
   Schema narrow(std::vector<std::string>{"a", "b"});
   Result<std::unique_ptr<Repository>> r =
@@ -404,34 +415,6 @@ TEST_F(SnapshotV2Test, ConcurrentFirstTouchServesConsistentBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 backward compatibility: old files stay readable, always eagerly.
-// ---------------------------------------------------------------------------
-
-TEST(SnapshotV1CompatTest, V1FileRoundTripsBitIdentically) {
-  GeneratedWorld world = MakeGeneratedWorld();
-  const std::string path = TempPath("v1compat.snap");
-  ASSERT_TRUE(
-      WriteRepositorySnapshot(*world.repo, path, snapshot::kVersionEager)
-          .ok());
-  {
-    std::ifstream in(path, std::ios::binary);
-    uint32_t version = 0;
-    in.seekg(8);
-    in.read(reinterpret_cast<char*>(&version), sizeof(version));
-    ASSERT_EQ(version, snapshot::kVersionEager);
-  }
-  // Lazy decode is requested, but v1 files always materialize at open —
-  // the request must not break them.
-  Result<std::unique_ptr<Repository>> reopened =
-      Repository::OpenSnapshot(world.dataset.schema.get(),
-                               world.dataset.dict.get(), path,
-                               SnapshotDecode::kLazy);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ExpectBitIdenticalReads(*world.repo, **reopened);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Atomic write: a snapshot path either holds a complete snapshot or
 // nothing; temp files never survive.
 // ---------------------------------------------------------------------------
@@ -475,14 +458,6 @@ TEST(SnapshotWriterAtomicityTest, UnwritableTargetFailsCleanly) {
   const Status status = WriteRepositorySnapshot(
       *world.repo, TempPath("no-such-dir") + "/orphan.snap");
   EXPECT_FALSE(status.ok());
-}
-
-TEST(SnapshotWriterAtomicityTest, UnknownFormatVersionIsRejected) {
-  ToyWorld world = MakeHealthWorld();
-  const std::string path = TempPath("badversion.snap");
-  const Status status = WriteRepositorySnapshot(*world.repo, path, 7);
-  EXPECT_FALSE(status.ok());
-  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // ---------------------------------------------------------------------------
