@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the hot primitives: Jaccard over
-// interned token sets, the Lemma 4.1-4.3 pair bounds, ER-grid churn, the
-// pair cascade per pair vs batched over grid rows, and end-to-end TER-iDS
-// arrival processing (one-at-a-time and micro-batched + parallel).
+// interned token sets, ER-grid churn, the batched pair cascade over grid
+// rows with refinement of its survivors, and end-to-end TER-iDS arrival
+// processing (one-at-a-time and micro-batched + parallel).
 //
 // Results additionally flow through the shared JsonReporter (set
 // TERIDS_BENCH_JSON) by bridging Google Benchmark's reporter interface, so
@@ -17,7 +17,6 @@
 #include "bench_common.h"
 #include "core/terids_engine.h"
 #include "datagen/profiles.h"
-#include "er/bounds.h"
 #include "er/pruning.h"
 #include "stream/stream_driver.h"
 #include "synopsis/er_grid.h"
@@ -56,41 +55,6 @@ Experiment* SharedCitationsExperiment() {
       new Experiment(ProfileByName("Citations"), params);
   return experiment;
 }
-
-// The Theorem 4.2/4.3 filters of the pair cascade, UbSim plus
-// UbProbPaleyZygmund, of one probe against a 1000-tuple candidate list of
-// complete EBooks tuples (the ebooks_refine replay's pair shape). Items
-// are pairs.
-void BM_PairBounds(benchmark::State& state) {
-  using namespace terids::bench;
-  ExperimentParams params = BaseParams("EBooks");
-  params.scale = 0.3;
-  params.max_arrivals = 1;  // Offline phase only.
-  Experiment experiment(ProfileByName("EBooks"), params);
-  std::unique_ptr<Repository> repo = experiment.BuildRepository();
-  std::vector<ImputedTuple> tuples;
-  for (const auto* source :
-       {&experiment.dataset().source_a, &experiment.dataset().source_b}) {
-    for (const Record& r : *source) {
-      if (tuples.size() < 1001) {
-        tuples.push_back(ImputedTuple::FromComplete(r, repo.get()));
-      }
-    }
-  }
-  const ImputedTuple& probe = tuples.front();
-  const double gamma = experiment.gamma();
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (size_t i = 1; i < tuples.size(); ++i) {
-      sum += UbSim(probe, tuples[i]) +
-             UbProbPaleyZygmund(probe, tuples[i], gamma);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(tuples.size() - 1));
-}
-BENCHMARK(BM_PairBounds);
 
 // Steady-state ER-grid maintenance and probe at w = 1000 per stream over
 // complete EBooks tuples (the ebooks_refine replay's grid shape): each item
@@ -153,11 +117,10 @@ BENCHMARK(BM_ErGridChurn);
 
 // One EBooks-shaped probe against the 1000 grid candidates of a full
 // stream-A window of complete EBooks tuples (the ebooks_refine pair
-// shape). range(0) = 0 runs the per-pair EvaluatePair loop over the
-// candidates; 1 runs EvaluateCandidates over their grid rows and then
-// EvaluatePair on the pairs it passes, as the pipeline does. Probes rotate
-// over 64 stream-B tuples whose candidate lists are built untimed. Items
-// are candidate pairs.
+// shape): EvaluateCandidates over their grid rows, then RefinePair on the
+// pairs it passes, as the pipeline does. Probes rotate over 64 stream-B
+// tuples whose candidate lists are built untimed. Items are candidate
+// pairs.
 void BM_PairCascade(benchmark::State& state) {
   using namespace terids::bench;
   const size_t w = 1000;
@@ -202,9 +165,6 @@ void BM_PairCascade(benchmark::State& state) {
                                   /*topic_constrained=*/false);
     probes.push_back(std::move(probe));
   }
-  const bool batched = state.range(0) == 1;
-  const PairRowLayout& layout = grid.row_layout();
-  std::vector<double> probe_row(layout.stride());
   std::vector<PairEvaluation> evals;
   std::vector<uint32_t> passed;
   size_t pairs = 0;
@@ -213,30 +173,22 @@ void BM_PairCascade(benchmark::State& state) {
     const Probe& probe = probes[next++ % probes.size()];
     const ImputedTuple& q = *probe.wt->tuple;
     const std::vector<const WindowTuple*>& cands = probe.cands.candidates;
+    EvaluateCandidates(q.row_layout(), q.row(), probe.wt->topic.any,
+                       grid.rows(), probe.cands.slots.data(),
+                       probe.cands.slots.size(), config.gamma, config.alpha,
+                       &evals, &passed);
     uint64_t matched = 0;
-    if (batched) {
-      layout.Write(q, probe.wt->topic.any, probe_row.data());
-      EvaluateCandidates(layout, probe_row.data(), grid.rows(),
-                         probe.cands.slots.data(), probe.cands.slots.size(),
-                         config.gamma, config.alpha, &evals, &passed);
-      for (uint32_t i : passed) {
-        matched += EvaluatePair(q, probe.wt->topic, *cands[i]->tuple,
-                                cands[i]->topic, config.gamma, config.alpha)
-                       .matched();
-      }
-    } else {
-      for (const WindowTuple* cand : cands) {
-        matched += EvaluatePair(q, probe.wt->topic, *cand->tuple,
-                                cand->topic, config.gamma, config.alpha)
-                       .matched();
-      }
+    for (uint32_t i : passed) {
+      matched += RefinePair(q, probe.wt->topic, *cands[i]->tuple,
+                            cands[i]->topic, config.gamma, config.alpha)
+                     .matched();
     }
     benchmark::DoNotOptimize(matched);
     pairs += cands.size();
   }
   state.SetItemsProcessed(static_cast<int64_t>(pairs));
 }
-BENCHMARK(BM_PairCascade)->Arg(0)->Arg(1);
+BENCHMARK(BM_PairCascade);
 
 void BM_TerIdsArrival(benchmark::State& state) {
   Experiment* experiment = SharedCitationsExperiment();

@@ -13,8 +13,8 @@ namespace terids {
 
 IjGerEngine::IjGerEngine(Repository* repo, EngineConfig config,
                          int num_streams, std::vector<CddRule> rules)
-    : PipelineBase(repo, std::move(config), num_streams, /*use_grid=*/true,
-                   /*use_prunings=*/true, "Ij+GER"),
+    : PipelineBase(repo, std::move(config), num_streams, /*pruned=*/true,
+                   "Ij+GER"),
       rules_(std::move(rules)),
       cdd_index_(repo, &rules_),
       neighborhoods_(repo) {}
@@ -64,8 +64,8 @@ LinearRulePipeline::LinearRulePipeline(Repository* repo, EngineConfig config,
                                        int num_streams,
                                        std::vector<CddRule> rules,
                                        std::string name)
-    : PipelineBase(repo, std::move(config), num_streams, /*use_grid=*/false,
-                   /*use_prunings=*/false, std::move(name)) {
+    : PipelineBase(repo, std::move(config), num_streams, /*pruned=*/false,
+                   std::move(name)) {
   RuleImputerOptions opts;
   opts.max_candidates_per_attr = config_.max_candidates_per_attr;
   opts.use_coord_filter = false;  // Full domain scans: the unindexed method.
@@ -79,8 +79,8 @@ LinearRulePipeline::LinearRulePipeline(Repository* repo, EngineConfig config,
 
 ConstraintPipeline::ConstraintPipeline(Repository* repo, EngineConfig config,
                                        int num_streams)
-    : PipelineBase(repo, std::move(config), num_streams, /*use_grid=*/false,
-                   /*use_prunings=*/false, "con+ER") {
+    : PipelineBase(repo, std::move(config), num_streams, /*pruned=*/false,
+                   "con+ER") {
   imputer_ =
       std::make_unique<ConstraintImputer>(repo, config_.window_size);
 }

@@ -69,13 +69,13 @@ struct EngineConfig {
   /// runs record which backend produced them and bench artifacts stay
   /// distinguishable. Every backend yields bit-identical results.
   RepoBackend repo_backend = RepoBackend::kInMemory;
-  /// How the mmap backend materializes a v2 snapshot (DESIGN.md §8).
+  /// How the mmap backend materializes a snapshot (DESIGN.md §8).
   /// kLazy (default): Open validates only the header + section TOC, and
   /// each section decodes under a once_flag on first touch — near-instant
   /// cold open, zero-copy token/text views. kEager: every section decodes
-  /// at open, the v1-equivalent oracle. Ignored by the in-memory backend
-  /// and for v1 snapshot files (always eager). Both modes yield
-  /// bit-identical results (the equivalence sweep enforces it).
+  /// at open, so corruption fails the open. Ignored by the in-memory
+  /// backend. Both modes yield bit-identical results (the equivalence
+  /// sweep enforces it).
   SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
 };
 

@@ -9,12 +9,10 @@
 namespace terids {
 
 PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
-                           int num_streams, bool use_grid, bool use_prunings,
-                           std::string name)
+                           int num_streams, bool pruned, std::string name)
     : repo_(repo),
       config_(std::move(config)),
       topic_(repo->dict(), config_.keywords),
-      use_prunings_(use_prunings),
       name_(std::move(name)) {
   TERIDS_CHECK(repo != nullptr);
   TERIDS_CHECK(repo->has_pivots());
@@ -34,7 +32,7 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
   for (int i = 0; i < num_streams; ++i) {
     windows_.emplace_back(config_.window_size);
   }
-  if (use_grid) {
+  if (pruned) {
     grid_ = std::make_unique<ErGrid>(repo->num_attributes(),
                                      config_.cell_width);
   }
@@ -53,8 +51,7 @@ std::vector<ImputedTuple::ImputedAttr> PipelineBase::Impute(
 }
 
 std::vector<const WindowTuple*> PipelineBase::LinearCandidates(
-    const WindowTuple& probe, PruneStats* stats) const {
-  (void)stats;
+    const WindowTuple& probe) const {
   std::vector<const WindowTuple*> out;
   for (size_t s = 0; s < windows_.size(); ++s) {
     if (static_cast<int>(s) == probe.stream_id()) {
@@ -95,7 +92,7 @@ void PipelineBase::ImputePhase(ArrivalContext* ctx) {
 void PipelineBase::CandidatePhase(ArrivalContext* ctx) {
   if (grid_ == nullptr) {
     ScopedTimer timer(&ctx->out.cost.candidate_seconds);
-    ctx->candidates = LinearCandidates(*ctx->wt, &ctx->out.stats);
+    ctx->candidates = LinearCandidates(*ctx->wt);
     return;
   }
   ErGrid::CandidateResult grid_result;
@@ -111,19 +108,16 @@ void PipelineBase::CandidatePhase(ArrivalContext* ctx) {
     ctx->out.stats.topic_pruned += grid_result.topic_pruned;
     ctx->out.stats.sim_ub_pruned += grid_result.sim_pruned;
   }
-  if (!use_prunings_ || grid_result.slots.empty()) {
-    ctx->candidates = std::move(grid_result.candidates);
+  if (grid_result.slots.empty()) {
     return;
   }
   // The batched pair cascade over the candidates' grid rows, charged to
   // refinement: its rejects fold into this arrival's stats here, and only
-  // the pairs it passes stay candidates for EvaluatePair. It runs before
+  // the pairs it passes stay candidates for RefinePair. It runs before
   // MaintainPhase, so no later arrival has reused a candidate's slot yet.
   ScopedTimer timer(&ctx->out.cost.refine_seconds);
-  const PairRowLayout& layout = grid_->row_layout();
-  probe_row_.resize(layout.stride());
-  layout.Write(*ctx->tuple, ctx->wt->topic.any, probe_row_.data());
-  EvaluateCandidates(layout, probe_row_.data(), grid_->rows(),
+  EvaluateCandidates(ctx->tuple->row_layout(), ctx->tuple->row(),
+                     ctx->wt->topic.any, grid_->rows(),
                      grid_result.slots.data(), grid_result.slots.size(),
                      config_.gamma, config_.alpha, &kernel_evals_,
                      &kernel_passed_);
@@ -171,7 +165,7 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
       task.probe_topic = &ctx->wt->topic;
       task.candidate = cand;
       const PairEvaluation eval = RefinementExecutor::Evaluate(
-          task, use_prunings_, config_.gamma, config_.alpha);
+          task, /*pruned=*/grid_ != nullptr, config_.gamma, config_.alpha);
       ApplyEvaluation(ctx, cand, eval);
     }
     return;
@@ -182,7 +176,8 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
     tasks.push_back({ctx->tuple.get(), &ctx->wt->topic, cand});
   }
   std::vector<PairEvaluation> evals;
-  refiner_.Run(tasks, use_prunings_, config_.gamma, config_.alpha, &evals);
+  refiner_.Run(tasks, /*pruned=*/grid_ != nullptr, config_.gamma,
+               config_.alpha, &evals);
   for (size_t i = 0; i < ctx->candidates.size(); ++i) {
     ApplyEvaluation(ctx, ctx->candidates[i], evals[i]);
   }
@@ -248,7 +243,8 @@ void PipelineBase::RefineAndReplay(std::vector<ArrivalContext>* ctxs) {
   std::vector<PairEvaluation> evals;
   {
     ScopedTimer timer(&refine_wall);
-    refiner_.Run(tasks, use_prunings_, config_.gamma, config_.alpha, &evals);
+    refiner_.Run(tasks, /*pruned=*/grid_ != nullptr, config_.gamma,
+                 config_.alpha, &evals);
   }
 
   // Replay in arrival order: evaluations fold into each arrival's stats

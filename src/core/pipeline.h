@@ -42,8 +42,9 @@ struct ShedStats {
 ///   CandidatePhase — ER-grid probe or linear window scan, then the
 ///                    batched Theorem 4.1-4.3 + signature cascade over the
 ///                    candidates' grid rows
-///   RefinePhase    — the per-pair cascade / exact refinement of the pairs
-///                    the batched cascade passed
+///   RefinePhase    — Theorem 4.4 / exact refinement of the pairs the
+///                    batched cascade passed (RefinePair), or the exact
+///                    probability of every pair (unpruned baselines)
 ///   MaintainPhase  — grid + window insertion, eviction cascade
 ///
 /// ProcessArrival runs the phases back-to-back for one record; the batched
@@ -56,17 +57,18 @@ struct ShedStats {
 /// identical to sequential processing for every batch_size /
 /// refine_threads / sched_threads setting.
 ///
-/// Subclasses override the imputation hook (and inherit either the
-/// grid-based or linear candidate generation depending on configuration).
+/// Subclasses override the imputation hook and pick the pruned (grid) or
+/// unpruned (linear) pair path.
 class PipelineBase {
  public:
-  /// `num_streams` windows are created. If `use_grid`, candidates come from
-  /// the ER-grid with cell-level pruning; otherwise from a linear window
-  /// scan. If `use_prunings`, pairs go through Theorems 4.1-4.4 before
-  /// refinement; otherwise the exact probability is always computed (the
-  /// unpruned baselines).
+  /// `num_streams` windows are created. If `pruned`, candidates come from
+  /// the ER-grid with cell-level pruning, the batched cascade decides
+  /// Theorems 4.1-4.3 over their grid rows and the pairs it passes are
+  /// refined with Theorem 4.4 (TER-iDS, Ij+GER). Otherwise every window
+  /// tuple of the other streams is a candidate and gets the exact
+  /// probability (the unpruned baselines).
   PipelineBase(Repository* repo, EngineConfig config, int num_streams,
-               bool use_grid, bool use_prunings, std::string name);
+               bool pruned, std::string name);
   virtual ~PipelineBase() = default;
 
   const std::string& name() const { return name_; }
@@ -118,15 +120,15 @@ class PipelineBase {
   /// Lines 8-10: imputation, topic classification.
   void ImputePhase(ArrivalContext* ctx);
   /// Lines 14-16: candidate generation (grid probe or linear scan); grid
-  /// cell-level kills are charged to the arrival's PruneStats. With the
-  /// grid and the prunings, the batched pair cascade (EvaluateCandidates)
-  /// then decides Theorems 4.1-4.3 and the signature reject over the
-  /// candidates' grid rows, folds its rejects into the arrival's stats and
-  /// leaves only the pairs it passes as candidates.
+  /// cell-level kills are charged to the arrival's PruneStats. On the grid
+  /// path the batched pair cascade (EvaluateCandidates) then decides
+  /// Theorems 4.1-4.3 and the signature reject over the candidates' grid
+  /// rows, folds its rejects into the arrival's stats and leaves only the
+  /// pairs it passes as candidates.
   void CandidatePhase(ArrivalContext* ctx);
-  /// Lines 17-26: the per-pair cascade (EvaluatePair) over the remaining
-  /// candidates, folding evaluations into the arrival's stats and the
-  /// result set immediately.
+  /// Lines 17-26: refinement of the remaining candidates (RefinePair on the
+  /// grid path, the exact probability otherwise), folding evaluations into
+  /// the arrival's stats and the result set immediately.
   void RefinePhase(ArrivalContext* ctx);
   /// Lines 2-7, 11-13: grid + window insertion and the eviction cascade.
   /// The expired tuple must be in the grid: a window/grid desync aborts
@@ -150,12 +152,11 @@ class PipelineBase {
   std::unique_ptr<Imputer> imputer_;
   MatchSet matches_;
   PruneStats cum_stats_;
-  bool use_prunings_;
   std::string name_;
 
  private:
-  std::vector<const WindowTuple*> LinearCandidates(const WindowTuple& probe,
-                                                   PruneStats* stats) const;
+  std::vector<const WindowTuple*> LinearCandidates(
+      const WindowTuple& probe) const;
   /// Folds one pair evaluation into the arrival's outcome and, on a match,
   /// the result set (the single place MatchPairs are constructed).
   void ApplyEvaluation(ArrivalContext* ctx, const WindowTuple* cand,
@@ -177,7 +178,6 @@ class PipelineBase {
   /// Fans refinement out on sched_ when refine_threads > 1, else inline.
   RefinementExecutor refiner_;
   /// Batched-cascade scratch of CandidatePhase.
-  std::vector<double> probe_row_;
   std::vector<PairEvaluation> kernel_evals_;
   std::vector<uint32_t> kernel_passed_;
   /// Per-arrival latency accounting, updated at emission.

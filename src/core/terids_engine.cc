@@ -7,8 +7,8 @@ namespace terids {
 
 TerIdsEngine::TerIdsEngine(Repository* repo, EngineConfig config,
                            int num_streams, std::vector<CddRule> rules)
-    : PipelineBase(repo, std::move(config), num_streams, /*use_grid=*/true,
-                   /*use_prunings=*/true, "TER-iDS"),
+    : PipelineBase(repo, std::move(config), num_streams, /*pruned=*/true,
+                   "TER-iDS"),
       rules_(std::move(rules)),
       cdd_index_(repo, &rules_),
       neighborhoods_(repo),

@@ -3,13 +3,11 @@
 
 #include <algorithm>
 
-#include "tuple/imputed_tuple.h"
-
 namespace terids {
 
 /// Lemma 4.1 for one attribute, from the two token-set size intervals
-/// [a_min, a_max] and [b_min, b_max]. Shared by UbSimTokenSize and the
-/// batched cascade (EvaluateCandidates) so both round identically.
+/// [a_min, a_max] and [b_min, b_max]; the batched cascade
+/// (EvaluateCandidates) sums it over the attributes.
 /// Selects instead of branching (which side is larger is data-dependent);
 /// the ratio is computed unconditionally and dropped when unused.
 inline double AttrSizeSimUb(double a_min, double a_max, double b_min,
@@ -23,10 +21,12 @@ inline double AttrSizeSimUb(double a_min, double a_max, double b_min,
   return (a_above || b_above) && den > 0 ? ratio : 1.0;
 }
 
-/// Lemma 4.3's Paley-Zygmund bound from the two tuples' main-pivot sums
-/// (E, lb, ub of X for `a` and of Y for `b`), dg = d - gamma and the joint
-/// mass total_prob(a) * total_prob(b). Shared by UbProbPaleyZygmund and
-/// the batched cascade.
+/// Lemma 4.3: the Paley-Zygmund upper bound on Pr{sim(a,b) > gamma} from
+/// the two tuples' main-pivot sums (E, lb, ub of X for `a` and of Y for
+/// `b`), dg = d - gamma and the joint mass total_prob(a) * total_prob(b).
+/// The expectations are over the normalized instance distributions, and
+/// scaling by the masses keeps the result an upper bound of the raw
+/// (sub-stochastic) TER-iDS probability when instance sets were truncated.
 inline double PaleyZygmundProbUb(double e_x, double lb_x, double ub_x,
                                  double e_y, double lb_y, double ub_y,
                                  double dg, double mass) {
@@ -50,29 +50,6 @@ inline double PaleyZygmundProbUb(double e_x, double lb_x, double ub_x,
   bound = std::clamp(bound, 0.0, 1.0);
   return bound * mass;
 }
-
-/// Lemma 4.1: per-attribute similarity upper bound from token-set size
-/// intervals, summed over attributes. Range [0, d].
-double UbSimTokenSize(const ImputedTuple& a, const ImputedTuple& b);
-
-/// Lemma 4.2: similarity upper bound via pivot tuples. For each attribute,
-/// min_dist is the largest lower bound |X_k - Y_k| obtainable from any of
-/// the shared pivots (main + auxiliary); ub_sim = d - sum min_dist.
-double UbSimPivot(const ImputedTuple& a, const ImputedTuple& b);
-
-/// The combined similarity upper bound used by Theorem 4.2: the minimum of
-/// the token-size and pivot bounds.
-double UbSim(const ImputedTuple& a, const ImputedTuple& b);
-
-/// Lemma 4.3: Paley-Zygmund-based upper bound on Pr{sim(a,b) > gamma}.
-/// Uses the main-pivot distance expectation and bound sums each tuple
-/// aggregates once at construction, so a pair costs O(1); expectations are
-/// taken over the normalized instance distributions, and the returned bound
-/// is scaled by the tuples' total probability masses so it stays an upper
-/// bound of the raw (sub-stochastic) TER-iDS probability even when instance
-/// sets were truncated.
-double UbProbPaleyZygmund(const ImputedTuple& a, const ImputedTuple& b,
-                          double gamma);
 
 }  // namespace terids
 

@@ -8,55 +8,10 @@
 
 namespace terids {
 
-PairEvaluation EvaluatePair(const ImputedTuple& a,
-                            const TopicQuery::TupleTopic& a_topic,
-                            const ImputedTuple& b,
-                            const TopicQuery::TupleTopic& b_topic,
-                            double gamma, double alpha) {
-  PairEvaluation eval;
-
-  // Theorem 4.1: no instance of either tuple contains a query keyword.
-  if (!a_topic.any && !b_topic.any) {
-    eval.outcome = PairOutcome::kTopicPruned;
-    return eval;
-  }
-
-  // Theorem 4.2 via Lemmas 4.1 and 4.2.
-  if (UbSim(a, b) <= gamma) {
-    eval.outcome = PairOutcome::kSimUbPruned;
-    return eval;
-  }
-
-  // Theorem 4.3 via Lemma 4.3.
-  if (UbProbPaleyZygmund(a, b, gamma) <= alpha) {
-    eval.outcome = PairOutcome::kProbUbPruned;
-    return eval;
-  }
-
-  // Refinement with Theorem 4.4 early termination.
-  SigFilterCounters sig;
-  RefineResult refine =
-      RefineProbability(a, a_topic, b, b_topic, gamma, alpha, &sig);
-  eval.sig_probes = sig.probes;
-  eval.sig_saturated = sig.saturated;
-  eval.sig_rejects = sig.rejects;
-  if (refine.early_pruned) {
-    eval.outcome = PairOutcome::kInstancePruned;
-    return eval;
-  }
-  if (refine.probability > alpha) {
-    eval.outcome = PairOutcome::kMatched;
-    eval.probability = refine.probability;
-    return eval;
-  }
-  eval.outcome = PairOutcome::kRefuted;
-  return eval;
-}
-
 void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
-                        const double* rows, const uint32_t* slots, size_t n,
-                        double gamma, double alpha,
-                        std::vector<PairEvaluation>* evals,
+                        bool probe_topical, const double* rows,
+                        const uint32_t* slots, size_t n, double gamma,
+                        double alpha, std::vector<PairEvaluation>* evals,
                         std::vector<uint32_t>* passed) {
   using L = PairRowLayout;
   const int d = layout.dims();
@@ -67,7 +22,6 @@ void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
 
   // Probe terms, hoisted out of the candidate loop.
   const double* p = probe_row;
-  const bool p_topical = p[L::kTopical] != 0.0;
   const double p_total = p[L::kTotalProb];
   const double p_sum_e = p[L::kSumExpected];
   const double p_sum_lo = p[L::kSumLo];
@@ -104,13 +58,13 @@ void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
     const double* r = rows + static_cast<size_t>(slots[i]) * stride;
     PairEvaluation& eval = (*evals)[i];
     // Theorem 4.1: no instance of either tuple contains a query keyword.
-    if (!p_topical && r[L::kTopical] == 0.0) {
+    if (!probe_topical && r[L::kTopical] == 0.0) {
       eval.outcome = PairOutcome::kTopicPruned;
       continue;
     }
-    // Theorem 4.2 prunes iff min(UbSimTokenSize, UbSimPivot) <= gamma,
-    // i.e. iff either bound does; each sum accumulates in attribute order
-    // as in bounds.cc. Lemma 4.2 first: per attribute, the largest
+    // Theorem 4.2 prunes iff the minimum of the Lemma 4.1 and Lemma 4.2
+    // bounds is <= gamma, i.e. iff either bound is; each sum accumulates in
+    // attribute order. Lemma 4.2 first: per attribute, the largest
     // Interval::MinAbsDiff over the pivots. With the rows' finite or
     // [+inf, -inf] intervals that is the larger signed gap clamped at 0,
     // and `best` starting at 0 absorbs the clamp.
@@ -199,6 +153,29 @@ void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
       passed->push_back(static_cast<uint32_t>(i));
     }
   }
+}
+
+PairEvaluation RefinePair(const ImputedTuple& a,
+                          const TopicQuery::TupleTopic& a_topic,
+                          const ImputedTuple& b,
+                          const TopicQuery::TupleTopic& b_topic, double gamma,
+                          double alpha) {
+  PairEvaluation eval;
+  SigFilterCounters sig;
+  const RefineResult refine =
+      RefineProbability(a, a_topic, b, b_topic, gamma, alpha, &sig);
+  eval.sig_probes = sig.probes;
+  eval.sig_saturated = sig.saturated;
+  eval.sig_rejects = sig.rejects;
+  if (refine.early_pruned) {
+    eval.outcome = PairOutcome::kInstancePruned;
+  } else if (refine.probability > alpha) {
+    eval.outcome = PairOutcome::kMatched;
+    eval.probability = refine.probability;
+  } else {
+    eval.outcome = PairOutcome::kRefuted;
+  }
+  return eval;
 }
 
 }  // namespace terids

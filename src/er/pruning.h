@@ -63,9 +63,10 @@ struct PruneStats {
   }
 
   /// Folds one pair evaluation into the counters. This is the only way the
-  /// pipeline mutates stats: evaluation itself is stateless (EvaluatePair
-  /// returns a value), so callers — including parallel refinement workers'
-  /// consumers — thread their own accumulator explicitly.
+  /// pipeline mutates stats: evaluation itself is stateless
+  /// (EvaluateCandidates and RefinePair return values), so callers —
+  /// including parallel refinement workers' consumers — thread their own
+  /// accumulator explicitly.
   void Record(PairOutcome outcome) {
     ++total_pairs;
     switch (outcome) {
@@ -126,38 +127,43 @@ struct PairEvaluation {
   bool matched() const { return outcome == PairOutcome::kMatched; }
 };
 
-/// Applies the four pruning strategies in the paper's order and, if none
-/// fires, refines the exact probability. Pure function of its arguments —
-/// no shared mutable state — so concurrent calls on distinct or identical
-/// pairs are safe; callers fold the returned evaluation into their own
-/// PruneStats via PruneStats::Record. Refinement's instance-level
-/// verdicts go through the signature-bounded Jaccard kernel, which skips
-/// merges only: the outcome equals the plain-merge one.
-PairEvaluation EvaluatePair(const ImputedTuple& a,
-                            const TopicQuery::TupleTopic& a_topic,
-                            const ImputedTuple& b,
-                            const TopicQuery::TupleTopic& b_topic,
-                            double gamma, double alpha);
-
-/// The batched pair cascade (DESIGN.md §6): decides one probe against a
-/// whole candidate list over fixed-stride rows, with the probe's terms
-/// hoisted. Candidate i's row starts at rows + slots[i] * layout.stride();
-/// `probe_row` is the probe's own row (PairRowLayout::Write). For each
-/// candidate the kernel applies, in EvaluatePair's order, Theorem 4.1,
-/// Theorem 4.2 (the UbSim arithmetic), Theorem 4.3 (the
-/// UbProbPaleyZygmund arithmetic) and, for single-instance pairs with
+/// The batched pair cascade (DESIGN.md §6), the one place Theorems 4.1-4.3
+/// are decided: one probe against a whole candidate list over fixed-stride
+/// rows, with the probe's terms hoisted. Candidate i's row starts at
+/// rows + slots[i] * layout.stride(), with its topic word set;
+/// `probe_row` is the probe's own row (ImputedTuple::row) and
+/// `probe_topical` its Theorem 4.1 bit. For each candidate the kernel
+/// applies, in the paper's order, Theorem 4.1, Theorem 4.2 (Lemmas 4.1 and
+/// 4.2), Theorem 4.3 (Lemma 4.3) and, for single-instance pairs with
 /// d <= kSigPassMaxAttrs and alpha >= 0, the pass-1 signature reject of
 /// InstanceSimilarityExceeds through SigFilterCandidates. A candidate one
-/// of them rejects gets in (*evals)[i] exactly the outcome and the three
-/// sig counters EvaluatePair would return for it. Every other index is
-/// appended to `passed` in ascending order; those pairs pass EvaluatePair's
-/// Theorem 4.1-4.3 checks by construction and go to it unchanged.
-/// `evals` is resized to n; entries of passed indices are left default.
+/// of them rejects gets in (*evals)[i] its outcome and, for a signature
+/// reject, the three sig counters RefineProbability would have counted.
+/// Every other index is appended to `passed` in ascending order and goes
+/// to RefinePair. `evals` is resized to n; entries of passed indices are
+/// left default.
 void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
-                        const double* rows, const uint32_t* slots, size_t n,
-                        double gamma, double alpha,
-                        std::vector<PairEvaluation>* evals,
+                        bool probe_topical, const double* rows,
+                        const uint32_t* slots, size_t n, double gamma,
+                        double alpha, std::vector<PairEvaluation>* evals,
                         std::vector<uint32_t>* passed);
+
+/// Instance-level refinement of one pair: RefineProbability with Theorem
+/// 4.4 early termination, then the exact probability, mapped to
+/// kInstancePruned, kMatched or kRefuted with the signature counters.
+/// Precondition: EvaluateCandidates passed the pair. Theorems 4.1-4.3 are
+/// not repeated here, so on any other pair the outcome can name a later
+/// stage than the cascade would. Pure function of its arguments — no
+/// shared mutable state — so concurrent calls are safe; callers fold the
+/// returned evaluation into their own PruneStats via PruneStats::Record.
+/// Instance-level verdicts go through the signature-bounded Jaccard
+/// kernel, which skips merges only: the outcome equals the plain-merge
+/// one.
+PairEvaluation RefinePair(const ImputedTuple& a,
+                          const TopicQuery::TupleTopic& a_topic,
+                          const ImputedTuple& b,
+                          const TopicQuery::TupleTopic& b_topic, double gamma,
+                          double alpha);
 
 }  // namespace terids
 

@@ -7,13 +7,12 @@
 
 namespace terids {
 
-PairEvaluation RefinementExecutor::Evaluate(const Task& task,
-                                            bool use_prunings,
+PairEvaluation RefinementExecutor::Evaluate(const Task& task, bool pruned,
                                             double gamma, double alpha) {
   const WindowTuple& cand = *task.candidate;
-  if (use_prunings) {
-    return EvaluatePair(*task.probe, *task.probe_topic, *cand.tuple,
-                        cand.topic, gamma, alpha);
+  if (pruned) {
+    return RefinePair(*task.probe, *task.probe_topic, *cand.tuple, cand.topic,
+                      gamma, alpha);
   }
   // Unpruned baselines: every pair is fully refined with the plain-merge
   // exact probability, matching the sequential unpruned loop bit-for-bit.
@@ -26,7 +25,7 @@ PairEvaluation RefinementExecutor::Evaluate(const Task& task,
 }
 
 void RefinementExecutor::Run(const std::vector<Task>& tasks,
-                             bool use_prunings, double gamma, double alpha,
+                             bool pruned, double gamma, double alpha,
                              std::vector<PairEvaluation>* evaluations) {
   const int64_t n = static_cast<int64_t>(tasks.size());
   evaluations->resize(tasks.size());
@@ -35,7 +34,7 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
   }
   if (scheduler_ == nullptr) {
     for (int64_t i = 0; i < n; ++i) {
-      (*evaluations)[i] = Evaluate(tasks[i], use_prunings, gamma, alpha);
+      (*evaluations)[i] = Evaluate(tasks[i], pruned, gamma, alpha);
     }
     return;
   }
@@ -49,7 +48,7 @@ void RefinementExecutor::Run(const std::vector<Task>& tasks,
     const int64_t begin = shard * shard_size;
     const int64_t end = std::min(n, begin + shard_size);
     for (int64_t i = begin; i < end; ++i) {
-      (*evaluations)[i] = Evaluate(tasks[i], use_prunings, gamma, alpha);
+      (*evaluations)[i] = Evaluate(tasks[i], pruned, gamma, alpha);
     }
   };
   scheduler_->ParallelFor(ExecPhase::kRefine, shards, run_shard);

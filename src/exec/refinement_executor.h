@@ -9,8 +9,8 @@
 
 namespace terids {
 
-/// Parallel evaluation of the post-candidate-generation pair cascade
-/// (Theorems 4.1-4.4 plus exact refinement), the embarrassingly parallel
+/// Parallel refinement of the pairs left after candidate generation
+/// (Theorem 4.4 plus the exact probability), the embarrassingly parallel
 /// part of the arrival pipeline: every pair evaluation reads only immutable
 /// tuple state and the repository, so pairs shard freely across workers.
 ///
@@ -50,7 +50,7 @@ class RefinementExecutor {
   /// Evaluates a single pair — the unit of work every worker runs, also
   /// usable directly by the sequential refinement loop (no task vector, no
   /// dispatch).
-  static PairEvaluation Evaluate(const Task& task, bool use_prunings,
+  static PairEvaluation Evaluate(const Task& task, bool pruned,
                                  double gamma, double alpha);
 
   /// Fan-out width Run shards tasks for: the scheduler's concurrency
@@ -59,11 +59,12 @@ class RefinementExecutor {
     return scheduler_ != nullptr ? scheduler_->concurrency() : 1;
   }
 
-  /// Evaluates every task. With `use_prunings` the full cascade runs
-  /// (EvaluatePair); without it the exact probability is always computed,
+  /// Evaluates every task. With `pruned` each task is a pair the batched
+  /// cascade (EvaluateCandidates) passed, and refinement starts at Theorem
+  /// 4.4 (RefinePair); without it the exact probability is always computed,
   /// reproducing the unpruned baselines. `evaluations` is resized to
   /// `tasks.size()`.
-  void Run(const std::vector<Task>& tasks, bool use_prunings, double gamma,
+  void Run(const std::vector<Task>& tasks, bool pruned, double gamma,
            double alpha, std::vector<PairEvaluation>* evaluations);
 
  private:

@@ -18,6 +18,9 @@ Repository::Repository(const Schema* schema, const TokenDict* dict,
   if (storage_ == nullptr) {
     storage_ = std::make_unique<InMemoryStorage>(schema->num_attributes());
   }
+  if (storage_->has_pivots()) {
+    SetRowLayout();
+  }
 }
 
 Result<std::unique_ptr<Repository>> Repository::OpenSnapshot(
@@ -74,6 +77,15 @@ void Repository::AttachPivots(std::vector<AttributePivots> pivots) {
     TERIDS_CHECK(p.count() >= 1);
   }
   storage_->AttachPivots(std::move(pivots));
+  SetRowLayout();
+}
+
+void Repository::SetRowLayout() {
+  std::vector<int> pivot_counts(num_attributes());
+  for (int x = 0; x < num_attributes(); ++x) {
+    pivot_counts[x] = num_pivots(x);
+  }
+  row_layout_ = PairRowLayout(std::move(pivot_counts));
 }
 
 }  // namespace terids

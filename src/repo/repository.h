@@ -8,6 +8,7 @@
 #include "repo/repo_storage.h"
 #include "text/token_dict.h"
 #include "text/token_set.h"
+#include "tuple/pair_row.h"
 #include "tuple/record.h"
 #include "tuple/schema.h"
 #include "util/interval.h"
@@ -106,9 +107,14 @@ class Repository {
   /// domain value v: dist(v, piv_a[A_x]). Also builds the sorted
   /// (main-pivot-coordinate, ValueId) lists used for candidate retrieval.
   /// Snapshot backends carry their geometry in the file and CHECK here.
+  /// Tuples built before a re-attach keep rows of the old pivots and must
+  /// not be used after it.
   void AttachPivots(std::vector<AttributePivots> pivots);
 
   bool has_pivots() const { return storage_->has_pivots(); }
+  /// The PairRow layout of every ImputedTuple over this repository (its
+  /// pivot counts); unset (stride 0) until pivots are attached.
+  const PairRowLayout& row_layout() const { return row_layout_; }
   int num_pivots(int attr) const { return storage_->num_pivots(attr); }
   const TokenSet& pivot_tokens(int attr, int pivot_idx) const {
     return storage_->pivot_tokens(attr, pivot_idx);
@@ -139,9 +145,13 @@ class Repository {
   const char* backend_name() const { return storage_->name(); }
 
  private:
+  /// Rebuilds row_layout_ from the storage's pivot counts.
+  void SetRowLayout();
+
   const Schema* schema_;
   const TokenDict* dict_;
   std::unique_ptr<RepoStorage> storage_;
+  PairRowLayout row_layout_;
 };
 
 }  // namespace terids

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/hash.h"
 #include "util/status.h"
@@ -80,9 +81,11 @@ void ErGrid::Insert(const WindowTuple* wt) {
   TERIDS_CHECK(stream >= 0);
 
   const ImputedTuple& tuple = *wt->tuple;
-  if (row_layout_.stride() == 0) {
-    row_layout_ = PairRowLayout::For(tuple);
+  if (row_layout_ == nullptr) {
+    row_layout_ = &tuple.row_layout();
   }
+  TERIDS_CHECK(&tuple.row_layout() == row_layout_);
+  const size_t stride = row_layout_->stride();
   uint32_t index;
   if (!free_entries_.empty()) {
     index = free_entries_.back();
@@ -90,11 +93,11 @@ void ErGrid::Insert(const WindowTuple* wt) {
   } else {
     index = static_cast<uint32_t>(entries_.size());
     entries_.emplace_back();
-    rows_.resize(rows_.size() + row_layout_.stride());
+    rows_.resize(rows_.size() + stride);
   }
-  // Write checks that the tuple has the grid's layout.
-  row_layout_.Write(tuple, wt->topic.any,
-                    rows_.data() + index * row_layout_.stride());
+  double* row = rows_.data() + index * stride;
+  std::memcpy(row, tuple.row(), stride * sizeof(double));
+  row[PairRowLayout::kTopical] = wt->topic.any ? 1.0 : 0.0;
   registry_.insert(pos, {rid, index});
   Entry& entry = entries_[index];
   entry.wt = wt;
@@ -185,7 +188,7 @@ const double* ErGrid::row_of(int64_t rid) const {
   if (pos == registry_.end() || pos->first != rid) {
     return nullptr;
   }
-  return rows_.data() + pos->second * row_layout_.stride();
+  return rows_.data() + pos->second * row_layout_->stride();
 }
 
 ErGrid::CandidateResult ErGrid::Candidates(const WindowTuple& probe,

@@ -35,10 +35,12 @@ using GridCellKey = uint64_t;
 /// would compute.
 ///
 /// Each live tuple also owns one fixed-stride PairRow (tuple/pair_row.h) in
-/// a slab indexed by its entry slot: Insert writes it once from the tuple,
-/// Remove frees the slot, and `Candidates` reports each candidate's slot so
-/// the batched pair cascade (EvaluateCandidates, er/pruning.h) decides the
-/// whole list over rows.
+/// a slab indexed by its entry slot: Insert copies the tuple's own row and
+/// sets its topic word, Remove frees the slot, and `Candidates` reports
+/// each candidate's slot so the batched pair cascade (EvaluateCandidates,
+/// er/pruning.h) decides the whole list over rows. The slab keeps every
+/// live row in one allocation, so the kernel walks memory instead of
+/// chasing tuple pointers.
 ///
 /// Locking model (DESIGN.md §12): deliberately mutex-free. The grid is
 /// single-writer — the pipeline's calling thread owns every
@@ -58,10 +60,9 @@ class ErGrid {
   size_t num_tuples() const { return registry_.size(); }
   size_t num_cells() const { return slot_of_.size(); }
 
-  /// The layout of every row, fixed by the first Insert (unset before).
-  const PairRowLayout& row_layout() const { return row_layout_; }
-  /// The row slab: the row of entry slot `s` starts at
-  /// rows() + s * row_layout().stride(). Valid until the next Insert.
+  /// The row slab: the row of entry slot `s` starts at rows() + s * the
+  /// stride of the inserted tuples' row layout (the repository's; every
+  /// inserted tuple must share it). Valid until the next Insert.
   const double* rows() const { return rows_.data(); }
   /// The row of the live tuple `rid`, or null (inspection / tests).
   const double* row_of(int64_t rid) const;
@@ -179,7 +180,9 @@ class ErGrid {
   std::unordered_map<GridCellKey, uint32_t> slot_of_;
   std::vector<Entry> entries_;
   std::vector<uint32_t> free_entries_;
-  PairRowLayout row_layout_;
+  /// The layout of every row, fixed by the first Insert. It belongs to the
+  /// tuples' repository, which outlives the grid as it outlives the tuples.
+  const PairRowLayout* row_layout_ = nullptr;
   /// One PairRow per entry slot, live or free.
   std::vector<double> rows_;
   /// (rid, entry index) of every live tuple, in ascending rid order.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "text/similarity_kernels.h"
+
 namespace terids {
 
 ImputedTuple ImputedTuple::FromComplete(Record record,
@@ -28,8 +30,8 @@ ImputedTuple ImputedTuple::FromImputation(Record record, const Repository* repo,
     tuple.attr_to_imputed_[ia.attr] = static_cast<int>(k);
   }
   tuple.MaterializeInstances(max_instances);
-  tuple.ComputeAggregates();
   tuple.BuildTokenArena();
+  tuple.ComputeRow();
   return tuple;
 }
 
@@ -158,34 +160,36 @@ void ImputedTuple::BuildTokenArena() {
   union_range_ = arena_.AddRange(all);
 }
 
-void ImputedTuple::ComputeAggregates() {
+void ImputedTuple::ComputeRow() {
+  using L = PairRowLayout;
+  const PairRowLayout& layout = row_layout();
   const int d = num_attributes();
-  TERIDS_CHECK(repo_->has_pivots());
-  int max_pivots = 0;
-  for (int x = 0; x < d; ++x) {
-    max_pivots = std::max(max_pivots, repo_->num_pivots(x));
-  }
-  stride_ = static_cast<size_t>(kPivots + 2 * max_pivots);
-  bounds_.assign(kHeader + static_cast<size_t>(d) * stride_, 0.0);
+  // An unset layout (no pivots attached) has no dimensions.
+  TERIDS_CHECK(layout.dims() == d);
+  row_.assign(layout.stride(), 0.0);
+  row_[L::kInstances] = static_cast<double>(num_instances());
+  row_[L::kTotalProb] = total_prob_;
   const double norm = total_prob_ > 0 ? total_prob_ : 1.0;
 
-  // Interval::Cover on a [lo, hi] slot pair of the block.
-  const auto cover = [](double* slots, double v) {
-    slots[0] = std::min(slots[0], v);
-    slots[1] = std::max(slots[1], v);
+  // Interval::Cover on a [lo, hi] word pair of the row.
+  const auto cover = [](double* words, double v) {
+    words[0] = std::min(words[0], v);
+    words[1] = std::max(words[1], v);
   };
 
   for (int x = 0; x < d; ++x) {
-    double* b = bounds_.data() + kHeader + static_cast<size_t>(x) * stride_;
-    const int np = repo_->num_pivots(x);
-    TERIDS_CHECK(np >= 1);
-    b[kNumPivots] = static_cast<double>(np);
+    double* b = row_.data() + layout.attr_offset(x);
+    const int np = layout.pivot_count(x);
     // Start every interval empty (lo = +inf, hi = -inf), as Interval does.
-    for (int slot = kSizeLo; slot < kPivots + 2 * np; slot += 2) {
-      b[slot] = Interval::Empty().lo;
-      b[slot + 1] = Interval::Empty().hi;
+    for (size_t word = L::kSizeLo; word < L::kPivots + 2 * np; word += 2) {
+      b[word] = Interval::Empty().lo;
+      b[word + 1] = Interval::Empty().hi;
     }
 
+    // E(X_x) w.r.t. the main pivot, over the *normalized* instance
+    // distribution (required for the Paley-Zygmund bound to stay an upper
+    // bound when the instance set is truncated).
+    double expected = 0.0;
     const int k = attr_to_imputed_[x];
     if (k < 0) {
       // Single fixed value across all instances. An unfilled missing
@@ -193,30 +197,41 @@ void ImputedTuple::ComputeAggregates() {
       // pivot is 1 (and 0 to an empty pivot).
       const AttrValue& v = base_.values[x];
       const TokenSet& tokens = v.missing ? kEmptyTokenSet : v.tokens;
-      cover(b + kSizeLo, static_cast<double>(tokens.size()));
+      cover(b + L::kSizeLo, static_cast<double>(tokens.size()));
       for (int a = 0; a < np; ++a) {
-        cover(b + kPivots + 2 * a,
+        cover(b + L::kPivots + 2 * a,
               JaccardDistance(tokens, repo_->pivot_tokens(x, a)));
       }
-      b[kExpected] = b[kPivots];
+      expected = b[L::kPivots];
     } else {
       for (const Instance& inst : instances_) {
         const ValueId vid = inst.choices[k];
-        cover(b + kSizeLo,
+        cover(b + L::kSizeLo,
               static_cast<double>(repo_->value_tokens(x, vid).size()));
         const double weight = inst.prob / norm;
         const double coord = repo_->pivot_distance(x, 0, vid);
-        cover(b + kPivots, coord);
-        b[kExpected] += weight * coord;
+        cover(b + L::kPivots, coord);
+        expected += weight * coord;
         for (int a = 1; a < np; ++a) {
-          cover(b + kPivots + 2 * a, repo_->pivot_distance(x, a, vid));
+          cover(b + L::kPivots + 2 * a, repo_->pivot_distance(x, a, vid));
         }
       }
     }
-    bounds_[kSumExpected] += b[kExpected];
-    bounds_[kSumLo] += b[kPivots];
-    bounds_[kSumHi] += b[kPivots + 1];
+    row_[L::kSumExpected] += expected;
+    row_[L::kSumLo] += b[L::kPivots];
+    row_[L::kSumHi] += b[L::kPivots + 1];
   }
+
+  if (num_instances() != 1) {
+    return;
+  }
+  int saturated = 0;
+  for (int x = 0; x < d; ++x) {
+    const TokenView view = instance_token_view(0, x);
+    layout.SetToken(row_.data(), x, view.sig, view.len);
+    saturated += PopCount64(view.sig) > kSigSaturatedBits ? 1 : 0;
+  }
+  row_[L::kSaturated] = static_cast<double>(saturated);
 }
 
 }  // namespace terids

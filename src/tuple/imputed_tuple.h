@@ -7,6 +7,7 @@
 #include "repo/repository.h"
 #include "text/token_arena.h"
 #include "text/token_set.h"
+#include "tuple/pair_row.h"
 #include "tuple/record.h"
 #include "util/interval.h"
 
@@ -22,10 +23,10 @@ namespace terids {
 /// probabilities are kept unnormalized, which Definition 4 explicitly
 /// permits (sum p <= 1).
 ///
-/// After construction the tuple carries, in one flat bound block, the
-/// per-attribute aggregates the ER-grid and the pruning lemmas need:
+/// After construction the tuple carries its PairRow (tuple/pair_row.h), the
+/// one store of the aggregates the ER-grid and the pruning lemmas need:
 /// token-set size intervals (Lemma 4.1), pivot-distance intervals (Lemma
-/// 4.2), main-pivot expectations and their per-tuple sums (Lemma 4.3).
+/// 4.2) and the per-tuple main-pivot sums of Lemma 4.3.
 class ImputedTuple {
  public:
   /// One candidate value for a missing attribute with its confidence
@@ -94,45 +95,27 @@ class ImputedTuple {
   /// is re-allocated per pair.
   TokenView union_token_view() const { return arena_.range(union_range_); }
 
-  // ---- Aggregates (valid once pivots are attached to the repository) ----
-  //
-  // All of them live in one flat bound block built once by
-  // ComputeAggregates (DESIGN.md §9), so the per-pair Lemma 4.1-4.3
-  // filters read a single allocation through these inline accessors.
+  // ---- Aggregates (read from the tuple's PairRow) ----------------------
+
+  /// The repository's row layout, which this tuple's row has.
+  const PairRowLayout& row_layout() const { return repo_->row_layout(); }
+  /// The tuple's row, computed once at construction; its topic word is 0.
+  const double* row() const { return row_.data(); }
 
   /// [min,max] token-set size across instances on `attr` (|T^-|, |T^+|).
   Interval token_size_interval(int attr) const {
-    const double* b = attr_bounds(attr);
-    return Interval::Of(b[kSizeLo], b[kSizeHi]);
-  }
-
-  /// Number of pivots this tuple has distance aggregates for on `attr`
-  /// (the repository's per-attribute pivot count).
-  int num_pivot_intervals(int attr) const {
-    return static_cast<int>(attr_bounds(attr)[kNumPivots]);
+    const double* b = attr_row(attr);
+    return Interval::Of(b[PairRowLayout::kSizeLo], b[PairRowLayout::kSizeHi]);
   }
 
   /// [lb,ub] of dist(instance[attr], piv_a[attr]) across instances.
   Interval pivot_dist_interval(int attr, int pivot_idx) const {
-    const double* b = attr_bounds(attr);
+    const double* b = attr_row(attr);
     TERIDS_CHECK(pivot_idx >= 0 &&
-                 pivot_idx < static_cast<int>(b[kNumPivots]));
-    return Interval::Of(b[kPivots + 2 * pivot_idx],
-                        b[kPivots + 2 * pivot_idx + 1]);
+                 pivot_idx < row_layout().pivot_count(attr));
+    b += PairRowLayout::kPivots + 2 * static_cast<size_t>(pivot_idx);
+    return Interval::Of(b[0], b[1]);
   }
-
-  /// E(X_k) w.r.t. the main pivot, expectation over the *normalized*
-  /// instance distribution (required for the Paley-Zygmund bound to stay an
-  /// upper bound when the instance set is truncated).
-  double expected_pivot_dist(int attr) const {
-    return attr_bounds(attr)[kExpected];
-  }
-
-  /// Lemma 4.3's per-tuple terms over the main pivot: sum_k E(X_k),
-  /// sum_k lb_k and sum_k ub_k, accumulated in k = 0..d-1 order.
-  double main_pivot_expected_sum() const { return bounds_[kSumExpected]; }
-  double main_pivot_lo_sum() const { return bounds_[kSumLo]; }
-  double main_pivot_hi_sum() const { return bounds_[kSumHi]; }
 
   /// Main-pivot coordinate of one instance on one attribute.
   double instance_coord(int inst, int attr) const {
@@ -152,8 +135,13 @@ class ImputedTuple {
  private:
   ImputedTuple() = default;
   void MaterializeInstances(int max_instances);
-  void ComputeAggregates();
   void BuildTokenArena();
+  /// Computes row_ (after BuildTokenArena, whose signatures it reads).
+  void ComputeRow();
+  const double* attr_row(int attr) const {
+    TERIDS_CHECK(attr >= 0 && attr < num_attributes());
+    return row_.data() + row_layout().attr_offset(attr);
+  }
 
   Record base_;
   const Repository* repo_ = nullptr;
@@ -162,28 +150,8 @@ class ImputedTuple {
   std::vector<Instance> instances_;
   double total_prob_ = 0.0;
 
-  // Bound block layout: [sum E, sum lb, sum ub | attr 0 | attr 1 | ...].
-  // Attribute k starts at kHeader + k * stride_ and holds
-  // [n_k, E(X_k), |T^-|, |T^+|, lb_0, ub_0, ..., lb_{n_k-1}, ub_{n_k-1}],
-  // n_k its pivot count (stored as a double) and stride_ = kPivots +
-  // 2 * max_k n_k; slots past a shorter attribute's pivots are unused.
-  static constexpr int kSumExpected = 0;
-  static constexpr int kSumLo = 1;
-  static constexpr int kSumHi = 2;
-  static constexpr int kHeader = 3;
-  static constexpr int kNumPivots = 0;
-  static constexpr int kExpected = 1;
-  static constexpr int kSizeLo = 2;
-  static constexpr int kSizeHi = 3;
-  static constexpr int kPivots = 4;
-
-  const double* attr_bounds(int attr) const {
-    TERIDS_CHECK(attr >= 0 && attr < num_attributes());
-    return bounds_.data() + kHeader + static_cast<size_t>(attr) * stride_;
-  }
-
-  std::vector<double> bounds_;
-  size_t stride_ = 0;
+  /// This tuple's PairRow, row_layout().stride() words.
+  std::vector<double> row_;
 
   /// Flat copy of every (instance, attribute) token set plus the record
   /// union, built once at construction. Slot layout: inst * d + attr;

@@ -6,15 +6,14 @@
 #include <cstring>
 #include <vector>
 
-#include "tuple/imputed_tuple.h"
-
 namespace terids {
 
 /// Layout of the fixed-stride pair row: everything the batched pair cascade
-/// (EvaluateCandidates, er/pruning.h) reads of one tuple, copied once from
-/// the tuple so a candidate list is decided by walking rows instead of
-/// chasing tuple pointers (DESIGN.md §6). The ER-grid keeps one row per
-/// live tuple in a slab indexed by its entry slot.
+/// (EvaluateCandidates, er/pruning.h) reads of one tuple, so a candidate
+/// list is decided by walking rows instead of chasing tuple pointers
+/// (DESIGN.md §6). The row is the only store of the Lemma 4.1-4.3
+/// aggregates: ImputedTuple computes its own row once at construction, and
+/// the ER-grid copies it into a slab indexed by the entry slot.
 ///
 /// A row is `stride()` 8-byte words, doubles except where noted:
 ///   header:  [topical, instances, total_prob, sum E, sum lb, sum ub,
@@ -23,18 +22,18 @@ namespace terids {
 ///             lb_{n_k-1}, ub_{n_k-1}], n_k = pivot_count(k)
 ///   sigs:    at sig_offset(): d uint64 token signatures, bit for bit
 ///   lens:    at len_offset(): d uint32 token-set lengths, packed
-/// `topical` is the tuple's Theorem 4.1 bit (TupleTopic::any); the sums
-/// are Lemma 4.3's main-pivot terms. Pivot intervals are finite, and an
-/// empty one is stored as Interval::Empty()'s [+inf, -inf], so the larger
-/// of the two signed gaps between intervals is +inf exactly when
+/// `topical` is the tuple's Theorem 4.1 bit (TupleTopic::any), which
+/// depends on the query: a tuple's own row leaves it 0 and the grid sets it
+/// in its copy. The sums are Lemma 4.3's main-pivot terms, each accumulated
+/// in k = 0..d-1 order. Pivot intervals are finite, and an empty one is
+/// stored as Interval::Empty()'s [+inf, -inf], so the larger of the two
+/// signed gaps between intervals is +inf exactly when
 /// Interval::MinAbsDiff is. `saturated` counts the attributes whose
 /// signature has more than kSigSaturatedBits bits set. Signatures, lengths
 /// and `saturated` are written for single-instance tuples only (zero
 /// otherwise): the signature reject applies to those alone. The pivot
-/// counts are the repository's, so they belong to the layout, and every
-/// tuple over one repository has the same layout. Every value is a copy of
-/// the tuple's bound block or token arena, so cascade arithmetic over rows
-/// equals the per-pair arithmetic over tuples bit for bit.
+/// counts are the repository's, so the repository owns the one layout
+/// every tuple over it shares (Repository::row_layout).
 class PairRowLayout {
  public:
   static constexpr size_t kTopical = 0;
@@ -53,8 +52,6 @@ class PairRowLayout {
   PairRowLayout() = default;
   /// `pivot_counts[k]` = number of pivots of attribute k (>= 1 each).
   explicit PairRowLayout(std::vector<int> pivot_counts);
-  /// The layout for `tuple`'s schema and its repository's pivot counts.
-  static PairRowLayout For(const ImputedTuple& tuple);
 
   int dims() const { return static_cast<int>(pivot_counts_.size()); }
   int pivot_count(int attr) const { return pivot_counts_[attr]; }
@@ -65,10 +62,6 @@ class PairRowLayout {
   size_t len_offset() const {
     return sig_offset() + pivot_counts_.size();
   }
-
-  /// Writes `tuple`'s row into `row` (stride() words). `tuple` must have
-  /// this layout.
-  void Write(const ImputedTuple& tuple, bool topical, double* row) const;
 
   /// The signature of attribute `attr` in `row`.
   uint64_t signature(const double* row, int attr) const {
@@ -84,6 +77,13 @@ class PairRowLayout {
                     sizeof(uint32_t) * static_cast<size_t>(attr),
                 sizeof(len));
     return len;
+  }
+  /// Stores attribute `attr`'s signature and token-set length in `row`.
+  void SetToken(double* row, int attr, uint64_t sig, uint32_t len) const {
+    std::memcpy(row + sig_offset() + attr, &sig, sizeof(sig));
+    std::memcpy(reinterpret_cast<unsigned char*>(row + len_offset()) +
+                    sizeof(uint32_t) * static_cast<size_t>(attr),
+                &len, sizeof(len));
   }
 
  private:

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "er/bounds.h"
+#include "bound_reference.h"
 #include "er/probability.h"
 #include "er/pruning.h"
 #include "er/similarity.h"
@@ -16,7 +18,16 @@
 namespace terids {
 namespace {
 
+using testing_util::GridRowOf;
+using testing_util::KernelThenRefine;
 using testing_util::MakeHealthWorld;
+using testing_util::ReferenceAggregates;
+using testing_util::ReferenceBoundsVerdict;
+using testing_util::ReferenceOf;
+using testing_util::ReferencePaleyZygmund;
+using testing_util::ReferencePivotUb;
+using testing_util::ReferenceRow;
+using testing_util::ReferenceSizeUb;
 using testing_util::ToyWorld;
 
 TEST(SimilarityTest, RecordSimilaritySumsPerAttributeJaccard) {
@@ -168,113 +179,10 @@ class BoundsPropertyTest : public ::testing::TestWithParam<int> {
   ToyWorld world_;
 };
 
-/// Test-local reference for the Lemma 4.1-4.3 aggregates, rebuilt from
-/// per-instance token sets and repository pivots.
-struct ReferenceAggregates {
-  std::vector<Interval> sizes;               // [attr]
-  std::vector<std::vector<Interval>> dists;  // [attr][pivot]
-  std::vector<double> expected;              // [attr], main pivot
-  double total_prob = 0.0;
-};
-
-ReferenceAggregates ReferenceOf(const ImputedTuple& t, const Repository& repo) {
-  const int d = t.num_attributes();
-  const double norm = t.total_prob() > 0 ? t.total_prob() : 1.0;
-  ReferenceAggregates ref;
-  ref.sizes.assign(d, Interval::Empty());
-  ref.dists.assign(d, {});
-  ref.expected.assign(d, 0.0);
-  ref.total_prob = t.total_prob();
-  for (int k = 0; k < d; ++k) {
-    ref.dists[k].assign(repo.num_pivots(k), Interval::Empty());
-    for (int m = 0; m < t.num_instances(); ++m) {
-      const TokenSet& tokens = t.instance_tokens(m, k);
-      ref.sizes[k].Cover(static_cast<double>(tokens.size()));
-      for (int p = 0; p < repo.num_pivots(k); ++p) {
-        ref.dists[k][p].Cover(JaccardDistance(tokens, repo.pivot_tokens(k, p)));
-      }
-      if (t.IsAttrImputed(k)) {
-        const double weight = t.instance_prob(m) / norm;
-        ref.expected[k] +=
-            weight * JaccardDistance(tokens, repo.pivot_tokens(k, 0));
-      }
-    }
-    if (!t.IsAttrImputed(k)) {
-      ref.expected[k] = ref.dists[k][0].lo;
-    }
-  }
-  return ref;
-}
-
-double ReferenceSizeUb(const ReferenceAggregates& a,
-                       const ReferenceAggregates& b) {
-  double ub = 0.0;
-  for (size_t k = 0; k < a.sizes.size(); ++k) {
-    const Interval& sa = a.sizes[k];
-    const Interval& sb = b.sizes[k];
-    double attr_ub = 1.0;
-    if (sa.lo > sb.hi) {
-      attr_ub = sa.lo > 0 ? sb.hi / sa.lo : 1.0;
-    } else if (sa.hi < sb.lo) {
-      attr_ub = sb.lo > 0 ? sa.hi / sb.lo : 1.0;
-    }
-    ub += attr_ub;
-  }
-  return ub;
-}
-
-double ReferencePivotUb(const ReferenceAggregates& a,
-                        const ReferenceAggregates& b) {
-  double sum_min_dist = 0.0;
-  for (size_t k = 0; k < a.dists.size(); ++k) {
-    double best = 0.0;
-    const size_t np = std::min(a.dists[k].size(), b.dists[k].size());
-    for (size_t p = 0; p < np; ++p) {
-      best = std::max(best, a.dists[k][p].MinAbsDiff(b.dists[k][p]));
-    }
-    sum_min_dist += best;
-  }
-  return static_cast<double>(a.dists.size()) - sum_min_dist;
-}
-
-/// Lemma 4.3 with the six main-pivot sums accumulated per pair.
-double ReferencePaleyZygmund(const ReferenceAggregates& a,
-                             const ReferenceAggregates& b, double gamma) {
-  const int d = static_cast<int>(a.expected.size());
-  double e_x = 0.0;
-  double e_y = 0.0;
-  double lb_x = 0.0;
-  double ub_x = 0.0;
-  double lb_y = 0.0;
-  double ub_y = 0.0;
-  for (int k = 0; k < d; ++k) {
-    e_x += a.expected[k];
-    e_y += b.expected[k];
-    lb_x += a.dists[k][0].lo;
-    ub_x += a.dists[k][0].hi;
-    lb_y += b.dists[k][0].lo;
-    ub_y += b.dists[k][0].hi;
-  }
-  const double dg = static_cast<double>(d) - gamma;
-  double bound = 1.0;
-  double ez = 0.0;
-  double ubz = 0.0;
-  if (lb_x >= ub_y) {
-    ez = e_x - e_y;
-    ubz = ub_x - lb_y;
-  } else if (lb_y >= ub_x) {
-    ez = e_y - e_x;
-    ubz = ub_y - lb_x;
-  }
-  if (ez > 0 && dg >= 0 && dg <= ez && ubz > 0) {
-    const double theta = dg / ez;
-    bound = 1.0 - (1.0 - theta) * (1.0 - theta) * (ez / ubz);
-  }
-  return std::clamp(bound, 0.0, 1.0) * (a.total_prob * b.total_prob);
-}
-
-TEST_P(BoundsPropertyTest, BoundBlockIsBitIdenticalToPerPairReference) {
+TEST_P(BoundsPropertyTest, RowIsBitIdenticalToPerPairReference) {
   Rng rng(GetParam() * 131 + 17);
+  const TopicQuery constrained(*world_.dict, {"diabetes", "flu"});
+  const TopicQuery unconstrained;
   // Second pass: attribute k gets k + 1 pivots, so pivot counts differ.
   for (int pass = 0; pass < 2; ++pass) {
     if (pass == 1) {
@@ -292,6 +200,8 @@ TEST_P(BoundsPropertyTest, BoundBlockIsBitIdenticalToPerPairReference) {
     int multi = 0;
     int truncated = 0;
     int unfilled = 0;
+    int kernel_pruned = 0;
+    int kernel_passed = 0;
     for (int trial = 0; trial < 60; ++trial) {
       ImputedTuple a = MixedTuple(&rng, 2 * trial);
       ImputedTuple b = MixedTuple(&rng, 2 * trial + 1);
@@ -301,30 +211,55 @@ TEST_P(BoundsPropertyTest, BoundBlockIsBitIdenticalToPerPairReference) {
       for (int k = 0; k < a.num_attributes(); ++k) {
         unfilled += a.base().values[k].missing && !a.IsAttrImputed(k) ? 1 : 0;
       }
-      const ReferenceAggregates ra = ReferenceOf(a, repo);
-      const ReferenceAggregates rb = ReferenceOf(b, repo);
-      for (int k = 0; k < a.num_attributes(); ++k) {
-        ASSERT_EQ(a.num_pivot_intervals(k), repo.num_pivots(k));
-        EXPECT_EQ(a.token_size_interval(k), ra.sizes[k]);
-        EXPECT_EQ(a.expected_pivot_dist(k), ra.expected[k]);
-        for (int p = 0; p < repo.num_pivots(k); ++p) {
-          EXPECT_EQ(a.pivot_dist_interval(k, p), ra.dists[k][p]);
+      for (const ImputedTuple* t : {&a, &b}) {
+        const std::vector<double> want = ReferenceRow(*t, repo);
+        ASSERT_EQ(t->row_layout().stride(), want.size());
+        for (size_t w = 0; w < want.size(); ++w) {
+          EXPECT_EQ(std::memcmp(t->row() + w, &want[w], sizeof(double)), 0)
+              << "pass " << pass << " rid " << t->rid() << " word " << w
+              << ": " << t->row()[w] << " vs " << want[w];
         }
       }
-      EXPECT_EQ(UbSimTokenSize(a, b), ReferenceSizeUb(ra, rb));
-      EXPECT_EQ(UbSimPivot(a, b), ReferencePivotUb(ra, rb));
-      EXPECT_EQ(UbSim(a, b), std::min(ReferenceSizeUb(ra, rb),
-                                      ReferencePivotUb(ra, rb)));
-      for (double gamma : {1.0, 2.0, 2.5, 3.0, 3.5}) {
-        EXPECT_EQ(UbProbPaleyZygmund(a, b, gamma),
-                  ReferencePaleyZygmund(ra, rb, gamma))
-            << "gamma=" << gamma;
+      const ReferenceAggregates ra = ReferenceOf(a, repo);
+      const ReferenceAggregates rb = ReferenceOf(b, repo);
+      for (const TopicQuery* topic : {&constrained, &unconstrained}) {
+        const TopicQuery::TupleTopic ta = topic->Classify(a);
+        const TopicQuery::TupleTopic tb = topic->Classify(b);
+        const std::vector<double> b_row = GridRowOf(b, tb.any);
+        const uint32_t slot = 0;
+        for (double gamma : {1.0, 2.0, 2.5, 3.0, 3.5}) {
+          for (double alpha : {0.0, 0.1, 0.3, 0.5, 0.8}) {
+            std::vector<PairEvaluation> evals;
+            std::vector<uint32_t> passed;
+            EvaluateCandidates(a.row_layout(), a.row(), ta.any, b_row.data(),
+                               &slot, 1, gamma, alpha, &evals, &passed);
+            const std::optional<PairOutcome> want =
+                ReferenceBoundsVerdict(ta, ra, tb, rb, gamma, alpha);
+            if (want.has_value()) {
+              ++kernel_pruned;
+              EXPECT_TRUE(passed.empty());
+              EXPECT_EQ(static_cast<int>(evals[0].outcome),
+                        static_cast<int>(*want))
+                  << "gamma=" << gamma << " alpha=" << alpha;
+            } else if (!passed.empty()) {
+              ++kernel_passed;
+            } else {
+              // Only the signature reject may stop a pair the bounds pass.
+              EXPECT_EQ(static_cast<int>(evals[0].outcome),
+                        static_cast<int>(PairOutcome::kInstancePruned))
+                  << "gamma=" << gamma << " alpha=" << alpha;
+              EXPECT_EQ(evals[0].sig_rejects, 1u);
+            }
+          }
+        }
       }
     }
     EXPECT_GT(complete, 0);
     EXPECT_GT(multi, 0);
     EXPECT_GT(truncated, 0);
     EXPECT_GT(unfilled, 0);
+    EXPECT_GT(kernel_pruned, 0);
+    EXPECT_GT(kernel_passed, 0);
   }
 }
 
@@ -333,11 +268,10 @@ TEST_P(BoundsPropertyTest, SimilarityUpperBoundsDominateAllInstancePairs) {
   for (int trial = 0; trial < 60; ++trial) {
     ImputedTuple a = RandomTuple(&rng, 2 * trial);
     ImputedTuple b = RandomTuple(&rng, 2 * trial + 1);
-    const double ub_size = UbSimTokenSize(a, b);
-    const double ub_pivot = UbSimPivot(a, b);
-    const double ub = UbSim(a, b);
-    EXPECT_LE(ub, ub_size + 1e-12);
-    EXPECT_LE(ub, ub_pivot + 1e-12);
+    const ReferenceAggregates ra = ReferenceOf(a, *world_.repo);
+    const ReferenceAggregates rb = ReferenceOf(b, *world_.repo);
+    const double ub_size = ReferenceSizeUb(ra, rb);
+    const double ub_pivot = ReferencePivotUb(ra, rb);
     for (int m = 0; m < a.num_instances(); ++m) {
       for (int mp = 0; mp < b.num_instances(); ++mp) {
         const double sim = InstanceSimilarity(a, m, b, mp);
@@ -356,8 +290,10 @@ TEST_P(BoundsPropertyTest, PaleyZygmundBoundDominatesExactProbability) {
     ImputedTuple b = RandomTuple(&rng, 2 * trial + 1);
     TopicQuery::TupleTopic ta = topic.Classify(a);
     TopicQuery::TupleTopic tb = topic.Classify(b);
+    const ReferenceAggregates ra = ReferenceOf(a, *world_.repo);
+    const ReferenceAggregates rb = ReferenceOf(b, *world_.repo);
     for (double gamma : {1.0, 2.0, 2.5, 3.0, 3.5}) {
-      const double ub = UbProbPaleyZygmund(a, b, gamma);
+      const double ub = ReferencePaleyZygmund(ra, rb, gamma);
       const double exact = ExactProbability(a, ta, b, tb, gamma);
       EXPECT_GE(ub, exact - 1e-9)
           << "Lemma 4.3 violated at gamma=" << gamma;
@@ -387,7 +323,7 @@ TEST_P(BoundsPropertyTest, RefineAgreesWithExactWhenNotTerminatedEarly) {
   }
 }
 
-TEST_P(BoundsPropertyTest, EvaluatePairNeverPrunesARealMatch) {
+TEST_P(BoundsPropertyTest, CascadeNeverPrunesARealMatch) {
   Rng rng(GetParam() * 53 + 29);
   ToyWorld& world = world_;
   TopicQuery topic(*world.dict, {"diabetes", "flu"});
@@ -400,7 +336,7 @@ TEST_P(BoundsPropertyTest, EvaluatePairNeverPrunesARealMatch) {
     const double gamma = 2.0;
     const double alpha = 0.4;
     const double exact = ExactProbability(a, ta, b, tb, gamma);
-    const PairEvaluation eval = EvaluatePair(a, ta, b, tb, gamma, alpha);
+    const PairEvaluation eval = KernelThenRefine(a, ta, b, tb, gamma, alpha);
     stats.Record(eval.outcome);
     EXPECT_EQ(eval.matched(), exact > alpha)
         << "pruning changed the decision (exact=" << exact << ")";

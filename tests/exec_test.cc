@@ -41,8 +41,9 @@ class RefinementExecutorTest : public ::testing::Test {
 TEST_F(RefinementExecutorTest, ParallelEqualsSequentialOnBothCascades) {
   TopicQuery topic(*world_.dict, {"diabetes", "flu"});
   // A probe against a spread of candidates: exact duplicates (matches),
-  // near misses, topic-less tuples (topic-pruned), disjoint tuples
-  // (similarity-pruned).
+  // near misses, topic-less tuples and disjoint tuples. Run hands every
+  // task to RefinePair or the exact probability; the bound stages run
+  // before it, in the batched cascade.
   std::vector<std::vector<std::string>> texts = {
       {"male", "fever cough", "flu", "drink more"},
       {"male", "fever cough headache", "flu", "drink more"},
@@ -67,15 +68,15 @@ TEST_F(RefinementExecutorTest, ParallelEqualsSequentialOnBothCascades) {
   }
 
   Scheduler sched(3);
-  for (bool use_prunings : {true, false}) {
+  for (bool pruned : {true, false}) {
     RefinementExecutor sequential;
     RefinementExecutor parallel(&sched);
     ASSERT_EQ(sequential.num_threads(), 1);
     ASSERT_EQ(parallel.num_threads(), 4);
     std::vector<PairEvaluation> seq_evals;
     std::vector<PairEvaluation> par_evals;
-    sequential.Run(tasks, use_prunings, 2.0, 0.4, &seq_evals);
-    parallel.Run(tasks, use_prunings, 2.0, 0.4, &par_evals);
+    sequential.Run(tasks, pruned, 2.0, 0.4, &seq_evals);
+    parallel.Run(tasks, pruned, 2.0, 0.4, &par_evals);
     ASSERT_EQ(seq_evals.size(), tasks.size());
     ASSERT_EQ(par_evals.size(), tasks.size());
     PruneStats seq_stats;
@@ -103,7 +104,7 @@ TEST_F(RefinementExecutorTest, EmptyTaskSetYieldsEmptyEvaluations) {
   Scheduler sched(1);
   RefinementExecutor executor(&sched);
   std::vector<PairEvaluation> evals(3);
-  executor.Run({}, /*use_prunings=*/true, 2.0, 0.5, &evals);
+  executor.Run({}, /*pruned=*/true, 2.0, 0.5, &evals);
   EXPECT_TRUE(evals.empty());
 }
 

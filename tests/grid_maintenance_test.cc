@@ -6,7 +6,7 @@
 // maintained grid must answer exactly as a grid freshly built from the
 // live window tuples: same candidates in the same order, same four
 // counters, for both topic_constrained values — and every live tuple's
-// PairRow must equal one freshly written from its WindowTuple. A second
+// slab row must equal the tuple's own PairRow with its topic word set. A second
 // check does the same for the result set: after every arrival the
 // pipeline's matches must be exactly the cross-stream pairs of the live
 // windows whose ExactProbability exceeds alpha.
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bound_reference.h"
 #include "core/pipeline.h"
 #include "datagen/generator.h"
 #include "datagen/profiles.h"
@@ -121,15 +122,14 @@ TEST_P(GridMaintenanceTest, MaintainedGridEqualsFreshGrid) {
     }
     ASSERT_EQ(grid.num_tuples(), fresh.num_tuples());
     ASSERT_EQ(grid.num_cells(), fresh.num_cells()) << "arrival " << arrival;
-    const PairRowLayout& layout = grid.row_layout();
-    std::vector<double> want_row(layout.stride());
     for (const SlidingWindow& window : windows) {
       for (const auto& live : window.tuples()) {
         const double* got_row = grid.row_of(live->rid());
         ASSERT_NE(got_row, nullptr) << "rid " << live->rid();
-        layout.Write(*live->tuple, live->topic.any, want_row.data());
+        const std::vector<double> want_row =
+            testing_util::GridRowOf(*live->tuple, live->topic.any);
         ASSERT_EQ(std::memcmp(got_row, want_row.data(),
-                              layout.stride() * sizeof(double)),
+                              want_row.size() * sizeof(double)),
                   0)
             << "arrival " << arrival << " rid " << live->rid();
       }

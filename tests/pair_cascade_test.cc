@@ -1,11 +1,12 @@
-// Equivalence of the batched pair cascade with the per-pair reference: for
-// every probe and candidate, EvaluateCandidates followed by EvaluatePair on
-// the pairs it passes must give the same outcome and the same three
-// signature counters as EvaluatePair alone. Generated streams of all five
-// profiles (complete and half-missing) are replayed through real windows
-// and an ER-grid, whose rows the kernel reads; constructed cases cover
-// empty token sets, sub-stochastic single-instance tuples, non-topical
-// pairs and a schema too wide for the signature pass.
+// Equivalence of the batched pair cascade with the per-pair reference
+// cascade (bound_reference.h): for every probe and candidate,
+// EvaluateCandidates followed by RefinePair on the pairs it passes must give
+// the same outcome, probability and three signature counters as the
+// reference bounds followed by RefineProbability. Generated streams of all
+// five profiles (complete and half-missing) are replayed through real
+// windows and an ER-grid, whose rows the kernel reads; constructed cases
+// cover empty token sets, sub-stochastic single-instance tuples,
+// non-topical pairs and a schema too wide for the signature pass.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,10 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
+
+#include "bound_reference.h"
 
 #include "datagen/generator.h"
 #include "datagen/profiles.h"
@@ -27,11 +31,15 @@
 #include "synopsis/er_grid.h"
 #include "test_util.h"
 #include "text/similarity_kernels.h"
-#include "tuple/pair_row.h"
 #include "util/bits.h"
 
 namespace terids {
 namespace {
+
+using testing_util::GridRowOf;
+using testing_util::ReferenceAggregates;
+using testing_util::ReferenceCascade;
+using testing_util::ReferenceOf;
 
 /// How the kernel decided the pairs it rejected.
 struct Tally {
@@ -43,91 +51,88 @@ struct Tally {
   uint64_t sig = 0;
 };
 
+/// Reference aggregates of every tuple a check reads, by rid.
+using RefMap = std::unordered_map<int64_t, ReferenceAggregates>;
+
 /// Runs EvaluateCandidates for `probe` over the rows of `cands` (slot
-/// `slots[i]` in `rows`) and checks every verdict against EvaluatePair.
-void ExpectKernelMatchesPerPair(const PairRowLayout& layout,
-                                const double* rows, const WindowTuple& probe,
-                                const std::vector<const WindowTuple*>& cands,
-                                const std::vector<uint32_t>& slots,
-                                double gamma, double alpha, Tally* tally) {
+/// `slots[i]` in `rows`), refines the pairs it passes with RefinePair, and
+/// checks every pair against ReferenceCascade.
+void ExpectKernelMatchesReference(const double* rows, const WindowTuple& probe,
+                                  const std::vector<const WindowTuple*>& cands,
+                                  const std::vector<uint32_t>& slots,
+                                  const RefMap& refs, double gamma,
+                                  double alpha, Tally* tally) {
   ASSERT_EQ(cands.size(), slots.size());
-  if (cands.empty()) {
-    return;  // An empty grid has no row layout yet.
-  }
-  std::vector<double> probe_row(layout.stride());
-  layout.Write(*probe.tuple, probe.topic.any, probe_row.data());
   std::vector<PairEvaluation> evals;
   std::vector<uint32_t> passed;
-  EvaluateCandidates(layout, probe_row.data(), rows, slots.data(),
-                     slots.size(), gamma, alpha, &evals, &passed);
+  EvaluateCandidates(probe.tuple->row_layout(), probe.tuple->row(),
+                     probe.topic.any, rows, slots.data(), slots.size(), gamma,
+                     alpha, &evals, &passed);
   ASSERT_EQ(evals.size(), cands.size());
   ASSERT_TRUE(std::is_sorted(passed.begin(), passed.end()));
   ASSERT_TRUE(std::adjacent_find(passed.begin(), passed.end()) ==
               passed.end());
-  const bool sig_pass = probe.tuple->num_instances() == 1 &&
-                        layout.dims() <= kSigPassMaxAttrs && alpha >= 0.0;
+  const ReferenceAggregates& probe_ref = refs.at(probe.rid());
   size_t next = 0;
   for (size_t i = 0; i < cands.size(); ++i) {
     const WindowTuple& cand = *cands[i];
-    const PairEvaluation want = EvaluatePair(
-        *probe.tuple, probe.topic, *cand.tuple, cand.topic, gamma, alpha);
+    const PairEvaluation want =
+        ReferenceCascade(*probe.tuple, probe.topic, probe_ref, *cand.tuple,
+                         cand.topic, refs.at(cand.rid()), gamma, alpha);
     const std::string where = "probe " + std::to_string(probe.rid()) +
                               " cand " + std::to_string(cand.rid()) +
                               " gamma " + std::to_string(gamma) + " alpha " +
                               std::to_string(alpha);
     ++tally->pairs;
+    PairEvaluation got = evals[i];
     if (next < passed.size() && passed[next] == i) {
       ++next;
       ++tally->passed;
-      // EvaluatePair decides a passed pair itself; the kernel's checks
-      // must have left nothing for Theorems 4.1-4.3 or pass 1 to reject.
-      ASSERT_NE(want.outcome, PairOutcome::kTopicPruned) << where;
-      ASSERT_NE(want.outcome, PairOutcome::kSimUbPruned) << where;
-      ASSERT_NE(want.outcome, PairOutcome::kProbUbPruned) << where;
-      if (sig_pass && cand.tuple->num_instances() == 1) {
-        ASSERT_EQ(want.sig_rejects, 0u) << where;
+      got = RefinePair(*probe.tuple, probe.topic, *cand.tuple, cand.topic,
+                       gamma, alpha);
+    } else {
+      switch (got.outcome) {
+        case PairOutcome::kTopicPruned:
+          ++tally->topic;
+          break;
+        case PairOutcome::kSimUbPruned:
+          ++tally->sim;
+          break;
+        case PairOutcome::kProbUbPruned:
+          ++tally->prob;
+          break;
+        default:
+          ++tally->sig;
+          break;
       }
-      continue;
     }
-    const PairEvaluation& got = evals[i];
     ASSERT_EQ(static_cast<int>(got.outcome), static_cast<int>(want.outcome))
         << where;
     ASSERT_EQ(got.probability, want.probability) << where;
     ASSERT_EQ(got.sig_probes, want.sig_probes) << where;
     ASSERT_EQ(got.sig_saturated, want.sig_saturated) << where;
     ASSERT_EQ(got.sig_rejects, want.sig_rejects) << where;
-    switch (got.outcome) {
-      case PairOutcome::kTopicPruned:
-        ++tally->topic;
-        break;
-      case PairOutcome::kSimUbPruned:
-        ++tally->sim;
-        break;
-      case PairOutcome::kProbUbPruned:
-        ++tally->prob;
-        break;
-      default:
-        ++tally->sig;
-        break;
-    }
   }
   ASSERT_EQ(next, passed.size());
 }
 
-/// Rows for `cands` in slots 0..n-1, for cases built without a grid.
-void ExpectKernelMatchesPerPair(const WindowTuple& probe,
-                                const std::vector<const WindowTuple*>& cands,
-                                double gamma, double alpha, Tally* tally) {
-  const PairRowLayout layout = PairRowLayout::For(*probe.tuple);
-  std::vector<double> rows(cands.size() * layout.stride());
+/// Grid rows for `cands` in slots 0..n-1, for cases built without a grid.
+void ExpectKernelMatchesReference(const WindowTuple& probe,
+                                  const std::vector<const WindowTuple*>& cands,
+                                  const RefMap& refs, double gamma,
+                                  double alpha, Tally* tally) {
+  const size_t stride = probe.tuple->row_layout().stride();
+  std::vector<double> rows;
   std::vector<uint32_t> slots;
   for (size_t i = 0; i < cands.size(); ++i) {
-    layout.Write(*cands[i]->tuple, cands[i]->topic.any,
-                 rows.data() + i * layout.stride());
+    const std::vector<double> row =
+        GridRowOf(*cands[i]->tuple, cands[i]->topic.any);
+    ASSERT_EQ(row.size(), stride);
+    rows.insert(rows.end(), row.begin(), row.end());
     slots.push_back(static_cast<uint32_t>(i));
   }
-  ExpectKernelMatchesPerPair(layout, rows.data(), probe, cands, slots, gamma,
-                             alpha, tally);
+  ExpectKernelMatchesReference(rows.data(), probe, cands, slots, refs, gamma,
+                               alpha, tally);
 }
 
 double Scale(const std::string& profile) {
@@ -140,7 +145,7 @@ using StreamCase = std::tuple<std::string, double>;  // profile, xi
 
 class PairCascadeStreamTest : public ::testing::TestWithParam<StreamCase> {};
 
-TEST_P(PairCascadeStreamTest, KernelThenPerPairEqualsPerPair) {
+TEST_P(PairCascadeStreamTest, KernelThenRefineEqualsReferenceCascade) {
   const auto [profile, xi] = GetParam();
   ExperimentParams params;
   params.scale = Scale(profile);
@@ -156,6 +161,7 @@ TEST_P(PairCascadeStreamTest, KernelThenPerPairEqualsPerPair) {
 
   Tally tally;
   for (const TopicQuery* topic : {&constrained, &unconstrained}) {
+    RefMap refs;
     RuleBasedImputer imputer(repo.get(), experiment.cdds(),
                              RuleImputerOptions());
     std::vector<Record> inc_a = DataGenerator::WithMissing(
@@ -175,15 +181,16 @@ TEST_P(PairCascadeStreamTest, KernelThenPerPairEqualsPerPair) {
                                              imputer.ImputeRecord(r, nullptr),
                                              config.max_instances));
       wt->topic = topic->Classify(*wt->tuple);
+      refs.emplace(wt->rid(), ReferenceOf(*wt->tuple, *repo));
       for (double rho : {0.2, 0.5, 0.8}) {
         const double gamma = rho * dims;
         for (bool topic_constrained : {false, true}) {
           const ErGrid::CandidateResult cands =
               grid.Candidates(*wt, gamma, topic_constrained);
           for (double alpha : {0.0, 0.3, 0.6, 0.9}) {
-            ExpectKernelMatchesPerPair(grid.row_layout(), grid.rows(), *wt,
-                                       cands.candidates, cands.slots, gamma,
-                                       alpha, &tally);
+            ExpectKernelMatchesReference(grid.rows(), *wt, cands.candidates,
+                                         cands.slots, refs, gamma, alpha,
+                                         &tally);
             if (::testing::Test::HasFatalFailure()) {
               return;
             }
@@ -223,9 +230,14 @@ std::shared_ptr<WindowTuple> MakeWindowTuple(ImputedTuple tuple,
 
 /// Every ordered pair of `tuples` at gammas across [0, d] and alphas
 /// around the sub-stochastic masses used below.
-Tally CheckAllPairs(const std::vector<std::shared_ptr<WindowTuple>>& tuples) {
+Tally CheckAllPairs(const Repository& repo,
+                    const std::vector<std::shared_ptr<WindowTuple>>& tuples) {
   Tally tally;
   const int d = tuples.front()->tuple->num_attributes();
+  RefMap refs;
+  for (const auto& t : tuples) {
+    refs.emplace(t->rid(), ReferenceOf(*t->tuple, repo));
+  }
   for (const auto& probe : tuples) {
     std::vector<const WindowTuple*> cands;
     for (const auto& cand : tuples) {
@@ -235,7 +247,8 @@ Tally CheckAllPairs(const std::vector<std::shared_ptr<WindowTuple>>& tuples) {
     }
     for (int g = 0; g <= 4 * d; ++g) {
       for (double alpha : {0.0, 0.2, 0.35, 0.36, 0.6, 0.9}) {
-        ExpectKernelMatchesPerPair(*probe, cands, 0.25 * g, alpha, &tally);
+        ExpectKernelMatchesReference(*probe, cands, refs, 0.25 * g, alpha,
+                                    &tally);
         if (::testing::Test::HasFatalFailure()) {
           return tally;
         }
@@ -340,7 +353,7 @@ TEST(PairCascadeTest, ConstructedEdgeCases) {
     ASSERT_EQ(tuples[4]->tuple->num_instances(), 1);
     ASSERT_LT(tuples[4]->tuple->total_prob(), 1.0);
     ASSERT_GT(tuples[6]->tuple->num_instances(), 1);
-    const Tally tally = CheckAllPairs(tuples);
+    const Tally tally = CheckAllPairs(*repo, tuples);
     if (HasFatalFailure()) {
       return;
     }
@@ -392,7 +405,7 @@ TEST(PairCascadeTest, WideSchemaHasNoSignatureReject) {
             testing_util::MakeRecord(schema, &dict, s, texts(s % 4)), &repo),
         topic));
   }
-  const Tally tally = CheckAllPairs(tuples);
+  const Tally tally = CheckAllPairs(repo, tuples);
   if (HasFatalFailure()) {
     return;
   }

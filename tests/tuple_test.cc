@@ -131,7 +131,6 @@ TEST(ImputedTupleTest, AggregatesCoverEveryInstance) {
       ImputedTuple::FromImputation(r, world.repo.get(), {ia}, 16);
 
   for (int k = 0; k < t.num_attributes(); ++k) {
-    EXPECT_EQ(t.num_pivot_intervals(k), world.repo->num_pivots(k));
     const Interval sizes = t.token_size_interval(k);
     for (int m = 0; m < t.num_instances(); ++m) {
       const double size = static_cast<double>(t.instance_tokens(m, k).size());
@@ -141,7 +140,7 @@ TEST(ImputedTupleTest, AggregatesCoverEveryInstance) {
       EXPECT_EQ(t.instance_coord(m, k),
                 JaccardDistance(t.instance_tokens(m, k),
                                 world.repo->pivot_tokens(k, 0)));
-      for (int p = 0; p < t.num_pivot_intervals(k); ++p) {
+      for (int p = 0; p < world.repo->num_pivots(k); ++p) {
         const double dist = t.instance_pivot_dist(m, k, p);
         EXPECT_GE(dist, t.pivot_dist_interval(k, p).lo - 1e-12);
         EXPECT_LE(dist, t.pivot_dist_interval(k, p).hi + 1e-12);
@@ -158,11 +157,20 @@ TEST(ImputedTupleTest, ExpectedDistIsConvexCombination) {
   ia.candidates = {{0, 0.5}, {1, 0.5}};
   ImputedTuple t =
       ImputedTuple::FromImputation(r, world.repo.get(), {ia}, 16);
+  // Lemma 4.3's sum of E(X_k) lies between the sums of the main-pivot
+  // interval ends, which are the sums of the row's intervals.
+  const double* row = t.row();
+  double lo = 0.0;
+  double hi = 0.0;
   for (int k = 0; k < t.num_attributes(); ++k) {
-    const double e = t.expected_pivot_dist(k);
-    EXPECT_GE(e, t.pivot_dist_interval(k, 0).lo - 1e-12);
-    EXPECT_LE(e, t.pivot_dist_interval(k, 0).hi + 1e-12);
+    lo += t.pivot_dist_interval(k, 0).lo;
+    hi += t.pivot_dist_interval(k, 0).hi;
   }
+  EXPECT_EQ(row[PairRowLayout::kSumLo], lo);
+  EXPECT_EQ(row[PairRowLayout::kSumHi], hi);
+  EXPECT_GE(row[PairRowLayout::kSumExpected], lo - 1e-12);
+  EXPECT_LE(row[PairRowLayout::kSumExpected], hi + 1e-12);
+  EXPECT_GT(hi, lo);
 }
 
 TEST(ImputedTupleTest, UnfilledMissingAttributeIsEmptyInAllInstances) {
