@@ -91,21 +91,6 @@ RepoBackend EnvRepoBackend() {
   return backend;
 }
 
-SnapshotDecode EnvSnapshotDecode() {
-  const char* env = std::getenv("TERIDS_BENCH_SNAPDECODE");
-  SnapshotDecode decode = SnapshotDecode::kLazy;
-  if (env == nullptr || env[0] == '\0') {
-    return decode;
-  }
-  if (!ParseSnapshotDecode(env, &decode)) {
-    std::fprintf(stderr,
-                 "TERIDS_BENCH_SNAPDECODE: '%s' is not a decode mode "
-                 "(expected 'lazy' or 'eager'); using default 'lazy'\n",
-                 env);
-  }
-  return decode;
-}
-
 }  // namespace
 
 ExecKnobs EnvExecKnobs() {
@@ -114,7 +99,6 @@ ExecKnobs EnvExecKnobs() {
   knobs.refine_threads = EnvInt("TERIDS_BENCH_THREADS", 1, 1);
   knobs.sched_threads = EnvInt("TERIDS_BENCH_SCHED", 0, 0, kMaxSchedThreads);
   knobs.repo_backend = EnvRepoBackend();
-  knobs.snapshot_decode = EnvSnapshotDecode();
   return knobs;
 }
 
@@ -145,7 +129,6 @@ ExperimentParams BaseParams(const std::string& dataset) {
   params.refine_threads = knobs.refine_threads;
   params.sched_threads = knobs.sched_threads;
   params.repo_backend = knobs.repo_backend;
-  params.snapshot_decode = knobs.snapshot_decode;
   return params;
 }
 
@@ -239,8 +222,7 @@ JsonReporter::Row& JsonReporter::AddKnobRow(const ExecKnobs& knobs) {
       .Num("batch_size", knobs.batch_size)
       .Num("refine_threads", knobs.refine_threads)
       .Num("sched_threads", knobs.sched_threads)
-      .Str("repo_backend", RepoBackendName(knobs.repo_backend))
-      .Str("snapshot_decode", SnapshotDecodeName(knobs.snapshot_decode));
+      .Str("repo_backend", RepoBackendName(knobs.repo_backend));
 }
 
 JsonReporter::~JsonReporter() {
@@ -266,12 +248,11 @@ void PrintHeader(const std::string& figure, const std::string& title,
   std::printf(
       "defaults (Table 5, scaled): alpha=%.1f rho=%.1f xi=%.1f eta=%.1f "
       "w=%d m=%d scale=%.3f arrivals=%d bench_scale=%.2f batch=%d "
-      "threads=%d sched=%d repo=%s snapdecode=%s\n",
+      "threads=%d sched=%d repo=%s\n",
       params.alpha, params.rho, params.xi, params.eta, params.w, params.m,
       params.scale, params.max_arrivals, BenchScale(), params.batch_size,
       params.refine_threads, params.sched_threads,
-      RepoBackendName(params.repo_backend),
-      SnapshotDecodeName(params.snapshot_decode));
+      RepoBackendName(params.repo_backend));
 }
 
 namespace {

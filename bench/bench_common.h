@@ -43,8 +43,7 @@ int EnvInt(const char* name, int fallback, int min_value,
 /// operator) plus TERIDS_BENCH_SCHED (sched_threads, default 0 = every
 /// fan-out inline; at most kMaxSchedThreads), the repository storage
 /// backend from TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default
-/// memory), and the v2 snapshot decode mode from TERIDS_BENCH_SNAPDECODE
-/// ("lazy" | "eager", default lazy; mmap backend only).
+/// memory).
 /// Every bench that replays arrivals through Experiment::Run inherits them
 /// via BaseParams, so any figure can be reproduced under micro-batching,
 /// parallel refinement, the scheduler, and either storage backend without
@@ -54,7 +53,6 @@ struct ExecKnobs {
   int refine_threads = 1;
   int sched_threads = 0;
   RepoBackend repo_backend = RepoBackend::kInMemory;
-  SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
 };
 ExecKnobs EnvExecKnobs();
 

@@ -9,17 +9,14 @@
 // FindValue) and sorted-coordinate range scans — against both backends,
 // with the in-memory results as the correctness oracle. Section 3 runs the
 // full TER-iDS pipeline end to end per backend. Section 4 is the cold-open
-// study: one snapshot file opened v2-eager / v2-lazy, measuring open
-// latency, time to first arrival (engine construction + one record, where
-// lazy decode pays its deferred cost), and resident-set growth — with a
-// fresh-reopen read oracle proving every mode serves identical bytes.
-// Expected shape: the mmap backend pays a small indirection/merge overhead
-// on reads in exchange for a build-once file whose geometry tables live in
-// the page cache instead of the heap, and the v2 lazy open is orders of
-// magnitude faster than the eager open because it touches only the header
-// + section TOC.
+// study: one snapshot file opened (every section decoded and validated),
+// measuring open latency, time to first arrival (engine construction + one
+// record), and resident-set growth — with a fresh-reopen read oracle
+// proving the open serves identical bytes. Expected shape: the mmap
+// backend pays a small indirection/merge overhead on reads in exchange for
+// a build-once file whose geometry tables live in the page cache instead
+// of the heap.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -272,114 +269,86 @@ int main() {
         .Num("matches", static_cast<double>(run.final_result_size));
   }
 
-  // --- Section 4: cold open across decode modes ---------------------------
-  // One snapshot file (section TOC, lazily decodable), decoded at open or on
-  // first touch. Per mode: open latency, time to first arrival (engine
-  // construction + one record — where lazy decode pays for the sections the
-  // engine actually touches), and RSS growth.
-  const std::string v2_path = UniqueSnapshotPath("terids-bench-cold-v2");
-  if (!WriteRepositorySnapshot(*memory, v2_path).ok()) {
+  // --- Section 4: cold open ----------------------------------------------
+  // One snapshot file, decoded and validated in full at open: open
+  // latency, time to first arrival (engine construction + one record), and
+  // RSS growth.
+  const std::string cold_path = UniqueSnapshotPath("terids-bench-cold");
+  if (!WriteRepositorySnapshot(*memory, cold_path).ok()) {
     std::fprintf(stderr, "FATAL: cold-open snapshot write failed\n");
     return 1;
   }
-  const ReadStats cold_oracle = MeasureReads(*memory, workload, 1);
-
-  struct ColdMode {
-    const char* name;
-    const std::string* path;
-    SnapshotDecode decode;
-  };
-  const ColdMode cold_modes[] = {
-      {"v2-eager", &v2_path, SnapshotDecode::kEager},
-      {"v2-lazy", &v2_path, SnapshotDecode::kLazy},
-  };
-  std::printf("\n-- cold open: %ld-byte v2 file --\n", FileSizeBytes(v2_path));
-  std::printf("%-9s %12s %18s %13s %16s\n", "mode", "open_ms",
-              "first_arrival_ms", "rss_open_kb", "rss_arrival_kb");
-  double cold_open_ms[2] = {0.0, 0.0};
-  for (int i = 0; i < 2; ++i) {
-    const ColdMode& mode = cold_modes[i];
+  std::printf("\n-- cold open: %ld-byte snapshot --\n",
+              FileSizeBytes(cold_path));
+  std::printf("%12s %18s %13s %16s\n", "open_ms", "first_arrival_ms",
+              "rss_open_kb", "rss_arrival_kb");
 #if defined(__GLIBC__)
-    // Return freed heap from the previous mode to the OS so this mode's
-    // RSS delta measures its own materialization, not allocator reuse.
-    malloc_trim(0);
+  // Return freed heap from the sections above to the OS so the RSS delta
+  // measures this open's materialization, not allocator reuse.
+  malloc_trim(0);
 #endif
-    const long rss_before = CurrentRssKb();
-    Stopwatch cold_watch;
-    Result<std::unique_ptr<Repository>> cold = Repository::OpenSnapshot(
-        &memory->schema(), &memory->dict(), *mode.path, mode.decode);
-    cold_open_ms[i] = 1e3 * cold_watch.ElapsedSeconds();
-    if (!cold.ok()) {
-      std::fprintf(stderr, "FATAL: cold open (%s) failed: %s\n", mode.name,
-                   cold.status().ToString().c_str());
-      return 1;
-    }
-    std::unique_ptr<Repository> cold_repo = std::move(cold).value();
-    const long rss_open = CurrentRssKb();
-
-    // Time to first arrival: build the TER-iDS engine over the cold
-    // repository and push one record through it.
-    Stopwatch arrival_watch;
-    std::unique_ptr<PipelineBase> pipeline = MakePipeline(
-        PipelineKind::kTerIds, cold_repo.get(), experiment.MakeConfig(),
-        /*num_streams=*/2, experiment.cdds(), experiment.dds(),
-        experiment.editing_rules());
-    StreamDriver driver(
-        {experiment.dataset().source_a, experiment.dataset().source_b});
-    pipeline->ProcessStream(&driver, /*max_arrivals=*/1, /*batch_size=*/1,
-                            [](ArrivalOutcome&&) {});
-    const double first_arrival_ms = 1e3 * arrival_watch.ElapsedSeconds();
-    const long rss_arrival = CurrentRssKb();
-
-    // Identical-output oracle on a *fresh* open of the same file+mode: the
-    // read sweep forces a full decode, so running it on the measured
-    // instance would contaminate nothing, but the pipeline above registered
-    // stream values into that instance's overlay — a pristine reopen keeps
-    // the comparison byte-for-byte against the in-memory build.
-    Result<std::unique_ptr<Repository>> recheck = Repository::OpenSnapshot(
-        &memory->schema(), &memory->dict(), *mode.path, mode.decode);
-    if (!recheck.ok() ||
-        MeasureReads(*recheck.value(), workload, 1).checksum !=
-            cold_oracle.checksum) {
-      std::fprintf(stderr, "FATAL: %s cold open read different data\n",
-                   mode.name);
-      return 1;
-    }
-
-    const double speedup =
-        cold_open_ms[0] / std::max(cold_open_ms[i], 1e-6);
-    std::printf("%-9s %12.4f %18.4f %13ld %16ld\n", mode.name,
-                cold_open_ms[i], first_arrival_ms,
-                RssDeltaKb(rss_before, rss_open),
-                RssDeltaKb(rss_before, rss_arrival));
-    std::fflush(stdout);
-    ExecKnobs knobs = env_knobs;
-    knobs.repo_backend = RepoBackend::kMmapSnapshot;
-    knobs.snapshot_decode = mode.decode;
-    reporter.AddKnobRow(knobs)
-        .Str("section", "cold_open")
-        .Str("dataset", dataset)
-        .Str("mode", mode.name)
-        .Num("cold_open_ms", cold_open_ms[i])
-        .Num("first_arrival_ms", first_arrival_ms)
-        .Num("rss_open_delta_kb",
-             static_cast<double>(RssDeltaKb(rss_before, rss_open)))
-        .Num("rss_first_arrival_delta_kb",
-             static_cast<double>(RssDeltaKb(rss_before, rss_arrival)))
-        .Num("speedup_vs_v2_eager", speedup);
+  const long rss_before = CurrentRssKb();
+  Stopwatch cold_watch;
+  Result<std::unique_ptr<Repository>> cold =
+      Repository::OpenSnapshot(&memory->schema(), &memory->dict(), cold_path);
+  const double cold_open_ms = 1e3 * cold_watch.ElapsedSeconds();
+  if (!cold.ok()) {
+    std::fprintf(stderr, "FATAL: cold open failed: %s\n",
+                 cold.status().ToString().c_str());
+    return 1;
   }
-  std::remove(v2_path.c_str());
-  std::printf("cold-open speedup, v2-lazy over v2-eager: %.1fx\n",
-              cold_open_ms[0] / std::max(cold_open_ms[1], 1e-6));
+  std::unique_ptr<Repository> cold_repo = std::move(cold).value();
+  const long rss_open = CurrentRssKb();
+
+  // Time to first arrival: build the TER-iDS engine over the cold
+  // repository and push one record through it.
+  Stopwatch arrival_watch;
+  std::unique_ptr<PipelineBase> pipeline = MakePipeline(
+      PipelineKind::kTerIds, cold_repo.get(), experiment.MakeConfig(),
+      /*num_streams=*/2, experiment.cdds(), experiment.dds(),
+      experiment.editing_rules());
+  StreamDriver driver(
+      {experiment.dataset().source_a, experiment.dataset().source_b});
+  pipeline->ProcessStream(&driver, /*max_arrivals=*/1, /*batch_size=*/1,
+                          [](ArrivalOutcome&&) {});
+  const double first_arrival_ms = 1e3 * arrival_watch.ElapsedSeconds();
+  const long rss_arrival = CurrentRssKb();
+
+  // Identical-output oracle on a *fresh* open of the same file: the
+  // pipeline above registered stream values into the measured instance's
+  // overlay, and a pristine reopen keeps the comparison byte-for-byte
+  // against the in-memory build.
+  Result<std::unique_ptr<Repository>> recheck =
+      Repository::OpenSnapshot(&memory->schema(), &memory->dict(), cold_path);
+  std::remove(cold_path.c_str());
+  if (!recheck.ok() || MeasureReads(*recheck.value(), workload, 1).checksum !=
+                           MeasureReads(*memory, workload, 1).checksum) {
+    std::fprintf(stderr, "FATAL: cold open read different data\n");
+    return 1;
+  }
+
+  std::printf("%12.4f %18.4f %13ld %16ld\n", cold_open_ms, first_arrival_ms,
+              RssDeltaKb(rss_before, rss_open),
+              RssDeltaKb(rss_before, rss_arrival));
+  ExecKnobs knobs = env_knobs;
+  knobs.repo_backend = RepoBackend::kMmapSnapshot;
+  reporter.AddKnobRow(knobs)
+      .Str("section", "cold_open")
+      .Str("dataset", dataset)
+      .Num("cold_open_ms", cold_open_ms)
+      .Num("first_arrival_ms", first_arrival_ms)
+      .Num("rss_open_delta_kb",
+           static_cast<double>(RssDeltaKb(rss_before, rss_open)))
+      .Num("rss_first_arrival_delta_kb",
+           static_cast<double>(RssDeltaKb(rss_before, rss_arrival)));
 
   std::printf(
       "\nexpected shape: snapshot write + mmap open amortize to near-zero\n"
       "against repeated runs (the file is build-once); point lookups pay a\n"
       "branch for the base/overlay split and range scans a two-way merge,\n"
       "so mmap reads trail memory slightly while every byte returned is\n"
-      "identical — the oracle checks enforce it. The v2 lazy cold open\n"
-      "validates only the header + TOC, so its open latency is independent\n"
-      "of snapshot size and its RSS grows only for sections actually\n"
-      "touched.\n");
+      "identical — the oracle checks enforce it. The cold open checksums\n"
+      "and validates every section, so its latency grows linearly with\n"
+      "snapshot size.\n");
   return 0;
 }

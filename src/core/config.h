@@ -69,14 +69,8 @@ struct EngineConfig {
   /// runs record which backend produced them and bench artifacts stay
   /// distinguishable. Every backend yields bit-identical results.
   RepoBackend repo_backend = RepoBackend::kInMemory;
-  /// How the mmap backend materializes a snapshot (DESIGN.md §8).
-  /// kLazy (default): Open validates only the header + section TOC, and
-  /// each section decodes under a once_flag on first touch — near-instant
-  /// cold open, zero-copy token/text views. kEager: every section decodes
-  /// at open, so corruption fails the open. Ignored by the in-memory
-  /// backend. Both modes yield bit-identical results (the equivalence
-  /// sweep enforces it).
-  SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
+  /// Read by terbench; every open is eager.
+  static constexpr SnapshotDecode snapshot_decode = SnapshotDecode::kEager;
 };
 
 }  // namespace terids

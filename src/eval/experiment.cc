@@ -126,11 +126,6 @@ std::unique_ptr<Repository> Experiment::BuildRepository() const {
 
 std::unique_ptr<Repository> Experiment::BuildRepository(
     RepoBackend backend) const {
-  return BuildRepository(backend, params_.snapshot_decode);
-}
-
-std::unique_ptr<Repository> Experiment::BuildRepository(
-    RepoBackend backend, SnapshotDecode decode) const {
   auto repo =
       std::make_unique<Repository>(dataset_.schema.get(), dataset_.dict.get());
   for (const Record& r : dataset_.repo_records) {
@@ -146,7 +141,7 @@ std::unique_ptr<Repository> Experiment::BuildRepository(
   const std::string path = UniqueSnapshotPath("terids-snap");
   TERIDS_CHECK(WriteRepositorySnapshot(*repo, path).ok());
   Result<std::unique_ptr<Repository>> reopened = Repository::OpenSnapshot(
-      dataset_.schema.get(), dataset_.dict.get(), path, decode);
+      dataset_.schema.get(), dataset_.dict.get(), path);
   std::remove(path.c_str());
   TERIDS_CHECK(reopened.ok());
   return std::move(reopened).value();
@@ -169,7 +164,6 @@ EngineConfig Experiment::MakeConfig() const {
   config.refine_threads = params_.refine_threads;
   config.sched_threads = params_.sched_threads;
   config.repo_backend = params_.repo_backend;
-  config.snapshot_decode = params_.snapshot_decode;
   return config;
 }
 

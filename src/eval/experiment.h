@@ -46,10 +46,6 @@ struct ExperimentParams {
   /// temporary snapshot file and reopens it via mmap — results are
   /// bit-identical to kInMemory (the equivalence sweep enforces it).
   RepoBackend repo_backend = RepoBackend::kInMemory;
-  /// v2 snapshot materialization mode for the mmap backend (lazy
-  /// first-touch section decode vs decode-all-at-open; DESIGN.md §8).
-  /// Results are bit-identical either way (equivalence sweep enforced).
-  SnapshotDecode snapshot_decode = SnapshotDecode::kLazy;
 };
 
 /// One pipeline's measured run.
@@ -115,11 +111,8 @@ class Experiment {
   /// construct custom engines).
   std::unique_ptr<Repository> BuildRepository() const;
   /// Same, with an explicit backend override (backend-comparison benches
-  /// and the storage equivalence sweep); uses params().snapshot_decode.
+  /// and the storage equivalence sweep).
   std::unique_ptr<Repository> BuildRepository(RepoBackend backend) const;
-  /// Fully explicit: backend + v2 snapshot decode mode.
-  std::unique_ptr<Repository> BuildRepository(RepoBackend backend,
-                                              SnapshotDecode decode) const;
   EngineConfig MakeConfig() const;
 
  private:

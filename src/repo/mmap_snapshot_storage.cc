@@ -1,10 +1,8 @@
 #include "repo/mmap_snapshot_storage.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <limits>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -24,7 +22,7 @@ Status Truncated() {
 }
 
 /// Token runs are stored sorted + deduplicated (TokenSet invariant); the
-/// lazy reader serves them as zero-copy views, so a malformed run must be
+/// reader serves them as zero-copy views, so a malformed run must be
 /// rejected here rather than healed — every merge/intersection kernel
 /// downstream assumes strict ascending order.
 Status ValidateTokenRun(const Token* run, size_t n, uint64_t dict_tokens,
@@ -42,15 +40,17 @@ Status ValidateTokenRun(const Token* run, size_t n, uint64_t dict_tokens,
   return Status::Ok();
 }
 
-/// A section that passed open-time TOC validation failed its own checksum
-/// or structure check on first touch: the file corrupted underneath a
-/// running engine. There is no caller to return a Status to — every read
-/// accessor would have to become fallible — so this is fatal, mirroring
-/// what a wild pointer into the lost data would soon be anyway.
-[[noreturn]] void DieOnFirstTouchFailure(const Status& status) {
-  std::cerr << "FATAL: snapshot first-touch decode failed: "
-            << status.ToString() << std::endl;
-  std::abort();
+/// Checks a section's FNV-1a checksum against its TOC entry. `what` and,
+/// for a per-attribute section, `attr` (else -1) name it in the error.
+Status VerifySection(const char* payload, const snapshot::SectionEntry& e,
+                     const char* what, int attr = -1) {
+  if (snapshot::Checksum(payload + e.offset, e.bytes) == e.checksum) {
+    return Status::Ok();
+  }
+  std::string message =
+      std::string("snapshot ") + what + " section checksum mismatch";
+  if (attr >= 0) message += " (attribute " + std::to_string(attr) + ")";
+  return Status::InvalidArgument(message);
 }
 
 }  // namespace
@@ -123,101 +123,11 @@ void MmapSnapshotStorage::Unmap() {
 MmapSnapshotStorage::~MmapSnapshotStorage() { Unmap(); }
 
 // ---------------------------------------------------------------------------
-// Section body parsers
+// Open: header, TOC, then every section
 // ---------------------------------------------------------------------------
 
-Status MmapSnapshotStorage::ParseDomainBlock(snapshot::Cursor* cur, int attr,
-                                             uint64_t* dom_size_out) const {
-  BaseDomain& dom = base_[attr];
-  uint64_t dom_size = 0;
-  uint64_t total_tokens = 0;
-  if (!cur->ReadU64(&dom_size)) return Truncated();
-  if (!cur->ReadU64(&total_tokens)) return Truncated();
-  const Token* token_ids = cur->Array<Token>(total_tokens);
-  const uint64_t* token_offsets = cur->Array<uint64_t>(dom_size + 1);
-  uint64_t text_bytes = 0;
-  if (!cur->ok() || !cur->ReadU64(&text_bytes)) return Truncated();
-  const char* text_blob = cur->Array<char>(text_bytes);
-  const uint64_t* text_offsets = cur->Array<uint64_t>(dom_size + 1);
-  const int32_t* freqs = cur->Array<int32_t>(dom_size);
-  if (!cur->ok()) return Truncated();
-
-  dom.tokens.clear();
-  dom.tokens.reserve(dom_size);
-  for (uint64_t v = 0; v < dom_size; ++v) {
-    if (token_offsets[v] > token_offsets[v + 1] ||
-        token_offsets[v + 1] > total_tokens ||
-        text_offsets[v] > text_offsets[v + 1] ||
-        text_offsets[v + 1] > text_bytes) {
-      return Status::InvalidArgument("snapshot domain offsets corrupt");
-    }
-    const Token* run = token_ids + token_offsets[v];
-    const size_t run_len = token_offsets[v + 1] - token_offsets[v];
-    TERIDS_RETURN_IF_ERROR(
-        ValidateTokenRun(run, run_len, dict_tokens_, "domain"));
-    dom.tokens.push_back(TokenSet::View(run, run_len));
-  }
-  dom.text_blob = text_blob;
-  dom.text_offsets = text_offsets;
-  dom.freqs = freqs;
-  *dom_size_out = dom_size;
-  return Status::Ok();
-}
-
-Status MmapSnapshotStorage::ParseSamplesBlock(snapshot::Cursor* cur) const {
-  const size_t n = base_samples_;
-  const int64_t* rids = cur->Array<int64_t>(n);
-  const int32_t* streams = cur->Array<int32_t>(n);
-  const int64_t* timestamps = cur->Array<int64_t>(n);
-  const uint32_t* vids = cur->Array<uint32_t>(n * static_cast<size_t>(d_));
-  uint64_t text_bytes = 0;
-  if (!cur->ok() || !cur->ReadU64(&text_bytes)) return Truncated();
-  const char* texts = cur->Array<char>(text_bytes);
-  const uint64_t* text_offsets =
-      cur->Array<uint64_t>(n * static_cast<size_t>(d_) + 1);
-  if (!cur->ok()) return Truncated();
-
-  std::vector<Record> records;
-  records.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Record r;
-    r.rid = rids[i];
-    r.stream_id = streams[i];
-    r.timestamp = timestamps[i];
-    r.values.resize(static_cast<size_t>(d_));
-    for (int x = 0; x < d_; ++x) {
-      const size_t cell = i * static_cast<size_t>(d_) + x;
-      const ValueId vid = vids[cell];
-      if (vid >= base_[x].size || text_offsets[cell] > text_offsets[cell + 1] ||
-          text_offsets[cell + 1] > text_bytes) {
-        return Status::InvalidArgument("snapshot sample table corrupt");
-      }
-      AttrValue& v = r.values[x];
-      v.missing = false;
-      v.tokens = base_[x].tokens[vid];
-      v.text.assign(texts + text_offsets[cell], texts + text_offsets[cell + 1]);
-    }
-    records.push_back(std::move(r));
-  }
-  base_records_ = std::move(records);
-  base_sample_vids_ = vids;
-  return Status::Ok();
-}
-
-void MmapSnapshotStorage::BuildFindIndex(int attr) const {
-  BaseDomain& dom = base_[attr];
-  dom.by_hash.reserve(dom.size);
-  for (uint64_t v = 0; v < dom.size; ++v) {
-    dom.by_hash.emplace(AttributeDomain::HashTokens(dom.tokens[v]),
-                        static_cast<ValueId>(v));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// TOC at open, per-section decode on first touch (or forced at open)
-// ---------------------------------------------------------------------------
-
-Status MmapSnapshotStorage::ParseToc(const snapshot::Header& header) {
+Status MmapSnapshotStorage::ParseToc(const snapshot::Header& header,
+                                     const snapshot::SectionEntry** entries) {
   snapshot::Cursor cur(payload_, payload_len_);
   uint64_t count = 0;
   if (!cur.ReadU64(&count)) {
@@ -230,7 +140,7 @@ Status MmapSnapshotStorage::ParseToc(const snapshot::Header& header) {
         std::to_string(count) + ", schema implies " +
         std::to_string(expected_count));
   }
-  const auto* entries = cur.Array<snapshot::SectionEntry>(count);
+  const auto* toc = cur.Array<snapshot::SectionEntry>(count);
   if (!cur.ok()) {
     return Status::InvalidArgument("snapshot TOC truncated");
   }
@@ -253,23 +163,19 @@ Status MmapSnapshotStorage::ParseToc(const snapshot::Header& header) {
   };
 
   // Fixed section order: domains, pivot tokens, geometry, samples.
-  toc_domain_.resize(static_cast<size_t>(d_));
-  toc_geometry_.resize(static_cast<size_t>(d_));
   for (int x = 0; x < d_; ++x) {
-    const snapshot::SectionEntry& e = entries[x];
+    const snapshot::SectionEntry& e = toc[x];
     TERIDS_RETURN_IF_ERROR(check_entry(e, snapshot::SectionKind::kDomain,
                                        static_cast<uint64_t>(x)));
     if (e.aux > std::numeric_limits<uint32_t>::max()) {
       return Status::InvalidArgument("snapshot domain size exceeds ValueId");
     }
-    toc_domain_[x] = e;
     base_[x].size = e.aux;
   }
   TERIDS_RETURN_IF_ERROR(
-      check_entry(entries[d_], snapshot::SectionKind::kPivotTokens, 0));
-  toc_pivot_tokens_ = entries[d_];
+      check_entry(toc[d_], snapshot::SectionKind::kPivotTokens, 0));
   for (int x = 0; x < d_; ++x) {
-    const snapshot::SectionEntry& e = entries[d_ + 1 + x];
+    const snapshot::SectionEntry& e = toc[d_ + 1 + x];
     TERIDS_RETURN_IF_ERROR(check_entry(e, snapshot::SectionKind::kGeometry,
                                        static_cast<uint64_t>(x)));
     if (e.aux == 0 || e.aux > std::numeric_limits<int>::max()) {
@@ -277,44 +183,69 @@ Status MmapSnapshotStorage::ParseToc(const snapshot::Header& header) {
           "snapshot TOC pivot count out of range for attribute " +
           std::to_string(x));
     }
-    toc_geometry_[x] = e;
     num_pivots_[x] = static_cast<int>(e.aux);
   }
   TERIDS_RETURN_IF_ERROR(
-      check_entry(entries[2 * d_ + 1], snapshot::SectionKind::kSamples, 0));
-  toc_samples_ = entries[2 * d_ + 1];
-  if (toc_samples_.aux != header.num_samples) {
+      check_entry(toc[2 * d_ + 1], snapshot::SectionKind::kSamples, 0));
+  if (toc[2 * d_ + 1].aux != header.num_samples) {
     return Status::InvalidArgument(
         "snapshot TOC sample count disagrees with header");
   }
+  *entries = toc;
   return Status::Ok();
 }
 
-Status MmapSnapshotStorage::DecodeDomain(int attr) const {
-  const snapshot::SectionEntry& e = toc_domain_[attr];
-  if (snapshot::Checksum(payload_ + e.offset, e.bytes) != e.checksum) {
-    return Status::InvalidArgument(
-        "snapshot domain section checksum mismatch (attribute " +
-        std::to_string(attr) + ")");
-  }
+Status MmapSnapshotStorage::DecodeDomain(int attr,
+                                         const snapshot::SectionEntry& e) {
+  TERIDS_RETURN_IF_ERROR(VerifySection(payload_, e, "domain", attr));
   snapshot::Cursor cur(payload_ + e.offset, e.bytes);
+  BaseDomain& dom = base_[attr];
   uint64_t dom_size = 0;
-  TERIDS_RETURN_IF_ERROR(ParseDomainBlock(&cur, attr, &dom_size));
-  if (dom_size != e.aux) {
+  uint64_t total_tokens = 0;
+  if (!cur.ReadU64(&dom_size) || !cur.ReadU64(&total_tokens)) {
+    return Truncated();
+  }
+  if (dom_size != dom.size) {
     return Status::InvalidArgument(
         "snapshot domain section size disagrees with TOC");
   }
+  const Token* token_ids = cur.Array<Token>(total_tokens);
+  const uint64_t* token_offsets = cur.Array<uint64_t>(dom_size + 1);
+  uint64_t text_bytes = 0;
+  if (!cur.ok() || !cur.ReadU64(&text_bytes)) return Truncated();
+  const char* text_blob = cur.Array<char>(text_bytes);
+  const uint64_t* text_offsets = cur.Array<uint64_t>(dom_size + 1);
+  const int32_t* freqs = cur.Array<int32_t>(dom_size);
+  if (!cur.ok()) return Truncated();
+
+  dom.tokens.reserve(dom_size);
+  dom.by_hash.reserve(dom_size);
+  for (uint64_t v = 0; v < dom_size; ++v) {
+    if (token_offsets[v] > token_offsets[v + 1] ||
+        token_offsets[v + 1] > total_tokens ||
+        text_offsets[v] > text_offsets[v + 1] ||
+        text_offsets[v + 1] > text_bytes) {
+      return Status::InvalidArgument("snapshot domain offsets corrupt");
+    }
+    const Token* run = token_ids + token_offsets[v];
+    const size_t run_len = token_offsets[v + 1] - token_offsets[v];
+    TERIDS_RETURN_IF_ERROR(
+        ValidateTokenRun(run, run_len, dict_tokens_, "domain"));
+    dom.tokens.push_back(TokenSet::View(run, run_len));
+    dom.by_hash.emplace(AttributeDomain::HashTokens(dom.tokens.back()),
+                        static_cast<ValueId>(v));
+  }
+  dom.text_blob = text_blob;
+  dom.text_offsets = text_offsets;
+  dom.freqs = freqs;
   return Status::Ok();
 }
 
-Status MmapSnapshotStorage::DecodePivotTokens() const {
-  const snapshot::SectionEntry& e = toc_pivot_tokens_;
-  if (snapshot::Checksum(payload_ + e.offset, e.bytes) != e.checksum) {
-    return Status::InvalidArgument(
-        "snapshot pivot-token section checksum mismatch");
-  }
+Status MmapSnapshotStorage::DecodePivotTokens(
+    const snapshot::SectionEntry& e) {
+  TERIDS_RETURN_IF_ERROR(VerifySection(payload_, e, "pivot-token"));
   snapshot::Cursor cur(payload_ + e.offset, e.bytes);
-  std::vector<AttributePivots> pivots(static_cast<size_t>(d_));
+  pivots_.resize(static_cast<size_t>(d_));
   for (int x = 0; x < d_; ++x) {
     uint64_t np = 0;
     if (!cur.ReadU64(&np)) return Truncated();
@@ -329,20 +260,15 @@ Status MmapSnapshotStorage::DecodePivotTokens() const {
       if (!cur.ok()) return Truncated();
       TERIDS_RETURN_IF_ERROR(
           ValidateTokenRun(ptokens, ntokens, dict_tokens_, "pivot"));
-      pivots[x].pivots.push_back(TokenSet::View(ptokens, ntokens));
+      pivots_[x].pivots.push_back(TokenSet::View(ptokens, ntokens));
     }
   }
-  pivots_ = std::move(pivots);
   return Status::Ok();
 }
 
-Status MmapSnapshotStorage::DecodeGeometry(int attr) const {
-  const snapshot::SectionEntry& e = toc_geometry_[attr];
-  if (snapshot::Checksum(payload_ + e.offset, e.bytes) != e.checksum) {
-    return Status::InvalidArgument(
-        "snapshot geometry section checksum mismatch (attribute " +
-        std::to_string(attr) + ")");
-  }
+Status MmapSnapshotStorage::DecodeGeometry(int attr,
+                                           const snapshot::SectionEntry& e) {
+  TERIDS_RETURN_IF_ERROR(VerifySection(payload_, e, "geometry", attr));
   snapshot::Cursor cur(payload_ + e.offset, e.bytes);
   uint64_t dom_size = 0;
   uint64_t np = 0;
@@ -359,74 +285,80 @@ Status MmapSnapshotStorage::DecodeGeometry(int attr) const {
   const double* coord_keys = cur.Array<double>(dom_size);
   const uint32_t* coord_vids = cur.Array<uint32_t>(dom_size);
   if (!cur.ok()) return Truncated();
+  // Jaccard distances lie in [0, 1]; the negated test also rejects NaN.
+  for (const double* column : dists) {
+    for (uint64_t v = 0; v < dom_size; ++v) {
+      if (!(column[v] >= 0.0 && column[v] <= 1.0)) {
+        return Status::InvalidArgument(
+            "snapshot pivot distance outside [0, 1]");
+      }
+    }
+  }
+  // The coordinate list is every ValueId keyed by its main-pivot distance,
+  // in strictly ascending (key, vid) order: AppendValuesInCoordRange
+  // binary-searches the keys and hands the vids to domain readers. Strict
+  // order plus key == dists[0][vid] also makes the vids a permutation.
+  for (uint64_t i = 0; i < dom_size; ++i) {
+    const uint32_t vid = coord_vids[i];
+    if (vid >= dom_size || coord_keys[i] != dists[0][vid]) {
+      return Status::InvalidArgument(
+          "snapshot coordinate list names a value outside its domain or "
+          "off its main-pivot distance");
+    }
+    if (i > 0 && !(coord_keys[i - 1] < coord_keys[i] ||
+                   (coord_keys[i - 1] == coord_keys[i] &&
+                    coord_vids[i - 1] < vid))) {
+      return Status::InvalidArgument(
+          "snapshot coordinate list not sorted by (key, ValueId)");
+    }
+  }
   dom.dists = std::move(dists);
   dom.coord_keys = coord_keys;
   dom.coord_vids = coord_vids;
   return Status::Ok();
 }
 
-Status MmapSnapshotStorage::DecodeSamples() const {
-  const snapshot::SectionEntry& e = toc_samples_;
-  if (snapshot::Checksum(payload_ + e.offset, e.bytes) != e.checksum) {
-    return Status::InvalidArgument(
-        "snapshot samples section checksum mismatch");
-  }
+Status MmapSnapshotStorage::DecodeSamples(const snapshot::SectionEntry& e) {
+  TERIDS_RETURN_IF_ERROR(VerifySection(payload_, e, "samples"));
   snapshot::Cursor cur(payload_ + e.offset, e.bytes);
-  return ParseSamplesBlock(&cur);
-}
+  const size_t n = base_samples_;
+  const int64_t* rids = cur.Array<int64_t>(n);
+  const int32_t* streams = cur.Array<int32_t>(n);
+  const int64_t* timestamps = cur.Array<int64_t>(n);
+  const uint32_t* vids = cur.Array<uint32_t>(n * static_cast<size_t>(d_));
+  uint64_t text_bytes = 0;
+  if (!cur.ok() || !cur.ReadU64(&text_bytes)) return Truncated();
+  const char* texts = cur.Array<char>(text_bytes);
+  const uint64_t* text_offsets =
+      cur.Array<uint64_t>(n * static_cast<size_t>(d_) + 1);
+  if (!cur.ok()) return Truncated();
 
-// ---------------------------------------------------------------------------
-// First-touch wrappers
-// ---------------------------------------------------------------------------
-
-void MmapSnapshotStorage::EnsureDomain(int attr) const {
-  if (decoded_all_) return;
-  std::call_once(domain_once_[attr], [this, attr] {
-    const Status status = DecodeDomain(attr);
-    if (!status.ok()) DieOnFirstTouchFailure(status);
-  });
-}
-
-void MmapSnapshotStorage::EnsureFindIndex(int attr) const {
-  if (decoded_all_) return;
-  EnsureDomain(attr);
-  std::call_once(find_once_[attr], [this, attr] { BuildFindIndex(attr); });
-}
-
-void MmapSnapshotStorage::EnsurePivotTokens() const {
-  if (decoded_all_) return;
-  std::call_once(pivot_tokens_once_, [this] {
-    const Status status = DecodePivotTokens();
-    if (!status.ok()) DieOnFirstTouchFailure(status);
-  });
-}
-
-void MmapSnapshotStorage::EnsureGeometry(int attr) const {
-  if (decoded_all_) return;
-  std::call_once(geometry_once_[attr], [this, attr] {
-    const Status status = DecodeGeometry(attr);
-    if (!status.ok()) DieOnFirstTouchFailure(status);
-  });
-}
-
-void MmapSnapshotStorage::EnsureSamples() const {
-  if (decoded_all_) return;
-  // Sample records hold token-set views into the domain columns.
-  for (int x = 0; x < d_; ++x) {
-    EnsureDomain(x);
+  base_records_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    Record r;
+    r.rid = rids[i];
+    r.stream_id = streams[i];
+    r.timestamp = timestamps[i];
+    r.values.resize(static_cast<size_t>(d_));
+    for (int x = 0; x < d_; ++x) {
+      const size_t cell = i * static_cast<size_t>(d_) + x;
+      const ValueId vid = vids[cell];
+      if (vid >= base_[x].size || text_offsets[cell] > text_offsets[cell + 1] ||
+          text_offsets[cell + 1] > text_bytes) {
+        return Status::InvalidArgument("snapshot sample table corrupt");
+      }
+      AttrValue& v = r.values[x];
+      v.missing = false;
+      v.tokens = base_[x].tokens[vid];
+      v.text.assign(texts + text_offsets[cell], texts + text_offsets[cell + 1]);
+    }
+    base_records_.push_back(std::move(r));
   }
-  std::call_once(samples_once_, [this] {
-    const Status status = DecodeSamples();
-    if (!status.ok()) DieOnFirstTouchFailure(status);
-  });
+  base_sample_vids_ = vids;
+  return Status::Ok();
 }
 
-// ---------------------------------------------------------------------------
-// Open
-// ---------------------------------------------------------------------------
-
-Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict,
-                                  SnapshotDecode decode) {
+Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict) {
   if (size_ < sizeof(snapshot::Header)) {
     return Status::InvalidArgument("snapshot smaller than its header");
   }
@@ -465,30 +397,18 @@ Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict,
   dict_tokens_ = header.dict_tokens;
   base_.resize(static_cast<size_t>(d_));
   num_pivots_.assign(static_cast<size_t>(d_), 0);
-  domain_once_ = std::make_unique<std::once_flag[]>(static_cast<size_t>(d_));
-  find_once_ = std::make_unique<std::once_flag[]>(static_cast<size_t>(d_));
-  geometry_once_ = std::make_unique<std::once_flag[]>(static_cast<size_t>(d_));
 
-  TERIDS_RETURN_IF_ERROR(ParseToc(header));
-  if (decode == SnapshotDecode::kEager) {
-    // Force every section through the same decode the lazy path runs on
-    // first touch, so corruption fails the open and the materialized state
-    // is identical by construction.
-    for (int x = 0; x < d_; ++x) {
-      TERIDS_RETURN_IF_ERROR(DecodeDomain(x));
-    }
-    for (int x = 0; x < d_; ++x) {
-      BuildFindIndex(x);
-    }
-    TERIDS_RETURN_IF_ERROR(DecodePivotTokens());
-    for (int x = 0; x < d_; ++x) {
-      TERIDS_RETURN_IF_ERROR(DecodeGeometry(x));
-    }
-    TERIDS_RETURN_IF_ERROR(DecodeSamples());
-    decoded_all_ = true;
+  const snapshot::SectionEntry* toc = nullptr;
+  TERIDS_RETURN_IF_ERROR(ParseToc(header, &toc));
+  for (int x = 0; x < d_; ++x) {
+    TERIDS_RETURN_IF_ERROR(DecodeDomain(x, toc[x]));
   }
+  TERIDS_RETURN_IF_ERROR(DecodePivotTokens(toc[d_]));
+  for (int x = 0; x < d_; ++x) {
+    TERIDS_RETURN_IF_ERROR(DecodeGeometry(x, toc[d_ + 1 + x]));
+  }
+  TERIDS_RETURN_IF_ERROR(DecodeSamples(toc[2 * d_ + 1]));
 
-  // ---- Overlay scaffolding --------------------------------------------
   overlay_.resize(static_cast<size_t>(d_));
   for (int x = 0; x < d_; ++x) {
     overlay_[x].dists.resize(num_pivots_[x]);
@@ -498,7 +418,7 @@ Status MmapSnapshotStorage::Parse(int num_attributes, const TokenDict* dict,
 
 Result<std::unique_ptr<MmapSnapshotStorage>> MmapSnapshotStorage::Open(
     int num_attributes, const TokenDict* dict, const std::string& path,
-    SnapshotDecode decode) {
+    SnapshotDecode /*ignored*/) {
   TERIDS_CHECK(dict != nullptr);
   TERIDS_CHECK(num_attributes >= 1);
   std::unique_ptr<MmapSnapshotStorage> storage(new MmapSnapshotStorage());
@@ -506,7 +426,7 @@ Result<std::unique_ptr<MmapSnapshotStorage>> MmapSnapshotStorage::Open(
   if (!status.ok()) {
     return status;
   }
-  status = storage->Parse(num_attributes, dict, decode);
+  status = storage->Parse(num_attributes, dict);
   if (!status.ok()) {
     return status;
   }
@@ -526,7 +446,6 @@ const TokenSet& MmapSnapshotStorage::value_tokens(int attr, ValueId id) const {
   TERIDS_CHECK(attr >= 0 && attr < d_);
   const BaseDomain& dom = base_[attr];
   if (id < dom.size) {
-    EnsureDomain(attr);
     return dom.tokens[id];
   }
   return overlay_[attr].extra.tokens(id - static_cast<ValueId>(dom.size));
@@ -536,7 +455,6 @@ std::string_view MmapSnapshotStorage::value_text(int attr, ValueId id) const {
   TERIDS_CHECK(attr >= 0 && attr < d_);
   const BaseDomain& dom = base_[attr];
   if (id < dom.size) {
-    EnsureDomain(attr);
     return std::string_view(dom.text_blob + dom.text_offsets[id],
                             dom.text_offsets[id + 1] - dom.text_offsets[id]);
   }
@@ -548,7 +466,6 @@ int MmapSnapshotStorage::value_frequency(int attr, ValueId id) const {
   const BaseDomain& dom = base_[attr];
   const DomainOverlay& over = overlay_[attr];
   if (id < dom.size) {
-    EnsureDomain(attr);
     const auto it = over.base_freq_delta.find(id);
     return dom.freqs[id] + (it == over.base_freq_delta.end() ? 0 : it->second);
   }
@@ -557,7 +474,6 @@ int MmapSnapshotStorage::value_frequency(int attr, ValueId id) const {
 
 ValueId MmapSnapshotStorage::FindValue(int attr, const TokenSet& tokens) const {
   TERIDS_CHECK(attr >= 0 && attr < d_);
-  EnsureFindIndex(attr);
   const BaseDomain& dom = base_[attr];
   const uint64_t h = AttributeDomain::HashTokens(tokens);
   auto [begin, end] = dom.by_hash.equal_range(h);
@@ -580,7 +496,6 @@ size_t MmapSnapshotStorage::num_samples() const {
 const Record& MmapSnapshotStorage::sample(size_t i) const {
   TERIDS_CHECK(i < num_samples());
   if (i < base_samples_) {
-    EnsureSamples();
     return base_records_[i];
   }
   return extra_records_[i - base_samples_];
@@ -590,7 +505,6 @@ ValueId MmapSnapshotStorage::sample_value_id(size_t i, int attr) const {
   TERIDS_CHECK(i < num_samples());
   TERIDS_CHECK(attr >= 0 && attr < d_);
   if (i < base_samples_) {
-    EnsureSamples();
     return base_sample_vids_[i * static_cast<size_t>(d_) + attr];
   }
   return extra_sample_vids_[i - base_samples_][attr];
@@ -605,7 +519,6 @@ const TokenSet& MmapSnapshotStorage::pivot_tokens(int attr,
                                                   int pivot_idx) const {
   TERIDS_CHECK(attr >= 0 && attr < d_);
   TERIDS_CHECK(pivot_idx >= 0 && pivot_idx < num_pivots(attr));
-  EnsurePivotTokens();
   return pivots_[attr].pivots[pivot_idx];
 }
 
@@ -615,7 +528,6 @@ double MmapSnapshotStorage::pivot_distance(int attr, int pivot_idx,
   TERIDS_CHECK(pivot_idx >= 0 && pivot_idx < num_pivots(attr));
   const BaseDomain& dom = base_[attr];
   if (vid < dom.size) {
-    EnsureGeometry(attr);
     return dom.dists[pivot_idx][vid];
   }
   const ValueId local = vid - static_cast<ValueId>(dom.size);
@@ -630,7 +542,6 @@ void MmapSnapshotStorage::AppendValuesInCoordRange(
   if (interval.empty()) {
     return;
   }
-  EnsureGeometry(attr);
   const BaseDomain& dom = base_[attr];
   const auto& over = overlay_[attr].sorted_coords;
   // Merge the immutable base column with the overlay's sorted list in
@@ -669,8 +580,6 @@ void MmapSnapshotStorage::AppendValuesInCoordRange(
 ValueId MmapSnapshotStorage::RegisterValue(int attr, const TokenSet& tokens,
                                            const std::string& text) {
   TERIDS_CHECK(attr >= 0 && attr < d_);
-  EnsureFindIndex(attr);
-  EnsurePivotTokens();
   const BaseDomain& dom = base_[attr];
   // Base values are immutable and deduplicated; only a genuinely new token
   // set lands in the overlay.

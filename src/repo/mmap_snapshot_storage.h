@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -27,16 +26,14 @@ namespace terids {
 /// data in on demand and can evict it under pressure — the path to
 /// repositories larger than RAM.
 ///
-/// Snapshots decode *lazily*: Open validates the header
-/// and the checksummed section TOC (O(header + TOC) bytes), and each
-/// section — a domain, the pivot token sets, an attribute's geometry, the
-/// sample table — is verified against its own checksum and materialized
-/// under a std::once_flag on first touch. Concurrent readers may race the
-/// first touch safely; a checksum or structure failure detected at that
-/// point is fatal (the snapshot was validated as openable, so a bad
-/// section is data corruption mid-run). SnapshotDecode::kEager forces
-/// every section through the same decode at open, so corruption fails the
-/// open instead. Version 1 files are refused at open.
+/// Open validates everything before it returns: the header, the
+/// checksummed section TOC, and every section — a domain, the pivot token
+/// sets, an attribute's geometry, the sample table — against its own
+/// checksum and its structural invariants (token ids inside the
+/// dictionary, offsets inside their blobs, ValueIds inside their domain,
+/// coordinate lists sorted). Corrupt bytes therefore fail the open with a
+/// Status, and no read accessor can fail afterwards. Version 1 files are
+/// refused at open.
 ///
 /// Dynamic-repository writes (Section 5.5: the constraint imputer's
 /// RegisterValue, AbsorbRepositoryBatch's AddSample) land in an in-memory
@@ -45,18 +42,19 @@ namespace terids {
 /// the base column with the overlay's sorted list in (coord, ValueId)
 /// order — read results stay bit-identical to the in-memory oracle.
 /// AttachPivots is not supported: the pivot geometry is baked into the
-/// snapshot at write time. The write path is not thread-safe (unchanged);
-/// only the lazy first-touch decode of the immutable base is.
+/// snapshot at write time. The base image is read-only after Open; the
+/// write path is not thread-safe.
 class MmapSnapshotStorage final : public RepoStorage {
  public:
-  /// Maps and validates `path` (magic, version, attribute count, TOC
-  /// checksum, token ids against `dict`). Returns InvalidArgument /
+  /// Maps `path` and decodes and validates all of it (magic, version,
+  /// attribute count, TOC and section checksums, every section's structure,
+  /// token ids against `dict`). Returns InvalidArgument /
   /// FailedPrecondition with a precise reason on any mismatch, including a
-  /// version-1 file. Under kLazy, per-section validation is deferred to
-  /// first touch.
+  /// version-1 file. The trailing SnapshotDecode is read by terbench;
+  /// every open is eager, so it is ignored.
   static Result<std::unique_ptr<MmapSnapshotStorage>> Open(
       int num_attributes, const TokenDict* dict, const std::string& path,
-      SnapshotDecode decode = SnapshotDecode::kLazy);
+      SnapshotDecode /*ignored*/ = SnapshotDecode::kEager);
 
   ~MmapSnapshotStorage() override;
 
@@ -98,21 +96,22 @@ class MmapSnapshotStorage final : public RepoStorage {
   MmapSnapshotStorage() = default;
 
   Status MapFile(const std::string& path);
-  Status Parse(int num_attributes, const TokenDict* dict,
-               SnapshotDecode decode);
-  Status ParseToc(const snapshot::Header& header);
+  Status Parse(int num_attributes, const TokenDict* dict);
+  /// Validates the TOC and returns its entries through `entries`; fills
+  /// BaseDomain::size and num_pivots_ from the entries' `aux`.
+  Status ParseToc(const snapshot::Header& header,
+                  const snapshot::SectionEntry** entries);
   void Unmap();
 
-  /// One attribute's immutable base image. Everything except `size` is
-  /// filled by the section decoders; `size` comes from the TOC so
-  /// domain_size never forces a decode.
+  /// One attribute's immutable base image, views over the mapping except
+  /// the find index.
   struct BaseDomain {
     size_t size = 0;
     std::vector<TokenSet> tokens;  // views over the mapped token column
     const char* text_blob = nullptr;
     const uint64_t* text_offsets = nullptr;
     const int32_t* freqs = nullptr;
-    std::unordered_multimap<uint64_t, ValueId> by_hash;  // built on demand
+    std::unordered_multimap<uint64_t, ValueId> by_hash;
     // Pivot geometry (zero-copy columns).
     std::vector<const double*> dists;  // dists[a][vid]
     const double* coord_keys = nullptr;
@@ -127,32 +126,15 @@ class MmapSnapshotStorage final : public RepoStorage {
     std::vector<std::pair<double, ValueId>> sorted_coords;  // global ids
   };
 
-  // ---- Section decode (see DESIGN.md §8) -------------------------------
-  // Decode* verify the section checksum and materialize into the mutable
-  // base structures; they are called either eagerly at open (errors become
-  // the Open Status) or from the Ensure* wrappers under a once_flag
-  // (errors abort: first-touch corruption). Ensure* are no-ops once
-  // decoded_all_ is set (eager opens).
+  // ---- Section decode at open (see DESIGN.md §8) -----------------------
+  // Each verifies its section's checksum, checks its structure and fills
+  // the base image; the first error becomes the Open Status. Samples hold
+  // token-set views into the domains, so domains decode first.
 
-  Status DecodeDomain(int attr) const;
-  Status DecodePivotTokens() const;
-  Status DecodeGeometry(int attr) const;
-  Status DecodeSamples() const;
-  void BuildFindIndex(int attr) const;
-
-  void EnsureDomain(int attr) const;
-  void EnsureFindIndex(int attr) const;
-  void EnsurePivotTokens() const;
-  void EnsureGeometry(int attr) const;
-  void EnsureSamples() const;
-
-  /// Section body parsers. ParseDomainBlock reports
-  /// the parsed domain size through `dom_size_out` instead of writing
-  /// BaseDomain::size — under lazy decode that field is read concurrently
-  /// by domain_size() and must only ever be written at open.
-  Status ParseDomainBlock(snapshot::Cursor* cur, int attr,
-                          uint64_t* dom_size_out) const;
-  Status ParseSamplesBlock(snapshot::Cursor* cur) const;
+  Status DecodeDomain(int attr, const snapshot::SectionEntry& e);
+  Status DecodePivotTokens(const snapshot::SectionEntry& e);
+  Status DecodeGeometry(int attr, const snapshot::SectionEntry& e);
+  Status DecodeSamples(const snapshot::SectionEntry& e);
 
   // Mapping ownership: exactly one of map_base_ (mmap) or heap_ (portable
   // read fallback) backs data_.
@@ -166,41 +148,14 @@ class MmapSnapshotStorage final : public RepoStorage {
 
   int d_ = 0;
   uint64_t dict_tokens_ = 0;
-  std::vector<int> num_pivots_;  // per attribute; known without decode
+  std::vector<int> num_pivots_;  // per attribute, from the TOC
 
-  // The section TOC, validated at open; entries indexed by role.
-  std::vector<snapshot::SectionEntry> toc_domain_;    // [d_]
-  snapshot::SectionEntry toc_pivot_tokens_ = {};
-  std::vector<snapshot::SectionEntry> toc_geometry_;  // [d_]
-  snapshot::SectionEntry toc_samples_ = {};
-
-  // Lazily-filled base image. `mutable` + once_flags: the base is
-  // logically immutable, its materialization is just deferred.
-  //
-  // Locking model (DESIGN.md §12): the lazy decode state is guarded by the
-  // once_flags below, not by a Mutex — std::call_once is the one primitive
-  // here the capability analysis cannot model, so the discipline is
-  // structural and narrow: Decode*/BuildFindIndex write these members
-  // exclusively from inside their call_once; every reader calls the
-  // matching Ensure* first; and after the call_once returns the base is
-  // read-only forever. call_once never runs user code while holding a
-  // ranked lock (Ensure* are called from read accessors only), so it
-  // cannot participate in a rank cycle. The write path (overlay_ etc.)
-  // stays single-threaded by contract, unchanged.
-  mutable std::vector<BaseDomain> base_;
-  mutable std::vector<AttributePivots> pivots_;
-  mutable std::vector<Record> base_records_;
-  mutable const uint32_t* base_sample_vids_ = nullptr;  // row-major [i*d_+x]
+  // The base image, filled by Parse and read-only afterwards.
+  std::vector<BaseDomain> base_;
+  std::vector<AttributePivots> pivots_;
+  std::vector<Record> base_records_;
+  const uint32_t* base_sample_vids_ = nullptr;  // row-major [i*d_+x]
   size_t base_samples_ = 0;
-
-  bool decoded_all_ = false;  // eager open: Ensure* are no-ops
-  // std::once_flag is immovable, so the per-attribute flags live in
-  // fixed arrays allocated once at open rather than inside BaseDomain.
-  std::unique_ptr<std::once_flag[]> domain_once_;
-  std::unique_ptr<std::once_flag[]> find_once_;
-  std::unique_ptr<std::once_flag[]> geometry_once_;
-  mutable std::once_flag pivot_tokens_once_;
-  mutable std::once_flag samples_once_;
 
   std::vector<DomainOverlay> overlay_;
   std::vector<Record> extra_records_;

@@ -24,26 +24,4 @@ bool ParseRepoBackend(const std::string& name, RepoBackend* backend) {
   return false;
 }
 
-const char* SnapshotDecodeName(SnapshotDecode decode) {
-  switch (decode) {
-    case SnapshotDecode::kEager:
-      return "eager";
-    case SnapshotDecode::kLazy:
-      return "lazy";
-  }
-  return "unknown";
-}
-
-bool ParseSnapshotDecode(const std::string& name, SnapshotDecode* decode) {
-  if (name == "eager") {
-    *decode = SnapshotDecode::kEager;
-    return true;
-  }
-  if (name == "lazy") {
-    *decode = SnapshotDecode::kLazy;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace terids

@@ -19,18 +19,9 @@ const char* RepoBackendName(RepoBackend backend);
 /// Returns false, leaving *backend untouched, on any other input.
 bool ParseRepoBackend(const std::string& name, RepoBackend* backend);
 
-/// How MmapSnapshotStorage materializes a snapshot's sections.
-/// Irrelevant to the in-memory backend.
-enum class SnapshotDecode {
-  kEager,  // Decode every section at open: corruption fails the open.
-  kLazy,   // O(header + TOC) open; sections decode on first touch.
-};
-
-const char* SnapshotDecodeName(SnapshotDecode decode);
-
-/// Parses "eager" / "lazy" (the TERIDS_BENCH_SNAPDECODE spellings).
-/// Returns false, leaving *decode untouched, on any other input.
-bool ParseSnapshotDecode(const std::string& name, SnapshotDecode* decode);
+/// Read by terbench; every open is eager (MmapSnapshotStorage decodes and
+/// validates every section at open).
+enum class SnapshotDecode { kEager };
 
 }  // namespace terids
 

@@ -24,12 +24,11 @@ Repository::Repository(const Schema* schema, const TokenDict* dict,
 }
 
 Result<std::unique_ptr<Repository>> Repository::OpenSnapshot(
-    const Schema* schema, const TokenDict* dict, const std::string& path,
-    SnapshotDecode decode) {
+    const Schema* schema, const TokenDict* dict, const std::string& path) {
   TERIDS_CHECK(schema != nullptr);
   TERIDS_CHECK(dict != nullptr);
   Result<std::unique_ptr<MmapSnapshotStorage>> storage =
-      MmapSnapshotStorage::Open(schema->num_attributes(), dict, path, decode);
+      MmapSnapshotStorage::Open(schema->num_attributes(), dict, path);
   if (!storage.ok()) {
     return storage.status();
   }

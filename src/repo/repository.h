@@ -28,8 +28,8 @@ class InMemoryStorage;
 /// accessors, so the same engine runs unchanged over the in-memory vectors
 /// (the default) or a read-only mmap snapshot whose numeric geometry
 /// tables, token columns, and display texts are served zero-copy from the
-/// page cache instead of rebuilt on the heap — with snapshots decoding
-/// per-section on first touch (see DESIGN.md §8). Backends are required to
+/// page cache instead of rebuilt on the heap, every section validated at
+/// open (see DESIGN.md §8). Backends are required to
 /// be bit-identical on the read path; the equivalence sweep enforces it
 /// end to end.
 class Repository {
@@ -44,12 +44,10 @@ class Repository {
 
   /// Opens a Repository over the snapshot file at `path` with the
   /// MmapSnapshotStorage backend. Fails with a precise Status if the file
-  /// is missing, corrupt, or disagrees with `schema`/`dict`. `decode`
-  /// picks the materialization strategy (lazy first-touch decode vs
-  /// decode-everything-at-open).
+  /// is missing, corrupt, or disagrees with `schema`/`dict`; every
+  /// section is decoded and validated before it returns.
   static Result<std::unique_ptr<Repository>> OpenSnapshot(
-      const Schema* schema, const TokenDict* dict, const std::string& path,
-      SnapshotDecode decode = SnapshotDecode::kLazy);
+      const Schema* schema, const TokenDict* dict, const std::string& path);
 
   Repository(const Repository&) = delete;
   Repository& operator=(const Repository&) = delete;

@@ -31,14 +31,13 @@ namespace snapshot {
 /// **v2** (kVersion, the only layout): the payload begins with a
 /// section TOC — a u64 section count followed by SectionEntry records —
 /// and `payload_checksum` covers only those TOC bytes. Each section
-/// carries its own FNV-1a checksum in its TOC entry, verified when that
-/// section is first decoded, so a cold open validates O(header + TOC)
-/// bytes and touches nothing else (DESIGN.md §8: the lazy zero-copy
-/// decode). Sections are 8-aligned and self-describing; `aux` caches the
-/// one size a reader needs before decoding (domain size, pivot count,
-/// sample count).
+/// carries its own FNV-1a checksum in its TOC entry, verified when Open
+/// decodes that section; Open decodes and validates every section before
+/// it returns (DESIGN.md §8). Sections are 8-aligned and self-describing;
+/// `aux` caches the one size a reader checks each section against
+/// (domain size, pivot count, sample count).
 inline constexpr char kMagic[8] = {'T', 'E', 'R', 'I', 'D', 'S', 'N', 'P'};
-inline constexpr uint32_t kVersion = 2;  // section TOC + lazy decode
+inline constexpr uint32_t kVersion = 2;  // section TOC, per-section checksums
 
 struct Header {
   char magic[8];
@@ -64,8 +63,8 @@ enum class SectionKind : uint64_t {
 
 /// One v2 TOC record. `offset` is relative to the payload start (the byte
 /// after the header) and 8-aligned; `checksum` is the FNV-1a over the
-/// section's `bytes`, verified on first decode of that section. `aux` is
-/// kind-specific metadata served without decoding the section: the domain
+/// section's `bytes`, verified when Open decodes that section. `aux` is
+/// kind-specific metadata the section body must agree with: the domain
 /// size (kDomain), the attribute's pivot count (kGeometry), the sample
 /// count (kSamples), 0 (kPivotTokens).
 struct SectionEntry {

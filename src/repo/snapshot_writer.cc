@@ -109,8 +109,7 @@ void AppendCoordLists(const Repository& repo, int attr,
 
 /// Per-attribute geometry section: a self-describing (dom, np) prefix,
 /// then the pivot-distance columns and the sorted coordinate lists for
-/// this attribute only, so a lazy reader can decode one attribute's
-/// geometry without touching any other section.
+/// this attribute only, checksummed and validated as one unit at open.
 void AppendGeometrySection(const Repository& repo, int attr,
                            snapshot::Builder* out) {
   out->AppendU64(repo.domain_size(attr));

@@ -19,7 +19,7 @@ namespace terids {
 ///
 /// A TokenSet either owns its run (FromTokens — the vector lives inside the
 /// set) or is a non-owning view over externally owned memory (View — the
-/// lazy snapshot backend serves domain token sets directly from the mmap'd
+/// snapshot backend serves domain token sets directly from the mmap'd
 /// token columns this way, DESIGN.md §8). The two are indistinguishable
 /// through the read interface; copying a view copies the pointer, not the
 /// tokens, so a view must not outlive the memory it was built over (for

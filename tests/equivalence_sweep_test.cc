@@ -203,10 +203,7 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
 // exercises the full read path (domains, pivot tables, the samples behind
 // the determinant join's postings); con+ER additionally exercises the
 // dynamic overlay, because its imputer registers stream values into the
-// domains after the snapshot was opened. The mmap backend runs under both v2
-// decode modes: kEager (everything materialized at open, the v1-equivalent
-// oracle path) and kLazy (sections decode on first touch mid-replay), so
-// lazy first-touch decode is proven output-invariant on every profile.
+// domains after the snapshot was opened.
 class RepoBackendEquivalenceTest
     : public ::testing::TestWithParam<std::string> {};
 
@@ -220,13 +217,11 @@ TEST_P(RepoBackendEquivalenceTest, MmapSnapshotEqualsInMemoryOracle) {
 
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
-    auto replay = [&](RepoBackend backend, SnapshotDecode decode) {
-      std::unique_ptr<Repository> repo =
-          experiment.BuildRepository(backend, decode);
+    auto replay = [&](RepoBackend backend) {
+      std::unique_ptr<Repository> repo = experiment.BuildRepository(backend);
       EXPECT_STREQ(repo->backend_name(), RepoBackendName(backend));
       EngineConfig config = experiment.MakeConfig();
       config.repo_backend = backend;
-      config.snapshot_decode = decode;
       std::unique_ptr<PipelineBase> pipeline =
           MakePipeline(kind, repo.get(), config, 2, experiment.cdds(),
                        experiment.dds(), experiment.editing_rules());
@@ -251,23 +246,18 @@ TEST_P(RepoBackendEquivalenceTest, MmapSnapshotEqualsInMemoryOracle) {
       return result;
     };
 
-    const ReplayResult memory =
-        replay(RepoBackend::kInMemory, SnapshotDecode::kEager);
-    for (SnapshotDecode decode :
-         {SnapshotDecode::kEager, SnapshotDecode::kLazy}) {
-      const ReplayResult mmap = replay(RepoBackend::kMmapSnapshot, decode);
-      EXPECT_EQ(mmap.emitted, memory.emitted)
-          << profile << " " << PipelineKindName(kind) << " decode="
-          << SnapshotDecodeName(decode);
-      ASSERT_EQ(mmap.final_set.size(), memory.final_set.size());
-      for (size_t i = 0; i < mmap.final_set.size(); ++i) {
-        EXPECT_EQ(mmap.final_set[i].rid_a, memory.final_set[i].rid_a);
-        EXPECT_EQ(mmap.final_set[i].rid_b, memory.final_set[i].rid_b);
-        EXPECT_DOUBLE_EQ(mmap.final_set[i].probability,
-                         memory.final_set[i].probability);
-      }
-      ExpectSameStats(mmap.stats, memory.stats);
+    const ReplayResult memory = replay(RepoBackend::kInMemory);
+    const ReplayResult mmap = replay(RepoBackend::kMmapSnapshot);
+    EXPECT_EQ(mmap.emitted, memory.emitted)
+        << profile << " " << PipelineKindName(kind);
+    ASSERT_EQ(mmap.final_set.size(), memory.final_set.size());
+    for (size_t i = 0; i < mmap.final_set.size(); ++i) {
+      EXPECT_EQ(mmap.final_set[i].rid_a, memory.final_set[i].rid_a);
+      EXPECT_EQ(mmap.final_set[i].rid_b, memory.final_set[i].rid_b);
+      EXPECT_DOUBLE_EQ(mmap.final_set[i].probability,
+                       memory.final_set[i].probability);
     }
+    ExpectSameStats(mmap.stats, memory.stats);
   }
 }
 

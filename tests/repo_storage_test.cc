@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -12,7 +13,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "datagen/generator.h"
@@ -248,7 +248,7 @@ TEST_F(SnapshotCorruptionTest, ForeignDictionaryIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 per-section integrity + lazy first-touch decode (DESIGN.md §8).
+// v2 per-section integrity, all validated at open (DESIGN.md §8).
 // ---------------------------------------------------------------------------
 
 /// Byte-surgery fixture over a v2 snapshot of the health world. The TOC
@@ -259,7 +259,7 @@ class SnapshotV2Test : public ::testing::Test {
  protected:
   void SetUp() override {
     world_ = MakeHealthWorld();
-    path_ = TempPath("v2-lazy.snap");
+    path_ = TempPath("v2.snap");
     ASSERT_TRUE(WriteRepositorySnapshot(*world_.repo, path_).ok());
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
@@ -286,11 +286,22 @@ class SnapshotV2Test : public ::testing::Test {
            i * sizeof(snapshot::SectionEntry);
   }
 
+  /// Byte offset (in the file) of TOC entry `i`'s section body.
+  static size_t SectionAt(const std::string& bytes, size_t i) {
+    return sizeof(snapshot::Header) +
+           ReadU64(bytes, EntryAt(i) + offsetof(snapshot::SectionEntry, offset));
+  }
+
   /// Re-stamps header.payload_checksum after a deliberate TOC edit (in v2
   /// it covers exactly the TOC bytes), so the edit reaches the per-entry
-  /// validation instead of tripping the TOC checksum first.
+  /// validation instead of tripping the TOC checksum first. A no-op when
+  /// the (possibly mutated) TOC does not fit in the file.
   static void RestampTocChecksum(std::string* bytes) {
+    if (bytes->size() < EntryAt(0)) return;
     const uint64_t count = ReadU64(*bytes, sizeof(snapshot::Header));
+    if (count > (bytes->size() - EntryAt(0)) / sizeof(snapshot::SectionEntry)) {
+      return;
+    }
     const size_t toc_bytes =
         sizeof(uint64_t) + count * sizeof(snapshot::SectionEntry);
     WriteU64(bytes, offsetof(snapshot::Header, payload_checksum),
@@ -298,24 +309,61 @@ class SnapshotV2Test : public ::testing::Test {
                                 toc_bytes));
   }
 
+  /// Re-stamps every TOC entry's section checksum that lies inside the
+  /// file, then the TOC checksum, so a section-body edit reaches the
+  /// section's parser instead of tripping its checksum.
+  static void RestampChecksums(std::string* bytes) {
+    if (bytes->size() >= EntryAt(0)) {
+      const uint64_t count = ReadU64(*bytes, sizeof(snapshot::Header));
+      const size_t payload_len = bytes->size() - sizeof(snapshot::Header);
+      for (uint64_t i = 0; i < count && EntryAt(i + 1) <= bytes->size();
+           ++i) {
+        snapshot::SectionEntry e;
+        std::memcpy(&e, bytes->data() + EntryAt(i), sizeof(e));
+        if (e.offset > payload_len || e.bytes > payload_len - e.offset) {
+          continue;
+        }
+        WriteU64(bytes,
+                 EntryAt(i) + offsetof(snapshot::SectionEntry, checksum),
+                 snapshot::Checksum(
+                     bytes->data() + sizeof(snapshot::Header) + e.offset,
+                     e.bytes));
+      }
+    }
+    RestampTocChecksum(bytes);
+  }
+
   void Rewrite(const std::string& bytes) {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  Result<std::unique_ptr<Repository>> Open(SnapshotDecode decode) {
+  Result<std::unique_ptr<Repository>> Open() {
     return Repository::OpenSnapshot(world_.schema.get(), world_.dict.get(),
-                                    path_, decode);
+                                    path_);
   }
 
-  /// The corruption shared by the eager/lazy detection pair: one flipped
-  /// byte inside the body of the first domain section (attribute 0).
+  /// One flipped byte inside the body of the first domain section
+  /// (attribute 0).
   std::string CorruptFirstDomainSection() {
     std::string corrupt = bytes_;
-    const uint64_t offset =
-        ReadU64(corrupt, EntryAt(0) + 2 * sizeof(uint64_t));
-    corrupt[sizeof(snapshot::Header) + offset + 5] ^= 0x20;
+    corrupt[SectionAt(corrupt, 0) + 5] ^= 0x20;
     return corrupt;
+  }
+
+  /// File offsets of attribute 0's coordinate key and vid columns: the
+  /// geometry section is (dom, np), np distance columns, keys, vids.
+  size_t CoordKeysAt() const {
+    const size_t dom = world_.repo->domain_size(0);
+    const size_t np = static_cast<size_t>(world_.repo->num_pivots(0));
+    return SectionAt(bytes_, GeometryEntry()) + 2 * sizeof(uint64_t) +
+           np * dom * sizeof(double);
+  }
+  size_t CoordVidsAt() const {
+    return CoordKeysAt() + world_.repo->domain_size(0) * sizeof(double);
+  }
+  size_t GeometryEntry() const {
+    return static_cast<size_t>(world_.schema->num_attributes()) + 1;
   }
 
   ToyWorld world_;
@@ -323,34 +371,85 @@ class SnapshotV2Test : public ::testing::Test {
   std::string bytes_;
 };
 
-TEST_F(SnapshotV2Test, EagerAndLazyServeIdenticalBytes) {
-  for (SnapshotDecode decode :
-       {SnapshotDecode::kEager, SnapshotDecode::kLazy}) {
-    Result<std::unique_ptr<Repository>> reopened = Open(decode);
-    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    ExpectBitIdenticalReads(*world_.repo, **reopened);
-  }
+TEST_F(SnapshotV2Test, OpenServesIdenticalBytes) {
+  Result<std::unique_ptr<Repository>> reopened = Open();
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectBitIdenticalReads(*world_.repo, **reopened);
 }
 
-TEST_F(SnapshotV2Test, CorruptSectionBodyFailsEagerOpen) {
+TEST_F(SnapshotV2Test, CorruptSectionBodyFailsOpen) {
   Rewrite(CorruptFirstDomainSection());
-  Result<std::unique_ptr<Repository>> r = Open(SnapshotDecode::kEager);
+  Result<std::unique_ptr<Repository>> r = Open();
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("checksum"), std::string::npos)
       << r.status().ToString();
 }
 
-TEST_F(SnapshotV2Test, CorruptSectionBodyDiesOnFirstLazyTouch) {
-  Rewrite(CorruptFirstDomainSection());
-  // A lazy open validates only the header + TOC, so it must succeed...
-  Result<std::unique_ptr<Repository>> r = Open(SnapshotDecode::kLazy);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  // ...and TOC-aux metadata is served without decoding the bad section...
-  EXPECT_EQ((*r)->domain_size(0), world_.repo->domain_size(0));
-  EXPECT_EQ((*r)->num_samples(), world_.repo->num_samples());
-  // ...but the first read into the section must die on its checksum, not
-  // serve corrupt bytes.
-  EXPECT_DEATH((*r)->value_tokens(0, 0), "checksum");
+TEST_F(SnapshotV2Test, RestampedCorruptSectionBodyFailsOpen) {
+  // The same section with a token id past the dictionary and a valid
+  // checksum: the domain parser, not FNV, must refuse it at open.
+  std::string corrupt = bytes_;
+  const size_t token_ids = SectionAt(corrupt, 0) + 2 * sizeof(uint64_t);
+  std::memset(&corrupt[token_ids], 0xff, sizeof(Token));
+  RestampChecksums(&corrupt);
+  Rewrite(corrupt);
+  Result<std::unique_ptr<Repository>> r = Open();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+      << r.status().ToString();
+}
+
+TEST_F(SnapshotV2Test, GeometryCoordVidOutsideDomainRejectedAtOpen) {
+  std::string corrupt = bytes_;
+  const uint32_t bad =
+      static_cast<uint32_t>(world_.repo->domain_size(0) + 1000);
+  std::memcpy(&corrupt[CoordVidsAt()], &bad, sizeof(bad));
+  RestampChecksums(&corrupt);
+  Rewrite(corrupt);
+  Result<std::unique_ptr<Repository>> r = Open();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+}
+
+TEST_F(SnapshotV2Test, GeometryDistanceOutsideUnitRangeRejectedAtOpen) {
+  // 1.5 in attribute 0's last distance column: the [0, 1] range check runs
+  // before the coordinate-list checks and must refuse it.
+  std::string corrupt = bytes_;
+  const double bad = 1.5;
+  std::memcpy(&corrupt[CoordKeysAt() - world_.repo->domain_size(0) *
+                                           sizeof(double)],
+              &bad, sizeof(bad));
+  RestampChecksums(&corrupt);
+  Rewrite(corrupt);
+  Result<std::unique_ptr<Repository>> r = Open();
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("outside [0, 1]"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(SnapshotV2Test, GeometryCoordListOutOfOrderRejectedAtOpen) {
+  // Swap the first and last (key, vid) pairs: each key still equals its
+  // vid's main-pivot distance, but the list is no longer ascending.
+  const size_t dom = world_.repo->domain_size(0);
+  ASSERT_GE(dom, 2u);
+  std::string corrupt = bytes_;
+  const size_t keys = CoordKeysAt();
+  const size_t vids = CoordVidsAt();
+  for (size_t i = 0; i < sizeof(double); ++i) {
+    std::swap(corrupt[keys + i], corrupt[keys + (dom - 1) * sizeof(double) + i]);
+  }
+  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
+    std::swap(corrupt[vids + i],
+              corrupt[vids + (dom - 1) * sizeof(uint32_t) + i]);
+  }
+  RestampChecksums(&corrupt);
+  Rewrite(corrupt);
+  Result<std::unique_ptr<Repository>> r = Open();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("not sorted"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST_F(SnapshotV2Test, TocOffsetOutOfBoundsRejectedAtOpen) {
@@ -358,60 +457,123 @@ TEST_F(SnapshotV2Test, TocOffsetOutOfBoundsRejectedAtOpen) {
   WriteU64(&corrupt, EntryAt(0) + 2 * sizeof(uint64_t), uint64_t{1} << 40);
   RestampTocChecksum(&corrupt);
   Rewrite(corrupt);
-  for (SnapshotDecode decode :
-       {SnapshotDecode::kEager, SnapshotDecode::kLazy}) {
-    Result<std::unique_ptr<Repository>> r = Open(decode);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("out of bounds"), std::string::npos)
-        << r.status().ToString();
-  }
-}
-
-TEST_F(SnapshotV2Test, TruncationMidSectionRejectedAtOpen) {
-  // Cut into the last section's body while keeping header.payload_bytes
-  // consistent with the shortened file, so only the TOC bounds validation
-  // stands between a lazy open and a wild read later.
-  std::string corrupt = bytes_.substr(0, bytes_.size() - 16);
-  WriteU64(&corrupt, offsetof(snapshot::Header, payload_bytes),
-           corrupt.size() - sizeof(snapshot::Header));
-  Rewrite(corrupt);
-  Result<std::unique_ptr<Repository>> r = Open(SnapshotDecode::kLazy);
+  Result<std::unique_ptr<Repository>> r = Open();
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("out of bounds"), std::string::npos)
       << r.status().ToString();
 }
 
-TEST_F(SnapshotV2Test, ConcurrentFirstTouchServesConsistentBytes) {
-  // Two threads race every lazily-decoded surface of a cold snapshot: the
-  // once_flag-guarded decodes must produce one consistent image (this is
-  // the TSan target for the first-touch path; see ci.yml).
-  Result<std::unique_ptr<Repository>> r = Open(SnapshotDecode::kLazy);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const Repository& snap = **r;
-  const int d = snap.num_attributes();
-  auto touch = [&]() {
-    uint64_t sum = 0;
-    for (int x = 0; x < d; ++x) {
-      sum += snap.value_tokens(x, 0).size();
-      sum += snap.FindValue(x, world_.repo->value_tokens(x, 0));
-      sum += static_cast<uint64_t>(snap.value_frequency(x, 0));
-      sum += snap.value_text(x, 0).size();
-      for (int a = 0; a < snap.num_pivots(x); ++a) {
-        sum += static_cast<uint64_t>(1e6 * snap.pivot_distance(x, a, 0));
-        sum += snap.pivot_tokens(x, a).size();
-      }
-      sum += snap.ValuesInCoordRange(x, Interval::Of(0.0, 1.0)).size();
+TEST_F(SnapshotV2Test, TruncationMidSectionRejectedAtOpen) {
+  // Cut into the last section's body while keeping header.payload_bytes
+  // consistent with the shortened file, so only the TOC bounds validation
+  // stands between the open and a read past the mapping.
+  std::string corrupt = bytes_.substr(0, bytes_.size() - 16);
+  WriteU64(&corrupt, offsetof(snapshot::Header, payload_bytes),
+           corrupt.size() - sizeof(snapshot::Header));
+  Rewrite(corrupt);
+  Result<std::unique_ptr<Repository>> r = Open();
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("out of bounds"), std::string::npos)
+      << r.status().ToString();
+}
+
+/// Reads everything an opened snapshot serves, feeding every ValueId a
+/// range scan returns back into the domain and geometry readers. Returns a
+/// sum so the reads cannot be optimized away.
+uint64_t ReadEverything(const Repository& repo) {
+  uint64_t sum = 0;
+  const int d = repo.num_attributes();
+  for (int x = 0; x < d; ++x) {
+    const ValueId dom = static_cast<ValueId>(repo.domain_size(x));
+    for (ValueId v = 0; v < dom; ++v) {
+      const TokenSet& tokens = repo.value_tokens(x, v);
+      sum += tokens.size() + repo.value_text(x, v).size();
+      sum += static_cast<uint64_t>(repo.value_frequency(x, v));
+      sum += repo.FindValue(x, tokens);
     }
-    sum += static_cast<uint64_t>(snap.sample(0).rid);
-    return sum;
-  };
-  uint64_t sums[2] = {0, 0};
-  std::thread t0([&] { sums[0] = touch(); });
-  std::thread t1([&] { sums[1] = touch(); });
-  t0.join();
-  t1.join();
-  EXPECT_EQ(sums[0], sums[1]);
-  ExpectBitIdenticalReads(*world_.repo, snap);
+    for (int a = 0; a < repo.num_pivots(x); ++a) {
+      sum += repo.pivot_tokens(x, a).size();
+      for (ValueId v = 0; v < dom; ++v) {
+        sum += static_cast<uint64_t>(1e6 * repo.pivot_distance(x, a, v));
+      }
+    }
+    for (const Interval& band :
+         {Interval::Of(0.0, 1.0), Interval::Of(0.25, 0.75),
+          Interval::Of(0.5, 0.5)}) {
+      for (ValueId v : repo.ValuesInCoordRange(x, band)) {
+        sum += repo.value_tokens(x, v).size();
+        sum += static_cast<uint64_t>(1e6 * repo.pivot_distance(x, 0, v));
+      }
+    }
+  }
+  for (size_t i = 0; i < repo.num_samples(); ++i) {
+    const Record& r = repo.sample(i);
+    // Unsigned sums: a mutated rid or timestamp may be any int64.
+    sum += static_cast<uint64_t>(r.rid) + static_cast<uint64_t>(r.timestamp) +
+           static_cast<uint64_t>(r.stream_id);
+    for (int x = 0; x < d; ++x) {
+      sum += r.values[x].tokens.size() + r.values[x].text.size();
+      sum += repo.value_tokens(x, repo.sample_value_id(i, x)).size();
+    }
+  }
+  return sum;
+}
+
+// Deterministic byte-mutation fuzz of Open: bit flips, u64 overwrites and
+// truncations of the header/TOC and of the section bodies, with every
+// checksum re-stamped so the mutation reaches the parsers. Each file must
+// either fail to open with a Status or open and survive a full read
+// sweep; an abort or a sanitizer report fails the test.
+TEST_F(SnapshotV2Test, ByteMutationsFailOpenOrReadCleanly) {
+  const uint64_t count = ReadU64(bytes_, sizeof(snapshot::Header));
+  const size_t toc_end = EntryAt(count);
+  ASSERT_LT(toc_end, bytes_.size());
+  Rng rng(20261019);
+  int opened = 0;
+  int refused = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string bytes = bytes_;
+    const bool in_body = trial % 2 == 1;
+    const size_t lo = in_body ? toc_end : 0;
+    const size_t hi = in_body ? bytes.size() : toc_end;
+    const size_t at = lo + rng.NextBounded(hi - lo);
+    const size_t word = std::min(at / 8 * 8, bytes.size() - 8);
+    switch ((trial / 2) % 5) {
+      case 0:
+        bytes[at] ^= static_cast<char>(1u << rng.NextBounded(8));
+        break;
+      case 1:
+        WriteU64(&bytes, word, 0);
+        break;
+      case 2:
+        WriteU64(&bytes, word, ~uint64_t{0});
+        break;
+      case 3:
+        WriteU64(&bytes, word, bytes_.size());
+        break;
+      case 4:
+        // Keep header.payload_bytes consistent with the cut, so the
+        // truncation reaches the TOC and section bounds checks.
+        bytes.resize(at);
+        if (bytes.size() >= sizeof(snapshot::Header)) {
+          WriteU64(&bytes, offsetof(snapshot::Header, payload_bytes),
+                   bytes.size() - sizeof(snapshot::Header));
+        }
+        break;
+    }
+    RestampChecksums(&bytes);
+    Rewrite(bytes);
+    Result<std::unique_ptr<Repository>> r = Open();
+    if (r.ok()) {
+      ++opened;
+      (void)ReadEverything(**r);
+    } else {
+      ++refused;
+    }
+  }
+  // Both outcomes must occur, or the sweep is not exercising anything.
+  EXPECT_GT(opened, 0);
+  EXPECT_GT(refused, 0);
 }
 
 // ---------------------------------------------------------------------------
