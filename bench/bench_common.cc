@@ -96,8 +96,6 @@ RepoBackend EnvRepoBackend() {
 ExecKnobs EnvExecKnobs() {
   ExecKnobs knobs;
   knobs.batch_size = EnvInt("TERIDS_BENCH_BATCH", 1, 1);
-  knobs.refine_threads = EnvInt("TERIDS_BENCH_THREADS", 1, 1);
-  knobs.sched_threads = EnvInt("TERIDS_BENCH_SCHED", 0, 0, kMaxSchedThreads);
   knobs.repo_backend = EnvRepoBackend();
   return knobs;
 }
@@ -126,8 +124,6 @@ ExperimentParams BaseParams(const std::string& dataset) {
   params.max_arrivals = 4 * params.w;
   const ExecKnobs& knobs = BenchKnobs();
   params.batch_size = knobs.batch_size;
-  params.refine_threads = knobs.refine_threads;
-  params.sched_threads = knobs.sched_threads;
   params.repo_backend = knobs.repo_backend;
   return params;
 }
@@ -220,8 +216,6 @@ JsonReporter::Row& JsonReporter::AddRow() {
 JsonReporter::Row& JsonReporter::AddKnobRow(const ExecKnobs& knobs) {
   return AddRow()
       .Num("batch_size", knobs.batch_size)
-      .Num("refine_threads", knobs.refine_threads)
-      .Num("sched_threads", knobs.sched_threads)
       .Str("repo_backend", RepoBackendName(knobs.repo_backend));
 }
 
@@ -248,10 +242,9 @@ void PrintHeader(const std::string& figure, const std::string& title,
   std::printf(
       "defaults (Table 5, scaled): alpha=%.1f rho=%.1f xi=%.1f eta=%.1f "
       "w=%d m=%d scale=%.3f arrivals=%d bench_scale=%.2f batch=%d "
-      "threads=%d sched=%d repo=%s\n",
+      "repo=%s\n",
       params.alpha, params.rho, params.xi, params.eta, params.w, params.m,
       params.scale, params.max_arrivals, BenchScale(), params.batch_size,
-      params.refine_threads, params.sched_threads,
       RepoBackendName(params.repo_backend));
 }
 

@@ -38,20 +38,14 @@ double EnvScale();
 int EnvInt(const char* name, int fallback, int min_value,
            int max_value = std::numeric_limits<int>::max());
 
-/// The execution-model knobs, parsed once from TERIDS_BENCH_BATCH /
-/// TERIDS_BENCH_THREADS (defaults 1/1 = the classic one-at-a-time
-/// operator) plus TERIDS_BENCH_SCHED (sched_threads, default 0 = every
-/// fan-out inline; at most kMaxSchedThreads), the repository storage
-/// backend from TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default
-/// memory).
+/// The execution-model knobs, parsed once: the ProcessStream chunk size
+/// from TERIDS_BENCH_BATCH (default 1) and the repository storage backend
+/// from TERIDS_BENCH_REPO_BACKEND ("memory" | "mmap", default memory).
 /// Every bench that replays arrivals through Experiment::Run inherits them
-/// via BaseParams, so any figure can be reproduced under micro-batching,
-/// parallel refinement, the scheduler, and either storage backend without
-/// code changes.
+/// via BaseParams, so any figure can be reproduced under either chunk size
+/// and storage backend without code changes.
 struct ExecKnobs {
   int batch_size = 1;
-  int refine_threads = 1;
-  int sched_threads = 0;
   RepoBackend repo_backend = RepoBackend::kInMemory;
 };
 ExecKnobs EnvExecKnobs();
@@ -107,8 +101,8 @@ class JsonReporter {
   bool enabled() const { return !path_.empty(); }
   Row& AddRow();
   /// AddRow with the effective execution-model knob columns pre-stamped
-  /// (batch_size / refine_threads / sched_threads), so
-  /// artifact rows from different knob settings stay distinguishable.
+  /// (batch_size / repo_backend), so artifact rows from different knob
+  /// settings stay distinguishable.
   Row& AddKnobRow(const ExecKnobs& knobs);
 
  private:

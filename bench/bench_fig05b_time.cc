@@ -22,9 +22,8 @@ int main() {
     Experiment experiment(ProfileByName(name), BaseParams(name));
     std::printf("%-10s", name.c_str());
     for (PipelineKind kind : AllPipelines()) {
-      // Arrivals replay through the batched operator (ProcessBatch via
-      // StreamDriver::NextBatch); with the default 1/1 knobs this is the
-      // classic one-at-a-time pipeline.
+      // Arrivals replay through ProcessStream in TERIDS_BENCH_BATCH
+      // chunks.
       PipelineRun run = experiment.Run(kind);
       std::printf(" %10.4f", 1e3 * run.avg_arrival_seconds);
       std::fflush(stdout);

@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the hot primitives: Jaccard over
 // interned token sets, ER-grid churn, the batched pair cascade over grid
 // rows with refinement of its survivors, and end-to-end TER-iDS arrival
-// processing (one-at-a-time and micro-batched + parallel).
+// processing.
 //
 // Results additionally flow through the shared JsonReporter (set
 // TERIDS_BENCH_JSON) by bridging Google Benchmark's reporter interface, so
@@ -214,43 +214,6 @@ void BM_TerIdsArrival(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TerIdsArrival);
-
-// Micro-batched arrival processing; range(0) = batch size, range(1) =
-// refinement threads. Reported per arrival for comparability with
-// BM_TerIdsArrival.
-void BM_TerIdsArrivalBatch(benchmark::State& state) {
-  Experiment* experiment = SharedCitationsExperiment();
-  const int batch_size = static_cast<int>(state.range(0));
-  std::unique_ptr<Repository> repo = experiment->BuildRepository();
-  EngineConfig config = experiment->MakeConfig();
-  config.batch_size = batch_size;
-  config.refine_threads = static_cast<int>(state.range(1));
-  auto engine = std::make_unique<TerIdsEngine>(repo.get(), config, 2,
-                                               experiment->cdds());
-  std::vector<Record> inc_a = DataGenerator::WithMissing(
-      experiment->dataset().source_a, 0.3, 1, 1);
-  std::vector<Record> inc_b = DataGenerator::WithMissing(
-      experiment->dataset().source_b, 0.3, 1, 2);
-  StreamDriver driver({inc_a, inc_b});
-  size_t arrivals = 0;
-  for (auto _ : state) {
-    if (driver.remaining() < static_cast<size_t>(batch_size)) {
-      state.PauseTiming();
-      driver.Reset();
-      engine = std::make_unique<TerIdsEngine>(repo.get(), config, 2,
-                                              experiment->cdds());
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(
-        engine->ProcessBatch(driver.NextBatch(batch_size)));
-    arrivals += batch_size;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(arrivals));
-}
-BENCHMARK(BM_TerIdsArrivalBatch)
-    ->Args({8, 1})
-    ->Args({8, 4})
-    ->Args({32, 4});
 
 /// Forwards every finished run into the shared bench JSON artifact while
 /// delegating the human-readable table to the stock console reporter.

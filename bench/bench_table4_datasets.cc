@@ -1,6 +1,6 @@
 // Table 4: the tested (generated) data sets — sizes and planted matches —
-// plus a TER-iDS arrival-throughput column measured through the batched
-// operator (TERIDS_BENCH_BATCH / TERIDS_BENCH_THREADS knobs).
+// plus a TER-iDS arrival-throughput column measured through ProcessStream
+// (TERIDS_BENCH_BATCH knob).
 
 #include <cstdio>
 

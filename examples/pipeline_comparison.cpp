@@ -1,14 +1,12 @@
 // Runs all six pipelines on one workload and prints an accuracy/efficiency
 // comparison table (a miniature of the paper's Figure 5). Arrivals replay
-// through the streaming operator, so the execution model (micro-batch
-// size, refinement threads) is a command-line choice; results are
-// identical for every setting — only throughput changes.
+// through ProcessStream, so the chunk size is a command-line choice;
+// results are identical for every setting.
 //
-// Usage: example_pipeline_comparison [dataset] [scale] [batch] [threads]
+// Usage: example_pipeline_comparison [dataset] [scale] [batch]
 //   dataset: Citations | Anime | Bikes | EBooks | Songs (default Citations)
 //   scale:   dataset size factor (default 0.1)
-//   batch:   micro-batch size fed to ProcessBatch (default 1)
-//   threads: refinement worker count (default 1)
+//   batch:   arrivals per ProcessStream chunk (default 1)
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,20 +22,17 @@ int main(int argc, char** argv) {
   const std::string dataset = argc > 1 ? argv[1] : "Citations";
   const double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
   const int batch_size = argc > 3 ? std::atoi(argv[3]) : 1;
-  const int refine_threads = argc > 4 ? std::atoi(argv[4]) : 1;
 
   ExperimentParams params;
   params.scale = scale;
   params.w = 150;
   params.max_arrivals = 600;
   params.batch_size = batch_size > 0 ? batch_size : 1;
-  params.refine_threads = refine_threads > 0 ? refine_threads : 1;
 
   Experiment experiment(ProfileByName(dataset), params);
   std::printf(
-      "%s (scale %.2f, batch %d, refine threads %d): "
-      "truth pairs in windows = %zu\n",
-      dataset.c_str(), scale, params.batch_size, params.refine_threads,
+      "%s (scale %.2f, batch %d): truth pairs in windows = %zu\n",
+      dataset.c_str(), scale, params.batch_size,
       experiment.effective_truth().size());
   std::printf("%-10s %12s %10s %10s %10s %10s %9s %9s %9s\n", "pipeline",
               "ms/arrival", "precision", "recall", "F-score", "results",

@@ -32,7 +32,7 @@ find src tests bench examples \
 # ---------------------------------------------------------------------------
 docs_ok=1
 
-# Settable EngineConfig field names: lines like "  int sched_threads = 0;"
+# Settable EngineConfig field names: lines like "  int batch_size = 1;"
 # inside struct EngineConfig of src/core/config.h. A `static constexpr`
 # member is a constant, not a knob, so it is skipped.
 config_knobs=$(awk '/^struct EngineConfig/,/^};/' src/core/config.h |
@@ -162,23 +162,5 @@ done
 if [[ $docs_ok -ne 1 ]]; then
   echo "error: README.md / DESIGN.md / EXPERIMENTS.md name deleted knobs" \
     "(see above)" >&2
-  exit 1
-fi
-
-# ---------------------------------------------------------------------------
-# Thread-safety annotation hygiene: every file must use the shared TERIDS_*
-# macros from src/util/thread_annotations.h, never the raw clang attributes.
-# Raw spellings bypass the central gcc no-op gating and fragment the
-# annotation vocabulary DESIGN.md §12 documents.
-# ---------------------------------------------------------------------------
-raw_attrs=$(grep -rnE '__attribute__\(\((capability|scoped_lockable|guarded_by|pt_guarded_by|acquired_(before|after)|(acquire|release|try_acquire)_(shared_)?capability|requires_(shared_)?capability|locks_excluded|assert_(shared_)?capability|lock_returned|no_thread_safety_analysis)' \
-  --include='*.h' --include='*.cc' --include='*.cpp' \
-  src tests bench examples |
-  grep -v '^src/util/thread_annotations.h:' || true)
-
-if [[ -n "$raw_attrs" ]]; then
-  echo "error: raw thread-safety attributes found; use the TERIDS_* macros" >&2
-  echo "       from src/util/thread_annotations.h instead:" >&2
-  echo "$raw_attrs" >&2
   exit 1
 fi

@@ -34,9 +34,7 @@ struct ArrivalOutcome {
 
 /// Typed state flowing through the arrival pipeline's phases
 /// (ImputePhase -> CandidatePhase -> RefinePhase -> MaintainPhase). Each
-/// phase reads the fields earlier phases filled and writes its own; the
-/// batched operator keeps one context per batch arrival so refinement can
-/// be deferred and executed across the whole batch at once.
+/// phase reads the fields earlier phases filled and writes its own.
 struct ArrivalContext {
   explicit ArrivalContext(const Record& r) : record(r) {}
 
@@ -52,16 +50,9 @@ struct ArrivalContext {
   // --- CandidatePhase outputs ---------------------------------------------
   /// Candidates left for per-pair refinement: after grid / linear
   /// generation and, on the grid path, the batched cascade (whose rejects
-  /// are already folded into `out.stats`). Raw pointers into
-  /// window tuples; in batched mode `evicted` below keeps candidates a
-  /// later batch arrival expires alive until refinement has run.
+  /// are already folded into `out.stats`). Raw pointers into window
+  /// tuples, valid until MaintainPhase expires one.
   std::vector<const WindowTuple*> candidates;
-
-  // --- MaintainPhase outputs ----------------------------------------------
-  /// The tuple this arrival expired from its stream's window (null if the
-  /// window had room). In batched mode the result-set eviction cascade for
-  /// it is replayed in arrival order after deferred refinement.
-  std::shared_ptr<WindowTuple> evicted;
 
   /// Accumulated result of this arrival.
   ArrivalOutcome out;

@@ -20,10 +20,6 @@ enum class PipelineKind {
 
 const char* PipelineKindName(PipelineKind kind);
 
-/// Ceiling on EngineConfig::sched_threads: each worker is an OS thread, so
-/// a mistyped worker count must fail the config check rather than spawn.
-inline constexpr int kMaxSchedThreads = 256;
-
 /// Runtime configuration of a TER-iDS query (the problem statement's
 /// parameters plus implementation knobs).
 struct EngineConfig {
@@ -43,24 +39,18 @@ struct EngineConfig {
   int max_candidates_per_attr = 8;
   /// ER-grid cell side length in the converted space [0,1].
   double cell_width = 0.2;
-  /// Micro-batch size callers should feed ProcessBatch (StreamDriver::
-  /// NextBatch). 1 = the classic one-arrival-at-a-time operator.
+  /// Micro-batch size callers should feed ProcessStream: each
+  /// StreamDriver::NextBatch chunk of this many arrivals is processed one
+  /// record at a time, and its outcomes are then emitted together.
+  /// 1 = every arrival is emitted as soon as it is processed.
   int batch_size = 1;
-  /// Refinement fan-out: 1 = inline sequential refinement; > 1 = the
-  /// post-pruning cascade of each batch fans out on the scheduler (width =
-  /// its concurrency). The defaults (1/1) keep pipeline output and
-  /// execution bit-for-bit identical to the unbatched operator.
+  /// Read by terbench; ignored since the scheduler was removed (ROADMAP
+  /// item 1).
   int refine_threads = 1;
   /// Read by terbench; always 0 since async ingest was removed.
   static constexpr int ingest_queue_depth = 0;
-  /// Worker count of the phase-tagged Scheduler (DESIGN.md §10), the one
-  /// parallel executor. 0 = no workers, so every fan-out runs inline on
-  /// the caller. >= 1 = the refinement fan-out (the only phase that leaves
-  /// the caller) dispatches onto a pool of this many workers.
-  /// refine_threads > 1 decides *whether* refinement fans out; the
-  /// scheduler decides who runs it. At most kMaxSchedThreads. Every setting
-  /// produces identical matches, MatchSet, and PruneStats (the equivalence
-  /// sweep enforces it).
+  /// Read by terbench; ignored since the scheduler was removed (ROADMAP
+  /// item 1).
   int sched_threads = 0;
   /// Physical storage backend behind the repository R the engines read
   /// (DESIGN.md §8). Engines never construct repositories themselves —

@@ -19,15 +19,6 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
   TERIDS_CHECK(num_streams >= 2);
   TERIDS_CHECK(config_.batch_size >= 1);
   TERIDS_CHECK(config_.max_candidates_per_attr >= 1);
-  TERIDS_CHECK(config_.refine_threads >= 1);
-  TERIDS_CHECK(config_.sched_threads >= 0);
-  TERIDS_CHECK(config_.sched_threads <= kMaxSchedThreads);
-  if (config_.sched_threads > 0) {
-    sched_ = std::make_unique<Scheduler>(config_.sched_threads);
-  }
-  if (config_.refine_threads > 1) {
-    refiner_ = RefinementExecutor(sched_.get());
-  }
   windows_.reserve(num_streams);
   for (int i = 0; i < num_streams; ++i) {
     windows_.emplace_back(config_.window_size);
@@ -156,37 +147,30 @@ void PipelineBase::ApplyEvaluation(ArrivalContext* ctx,
 
 void PipelineBase::RefinePhase(ArrivalContext* ctx) {
   ScopedTimer timer(&ctx->out.cost.refine_seconds);
-  if (config_.refine_threads <= 1) {
-    // Sequential fast path: no task materialization, no dispatch — the
-    // classic per-candidate loop.
-    for (const WindowTuple* cand : ctx->candidates) {
-      RefinementExecutor::Task task;
-      task.probe = ctx->tuple.get();
-      task.probe_topic = &ctx->wt->topic;
-      task.candidate = cand;
-      const PairEvaluation eval = RefinementExecutor::Evaluate(
-          task, /*pruned=*/grid_ != nullptr, config_.gamma, config_.alpha);
-      ApplyEvaluation(ctx, cand, eval);
-    }
-    return;
-  }
-  std::vector<RefinementExecutor::Task> tasks;
-  tasks.reserve(ctx->candidates.size());
+  const ImputedTuple& probe = *ctx->tuple;
+  const TopicQuery::TupleTopic& probe_topic = ctx->wt->topic;
   for (const WindowTuple* cand : ctx->candidates) {
-    tasks.push_back({ctx->tuple.get(), &ctx->wt->topic, cand});
-  }
-  std::vector<PairEvaluation> evals;
-  refiner_.Run(tasks, /*pruned=*/grid_ != nullptr, config_.gamma,
-               config_.alpha, &evals);
-  for (size_t i = 0; i < ctx->candidates.size(); ++i) {
-    ApplyEvaluation(ctx, ctx->candidates[i], evals[i]);
+    PairEvaluation eval;
+    if (grid_ != nullptr) {
+      // The batched cascade passed this pair: refinement starts at
+      // Theorem 4.4.
+      eval = RefinePair(probe, probe_topic, *cand->tuple, cand->topic,
+                        config_.gamma, config_.alpha);
+    } else {
+      // Unpruned baselines: every pair gets the plain-merge exact
+      // probability.
+      eval.probability = ExactProbability(probe, probe_topic, *cand->tuple,
+                                          cand->topic, config_.gamma);
+      eval.outcome = eval.probability > config_.alpha ? PairOutcome::kMatched
+                                                      : PairOutcome::kRefuted;
+    }
+    ApplyEvaluation(ctx, cand, eval);
   }
 }
 
-void PipelineBase::MaintainPhase(ArrivalContext* ctx,
-                                 bool defer_result_eviction) {
+void PipelineBase::MaintainPhase(ArrivalContext* ctx) {
   ScopedTimer timer(&ctx->out.cost.maintain_seconds);
-  std::shared_ptr<WindowTuple> evicted =
+  const std::shared_ptr<WindowTuple> evicted =
       windows_[ctx->record.stream_id].Push(ctx->wt);
   if (grid_ != nullptr) {
     grid_->Insert(ctx->wt.get());
@@ -195,78 +179,10 @@ void PipelineBase::MaintainPhase(ArrivalContext* ctx,
     }
   }
   if (evicted != nullptr) {
-    if (!defer_result_eviction) {
-      matches_.RemoveAllWith(evicted->rid());
-    }
+    matches_.RemoveAllWith(evicted->rid());
     if (imputer_ != nullptr) {
       imputer_->OnEvict(evicted->tuple->base());
     }
-    ctx->evicted = std::move(evicted);
-  }
-}
-
-// --- Batched operator stages -----------------------------------------------
-
-void PipelineBase::IngestBatch(const std::vector<Record>& batch,
-                               std::vector<ArrivalContext>* ctxs) {
-  ctxs->reserve(ctxs->size() + batch.size());
-  // Impute / candidates / maintain per arrival, in arrival order, with
-  // refinement deferred: the window, grid, and imputer state each batch
-  // arrival observes is exactly what sequential processing would have left
-  // behind (intra-batch pairs included), while the expensive pair cascade
-  // is pulled out into one batch-wide parallel task set.
-  for (const Record& r : batch) {
-    ctxs->emplace_back(r);
-    ArrivalContext& ctx = ctxs->back();
-    ImputePhase(&ctx);
-    {
-      ScopedTimer timer(&ctx.out.cost.er_seconds);
-      CandidatePhase(&ctx);
-    }
-    MaintainPhase(&ctx, /*defer_result_eviction=*/true);
-  }
-}
-
-void PipelineBase::RefineAndReplay(std::vector<ArrivalContext>* ctxs) {
-  size_t total_tasks = 0;
-  for (const ArrivalContext& ctx : *ctxs) {
-    total_tasks += ctx.candidates.size();
-  }
-  std::vector<RefinementExecutor::Task> tasks;
-  tasks.reserve(total_tasks);
-  for (ArrivalContext& ctx : *ctxs) {
-    for (const WindowTuple* cand : ctx.candidates) {
-      tasks.push_back({ctx.tuple.get(), &ctx.wt->topic, cand});
-    }
-  }
-  double refine_wall = 0.0;
-  std::vector<PairEvaluation> evals;
-  {
-    ScopedTimer timer(&refine_wall);
-    refiner_.Run(tasks, /*pruned=*/grid_ != nullptr, config_.gamma,
-                 config_.alpha, &evals);
-  }
-
-  // Replay in arrival order: evaluations fold into each arrival's stats
-  // and the result set in candidate order, then the arrival's deferred
-  // result-set eviction runs — the exact sequential interleaving of match
-  // insertion and expiration.
-  size_t cursor = 0;
-  for (ArrivalContext& ctx : *ctxs) {
-    for (const WindowTuple* cand : ctx.candidates) {
-      ApplyEvaluation(&ctx, cand, evals[cursor++]);
-    }
-    cum_stats_.Add(ctx.out.stats);
-    if (ctx.evicted != nullptr) {
-      matches_.RemoveAllWith(ctx.evicted->rid());
-    }
-    const double share =
-        total_tasks == 0
-            ? 0.0
-            : refine_wall * static_cast<double>(ctx.candidates.size()) /
-                  static_cast<double>(total_tasks);
-    ctx.out.cost.refine_seconds += share;
-    ctx.out.cost.er_seconds += share;
   }
 }
 
@@ -281,34 +197,8 @@ ArrivalOutcome PipelineBase::ProcessArrival(const Record& r) {
     RefinePhase(&ctx);
   }
   cum_stats_.Add(ctx.out.stats);
-  MaintainPhase(&ctx, /*defer_result_eviction=*/false);
+  MaintainPhase(&ctx);
   return std::move(ctx.out);
-}
-
-std::vector<ArrivalOutcome> PipelineBase::ProcessBatch(
-    const std::vector<Record>& batch) {
-  std::vector<ArrivalOutcome> outcomes;
-  outcomes.reserve(batch.size());
-  if (batch.size() <= 1) {
-    for (const Record& r : batch) {
-      outcomes.push_back(ProcessArrival(r));
-    }
-    return outcomes;
-  }
-
-  double batch_wall = 0.0;
-  std::vector<ArrivalContext> ctxs;
-  {
-    ScopedTimer batch_timer(&batch_wall);
-    IngestBatch(batch, &ctxs);
-    RefineAndReplay(&ctxs);
-  }
-  for (ArrivalContext& ctx : ctxs) {
-    ctx.out.cost.batch_seconds +=
-        batch_wall / static_cast<double>(batch.size());
-    outcomes.push_back(std::move(ctx.out));
-  }
-  return outcomes;
 }
 
 void PipelineBase::RecordArrivalLatency(const CostBreakdown& cost,
@@ -331,7 +221,12 @@ size_t PipelineBase::ProcessStream(StreamDriver* driver, size_t max_arrivals,
     const std::vector<Record> batch =
         driver->NextBatch(std::min(batch_size, max_arrivals - processed));
     Stopwatch admit;
-    for (ArrivalOutcome& outcome : ProcessBatch(batch)) {
+    std::vector<ArrivalOutcome> outcomes;
+    outcomes.reserve(batch.size());
+    for (const Record& r : batch) {
+      outcomes.push_back(ProcessArrival(r));
+    }
+    for (ArrivalOutcome& outcome : outcomes) {
       RecordArrivalLatency(outcome.cost, admit.ElapsedSeconds());
       sink(std::move(outcome));
       ++processed;

@@ -13,8 +13,6 @@
 #include "er/topic.h"
 #include "eval/cost_breakdown.h"
 #include "eval/latency_histogram.h"
-#include "exec/refinement_executor.h"
-#include "exec/scheduler.h"
 #include "imputation/imputer.h"
 #include "repo/repository.h"
 #include "rules/rule.h"
@@ -32,11 +30,10 @@ struct ShedStats {
 };
 
 /// The online operator shared by the TER-iDS engine and all baselines: it
-/// consumes stream arrivals, one at a time or in timestamp-ordered
-/// micro-batches, and continuously maintains the TER-iDS result set ES
-/// (Algorithm 1). It owns the sliding windows, the optional ER-grid,
-/// result-set maintenance with the eviction cascade, and the refinement
-/// loop, decomposed into four explicit phases (DESIGN.md §6):
+/// consumes stream arrivals one at a time and continuously maintains the
+/// TER-iDS result set ES (Algorithm 1). It owns the sliding windows, the
+/// optional ER-grid, result-set maintenance with the eviction cascade, and
+/// the refinement loop, decomposed into four explicit phases (DESIGN.md §6):
 ///
 ///   ImputePhase    — imputation, topic classification
 ///   CandidatePhase — ER-grid probe or linear window scan, then the
@@ -47,15 +44,11 @@ struct ShedStats {
 ///                    probability of every pair (unpruned baselines)
 ///   MaintainPhase  — grid + window insertion, eviction cascade
 ///
-/// ProcessArrival runs the phases back-to-back for one record; the batched
-/// operator runs impute/candidates/maintain per record in arrival order
-/// (so intra-batch pairs and evictions behave exactly as in sequential
-/// processing), defers all pair refinement into one batch-wide task set,
-/// executes it on the RefinementExecutor, and replays match insertion and
-/// result-set eviction in arrival order. ProcessStream loops NextBatch ->
-/// ProcessBatch -> sink on the calling thread. Output is bit-for-bit
-/// identical to sequential processing for every batch_size /
-/// refine_threads / sched_threads setting.
+/// ProcessArrival runs the phases back-to-back for one record; it is the
+/// only execution path. ProcessStream pulls NextBatch chunks, runs
+/// ProcessArrival on each record in order and then emits the chunk's
+/// outcomes to the sink, so batch_size changes when outcomes leave, never
+/// what they are.
 ///
 /// Subclasses override the imputation hook and pick the pruned (grid) or
 /// unpruned (linear) pair path.
@@ -73,20 +66,16 @@ class PipelineBase {
 
   const std::string& name() const { return name_; }
   ArrivalOutcome ProcessArrival(const Record& r);
-  /// Processes a timestamp-ordered micro-batch (StreamDriver::NextBatch)
-  /// and returns one outcome per record, in arrival order. Semantically
-  /// identical to calling ProcessArrival on each record in order; batches
-  /// amortize work and refine candidate pairs in parallel.
-  std::vector<ArrivalOutcome> ProcessBatch(const std::vector<Record>& batch);
 
   /// Sink for per-arrival outcomes, invoked strictly in arrival order.
   using OutcomeSink = std::function<void(ArrivalOutcome&&)>;
 
-  /// The synchronous NextBatch -> ProcessBatch -> sink loop: drives the
-  /// pipeline over `driver` until `max_arrivals` records have been consumed
-  /// (or the driver runs dry), in micro-batches of up to `batch_size`
-  /// records, with per-arrival latency stamped at emission. Returns the
-  /// number of arrivals processed.
+  /// The synchronous stream loop: drives the pipeline over `driver` until
+  /// `max_arrivals` records have been consumed (or the driver runs dry).
+  /// Each NextBatch chunk of up to `batch_size` records goes through
+  /// ProcessArrival in order; then every outcome of the chunk gets its
+  /// per-arrival latency stamped (chunk admission to emission) and goes to
+  /// the sink, in arrival order. Returns the number of arrivals processed.
   size_t ProcessStream(StreamDriver* driver, size_t max_arrivals,
                        size_t batch_size, const OutcomeSink& sink);
   const MatchSet& results() const { return matches_; }
@@ -94,12 +83,9 @@ class PipelineBase {
   /// Per-arrival latency histograms (phase + end-to-end) accumulated by
   /// ProcessStream. Read once the stream has completed.
   const LatencyStats& arrival_latencies() const { return latency_; }
-  /// Drains the scheduler (if sched_threads > 0) and returns its
-  /// per-work-item service-time histograms, clearing them. Call only at
-  /// stream quiescence.
-  LatencyStats ConsumeSchedulerLatencies() {
-    return sched_ != nullptr ? sched_->ConsumeLatencies() : LatencyStats();
-  }
+  /// Read by terbench; ignored since the scheduler was removed (ROADMAP
+  /// item 1): always empty.
+  LatencyStats ConsumeSchedulerLatencies() const { return LatencyStats(); }
   /// Read by terbench; always 0 since async ingest was removed.
   const ShedStats* shed_stats() const {
     static const ShedStats kNone;
@@ -133,19 +119,10 @@ class PipelineBase {
   /// Lines 2-7, 11-13: grid + window insertion and the eviction cascade.
   /// The expired tuple must be in the grid: a window/grid desync aborts
   /// here rather than leave a stale member producing candidates.
-  /// When `defer_result_eviction`, the expired tuple's MatchSet removal is
-  /// left to the caller (batched mode replays it after deferred
-  /// refinement, in arrival order) and the tuple is parked in
-  /// `ctx->evicted` so deferred refine tasks can still dereference it.
-  void MaintainPhase(ArrivalContext* ctx, bool defer_result_eviction);
+  void MaintainPhase(ArrivalContext* ctx);
 
   Repository* repo_;
   EngineConfig config_;
-  /// The one parallel executor: sched_threads workers, null when that is
-  /// 0 (every fan-out inline). Declared before every member whose methods
-  /// dispatch onto it so it is destroyed last (after draining all pending
-  /// work).
-  std::unique_ptr<Scheduler> sched_;
   TopicQuery topic_;
   std::vector<SlidingWindow> windows_;
   std::unique_ptr<ErGrid> grid_;
@@ -161,22 +138,11 @@ class PipelineBase {
   /// the result set (the single place MatchPairs are constructed).
   void ApplyEvaluation(ArrivalContext* ctx, const WindowTuple* cand,
                        const PairEvaluation& eval);
-  /// Ingest stage: impute/candidates/maintain per record
-  /// in arrival order with refinement deferred and result-set eviction
-  /// parked in each context.
-  void IngestBatch(const std::vector<Record>& batch,
-                   std::vector<ArrivalContext>* ctxs);
-  /// Refine stage: builds the batch-wide task set, runs it on the
-  /// RefinementExecutor, and replays match insertion, stats accumulation,
-  /// and deferred result-set evictions in arrival order.
-  void RefineAndReplay(std::vector<ArrivalContext>* ctxs);
   /// Folds one emitted arrival into the per-arrival latency histograms:
   /// phase latencies from the outcome's cost fields, end-to-end from
-  /// `e2e_seconds` (batch admission to emission).
+  /// `e2e_seconds` (chunk admission to emission).
   void RecordArrivalLatency(const CostBreakdown& cost, double e2e_seconds);
 
-  /// Fans refinement out on sched_ when refine_threads > 1, else inline.
-  RefinementExecutor refiner_;
   /// Batched-cascade scratch of CandidatePhase.
   std::vector<PairEvaluation> kernel_evals_;
   std::vector<uint32_t> kernel_passed_;

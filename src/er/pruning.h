@@ -64,9 +64,8 @@ struct PruneStats {
 
   /// Folds one pair evaluation into the counters. This is the only way the
   /// pipeline mutates stats: evaluation itself is stateless
-  /// (EvaluateCandidates and RefinePair return values), so callers —
-  /// including parallel refinement workers' consumers — thread their own
-  /// accumulator explicitly.
+  /// (EvaluateCandidates and RefinePair return values), so callers thread
+  /// their own accumulator explicitly.
   void Record(PairOutcome outcome) {
     ++total_pairs;
     switch (outcome) {

@@ -10,7 +10,6 @@ CostBreakdown CostBreakdown::Scaled(double factor) const {
   out.impute_seconds = impute_seconds * factor;
   out.er_seconds = er_seconds * factor;
   out.refine_seconds = refine_seconds * factor;
-  out.batch_seconds = batch_seconds * factor;
   out.candidate_seconds = candidate_seconds * factor;
   out.queue_wait_seconds = queue_wait_seconds * factor;
   out.maintain_seconds = maintain_seconds * factor;
@@ -41,11 +40,11 @@ std::string CostBreakdown::ToJson() const {
   std::snprintf(buf, sizeof(buf),
                 "{\"cdd_select_seconds\":%.9g,\"impute_seconds\":%.9g,"
                 "\"er_seconds\":%.9g,\"refine_seconds\":%.9g,"
-                "\"batch_seconds\":%.9g,\"candidate_seconds\":%.9g,"
+                "\"candidate_seconds\":%.9g,"
                 "\"queue_wait_seconds\":%.9g,\"maintain_seconds\":%.9g,"
                 "\"total_seconds\":%.9g}",
                 cdd_select_seconds, impute_seconds, er_seconds,
-                refine_seconds, batch_seconds, candidate_seconds,
+                refine_seconds, candidate_seconds,
                 queue_wait_seconds, maintain_seconds, total_seconds());
   return std::string(buf);
 }

@@ -11,14 +11,12 @@ struct CostBreakdown {
   double cdd_select_seconds = 0.0;
   double impute_seconds = 0.0;
   double er_seconds = 0.0;
-  /// Pair-refinement wall time (the RefinementExecutor's task set in
-  /// batched/parallel mode). Contained in `er_seconds`, so it is an
-  /// overlay metric, not a fourth additive phase.
+  /// Pair-refinement wall time: the batched Theorem 4.1-4.3 cascade over
+  /// the grid candidates plus the per-pair refinement of the pairs it
+  /// passes (the exact probability of every pair on the unpruned
+  /// baselines). Contained in `er_seconds`, so it is an overlay metric,
+  /// not a fourth additive phase.
   double refine_seconds = 0.0;
-  /// Wall time of the whole batched operator attributed evenly across the
-  /// batch's arrivals. Overlaps the three phases; zero in one-at-a-time
-  /// processing.
-  double batch_seconds = 0.0;
   /// Candidate-generation wall time (the ER-grid probe, or the linear
   /// window scan). Contained in `er_seconds`; overlay metric.
   double candidate_seconds = 0.0;
@@ -38,7 +36,6 @@ struct CostBreakdown {
     impute_seconds += other.impute_seconds;
     er_seconds += other.er_seconds;
     refine_seconds += other.refine_seconds;
-    batch_seconds += other.batch_seconds;
     candidate_seconds += other.candidate_seconds;
     queue_wait_seconds += other.queue_wait_seconds;
     maintain_seconds += other.maintain_seconds;

@@ -161,8 +161,6 @@ EngineConfig Experiment::MakeConfig() const {
   config.max_candidates_per_attr = params_.max_candidates_per_attr;
   config.cell_width = params_.cell_width;
   config.batch_size = params_.batch_size;
-  config.refine_threads = params_.refine_threads;
-  config.sched_threads = params_.sched_threads;
   config.repo_backend = params_.repo_backend;
   return config;
 }
@@ -185,8 +183,8 @@ PipelineRun Experiment::Run(PipelineKind kind, const EngineConfig& config) {
   const size_t cap = ArrivalCap();
   std::vector<MatchPair> all_matches;
   Stopwatch total_watch;
-  // ProcessStream replays every arrival through the pipeline's streaming
-  // operator: the NextBatch/ProcessBatch loop.
+  // ProcessStream replays every arrival through ProcessArrival, emitting
+  // outcomes per NextBatch chunk.
   run.arrivals = pipeline->ProcessStream(
       &driver, cap, static_cast<size_t>(config.batch_size),
       [&](ArrivalOutcome&& outcome) {
@@ -202,7 +200,6 @@ PipelineRun Experiment::Run(PipelineKind kind, const EngineConfig& config) {
   run.accuracy = ComputeFScore(all_matches, effective_truth_);
   run.final_result_size = pipeline->results().size();
   run.arrival_latency = pipeline->arrival_latencies();
-  run.sched_item_latency = pipeline->ConsumeSchedulerLatencies();
   return run;
 }
 

@@ -34,13 +34,9 @@ struct ExperimentParams {
   int max_instances = 16;
   int max_candidates_per_attr = 8;
   double cell_width = 0.2;
-  /// Execution-model knobs (defaults reproduce one-at-a-time processing).
+  /// Arrivals per ProcessStream chunk (1 = each outcome is emitted as soon
+  /// as it is processed). Results are identical for every value.
   int batch_size = 1;
-  int refine_threads = 1;
-  /// Scheduler worker count (0 = every fan-out inline on the caller; >= 1
-  /// = refinement fans out on a pool of this many workers). Every setting
-  /// produces identical results (DESIGN.md §10).
-  int sched_threads = 0;
   /// Repository storage backend each Run()'s fresh repository uses. With
   /// kMmapSnapshot, BuildRepository serializes the in-memory build into a
   /// temporary snapshot file and reopens it via mmap — results are
@@ -61,9 +57,6 @@ struct PipelineRun {
   /// Per-arrival latency histograms (phase + end-to-end) the pipeline's
   /// ProcessStream recorded at each emission.
   LatencyStats arrival_latency;
-  /// Per-work-item service-time histograms from the scheduler; empty when
-  /// the pipeline ran without one.
-  LatencyStats sched_item_latency;
 };
 
 /// Builds one dataset + repository + rules under fixed parameters and runs
@@ -75,10 +68,8 @@ class Experiment {
  public:
   Experiment(const DatasetProfile& profile, const ExperimentParams& params);
 
-  /// Replays the arrival sequence through the pipeline's batched operator
-  /// (micro-batches of params().batch_size via StreamDriver::NextBatch;
-  /// with the default batch_size=1 / refine_threads=1 this is exactly the
-  /// one-at-a-time operator).
+  /// Replays the arrival sequence through the pipeline's ProcessStream in
+  /// chunks of params().batch_size arrivals.
   PipelineRun Run(PipelineKind kind);
   /// Same run under an explicit EngineConfig (start from MakeConfig() and
   /// tweak); dataset, rules, and ground truth are shared, so knob benches

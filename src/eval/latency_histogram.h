@@ -7,13 +7,10 @@
 
 namespace terids {
 
-/// The four work-item phases of the unified scheduler (DESIGN.md §10). The
-/// same tags key the per-arrival phase-latency histograms, so the scheduler
-/// (src/exec) and the accounting layer agree on one vocabulary.
+/// The four phases of one arrival (DESIGN.md §6). They key the per-arrival
+/// phase-latency histograms; terbench names its exec.* rows by them.
 enum class ExecPhase {
-  /// Imputation: CDD selection and the determinant join. Keys the
-  /// per-arrival impute latency; read by terbench (exec.items.ingest);
-  /// always 0 as a scheduler item since async ingest was removed.
+  /// Imputation: CDD selection and the determinant join.
   kIngest = 0,
   kCandidate = 1,  // ER-grid probe / linear window scan
   kRefine = 2,     // the Theorem 4.1-4.4 cascade / exact refinement
@@ -24,15 +21,13 @@ inline constexpr int kNumExecPhases = 4;
 /// Short lowercase phase tag for table and JSON output ("ingest", ...).
 const char* ExecPhaseName(ExecPhase phase);
 
-/// A log-bucketed latency histogram: fixed memory, O(1) record, mergeable
-/// across workers, and percentile queries with within-bucket interpolation.
+/// A log-bucketed latency histogram: fixed memory, O(1) record, mergeable,
+/// and percentile queries with within-bucket interpolation.
 ///
 /// Buckets cover [1ns, ~2^63 ns) with `kSubBuckets` linear sub-buckets per
 /// power of two, so the relative bucket width — and therefore the worst-case
 /// percentile error — is 1/kSubBuckets (6.25%). Durations below 1ns clamp
-/// into the first bucket. Record/Merge/Percentile are NOT thread-safe; the
-/// intended concurrent usage is one histogram per worker merged after the
-/// workers quiesce (see Scheduler::ConsumeLatencies).
+/// into the first bucket.
 class LatencyHistogram {
  public:
   /// Linear sub-buckets per octave; 16 gives <= 6.25% relative error.
@@ -46,11 +41,11 @@ class LatencyHistogram {
 
   /// Folds one duration (in seconds) into the histogram.
   void Record(double seconds) { RecordNanos(ToNanos(seconds)); }
-  /// Same, in integer nanoseconds (the worker-ring fast path).
+  /// Same, in integer nanoseconds.
   void RecordNanos(uint64_t nanos);
 
   /// Adds every count of `other` into this histogram. Merge is commutative
-  /// and associative, so per-worker histograms can be combined in any order.
+  /// and associative, so histograms can be combined in any order.
   void Merge(const LatencyHistogram& other);
 
   /// The value (in seconds) at quantile `q` in [0, 1]: the bucket holding
@@ -90,7 +85,7 @@ class LatencyHistogram {
   uint64_t max_nanos_ = 0;
 };
 
-/// One histogram per scheduler phase plus the end-to-end per-arrival
+/// One histogram per arrival phase plus the end-to-end per-arrival
 /// latency — the unit CostBreakdown-style accounting aggregates and
 /// JsonReporter emits (DESIGN.md §10). Plain value type; merge combines the
 /// component histograms pairwise.

@@ -1,7 +1,6 @@
 #include "repo/snapshot_writer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -229,14 +228,14 @@ std::string BuildPayload(const Repository& repo, uint64_t* toc_checksum) {
 /// renames it over `path`. Every failure path unlinks the temp file.
 Status WriteFileAtomic(const std::string& path, const snapshot::Header& header,
                        const std::string& payload) {
-  static std::atomic<uint64_t> tmp_counter{0};
+  static uint64_t tmp_counter = 0;
 #if defined(__unix__) || defined(__APPLE__)
   const long pid = static_cast<long>(::getpid());
 #else
   const long pid = 0;
 #endif
   const std::string tmp = path + ".tmp-" + std::to_string(pid) + "-" +
-                          std::to_string(tmp_counter.fetch_add(1));
+                          std::to_string(tmp_counter++);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -276,7 +275,7 @@ Status WriteFileAtomic(const std::string& path, const snapshot::Header& header,
 }  // namespace
 
 std::string UniqueSnapshotPath(const std::string& prefix) {
-  static std::atomic<uint64_t> counter{0};
+  static uint64_t counter = 0;
   static const uint64_t tag = std::random_device{}();
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string dir =
@@ -287,7 +286,7 @@ std::string UniqueSnapshotPath(const std::string& prefix) {
   const long pid = 0;
 #endif
   return dir + "/" + prefix + "-" + std::to_string(pid) + "-" +
-         std::to_string(tag) + "-" + std::to_string(counter.fetch_add(1)) +
+         std::to_string(tag) + "-" + std::to_string(counter++) +
          ".snap";
 }
 

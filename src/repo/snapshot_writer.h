@@ -31,7 +31,8 @@ Status WriteRepositorySnapshot(const Repository& repo, const std::string& path);
 /// Collision-resistant path for a throwaway snapshot file under TMPDIR
 /// (or /tmp): `<dir>/<prefix>-<pid>-<random tag>-<counter>.snap`. The
 /// random per-process tag keeps paths distinct even where getpid is
-/// unavailable and the counter keeps repeated calls distinct.
+/// unavailable and the counter keeps repeated calls distinct. Like the
+/// rest of the library, which starts no threads, it is not thread-safe.
 std::string UniqueSnapshotPath(const std::string& prefix);
 
 }  // namespace terids

@@ -41,10 +41,6 @@ using GridCellKey = uint64_t;
 /// er/pruning.h) decides the whole list over rows. The slab keeps every
 /// live row in one allocation, so the kernel walks memory instead of
 /// chasing tuple pointers.
-///
-/// Locking model (DESIGN.md §12): deliberately mutex-free. The grid is
-/// single-writer — the pipeline's calling thread owns every
-/// Insert/Remove/Candidates call — so there is no capability to annotate.
 class ErGrid {
  public:
   /// `dims` = number of attributes d; `cell_width` = side length of a cell

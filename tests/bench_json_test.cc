@@ -126,7 +126,6 @@ class EnvIntTest : public ::testing::Test {
   void TearDown() override {
     unsetenv(kKnob);
     unsetenv("TERIDS_BENCH_REPO_BACKEND");
-    unsetenv("TERIDS_BENCH_SCHED");
   }
 
   /// Runs EnvInt and returns {value, stderr output}.
@@ -186,20 +185,6 @@ TEST_F(EnvIntTest, RejectsAboveMaximumWithMessage) {
   const auto [v, err] = Parse("17", 4, 0, 16);
   EXPECT_EQ(v, 4);
   EXPECT_NE(err.find("above the maximum 16"), std::string::npos) << err;
-}
-
-TEST_F(EnvIntTest, SchedKnobIsCappedAtTheCeiling) {
-  // The one knob that starts threads: a value above kMaxSchedThreads falls
-  // back to 0 (inline) with a message instead of reaching the engine.
-  setenv("TERIDS_BENCH_SCHED", std::to_string(kMaxSchedThreads).c_str(), 1);
-  EXPECT_EQ(EnvExecKnobs().sched_threads, kMaxSchedThreads);
-  setenv("TERIDS_BENCH_SCHED", std::to_string(kMaxSchedThreads + 1).c_str(),
-         1);
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(EnvExecKnobs().sched_threads, 0);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("TERIDS_BENCH_SCHED"), std::string::npos) << err;
-  EXPECT_NE(err.find("above the maximum"), std::string::npos) << err;
 }
 
 TEST_F(EnvIntTest, RepoBackendKnobParsesAndRejectsLoudly) {

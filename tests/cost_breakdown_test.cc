@@ -81,31 +81,27 @@ TEST(CostBreakdownTest, PhaseSharesOfZeroTotalAreZero) {
 TEST(CostBreakdownTest, ToJsonRendersAllFields) {
   CostBreakdown c = Make(0.125, 0.25, 0.5);
   c.refine_seconds = 0.375;
-  c.batch_seconds = 0.0625;
   c.candidate_seconds = 0.03125;
   c.queue_wait_seconds = 0.015625;
   c.maintain_seconds = 0.0078125;
   EXPECT_EQ(c.ToJson(),
             "{\"cdd_select_seconds\":0.125,\"impute_seconds\":0.25,"
             "\"er_seconds\":0.5,\"refine_seconds\":0.375,"
-            "\"batch_seconds\":0.0625,\"candidate_seconds\":0.03125,"
+            "\"candidate_seconds\":0.03125,"
             "\"queue_wait_seconds\":0.015625,"
             "\"maintain_seconds\":0.0078125,\"total_seconds\":0.875}");
 }
 
-TEST(CostBreakdownTest, RefineAndBatchTimingsAreOverlays) {
-  // refine_seconds is contained in er_seconds and batch_seconds overlaps
-  // all phases, so neither contributes to the additive total.
+TEST(CostBreakdownTest, RefineTimingIsAnOverlay) {
+  // refine_seconds is contained in er_seconds, so it does not contribute
+  // to the additive total.
   CostBreakdown c = Make(0.1, 0.2, 0.4);
   c.refine_seconds = 0.3;
-  c.batch_seconds = 0.7;
   EXPECT_DOUBLE_EQ(c.total_seconds(), 0.7);
   CostBreakdown sum = c + c;
   EXPECT_DOUBLE_EQ(sum.refine_seconds, 0.6);
-  EXPECT_DOUBLE_EQ(sum.batch_seconds, 1.4);
   CostBreakdown avg = sum.PerArrival(2);
   EXPECT_DOUBLE_EQ(avg.refine_seconds, 0.3);
-  EXPECT_DOUBLE_EQ(avg.batch_seconds, 0.7);
 }
 
 }  // namespace

@@ -189,18 +189,5 @@ TEST_F(EngineBehaviorTest, RejectsNonPositiveCandidateCap) {
   }
 }
 
-TEST_F(EngineBehaviorTest, RejectsSchedThreadsAboveCeiling) {
-  // Each scheduler worker is an OS thread, so the config check must fire
-  // before any is started. The value is just above the ceiling: should the
-  // check ever regress, the death-test child starts a few hundred threads,
-  // never millions.
-  config_.sched_threads = kMaxSchedThreads + 1;
-  EXPECT_DEATH(TerIdsEngine(world_.repo.get(), config_, 2, rules_),
-               "sched_threads <= kMaxSchedThreads");
-  config_.sched_threads = -1;
-  EXPECT_DEATH(TerIdsEngine(world_.repo.get(), config_, 2, rules_),
-               "sched_threads >= 0");
-}
-
 }  // namespace
 }  // namespace terids

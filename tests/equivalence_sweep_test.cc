@@ -8,11 +8,9 @@
 //    query parameters rather than a single configuration. The baseline
 //    decides every instance pair by plain merges (ExactProbability), so
 //    this also checks the 64-bit signature kernel end to end.
-// 2. Across every datagen profile and (batch_size, refine_threads,
-//    sched_threads) combination, the batched / parallel operator
-//    (ProcessStream over ProcessBatch + RefinementExecutor, fanned out on
-//    the Scheduler) must be bit-identical to one-at-a-time ProcessArrival:
-//    same per-arrival matches in the same order, same final MatchSet, same
+// 2. Across every datagen profile, ProcessStream in chunks of 8 arrivals
+//    must be bit-identical to calling ProcessArrival on each record: same
+//    per-arrival matches in the same order, same final MatchSet, same
 //    cumulative PruneStats.
 
 #include <gtest/gtest.h>
@@ -100,13 +98,10 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_" + std::to_string(info.index);
     });
 
-// --- Batched / parallel operator equivalence ------------------------------
-
-// profile, batch, refine_threads, sched_threads
-using BatchCombo = std::tuple<std::string, int, int, int>;
+// --- Chunked ProcessStream equivalence -----------------------------------
 
 class BatchEquivalenceSweepTest
-    : public ::testing::TestWithParam<BatchCombo> {};
+    : public ::testing::TestWithParam<std::string> {};
 
 struct ReplayResult {
   std::vector<std::pair<int64_t, int64_t>> emitted;  // in emission order
@@ -128,9 +123,22 @@ void ExpectSameStats(const PruneStats& a, const PruneStats& b) {
   EXPECT_EQ(a.matched, b.matched);
 }
 
-TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
-  const auto [profile, batch_size, refine_threads, sched_threads] =
-      GetParam();
+void ExpectSameReplay(const ReplayResult& got, const ReplayResult& want,
+                      const std::string& label) {
+  EXPECT_EQ(got.emitted, want.emitted) << label;
+  ASSERT_EQ(got.final_set.size(), want.final_set.size()) << label;
+  for (size_t i = 0; i < got.final_set.size(); ++i) {
+    EXPECT_EQ(got.final_set[i].rid_a, want.final_set[i].rid_a);
+    EXPECT_EQ(got.final_set[i].rid_b, want.final_set[i].rid_b);
+    EXPECT_DOUBLE_EQ(got.final_set[i].probability,
+                     want.final_set[i].probability);
+  }
+  ExpectSameStats(got.stats, want.stats);
+}
+
+TEST_P(BatchEquivalenceSweepTest, ProcessStreamBatch8EqualsProcessArrival) {
+  const std::string profile = GetParam();
+  constexpr int kBatch = 8;
   ExperimentParams params;
   params.scale = SweepScale(profile);
   params.w = 50;
@@ -139,19 +147,15 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
 
   // The TER-iDS engine covers grid candidates + the pruning cascade; the
   // con+ER baseline covers linear candidates, the unpruned exact path, and
-  // a stateful stream imputer whose OnArrival/OnEvict ordering the batched
-  // operator must reproduce.
+  // a stateful stream imputer whose OnArrival/OnEvict ordering chunked
+  // emission must not disturb.
   for (PipelineKind kind :
        {PipelineKind::kTerIds, PipelineKind::kConstraintEr}) {
-    auto replay = [&](int bs, int threads, int sched) {
+    auto replay = [&](bool chunked) {
       std::unique_ptr<Repository> repo = experiment.BuildRepository();
-      EngineConfig config = experiment.MakeConfig();
-      config.batch_size = bs;
-      config.refine_threads = threads;
-      config.sched_threads = sched;
-      std::unique_ptr<PipelineBase> pipeline =
-          MakePipeline(kind, repo.get(), config, 2, experiment.cdds(),
-                       experiment.dds(), experiment.editing_rules());
+      std::unique_ptr<PipelineBase> pipeline = MakePipeline(
+          kind, repo.get(), experiment.MakeConfig(), 2, experiment.cdds(),
+          experiment.dds(), experiment.editing_rules());
       std::vector<Record> inc_a = DataGenerator::WithMissing(
           experiment.dataset().source_a, params.xi, params.m, params.seed);
       std::vector<Record> inc_b = DataGenerator::WithMissing(
@@ -159,40 +163,35 @@ TEST_P(BatchEquivalenceSweepTest, ProcessBatchEqualsOneAtATime) {
           params.seed + 1);
       StreamDriver driver({inc_a, inc_b});
       ReplayResult result;
-      // ProcessStream is the one operator entry point under test: the
-      // NextBatch/ProcessBatch loop.
-      pipeline->ProcessStream(&driver,
-                              static_cast<size_t>(params.max_arrivals),
-                              static_cast<size_t>(bs),
-                              [&result](ArrivalOutcome&& out) {
-                                for (const MatchPair& p : out.new_matches) {
-                                  result.emitted.emplace_back(p.rid_a,
-                                                              p.rid_b);
-                                }
-                              });
+      const auto collect = [&result](const ArrivalOutcome& out) {
+        for (const MatchPair& p : out.new_matches) {
+          result.emitted.emplace_back(p.rid_a, p.rid_b);
+        }
+      };
+      if (chunked) {
+        pipeline->ProcessStream(
+            &driver, static_cast<size_t>(params.max_arrivals), kBatch,
+            [&collect](ArrivalOutcome&& out) { collect(out); });
+      } else {
+        for (int i = 0; i < params.max_arrivals && driver.HasNext(); ++i) {
+          collect(pipeline->ProcessArrival(driver.Next()));
+        }
+      }
       result.final_set = pipeline->results().ToVector();
       result.stats = pipeline->cumulative_stats();
       return result;
     };
 
-    // The oracle is the default sequential ProcessArrival configuration:
-    // one-at-a-time, no scheduler (every phase inline on the caller).
-    const ReplayResult sequential = replay(1, 1, /*sched=*/0);
-    const ReplayResult batched =
-        replay(batch_size, refine_threads, sched_threads);
-    EXPECT_EQ(batched.emitted, sequential.emitted)
-        << profile << " " << PipelineKindName(kind) << " batch=" << batch_size
-        << " threads=" << refine_threads << " sched=" << sched_threads;
-    ASSERT_EQ(batched.final_set.size(), sequential.final_set.size());
-    for (size_t i = 0; i < batched.final_set.size(); ++i) {
-      EXPECT_EQ(batched.final_set[i].rid_a, sequential.final_set[i].rid_a);
-      EXPECT_EQ(batched.final_set[i].rid_b, sequential.final_set[i].rid_b);
-      EXPECT_DOUBLE_EQ(batched.final_set[i].probability,
-                       sequential.final_set[i].probability);
-    }
-    ExpectSameStats(batched.stats, sequential.stats);
+    ExpectSameReplay(replay(/*chunked=*/true), replay(/*chunked=*/false),
+                     profile + " " + PipelineKindName(kind));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllProfiles, BatchEquivalenceSweepTest,
+                         ::testing::Values("Citations", "Anime", "Bikes",
+                                           "EBooks", "Songs"),
+                         [](const ::testing::TestParamInfo<std::string>&
+                                info) { return info.param; });
 
 // --- Storage-backend equivalence -------------------------------------------
 
@@ -246,18 +245,9 @@ TEST_P(RepoBackendEquivalenceTest, MmapSnapshotEqualsInMemoryOracle) {
       return result;
     };
 
-    const ReplayResult memory = replay(RepoBackend::kInMemory);
-    const ReplayResult mmap = replay(RepoBackend::kMmapSnapshot);
-    EXPECT_EQ(mmap.emitted, memory.emitted)
-        << profile << " " << PipelineKindName(kind);
-    ASSERT_EQ(mmap.final_set.size(), memory.final_set.size());
-    for (size_t i = 0; i < mmap.final_set.size(); ++i) {
-      EXPECT_EQ(mmap.final_set[i].rid_a, memory.final_set[i].rid_a);
-      EXPECT_EQ(mmap.final_set[i].rid_b, memory.final_set[i].rid_b);
-      EXPECT_DOUBLE_EQ(mmap.final_set[i].probability,
-                       memory.final_set[i].probability);
-    }
-    ExpectSameStats(mmap.stats, memory.stats);
+    ExpectSameReplay(replay(RepoBackend::kMmapSnapshot),
+                     replay(RepoBackend::kInMemory),
+                     profile + " " + PipelineKindName(kind));
   }
 }
 
@@ -266,40 +256,6 @@ INSTANTIATE_TEST_SUITE_P(AllProfiles, RepoBackendEquivalenceTest,
                                            "EBooks", "Songs"),
                          [](const ::testing::TestParamInfo<std::string>&
                                 info) { return info.param; });
-
-std::vector<BatchCombo> BatchCombos() {
-  std::vector<BatchCombo> combos;
-  for (const char* profile :
-       {"Citations", "Anime", "Bikes", "EBooks", "Songs"}) {
-    // The batch x threads matrix; parallel refinement runs on two and on
-    // four workers (the TSan job's main data-race surface).
-    combos.emplace_back(profile, 1, 4, 2);
-    combos.emplace_back(profile, 8, 1, 0);
-    combos.emplace_back(profile, 8, 4, 2);
-    combos.emplace_back(profile, 8, 4, 4);
-  }
-  // Scheduler axes in isolation (Citations): scheduler constructed but
-  // refinement inline (one, two and four workers), and parallel refinement
-  // on one worker — the single-worker edge of the caller-participation
-  // discipline — per arrival and batched.
-  combos.emplace_back("Citations", 1, 1, 1);
-  combos.emplace_back("Citations", 1, 1, 4);
-  combos.emplace_back("Citations", 8, 1, 2);
-  combos.emplace_back("Citations", 1, 4, 1);
-  combos.emplace_back("Citations", 8, 4, 1);
-  return combos;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllProfiles, BatchEquivalenceSweepTest,
-                         ::testing::ValuesIn(BatchCombos()),
-                         [](const ::testing::TestParamInfo<BatchCombo>& info) {
-                           return std::get<0>(info.param) + "_b" +
-                                  std::to_string(std::get<1>(info.param)) +
-                                  "_t" +
-                                  std::to_string(std::get<2>(info.param)) +
-                                  "_c" +
-                                  std::to_string(std::get<3>(info.param));
-                         });
 
 }  // namespace
 }  // namespace terids

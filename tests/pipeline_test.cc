@@ -233,16 +233,13 @@ TEST_F(PipelineIntegrationTest, DynamicRepositoryAbsorption) {
   }
 }
 
-// ProcessStream whose sink throws mid-stream while refinement fans out on
-// the scheduler: the exception must reach the caller at the failing
-// delivery, the driver must not be drained, the scheduler must still
-// quiesce, and the pipeline must then destruct cleanly.
-TEST_F(PipelineIntegrationTest, ThrowingSinkUnwindsTheRefineFanOut) {
+// ProcessStream whose sink throws mid-stream: the exception must reach the
+// caller at the failing delivery, the driver must not be drained, and the
+// pipeline must then destruct cleanly.
+TEST_F(PipelineIntegrationTest, ThrowingSinkStopsTheStream) {
   std::unique_ptr<Repository> repo = experiment_.BuildRepository();
   EngineConfig config = experiment_.MakeConfig();
   config.batch_size = 4;
-  config.sched_threads = 1;
-  config.refine_threads = 2;
   std::unique_ptr<PipelineBase> pipeline = MakePipeline(
       PipelineKind::kTerIds, repo.get(), config, 2, experiment_.cdds(),
       experiment_.dds(), experiment_.editing_rules());
@@ -257,40 +254,74 @@ TEST_F(PipelineIntegrationTest, ThrowingSinkUnwindsTheRefineFanOut) {
   EXPECT_THROW(pipeline->ProcessStream(&driver, 260, 4, failing_sink),
                std::runtime_error);
   EXPECT_EQ(delivered, 10u);
+  // The throw came in the third chunk of four: 12 arrivals were consumed.
+  EXPECT_EQ(driver.emitted(), 12u);
   EXPECT_TRUE(driver.HasNext());
-  const LatencyStats items = pipeline->ConsumeSchedulerLatencies();
-  EXPECT_EQ(items.of(ExecPhase::kIngest).count(), 0u);
   pipeline.reset();
 }
 
-// A batched run with refinement fanned out on two workers (the shape of
-// terbench's bikes_writes_async) reports the async-ingest fields terbench
-// still reads as zero: every outcome kProcessed, no admission block, no
-// queue wait, no deferred pair, no kIngest work item.
-TEST_F(PipelineIntegrationTest, BatchedFanOutReportsNoAsyncIngestWork) {
-  std::unique_ptr<Repository> repo = experiment_.BuildRepository();
-  EngineConfig config = experiment_.MakeConfig();
-  config.batch_size = 8;
-  config.sched_threads = 2;
-  config.refine_threads = 2;
-  TerIdsEngine engine(repo.get(), config, 2, experiment_.cdds());
-  StreamDriver driver({experiment_.incomplete_a(), experiment_.incomplete_b()});
-  size_t not_processed = 0;
-  double queue_wait = 0.0;
-  const size_t processed =
-      engine.ProcessStream(&driver, 260, 8, [&](ArrivalOutcome&& out) {
-        not_processed += out.disposition != ArrivalDisposition::kProcessed;
-        queue_wait += out.cost.queue_wait_seconds;
-      });
-  EXPECT_EQ(processed, 260u);
-  EXPECT_EQ(not_processed, 0u);
-  EXPECT_EQ(queue_wait, 0.0);
-  EXPECT_EQ(engine.shed_stats()->admit_block_seconds, 0.0);
-  EXPECT_EQ(engine.cumulative_stats().deferred, 0u);
-  EXPECT_GT(engine.cumulative_stats().refined, 0u);
-  const LatencyStats items = engine.ConsumeSchedulerLatencies();
-  EXPECT_EQ(items.of(ExecPhase::kIngest).count(), 0u);
-  EXPECT_GT(items.of(ExecPhase::kRefine).count(), 0u);
+// terbench's bikes_writes_async shape (chunks of 8 with the ignored
+// sched_threads / refine_threads stubs set) emits exactly what the default
+// configuration emits, reports the async-ingest fields terbench still reads
+// as zero, and has no scheduler latencies.
+TEST_F(PipelineIntegrationTest, BikesShapeEmitsTheDefaultOutput) {
+  struct Replay {
+    std::vector<MatchPair> emitted;
+    PruneStats stats;
+    size_t not_processed = 0;
+    double queue_wait = 0.0;
+  };
+  auto replay = [&](const EngineConfig& config) {
+    std::unique_ptr<Repository> repo = experiment_.BuildRepository();
+    TerIdsEngine engine(repo.get(), config, 2, experiment_.cdds());
+    StreamDriver driver(
+        {experiment_.incomplete_a(), experiment_.incomplete_b()});
+    Replay r;
+    const size_t processed = engine.ProcessStream(
+        &driver, 260, static_cast<size_t>(config.batch_size),
+        [&r](ArrivalOutcome&& out) {
+          r.not_processed +=
+              out.disposition != ArrivalDisposition::kProcessed;
+          r.queue_wait += out.cost.queue_wait_seconds;
+          r.emitted.insert(r.emitted.end(), out.new_matches.begin(),
+                           out.new_matches.end());
+        });
+    EXPECT_EQ(processed, 260u);
+    EXPECT_EQ(engine.shed_stats()->admit_block_seconds, 0.0);
+    const LatencyStats items = engine.ConsumeSchedulerLatencies();
+    for (int p = 0; p < kNumExecPhases; ++p) {
+      EXPECT_EQ(items.phase[p].count(), 0u);
+    }
+    EXPECT_EQ(items.end_to_end.count(), 0u);
+    r.stats = engine.cumulative_stats();
+    return r;
+  };
+
+  EngineConfig bikes = experiment_.MakeConfig();
+  bikes.batch_size = 8;
+  bikes.sched_threads = 2;
+  bikes.refine_threads = 2;
+  const Replay got = replay(bikes);
+  const Replay want = replay(experiment_.MakeConfig());
+  ASSERT_EQ(got.emitted.size(), want.emitted.size());
+  for (size_t i = 0; i < got.emitted.size(); ++i) {
+    EXPECT_EQ(got.emitted[i].rid_a, want.emitted[i].rid_a);
+    EXPECT_EQ(got.emitted[i].rid_b, want.emitted[i].rid_b);
+    EXPECT_EQ(got.emitted[i].probability, want.emitted[i].probability);
+  }
+  EXPECT_EQ(got.stats.total_pairs, want.stats.total_pairs);
+  EXPECT_EQ(got.stats.topic_pruned, want.stats.topic_pruned);
+  EXPECT_EQ(got.stats.sim_ub_pruned, want.stats.sim_ub_pruned);
+  EXPECT_EQ(got.stats.prob_ub_pruned, want.stats.prob_ub_pruned);
+  EXPECT_EQ(got.stats.instance_pruned, want.stats.instance_pruned);
+  EXPECT_EQ(got.stats.refined, want.stats.refined);
+  EXPECT_EQ(got.stats.matched, want.stats.matched);
+  EXPECT_EQ(got.stats.sig_probes, want.stats.sig_probes);
+  EXPECT_EQ(got.stats.sig_rejects, want.stats.sig_rejects);
+  EXPECT_EQ(got.stats.deferred, 0u);
+  EXPECT_GT(got.stats.refined, 0u);
+  EXPECT_EQ(got.not_processed, 0u);
+  EXPECT_EQ(got.queue_wait, 0.0);
 }
 
 TEST(MetricsTest, FScoreMath) {
