@@ -4,23 +4,23 @@
 //
 // Section 1 measures construction: the in-memory build (AddSample loop +
 // AttachPivots), the snapshot serialization (write cost + file size), and
-// the mmap open (validate + materialize). Section 2 replays identical
-// random read workloads — point lookups (pivot_distance / value_tokens /
-// FindValue) and sorted-coordinate range scans — against both backends,
-// with the in-memory results as the correctness oracle. Section 3 runs the
-// full TER-iDS pipeline end to end per backend. Section 4 is the cold-open
-// study: one snapshot file opened (every section decoded and validated),
-// measuring open latency, time to first arrival (engine construction + one
-// record), and resident-set growth — with a fresh-reopen read oracle
-// proving the open serves identical bytes. Expected shape: the mmap
-// backend pays a small indirection/merge overhead on reads in exchange for
-// a build-once file whose geometry tables live in the page cache instead
-// of the heap.
+// the mmap open (validate + materialize). Section 2 replays one identical
+// random point-lookup workload (pivot_distance / value_tokens / FindValue /
+// value_frequency) against both backends, with the in-memory results as
+// the correctness oracle. Section 3 runs the full TER-iDS pipeline end to
+// end per backend. Section 4 is the cold-open study: one snapshot file
+// opened (every section decoded and validated), measuring open latency,
+// time to first arrival (engine construction + one record), and
+// resident-set growth — with a fresh-reopen read oracle proving the open
+// serves identical bytes. Expected shape: the mmap backend pays a small
+// indirection overhead on reads in exchange for a build-once file whose
+// geometry tables live in the page cache instead of the heap.
 
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__GLIBC__)
@@ -41,49 +41,35 @@ namespace {
 using namespace terids;
 using namespace terids::bench;
 
-struct ReadWorkload {
-  // (attr, vid) point-lookup probes and coordinate bands, shared verbatim
-  // across backends.
+/// (attr, vid) point-lookup probes, shared verbatim across backends.
+std::vector<std::pair<int, ValueId>> MakePointProbes(const Repository& repo,
+                                                     int num_points) {
   std::vector<std::pair<int, ValueId>> points;
-  std::vector<std::pair<int, Interval>> bands;
-};
-
-ReadWorkload MakeWorkload(const Repository& repo, int num_points,
-                          int num_bands) {
-  ReadWorkload w;
   Rng rng(42);
   const int d = repo.num_attributes();
   for (int i = 0; i < num_points; ++i) {
     const int x = static_cast<int>(rng.NextBounded(d));
     if (repo.domain_size(x) == 0) continue;
-    w.points.emplace_back(
+    points.emplace_back(
         x, static_cast<ValueId>(rng.NextBounded(repo.domain_size(x))));
   }
-  for (int i = 0; i < num_bands; ++i) {
-    const int x = static_cast<int>(rng.NextBounded(d));
-    const double center = rng.NextDouble();
-    const double radius = 0.02 + 0.08 * rng.NextDouble();
-    w.bands.emplace_back(x,
-                         Interval::Of(center - radius, center + radius));
-  }
-  return w;
+  return points;
 }
 
 /// One backend's read-path numbers; `checksum` doubles as the oracle.
 struct ReadStats {
   double lookups_per_sec = 0.0;
-  double scans_per_sec = 0.0;
-  double scanned_values = 0.0;
   uint64_t checksum = 0;
 };
 
-ReadStats MeasureReads(const Repository& repo, const ReadWorkload& w,
+ReadStats MeasureReads(const Repository& repo,
+                       const std::vector<std::pair<int, ValueId>>& points,
                        int rounds) {
   ReadStats stats;
   uint64_t sum = 0;
   Stopwatch lookup_watch;
   for (int round = 0; round < rounds; ++round) {
-    for (const auto& [x, vid] : w.points) {
+    for (const auto& [x, vid] : points) {
       for (int a = 0; a < repo.num_pivots(x); ++a) {
         sum += static_cast<uint64_t>(1e6 * repo.pivot_distance(x, a, vid));
       }
@@ -93,26 +79,9 @@ ReadStats MeasureReads(const Repository& repo, const ReadWorkload& w,
     }
   }
   const double lookup_seconds = lookup_watch.ElapsedSeconds();
-  const double total_lookups =
-      static_cast<double>(w.points.size()) * rounds;
+  const double total_lookups = static_cast<double>(points.size()) * rounds;
   stats.lookups_per_sec =
       lookup_seconds > 0 ? total_lookups / lookup_seconds : 0.0;
-
-  size_t scanned = 0;
-  Stopwatch scan_watch;
-  for (int round = 0; round < rounds; ++round) {
-    for (const auto& [x, band] : w.bands) {
-      const std::vector<ValueId> hits = repo.ValuesInCoordRange(x, band);
-      scanned += hits.size();
-      for (ValueId v : hits) {
-        sum += v;
-      }
-    }
-  }
-  const double scan_seconds = scan_watch.ElapsedSeconds();
-  const double total_scans = static_cast<double>(w.bands.size()) * rounds;
-  stats.scans_per_sec = scan_seconds > 0 ? total_scans / scan_seconds : 0.0;
-  stats.scanned_values = rounds > 0 ? static_cast<double>(scanned) / rounds : 0;
   stats.checksum = sum;
   return stats;
 }
@@ -201,13 +170,12 @@ int main() {
       .Num("mmap_open_ms", 1e3 * open_seconds);
 
   // --- Section 2: read-path throughput ----------------------------------
-  const ReadWorkload workload = MakeWorkload(*memory, 20000, 2000);
+  const std::vector<std::pair<int, ValueId>> points =
+      MakePointProbes(*memory, 20000);
   const int rounds = 3;
-  std::printf(
-      "\n-- read path: %zu point lookups + %zu range scans x %d rounds --\n",
-      workload.points.size(), workload.bands.size(), rounds);
-  std::printf("%-8s %16s %16s %14s\n", "backend", "lookups/s", "scans/s",
-              "values/scan");
+  std::printf("\n-- read path: %zu point lookups x %d rounds --\n",
+              points.size(), rounds);
+  std::printf("%-8s %16s\n", "backend", "lookups/s");
   ReadStats oracle;
   struct BackendRow {
     const char* name;
@@ -215,7 +183,7 @@ int main() {
   };
   for (const BackendRow& row : {BackendRow{"memory", memory.get()},
                                 BackendRow{"mmap", mmapped.get()}}) {
-    const ReadStats stats = MeasureReads(*row.repo, workload, rounds);
+    const ReadStats stats = MeasureReads(*row.repo, points, rounds);
     if (std::string(row.name) == "memory") {
       oracle = stats;
     } else if (stats.checksum != oracle.checksum) {
@@ -225,20 +193,13 @@ int main() {
                    row.name);
       return 1;
     }
-    const double per_scan =
-        workload.bands.empty()
-            ? 0.0
-            : stats.scanned_values / static_cast<double>(workload.bands.size());
-    std::printf("%-8s %16.0f %16.0f %14.1f\n", row.name,
-                stats.lookups_per_sec, stats.scans_per_sec, per_scan);
+    std::printf("%-8s %16.0f\n", row.name, stats.lookups_per_sec);
     std::fflush(stdout);
     reporter.AddKnobRow(env_knobs)
         .Str("section", "read_path")
         .Str("dataset", dataset)
         .Str("backend", row.name)
-        .Num("lookups_per_sec", stats.lookups_per_sec)
-        .Num("range_scans_per_sec", stats.scans_per_sec)
-        .Num("values_per_scan", per_scan);
+        .Num("lookups_per_sec", stats.lookups_per_sec);
   }
 
   // --- Section 3: end-to-end pipeline per backend ------------------------
@@ -321,8 +282,8 @@ int main() {
   Result<std::unique_ptr<Repository>> recheck =
       Repository::OpenSnapshot(&memory->schema(), &memory->dict(), cold_path);
   std::remove(cold_path.c_str());
-  if (!recheck.ok() || MeasureReads(*recheck.value(), workload, 1).checksum !=
-                           MeasureReads(*memory, workload, 1).checksum) {
+  if (!recheck.ok() || MeasureReads(*recheck.value(), points, 1).checksum !=
+                           MeasureReads(*memory, points, 1).checksum) {
     std::fprintf(stderr, "FATAL: cold open read different data\n");
     return 1;
   }
@@ -345,8 +306,7 @@ int main() {
   std::printf(
       "\nexpected shape: snapshot write + mmap open amortize to near-zero\n"
       "against repeated runs (the file is build-once); point lookups pay a\n"
-      "branch for the base/overlay split and range scans a two-way merge,\n"
-      "so mmap reads trail memory slightly while every byte returned is\n"
+      "branch for the base/overlay split while every byte returned is\n"
       "identical — the oracle checks enforce it. The cold open checksums\n"
       "and validates every section, so its latency grows linearly with\n"
       "snapshot size.\n");

@@ -66,11 +66,8 @@ LinearRulePipeline::LinearRulePipeline(Repository* repo, EngineConfig config,
                                        std::string name)
     : PipelineBase(repo, std::move(config), num_streams, /*pruned=*/false,
                    std::move(name)) {
-  RuleImputerOptions opts;
-  opts.max_candidates_per_attr = config_.max_candidates_per_attr;
-  opts.use_coord_filter = false;  // Full domain scans: the unindexed method.
-  imputer_ =
-      std::make_unique<RuleBasedImputer>(repo, std::move(rules), opts);
+  imputer_ = std::make_unique<RuleBasedImputer>(
+      repo, std::move(rules), config_.max_candidates_per_attr);
 }
 
 // ---------------------------------------------------------------------------

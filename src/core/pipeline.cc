@@ -201,16 +201,6 @@ ArrivalOutcome PipelineBase::ProcessArrival(const Record& r) {
   return std::move(ctx.out);
 }
 
-void PipelineBase::RecordArrivalLatency(const CostBreakdown& cost,
-                                        double e2e_seconds) {
-  latency_.of(ExecPhase::kIngest)
-      .Record(cost.cdd_select_seconds + cost.impute_seconds);
-  latency_.of(ExecPhase::kCandidate).Record(cost.candidate_seconds);
-  latency_.of(ExecPhase::kRefine).Record(cost.refine_seconds);
-  latency_.of(ExecPhase::kMaintain).Record(cost.maintain_seconds);
-  latency_.end_to_end.Record(e2e_seconds);
-}
-
 size_t PipelineBase::ProcessStream(StreamDriver* driver, size_t max_arrivals,
                                    size_t batch_size,
                                    const OutcomeSink& sink) {
@@ -220,14 +210,12 @@ size_t PipelineBase::ProcessStream(StreamDriver* driver, size_t max_arrivals,
   while (processed < max_arrivals && driver->HasNext()) {
     const std::vector<Record> batch =
         driver->NextBatch(std::min(batch_size, max_arrivals - processed));
-    Stopwatch admit;
     std::vector<ArrivalOutcome> outcomes;
     outcomes.reserve(batch.size());
     for (const Record& r : batch) {
       outcomes.push_back(ProcessArrival(r));
     }
     for (ArrivalOutcome& outcome : outcomes) {
-      RecordArrivalLatency(outcome.cost, admit.ElapsedSeconds());
       sink(std::move(outcome));
       ++processed;
     }

@@ -73,16 +73,12 @@ class PipelineBase {
   /// The synchronous stream loop: drives the pipeline over `driver` until
   /// `max_arrivals` records have been consumed (or the driver runs dry).
   /// Each NextBatch chunk of up to `batch_size` records goes through
-  /// ProcessArrival in order; then every outcome of the chunk gets its
-  /// per-arrival latency stamped (chunk admission to emission) and goes to
-  /// the sink, in arrival order. Returns the number of arrivals processed.
+  /// ProcessArrival in order; then every outcome of the chunk goes to the
+  /// sink, in arrival order. Returns the number of arrivals processed.
   size_t ProcessStream(StreamDriver* driver, size_t max_arrivals,
                        size_t batch_size, const OutcomeSink& sink);
   const MatchSet& results() const { return matches_; }
   const PruneStats& cumulative_stats() const { return cum_stats_; }
-  /// Per-arrival latency histograms (phase + end-to-end) accumulated by
-  /// ProcessStream. Read once the stream has completed.
-  const LatencyStats& arrival_latencies() const { return latency_; }
   /// Read by terbench; ignored since the scheduler was removed (ROADMAP
   /// item 1): always empty.
   LatencyStats ConsumeSchedulerLatencies() const { return LatencyStats(); }
@@ -138,16 +134,10 @@ class PipelineBase {
   /// the result set (the single place MatchPairs are constructed).
   void ApplyEvaluation(ArrivalContext* ctx, const WindowTuple* cand,
                        const PairEvaluation& eval);
-  /// Folds one emitted arrival into the per-arrival latency histograms:
-  /// phase latencies from the outcome's cost fields, end-to-end from
-  /// `e2e_seconds` (chunk admission to emission).
-  void RecordArrivalLatency(const CostBreakdown& cost, double e2e_seconds);
 
   /// Batched-cascade scratch of CandidatePhase.
   std::vector<PairEvaluation> kernel_evals_;
   std::vector<uint32_t> kernel_passed_;
-  /// Per-arrival latency accounting, updated at emission.
-  LatencyStats latency_;
 };
 
 /// Constructs one of the six evaluated pipelines. The rule vectors are

@@ -199,7 +199,6 @@ PipelineRun Experiment::Run(PipelineKind kind, const EngineConfig& config) {
   run.stats = pipeline->cumulative_stats();
   run.accuracy = ComputeFScore(all_matches, effective_truth_);
   run.final_result_size = pipeline->results().size();
-  run.arrival_latency = pipeline->arrival_latencies();
   return run;
 }
 

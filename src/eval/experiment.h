@@ -54,9 +54,6 @@ struct PipelineRun {
   PruneStats stats;
   PrecisionRecall accuracy;
   size_t final_result_size = 0;
-  /// Per-arrival latency histograms (phase + end-to-end) the pipeline's
-  /// ProcessStream recorded at each emission.
-  LatencyStats arrival_latency;
 };
 
 /// Builds one dataset + repository + rules under fixed parameters and runs

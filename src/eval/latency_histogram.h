@@ -7,8 +7,8 @@
 
 namespace terids {
 
-/// The four phases of one arrival (DESIGN.md §6). They key the per-arrival
-/// phase-latency histograms; terbench names its exec.* rows by them.
+/// The four phases of one arrival (DESIGN.md §6). They key LatencyStats'
+/// phase histograms, and terbench names its exec.* rows by them.
 enum class ExecPhase {
   /// Imputation: CDD selection and the determinant join.
   kIngest = 0,

@@ -8,8 +8,10 @@ namespace terids {
 
 RuleBasedImputer::RuleBasedImputer(const Repository* repo,
                                    std::vector<CddRule> rules,
-                                   RuleImputerOptions options)
-    : repo_(repo), rules_(std::move(rules)), options_(options) {
+                                   int max_candidates_per_attr)
+    : repo_(repo),
+      rules_(std::move(rules)),
+      max_candidates_per_attr_(max_candidates_per_attr) {
   TERIDS_CHECK(repo != nullptr);
   by_dependent_.resize(repo->num_attributes());
   for (size_t i = 0; i < rules_.size(); ++i) {
@@ -25,33 +27,16 @@ const std::vector<int>& RuleBasedImputer::RulesForDependent(int attr) const {
 }
 
 void AccumulateCandidates(const Repository& repo, const CddRule& rule,
-                          size_t sample_idx, bool use_coord_filter,
-                          CandidateCounter* counts) {
+                          size_t sample_idx, CandidateCounter* counts) {
   const int j = rule.dependent;
   const ValueId svid = repo.sample_value_id(sample_idx, j);
   const TokenSet& s_tokens = repo.value_tokens(j, svid);
   const Interval& dep = rule.dep_interval;
-
-  if (use_coord_filter && repo.has_pivots()) {
-    // Necessary condition via the metric embedding: |coord(val) - coord(s)|
-    // <= dist(val, s[A_j]) <= dep.hi, so only values in the coordinate band
-    // need exact verification.
-    const double coord_s = repo.coord(j, svid);
-    const Interval band =
-        Interval::Of(coord_s - dep.hi, coord_s + dep.hi);
-    for (ValueId val : repo.ValuesInCoordRange(j, band)) {
-      const double dist = JaccardDistance(s_tokens, repo.value_tokens(j, val));
-      if (dep.Contains(dist)) {
-        counts->Add(val);
-      }
-    }
-  } else {
-    const size_t dom_size = repo.domain_size(j);
-    for (ValueId val = 0; val < dom_size; ++val) {
-      const double dist = JaccardDistance(s_tokens, repo.value_tokens(j, val));
-      if (dep.Contains(dist)) {
-        counts->Add(val);
-      }
+  const size_t dom_size = repo.domain_size(j);
+  for (ValueId val = 0; val < dom_size; ++val) {
+    const double dist = JaccardDistance(s_tokens, repo.value_tokens(j, val));
+    if (dep.Contains(dist)) {
+      counts->Add(val);
     }
   }
 }
@@ -118,14 +103,13 @@ std::vector<ImputedTuple::ImputedAttr> RuleBasedImputer::ImputeRecord(
       for (const CddRule* rule : applicable) {
         for (size_t i = 0; i < repo_->num_samples(); ++i) {
           if (rule->DeterminantsSatisfied(r, *repo_, i)) {
-            AccumulateCandidates(*repo_, *rule, i, options_.use_coord_filter,
-                                 &counts_);
+            AccumulateCandidates(*repo_, *rule, i, &counts_);
           }
         }
       }
     }
     std::vector<ImputedTuple::Candidate> cands =
-        FinalizeCandidates(&counts_, options_.max_candidates_per_attr);
+        FinalizeCandidates(&counts_, max_candidates_per_attr_);
     if (!cands.empty()) {
       ImputedTuple::ImputedAttr ia;
       ia.attr = j;

@@ -1,6 +1,6 @@
 #include "repo/in_memory_storage.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace terids {
 
@@ -68,40 +68,19 @@ double InMemoryStorage::pivot_distance(int attr, int pivot_idx,
   return pivot_dists_[attr][pivot_idx][vid];
 }
 
-void InMemoryStorage::AppendValuesInCoordRange(
-    int attr, const Interval& interval, std::vector<ValueId>* out) const {
-  TERIDS_CHECK(has_pivots());
-  TERIDS_CHECK(attr >= 0 && attr < num_attributes_);
-  if (interval.empty()) {
-    return;
-  }
-  const auto& coords = sorted_coords_[attr];
-  auto lo = std::lower_bound(
-      coords.begin(), coords.end(),
-      std::make_pair(interval.lo, static_cast<ValueId>(0)));
-  for (auto it = lo; it != coords.end() && it->first <= interval.hi; ++it) {
-    out->push_back(it->second);
-  }
-}
-
 ValueId InMemoryStorage::RegisterValue(int attr, const TokenSet& tokens,
                                        const std::string& text) {
   TERIDS_CHECK(attr >= 0 && attr < num_attributes_);
   const size_t before = domains_[attr].size();
   const ValueId vid = domains_[attr].FindOrAdd(tokens, text);
   if (domains_[attr].size() != before && has_pivots()) {
-    // New value after pivots were attached: extend the distance tables and
-    // the sorted coordinate list incrementally.
+    // New value after pivots were attached: extend the distance tables
+    // incrementally.
     const int np = pivots_[attr].count();
     for (int a = 0; a < np; ++a) {
       pivot_dists_[attr][a].push_back(
           JaccardDistance(tokens, pivots_[attr].pivots[a]));
     }
-    const double coord = pivot_dists_[attr][0][vid];
-    auto& coords = sorted_coords_[attr];
-    coords.insert(std::upper_bound(coords.begin(), coords.end(),
-                                   std::make_pair(coord, vid)),
-                  std::make_pair(coord, vid));
   }
   return vid;
 }
@@ -124,7 +103,6 @@ void InMemoryStorage::AttachPivots(std::vector<AttributePivots> pivots) {
 
   const int d = num_attributes_;
   pivot_dists_.assign(d, {});
-  sorted_coords_.assign(d, {});
   for (int x = 0; x < d; ++x) {
     const AttributeDomain& dom = domains_[x];
     const int np = pivots_[x].count();
@@ -135,11 +113,6 @@ void InMemoryStorage::AttachPivots(std::vector<AttributePivots> pivots) {
             JaccardDistance(dom.tokens(v), pivots_[x].pivots[a]);
       }
     }
-    sorted_coords_[x].reserve(dom.size());
-    for (ValueId v = 0; v < dom.size(); ++v) {
-      sorted_coords_[x].emplace_back(pivot_dists_[x][0][v], v);
-    }
-    std::sort(sorted_coords_[x].begin(), sorted_coords_[x].end());
   }
 }
 

@@ -2,7 +2,6 @@
 #define TERIDS_REPO_IN_MEMORY_STORAGE_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "repo/repo_storage.h"
@@ -36,8 +35,6 @@ class InMemoryStorage final : public RepoStorage {
   int num_pivots(int attr) const override;
   const TokenSet& pivot_tokens(int attr, int pivot_idx) const override;
   double pivot_distance(int attr, int pivot_idx, ValueId vid) const override;
-  void AppendValuesInCoordRange(int attr, const Interval& interval,
-                                std::vector<ValueId>* out) const override;
 
   // ---- Write path ------------------------------------------------------
 
@@ -47,8 +44,7 @@ class InMemoryStorage final : public RepoStorage {
   void AppendSample(const Record& record, std::vector<ValueId> vids) override;
   bool SupportsAttachPivots() const override { return true; }
   /// Precomputes, for every attribute x, pivot a, and domain value v:
-  /// dist(v, piv_a[A_x]), and builds the sorted (main-pivot-coordinate,
-  /// ValueId) lists used for candidate retrieval.
+  /// dist(v, piv_a[A_x]).
   void AttachPivots(std::vector<AttributePivots> pivots) override;
 
   /// Direct domain access for tests and diagnostics (the facade's
@@ -65,8 +61,6 @@ class InMemoryStorage final : public RepoStorage {
   std::vector<AttributePivots> pivots_;
   // pivot_dists_[x][a][vid] = dist(dom value vid, pivot a of attr x).
   std::vector<std::vector<std::vector<double>>> pivot_dists_;
-  // sorted_coords_[x] = (main-pivot coord, vid) pairs sorted by coord.
-  std::vector<std::vector<std::pair<double, ValueId>>> sorted_coords_;
 };
 
 }  // namespace terids

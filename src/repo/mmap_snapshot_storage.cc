@@ -1,9 +1,9 @@
 #include "repo/mmap_snapshot_storage.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define TERIDS_HAVE_MMAP 1
@@ -282,8 +282,6 @@ Status MmapSnapshotStorage::DecodeGeometry(int attr,
   for (uint64_t a = 0; a < np; ++a) {
     dists[a] = cur.Array<double>(dom_size);
   }
-  const double* coord_keys = cur.Array<double>(dom_size);
-  const uint32_t* coord_vids = cur.Array<uint32_t>(dom_size);
   if (!cur.ok()) return Truncated();
   // Jaccard distances lie in [0, 1]; the negated test also rejects NaN.
   for (const double* column : dists) {
@@ -294,27 +292,7 @@ Status MmapSnapshotStorage::DecodeGeometry(int attr,
       }
     }
   }
-  // The coordinate list is every ValueId keyed by its main-pivot distance,
-  // in strictly ascending (key, vid) order: AppendValuesInCoordRange
-  // binary-searches the keys and hands the vids to domain readers. Strict
-  // order plus key == dists[0][vid] also makes the vids a permutation.
-  for (uint64_t i = 0; i < dom_size; ++i) {
-    const uint32_t vid = coord_vids[i];
-    if (vid >= dom_size || coord_keys[i] != dists[0][vid]) {
-      return Status::InvalidArgument(
-          "snapshot coordinate list names a value outside its domain or "
-          "off its main-pivot distance");
-    }
-    if (i > 0 && !(coord_keys[i - 1] < coord_keys[i] ||
-                   (coord_keys[i - 1] == coord_keys[i] &&
-                    coord_vids[i - 1] < vid))) {
-      return Status::InvalidArgument(
-          "snapshot coordinate list not sorted by (key, ValueId)");
-    }
-  }
   dom.dists = std::move(dists);
-  dom.coord_keys = coord_keys;
-  dom.coord_vids = coord_vids;
   return Status::Ok();
 }
 
@@ -536,43 +514,6 @@ double MmapSnapshotStorage::pivot_distance(int attr, int pivot_idx,
   return dists[local];
 }
 
-void MmapSnapshotStorage::AppendValuesInCoordRange(
-    int attr, const Interval& interval, std::vector<ValueId>* out) const {
-  TERIDS_CHECK(attr >= 0 && attr < d_);
-  if (interval.empty()) {
-    return;
-  }
-  const BaseDomain& dom = base_[attr];
-  const auto& over = overlay_[attr].sorted_coords;
-  // Merge the immutable base column with the overlay's sorted list in
-  // ascending (coordinate, ValueId) order — the exact sequence the
-  // in-memory backend's single maintained list yields.
-  size_t bi = static_cast<size_t>(
-      std::lower_bound(dom.coord_keys, dom.coord_keys + dom.size,
-                       interval.lo) -
-      dom.coord_keys);
-  auto oi = std::lower_bound(
-      over.begin(), over.end(),
-      std::make_pair(interval.lo, static_cast<ValueId>(0)));
-  while (true) {
-    const bool base_ok = bi < dom.size && dom.coord_keys[bi] <= interval.hi;
-    const bool over_ok = oi != over.end() && oi->first <= interval.hi;
-    if (!base_ok && !over_ok) {
-      break;
-    }
-    if (base_ok &&
-        (!over_ok ||
-         std::make_pair(dom.coord_keys[bi],
-                        static_cast<ValueId>(dom.coord_vids[bi])) < *oi)) {
-      out->push_back(dom.coord_vids[bi]);
-      ++bi;
-    } else {
-      out->push_back(oi->second);
-      ++oi;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Write path: the delta overlay
 // ---------------------------------------------------------------------------
@@ -602,11 +543,6 @@ ValueId MmapSnapshotStorage::RegisterValue(int attr, const TokenSet& tokens,
       over.dists[a].push_back(
           JaccardDistance(tokens, pivots_[attr].pivots[a]));
     }
-    const double coord = over.dists[0][local];
-    auto& coords = over.sorted_coords;
-    coords.insert(std::upper_bound(coords.begin(), coords.end(),
-                                   std::make_pair(coord, global)),
-                  std::make_pair(coord, global));
   }
   return global;
 }

@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "repo/repo_storage.h"
@@ -19,30 +18,28 @@ namespace terids {
 /// (DESIGN.md §8), opened read-only via mmap.
 ///
 /// The base image is immutable and served zero-copy from the mapping: the
-/// numeric geometry tables (per-pivot distance columns, sorted main-pivot
-/// coordinate lists, sample ValueIds, value frequencies), the domain token
-/// columns (TokenSet views straight over the mapped arrays), and the
-/// display texts (string_views over the mapped blob). The kernel pages the
-/// data in on demand and can evict it under pressure — the path to
-/// repositories larger than RAM.
+/// numeric geometry tables (per-pivot distance columns, sample ValueIds,
+/// value frequencies), the domain token columns (TokenSet views straight
+/// over the mapped arrays), and the display texts (string_views over the
+/// mapped blob). The kernel pages the data in on demand and can evict it
+/// under pressure — the path to repositories larger than RAM.
 ///
 /// Open validates everything before it returns: the header, the
 /// checksummed section TOC, and every section — a domain, the pivot token
 /// sets, an attribute's geometry, the sample table — against its own
 /// checksum and its structural invariants (token ids inside the
 /// dictionary, offsets inside their blobs, ValueIds inside their domain,
-/// coordinate lists sorted). Corrupt bytes therefore fail the open with a
-/// Status, and no read accessor can fail afterwards. Version 1 files are
-/// refused at open.
+/// distances inside [0, 1]). Corrupt bytes therefore fail the open with a
+/// Status, and no read accessor can fail afterwards. Files of any version
+/// but snapshot::kVersion are refused at open.
 ///
 /// Dynamic-repository writes (Section 5.5: the constraint imputer's
 /// RegisterValue, AbsorbRepositoryBatch's AddSample) land in an in-memory
-/// delta overlay: new values get ValueIds after the base domain, frequency
-/// bumps on base values go to a side map, and coordinate-range scans merge
-/// the base column with the overlay's sorted list in (coord, ValueId)
-/// order — read results stay bit-identical to the in-memory oracle.
-/// AttachPivots is not supported: the pivot geometry is baked into the
-/// snapshot at write time. The base image is read-only after Open; the
+/// delta overlay: new values get ValueIds after the base domain with their
+/// pivot distances in overlay columns, and frequency bumps on base values
+/// go to a side map — read results stay bit-identical to the in-memory
+/// oracle. AttachPivots is not supported: the pivot geometry is baked into
+/// the snapshot at write time. The base image is read-only after Open; the
 /// write path is not thread-safe.
 class MmapSnapshotStorage final : public RepoStorage {
  public:
@@ -50,7 +47,7 @@ class MmapSnapshotStorage final : public RepoStorage {
   /// attribute count, TOC and section checksums, every section's structure,
   /// token ids against `dict`). Returns InvalidArgument /
   /// FailedPrecondition with a precise reason on any mismatch, including a
-  /// version-1 file. The trailing SnapshotDecode is read by terbench;
+  /// file of an older version. The trailing SnapshotDecode is read by terbench;
   /// every open is eager, so it is ignored.
   static Result<std::unique_ptr<MmapSnapshotStorage>> Open(
       int num_attributes, const TokenDict* dict, const std::string& path,
@@ -80,8 +77,6 @@ class MmapSnapshotStorage final : public RepoStorage {
   int num_pivots(int attr) const override;
   const TokenSet& pivot_tokens(int attr, int pivot_idx) const override;
   double pivot_distance(int attr, int pivot_idx, ValueId vid) const override;
-  void AppendValuesInCoordRange(int attr, const Interval& interval,
-                                std::vector<ValueId>* out) const override;
 
   // ---- Write path (delta overlay) --------------------------------------
 
@@ -114,8 +109,6 @@ class MmapSnapshotStorage final : public RepoStorage {
     std::unordered_multimap<uint64_t, ValueId> by_hash;
     // Pivot geometry (zero-copy columns).
     std::vector<const double*> dists;  // dists[a][vid]
-    const double* coord_keys = nullptr;
-    const uint32_t* coord_vids = nullptr;
   };
 
   /// One attribute's dynamic delta.
@@ -123,7 +116,6 @@ class MmapSnapshotStorage final : public RepoStorage {
     AttributeDomain extra;  // local ids; global id = base.size + local
     std::unordered_map<ValueId, int> base_freq_delta;
     std::vector<std::vector<double>> dists;  // dists[a][local id]
-    std::vector<std::pair<double, ValueId>> sorted_coords;  // global ids
   };
 
   // ---- Section decode at open (see DESIGN.md §8) -----------------------

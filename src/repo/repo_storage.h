@@ -23,16 +23,15 @@ struct AttributePivots {
 
 /// Physical storage behind a Repository (DESIGN.md §8): per-attribute value
 /// domains, the complete sample tuples with their ValueIds, and — once
-/// pivots are attached — the pivot-distance tables and sorted main-pivot
-/// coordinate lists that back the CDD-index geometry and the rule-based
-/// imputer's coordinate prefilter.
+/// pivots are attached — the pivot-distance tables that give every tuple
+/// its PairRow bounds (Section 5.1).
 ///
 /// The read path is the hot interface every engine layer goes through (via
 /// the Repository facade). The write path exists for repository maintenance:
 /// AddSample / the constraint imputer's RegisterValue (Section 5.5 dynamic
 /// repository). Implementations must keep reads bit-identical across
-/// backends: same ValueIds, same pivot distances, same coordinate-range scan
-/// order — the equivalence sweep holds them to that.
+/// backends: same ValueIds, same pivot distances — the equivalence sweep
+/// holds them to that.
 class RepoStorage {
  public:
   virtual ~RepoStorage() = default;
@@ -67,16 +66,18 @@ class RepoStorage {
   [[nodiscard]] virtual double pivot_distance(int attr, int pivot_idx,
                                 ValueId vid) const = 0;
   /// Appends, in ascending (coordinate, ValueId) order, every domain value
-  /// of `attr` whose main-pivot coordinate lies in [interval.lo,
-  /// interval.hi]; both endpoints are inclusive hits. Empty intervals yield
-  /// nothing.
+  /// of `attr` whose main-pivot coordinate pivot_distance(attr, 0, v) lies
+  /// in [interval.lo, interval.hi]; both endpoints are inclusive hits.
+  /// Empty intervals yield nothing. One domain scan, shared by every
+  /// backend. Kept only because terbench's storage wrapper overrides it;
+  /// no engine code calls it (ROADMAP item 1 removes it).
   virtual void AppendValuesInCoordRange(int attr, const Interval& interval,
-                                        std::vector<ValueId>* out) const = 0;
+                                        std::vector<ValueId>* out) const;
 
   // ---- Write path (repository maintenance, Section 5.5) ---------------
 
   /// Adds (or finds) a domain value; when pivots are attached, extends the
-  /// pivot-distance tables and the sorted coordinate list incrementally.
+  /// pivot-distance tables incrementally.
   virtual ValueId RegisterValue(int attr, const TokenSet& tokens,
                                 const std::string& text) = 0;
   virtual void BumpFrequency(int attr, ValueId id) = 0;

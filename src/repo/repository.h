@@ -11,7 +11,6 @@
 #include "tuple/pair_row.h"
 #include "tuple/record.h"
 #include "tuple/schema.h"
-#include "util/interval.h"
 #include "util/status.h"
 
 namespace terids {
@@ -102,11 +101,10 @@ class Repository {
   // ---- Pivot machinery -----------------------------------------------
 
   /// Installs pivots and precomputes, for every attribute x, pivot a, and
-  /// domain value v: dist(v, piv_a[A_x]). Also builds the sorted
-  /// (main-pivot-coordinate, ValueId) lists used for candidate retrieval.
-  /// Snapshot backends carry their geometry in the file and CHECK here.
-  /// Tuples built before a re-attach keep rows of the old pivots and must
-  /// not be used after it.
+  /// domain value v: dist(v, piv_a[A_x]), the tables every tuple's PairRow
+  /// bounds are read from. Snapshot backends carry their geometry in the
+  /// file and CHECK here. Tuples built before a re-attach keep rows of the
+  /// old pivots and must not be used after it.
   void AttachPivots(std::vector<AttributePivots> pivots);
 
   bool has_pivots() const { return storage_->has_pivots(); }
@@ -121,22 +119,6 @@ class Repository {
   /// dist(domain value `vid` of `attr`, pivot `pivot_idx` of `attr`).
   double pivot_distance(int attr, int pivot_idx, ValueId vid) const {
     return storage_->pivot_distance(attr, pivot_idx, vid);
-  }
-
-  /// Main-pivot coordinate of a domain value (pivot_distance with pivot 0).
-  double coord(int attr, ValueId vid) const {
-    return pivot_distance(attr, 0, vid);
-  }
-
-  /// All domain values of `attr` whose main-pivot coordinate lies in
-  /// [coord_interval.lo, coord_interval.hi] (both endpoints inclusive), in
-  /// ascending (coordinate, ValueId) order. This is the necessary-condition
-  /// filter |coord(v) - coord(u)| <= eps used before exact verification.
-  std::vector<ValueId> ValuesInCoordRange(
-      int attr, const Interval& coord_interval) const {
-    std::vector<ValueId> out;
-    storage_->AppendValuesInCoordRange(attr, coord_interval, &out);
-    return out;
   }
 
   /// The active backend ("memory", "mmap").

@@ -15,11 +15,10 @@ namespace snapshot {
 ///
 /// A snapshot is a build-once columnar serialization of a Repository's
 /// storage: per-attribute value domains (interned token sets, display
-/// texts, frequencies), the pivot set, the pivot-distance tables, the
-/// sorted main-pivot coordinate lists, and the complete sample tuples.
-/// MmapSnapshotStorage opens it read-only via mmap and serves the numeric
-/// geometry tables (distances, coordinates, ValueIds, frequencies)
-/// zero-copy from the mapping.
+/// texts, frequencies), the pivot set, the pivot-distance tables, and the
+/// complete sample tuples. MmapSnapshotStorage opens it read-only via mmap
+/// and serves the numeric geometry tables (distances, ValueIds,
+/// frequencies) zero-copy from the mapping.
 ///
 /// Layout: a fixed header, then the payload. Every array in the payload is
 /// preceded by padding to 8-byte alignment so doubles and 64-bit offsets
@@ -28,16 +27,18 @@ namespace snapshot {
 /// format. The header carries a version (bumped on any layout change);
 /// Open refuses every version but kVersion.
 ///
-/// **v2** (kVersion, the only layout): the payload begins with a
+/// **v3** (kVersion, the only layout): the payload begins with a
 /// section TOC — a u64 section count followed by SectionEntry records —
 /// and `payload_checksum` covers only those TOC bytes. Each section
 /// carries its own FNV-1a checksum in its TOC entry, verified when Open
 /// decodes that section; Open decodes and validates every section before
 /// it returns (DESIGN.md §8). Sections are 8-aligned and self-describing;
 /// `aux` caches the one size a reader checks each section against
-/// (domain size, pivot count, sample count).
+/// (domain size, pivot count, sample count). v2 had the same sections but
+/// also stored sorted main-pivot coordinate lists in each geometry
+/// section; v1 had no TOC. Both are refused.
 inline constexpr char kMagic[8] = {'T', 'E', 'R', 'I', 'D', 'S', 'N', 'P'};
-inline constexpr uint32_t kVersion = 2;  // section TOC, per-section checksums
+inline constexpr uint32_t kVersion = 3;  // section TOC, distance-only geometry
 
 struct Header {
   char magic[8];
@@ -52,16 +53,16 @@ struct Header {
 };
 static_assert(sizeof(Header) == 56, "snapshot header layout drifted");
 
-/// v2 section kinds, in their required TOC order: one kDomain per
+/// Section kinds, in their required TOC order: one kDomain per
 /// attribute, one kPivotTokens, one kGeometry per attribute, one kSamples.
 enum class SectionKind : uint64_t {
   kDomain = 1,       // token ids+offsets, text blob+offsets, frequencies
   kPivotTokens = 2,  // every attribute's pivot token sets
-  kGeometry = 3,     // distance columns + sorted coordinate key/vid lists
+  kGeometry = 3,     // one distance column per pivot
   kSamples = 4,      // rids, streams, timestamps, ValueIds, cell texts
 };
 
-/// One v2 TOC record. `offset` is relative to the payload start (the byte
+/// One TOC record. `offset` is relative to the payload start (the byte
 /// after the header) and 8-aligned; `checksum` is the FNV-1a over the
 /// section's `bytes`, verified when Open decodes that section. `aux` is
 /// kind-specific metadata the section body must agree with: the domain

@@ -1,6 +1,5 @@
 #include "repo/snapshot_writer.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -86,35 +85,14 @@ void AppendDistColumns(const Repository& repo, int attr,
   }
 }
 
-void AppendCoordLists(const Repository& repo, int attr,
-                      snapshot::Builder* out) {
-  // Sorted main-pivot coordinate list, as parallel (key, vid) columns.
-  const size_t dom = repo.domain_size(attr);
-  std::vector<std::pair<double, ValueId>> coords;
-  coords.reserve(dom);
-  for (ValueId v = 0; v < dom; ++v) {
-    coords.emplace_back(repo.coord(attr, v), v);
-  }
-  std::sort(coords.begin(), coords.end());
-  std::vector<double> keys(dom);
-  std::vector<uint32_t> vids(dom);
-  for (size_t i = 0; i < dom; ++i) {
-    keys[i] = coords[i].first;
-    vids[i] = coords[i].second;
-  }
-  out->AppendArray(keys.data(), keys.size());
-  out->AppendArray(vids.data(), vids.size());
-}
-
 /// Per-attribute geometry section: a self-describing (dom, np) prefix,
-/// then the pivot-distance columns and the sorted coordinate lists for
-/// this attribute only, checksummed and validated as one unit at open.
+/// then this attribute's pivot-distance columns, checksummed and validated
+/// as one unit at open.
 void AppendGeometrySection(const Repository& repo, int attr,
                            snapshot::Builder* out) {
   out->AppendU64(repo.domain_size(attr));
   out->AppendU64(static_cast<uint64_t>(repo.num_pivots(attr)));
   AppendDistColumns(repo, attr, out);
-  AppendCoordLists(repo, attr, out);
 }
 
 void AppendSamples(const Repository& repo, snapshot::Builder* out) {

@@ -11,8 +11,8 @@ class Repository;
 
 /// Serializes `repo`'s storage into the columnar snapshot format of
 /// DESIGN.md §8 at `path`, ready to be opened by MmapSnapshotStorage: the
-/// v2 layout (snapshot::kVersion), a section TOC with per-section
-/// checksums, lazily decodable.
+/// layout of snapshot::kVersion, a section TOC with per-section
+/// checksums.
 ///
 /// The write is atomic: bytes land in a same-directory temp file which is
 /// flushed, fsync'd, and renamed over `path`. A crash or error mid-write
@@ -22,10 +22,7 @@ class Repository;
 /// The writer reads exclusively through the backend-neutral Repository
 /// interface, so it works on any backend — including an mmap-backed
 /// repository that has accumulated dynamic-overlay values, which makes
-/// re-snapshotting a compaction. The sorted coordinate lists are rebuilt
-/// from (coord, ValueId) pairs; since those pairs are distinct and the
-/// in-memory backend maintains exactly the (coord, ValueId)-ascending
-/// order, the rebuilt lists are bit-identical to the oracle's.
+/// re-snapshotting a compaction.
 Status WriteRepositorySnapshot(const Repository& repo, const std::string& path);
 
 /// Collision-resistant path for a throwaway snapshot file under TMPDIR

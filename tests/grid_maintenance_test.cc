@@ -70,7 +70,7 @@ TEST_P(GridMaintenanceTest, MaintainedGridEqualsFreshGrid) {
                                       0.9 * dims};
 
   RuleBasedImputer imputer(repo.get(), experiment.cdds(),
-                           RuleImputerOptions());
+                           /*max_candidates_per_attr=*/16);
   const TopicQuery topic(repo->dict(), config.keywords);
   std::vector<Record> inc_a = DataGenerator::WithMissing(
       experiment.dataset().source_a, params.xi, params.m, params.seed);

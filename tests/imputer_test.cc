@@ -16,6 +16,9 @@ namespace {
 using testing_util::MakeHealthWorld;
 using testing_util::ToyWorld;
 
+// Candidate values kept per missing attribute by the imputers under test.
+constexpr int kMaxCandidates = 16;
+
 class RuleBasedImputerTest : public ::testing::Test {
  protected:
   RuleBasedImputerTest() : world_(MakeHealthWorld()) {
@@ -30,7 +33,7 @@ class RuleBasedImputerTest : public ::testing::Test {
 };
 
 TEST_F(RuleBasedImputerTest, ImputesDiagnosisFromSymptoms) {
-  RuleBasedImputer imputer(world_.repo.get(), rules_, RuleImputerOptions{});
+  RuleBasedImputer imputer(world_.repo.get(), rules_, kMaxCandidates);
   // Post a2 of the paper's Table 1: diabetic symptoms, missing diagnosis.
   Record r = world_.Make(1, {"male", "loss of weight blurred vision", "-",
                              "drug therapy"});
@@ -51,41 +54,13 @@ TEST_F(RuleBasedImputerTest, ImputesDiagnosisFromSymptoms) {
 }
 
 TEST_F(RuleBasedImputerTest, CompleteRecordNeedsNoImputation) {
-  RuleBasedImputer imputer(world_.repo.get(), rules_, RuleImputerOptions{});
+  RuleBasedImputer imputer(world_.repo.get(), rules_, kMaxCandidates);
   Record r = world_.Make(2, {"male", "fever", "flu", "rest"});
   EXPECT_TRUE(imputer.ImputeRecord(r, nullptr).empty());
 }
 
-TEST_F(RuleBasedImputerTest, CoordFilterDoesNotChangeCandidates) {
-  // The sorted-coordinate prefilter is a pure optimization: candidate
-  // distributions must be identical with and without it.
-  RuleImputerOptions with_filter;
-  with_filter.use_coord_filter = true;
-  RuleImputerOptions without_filter;
-  without_filter.use_coord_filter = false;
-  RuleBasedImputer fast(world_.repo.get(), rules_, with_filter);
-  RuleBasedImputer slow(world_.repo.get(), rules_, without_filter);
-  const std::vector<Record> probes = {
-      world_.Make(1, {"male", "loss of weight blurred vision", "-", "-"}),
-      world_.Make(2, {"female", "fever cough", "-", "rest"}),
-      world_.Make(3, {"male", "-", "diabetes", "-"}),
-  };
-  for (const Record& r : probes) {
-    auto a = fast.ImputeRecord(r, nullptr);
-    auto b = slow.ImputeRecord(r, nullptr);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].candidates.size(), b[i].candidates.size());
-      for (size_t c = 0; c < a[i].candidates.size(); ++c) {
-        EXPECT_EQ(a[i].candidates[c].vid, b[i].candidates[c].vid);
-        EXPECT_DOUBLE_EQ(a[i].candidates[c].prob, b[i].candidates[c].prob);
-      }
-    }
-  }
-}
-
 TEST_F(RuleBasedImputerTest, CostAccountingSplitsPhases) {
-  RuleBasedImputer imputer(world_.repo.get(), rules_, RuleImputerOptions{});
+  RuleBasedImputer imputer(world_.repo.get(), rules_, kMaxCandidates);
   Record r = world_.Make(1, {"male", "loss of weight", "-", "-"});
   CostBreakdown cost;
   imputer.ImputeRecord(r, &cost);
@@ -94,7 +69,7 @@ TEST_F(RuleBasedImputerTest, CostAccountingSplitsPhases) {
 }
 
 TEST_F(RuleBasedImputerTest, RulesForDependentPartitionsRuleSet) {
-  RuleBasedImputer imputer(world_.repo.get(), rules_, RuleImputerOptions{});
+  RuleBasedImputer imputer(world_.repo.get(), rules_, kMaxCandidates);
   size_t total = 0;
   for (int j = 0; j < world_.repo->num_attributes(); ++j) {
     for (int idx : imputer.RulesForDependent(j)) {
@@ -385,10 +360,8 @@ TEST(ValueNeighborhoodsTest, AbsorbWideningMatchesFullScan) {
   ASSERT_TRUE(engine.AbsorbRepositoryBatch({widening}).ok());
   ASSERT_GT(engine.rules()[0].dep_interval.hi, 0.2);
 
-  RuleImputerOptions full_scan;
-  full_scan.use_coord_filter = false;
-  full_scan.max_candidates_per_attr = config.max_candidates_per_attr;
-  RuleBasedImputer linear(world.repo.get(), engine.rules(), full_scan);
+  RuleBasedImputer linear(world.repo.get(), engine.rules(),
+                          config.max_candidates_per_attr);
   const auto want = linear.ImputeRecord(probe, nullptr);
   const auto got = engine.ImputeNow(probe);
   ASSERT_EQ(want.size(), 1u);
@@ -441,9 +414,7 @@ TEST(DeterminantJoinTest, MatchesLinearScanOnEveryPath) {
       Interval::Of(0.0, 0.0), Interval::Of(0.0, 0.5), Interval::Of(0.2, 0.8),
       Interval::Of(0.0, 1.0), Interval::Of(0.6, 1.0)};
   const EngineConfig config;
-  RuleImputerOptions full_scan;
-  full_scan.use_coord_filter = false;
-  full_scan.max_candidates_per_attr = config.max_candidates_per_attr;
+  const int max_candidates = config.max_candidates_per_attr;
 
   TerIdsEngine::JoinPaths paths;
   bool saw_several = false;
@@ -510,7 +481,7 @@ TEST(DeterminantJoinTest, MatchesLinearScanOnEveryPath) {
     }
 
     ImputingEngine engine(&repo, config, 2, rules);
-    const auto want = RuleBasedImputer(&repo, rules, full_scan)
+    const auto want = RuleBasedImputer(&repo, rules, max_candidates)
                           .ImputeRecord(probe, nullptr);
     ExpectSameImputation(engine.ImputeNow(probe), want, trial);
     imputed_trials += !want.empty();
@@ -529,7 +500,7 @@ TEST(DeterminantJoinTest, MatchesLinearScanOnEveryPath) {
       }
       ASSERT_TRUE(engine.AbsorbRepositoryBatch({sample}).ok());
       const auto want_after =
-          RuleBasedImputer(&repo, engine.rules(), full_scan)
+          RuleBasedImputer(&repo, engine.rules(), max_candidates)
               .ImputeRecord(probe, nullptr);
       ExpectSameImputation(engine.ImputeNow(probe), want_after, trial);
     }

@@ -163,7 +163,7 @@ TEST_P(PairCascadeStreamTest, KernelThenRefineEqualsReferenceCascade) {
   for (const TopicQuery* topic : {&constrained, &unconstrained}) {
     RefMap refs;
     RuleBasedImputer imputer(repo.get(), experiment.cdds(),
-                             RuleImputerOptions());
+                             /*max_candidates_per_attr=*/16);
     std::vector<Record> inc_a = DataGenerator::WithMissing(
         experiment.dataset().source_a, xi, params.m, params.seed);
     std::vector<Record> inc_b = DataGenerator::WithMissing(

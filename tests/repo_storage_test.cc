@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -13,11 +14,13 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datagen/generator.h"
 #include "datagen/profiles.h"
 #include "pivot/pivot_selector.h"
+#include "repo/in_memory_storage.h"
 #include "repo/mmap_snapshot_storage.h"
 #include "repo/repository.h"
 #include "repo/snapshot_format.h"
@@ -74,25 +77,6 @@ void ExpectBitIdenticalReads(const Repository& oracle,
       EXPECT_TRUE(a.values[x].tokens == b.values[x].tokens);
       EXPECT_EQ(oracle.sample_value_id(i, x), snapshot.sample_value_id(i, x));
     }
-  }
-
-  // Range scans must agree element-for-element *in order* — the scan order
-  // feeds deterministic candidate accumulation.
-  Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int x = static_cast<int>(rng.NextBounded(d));
-    double lo = rng.NextDouble();
-    double hi = rng.NextDouble();
-    if (lo > hi) std::swap(lo, hi);
-    const Interval band = Interval::Of(lo, hi);
-    EXPECT_EQ(oracle.ValuesInCoordRange(x, band),
-              snapshot.ValuesInCoordRange(x, band));
-  }
-  // Full-domain and empty-interval scans.
-  for (int x = 0; x < d; ++x) {
-    EXPECT_EQ(oracle.ValuesInCoordRange(x, Interval::Of(0.0, 1.0)),
-              snapshot.ValuesInCoordRange(x, Interval::Of(0.0, 1.0)));
-    EXPECT_TRUE(snapshot.ValuesInCoordRange(x, Interval::Empty()).empty());
   }
 }
 
@@ -220,15 +204,21 @@ TEST_F(SnapshotCorruptionTest, FutureVersionIsRejected) {
   EXPECT_NE(status.message().find("version"), std::string::npos);
 }
 
-// Version 1 (one monolithic payload under one checksum) is no longer read.
-TEST_F(SnapshotCorruptionTest, Version1IsRejected) {
-  std::string corrupt = bytes_;
-  corrupt[8] = 1;  // Header.version low byte.
-  const Status status = Reopen(corrupt);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("version 1 unsupported"), std::string::npos)
-      << status.ToString();
+// Older layouts are no longer read: version 1 (one monolithic payload
+// under one checksum) and version 2 (geometry sections that also carried
+// sorted coordinate lists).
+TEST_F(SnapshotCorruptionTest, OlderVersionsAreRejected) {
+  for (const char version : {1, 2}) {
+    std::string corrupt = bytes_;
+    corrupt[8] = version;  // Header.version low byte.
+    const Status status = Reopen(corrupt);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("version " + std::to_string(version) +
+                                    " unsupported"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, SchemaArityMismatchIsRejected) {
@@ -248,18 +238,18 @@ TEST_F(SnapshotCorruptionTest, ForeignDictionaryIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 per-section integrity, all validated at open (DESIGN.md §8).
+// Per-section integrity, all validated at open (DESIGN.md §8).
 // ---------------------------------------------------------------------------
 
-/// Byte-surgery fixture over a v2 snapshot of the health world. The TOC
+/// Byte-surgery fixture over a snapshot of the health world. The TOC
 /// starts right after the header: a u64 section count, then SectionEntry
 /// records. Helpers patch entries and re-stamp the checksums the open path
 /// verifies, so each test corrupts exactly one integrity layer.
-class SnapshotV2Test : public ::testing::Test {
+class SnapshotSectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     world_ = MakeHealthWorld();
-    path_ = TempPath("v2.snap");
+    path_ = TempPath("sections.snap");
     ASSERT_TRUE(WriteRepositorySnapshot(*world_.repo, path_).ok());
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
@@ -292,8 +282,8 @@ class SnapshotV2Test : public ::testing::Test {
            ReadU64(bytes, EntryAt(i) + offsetof(snapshot::SectionEntry, offset));
   }
 
-  /// Re-stamps header.payload_checksum after a deliberate TOC edit (in v2
-  /// it covers exactly the TOC bytes), so the edit reaches the per-entry
+  /// Re-stamps header.payload_checksum after a deliberate TOC edit (it
+  /// covers exactly the TOC bytes), so the edit reaches the per-entry
   /// validation instead of tripping the TOC checksum first. A no-op when
   /// the (possibly mutated) TOC does not fit in the file.
   static void RestampTocChecksum(std::string* bytes) {
@@ -351,16 +341,13 @@ class SnapshotV2Test : public ::testing::Test {
     return corrupt;
   }
 
-  /// File offsets of attribute 0's coordinate key and vid columns: the
-  /// geometry section is (dom, np), np distance columns, keys, vids.
-  size_t CoordKeysAt() const {
+  /// File offset of attribute 0's last pivot-distance column: the
+  /// geometry section is (dom, np), then np distance columns.
+  size_t LastDistanceColumnAt() const {
     const size_t dom = world_.repo->domain_size(0);
     const size_t np = static_cast<size_t>(world_.repo->num_pivots(0));
     return SectionAt(bytes_, GeometryEntry()) + 2 * sizeof(uint64_t) +
-           np * dom * sizeof(double);
-  }
-  size_t CoordVidsAt() const {
-    return CoordKeysAt() + world_.repo->domain_size(0) * sizeof(double);
+           (np - 1) * dom * sizeof(double);
   }
   size_t GeometryEntry() const {
     return static_cast<size_t>(world_.schema->num_attributes()) + 1;
@@ -371,13 +358,13 @@ class SnapshotV2Test : public ::testing::Test {
   std::string bytes_;
 };
 
-TEST_F(SnapshotV2Test, OpenServesIdenticalBytes) {
+TEST_F(SnapshotSectionTest, OpenServesIdenticalBytes) {
   Result<std::unique_ptr<Repository>> reopened = Open();
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ExpectBitIdenticalReads(*world_.repo, **reopened);
 }
 
-TEST_F(SnapshotV2Test, CorruptSectionBodyFailsOpen) {
+TEST_F(SnapshotSectionTest, CorruptSectionBodyFailsOpen) {
   Rewrite(CorruptFirstDomainSection());
   Result<std::unique_ptr<Repository>> r = Open();
   ASSERT_FALSE(r.ok());
@@ -385,7 +372,7 @@ TEST_F(SnapshotV2Test, CorruptSectionBodyFailsOpen) {
       << r.status().ToString();
 }
 
-TEST_F(SnapshotV2Test, RestampedCorruptSectionBodyFailsOpen) {
+TEST_F(SnapshotSectionTest, RestampedCorruptSectionBodyFailsOpen) {
   // The same section with a token id past the dictionary and a valid
   // checksum: the domain parser, not FNV, must refuse it at open.
   std::string corrupt = bytes_;
@@ -399,27 +386,12 @@ TEST_F(SnapshotV2Test, RestampedCorruptSectionBodyFailsOpen) {
       << r.status().ToString();
 }
 
-TEST_F(SnapshotV2Test, GeometryCoordVidOutsideDomainRejectedAtOpen) {
-  std::string corrupt = bytes_;
-  const uint32_t bad =
-      static_cast<uint32_t>(world_.repo->domain_size(0) + 1000);
-  std::memcpy(&corrupt[CoordVidsAt()], &bad, sizeof(bad));
-  RestampChecksums(&corrupt);
-  Rewrite(corrupt);
-  Result<std::unique_ptr<Repository>> r = Open();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
-      << r.status().ToString();
-}
-
-TEST_F(SnapshotV2Test, GeometryDistanceOutsideUnitRangeRejectedAtOpen) {
-  // 1.5 in attribute 0's last distance column: the [0, 1] range check runs
-  // before the coordinate-list checks and must refuse it.
+TEST_F(SnapshotSectionTest, GeometryDistanceOutsideUnitRangeRejectedAtOpen) {
+  // 1.5 in attribute 0's last distance column: the [0, 1] range check
+  // must refuse it.
   std::string corrupt = bytes_;
   const double bad = 1.5;
-  std::memcpy(&corrupt[CoordKeysAt() - world_.repo->domain_size(0) *
-                                           sizeof(double)],
-              &bad, sizeof(bad));
+  std::memcpy(&corrupt[LastDistanceColumnAt()], &bad, sizeof(bad));
   RestampChecksums(&corrupt);
   Rewrite(corrupt);
   Result<std::unique_ptr<Repository>> r = Open();
@@ -428,31 +400,7 @@ TEST_F(SnapshotV2Test, GeometryDistanceOutsideUnitRangeRejectedAtOpen) {
       << r.status().ToString();
 }
 
-TEST_F(SnapshotV2Test, GeometryCoordListOutOfOrderRejectedAtOpen) {
-  // Swap the first and last (key, vid) pairs: each key still equals its
-  // vid's main-pivot distance, but the list is no longer ascending.
-  const size_t dom = world_.repo->domain_size(0);
-  ASSERT_GE(dom, 2u);
-  std::string corrupt = bytes_;
-  const size_t keys = CoordKeysAt();
-  const size_t vids = CoordVidsAt();
-  for (size_t i = 0; i < sizeof(double); ++i) {
-    std::swap(corrupt[keys + i], corrupt[keys + (dom - 1) * sizeof(double) + i]);
-  }
-  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
-    std::swap(corrupt[vids + i],
-              corrupt[vids + (dom - 1) * sizeof(uint32_t) + i]);
-  }
-  RestampChecksums(&corrupt);
-  Rewrite(corrupt);
-  Result<std::unique_ptr<Repository>> r = Open();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("not sorted"), std::string::npos)
-      << r.status().ToString();
-}
-
-TEST_F(SnapshotV2Test, TocOffsetOutOfBoundsRejectedAtOpen) {
+TEST_F(SnapshotSectionTest, TocOffsetOutOfBoundsRejectedAtOpen) {
   std::string corrupt = bytes_;
   WriteU64(&corrupt, EntryAt(0) + 2 * sizeof(uint64_t), uint64_t{1} << 40);
   RestampTocChecksum(&corrupt);
@@ -463,7 +411,7 @@ TEST_F(SnapshotV2Test, TocOffsetOutOfBoundsRejectedAtOpen) {
       << r.status().ToString();
 }
 
-TEST_F(SnapshotV2Test, TruncationMidSectionRejectedAtOpen) {
+TEST_F(SnapshotSectionTest, TruncationMidSectionRejectedAtOpen) {
   // Cut into the last section's body while keeping header.payload_bytes
   // consistent with the shortened file, so only the TOC bounds validation
   // stands between the open and a read past the mapping.
@@ -480,40 +428,41 @@ TEST_F(SnapshotV2Test, TruncationMidSectionRejectedAtOpen) {
 /// Reads everything an opened snapshot serves, feeding every ValueId a
 /// range scan returns back into the domain and geometry readers. Returns a
 /// sum so the reads cannot be optimized away.
-uint64_t ReadEverything(const Repository& repo) {
+uint64_t ReadEverything(const RepoStorage& storage, int d) {
   uint64_t sum = 0;
-  const int d = repo.num_attributes();
   for (int x = 0; x < d; ++x) {
-    const ValueId dom = static_cast<ValueId>(repo.domain_size(x));
+    const ValueId dom = static_cast<ValueId>(storage.domain_size(x));
     for (ValueId v = 0; v < dom; ++v) {
-      const TokenSet& tokens = repo.value_tokens(x, v);
-      sum += tokens.size() + repo.value_text(x, v).size();
-      sum += static_cast<uint64_t>(repo.value_frequency(x, v));
-      sum += repo.FindValue(x, tokens);
+      const TokenSet& tokens = storage.value_tokens(x, v);
+      sum += tokens.size() + storage.value_text(x, v).size();
+      sum += static_cast<uint64_t>(storage.value_frequency(x, v));
+      sum += storage.FindValue(x, tokens);
     }
-    for (int a = 0; a < repo.num_pivots(x); ++a) {
-      sum += repo.pivot_tokens(x, a).size();
+    for (int a = 0; a < storage.num_pivots(x); ++a) {
+      sum += storage.pivot_tokens(x, a).size();
       for (ValueId v = 0; v < dom; ++v) {
-        sum += static_cast<uint64_t>(1e6 * repo.pivot_distance(x, a, v));
+        sum += static_cast<uint64_t>(1e6 * storage.pivot_distance(x, a, v));
       }
     }
     for (const Interval& band :
          {Interval::Of(0.0, 1.0), Interval::Of(0.25, 0.75),
           Interval::Of(0.5, 0.5)}) {
-      for (ValueId v : repo.ValuesInCoordRange(x, band)) {
-        sum += repo.value_tokens(x, v).size();
-        sum += static_cast<uint64_t>(1e6 * repo.pivot_distance(x, 0, v));
+      std::vector<ValueId> hits;
+      storage.AppendValuesInCoordRange(x, band, &hits);
+      for (ValueId v : hits) {
+        sum += storage.value_tokens(x, v).size();
+        sum += static_cast<uint64_t>(1e6 * storage.pivot_distance(x, 0, v));
       }
     }
   }
-  for (size_t i = 0; i < repo.num_samples(); ++i) {
-    const Record& r = repo.sample(i);
+  for (size_t i = 0; i < storage.num_samples(); ++i) {
+    const Record& r = storage.sample(i);
     // Unsigned sums: a mutated rid or timestamp may be any int64.
     sum += static_cast<uint64_t>(r.rid) + static_cast<uint64_t>(r.timestamp) +
            static_cast<uint64_t>(r.stream_id);
     for (int x = 0; x < d; ++x) {
       sum += r.values[x].tokens.size() + r.values[x].text.size();
-      sum += repo.value_tokens(x, repo.sample_value_id(i, x)).size();
+      sum += storage.value_tokens(x, storage.sample_value_id(i, x)).size();
     }
   }
   return sum;
@@ -524,7 +473,7 @@ uint64_t ReadEverything(const Repository& repo) {
 // checksum re-stamped so the mutation reaches the parsers. Each file must
 // either fail to open with a Status or open and survive a full read
 // sweep; an abort or a sanitizer report fails the test.
-TEST_F(SnapshotV2Test, ByteMutationsFailOpenOrReadCleanly) {
+TEST_F(SnapshotSectionTest, ByteMutationsFailOpenOrReadCleanly) {
   const uint64_t count = ReadU64(bytes_, sizeof(snapshot::Header));
   const size_t toc_end = EntryAt(count);
   ASSERT_LT(toc_end, bytes_.size());
@@ -563,10 +512,12 @@ TEST_F(SnapshotV2Test, ByteMutationsFailOpenOrReadCleanly) {
     }
     RestampChecksums(&bytes);
     Rewrite(bytes);
-    Result<std::unique_ptr<Repository>> r = Open();
+    const int d = world_.schema->num_attributes();
+    Result<std::unique_ptr<MmapSnapshotStorage>> r =
+        MmapSnapshotStorage::Open(d, world_.dict.get(), path_);
     if (r.ok()) {
       ++opened;
-      (void)ReadEverything(**r);
+      (void)ReadEverything(**r, d);
     } else {
       ++refused;
     }
@@ -690,6 +641,133 @@ TEST_F(SnapshotOverlayTest, AddSampleMatchesOracle) {
 TEST_F(SnapshotOverlayTest, DomainAccessorIsInMemoryOnly) {
   EXPECT_DEATH(snapshot_->domain(0), "in-memory");
 }
+
+// ---------------------------------------------------------------------------
+// Coordinate-range scan: the RepoStorage default body, on both backends,
+// over base values and values registered after the build or open.
+// ---------------------------------------------------------------------------
+
+/// The health world rebuilt on one backend. The storage stays in view
+/// because the range scan is a RepoStorage read the Repository facade does
+/// not offer.
+class CoordRangeScanTest : public ::testing::TestWithParam<RepoBackend> {
+ protected:
+  void SetUp() override {
+    world_ = MakeHealthWorld();
+    const int d = world_.schema->num_attributes();
+    std::unique_ptr<RepoStorage> storage;
+    if (GetParam() == RepoBackend::kInMemory) {
+      storage = std::make_unique<InMemoryStorage>(d);
+    } else {
+      const std::string path = TempPath("coord-range.snap");
+      ASSERT_TRUE(WriteRepositorySnapshot(*world_.repo, path).ok());
+      Result<std::unique_ptr<MmapSnapshotStorage>> opened =
+          MmapSnapshotStorage::Open(d, world_.dict.get(), path);
+      std::remove(path.c_str());
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      storage = std::move(opened).value();
+    }
+    storage_ = storage.get();
+    repo_ = std::make_unique<Repository>(world_.schema.get(),
+                                         world_.dict.get(), std::move(storage));
+    if (GetParam() == RepoBackend::kInMemory) {
+      for (size_t i = 0; i < world_.repo->num_samples(); ++i) {
+        ASSERT_TRUE(repo_->AddSample(world_.repo->sample(i)).ok());
+      }
+      std::vector<AttributePivots> pivots(static_cast<size_t>(d));
+      for (int x = 0; x < d; ++x) {
+        for (int a = 0; a < world_.repo->num_pivots(x); ++a) {
+          pivots[x].pivots.push_back(world_.repo->pivot_tokens(x, a));
+        }
+      }
+      repo_->AttachPivots(std::move(pivots));
+    }
+  }
+
+  std::vector<ValueId> Scan(int x, const Interval& band) const {
+    std::vector<ValueId> out;
+    storage_->AppendValuesInCoordRange(x, band, &out);
+    return out;
+  }
+
+  /// The domain values whose main-pivot distance lies in `band`, in
+  /// ascending (distance, ValueId) order.
+  std::vector<ValueId> BruteForce(int x, const Interval& band) const {
+    std::vector<std::pair<double, ValueId>> hits;
+    for (ValueId v = 0; v < repo_->domain_size(x); ++v) {
+      const double coord = repo_->pivot_distance(x, 0, v);
+      if (coord >= band.lo && coord <= band.hi) {
+        hits.emplace_back(coord, v);
+      }
+    }
+    std::sort(hits.begin(), hits.end());
+    std::vector<ValueId> out;
+    for (const auto& hit : hits) {
+      out.push_back(hit.second);
+    }
+    return out;
+  }
+
+  ToyWorld world_;
+  std::unique_ptr<Repository> repo_;
+  const RepoStorage* storage_ = nullptr;
+};
+
+TEST_P(CoordRangeScanTest, MatchesBruteForce) {
+  Tokenizer tok(world_.dict.get());
+  const int d = repo_->num_attributes();
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      // New values after the build or open: the overlay on mmap.
+      for (const char* text : {"hypertension", "severe migraine", "fever",
+                               "loss of weight thirst fatigue"}) {
+        repo_->RegisterValue(2, tok.Tokenize(text), text);
+      }
+    }
+    Rng rng(3);
+    for (int trial = 0; trial < 50; ++trial) {
+      const int x = static_cast<int>(rng.NextBounded(d));
+      double lo = rng.NextDouble();
+      double hi = rng.NextDouble();
+      if (lo > hi) std::swap(lo, hi);
+      const Interval band = Interval::Of(lo, hi);
+      EXPECT_EQ(Scan(x, band), BruteForce(x, band)) << "round " << round;
+    }
+    for (int x = 0; x < d; ++x) {
+      const std::vector<ValueId> all = Scan(x, Interval::Of(0.0, 1.0));
+      EXPECT_EQ(all.size(), repo_->domain_size(x));
+      EXPECT_EQ(all, BruteForce(x, Interval::Of(0.0, 1.0)));
+      EXPECT_TRUE(Scan(x, Interval::Empty()).empty());
+    }
+  }
+}
+
+TEST_P(CoordRangeScanTest, EndpointsAreInclusiveHits) {
+  Tokenizer tok(world_.dict.get());
+  const ValueId added =
+      repo_->RegisterValue(2, tok.Tokenize("hypertension"), "hypertension");
+  for (const ValueId vid : {ValueId{0}, added}) {
+    const double c = repo_->pivot_distance(2, 0, vid);
+    auto contains = [&](const Interval& band) {
+      const std::vector<ValueId> got = Scan(2, band);
+      return std::find(got.begin(), got.end(), vid) != got.end();
+    };
+    // The value's exact coordinate at either endpoint is a hit...
+    EXPECT_TRUE(contains(Interval::Of(c, c)));
+    EXPECT_TRUE(contains(Interval::Of(0.0, c)));  // hit exactly at hi
+    EXPECT_TRUE(contains(Interval::Of(c, 1.0)));  // hit exactly at lo
+    // ...and one ulp past either endpoint is a miss.
+    EXPECT_FALSE(contains(Interval::Of(0.0, std::nextafter(c, -1.0))));
+    EXPECT_FALSE(contains(Interval::Of(std::nextafter(c, 2.0), 1.0)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, CoordRangeScanTest,
+    ::testing::Values(RepoBackend::kInMemory, RepoBackend::kMmapSnapshot),
+    [](const ::testing::TestParamInfo<RepoBackend>& info) {
+      return std::string(RepoBackendName(info.param));
+    });
 
 }  // namespace
 }  // namespace terids

@@ -1,12 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <utility>
-
 #include "repo/repository.h"
 #include "test_util.h"
-#include "util/rng.h"
 
 namespace terids {
 namespace {
@@ -75,28 +70,6 @@ TEST(RepositoryTest, PivotDistanceMatchesDirectComputation) {
   }
 }
 
-TEST(RepositoryTest, ValuesInCoordRangeMatchesBruteForce) {
-  ToyWorld world = MakeHealthWorld();
-  Rng rng(3);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int x =
-        static_cast<int>(rng.NextBounded(world.repo->num_attributes()));
-    double lo = rng.NextDouble();
-    double hi = rng.NextDouble();
-    if (lo > hi) std::swap(lo, hi);
-    const Interval band = Interval::Of(lo, hi);
-    std::vector<ValueId> got = world.repo->ValuesInCoordRange(x, band);
-    std::sort(got.begin(), got.end());
-    std::vector<ValueId> want;
-    for (ValueId v = 0; v < world.repo->domain(x).size(); ++v) {
-      if (band.Contains(world.repo->coord(x, v))) {
-        want.push_back(v);
-      }
-    }
-    EXPECT_EQ(got, want);
-  }
-}
-
 TEST(RepositoryTest, RegisterValueExtendsPivotTables) {
   ToyWorld world = MakeHealthWorld();
   const size_t before = world.repo->domain(2).size();
@@ -108,11 +81,6 @@ TEST(RepositoryTest, RegisterValueExtendsPivotTables) {
   // Pivot distances are immediately queryable for the new value.
   EXPECT_DOUBLE_EQ(world.repo->pivot_distance(2, 0, vid),
                    JaccardDistance(tokens, world.repo->pivot_tokens(2, 0)));
-  // And the value is findable through the coordinate range scan.
-  const double c = world.repo->coord(2, vid);
-  std::vector<ValueId> got = world.repo->ValuesInCoordRange(
-      2, Interval::Of(c - 1e-9, c + 1e-9));
-  EXPECT_NE(std::find(got.begin(), got.end(), vid), got.end());
 }
 
 TEST(RepositoryTest, RegisterValueIsIdempotentForKnownTokens) {
@@ -134,7 +102,7 @@ TEST(RepositoryTest, AddSampleAfterPivotsKeepsTablesConsistent) {
   for (int x = 0; x < world.repo->num_attributes(); ++x) {
     const ValueId vid = world.repo->sample_value_id(i, x);
     EXPECT_DOUBLE_EQ(
-        world.repo->coord(x, vid),
+        world.repo->pivot_distance(x, 0, vid),
         JaccardDistance(r.values[x].tokens, world.repo->pivot_tokens(x, 0)));
   }
 }
@@ -153,63 +121,16 @@ TEST(AttributeDomainTest, BumpFrequencyOutOfRangeIsChecked) {
 
 // --- Dynamic repository: RegisterValue after AttachPivots ----------------
 
-TEST(RepositoryTest, IncrementalInsertsKeepCoordListOrdered) {
-  ToyWorld world = MakeHealthWorld();
-  Tokenizer tok(world.dict.get());
-  const std::vector<std::string> texts = {
-      "hypertension", "severe migraine", "fever",
-      "loss of weight thirst fatigue", "eye drop rest sleep"};
-  for (const std::string& text : texts) {
-    world.repo->RegisterValue(2, tok.Tokenize(text), text);
-  }
-  // The full-range scan surfaces the maintained list; it must stay sorted
-  // by (coordinate, ValueId) after every incremental insert.
-  const std::vector<ValueId> all =
-      world.repo->ValuesInCoordRange(2, Interval::Of(0.0, 1.0));
-  ASSERT_EQ(all.size(), world.repo->domain_size(2));
-  for (size_t i = 1; i < all.size(); ++i) {
-    const auto prev = std::make_pair(world.repo->coord(2, all[i - 1]),
-                                     all[i - 1]);
-    const auto cur = std::make_pair(world.repo->coord(2, all[i]), all[i]);
-    EXPECT_LT(prev, cur) << "position " << i;
-  }
-}
-
 TEST(RepositoryTest, DuplicateRegisterValueAfterPivotsIsANoOp) {
   ToyWorld world = MakeHealthWorld();
   Tokenizer tok(world.dict.get());
   const TokenSet tokens = tok.Tokenize("hypertension");
   const ValueId vid = world.repo->RegisterValue(2, tokens, "hypertension");
   const size_t size = world.repo->domain_size(2);
-  const std::vector<ValueId> scan =
-      world.repo->ValuesInCoordRange(2, Interval::Of(0.0, 1.0));
   // Re-registering the same token set (even under a different display
-  // text) must not grow the domain, the pivot tables, or the coord list.
+  // text) must not grow the domain or the pivot tables.
   EXPECT_EQ(world.repo->RegisterValue(2, tokens, "other text"), vid);
   EXPECT_EQ(world.repo->domain_size(2), size);
-  EXPECT_EQ(world.repo->ValuesInCoordRange(2, Interval::Of(0.0, 1.0)), scan);
-}
-
-TEST(RepositoryTest, CoordRangeEndpointsAreInclusiveHits) {
-  ToyWorld world = MakeHealthWorld();
-  Tokenizer tok(world.dict.get());
-  const TokenSet tokens = tok.Tokenize("hypertension");
-  const ValueId vid = world.repo->RegisterValue(2, tokens, "hypertension");
-  const double c = world.repo->coord(2, vid);
-
-  auto contains = [&](const Interval& band) {
-    const std::vector<ValueId> got = world.repo->ValuesInCoordRange(2, band);
-    return std::find(got.begin(), got.end(), vid) != got.end();
-  };
-  // The value's exact coordinate at either endpoint is a hit...
-  EXPECT_TRUE(contains(Interval::Of(c, c)));
-  EXPECT_TRUE(contains(Interval::Of(0.0, c)));   // hit exactly at hi
-  EXPECT_TRUE(contains(Interval::Of(c, 1.0)));   // hit exactly at lo
-  // ...and one ulp past either endpoint is a miss.
-  const double below = std::nextafter(c, -1.0);
-  const double above = std::nextafter(c, 2.0);
-  EXPECT_FALSE(contains(Interval::Of(0.0, below)));
-  EXPECT_FALSE(contains(Interval::Of(above, 1.0)));
 }
 
 }  // namespace
