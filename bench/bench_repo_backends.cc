@@ -7,9 +7,8 @@
 // the mmap open (validate + materialize). Section 2 replays one identical
 // random point-lookup workload (pivot_distance / value_tokens / FindValue /
 // value_frequency) against both backends, with the in-memory results as
-// the correctness oracle. Section 3 runs the full TER-iDS pipeline end to
-// end per backend. Section 4 is the cold-open study: one snapshot file
-// opened (every section decoded and validated), measuring open latency,
+// the correctness oracle. Section 3 is the cold-open study: one snapshot
+// file opened (every section decoded and validated), measuring open latency,
 // time to first arrival (engine construction + one record), and
 // resident-set growth — with a fresh-reopen read oracle proving the open
 // serves identical bytes. Expected shape: the mmap backend pays a small
@@ -202,35 +201,7 @@ int main() {
         .Num("lookups_per_sec", stats.lookups_per_sec);
   }
 
-  // --- Section 3: end-to-end pipeline per backend ------------------------
-  std::printf("\n-- end-to-end TER-iDS per backend --\n");
-  std::printf("%-8s %14s %14s %9s\n", "backend", "ms/arrival", "arrivals/s",
-              "matches");
-  for (RepoBackend backend :
-       {RepoBackend::kInMemory, RepoBackend::kMmapSnapshot}) {
-    ExperimentParams run_params = params;
-    run_params.repo_backend = backend;
-    Experiment run_experiment(ProfileByName(dataset), run_params);
-    PipelineRun run = run_experiment.Run(PipelineKind::kTerIds);
-    const double throughput =
-        run.total_seconds > 0
-            ? static_cast<double>(run.arrivals) / run.total_seconds
-            : 0.0;
-    std::printf("%-8s %14.4f %14.1f %9zu\n", RepoBackendName(backend),
-                1e3 * run.avg_arrival_seconds, throughput,
-                run.final_result_size);
-    std::fflush(stdout);
-    ExecKnobs knobs = env_knobs;
-    knobs.repo_backend = backend;
-    reporter.AddKnobRow(knobs)
-        .Str("section", "end_to_end")
-        .Str("dataset", dataset)
-        .Num("ms_per_arrival", 1e3 * run.avg_arrival_seconds)
-        .Num("arrivals_per_sec", throughput)
-        .Num("matches", static_cast<double>(run.final_result_size));
-  }
-
-  // --- Section 4: cold open ----------------------------------------------
+  // --- Section 3: cold open ----------------------------------------------
   // One snapshot file, decoded and validated in full at open: open
   // latency, time to first arrival (engine construction + one record), and
   // RSS growth.

@@ -35,24 +35,16 @@ void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
   // whenever alpha >= 0. Wider schemas skip pass 1 altogether.
   const bool sig_probe = p[L::kInstances] == 1.0 && d <= kSigPassMaxAttrs &&
                          alpha >= 0.0;
-
-  // Candidates awaiting the signature pass, their lengths and signatures
-  // gathered while the row is hot (the probe's side repeated per pair, as
-  // SigFilterCandidates takes both sides flat), and the verdict "passed".
-  thread_local std::vector<uint32_t> sig_index;
-  thread_local std::vector<uint32_t> len_a;
-  thread_local std::vector<uint32_t> len_b;
-  thread_local std::vector<uint64_t> sig_a;
-  thread_local std::vector<uint64_t> sig_b;
-  thread_local std::vector<uint8_t> keep;
-  sig_index.clear();
-  keep.assign(n, 0);
+  // The probe's side of that signature bound.
+  uint32_t p_len[kSigPassMaxAttrs];
+  uint64_t p_sig[kSigPassMaxAttrs];
   if (sig_probe) {
-    len_a.resize(n * du);
-    len_b.resize(n * du);
-    sig_a.resize(n * du);
-    sig_b.resize(n * du);
+    for (int k = 0; k < d; ++k) {
+      p_len[k] = layout.token_len(p, k);
+      p_sig[k] = layout.signature(p, k);
+    }
   }
+  const uint64_t p_saturated = static_cast<uint64_t>(p[L::kSaturated]);
 
   for (size_t i = 0; i < n; ++i) {
     const double* r = rows + static_cast<size_t>(slots[i]) * stride;
@@ -104,54 +96,24 @@ void EvaluateCandidates(const PairRowLayout& layout, const double* probe_row,
       continue;
     }
     if (sig_probe && r[L::kInstances] == 1.0) {
-      const size_t base = sig_index.size() * du;
-      for (size_t k = 0; k < du; ++k) {
-        len_a[base + k] = layout.token_len(p, static_cast<int>(k));
-        sig_a[base + k] = layout.signature(p, static_cast<int>(k));
-        len_b[base + k] = layout.token_len(r, static_cast<int>(k));
-        sig_b[base + k] = layout.signature(r, static_cast<int>(k));
+      // Pass 1 of InstanceSimilarityExceeds: the per-attribute bounds
+      // summed in attribute order, with identical double rounding.
+      double total_ub = 0.0;
+      for (int k = 0; k < d; ++k) {
+        total_ub += SigJaccardUpperBound(p_len[k], p_sig[k],
+                                         layout.token_len(r, k),
+                                         layout.signature(r, k));
       }
-      sig_index.push_back(static_cast<uint32_t>(i));
-    } else {
-      keep[i] = 1;
-    }
-  }
-
-  if (!sig_index.empty()) {
-    // Pass 1 of InstanceSimilarityExceeds for every waiting pair in one
-    // SigFilterCandidates sweep.
-    const size_t m = sig_index.size();
-    thread_local std::vector<uint64_t> survivors;
-    survivors.resize((m + 63) / 64);
-    SigFilterBatch batch;
-    batch.num_pairs = m;
-    batch.d = d;
-    batch.len_a = len_a.data();
-    batch.len_b = len_b.data();
-    batch.sig_a = sig_a.data();
-    batch.sig_b = sig_b.data();
-    (void)SigFilterCandidates(batch, gamma, survivors.data());
-    const uint64_t p_saturated = static_cast<uint64_t>(p[L::kSaturated]);
-    for (size_t j = 0; j < m; ++j) {
-      const uint32_t i = sig_index[j];
-      if ((survivors[j >> 6] >> (j & 63)) & 1) {
-        keep[i] = 1;
+      if (total_ub <= gamma) {
+        eval.outcome = PairOutcome::kInstancePruned;
+        eval.sig_probes = 2 * du;
+        eval.sig_saturated =
+            p_saturated + static_cast<uint64_t>(r[L::kSaturated]);
+        eval.sig_rejects = 1;
         continue;
       }
-      const double* r = rows + static_cast<size_t>(slots[i]) * stride;
-      PairEvaluation& eval = (*evals)[i];
-      eval.outcome = PairOutcome::kInstancePruned;
-      eval.sig_probes = 2 * du;
-      eval.sig_saturated =
-          p_saturated + static_cast<uint64_t>(r[L::kSaturated]);
-      eval.sig_rejects = 1;
     }
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    if (keep[i]) {
-      passed->push_back(static_cast<uint32_t>(i));
-    }
+    passed->push_back(static_cast<uint32_t>(i));
   }
 }
 

@@ -135,9 +135,12 @@ struct PairEvaluation {
 /// applies, in the paper's order, Theorem 4.1, Theorem 4.2 (Lemmas 4.1 and
 /// 4.2), Theorem 4.3 (Lemma 4.3) and, for single-instance pairs with
 /// d <= kSigPassMaxAttrs and alpha >= 0, the pass-1 signature reject of
-/// InstanceSimilarityExceeds through SigFilterCandidates. A candidate one
-/// of them rejects gets in (*evals)[i] its outcome and, for a signature
-/// reject, the three sig counters RefineProbability would have counted.
+/// InstanceSimilarityExceeds: the per-attribute SigJaccardUpperBound over
+/// the two rows' lengths and signatures, summed in attribute order with
+/// the same double rounding, rejects when the sum is <= gamma. A candidate
+/// one of them rejects gets in (*evals)[i] its outcome and, for a
+/// signature reject, the three sig counters RefineProbability would have
+/// counted.
 /// Every other index is appended to `passed` in ascending order and goes
 /// to RefinePair. `evals` is resized to n; entries of passed indices are
 /// left default.

@@ -46,9 +46,9 @@ bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
   // per-attribute Jaccard and both sums accumulate in the same order, so
   // rounding is monotone step-by-step and the floating-point exact sum can
   // never exceed the floating-point bound sum: bound <= gamma certifies
-  // the exact verdict is false. The bound arithmetic is shared with the
-  // batched pair cascade (EvaluateCandidates via SigFilterCandidates),
-  // which reproduces exactly this accumulation.
+  // the exact verdict is false. EvaluateCandidates decides this same pass
+  // for single-instance pairs from their PairRows, with the same bound and
+  // the same accumulation.
   double ub[kSigPassMaxAttrs];
   double total_ub = 0.0;
   for (int k = 0; k < d; ++k) {

@@ -76,8 +76,7 @@ inline constexpr int kSigPassMaxAttrs = 64;
 inline constexpr int kSigSaturatedBits = 48;
 
 /// The three popcounts one signature pair reduces to; every bound below is
-/// pure arithmetic over them, so batched (SIMD) and per-pair (scalar) paths
-/// share one definition and stay bit-identical.
+/// pure arithmetic over them.
 struct SigPopCounts {
   int common = 0;  // popcount(sa & sb)
   int a = 0;       // popcount(sa)
@@ -109,7 +108,7 @@ struct SigPopCounts {
 /// popcounts alone. Jaccard = i / (|A| + |B| - i) is increasing in i, so
 /// substituting the intersection upper bound is sound. Two empty sets have
 /// similarity 1 by convention (mirrors JaccardSimilarity).
-/// Selects rather than branches, as the batched pass runs it per
+/// Selects rather than branches, as the signature pass runs it per
 /// (pair, attribute): the quotient (NaN for two empty sets) is dropped
 /// when unused.
 [[nodiscard]] inline double SigJaccardUpperBoundFromPops(size_t na, size_t nb,
@@ -144,48 +143,6 @@ struct SigPopCounts {
   const size_t uni = na + nb - inter;
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
-
-// --- Batched candidate-list filtering (DESIGN.md §11) -----------------------
-
-/// Computes the per-entry signature popcounts (popcount(a), popcount(b),
-/// popcount(a & b)) for the `entries` signature pairs sig_a[i] / sig_b[i],
-/// dispatching to the widest SIMD implementation the CPU supports — AVX2
-/// on x86-64 (runtime feature detection, no -mavx2 build flag required),
-/// NEON on aarch64 — unless `force_scalar` or the TERIDS_SIMD=off
-/// environment override is set. Integer popcounts only, so every
-/// implementation is bit-identical to the portable scalar core.
-void SigPopCountBatch(const uint64_t* sig_a, const uint64_t* sig_b,
-                      size_t entries, uint32_t* pa, uint32_t* pb, uint32_t* pc,
-                      bool force_scalar = false);
-
-/// The active SigPopCountBatch dispatch target: "avx2", "neon", or
-/// "scalar" (resolved once at first use; TERIDS_SIMD=off forces scalar).
-const char* SimdDispatchName();
-
-/// One batched filter pass over a candidate list: `num_pairs` rows of `d`
-/// attribute spans each, flattened row-major (lens and signatures at
-/// [row * d + k]).
-struct SigFilterBatch {
-  size_t num_pairs = 0;
-  int d = 0;
-  const uint32_t* len_a = nullptr;
-  const uint32_t* len_b = nullptr;
-  const uint64_t* sig_a = nullptr;
-  const uint64_t* sig_b = nullptr;
-};
-
-/// Runs the signature upper-bound pass over every pair of the batch in one
-/// sweep: row i survives iff the per-attribute Jaccard bounds, summed in
-/// attribute order exactly as InstanceSimilarityExceeds' pass 1 sums them,
-/// exceed `gamma`. Non-survivors are rows pass 1 would certify as
-/// sim <= gamma — provably merge-free. Sets bit i of `survivors` (caller-
-/// allocated, (num_pairs + 63) / 64 words, zeroed here) and returns the
-/// survivor count. The popcount sweep is SIMD-dispatched
-/// (SigPopCountBatch); the double accumulation stays scalar per row in
-/// every implementation, so the decision is bit-identical across scalar,
-/// AVX2, and NEON.
-[[nodiscard]] size_t SigFilterCandidates(const SigFilterBatch& batch, double gamma,
-                           uint64_t* survivors);
 
 }  // namespace terids
 

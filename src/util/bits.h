@@ -26,6 +26,16 @@ inline int PopCount64(uint64_t x) {
 #endif
 }
 
+/// Read by terbench (its `simd` stamp): the branch PopCount64 compiles to
+/// in this build, "popcnt" or "swar".
+inline const char* SimdDispatchName() {
+#if defined(__POPCNT__) && (defined(__GNUC__) || defined(__clang__))
+  return "popcnt";
+#else
+  return "swar";
+#endif
+}
+
 /// 32-bit population count.
 inline int PopCount(uint32_t x) { return PopCount64(x); }
 

@@ -10,10 +10,7 @@
 //    merges, never flip a verdict.
 // 3. SignatureBit spreads dense dictionary ids uniformly over the 64 bits
 //    (chi-square pinned), for both random and sequential ids.
-// 4. The SIMD-dispatched batch popcounts (SigPopCountBatch) agree exactly
-//    with the forced-scalar core, and SigFilterCandidates reproduces the
-//    per-pair pass-1 decision bit for bit.
-// 5. TokenArena views are faithful: every (instance, attribute) slot of an
+// 4. TokenArena views are faithful: every (instance, attribute) slot of an
 //    ImputedTuple holds exactly instance_tokens() with its signature, and
 //    InstanceSimilarityExceeds equals InstanceSimilarity > gamma, on toy
 //    tuples and on the generated EBooks profile's long token sets.
@@ -162,87 +159,6 @@ TEST(SimilarityKernelTest, SignatureBitUniform) {
     const double threshold = dof + 4.0 * std::sqrt(2.0 * dof);
     EXPECT_LT(chi2, threshold)
         << (tokens == &random_tokens ? "random" : "sequential");
-  }
-}
-
-TEST(SimilarityKernelTest, BatchPopcountsMatchScalar) {
-  // The dispatched SigPopCountBatch (AVX2 / NEON when the host supports
-  // them) must agree entry-for-entry with the forced-scalar core — integer
-  // popcounts leave no room for drift. Entry counts are chosen to cover
-  // full vectors plus every tail length.
-  std::mt19937_64 rng(99);
-  std::uniform_int_distribution<uint64_t> word_dist;
-  for (const size_t entries : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 64u, 1001u}) {
-    std::vector<uint64_t> sa(entries);
-    std::vector<uint64_t> sb(entries);
-    for (auto& w : sa) w = word_dist(rng);
-    for (auto& w : sb) w = word_dist(rng);
-    std::vector<uint32_t> pa_s(entries), pb_s(entries), pc_s(entries);
-    std::vector<uint32_t> pa_v(entries), pb_v(entries), pc_v(entries);
-    SigPopCountBatch(sa.data(), sb.data(), entries, pa_s.data(), pb_s.data(),
-                     pc_s.data(), /*force_scalar=*/true);
-    SigPopCountBatch(sa.data(), sb.data(), entries, pa_v.data(), pb_v.data(),
-                     pc_v.data(), /*force_scalar=*/false);
-    for (size_t i = 0; i < entries; ++i) {
-      ASSERT_EQ(pa_s[i], pa_v[i]) << "entry " << i;
-      ASSERT_EQ(pb_s[i], pb_v[i]) << "entry " << i;
-      ASSERT_EQ(pc_s[i], pc_v[i]) << "entry " << i;
-      // Cross-check each entry against the per-pair SigPopCount.
-      const SigPopCounts p = SigPopCount(sa[i], sb[i]);
-      ASSERT_EQ(static_cast<uint32_t>(p.a), pa_s[i]);
-      ASSERT_EQ(static_cast<uint32_t>(p.b), pb_s[i]);
-      ASSERT_EQ(static_cast<uint32_t>(p.common), pc_s[i]);
-    }
-  }
-}
-
-TEST(SimilarityKernelTest, BatchedFilterMatchesPerPairPassOne) {
-  // SigFilterCandidates over a flattened candidate list must reproduce the
-  // per-pair decision of InstanceSimilarityExceeds' pass 1: sum the
-  // per-attribute Jaccard upper bounds in attribute order, survive iff the
-  // sum exceeds gamma.
-  std::mt19937_64 rng(1234);
-  for (const int d : {1, 3, 4}) {
-    const size_t num_pairs = 257;  // covers several survivor bitmap words
-    std::vector<uint32_t> len_a, len_b;
-    std::vector<uint64_t> sig_a, sig_b;
-    for (size_t i = 0; i < num_pairs; ++i) {
-      for (int k = 0; k < d; ++k) {
-        const Token universe = (i + k) % 2 == 0 ? 40 : 8000;
-        const TokenSet a =
-            TokenSet::FromTokens(RandomTokens(&rng, 60, universe));
-        const TokenSet b =
-            TokenSet::FromTokens(RandomTokens(&rng, 60, universe));
-        len_a.push_back(static_cast<uint32_t>(a.size()));
-        len_b.push_back(static_cast<uint32_t>(b.size()));
-        sig_a.push_back(TokenSignature(a.data(), a.size()));
-        sig_b.push_back(TokenSignature(b.data(), b.size()));
-      }
-    }
-    SigFilterBatch batch;
-    batch.num_pairs = num_pairs;
-    batch.d = d;
-    batch.len_a = len_a.data();
-    batch.len_b = len_b.data();
-    batch.sig_a = sig_a.data();
-    batch.sig_b = sig_b.data();
-    const double gamma = 0.35 * d;
-    std::vector<uint64_t> survivors((num_pairs + 63) / 64, ~uint64_t{0});
-    const size_t count = SigFilterCandidates(batch, gamma, survivors.data());
-    size_t expect_count = 0;
-    for (size_t i = 0; i < num_pairs; ++i) {
-      double total_ub = 0.0;
-      for (int k = 0; k < d; ++k) {
-        const size_t e = i * d + k;
-        total_ub +=
-            SigJaccardUpperBound(len_a[e], sig_a[e], len_b[e], sig_b[e]);
-      }
-      const bool expect_survive = total_ub > gamma;
-      expect_count += expect_survive ? 1 : 0;
-      ASSERT_EQ((survivors[i >> 6] >> (i & 63)) & 1, expect_survive ? 1u : 0u)
-          << "d " << d << " row " << i;
-    }
-    ASSERT_EQ(count, expect_count);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "util/bits.h"
 #include "util/interval.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -151,6 +152,37 @@ TEST(IntervalTest, MinAbsDiffIsTightLowerBound) {
       EXPECT_NEAR(bound, attained, 1e-12);
     }
   }
+}
+
+// Bit-by-bit reference for PopCount64.
+int PopCountLoop(uint64_t x) {
+  int count = 0;
+  for (int bit = 0; bit < 64; ++bit) {
+    count += static_cast<int>((x >> bit) & 1);
+  }
+  return count;
+}
+
+TEST(BitsTest, PopCount64MatchesBitLoop) {
+  // Whichever branch the build compiles (`__builtin_popcountll` with
+  // `__POPCNT__`, else the SWAR sum), the count must be exact.
+  std::vector<uint64_t> words = {0, ~uint64_t{0}, UINT64_C(0x5555555555555555),
+                                 UINT64_C(0xAAAAAAAAAAAAAAAA),
+                                 UINT64_C(0x3333333333333333),
+                                 UINT64_C(0x0F0F0F0F0F0F0F0F)};
+  for (int bit = 0; bit < 64; ++bit) {
+    words.push_back(uint64_t{1} << bit);
+    words.push_back(~(uint64_t{1} << bit));
+  }
+  Rng rng(20260);
+  for (int i = 0; i < 10000; ++i) {
+    words.push_back(rng.NextU64());
+  }
+  for (const uint64_t w : words) {
+    ASSERT_EQ(PopCount64(w), PopCountLoop(w)) << std::hex << w;
+  }
+  EXPECT_EQ(PopCount64(0), 0);
+  EXPECT_EQ(PopCount64(~uint64_t{0}), 64);
 }
 
 TEST(RngTest, DeterministicFromSeed) {
