@@ -1,7 +1,6 @@
-// Ablation bench for the design choices called out in DESIGN.md §5:
-//  (a) entropy-selected vs random pivots (does the Section 5.4 cost model
-//      buy pruning power / speed?),
-//  (b) ER-grid cell width sweep (synopsis granularity).
+// Ablation bench for the pivot design choice called out in DESIGN.md §5:
+// entropy-selected vs random pivots (does the Section 5.4 cost model buy
+// pruning power / speed?).
 
 #include <cstdio>
 
@@ -19,7 +18,6 @@ using namespace terids;
 struct AblationResult {
   double ms_per_arrival = 0.0;
   double pruning_power = 0.0;
-  size_t matches = 0;
 };
 
 AblationResult RunEngine(const Experiment& experiment,
@@ -33,17 +31,15 @@ AblationResult RunEngine(const Experiment& experiment,
       experiment.dataset().source_b, params.xi, params.m, params.seed + 1);
   StreamDriver driver({inc_a, inc_b});
   size_t arrivals = 0;
-  size_t matches = 0;
   Stopwatch watch;
   while (driver.HasNext() &&
          arrivals < static_cast<size_t>(params.max_arrivals)) {
-    matches += engine.ProcessArrival(driver.Next()).new_matches.size();
+    engine.ProcessArrival(driver.Next());
     ++arrivals;
   }
   AblationResult result;
   result.ms_per_arrival = 1e3 * watch.ElapsedSeconds() / arrivals;
   result.pruning_power = engine.cumulative_stats().TotalPower();
-  result.matches = matches;
   return result;
 }
 
@@ -80,7 +76,7 @@ int main() {
   JsonReporter reporter("Ablation");
   PrintHeader("Ablation", "index design choices", base);
 
-  std::printf("\n(a) entropy-selected vs random pivots (TER-iDS engine)\n");
+  std::printf("\nentropy-selected vs random pivots (TER-iDS engine)\n");
   std::printf("%-10s %18s %18s %14s %14s\n", "dataset", "entropy ms/arr",
               "random ms/arr", "entropy prune%", "random prune%");
   for (const std::string& name : {std::string("Citations"),
@@ -104,30 +100,8 @@ int main() {
         .Num("random_prune_pct", 100.0 * random.pruning_power);
   }
 
-  std::printf("\n(b) ER-grid cell width sweep (Citations, TER-iDS engine)\n");
-  std::printf("%-10s %14s %14s %10s\n", "cell", "ms/arrival", "prune%",
-              "matches");
-  Experiment experiment(ProfileByName("Citations"), BaseParams("Citations"));
-  for (double width : {0.05, 0.1, 0.2, 0.4, 1.0}) {
-    EngineConfig config = experiment.MakeConfig();
-    config.cell_width = width;
-    AblationResult r =
-        RunEngine(experiment, experiment.BuildRepository(), config);
-    std::printf("%-10.2f %14.4f %14.2f %10zu\n", width, r.ms_per_arrival,
-                100.0 * r.pruning_power, r.matches);
-    std::fflush(stdout);
-    reporter.AddRow()
-        .Str("part", "cell_width")
-        .Str("dataset", "Citations")
-        .Num("cell_width", width)
-        .Num("ms_per_arrival", r.ms_per_arrival)
-        .Num("prune_pct", 100.0 * r.pruning_power)
-        .Num("matches", static_cast<double>(r.matches));
-  }
   std::printf(
       "\nexpected: entropy pivots match or beat random pivots in per-arrival\n"
-      "cost at equal result quality; a cell width of 1.0 degenerates the\n"
-      "grid to one cell (no geometric cell pruning) while very small cells\n"
-      "pay insertion overhead for the same candidates.\n");
+      "cost at equal result quality.\n");
   return 0;
 }

@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the hot primitives: Jaccard over
-// interned token sets, ER-grid churn, the batched pair cascade over grid
-// rows with refinement of its survivors, and end-to-end TER-iDS arrival
-// processing.
+// interned token sets, window row-store churn, the batched pair cascade
+// over window rows with refinement of its survivors, and end-to-end
+// TER-iDS arrival processing.
 //
 // Results additionally flow through the shared JsonReporter (set
 // TERIDS_BENCH_JSON) by bridging Google Benchmark's reporter interface, so
@@ -19,7 +19,7 @@
 #include "datagen/profiles.h"
 #include "er/pruning.h"
 #include "stream/stream_driver.h"
-#include "synopsis/er_grid.h"
+#include "synopsis/window_rows.h"
 #include "text/token_set.h"
 #include "tuple/imputed_tuple.h"
 #include "util/rng.h"
@@ -56,12 +56,12 @@ Experiment* SharedCitationsExperiment() {
   return experiment;
 }
 
-// Steady-state ER-grid maintenance and probe at w = 1000 per stream over
-// complete EBooks tuples (the ebooks_refine replay's grid shape): each item
-// is one arrival, alternating streams, that probes the grid, is inserted,
-// and evicts its stream's oldest tuple, as the pipeline's candidate and
-// maintain phases do.
-void BM_ErGridChurn(benchmark::State& state) {
+// Steady-state row-store maintenance and scan at w = 1000 per stream over
+// complete EBooks tuples (the ebooks_refine replay's window shape): each
+// item is one arrival, alternating streams, that lists its candidates, is
+// inserted, and evicts its stream's oldest tuple, as the pipeline's
+// candidate and maintain phases do.
+void BM_WindowRowsChurn(benchmark::State& state) {
   using namespace terids::bench;
   const size_t w = 1000;
   ExperimentParams params = BaseParams("EBooks");
@@ -87,20 +87,19 @@ void BM_ErGridChurn(benchmark::State& state) {
       return;
     }
   }
-  const double gamma = experiment.gamma();
-  ErGrid grid(repo->num_attributes(), params.cell_width);
+  WindowRows rows;
   std::deque<const WindowTuple*> windows[2];
   size_t next[2] = {0, 0};
   auto arrive = [&](int s, bool probe) {
     const WindowTuple* wt = pools[s][next[s]++ % pools[s].size()].get();
     if (probe) {
       benchmark::DoNotOptimize(
-          grid.Candidates(*wt, gamma, /*topic_constrained=*/false));
+          rows.Candidates(*wt, /*topic_constrained=*/false));
     }
     windows[s].push_back(wt);
-    grid.Insert(wt);
+    rows.Insert(wt);
     if (windows[s].size() > w) {
-      grid.Remove(windows[s].front());
+      rows.Remove(windows[s].front());
       windows[s].pop_front();
     }
   };
@@ -113,11 +112,11 @@ void BM_ErGridChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(arrivals));
 }
-BENCHMARK(BM_ErGridChurn);
+BENCHMARK(BM_WindowRowsChurn);
 
-// One EBooks-shaped probe against the 1000 grid candidates of a full
-// stream-A window of complete EBooks tuples (the ebooks_refine pair
-// shape): EvaluateCandidates over their grid rows, then RefinePair on the
+// One EBooks-shaped probe against the 1000 candidates of a full stream-A
+// window of complete EBooks tuples (the ebooks_refine pair shape):
+// EvaluateCandidates over their window rows, then RefinePair on the
 // pairs it passes, as the pipeline does. Probes rotate over 64 stream-B
 // tuples whose candidate lists are built untimed. Items are candidate
 // pairs.
@@ -147,22 +146,21 @@ void BM_PairCascade(benchmark::State& state) {
     wt->topic = all_topics.Classify(*wt->tuple);
     return wt;
   };
-  ErGrid grid(repo->num_attributes(), params.cell_width);
+  WindowRows rows;
   std::vector<std::shared_ptr<WindowTuple>> window;
   for (size_t i = 0; i < w; ++i) {
     window.push_back(make(source_a[i], 0));
-    grid.Insert(window.back().get());
+    rows.Insert(window.back().get());
   }
   struct Probe {
     std::shared_ptr<WindowTuple> wt;
-    ErGrid::CandidateResult cands;
+    WindowRows::CandidateResult cands;
   };
   std::vector<Probe> probes;
   for (size_t i = 0; i < num_probes; ++i) {
     Probe probe;
     probe.wt = make(source_b[i], 1);
-    probe.cands = grid.Candidates(*probe.wt, config.gamma,
-                                  /*topic_constrained=*/false);
+    probe.cands = rows.Candidates(*probe.wt, /*topic_constrained=*/false);
     probes.push_back(std::move(probe));
   }
   std::vector<PairEvaluation> evals;
@@ -174,7 +172,7 @@ void BM_PairCascade(benchmark::State& state) {
     const ImputedTuple& q = *probe.wt->tuple;
     const std::vector<const WindowTuple*>& cands = probe.cands.candidates;
     EvaluateCandidates(q.row_layout(), q.row(), probe.wt->topic.any,
-                       grid.rows(), probe.cands.slots.data(),
+                       rows.rows(), probe.cands.slots.data(),
                        probe.cands.slots.size(), config.gamma, config.alpha,
                        &evals, &passed);
     uint64_t matched = 0;

@@ -110,8 +110,9 @@ int main() {
                 "drug therapy"}),                                        // c2
   };
 
-  std::printf("\nstreaming posts (K = {diabetes}, gamma = %.1f, alpha = %.1f):\n",
-              config.gamma, config.alpha);
+  std::printf(
+      "\nstreaming posts (K = {diabetes}, gamma = %.1f, alpha = %.1f):\n",
+      config.gamma, config.alpha);
   for (const Record& post : posts) {
     ArrivalOutcome outcome = engine.ProcessArrival(post);
     std::printf("  t=%lld forum %d post %lld (%s)",

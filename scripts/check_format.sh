@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # clang-format check over all C++ sources, as run by the CI format-check
-# job. Pass --fix to rewrite files in place instead of checking. The
+# job, plus a line-length check and docs-consistency gates that need no
+# clang-format. Pass --fix to rewrite files in place instead of checking. The
 # CLANG_FORMAT environment variable selects the binary (the CI job pins a
 # major version with it, e.g. CLANG_FORMAT=clang-format-15).
 set -euo pipefail
@@ -11,6 +12,23 @@ clang_format="${CLANG_FORMAT:-clang-format}"
 mode=(--dry-run -Werror)
 if [[ "${1:-}" == "--fix" ]]; then
   mode=(-i)
+fi
+
+# Line length, without clang-format: .clang-format's ColumnLimit of 80,
+# counted in characters (comments carry UTF-8), over the directories the
+# clang-format step below covers. Skipped by --fix, which rewraps them.
+if [[ "${mode[0]}" != -i ]]; then
+  status=0
+  long_lines=$(LC_ALL=C.UTF-8 grep -rnE --include='*.cc' --include='*.h' \
+    --include='*.cpp' '^.{81,}' src tests bench examples) || status=$?
+  if [[ $status -eq 0 ]]; then
+    printf '%s\n' "$long_lines" >&2
+    echo "error: the lines above are over 80 characters" >&2
+    exit 1
+  elif [[ $status -ne 1 ]]; then
+    echo "error: the line-length scan failed" >&2
+    exit 1
+  fi
 fi
 
 if ! command -v "$clang_format" >/dev/null; then

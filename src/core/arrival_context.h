@@ -48,8 +48,8 @@ struct ArrivalContext {
   std::shared_ptr<WindowTuple> wt;
 
   // --- CandidatePhase outputs ---------------------------------------------
-  /// Candidates left for per-pair refinement: after grid / linear
-  /// generation and, on the grid path, the batched cascade (whose rejects
+  /// Candidates left for per-pair refinement: after row-store / linear
+  /// generation and, on the row-store path, the batched cascade (whose rejects
   /// are already folded into `out.stats`). Raw pointers into window
   /// tuples, valid until MaintainPhase expires one.
   std::vector<const WindowTuple*> candidates;

@@ -10,8 +10,8 @@ namespace terids {
 
 /// Identifies one of the evaluated processing pipelines (Section 6.1).
 enum class PipelineKind {
-  kTerIds,        // Full approach: CDD-index + postings join + ER-grid.
-  kIjGer,         // Indexes without join: CDD-index + linear samples + grid.
+  kTerIds,        // Full approach: CDD-index + postings join + row store.
+  kIjGer,         // Indexes without join: CDD-index + linear samples + rows.
   kCddEr,         // CDD imputation without indexes + linear ER.
   kDdEr,          // DD imputation + linear ER.
   kEditingEr,     // Editing-rule imputation + linear ER ("er+ER").
@@ -37,8 +37,6 @@ struct EngineConfig {
   int max_instances = 16;
   /// Cap on imputation candidates per missing attribute.
   int max_candidates_per_attr = 8;
-  /// ER-grid cell side length in the converted space [0,1].
-  double cell_width = 0.2;
   /// Micro-batch size callers should feed ProcessStream: each
   /// StreamDriver::NextBatch chunk of this many arrivals is processed one
   /// record at a time, and its outcomes are then emitted together.

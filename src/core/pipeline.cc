@@ -24,8 +24,7 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
     windows_.emplace_back(config_.window_size);
   }
   if (pruned) {
-    grid_ = std::make_unique<ErGrid>(repo->num_attributes(),
-                                     config_.cell_width);
+    window_rows_ = std::make_unique<WindowRows>();
   }
 }
 
@@ -81,42 +80,36 @@ void PipelineBase::ImputePhase(ArrivalContext* ctx) {
 }
 
 void PipelineBase::CandidatePhase(ArrivalContext* ctx) {
-  if (grid_ == nullptr) {
+  if (window_rows_ == nullptr) {
     ScopedTimer timer(&ctx->out.cost.candidate_seconds);
     ctx->candidates = LinearCandidates(*ctx->wt);
     return;
   }
-  ErGrid::CandidateResult grid_result;
+  WindowRows::CandidateResult scan;
   {
     ScopedTimer timer(&ctx->out.cost.candidate_seconds);
-    const bool topic_constrained = !topic_.IsUnconstrained();
-    grid_result =
-        grid_->Candidates(*ctx->wt, config_.gamma, topic_constrained);
-    // Grid-level prunes are Theorem 4.1 / Theorem 4.2 kills; account for
-    // them in this arrival's pair statistics.
-    ctx->out.stats.total_pairs +=
-        grid_result.topic_pruned + grid_result.sim_pruned;
-    ctx->out.stats.topic_pruned += grid_result.topic_pruned;
-    ctx->out.stats.sim_ub_pruned += grid_result.sim_pruned;
+    scan = window_rows_->Candidates(*ctx->wt, !topic_.IsUnconstrained());
+    // Tuple-level Theorem 4.1 kills count in this arrival's pair stats.
+    ctx->out.stats.total_pairs += scan.topic_pruned;
+    ctx->out.stats.topic_pruned += scan.topic_pruned;
   }
-  if (grid_result.slots.empty()) {
+  if (scan.slots.empty()) {
     return;
   }
-  // The batched pair cascade over the candidates' grid rows, charged to
+  // The batched pair cascade over the candidates' rows, charged to
   // refinement: its rejects fold into this arrival's stats here, and only
   // the pairs it passes stay candidates for RefinePair. It runs before
   // MaintainPhase, so no later arrival has reused a candidate's slot yet.
   ScopedTimer timer(&ctx->out.cost.refine_seconds);
   EvaluateCandidates(ctx->tuple->row_layout(), ctx->tuple->row(),
-                     ctx->wt->topic.any, grid_->rows(),
-                     grid_result.slots.data(), grid_result.slots.size(),
-                     config_.gamma, config_.alpha, &kernel_evals_,
-                     &kernel_passed_);
+                     ctx->wt->topic.any, window_rows_->rows(),
+                     scan.slots.data(), scan.slots.size(), config_.gamma,
+                     config_.alpha, &kernel_evals_, &kernel_passed_);
   ctx->candidates.clear();
   ctx->candidates.reserve(kernel_passed_.size());
   size_t next = 0;
-  for (size_t i = 0; i < grid_result.candidates.size(); ++i) {
-    const WindowTuple* cand = grid_result.candidates[i];
+  for (size_t i = 0; i < scan.candidates.size(); ++i) {
+    const WindowTuple* cand = scan.candidates[i];
     if (next < kernel_passed_.size() && kernel_passed_[next] == i) {
       ctx->candidates.push_back(cand);
       ++next;
@@ -151,7 +144,7 @@ void PipelineBase::RefinePhase(ArrivalContext* ctx) {
   const TopicQuery::TupleTopic& probe_topic = ctx->wt->topic;
   for (const WindowTuple* cand : ctx->candidates) {
     PairEvaluation eval;
-    if (grid_ != nullptr) {
+    if (window_rows_ != nullptr) {
       // The batched cascade passed this pair: refinement starts at
       // Theorem 4.4.
       eval = RefinePair(probe, probe_topic, *cand->tuple, cand->topic,
@@ -172,10 +165,10 @@ void PipelineBase::MaintainPhase(ArrivalContext* ctx) {
   ScopedTimer timer(&ctx->out.cost.maintain_seconds);
   const std::shared_ptr<WindowTuple> evicted =
       windows_[ctx->record.stream_id].Push(ctx->wt);
-  if (grid_ != nullptr) {
-    grid_->Insert(ctx->wt.get());
+  if (window_rows_ != nullptr) {
+    window_rows_->Insert(ctx->wt.get());
     if (evicted != nullptr) {
-      TERIDS_CHECK(grid_->Remove(evicted.get()));
+      TERIDS_CHECK(window_rows_->Remove(evicted.get()));
     }
   }
   if (evicted != nullptr) {

@@ -18,7 +18,7 @@
 #include "rules/rule.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
-#include "synopsis/er_grid.h"
+#include "synopsis/window_rows.h"
 #include "tuple/record.h"
 #include "util/stopwatch.h"
 
@@ -32,17 +32,17 @@ struct ShedStats {
 /// The online operator shared by the TER-iDS engine and all baselines: it
 /// consumes stream arrivals one at a time and continuously maintains the
 /// TER-iDS result set ES (Algorithm 1). It owns the sliding windows, the
-/// optional ER-grid, result-set maintenance with the eviction cascade, and
+/// optional row store, result-set maintenance with the eviction cascade, and
 /// the refinement loop, decomposed into four explicit phases (DESIGN.md §6):
 ///
 ///   ImputePhase    — imputation, topic classification
-///   CandidatePhase — ER-grid probe or linear window scan, then the
+///   CandidatePhase — row-store or linear window scan, then the
 ///                    batched Theorem 4.1-4.3 + signature cascade over the
-///                    candidates' grid rows
+///                    candidates' rows
 ///   RefinePhase    — Theorem 4.4 / exact refinement of the pairs the
 ///                    batched cascade passed (RefinePair), or the exact
 ///                    probability of every pair (unpruned baselines)
-///   MaintainPhase  — grid + window insertion, eviction cascade
+///   MaintainPhase  — row + window insertion, eviction cascade
 ///
 /// ProcessArrival runs the phases back-to-back for one record; it is the
 /// only execution path. ProcessStream pulls NextBatch chunks, runs
@@ -50,13 +50,13 @@ struct ShedStats {
 /// outcomes to the sink, so batch_size changes when outcomes leave, never
 /// what they are.
 ///
-/// Subclasses override the imputation hook and pick the pruned (grid) or
-/// unpruned (linear) pair path.
+/// Subclasses override the imputation hook and pick the pruned (row store)
+/// or unpruned (linear) pair path.
 class PipelineBase {
  public:
   /// `num_streams` windows are created. If `pruned`, candidates come from
-  /// the ER-grid with cell-level pruning, the batched cascade decides
-  /// Theorems 4.1-4.3 over their grid rows and the pairs it passes are
+  /// the row store with tuple-level topic pruning, the batched cascade
+  /// decides Theorems 4.1-4.3 over their rows and the pairs it passes are
   /// refined with Theorem 4.4 (TER-iDS, Ij+GER). Otherwise every window
   /// tuple of the other streams is a candidate and gets the exact
   /// probability (the unpruned baselines).
@@ -101,27 +101,27 @@ class PipelineBase {
 
   /// Lines 8-10: imputation, topic classification.
   void ImputePhase(ArrivalContext* ctx);
-  /// Lines 14-16: candidate generation (grid probe or linear scan); grid
-  /// cell-level kills are charged to the arrival's PruneStats. On the grid
-  /// path the batched pair cascade (EvaluateCandidates) then decides
-  /// Theorems 4.1-4.3 and the signature reject over the candidates' grid
-  /// rows, folds its rejects into the arrival's stats and leaves only the
-  /// pairs it passes as candidates.
+  /// Lines 14-16: candidate generation (row-store or linear scan); the
+  /// row store's tuple-level topic kills are charged to the arrival's
+  /// PruneStats. On that path the batched pair cascade
+  /// (EvaluateCandidates) then decides Theorems 4.1-4.3 and the signature
+  /// reject over the candidates' rows, folds its rejects into the
+  /// arrival's stats and leaves only the pairs it passes as candidates.
   void CandidatePhase(ArrivalContext* ctx);
   /// Lines 17-26: refinement of the remaining candidates (RefinePair on the
-  /// grid path, the exact probability otherwise), folding evaluations into
+  /// pruned path, the exact probability otherwise), folding evaluations into
   /// the arrival's stats and the result set immediately.
   void RefinePhase(ArrivalContext* ctx);
-  /// Lines 2-7, 11-13: grid + window insertion and the eviction cascade.
-  /// The expired tuple must be in the grid: a window/grid desync aborts
-  /// here rather than leave a stale member producing candidates.
+  /// Lines 2-7, 11-13: row + window insertion and the eviction cascade.
+  /// The expired tuple must be in the row store: a window/row desync
+  /// aborts here rather than leave a stale member producing candidates.
   void MaintainPhase(ArrivalContext* ctx);
 
   Repository* repo_;
   EngineConfig config_;
   TopicQuery topic_;
   std::vector<SlidingWindow> windows_;
-  std::unique_ptr<ErGrid> grid_;
+  std::unique_ptr<WindowRows> window_rows_;
   std::unique_ptr<Imputer> imputer_;
   MatchSet matches_;
   PruneStats cum_stats_;

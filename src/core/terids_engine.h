@@ -26,9 +26,9 @@ namespace terids {
 /// values inside the interval to their samples; the other determinants are
 /// checked per sample. Only a rule whose determinants are all intervals
 /// reaching 1.0 scans every sample. Each satisfying sample votes its
-/// candidate values (Equation 4). The imputed tuple then probes the
-/// ER-grid, whose cell-level topic and distance bounds feed the pair-level
-/// pruning cascade (Theorems 4.1-4.4).
+/// candidate values (Equation 4). The imputed tuple's candidates then come
+/// from the window row store (the engine's G_ER, DESIGN.md §7), and the
+/// pair-level cascade (Theorems 4.1-4.4) decides them.
 class TerIdsEngine : public PipelineBase {
  public:
   /// The engine copies `rules` (it owns the vector its CDD-index points

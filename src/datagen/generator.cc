@@ -61,8 +61,8 @@ Entity MakeEntity(const DatasetProfile& p, int topic, Rng* rng) {
     for (int i = core_count; i < count; ++i) {
       int idx;
       if (rng->NextBool(0.7)) {
-        idx = topic * slice +
-              static_cast<int>(rng->NextZipf(static_cast<uint64_t>(slice), 1.1));
+        idx = topic * slice + static_cast<int>(rng->NextZipf(
+                                  static_cast<uint64_t>(slice), 1.1));
       } else {
         idx = static_cast<int>(rng->NextBounded(vocab));
       }
@@ -123,10 +123,10 @@ GeneratedDataset DataGenerator::Generate(const DatasetProfile& profile,
   Tokenizer tokenizer(ds.dict.get());
   Rng rng(options.seed);
 
-  const int size_a =
-      std::max(2, static_cast<int>(std::lround(profile.size_a * options.scale)));
-  const int size_b =
-      std::max(2, static_cast<int>(std::lround(profile.size_b * options.scale)));
+  const int size_a = std::max(
+      2, static_cast<int>(std::lround(profile.size_a * options.scale)));
+  const int size_b = std::max(
+      2, static_cast<int>(std::lround(profile.size_b * options.scale)));
 
   // Latent entities: one per source-A record, plus extras for unmatched
   // source-B records.

@@ -126,10 +126,10 @@ struct PairEvaluation {
   bool matched() const { return outcome == PairOutcome::kMatched; }
 };
 
-/// The batched pair cascade (DESIGN.md §6), the one place Theorems 4.1-4.3
-/// are decided: one probe against a whole candidate list over fixed-stride
-/// rows, with the probe's terms hoisted. Candidate i's row starts at
-/// rows + slots[i] * layout.stride(), with its topic word set;
+/// The batched pair cascade (DESIGN.md §6), the one place Theorems 4.2 and
+/// 4.3 are decided: one probe against a whole candidate list over
+/// fixed-stride rows, with the probe's terms hoisted. Candidate i's row
+/// starts at rows + slots[i] * layout.stride(), with its topic word set;
 /// `probe_row` is the probe's own row (ImputedTuple::row) and
 /// `probe_topical` its Theorem 4.1 bit. For each candidate the kernel
 /// applies, in the paper's order, Theorem 4.1, Theorem 4.2 (Lemmas 4.1 and

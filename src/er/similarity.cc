@@ -99,12 +99,6 @@ bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
   return sim > gamma;
 }
 
-double InstanceDistance(const ImputedTuple& a, int inst_a,
-                        const ImputedTuple& b, int inst_b) {
-  return static_cast<double>(a.num_attributes()) -
-         InstanceSimilarity(a, inst_a, b, inst_b);
-}
-
 double HeterogeneousRecordSimilarity(const Record& a, const Record& b) {
   thread_local std::vector<Token> scratch_a;
   thread_local std::vector<Token> scratch_b;

@@ -43,11 +43,6 @@ bool InstanceSimilarityExceeds(const ImputedTuple& a, int inst_a,
                                const ImputedTuple& b, int inst_b, double gamma,
                                SigFilterCounters* counters = nullptr);
 
-/// The equivalent distance form used by the pivot bounds: dist(a, b) =
-/// d - sim(a, b) = sum of per-attribute Jaccard distances.
-double InstanceDistance(const ImputedTuple& a, int inst_a,
-                        const ImputedTuple& b, int inst_b);
-
 /// Similarity for heterogeneous schemas (Section 2.3's discussion): the
 /// Jaccard similarity of the union token sets T(r) and T(r') over all
 /// attributes. Range [0, 1]; missing attributes contribute nothing. The

@@ -24,16 +24,17 @@ class TopicQuery {
   /// Constructs the unconstrained query.
   TopicQuery() = default;
 
-  bool IsUnconstrained() const { return keyword_tokens_.empty() && unconstrained_; }
+  bool IsUnconstrained() const {
+    return keyword_tokens_.empty() && unconstrained_;
+  }
   int num_keywords() const { return static_cast<int>(keyword_tokens_.size()); }
 
   /// 𝜛 for a plain token set: true iff it contains at least one keyword.
   bool Matches(const TokenSet& tokens) const;
 
   /// Keyword bitmask of a token set: bit (i % 64) set iff keyword i occurs.
-  /// Masks are used as aggregate filters (ER-grid cells); hashing
-  /// keywords onto 64 bits can only create false "possibly matches", never
-  /// false prunes.
+  /// Masks are used as aggregate filters; hashing keywords onto 64 bits
+  /// can only create false "possibly matches", never false prunes.
   uint64_t MaskOf(const TokenSet& tokens) const;
 
   /// Topic classification of a whole imputed tuple.

@@ -12,18 +12,18 @@ struct CostBreakdown {
   double impute_seconds = 0.0;
   double er_seconds = 0.0;
   /// Pair-refinement wall time: the batched Theorem 4.1-4.3 cascade over
-  /// the grid candidates plus the per-pair refinement of the pairs it
+  /// the row-store candidates plus the per-pair refinement of the pairs it
   /// passes (the exact probability of every pair on the unpruned
   /// baselines). Contained in `er_seconds`, so it is an overlay metric,
   /// not a fourth additive phase.
   double refine_seconds = 0.0;
-  /// Candidate-generation wall time (the ER-grid probe, or the linear
+  /// Candidate-generation wall time (the row-store scan, or the linear
   /// window scan). Contained in `er_seconds`; overlay metric.
   double candidate_seconds = 0.0;
   /// Read by terbench; always 0 since async ingest was removed.
   double queue_wait_seconds = 0.0;
-  /// Window/grid maintenance wall time (window push, grid insert/remove
-  /// fan-out, eviction cascade). Not contained in `er_seconds`; overlay
+  /// Window/row maintenance wall time (window push, row insert/remove,
+  /// eviction cascade). Not contained in `er_seconds`; overlay
   /// metric feeding the per-arrival kMaintain latency histogram.
   double maintain_seconds = 0.0;
 

@@ -159,7 +159,6 @@ EngineConfig Experiment::MakeConfig() const {
   config.window_size = params_.w;
   config.max_instances = params_.max_instances;
   config.max_candidates_per_attr = params_.max_candidates_per_attr;
-  config.cell_width = params_.cell_width;
   config.batch_size = params_.batch_size;
   config.repo_backend = params_.repo_backend;
   return config;

@@ -33,7 +33,6 @@ struct ExperimentParams {
   uint64_t seed = 20210620;
   int max_instances = 16;
   int max_candidates_per_attr = 8;
-  double cell_width = 0.2;
   /// Arrivals per ProcessStream chunk (1 = each outcome is emitted as soon
   /// as it is processed). Results are identical for every value.
   int batch_size = 1;

@@ -34,8 +34,8 @@ int LatencyHistogram::BucketIndex(uint64_t nanos) {
   while ((nanos >> e) == 0) {
     --e;
   }
-  const uint64_t sub =
-      (nanos >> (e - kSubBucketBits)) & (static_cast<uint64_t>(kSubBuckets) - 1);
+  const uint64_t sub = (nanos >> (e - kSubBucketBits)) &
+                       (static_cast<uint64_t>(kSubBuckets) - 1);
   return ((e - kSubBucketBits + 1) << kSubBucketBits) + static_cast<int>(sub);
 }
 

@@ -34,8 +34,8 @@ PrecisionRecall ComputeFScore(const std::vector<MatchPair>& returned,
     }
   }
   if (pr.returned > 0) {
-    pr.precision =
-        static_cast<double>(pr.true_positives) / static_cast<double>(pr.returned);
+    pr.precision = static_cast<double>(pr.true_positives) /
+                   static_cast<double>(pr.returned);
   }
   if (pr.truth_size > 0) {
     pr.recall = static_cast<double>(pr.true_positives) /

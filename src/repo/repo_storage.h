@@ -42,15 +42,18 @@ class RepoStorage {
   // ---- Domains ---------------------------------------------------------
 
   [[nodiscard]] virtual size_t domain_size(int attr) const = 0;
-  [[nodiscard]] virtual const TokenSet& value_tokens(int attr, ValueId id) const = 0;
+  [[nodiscard]] virtual const TokenSet& value_tokens(int attr,
+                                                     ValueId id) const = 0;
   /// Display text of a domain value. Returned as a view so snapshot
   /// backends can serve it straight from the mapped text blob; it stays
   /// valid for the storage's lifetime.
-  [[nodiscard]] virtual std::string_view value_text(int attr, ValueId id) const = 0;
+  [[nodiscard]] virtual std::string_view value_text(int attr,
+                                                    ValueId id) const = 0;
   [[nodiscard]] virtual int value_frequency(int attr, ValueId id) const = 0;
   /// Id of an existing value of dom(attr) with this exact token set, or
   /// kInvalidValueId.
-  [[nodiscard]] virtual ValueId FindValue(int attr, const TokenSet& tokens) const = 0;
+  [[nodiscard]] virtual ValueId FindValue(int attr,
+                                          const TokenSet& tokens) const = 0;
 
   // ---- Samples ---------------------------------------------------------
 
@@ -62,9 +65,10 @@ class RepoStorage {
 
   [[nodiscard]] virtual bool has_pivots() const = 0;
   [[nodiscard]] virtual int num_pivots(int attr) const = 0;
-  [[nodiscard]] virtual const TokenSet& pivot_tokens(int attr, int pivot_idx) const = 0;
+  [[nodiscard]] virtual const TokenSet& pivot_tokens(int attr,
+                                                     int pivot_idx) const = 0;
   [[nodiscard]] virtual double pivot_distance(int attr, int pivot_idx,
-                                ValueId vid) const = 0;
+                                              ValueId vid) const = 0;
   /// Appends, in ascending (coordinate, ValueId) order, every domain value
   /// of `attr` whose main-pivot coordinate pivot_distance(attr, 0, v) lies
   /// in [interval.lo, interval.hi]; both endpoints are inclusive hits.

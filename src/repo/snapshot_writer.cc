@@ -175,7 +175,8 @@ std::string BuildPayload(const Repository& repo, uint64_t* toc_checksum) {
   const uint64_t count = sections.size();
   std::vector<snapshot::SectionEntry> entries;
   entries.reserve(count);
-  uint64_t off = Align8(sizeof(uint64_t) + count * sizeof(snapshot::SectionEntry));
+  uint64_t off =
+      Align8(sizeof(uint64_t) + count * sizeof(snapshot::SectionEntry));
   for (const SectionBlob& s : sections) {
     snapshot::SectionEntry e;
     e.kind = static_cast<uint64_t>(s.kind);

@@ -50,8 +50,8 @@ bool CddRule::DeterminantsSatisfied(const Record& r, const Repository& repo,
         return false;
       }
     } else {
-      const double dist =
-          JaccardDistance(rv.tokens, repo.sample(sample_idx).values[attr].tokens);
+      const double dist = JaccardDistance(
+          rv.tokens, repo.sample(sample_idx).values[attr].tokens);
       if (!constraint.interval.Contains(dist)) {
         return false;
       }

@@ -83,7 +83,8 @@ struct CddRule {
   bool DeterminantsSatisfied(const Record& r, const Repository& repo,
                              size_t sample_idx) const;
 
-  /// Debug rendering, e.g. "[title,authors] -> venue, {[0,0.2],[0,0.3]} I=[0,0.25]".
+  /// Debug rendering, e.g.
+  /// "[title,authors] -> venue, {[0,0.2],[0,0.3]} I=[0,0.25]".
   std::string ToString(const Schema& schema) const;
 };
 

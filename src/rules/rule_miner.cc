@@ -35,8 +35,8 @@ std::vector<RuleMiner::PairSample> RuleMiner::DrawPairs() const {
     return pairs;
   }
   const uint64_t total_pairs = n * (n - 1) / 2;
-  const uint64_t want =
-      std::min<uint64_t>(total_pairs, static_cast<uint64_t>(options_.pair_samples));
+  const uint64_t want = std::min<uint64_t>(
+      total_pairs, static_cast<uint64_t>(options_.pair_samples));
   Rng rng(options_.seed);
   pairs.reserve(want);
   if (total_pairs <= want) {
@@ -141,7 +141,8 @@ std::vector<CddRule> RuleMiner::MineWithMode(bool dd_mode) const {
           }
         }
         std::sort(frequent.rbegin(), frequent.rend());
-        if (static_cast<int>(frequent.size()) > options_.max_constants_per_attr) {
+        if (static_cast<int>(frequent.size()) >
+            options_.max_constants_per_attr) {
           frequent.resize(options_.max_constants_per_attr);
         }
         for (const auto& [freq, vid] : frequent) {
@@ -188,8 +189,10 @@ std::vector<CddRule> RuleMiner::MineWithMode(bool dd_mode) const {
           const CddRule& r2 = level1[x2].front();
           // Constant constraints rarely co-occur often enough; combine only
           // interval constraints.
-          if (r1.determinants[0].second.kind != AttrConstraint::Kind::kInterval ||
-              r2.determinants[0].second.kind != AttrConstraint::Kind::kInterval) {
+          if (r1.determinants[0].second.kind !=
+                  AttrConstraint::Kind::kInterval ||
+              r2.determinants[0].second.kind !=
+                  AttrConstraint::Kind::kInterval) {
             continue;
           }
           std::vector<double> dep_dists;

@@ -11,7 +11,7 @@ namespace terids {
 
 /// A window-resident tuple: the imputed probabilistic tuple plus its
 /// (query-dependent) topic classification, computed once at arrival and
-/// reused by the ER-grid and every pruning check.
+/// reused by the row store and every pruning check.
 struct WindowTuple {
   std::shared_ptr<const ImputedTuple> tuple;
   TopicQuery::TupleTopic topic;
@@ -22,7 +22,7 @@ struct WindowTuple {
 
 /// Count-based sliding window W_t (Definition 2): the w most recent tuples
 /// of one stream. Pushing into a full window evicts and returns the oldest
-/// tuple so the caller can cascade the eviction (ER-grid, result set).
+/// tuple so the caller can cascade the eviction (row store, result set).
 class SlidingWindow {
  public:
   explicit SlidingWindow(int capacity);

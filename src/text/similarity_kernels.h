@@ -48,16 +48,18 @@ inline uint64_t TokenSignature(const Token* tokens, size_t n) {
 }
 
 /// |A ∩ B| by linear merge over two sorted spans (the seed algorithm).
-[[nodiscard]] size_t IntersectLinear(const Token* a, size_t na, const Token* b, size_t nb);
+[[nodiscard]] size_t IntersectLinear(const Token* a, size_t na, const Token* b,
+                                     size_t nb);
 
 /// |A ∩ B| by galloping (exponential + binary search) of the smaller span
 /// into the larger one. Identical result to IntersectLinear; preferable
 /// when the sizes are heavily skewed.
-[[nodiscard]] size_t IntersectGallop(const Token* a, size_t na, const Token* b, size_t nb);
+[[nodiscard]] size_t IntersectGallop(const Token* a, size_t na, const Token* b,
+                                     size_t nb);
 
 /// |A ∩ B| with automatic algorithm choice (kGallopSkewRatio).
-[[nodiscard]] inline size_t IntersectSize(const Token* a, size_t na, const Token* b,
-                            size_t nb) {
+[[nodiscard]] inline size_t IntersectSize(const Token* a, size_t na,
+                                          const Token* b, size_t nb) {
   const size_t small = std::min(na, nb);
   const size_t large = std::max(na, nb);
   if (small * kGallopSkewRatio < large) {
@@ -96,8 +98,8 @@ struct SigPopCounts {
 /// outside the intersection and |A ∩ B| <= |A| - (d_A - c); symmetrically
 /// for B. Both are also <= the trivial min(|A|, |B|) bound because
 /// c <= d_A and c <= d_B.
-[[nodiscard]] inline size_t SigIntersectionUpperBoundFromPops(size_t na, size_t nb,
-                                                const SigPopCounts& p) {
+[[nodiscard]] inline size_t SigIntersectionUpperBoundFromPops(
+    size_t na, size_t nb, const SigPopCounts& p) {
   const size_t common = static_cast<size_t>(p.common);
   const size_t ub_a = na - static_cast<size_t>(p.a) + common;
   const size_t ub_b = nb - static_cast<size_t>(p.b) + common;
@@ -111,8 +113,8 @@ struct SigPopCounts {
 /// Selects rather than branches, as the signature pass runs it per
 /// (pair, attribute): the quotient (NaN for two empty sets) is dropped
 /// when unused.
-[[nodiscard]] inline double SigJaccardUpperBoundFromPops(size_t na, size_t nb,
-                                           const SigPopCounts& p) {
+[[nodiscard]] inline double SigJaccardUpperBoundFromPops(
+    size_t na, size_t nb, const SigPopCounts& p) {
   // Counts fit in 32 bits, so the signed conversions are exact (and one
   // instruction each, unlike size_t's).
   const size_t ub = SigIntersectionUpperBoundFromPops(na, nb, p);
@@ -122,20 +124,20 @@ struct SigPopCounts {
 }
 
 /// The bounds straight from two signatures.
-[[nodiscard]] inline size_t SigIntersectionUpperBound(size_t na, uint64_t sa, size_t nb,
-                                        uint64_t sb) {
+[[nodiscard]] inline size_t SigIntersectionUpperBound(size_t na, uint64_t sa,
+                                                      size_t nb, uint64_t sb) {
   return SigIntersectionUpperBoundFromPops(na, nb, SigPopCount(sa, sb));
 }
-[[nodiscard]] inline double SigJaccardUpperBound(size_t na, uint64_t sa, size_t nb,
-                                   uint64_t sb) {
+[[nodiscard]] inline double SigJaccardUpperBound(size_t na, uint64_t sa,
+                                                 size_t nb, uint64_t sb) {
   return SigJaccardUpperBoundFromPops(na, nb, SigPopCount(sa, sb));
 }
 
 /// Exact Jaccard similarity of two sorted spans; bit-identical to
 /// JaccardSimilarity over the equivalent TokenSets (same integer
 /// intersection, same division).
-[[nodiscard]] inline double JaccardFromSpans(const Token* a, size_t na, const Token* b,
-                               size_t nb) {
+[[nodiscard]] inline double JaccardFromSpans(const Token* a, size_t na,
+                                             const Token* b, size_t nb) {
   if (na == 0 && nb == 0) {
     return 1.0;
   }

@@ -24,7 +24,7 @@ namespace terids {
 /// permits (sum p <= 1).
 ///
 /// After construction the tuple carries its PairRow (tuple/pair_row.h), the
-/// one store of the aggregates the ER-grid and the pruning lemmas need:
+/// one store of the aggregates the pruning lemmas need:
 /// token-set size intervals (Lemma 4.1), pivot-distance intervals (Lemma
 /// 4.2) and the per-tuple main-pivot sums of Lemma 4.3.
 class ImputedTuple {
@@ -117,10 +117,6 @@ class ImputedTuple {
     return Interval::Of(b[0], b[1]);
   }
 
-  /// Main-pivot coordinate of one instance on one attribute.
-  double instance_coord(int inst, int attr) const {
-    return instance_pivot_dist(inst, attr, 0);
-  }
   /// A fixed attribute's pivot interval is the point [dist, dist], so it
   /// doubles as the base distance; imputed choices read the repository.
   double instance_pivot_dist(int inst, int attr, int pivot_idx) const {

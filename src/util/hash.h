@@ -6,9 +6,9 @@
 namespace terids {
 
 /// 64-bit FNV-1a, the one non-cryptographic hash used across the library
-/// (domain value interning, ER-grid cell keys, CDD determinant
-/// signatures). Callers fold values with Fnv1aMix starting from
-/// kFnv1aOffsetBasis so every site stays bit-compatible.
+/// (domain value interning, snapshot checksums). Callers fold values with
+/// Fnv1aMix starting from kFnv1aOffsetBasis so every site stays
+/// bit-compatible.
 inline constexpr uint64_t kFnv1aOffsetBasis = 1469598103934665603ULL;
 inline constexpr uint64_t kFnv1aPrime = 1099511628211ULL;
 

@@ -6,8 +6,8 @@
 
 namespace terids {
 
-/// Closed real interval [lo, hi]. Used for CDD distance constraints, aR-tree
-/// bounding ranges, token-set size intervals, and pivot-distance bounds.
+/// Closed real interval [lo, hi]. Used for CDD distance constraints,
+/// token-set size intervals, and pivot-distance bounds.
 ///
 /// Empty-interval semantics (lo > hi, the default state) are part of the
 /// contract — CDD pruning consumes intervals that may never have been grown:
@@ -21,7 +21,7 @@ struct Interval {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
 
-  /// The canonical default is *empty* (lo > hi); Cover()/Union() grow it.
+  /// The canonical default is *empty* (lo > hi); Cover() grows it.
   static Interval Empty() { return Interval(); }
   static Interval Point(double v) { return {v, v}; }
   static Interval Of(double lo, double hi) { return {lo, hi}; }
@@ -39,13 +39,6 @@ struct Interval {
   void Cover(double v) {
     lo = std::min(lo, v);
     hi = std::max(hi, v);
-  }
-
-  /// Grows to include another interval.
-  void Union(const Interval& other) {
-    if (other.empty()) return;
-    lo = std::min(lo, other.lo);
-    hi = std::max(hi, other.hi);
   }
 
   /// Minimum |x - y| over x in this, y in other; 0 if they overlap.

@@ -234,21 +234,21 @@ inline PairEvaluation ReferenceCascade(const ImputedTuple& a,
   return eval;
 }
 
-/// `t`'s own row with its topic word set, as the ER-grid stores it.
-inline std::vector<double> GridRowOf(const ImputedTuple& t, bool topical) {
+/// `t`'s own row with its topic word set, as WindowRows stores it.
+inline std::vector<double> WindowRowOf(const ImputedTuple& t, bool topical) {
   std::vector<double> row(t.row(), t.row() + t.row_layout().stride());
   row[PairRowLayout::kTopical] = topical ? 1.0 : 0.0;
   return row;
 }
 
-/// The engine's path for one pair: EvaluateCandidates over b's grid row,
+/// The engine's path for one pair: EvaluateCandidates over b's stored row,
 /// then RefinePair if the kernel passed it.
 inline PairEvaluation KernelThenRefine(const ImputedTuple& a,
                                        const TopicQuery::TupleTopic& ta,
                                        const ImputedTuple& b,
                                        const TopicQuery::TupleTopic& tb,
                                        double gamma, double alpha) {
-  const std::vector<double> row = GridRowOf(b, tb.any);
+  const std::vector<double> row = WindowRowOf(b, tb.any);
   const uint32_t slot = 0;
   std::vector<PairEvaluation> evals;
   std::vector<uint32_t> passed;

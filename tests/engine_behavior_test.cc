@@ -1,6 +1,6 @@
 // Behavioral tests of engine-level guarantees that the integration suite
-// does not pin down: n > 2 streams, multi-instance grid residency,
-// determinism, and refinement edge cases.
+// does not pin down: n > 2 streams, determinism, and refinement edge
+// cases.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "core/terids_engine.h"
 #include "er/probability.h"
 #include "rules/rule_miner.h"
-#include "synopsis/er_grid.h"
 #include "test_util.h"
 
 namespace terids {
@@ -86,31 +85,6 @@ TEST_F(EngineBehaviorTest, RepeatedRunsAreDeterministic) {
     signatures.emplace_back(engine.cumulative_stats().total_pairs, matches);
   }
   EXPECT_EQ(signatures[0], signatures[1]);
-}
-
-TEST_F(EngineBehaviorTest, ImputedTupleOccupiesMultipleGridCells) {
-  // An imputed tuple whose candidate values have spread-out pivot
-  // coordinates must be inserted into several cells and fully removed.
-  ErGrid grid(world_.repo->num_attributes(), 0.05);
-  TopicQuery topic(*world_.dict, {"diabetes"});
-  Record r = world_.Make(1, {"male", "blurred vision", "-", "drug therapy"});
-  r.stream_id = 0;
-  const AttributeDomain& dom = world_.repo->domain(2);
-  ImputedTuple::ImputedAttr ia;
-  ia.attr = 2;
-  for (ValueId v = 0; v < dom.size() && v < 5; ++v) {
-    ia.candidates.push_back({v, 1.0 / 5});
-  }
-  auto wt = std::make_shared<WindowTuple>();
-  wt->tuple = std::make_shared<const ImputedTuple>(
-      ImputedTuple::FromImputation(r, world_.repo.get(), {ia}, 16));
-  wt->topic = topic.Classify(*wt->tuple);
-
-  grid.Insert(wt.get());
-  EXPECT_GE(grid.num_cells(), 2u);
-  EXPECT_TRUE(grid.Remove(wt.get()));
-  EXPECT_EQ(grid.num_cells(), 0u);
-  EXPECT_EQ(grid.num_tuples(), 0u);
 }
 
 TEST_F(EngineBehaviorTest, EarlyAcceptedRefinementStillExceedsAlpha) {

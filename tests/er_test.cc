@@ -18,7 +18,6 @@
 namespace terids {
 namespace {
 
-using testing_util::GridRowOf;
 using testing_util::KernelThenRefine;
 using testing_util::MakeHealthWorld;
 using testing_util::ReferenceAggregates;
@@ -29,6 +28,7 @@ using testing_util::ReferencePivotUb;
 using testing_util::ReferenceRow;
 using testing_util::ReferenceSizeUb;
 using testing_util::ToyWorld;
+using testing_util::WindowRowOf;
 
 TEST(SimilarityTest, RecordSimilaritySumsPerAttributeJaccard) {
   ToyWorld world = MakeHealthWorld();
@@ -225,7 +225,7 @@ TEST_P(BoundsPropertyTest, RowIsBitIdenticalToPerPairReference) {
       for (const TopicQuery* topic : {&constrained, &unconstrained}) {
         const TopicQuery::TupleTopic ta = topic->Classify(a);
         const TopicQuery::TupleTopic tb = topic->Classify(b);
-        const std::vector<double> b_row = GridRowOf(b, tb.any);
+        const std::vector<double> b_row = WindowRowOf(b, tb.any);
         const uint32_t slot = 0;
         for (double gamma : {1.0, 2.0, 2.5, 3.0, 3.5}) {
           for (double alpha : {0.0, 0.1, 0.3, 0.5, 0.8}) {

@@ -1,23 +1,21 @@
-// From-scratch check of the ER-grid under updates (Berkholz et al.): the
-// grid is maintained exactly as the pipeline's MaintainPhase does it —
-// push into a real per-stream SlidingWindow, insert the arrival, remove
-// the tuple the window evicted — over generated streams with missing
-// values, imputed by the rule-based imputer. After every arrival the
-// maintained grid must answer exactly as a grid freshly built from the
-// live window tuples: same candidates in the same order, same four
-// counters, for both topic_constrained values — and every live tuple's
-// slab row must equal the tuple's own PairRow with its topic word set. A second
-// check does the same for the result set: after every arrival the
-// pipeline's matches must be exactly the cross-stream pairs of the live
-// windows whose ExactProbability exceeds alpha.
+// From-scratch check of the window row store under updates (Berkholz et
+// al.): WindowRows is maintained exactly as the pipeline's MaintainPhase
+// does it — push into a real per-stream SlidingWindow, insert the arrival,
+// remove the tuple the window evicted — over generated streams with
+// missing values, imputed by the rule-based imputer. After every arrival
+// every live tuple's slab row must equal the tuple's own PairRow with its
+// topic word set, and `Candidates` must equal a brute-force list built
+// from the two windows — the other stream's tuples in ascending rid order,
+// minus the tuple-level Theorem 4.1 prunes — for both topic_constrained
+// values. A second check does the same for the result set: after every
+// arrival the pipeline's matches must be exactly the cross-stream pairs of
+// the live windows whose ExactProbability exceeds alpha.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -30,7 +28,7 @@
 #include "imputation/rule_based_imputer.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
-#include "synopsis/er_grid.h"
+#include "synopsis/window_rows.h"
 
 namespace terids {
 namespace {
@@ -45,15 +43,15 @@ double Scale(const std::string& profile) {
   return 0.04;
 }
 
-std::vector<int64_t> Rids(const ErGrid::CandidateResult& result) {
+std::vector<int64_t> Rids(const std::vector<const WindowTuple*>& tuples) {
   std::vector<int64_t> rids;
-  for (const WindowTuple* wt : result.candidates) {
+  for (const WindowTuple* wt : tuples) {
     rids.push_back(wt->rid());
   }
   return rids;
 }
 
-TEST_P(GridMaintenanceTest, MaintainedGridEqualsFreshGrid) {
+TEST_P(GridMaintenanceTest, MaintainedRowsEqualWindows) {
   const std::string profile = GetParam();
   ExperimentParams params;
   params.scale = Scale(profile);
@@ -62,12 +60,6 @@ TEST_P(GridMaintenanceTest, MaintainedGridEqualsFreshGrid) {
   Experiment experiment(ProfileByName(profile), params);
   std::unique_ptr<Repository> repo = experiment.BuildRepository();
   const EngineConfig config = experiment.MakeConfig();
-  const int dims = repo->num_attributes();
-  // Fine cells, so imputed tuples span several.
-  const double cell_width = 0.05;
-  // The experiment's gamma rarely prunes a cell; higher ones do.
-  const std::vector<double> gammas = {experiment.gamma(), 0.75 * dims,
-                                      0.9 * dims};
 
   RuleBasedImputer imputer(repo.get(), experiment.cdds(),
                            /*max_candidates_per_attr=*/16);
@@ -79,11 +71,10 @@ TEST_P(GridMaintenanceTest, MaintainedGridEqualsFreshGrid) {
   StreamDriver driver({inc_a, inc_b});
 
   std::vector<SlidingWindow> windows(2, SlidingWindow(params.w));
-  ErGrid grid(dims, cell_width);
+  WindowRows rows;
   int evictions = 0;
-  int multi_cell_tuples = 0;
-  uint64_t sim_pruned = 0;
   uint64_t topic_pruned = 0;
+  uint64_t candidates = 0;
   for (int arrival = 0; arrival < 240 && driver.HasNext(); ++arrival) {
     const Record r = driver.Next();
     auto wt = std::make_shared<WindowTuple>();
@@ -94,76 +85,78 @@ TEST_P(GridMaintenanceTest, MaintainedGridEqualsFreshGrid) {
                                            imputer.ImputeRecord(r, nullptr),
                                            config.max_instances));
     wt->topic = topic.Classify(*wt->tuple);
-    std::set<std::vector<int32_t>> cells;
-    for (int m = 0; m < wt->tuple->num_instances(); ++m) {
-      std::vector<int32_t> coords(dims);
-      for (int k = 0; k < dims; ++k) {
-        coords[k] = static_cast<int32_t>(
-            std::floor(wt->tuple->instance_coord(m, k) / cell_width));
-      }
-      cells.insert(coords);
-    }
-    multi_cell_tuples += cells.size() >= 2;
 
     // MaintainPhase: push, insert, remove the evicted tuple.
     std::shared_ptr<WindowTuple> evicted =
         windows[r.stream_id].Push(wt);
-    grid.Insert(wt.get());
+    rows.Insert(wt.get());
     if (evicted != nullptr) {
-      ASSERT_TRUE(grid.Remove(evicted.get()));
+      ASSERT_TRUE(rows.Remove(evicted.get()));
       ++evictions;
     }
 
-    ErGrid fresh(dims, cell_width);
+    size_t live_tuples = 0;
     for (const SlidingWindow& window : windows) {
       for (const auto& live : window.tuples()) {
-        fresh.Insert(live.get());
-      }
-    }
-    ASSERT_EQ(grid.num_tuples(), fresh.num_tuples());
-    ASSERT_EQ(grid.num_cells(), fresh.num_cells()) << "arrival " << arrival;
-    for (const SlidingWindow& window : windows) {
-      for (const auto& live : window.tuples()) {
-        const double* got_row = grid.row_of(live->rid());
+        ++live_tuples;
+        const double* got_row = rows.row_of(live->rid());
         ASSERT_NE(got_row, nullptr) << "rid " << live->rid();
         const std::vector<double> want_row =
-            testing_util::GridRowOf(*live->tuple, live->topic.any);
+            testing_util::WindowRowOf(*live->tuple, live->topic.any);
         ASSERT_EQ(std::memcmp(got_row, want_row.data(),
                               want_row.size() * sizeof(double)),
                   0)
             << "arrival " << arrival << " rid " << live->rid();
       }
     }
+    ASSERT_EQ(rows.num_tuples(), live_tuples);
+    if (evicted != nullptr) {
+      ASSERT_EQ(rows.row_of(evicted->rid()), nullptr);
+    }
+
     std::vector<const WindowTuple*> probes = {wt.get()};
     if (evicted != nullptr) {
       probes.push_back(evicted.get());
     }
+    const size_t stride = wt->tuple->row_layout().stride();
     for (const WindowTuple* probe : probes) {
-      for (double gamma : gammas) {
-        for (bool constrained : {false, true}) {
-          const auto got = grid.Candidates(*probe, gamma, constrained);
-          const auto want = fresh.Candidates(*probe, gamma, constrained);
-          ASSERT_EQ(got.candidates, want.candidates)
-              << "arrival " << arrival << " gamma " << gamma << ": rids "
-              << ::testing::PrintToString(Rids(got)) << " vs "
-              << ::testing::PrintToString(Rids(want));
-          ASSERT_EQ(got.topic_pruned, want.topic_pruned)
-              << "arrival " << arrival;
-          ASSERT_EQ(got.sim_pruned, want.sim_pruned) << "arrival " << arrival;
-          ASSERT_EQ(got.cells_visited, want.cells_visited)
-              << "arrival " << arrival;
-          ASSERT_EQ(got.cells_pruned, want.cells_pruned)
-              << "arrival " << arrival;
-          sim_pruned += got.sim_pruned;
-          topic_pruned += got.topic_pruned;
+      for (bool constrained : {false, true}) {
+        const bool probe_pass = !constrained || probe->topic.any;
+        std::vector<const WindowTuple*> want;
+        uint64_t want_topic_pruned = 0;
+        for (const auto& live : windows[1 - probe->stream_id()].tuples()) {
+          if (probe_pass || live->topic.any) {
+            want.push_back(live.get());
+          } else {
+            ++want_topic_pruned;
+          }
         }
+        std::sort(want.begin(), want.end(),
+                  [](const WindowTuple* a, const WindowTuple* b) {
+                    return a->rid() < b->rid();
+                  });
+        const WindowRows::CandidateResult got =
+            rows.Candidates(*probe, constrained);
+        ASSERT_EQ(got.candidates, want)
+            << "arrival " << arrival << ": rids "
+            << ::testing::PrintToString(Rids(got.candidates)) << " vs "
+            << ::testing::PrintToString(Rids(want));
+        ASSERT_EQ(got.topic_pruned, want_topic_pruned)
+            << "arrival " << arrival;
+        ASSERT_EQ(got.slots.size(), want.size());
+        for (size_t c = 0; c < want.size(); ++c) {
+          ASSERT_EQ(rows.rows() + got.slots[c] * stride,
+                    rows.row_of(want[c]->rid()))
+              << "arrival " << arrival << " rid " << want[c]->rid();
+        }
+        topic_pruned += got.topic_pruned;
+        candidates += got.candidates.size();
       }
     }
   }
   EXPECT_GT(evictions, 0);
-  EXPECT_GT(multi_cell_tuples, 0) << "no imputed tuple spanned several cells";
-  EXPECT_GT(sim_pruned, 0u);
   EXPECT_GT(topic_pruned, 0u);
+  EXPECT_GT(candidates, 0u);
 }
 
 TEST_P(GridMaintenanceTest, MaintainedResultsEqualFreshEvaluation) {

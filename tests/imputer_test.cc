@@ -542,9 +542,9 @@ TEST(DeterminantJoinTest, MatchesLinearScanOnEveryPath) {
 // exactly as a naive scan that absorbs one record at a time, checking each
 // against every sample before it. The CDD-index encodes only determinant
 // geometry, so it is never rebuilt, and its rule selection must still equal
-// a freshly built index's. The batches cover constant-start, interval-start and scan rules,
-// token-less values, records that pair with earlier records of their own
-// batch, and a batch cut short by an incomplete record.
+// a freshly built index's. The batches cover constant-start, interval-start
+// and scan rules, token-less values, records that pair with earlier records
+// of their own batch, and a batch cut short by an incomplete record.
 TEST(AbsorbJoinTest, MatchesOneAtATimeScan) {
   ToyWorld world = MakeHealthWorld();
   Repository& repo = *world.repo;
@@ -710,7 +710,8 @@ TEST(ConstraintImputerTest, UsesMostRecentCompleteDonor) {
   ConstraintImputer imputer(world.repo.get(), /*history_cap=*/10);
   Record first = world.Make(1, {"male", "fever", "flu", "rest"});
   first.stream_id = 0;
-  Record second = world.Make(2, {"female", "cough", "pneumonia", "antibiotics"});
+  Record second =
+      world.Make(2, {"female", "cough", "pneumonia", "antibiotics"});
   second.stream_id = 0;
   imputer.OnArrival(first);
   imputer.OnArrival(second);

@@ -4,7 +4,9 @@
 // the same outcome, probability and three signature counters as the
 // reference bounds followed by RefineProbability. Generated streams of all
 // five profiles (complete and half-missing) are replayed through real
-// windows and an ER-grid, whose rows the kernel reads; constructed cases
+// windows and a WindowRows store, whose rows the kernel reads; every pair a
+// main-pivot Lemma 4.2 bound (the paper's ER-grid cell bound) prunes must
+// be pruned by the kernel at Theorem 4.1 or 4.2; constructed cases
 // cover empty token sets, sub-stochastic single-instance tuples,
 // non-topical pairs and a schema too wide for the signature pass.
 
@@ -28,7 +30,7 @@
 #include "pivot/pivot_selector.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
-#include "synopsis/er_grid.h"
+#include "synopsis/window_rows.h"
 #include "test_util.h"
 #include "text/similarity_kernels.h"
 #include "util/bits.h"
@@ -36,10 +38,10 @@
 namespace terids {
 namespace {
 
-using testing_util::GridRowOf;
 using testing_util::ReferenceAggregates;
 using testing_util::ReferenceCascade;
 using testing_util::ReferenceOf;
+using testing_util::WindowRowOf;
 
 /// How the kernel decided the pairs it rejected.
 struct Tally {
@@ -49,6 +51,8 @@ struct Tally {
   uint64_t sim = 0;
   uint64_t prob = 0;
   uint64_t sig = 0;
+  /// Pairs the main-pivot-only Lemma 4.2 sum prunes.
+  uint64_t main_pivot = 0;
 };
 
 /// Reference aggregates of every tuple a check reads, by rid.
@@ -56,7 +60,10 @@ using RefMap = std::unordered_map<int64_t, ReferenceAggregates>;
 
 /// Runs EvaluateCandidates for `probe` over the rows of `cands` (slot
 /// `slots[i]` in `rows`), refines the pairs it passes with RefinePair, and
-/// checks every pair against ReferenceCascade.
+/// checks every pair against ReferenceCascade. Whenever the main-pivot-only
+/// Lemma 4.2 sum, the bound an ER-grid cell holding the candidate gives,
+/// prunes, the outcome must be kTopicPruned or kSimUbPruned: that is why
+/// the engine needs no cells.
 void ExpectKernelMatchesReference(const double* rows, const WindowTuple& probe,
                                   const std::vector<const WindowTuple*>& cands,
                                   const std::vector<uint32_t>& slots,
@@ -112,11 +119,23 @@ void ExpectKernelMatchesReference(const double* rows, const WindowTuple& probe,
     ASSERT_EQ(got.sig_probes, want.sig_probes) << where;
     ASSERT_EQ(got.sig_saturated, want.sig_saturated) << where;
     ASSERT_EQ(got.sig_rejects, want.sig_rejects) << where;
+    const int d = probe.tuple->num_attributes();
+    double main_pivot_sum = 0.0;
+    for (int k = 0; k < d; ++k) {
+      main_pivot_sum += probe.tuple->pivot_dist_interval(k, 0).MinAbsDiff(
+          cand.tuple->pivot_dist_interval(k, 0));
+    }
+    if (static_cast<double>(d) - main_pivot_sum <= gamma) {
+      ++tally->main_pivot;
+      ASSERT_TRUE(got.outcome == PairOutcome::kTopicPruned ||
+                  got.outcome == PairOutcome::kSimUbPruned)
+          << where << " main-pivot sum " << main_pivot_sum;
+    }
   }
   ASSERT_EQ(next, passed.size());
 }
 
-/// Grid rows for `cands` in slots 0..n-1, for cases built without a grid.
+/// Rows for `cands` in slots 0..n-1, for cases built without a WindowRows.
 void ExpectKernelMatchesReference(const WindowTuple& probe,
                                   const std::vector<const WindowTuple*>& cands,
                                   const RefMap& refs, double gamma,
@@ -126,7 +145,7 @@ void ExpectKernelMatchesReference(const WindowTuple& probe,
   std::vector<uint32_t> slots;
   for (size_t i = 0; i < cands.size(); ++i) {
     const std::vector<double> row =
-        GridRowOf(*cands[i]->tuple, cands[i]->topic.any);
+        WindowRowOf(*cands[i]->tuple, cands[i]->topic.any);
     ASSERT_EQ(row.size(), stride);
     rows.insert(rows.end(), row.begin(), row.end());
     slots.push_back(static_cast<uint32_t>(i));
@@ -170,7 +189,7 @@ TEST_P(PairCascadeStreamTest, KernelThenRefineEqualsReferenceCascade) {
         experiment.dataset().source_b, xi, params.m, params.seed + 1);
     StreamDriver driver({inc_a, inc_b});
     std::vector<SlidingWindow> windows(2, SlidingWindow(params.w));
-    ErGrid grid(dims, config.cell_width);
+    WindowRows rows;
     for (int arrival = 0; arrival < 150 && driver.HasNext(); ++arrival) {
       const Record r = driver.Next();
       auto wt = std::make_shared<WindowTuple>();
@@ -185,10 +204,10 @@ TEST_P(PairCascadeStreamTest, KernelThenRefineEqualsReferenceCascade) {
       for (double rho : {0.2, 0.5, 0.8}) {
         const double gamma = rho * dims;
         for (bool topic_constrained : {false, true}) {
-          const ErGrid::CandidateResult cands =
-              grid.Candidates(*wt, gamma, topic_constrained);
+          const WindowRows::CandidateResult cands =
+              rows.Candidates(*wt, topic_constrained);
           for (double alpha : {0.0, 0.3, 0.6, 0.9}) {
-            ExpectKernelMatchesReference(grid.rows(), *wt, cands.candidates,
+            ExpectKernelMatchesReference(rows.rows(), *wt, cands.candidates,
                                          cands.slots, refs, gamma, alpha,
                                          &tally);
             if (::testing::Test::HasFatalFailure()) {
@@ -198,9 +217,9 @@ TEST_P(PairCascadeStreamTest, KernelThenRefineEqualsReferenceCascade) {
         }
       }
       std::shared_ptr<WindowTuple> evicted = windows[r.stream_id].Push(wt);
-      grid.Insert(wt.get());
+      rows.Insert(wt.get());
       if (evicted != nullptr) {
-        ASSERT_TRUE(grid.Remove(evicted.get()));
+        ASSERT_TRUE(rows.Remove(evicted.get()));
       }
     }
   }
@@ -208,6 +227,7 @@ TEST_P(PairCascadeStreamTest, KernelThenRefineEqualsReferenceCascade) {
   EXPECT_GT(tally.topic, 0u);
   EXPECT_GT(tally.sim, 0u);
   EXPECT_GT(tally.sig, 0u);
+  EXPECT_GT(tally.main_pivot, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -344,9 +364,10 @@ TEST(PairCascadeTest, ConstructedEdgeCases) {
     for (int bits : {kSigSaturatedBits, kSigSaturatedBits + 1}) {
       tuples.push_back(MakeWindowTuple(
           ImputedTuple::FromComplete(
-              world.Make(10 + bits,
-                         {"male", WordsWithSignatureBits(world.dict.get(), bits),
-                          "diabetes", "drug therapy"}),
+              world.Make(
+                  10 + bits,
+                  {"male", WordsWithSignatureBits(world.dict.get(), bits),
+                   "diabetes", "drug therapy"}),
               repo),
           topic));
     }

@@ -67,7 +67,8 @@ TEST_F(PipelineIntegrationTest, IndexedAndLinearCddPipelinesAgree) {
     StreamDriver driver({inc_a, inc_b});
     std::vector<std::pair<int64_t, int64_t>> pairs;
     for (int i = 0; i < 260 && driver.HasNext(); ++i) {
-      for (const MatchPair& p : pipeline->ProcessArrival(driver.Next()).new_matches) {
+      for (const MatchPair& p :
+           pipeline->ProcessArrival(driver.Next()).new_matches) {
         pairs.emplace_back(p.rid_a, p.rid_b);
       }
     }
@@ -92,7 +93,8 @@ TEST_F(PipelineIntegrationTest, ReportedPairsSpanTwoStreams) {
   StreamDriver driver(
       {experiment_.dataset().source_a, experiment_.dataset().source_b});
   for (int i = 0; i < 260 && driver.HasNext(); ++i) {
-    for (const MatchPair& p : pipeline->ProcessArrival(driver.Next()).new_matches) {
+    for (const MatchPair& p :
+         pipeline->ProcessArrival(driver.Next()).new_matches) {
       const bool a_from_a = p.rid_a < a_size;
       const bool b_from_a = p.rid_b < a_size;
       EXPECT_NE(a_from_a, b_from_a) << "pair within one stream reported";
@@ -109,7 +111,8 @@ TEST_F(PipelineIntegrationTest, MatchProbabilitiesExceedAlpha) {
   StreamDriver driver(
       {experiment_.dataset().source_a, experiment_.dataset().source_b});
   for (int i = 0; i < 260 && driver.HasNext(); ++i) {
-    for (const MatchPair& p : pipeline->ProcessArrival(driver.Next()).new_matches) {
+    for (const MatchPair& p :
+         pipeline->ProcessArrival(driver.Next()).new_matches) {
       EXPECT_GT(p.probability, config.alpha);
     }
   }
@@ -138,8 +141,10 @@ TEST_F(PipelineIntegrationTest, EvictionRemovesExpiredPairsFromResultSet) {
   }
   std::sort(live_rids.begin(), live_rids.end());
   for (const MatchPair& p : engine.results().ToVector()) {
-    EXPECT_TRUE(std::binary_search(live_rids.begin(), live_rids.end(), p.rid_a));
-    EXPECT_TRUE(std::binary_search(live_rids.begin(), live_rids.end(), p.rid_b));
+    EXPECT_TRUE(
+        std::binary_search(live_rids.begin(), live_rids.end(), p.rid_a));
+    EXPECT_TRUE(
+        std::binary_search(live_rids.begin(), live_rids.end(), p.rid_b));
   }
 }
 

@@ -279,7 +279,8 @@ class SnapshotSectionTest : public ::testing::Test {
   /// Byte offset (in the file) of TOC entry `i`'s section body.
   static size_t SectionAt(const std::string& bytes, size_t i) {
     return sizeof(snapshot::Header) +
-           ReadU64(bytes, EntryAt(i) + offsetof(snapshot::SectionEntry, offset));
+           ReadU64(bytes,
+                   EntryAt(i) + offsetof(snapshot::SectionEntry, offset));
   }
 
   /// Re-stamps header.payload_checksum after a deliberate TOC edit (it

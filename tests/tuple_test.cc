@@ -137,7 +137,7 @@ TEST(ImputedTupleTest, AggregatesCoverEveryInstance) {
       EXPECT_GE(size, sizes.lo);
       EXPECT_LE(size, sizes.hi);
       // Main-pivot coordinate of fixed and imputed attributes alike.
-      EXPECT_EQ(t.instance_coord(m, k),
+      EXPECT_EQ(t.instance_pivot_dist(m, k, 0),
                 JaccardDistance(t.instance_tokens(m, k),
                                 world.repo->pivot_tokens(k, 0)));
       for (int p = 0; p < world.repo->num_pivots(k); ++p) {

@@ -68,12 +68,6 @@ TEST(IntervalTest, CoverGrows) {
   EXPECT_EQ(i.hi, 0.5);
 }
 
-TEST(IntervalTest, UnionWithEmptyIsNoOp) {
-  Interval i = Interval::Of(0.1, 0.3);
-  i.Union(Interval::Empty());
-  EXPECT_EQ(i, Interval::Of(0.1, 0.3));
-}
-
 TEST(IntervalTest, OverlapsSemantics) {
   EXPECT_TRUE(Interval::Of(0, 1).Overlaps(Interval::Of(1, 2)));
   EXPECT_FALSE(Interval::Of(0, 1).Overlaps(Interval::Of(1.01, 2)));
