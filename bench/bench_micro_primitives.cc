@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the hot primitives: Jaccard over
-// interned token sets, window row-store churn, the batched pair cascade
-// over window rows with refinement of its survivors, and end-to-end
+// interned token sets, window churn, the batched pair cascade over a
+// window's rows with refinement of its survivors, and end-to-end
 // TER-iDS arrival processing.
 //
 // Results additionally flow through the shared JsonReporter (set
@@ -12,14 +12,15 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/terids_engine.h"
 #include "datagen/profiles.h"
 #include "er/pruning.h"
+#include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
-#include "synopsis/window_rows.h"
 #include "text/token_set.h"
 #include "tuple/imputed_tuple.h"
 #include "util/rng.h"
@@ -56,12 +57,14 @@ Experiment* SharedCitationsExperiment() {
   return experiment;
 }
 
-// Steady-state row-store maintenance and scan at w = 1000 per stream over
-// complete EBooks tuples (the ebooks_refine replay's window shape): each
-// item is one arrival, alternating streams, that lists its candidates, is
-// inserted, and evicts its stream's oldest tuple, as the pipeline's
-// candidate and maintain phases do.
-void BM_WindowRowsChurn(benchmark::State& state) {
+// Steady-state window maintenance and candidate scan at w = 1000 per
+// stream over complete EBooks tuples (the ebooks_refine replay's window
+// shape): each item is one arrival, alternating streams, that lists the
+// other window's candidate slots and is pushed into its own window,
+// overwriting the oldest slot, as the pipeline's candidate and maintain
+// phases do. Evicted tuples rejoin their stream's pool, so the loop moves
+// tuples and never rebuilds one.
+void BM_WindowChurn(benchmark::State& state) {
   using namespace terids::bench;
   const size_t w = 1000;
   ExperimentParams params = BaseParams("EBooks");
@@ -70,37 +73,36 @@ void BM_WindowRowsChurn(benchmark::State& state) {
   Experiment experiment(ProfileByName("EBooks"), params);
   std::unique_ptr<Repository> repo = experiment.BuildRepository();
   const TopicQuery all_topics;
-  std::vector<std::shared_ptr<WindowTuple>> pools[2];
+  std::deque<WindowTuple> pools[2];
   const std::vector<Record>* sources[2] = {&experiment.dataset().source_a,
                                            &experiment.dataset().source_b};
   for (int s = 0; s < 2; ++s) {
     for (const Record& r : *sources[s]) {
-      auto wt = std::make_shared<WindowTuple>();
-      wt->tuple = std::make_shared<const ImputedTuple>(
-          ImputedTuple::FromComplete(r, repo.get()));
-      wt->topic = all_topics.Classify(*wt->tuple);
+      WindowTuple wt{ImputedTuple::FromComplete(r, repo.get()), {}};
+      wt.topic = all_topics.Classify(wt.tuple);
       pools[s].push_back(std::move(wt));
     }
-    // A re-inserted tuple must have left the window long before.
+    // A tuple re-enters its window only after it left it.
     if (pools[s].size() <= w) {
       state.SkipWithError("EBooks source smaller than the window");
       return;
     }
   }
-  WindowRows rows;
-  std::deque<const WindowTuple*> windows[2];
-  size_t next[2] = {0, 0};
+  SlidingWindow windows[2] = {SlidingWindow(static_cast<int>(w)),
+                              SlidingWindow(static_cast<int>(w))};
+  std::vector<uint32_t> slots;
   auto arrive = [&](int s, bool probe) {
-    const WindowTuple* wt = pools[s][next[s]++ % pools[s].size()].get();
+    WindowTuple wt = std::move(pools[s].front());
+    pools[s].pop_front();
     if (probe) {
+      slots.clear();
       benchmark::DoNotOptimize(
-          rows.Candidates(*wt, /*topic_constrained=*/false));
+          windows[1 - s].CandidateSlots(wt.topic.any, &slots));
+      benchmark::DoNotOptimize(slots.data());
     }
-    windows[s].push_back(wt);
-    rows.Insert(wt);
-    if (windows[s].size() > w) {
-      rows.Remove(windows[s].front());
-      windows[s].pop_front();
+    std::optional<WindowTuple> evicted = windows[s].Push(std::move(wt));
+    if (evicted.has_value()) {
+      pools[s].push_back(std::move(*evicted));
     }
   };
   for (size_t i = 0; i < 2 * w; ++i) {
@@ -112,13 +114,13 @@ void BM_WindowRowsChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(arrivals));
 }
-BENCHMARK(BM_WindowRowsChurn);
+BENCHMARK(BM_WindowChurn);
 
 // One EBooks-shaped probe against the 1000 candidates of a full stream-A
 // window of complete EBooks tuples (the ebooks_refine pair shape):
-// EvaluateCandidates over their window rows, then RefinePair on the
+// EvaluateCandidates over the window's rows, then RefinePair on the
 // pairs it passes, as the pipeline does. Probes rotate over 64 stream-B
-// tuples whose candidate lists are built untimed. Items are candidate
+// tuples whose candidate slots are listed untimed. Items are candidate
 // pairs.
 void BM_PairCascade(benchmark::State& state) {
   using namespace terids::bench;
@@ -140,27 +142,22 @@ void BM_PairCascade(benchmark::State& state) {
   }
   auto make = [&](Record r, int stream) {
     r.stream_id = stream;
-    auto wt = std::make_shared<WindowTuple>();
-    wt->tuple = std::make_shared<const ImputedTuple>(
-        ImputedTuple::FromComplete(std::move(r), repo.get()));
-    wt->topic = all_topics.Classify(*wt->tuple);
+    WindowTuple wt{ImputedTuple::FromComplete(std::move(r), repo.get()), {}};
+    wt.topic = all_topics.Classify(wt.tuple);
     return wt;
   };
-  WindowRows rows;
-  std::vector<std::shared_ptr<WindowTuple>> window;
+  SlidingWindow window(static_cast<int>(w));
   for (size_t i = 0; i < w; ++i) {
-    window.push_back(make(source_a[i], 0));
-    rows.Insert(window.back().get());
+    window.Push(make(source_a[i], 0));
   }
   struct Probe {
-    std::shared_ptr<WindowTuple> wt;
-    WindowRows::CandidateResult cands;
+    WindowTuple wt;
+    std::vector<uint32_t> slots;
   };
   std::vector<Probe> probes;
   for (size_t i = 0; i < num_probes; ++i) {
-    Probe probe;
-    probe.wt = make(source_b[i], 1);
-    probe.cands = rows.Candidates(*probe.wt, /*topic_constrained=*/false);
+    Probe probe{make(source_b[i], 1), {}};
+    window.CandidateSlots(probe.wt.topic.any, &probe.slots);
     probes.push_back(std::move(probe));
   }
   std::vector<PairEvaluation> evals;
@@ -169,20 +166,19 @@ void BM_PairCascade(benchmark::State& state) {
   size_t next = 0;
   for (auto _ : state) {
     const Probe& probe = probes[next++ % probes.size()];
-    const ImputedTuple& q = *probe.wt->tuple;
-    const std::vector<const WindowTuple*>& cands = probe.cands.candidates;
-    EvaluateCandidates(q.row_layout(), q.row(), probe.wt->topic.any,
-                       rows.rows(), probe.cands.slots.data(),
-                       probe.cands.slots.size(), config.gamma, config.alpha,
-                       &evals, &passed);
+    const ImputedTuple& q = probe.wt.tuple;
+    EvaluateCandidates(q.row_layout(), q.row(), probe.wt.topic.any,
+                       window.rows(), probe.slots.data(), probe.slots.size(),
+                       config.gamma, config.alpha, &evals, &passed);
     uint64_t matched = 0;
     for (uint32_t i : passed) {
-      matched += RefinePair(q, probe.wt->topic, *cands[i]->tuple,
-                            cands[i]->topic, config.gamma, config.alpha)
+      const WindowTuple& cand = window.at(probe.slots[i]);
+      matched += RefinePair(q, probe.wt.topic, cand.tuple, cand.topic,
+                            config.gamma, config.alpha)
                      .matched();
     }
     benchmark::DoNotOptimize(matched);
-    pairs += cands.size();
+    pairs += probe.slots.size();
   }
   state.SetItemsProcessed(static_cast<int64_t>(pairs));
 }

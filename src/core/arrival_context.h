@@ -1,7 +1,7 @@
 #ifndef TERIDS_CORE_ARRIVAL_CONTEXT_H_
 #define TERIDS_CORE_ARRIVAL_CONTEXT_H_
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "er/match_set.h"
@@ -19,7 +19,10 @@ enum class ArrivalDisposition {
 
 /// What one arrival produced.
 struct ArrivalOutcome {
-  /// Pairs newly added to the result set ES by this arrival.
+  /// Pairs newly added to the result set ES by this arrival, sorted by
+  /// (rid_a, rid_b): every pair holds the arrival's rid, so this is
+  /// ascending partner-rid order. ProcessArrival sorts them, because the
+  /// candidate scan walks window slots, which keep no rid order.
   std::vector<MatchPair> new_matches;
   /// Break-up cost of this arrival (Figure 6).
   CostBreakdown cost;
@@ -42,16 +45,16 @@ struct ArrivalContext {
   Record record;
 
   // --- ImputePhase outputs ------------------------------------------------
-  /// The imputed probabilistic tuple.
-  std::shared_ptr<const ImputedTuple> tuple;
-  /// Window-resident wrapper (tuple + topic classification).
-  std::shared_ptr<WindowTuple> wt;
+  /// The imputed probabilistic tuple with its topic classification;
+  /// MaintainPhase moves it into its stream's window.
+  std::optional<WindowTuple> wt;
 
   // --- CandidatePhase outputs ---------------------------------------------
-  /// Candidates left for per-pair refinement: after row-store / linear
-  /// generation and, on the row-store path, the batched cascade (whose rejects
-  /// are already folded into `out.stats`). Raw pointers into window
-  /// tuples, valid until MaintainPhase expires one.
+  /// Candidates left for per-pair refinement: every other-stream window
+  /// tuple or, on the pruned path, those that pass the tuple-level topic
+  /// test and the batched cascade (whose rejects are already folded into
+  /// `out.stats`). Raw pointers into window slots, valid until
+  /// MaintainPhase pushes the arrival.
   std::vector<const WindowTuple*> candidates;
 
   /// Accumulated result of this arrival.

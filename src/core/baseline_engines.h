@@ -10,7 +10,7 @@
 
 namespace terids {
 
-/// `Ij+GER`: CDD-index-assisted rule selection and row-store matching,
+/// `Ij+GER`: CDD-index-assisted rule selection and pruned window matching,
 /// but *no index join* — sample retrieval is a linear repository scan per
 /// selected rule (Section 6.1). The gap between this baseline and
 /// TerIdsEngine isolates the benefit of the 3-way join.

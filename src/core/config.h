@@ -10,8 +10,8 @@ namespace terids {
 
 /// Identifies one of the evaluated processing pipelines (Section 6.1).
 enum class PipelineKind {
-  kTerIds,        // Full approach: CDD-index + postings join + row store.
-  kIjGer,         // Indexes without join: CDD-index + linear samples + rows.
+  kTerIds,        // Full approach: CDD-index + postings join + pruned ER.
+  kIjGer,         // CDD-index without join: linear samples + pruned ER.
   kCddEr,         // CDD imputation without indexes + linear ER.
   kDdEr,          // DD imputation + linear ER.
   kEditingEr,     // Editing-rule imputation + linear ER ("er+ER").

@@ -1,6 +1,8 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <optional>
+#include <tuple>
 #include <utility>
 
 #include "er/probability.h"
@@ -13,7 +15,8 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
     : repo_(repo),
       config_(std::move(config)),
       topic_(repo->dict(), config_.keywords),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      pruned_(pruned) {
   TERIDS_CHECK(repo != nullptr);
   TERIDS_CHECK(repo->has_pivots());
   TERIDS_CHECK(num_streams >= 2);
@@ -22,9 +25,6 @@ PipelineBase::PipelineBase(Repository* repo, EngineConfig config,
   windows_.reserve(num_streams);
   for (int i = 0; i < num_streams; ++i) {
     windows_.emplace_back(config_.window_size);
-  }
-  if (pruned) {
-    window_rows_ = std::make_unique<WindowRows>();
   }
 }
 
@@ -40,87 +40,81 @@ std::vector<ImputedTuple::ImputedAttr> PipelineBase::Impute(
   return imputer_->ImputeRecord(r, cost);
 }
 
-std::vector<const WindowTuple*> PipelineBase::LinearCandidates(
-    const WindowTuple& probe) const {
-  std::vector<const WindowTuple*> out;
-  for (size_t s = 0; s < windows_.size(); ++s) {
-    if (static_cast<int>(s) == probe.stream_id()) {
-      continue;
-    }
-    for (const auto& wt : windows_[s].tuples()) {
-      out.push_back(wt.get());
-    }
-  }
-  return out;
-}
-
 // --- Phases ----------------------------------------------------------------
 
 void PipelineBase::ImputePhase(ArrivalContext* ctx) {
   const Record& r = ctx->record;
   TERIDS_CHECK(r.stream_id >= 0 &&
                r.stream_id < static_cast<int>(windows_.size()));
+  // A second live tuple with this rid would pair with itself or lose its
+  // pairs when the first one expires.
+  const bool rid_not_live = live_rids_.insert(r.rid).second;
+  TERIDS_CHECK(rid_not_live);
   ctx->out.timestamp = r.timestamp;
   if (imputer_ != nullptr) {
     imputer_->OnArrival(r);
   }
   if (r.IsComplete()) {
-    ctx->tuple = std::make_shared<const ImputedTuple>(
-        ImputedTuple::FromComplete(r, repo_));
+    ctx->wt.emplace(WindowTuple{ImputedTuple::FromComplete(r, repo_), {}});
   } else {
     std::vector<ImputedTuple::ImputedAttr> imputed =
         Impute(r, &ctx->out.cost);
-    ctx->tuple = std::make_shared<const ImputedTuple>(
+    ctx->wt.emplace(WindowTuple{
         ImputedTuple::FromImputation(r, repo_, std::move(imputed),
-                                     config_.max_instances));
+                                     config_.max_instances),
+        {}});
   }
-  ctx->wt = std::make_shared<WindowTuple>();
-  ctx->wt->tuple = ctx->tuple;
-  ctx->wt->topic = topic_.Classify(*ctx->tuple);
+  ctx->wt->topic = topic_.Classify(ctx->wt->tuple);
 }
 
 void PipelineBase::CandidatePhase(ArrivalContext* ctx) {
-  if (window_rows_ == nullptr) {
-    ScopedTimer timer(&ctx->out.cost.candidate_seconds);
-    ctx->candidates = LinearCandidates(*ctx->wt);
-    return;
-  }
-  WindowRows::CandidateResult scan;
-  {
-    ScopedTimer timer(&ctx->out.cost.candidate_seconds);
-    scan = window_rows_->Candidates(*ctx->wt, !topic_.IsUnconstrained());
-    // Tuple-level Theorem 4.1 kills count in this arrival's pair stats.
-    ctx->out.stats.total_pairs += scan.topic_pruned;
-    ctx->out.stats.topic_pruned += scan.topic_pruned;
-  }
-  if (scan.slots.empty()) {
-    return;
-  }
-  // The batched pair cascade over the candidates' rows, charged to
-  // refinement: its rejects fold into this arrival's stats here, and only
-  // the pairs it passes stay candidates for RefinePair. It runs before
-  // MaintainPhase, so no later arrival has reused a candidate's slot yet.
-  ScopedTimer timer(&ctx->out.cost.refine_seconds);
-  EvaluateCandidates(ctx->tuple->row_layout(), ctx->tuple->row(),
-                     ctx->wt->topic.any, window_rows_->rows(),
-                     scan.slots.data(), scan.slots.size(), config_.gamma,
-                     config_.alpha, &kernel_evals_, &kernel_passed_);
-  ctx->candidates.clear();
-  ctx->candidates.reserve(kernel_passed_.size());
-  size_t next = 0;
-  for (size_t i = 0; i < scan.candidates.size(); ++i) {
-    const WindowTuple* cand = scan.candidates[i];
-    if (next < kernel_passed_.size() && kernel_passed_[next] == i) {
-      ctx->candidates.push_back(cand);
-      ++next;
-    } else {
-      ApplyEvaluation(ctx, cand, kernel_evals_[i]);
+  const WindowTuple& probe = *ctx->wt;
+  for (const SlidingWindow& window : windows_) {
+    if (&window == &windows_[probe.stream_id()]) {
+      continue;
+    }
+    {
+      ScopedTimer timer(&ctx->out.cost.candidate_seconds);
+      scan_slots_.clear();
+      // The unpruned baselines take every slot. On the pruned path the
+      // tuple-level Theorem 4.1 kills count in this arrival's pair stats.
+      const uint64_t topic_pruned =
+          window.CandidateSlots(probe.topic.any || !pruned_, &scan_slots_);
+      ctx->out.stats.total_pairs += topic_pruned;
+      ctx->out.stats.topic_pruned += topic_pruned;
+      if (!pruned_) {
+        for (uint32_t slot : scan_slots_) {
+          ctx->candidates.push_back(&window.at(slot));
+        }
+        continue;
+      }
+    }
+    if (scan_slots_.empty()) {
+      continue;
+    }
+    // The batched pair cascade over the window's rows, charged to
+    // refinement: its rejects fold into this arrival's stats here, and
+    // only the pairs it passes stay candidates for RefinePair.
+    ScopedTimer timer(&ctx->out.cost.refine_seconds);
+    EvaluateCandidates(probe.tuple.row_layout(), probe.tuple.row(),
+                       probe.topic.any, window.rows(), scan_slots_.data(),
+                       scan_slots_.size(), config_.gamma, config_.alpha,
+                       &kernel_evals_, &kernel_passed_);
+    size_t next = 0;
+    for (size_t i = 0; i < scan_slots_.size(); ++i) {
+      const WindowTuple& cand = window.at(scan_slots_[i]);
+      if (next < kernel_passed_.size() && kernel_passed_[next] == i) {
+        ctx->candidates.push_back(&cand);
+        ++next;
+      } else {
+        ApplyEvaluation(ctx, cand, kernel_evals_[i]);
+      }
     }
   }
 }
 
 void PipelineBase::ApplyEvaluation(ArrivalContext* ctx,
-                                   const WindowTuple* cand,
+                                   const WindowTuple& cand,
                                    const PairEvaluation& eval) {
   ctx->out.stats.Record(eval.outcome);
   ctx->out.stats.sig_probes += eval.sig_probes;
@@ -129,53 +123,50 @@ void PipelineBase::ApplyEvaluation(ArrivalContext* ctx,
   if (!eval.matched()) {
     return;
   }
-  const int64_t rid = ctx->tuple->rid();
-  matches_.Add(rid, cand->rid(), eval.probability);
+  const int64_t rid = ctx->wt->rid();
+  matches_.Add(rid, cand.rid(), eval.probability);
   MatchPair pair;
-  pair.rid_a = std::min(rid, cand->rid());
-  pair.rid_b = std::max(rid, cand->rid());
+  pair.rid_a = std::min(rid, cand.rid());
+  pair.rid_b = std::max(rid, cand.rid());
   pair.probability = eval.probability;
   ctx->out.new_matches.push_back(pair);
 }
 
 void PipelineBase::RefinePhase(ArrivalContext* ctx) {
   ScopedTimer timer(&ctx->out.cost.refine_seconds);
-  const ImputedTuple& probe = *ctx->tuple;
-  const TopicQuery::TupleTopic& probe_topic = ctx->wt->topic;
+  const WindowTuple& probe = *ctx->wt;
   for (const WindowTuple* cand : ctx->candidates) {
     PairEvaluation eval;
-    if (window_rows_ != nullptr) {
+    if (pruned_) {
       // The batched cascade passed this pair: refinement starts at
       // Theorem 4.4.
-      eval = RefinePair(probe, probe_topic, *cand->tuple, cand->topic,
+      eval = RefinePair(probe.tuple, probe.topic, cand->tuple, cand->topic,
                         config_.gamma, config_.alpha);
     } else {
       // Unpruned baselines: every pair gets the plain-merge exact
       // probability.
-      eval.probability = ExactProbability(probe, probe_topic, *cand->tuple,
-                                          cand->topic, config_.gamma);
+      eval.probability = ExactProbability(probe.tuple, probe.topic,
+                                          cand->tuple, cand->topic,
+                                          config_.gamma);
       eval.outcome = eval.probability > config_.alpha ? PairOutcome::kMatched
                                                       : PairOutcome::kRefuted;
     }
-    ApplyEvaluation(ctx, cand, eval);
+    ApplyEvaluation(ctx, *cand, eval);
   }
 }
 
 void PipelineBase::MaintainPhase(ArrivalContext* ctx) {
   ScopedTimer timer(&ctx->out.cost.maintain_seconds);
-  const std::shared_ptr<WindowTuple> evicted =
-      windows_[ctx->record.stream_id].Push(ctx->wt);
-  if (window_rows_ != nullptr) {
-    window_rows_->Insert(ctx->wt.get());
-    if (evicted != nullptr) {
-      TERIDS_CHECK(window_rows_->Remove(evicted.get()));
-    }
+  const std::optional<WindowTuple> evicted =
+      windows_[ctx->record.stream_id].Push(std::move(*ctx->wt));
+  if (!evicted.has_value()) {
+    return;
   }
-  if (evicted != nullptr) {
-    matches_.RemoveAllWith(evicted->rid());
-    if (imputer_ != nullptr) {
-      imputer_->OnEvict(evicted->tuple->base());
-    }
+  const int64_t rid = evicted->rid();
+  live_rids_.erase(rid);
+  matches_.RemoveAllWith(rid);
+  if (imputer_ != nullptr) {
+    imputer_->OnEvict(evicted->tuple.base());
   }
 }
 
@@ -188,6 +179,11 @@ ArrivalOutcome PipelineBase::ProcessArrival(const Record& r) {
     ScopedTimer timer(&ctx.out.cost.er_seconds);
     CandidatePhase(&ctx);
     RefinePhase(&ctx);
+    // The order contract of ArrivalOutcome::new_matches.
+    std::sort(ctx.out.new_matches.begin(), ctx.out.new_matches.end(),
+              [](const MatchPair& a, const MatchPair& b) {
+                return std::tie(a.rid_a, a.rid_b) < std::tie(b.rid_a, b.rid_b);
+              });
   }
   cum_stats_.Add(ctx.out.stats);
   MaintainPhase(&ctx);

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/arrival_context.h"
@@ -18,7 +19,6 @@
 #include "rules/rule.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
-#include "synopsis/window_rows.h"
 #include "tuple/record.h"
 #include "util/stopwatch.h"
 
@@ -31,18 +31,20 @@ struct ShedStats {
 
 /// The online operator shared by the TER-iDS engine and all baselines: it
 /// consumes stream arrivals one at a time and continuously maintains the
-/// TER-iDS result set ES (Algorithm 1). It owns the sliding windows, the
-/// optional row store, result-set maintenance with the eviction cascade, and
-/// the refinement loop, decomposed into four explicit phases (DESIGN.md §6):
+/// TER-iDS result set ES (Algorithm 1). It owns the sliding windows (the
+/// one store of the live tuples and their rows), result-set maintenance
+/// with the eviction cascade, and the refinement loop, decomposed into four
+/// explicit phases (DESIGN.md §6):
 ///
-///   ImputePhase    — imputation, topic classification
-///   CandidatePhase — row-store or linear window scan, then the
-///                    batched Theorem 4.1-4.3 + signature cascade over the
-///                    candidates' rows
+///   ImputePhase    — live-rid guard, imputation, topic classification
+///   CandidatePhase — scan of the other streams' windows; on the pruned
+///                    path the tuple-level topic test, then the batched
+///                    Theorem 4.1-4.3 + signature cascade over each
+///                    window's rows
 ///   RefinePhase    — Theorem 4.4 / exact refinement of the pairs the
 ///                    batched cascade passed (RefinePair), or the exact
 ///                    probability of every pair (unpruned baselines)
-///   MaintainPhase  — row + window insertion, eviction cascade
+///   MaintainPhase  — window push, eviction cascade
 ///
 /// ProcessArrival runs the phases back-to-back for one record; it is the
 /// only execution path. ProcessStream pulls NextBatch chunks, runs
@@ -50,16 +52,17 @@ struct ShedStats {
 /// outcomes to the sink, so batch_size changes when outcomes leave, never
 /// what they are.
 ///
-/// Subclasses override the imputation hook and pick the pruned (row store)
-/// or unpruned (linear) pair path.
+/// Subclasses override the imputation hook and pick the pruned or unpruned
+/// pair path.
 class PipelineBase {
  public:
-  /// `num_streams` windows are created. If `pruned`, candidates come from
-  /// the row store with tuple-level topic pruning, the batched cascade
-  /// decides Theorems 4.1-4.3 over their rows and the pairs it passes are
+  /// `num_streams` windows are created. If `pruned`, the candidate scan
+  /// applies tuple-level topic pruning, the batched cascade decides
+  /// Theorems 4.1-4.3 over the candidates' rows and the pairs it passes are
   /// refined with Theorem 4.4 (TER-iDS, Ij+GER). Otherwise every window
   /// tuple of the other streams is a candidate and gets the exact
-  /// probability (the unpruned baselines).
+  /// probability (the unpruned baselines). Either way an arrival whose rid
+  /// is still live in some window aborts (TERIDS_CHECK).
   PipelineBase(Repository* repo, EngineConfig config, int num_streams,
                bool pruned, std::string name);
   virtual ~PipelineBase() = default;
@@ -88,7 +91,8 @@ class PipelineBase {
     return &kNone;
   }
 
-  /// Live tuples of one stream's window (inspection / tests).
+  /// One stream's window: its live tuples and their rows (inspection /
+  /// tests).
   const SlidingWindow& window(int stream_id) const;
 
  protected:
@@ -99,43 +103,42 @@ class PipelineBase {
 
   // --- Arrival pipeline phases (Algorithm 2) -----------------------------
 
-  /// Lines 8-10: imputation, topic classification.
+  /// Lines 8-10: the live-rid guard, imputation, topic classification.
   void ImputePhase(ArrivalContext* ctx);
-  /// Lines 14-16: candidate generation (row-store or linear scan); the
-  /// row store's tuple-level topic kills are charged to the arrival's
-  /// PruneStats. On that path the batched pair cascade
+  /// Lines 14-16: candidate generation over the other streams' windows.
+  /// On the pruned path the scan's tuple-level topic kills are charged to
+  /// the arrival's PruneStats, and the batched pair cascade
   /// (EvaluateCandidates) then decides Theorems 4.1-4.3 and the signature
-  /// reject over the candidates' rows, folds its rejects into the
-  /// arrival's stats and leaves only the pairs it passes as candidates.
+  /// reject over each window's rows, folds its rejects into the arrival's
+  /// stats and leaves only the pairs it passes as candidates.
   void CandidatePhase(ArrivalContext* ctx);
   /// Lines 17-26: refinement of the remaining candidates (RefinePair on the
   /// pruned path, the exact probability otherwise), folding evaluations into
   /// the arrival's stats and the result set immediately.
   void RefinePhase(ArrivalContext* ctx);
-  /// Lines 2-7, 11-13: row + window insertion and the eviction cascade.
-  /// The expired tuple must be in the row store: a window/row desync
-  /// aborts here rather than leave a stale member producing candidates.
+  /// Lines 2-7, 11-13: the window push and the eviction cascade.
   void MaintainPhase(ArrivalContext* ctx);
 
   Repository* repo_;
   EngineConfig config_;
   TopicQuery topic_;
   std::vector<SlidingWindow> windows_;
-  std::unique_ptr<WindowRows> window_rows_;
   std::unique_ptr<Imputer> imputer_;
   MatchSet matches_;
   PruneStats cum_stats_;
   std::string name_;
 
  private:
-  std::vector<const WindowTuple*> LinearCandidates(
-      const WindowTuple& probe) const;
   /// Folds one pair evaluation into the arrival's outcome and, on a match,
   /// the result set (the single place MatchPairs are constructed).
-  void ApplyEvaluation(ArrivalContext* ctx, const WindowTuple* cand,
+  void ApplyEvaluation(ArrivalContext* ctx, const WindowTuple& cand,
                        const PairEvaluation& eval);
 
-  /// Batched-cascade scratch of CandidatePhase.
+  bool pruned_;
+  /// The rid of every tuple from its arrival to its eviction.
+  std::unordered_set<int64_t> live_rids_;
+  /// Candidate-scan and batched-cascade scratch of CandidatePhase.
+  std::vector<uint32_t> scan_slots_;
   std::vector<PairEvaluation> kernel_evals_;
   std::vector<uint32_t> kernel_passed_;
 };

@@ -27,8 +27,8 @@ namespace terids {
 /// checked per sample. Only a rule whose determinants are all intervals
 /// reaching 1.0 scans every sample. Each satisfying sample votes its
 /// candidate values (Equation 4). The imputed tuple's candidates then come
-/// from the window row store (the engine's G_ER, DESIGN.md §7), and the
-/// pair-level cascade (Theorems 4.1-4.4) decides them.
+/// from the other streams' windows (the engine's G_ER, DESIGN.md §7), and
+/// the pair-level cascade (Theorems 4.1-4.4) decides them.
 class TerIdsEngine : public PipelineBase {
  public:
   /// The engine copies `rules` (it owns the vector its CDD-index points

@@ -31,41 +31,22 @@ bool TopicQuery::Matches(const TokenSet& tokens) const {
   return false;
 }
 
-uint64_t TopicQuery::MaskOf(const TokenSet& tokens) const {
-  uint64_t mask = 0;
-  for (size_t i = 0; i < keyword_tokens_.size(); ++i) {
-    if (tokens.Contains(keyword_tokens_[i])) {
-      mask |= (1ULL << (i % 64));
-    }
-  }
-  return mask;
-}
-
 TopicQuery::TupleTopic TopicQuery::Classify(const ImputedTuple& tuple) const {
   TupleTopic result;
-  const int d = tuple.num_attributes();
-  result.instance_matches.assign(tuple.num_instances(), false);
   if (unconstrained_) {
     result.instance_matches.assign(tuple.num_instances(), true);
     result.any = true;
-    result.all = true;
-    result.possible_mask = ~0ULL;
     return result;
   }
-  result.all = tuple.num_instances() > 0;
+  result.instance_matches.assign(tuple.num_instances(), false);
   for (int m = 0; m < tuple.num_instances(); ++m) {
-    bool matched = false;
-    for (int k = 0; k < d; ++k) {
-      const TokenSet& tokens = tuple.instance_tokens(m, k);
-      const uint64_t mask = MaskOf(tokens);
-      if (mask != 0) {
-        result.possible_mask |= mask;
-        matched = true;
+    for (int k = 0; k < tuple.num_attributes(); ++k) {
+      if (Matches(tuple.instance_tokens(m, k))) {
+        result.instance_matches[m] = true;
+        result.any = true;
+        break;
       }
     }
-    result.instance_matches[m] = matched;
-    result.any = result.any || matched;
-    result.all = result.all && matched;
   }
   return result;
 }

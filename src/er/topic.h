@@ -27,28 +27,18 @@ class TopicQuery {
   bool IsUnconstrained() const {
     return keyword_tokens_.empty() && unconstrained_;
   }
-  int num_keywords() const { return static_cast<int>(keyword_tokens_.size()); }
 
   /// 𝜛 for a plain token set: true iff it contains at least one keyword.
   bool Matches(const TokenSet& tokens) const;
 
-  /// Keyword bitmask of a token set: bit (i % 64) set iff keyword i occurs.
-  /// Masks are used as aggregate filters; hashing keywords onto 64 bits
-  /// can only create false "possibly matches", never false prunes.
-  uint64_t MaskOf(const TokenSet& tokens) const;
-
   /// Topic classification of a whole imputed tuple.
   struct TupleTopic {
-    /// Union of keyword masks over all instances and attributes.
-    uint64_t possible_mask = 0;
     /// 𝜛(r_{i,m}, K) per instance.
     std::vector<bool> instance_matches;
     /// True iff some instance matches (the tuple can contribute a topical
     /// pair); Theorem 4.1 prunes a pair only if `any` is false on BOTH
     /// sides.
     bool any = false;
-    /// True iff every instance matches.
-    bool all = false;
   };
   TupleTopic Classify(const ImputedTuple& tuple) const;
 

@@ -12,13 +12,13 @@ struct CostBreakdown {
   double impute_seconds = 0.0;
   double er_seconds = 0.0;
   /// Pair-refinement wall time: the batched Theorem 4.1-4.3 cascade over
-  /// the row-store candidates plus the per-pair refinement of the pairs it
+  /// the scanned candidates plus the per-pair refinement of the pairs it
   /// passes (the exact probability of every pair on the unpruned
   /// baselines). Contained in `er_seconds`, so it is an overlay metric,
   /// not a fourth additive phase.
   double refine_seconds = 0.0;
-  /// Candidate-generation wall time (the row-store scan, or the linear
-  /// window scan). Contained in `er_seconds`; overlay metric.
+  /// Candidate-generation wall time (the scan of the other streams'
+  /// windows). Contained in `er_seconds`; overlay metric.
   double candidate_seconds = 0.0;
   /// Read by terbench; always 0 since async ingest was removed.
   double queue_wait_seconds = 0.0;

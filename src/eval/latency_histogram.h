@@ -12,9 +12,9 @@ namespace terids {
 enum class ExecPhase {
   /// Imputation: CDD selection and the determinant join.
   kIngest = 0,
-  kCandidate = 1,  // row-store / linear window scan
+  kCandidate = 1,  // window scan
   kRefine = 2,     // the Theorem 4.1-4.4 cascade / exact refinement
-  kMaintain = 3,   // row + window insertion, eviction cascade
+  kMaintain = 3,   // window push, eviction cascade
 };
 inline constexpr int kNumExecPhases = 4;
 

@@ -117,17 +117,6 @@ class ImputedTuple {
     return Interval::Of(b[0], b[1]);
   }
 
-  /// A fixed attribute's pivot interval is the point [dist, dist], so it
-  /// doubles as the base distance; imputed choices read the repository.
-  double instance_pivot_dist(int inst, int attr, int pivot_idx) const {
-    TERIDS_CHECK(inst >= 0 && inst < num_instances());
-    const Interval dists = pivot_dist_interval(attr, pivot_idx);
-    const int k = attr_to_imputed_[attr];
-    return k < 0 ? dists.lo
-                 : repo_->pivot_distance(attr, pivot_idx,
-                                         instances_[inst].choices[k]);
-  }
-
  private:
   ImputedTuple() = default;
   void MaterializeInstances(int max_instances);

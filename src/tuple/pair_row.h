@@ -13,7 +13,7 @@ namespace terids {
 /// list is decided by walking rows instead of chasing tuple pointers
 /// (DESIGN.md §6). The row is the only store of the Lemma 4.1-4.3
 /// aggregates: ImputedTuple computes its own row once at construction, and
-/// WindowRows copies it into a slab indexed by the entry slot.
+/// its SlidingWindow copies it into a slab indexed by the ring slot.
 ///
 /// A row is `stride()` 8-byte words, doubles except where noted:
 ///   header:  [topical, instances, total_prob, sum E, sum lb, sum ub,
@@ -23,7 +23,7 @@ namespace terids {
 ///   sigs:    at sig_offset(): d uint64 token signatures, bit for bit
 ///   lens:    at len_offset(): d uint32 token-set lengths, packed
 /// `topical` is the tuple's Theorem 4.1 bit (TupleTopic::any), which
-/// depends on the query: a tuple's own row leaves it 0 and WindowRows sets
+/// depends on the query: a tuple's own row leaves it 0 and the window sets
 /// it in its copy. The sums are Lemma 4.3's main-pivot terms, each accumulated
 /// in k = 0..d-1 order. Pivot intervals are finite, and an empty one is
 /// stored as Interval::Empty()'s [+inf, -inf], so the larger of the two

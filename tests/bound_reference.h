@@ -234,7 +234,7 @@ inline PairEvaluation ReferenceCascade(const ImputedTuple& a,
   return eval;
 }
 
-/// `t`'s own row with its topic word set, as WindowRows stores it.
+/// `t`'s own row with its topic word set, as its window's slab stores it.
 inline std::vector<double> WindowRowOf(const ImputedTuple& t, bool topical) {
   std::vector<double> row(t.row(), t.row() + t.row_layout().stride());
   row[PairRowLayout::kTopical] = topical ? 1.0 : 0.0;

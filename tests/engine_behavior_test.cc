@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
+#include "core/pipeline.h"
 #include "core/terids_engine.h"
 #include "er/probability.h"
 #include "rules/rule_miner.h"
@@ -160,6 +162,45 @@ TEST_F(EngineBehaviorTest, RejectsNonPositiveCandidateCap) {
     config_.max_candidates_per_attr = cap;
     EXPECT_DEATH(TerIdsEngine(world_.repo.get(), config_, 2, rules_),
                  "max_candidates_per_attr");
+  }
+}
+
+// A rid still live in some window is refused before candidate generation,
+// on the pruned path and the unpruned one: a second copy on the other
+// stream would pair with itself, and one on its own stream would lose its
+// pairs when the first copy expires.
+TEST_F(EngineBehaviorTest, RejectsALiveRidOnEveryPipeline) {
+  const std::vector<std::string> diabetic = {
+      "male", "loss of weight", "diabetes", "drug therapy"};
+  for (PipelineKind kind : {PipelineKind::kTerIds, PipelineKind::kCddEr}) {
+    for (int stream : {0, 1}) {
+      EXPECT_DEATH(
+          {
+            std::unique_ptr<PipelineBase> pipeline = MakePipeline(
+                kind, world_.repo.get(), config_, 2, rules_, rules_, rules_);
+            pipeline->ProcessArrival(Post(1, 0, diabetic));
+            pipeline->ProcessArrival(Post(1, stream, diabetic));
+          },
+          "rid_not_live");
+    }
+  }
+}
+
+// Once its window evicts a tuple, its rid may arrive again.
+TEST_F(EngineBehaviorTest, AcceptsAnEvictedRidAgain) {
+  EngineConfig config = config_;
+  config.window_size = 1;
+  const std::vector<std::string> diabetic = {
+      "male", "loss of weight", "diabetes", "drug therapy"};
+  for (PipelineKind kind : {PipelineKind::kTerIds, PipelineKind::kCddEr}) {
+    std::unique_ptr<PipelineBase> pipeline = MakePipeline(
+        kind, world_.repo.get(), config, 2, rules_, rules_, rules_);
+    pipeline->ProcessArrival(Post(1, 0, diabetic));
+    pipeline->ProcessArrival(Post(2, 0, diabetic));  // evicts rid 1
+    EXPECT_EQ(pipeline->ProcessArrival(Post(1, 1, diabetic))
+                  .new_matches.size(),
+              1u)
+        << pipeline->name();
   }
 }
 

@@ -85,10 +85,8 @@ TEST(TopicQueryTest, ClassifyFlagsInstancesIndividually) {
       ImputedTuple::FromImputation(r, world.repo.get(), {ia}, 8);
   TopicQuery::TupleTopic tt = topic.Classify(t);
   EXPECT_TRUE(tt.any);
-  EXPECT_FALSE(tt.all);
   EXPECT_TRUE(tt.instance_matches[0]);   // diabetes instance
   EXPECT_FALSE(tt.instance_matches[1]);  // flu instance
-  EXPECT_NE(tt.possible_mask, 0u);
 }
 
 // ---------------------------------------------------------------------

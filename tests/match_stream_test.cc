@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "er/match_set.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
@@ -58,18 +60,24 @@ TEST(SlidingWindowTest, EvictsOldestWhenFull) {
   ToyWorld world = MakeHealthWorld();
   SlidingWindow window(2);
   auto make = [&](int64_t rid) {
-    auto wt = std::make_shared<WindowTuple>();
-    wt->tuple = std::make_shared<const ImputedTuple>(ImputedTuple::FromComplete(
-        world.Make(rid, {"male", "fever", "flu", "rest"}), world.repo.get()));
-    return wt;
+    return WindowTuple{
+        ImputedTuple::FromComplete(
+            world.Make(rid, {"male", "fever", "flu", "rest"}),
+            world.repo.get()),
+        {}};
   };
-  EXPECT_EQ(window.Push(make(1)), nullptr);
-  EXPECT_EQ(window.Push(make(2)), nullptr);
-  std::shared_ptr<WindowTuple> evicted = window.Push(make(3));
-  ASSERT_NE(evicted, nullptr);
+  EXPECT_FALSE(window.Push(make(1)).has_value());
+  EXPECT_FALSE(window.Push(make(2)).has_value());
+  std::optional<WindowTuple> evicted = window.Push(make(3));
+  ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(evicted->rid(), 1);
   EXPECT_EQ(window.size(), 2u);
-  EXPECT_EQ(window.tuples().front()->rid(), 2);
+  // The arrival took the evicted tuple's slot.
+  EXPECT_EQ(window.at(0).rid(), 3);
+  EXPECT_EQ(window.at(1).rid(), 2);
+  evicted = window.Push(make(4));
+  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(evicted->rid(), 2);
 }
 
 TEST(StreamDriverTest, RoundRobinInterleavesAndStampsTimestamps) {

@@ -4,7 +4,7 @@
 // the same outcome, probability and three signature counters as the
 // reference bounds followed by RefineProbability. Generated streams of all
 // five profiles (complete and half-missing) are replayed through real
-// windows and a WindowRows store, whose rows the kernel reads; every pair a
+// windows, whose row slabs the kernel reads; every pair a
 // main-pivot Lemma 4.2 bound (the paper's ER-grid cell bound) prunes must
 // be pruned by the kernel at Theorem 4.1 or 4.2; constructed cases
 // cover empty token sets, sub-stochastic single-instance tuples,
@@ -30,7 +30,6 @@
 #include "pivot/pivot_selector.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_driver.h"
-#include "synopsis/window_rows.h"
 #include "test_util.h"
 #include "text/similarity_kernels.h"
 #include "util/bits.h"
@@ -72,7 +71,7 @@ void ExpectKernelMatchesReference(const double* rows, const WindowTuple& probe,
   ASSERT_EQ(cands.size(), slots.size());
   std::vector<PairEvaluation> evals;
   std::vector<uint32_t> passed;
-  EvaluateCandidates(probe.tuple->row_layout(), probe.tuple->row(),
+  EvaluateCandidates(probe.tuple.row_layout(), probe.tuple.row(),
                      probe.topic.any, rows, slots.data(), slots.size(), gamma,
                      alpha, &evals, &passed);
   ASSERT_EQ(evals.size(), cands.size());
@@ -84,7 +83,7 @@ void ExpectKernelMatchesReference(const double* rows, const WindowTuple& probe,
   for (size_t i = 0; i < cands.size(); ++i) {
     const WindowTuple& cand = *cands[i];
     const PairEvaluation want =
-        ReferenceCascade(*probe.tuple, probe.topic, probe_ref, *cand.tuple,
+        ReferenceCascade(probe.tuple, probe.topic, probe_ref, cand.tuple,
                          cand.topic, refs.at(cand.rid()), gamma, alpha);
     const std::string where = "probe " + std::to_string(probe.rid()) +
                               " cand " + std::to_string(cand.rid()) +
@@ -95,7 +94,7 @@ void ExpectKernelMatchesReference(const double* rows, const WindowTuple& probe,
     if (next < passed.size() && passed[next] == i) {
       ++next;
       ++tally->passed;
-      got = RefinePair(*probe.tuple, probe.topic, *cand.tuple, cand.topic,
+      got = RefinePair(probe.tuple, probe.topic, cand.tuple, cand.topic,
                        gamma, alpha);
     } else {
       switch (got.outcome) {
@@ -119,11 +118,11 @@ void ExpectKernelMatchesReference(const double* rows, const WindowTuple& probe,
     ASSERT_EQ(got.sig_probes, want.sig_probes) << where;
     ASSERT_EQ(got.sig_saturated, want.sig_saturated) << where;
     ASSERT_EQ(got.sig_rejects, want.sig_rejects) << where;
-    const int d = probe.tuple->num_attributes();
+    const int d = probe.tuple.num_attributes();
     double main_pivot_sum = 0.0;
     for (int k = 0; k < d; ++k) {
-      main_pivot_sum += probe.tuple->pivot_dist_interval(k, 0).MinAbsDiff(
-          cand.tuple->pivot_dist_interval(k, 0));
+      main_pivot_sum += probe.tuple.pivot_dist_interval(k, 0).MinAbsDiff(
+          cand.tuple.pivot_dist_interval(k, 0));
     }
     if (static_cast<double>(d) - main_pivot_sum <= gamma) {
       ++tally->main_pivot;
@@ -135,17 +134,17 @@ void ExpectKernelMatchesReference(const double* rows, const WindowTuple& probe,
   ASSERT_EQ(next, passed.size());
 }
 
-/// Rows for `cands` in slots 0..n-1, for cases built without a WindowRows.
+/// Rows for `cands` in slots 0..n-1, for cases built without a window.
 void ExpectKernelMatchesReference(const WindowTuple& probe,
                                   const std::vector<const WindowTuple*>& cands,
                                   const RefMap& refs, double gamma,
                                   double alpha, Tally* tally) {
-  const size_t stride = probe.tuple->row_layout().stride();
+  const size_t stride = probe.tuple.row_layout().stride();
   std::vector<double> rows;
   std::vector<uint32_t> slots;
   for (size_t i = 0; i < cands.size(); ++i) {
     const std::vector<double> row =
-        WindowRowOf(*cands[i]->tuple, cands[i]->topic.any);
+        WindowRowOf(cands[i]->tuple, cands[i]->topic.any);
     ASSERT_EQ(row.size(), stride);
     rows.insert(rows.end(), row.begin(), row.end());
     slots.push_back(static_cast<uint32_t>(i));
@@ -189,38 +188,40 @@ TEST_P(PairCascadeStreamTest, KernelThenRefineEqualsReferenceCascade) {
         experiment.dataset().source_b, xi, params.m, params.seed + 1);
     StreamDriver driver({inc_a, inc_b});
     std::vector<SlidingWindow> windows(2, SlidingWindow(params.w));
-    WindowRows rows;
     for (int arrival = 0; arrival < 150 && driver.HasNext(); ++arrival) {
       const Record r = driver.Next();
-      auto wt = std::make_shared<WindowTuple>();
-      wt->tuple = std::make_shared<const ImputedTuple>(
+      WindowTuple wt{
           r.IsComplete()
               ? ImputedTuple::FromComplete(r, repo.get())
               : ImputedTuple::FromImputation(r, repo.get(),
                                              imputer.ImputeRecord(r, nullptr),
-                                             config.max_instances));
-      wt->topic = topic->Classify(*wt->tuple);
-      refs.emplace(wt->rid(), ReferenceOf(*wt->tuple, *repo));
-      for (double rho : {0.2, 0.5, 0.8}) {
-        const double gamma = rho * dims;
-        for (bool topic_constrained : {false, true}) {
-          const WindowRows::CandidateResult cands =
-              rows.Candidates(*wt, topic_constrained);
+                                             config.max_instances),
+          {}};
+      wt.topic = topic->Classify(wt.tuple);
+      refs.emplace(wt.rid(), ReferenceOf(wt.tuple, *repo));
+      // Every slot of the other window (the unpruned scan) and the slots
+      // the tuple-level topic test keeps (the pruned one).
+      const SlidingWindow& other = windows[1 - r.stream_id];
+      std::vector<uint32_t> scans[2];
+      other.CandidateSlots(/*probe_topical=*/true, &scans[0]);
+      other.CandidateSlots(wt.topic.any, &scans[1]);
+      for (const std::vector<uint32_t>& slots : scans) {
+        std::vector<const WindowTuple*> cands;
+        for (uint32_t slot : slots) {
+          cands.push_back(&other.at(slot));
+        }
+        for (double rho : {0.2, 0.5, 0.8}) {
+          const double gamma = rho * dims;
           for (double alpha : {0.0, 0.3, 0.6, 0.9}) {
-            ExpectKernelMatchesReference(rows.rows(), *wt, cands.candidates,
-                                         cands.slots, refs, gamma, alpha,
-                                         &tally);
+            ExpectKernelMatchesReference(other.rows(), wt, cands, slots,
+                                         refs, gamma, alpha, &tally);
             if (::testing::Test::HasFatalFailure()) {
               return;
             }
           }
         }
       }
-      std::shared_ptr<WindowTuple> evicted = windows[r.stream_id].Push(wt);
-      rows.Insert(wt.get());
-      if (evicted != nullptr) {
-        ASSERT_TRUE(rows.Remove(evicted.get()));
-      }
+      windows[r.stream_id].Push(std::move(wt));
     }
   }
   EXPECT_GT(tally.passed, 0u);
@@ -240,34 +241,32 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) == 0.0 ? "_complete" : "_missing");
     });
 
-std::shared_ptr<WindowTuple> MakeWindowTuple(ImputedTuple tuple,
-                                             const TopicQuery& topic) {
-  auto wt = std::make_shared<WindowTuple>();
-  wt->tuple = std::make_shared<const ImputedTuple>(std::move(tuple));
-  wt->topic = topic.Classify(*wt->tuple);
+WindowTuple MakeWindowTuple(ImputedTuple tuple, const TopicQuery& topic) {
+  WindowTuple wt{std::move(tuple), {}};
+  wt.topic = topic.Classify(wt.tuple);
   return wt;
 }
 
 /// Every ordered pair of `tuples` at gammas across [0, d] and alphas
 /// around the sub-stochastic masses used below.
 Tally CheckAllPairs(const Repository& repo,
-                    const std::vector<std::shared_ptr<WindowTuple>>& tuples) {
+                    const std::vector<WindowTuple>& tuples) {
   Tally tally;
-  const int d = tuples.front()->tuple->num_attributes();
+  const int d = tuples.front().tuple.num_attributes();
   RefMap refs;
-  for (const auto& t : tuples) {
-    refs.emplace(t->rid(), ReferenceOf(*t->tuple, repo));
+  for (const WindowTuple& t : tuples) {
+    refs.emplace(t.rid(), ReferenceOf(t.tuple, repo));
   }
-  for (const auto& probe : tuples) {
+  for (const WindowTuple& probe : tuples) {
     std::vector<const WindowTuple*> cands;
-    for (const auto& cand : tuples) {
-      if (cand != probe) {
-        cands.push_back(cand.get());
+    for (const WindowTuple& cand : tuples) {
+      if (&cand != &probe) {
+        cands.push_back(&cand);
       }
     }
     for (int g = 0; g <= 4 * d; ++g) {
       for (double alpha : {0.0, 0.2, 0.35, 0.36, 0.6, 0.9}) {
-        ExpectKernelMatchesReference(*probe, cands, refs, 0.25 * g, alpha,
+        ExpectKernelMatchesReference(probe, cands, refs, 0.25 * g, alpha,
                                     &tally);
         if (::testing::Test::HasFatalFailure()) {
           return tally;
@@ -318,7 +317,7 @@ TEST(PairCascadeTest, ConstructedEdgeCases) {
   };
   for (const TopicQuery& topic :
        {TopicQuery(world.repo->dict(), {"conjunctivitis"}), TopicQuery()}) {
-    std::vector<std::shared_ptr<WindowTuple>> tuples;
+    std::vector<WindowTuple> tuples;
     tuples.push_back(MakeWindowTuple(
         ImputedTuple::FromComplete(
             world.Make(1, {"male", "loss of weight", "diabetes",
@@ -371,9 +370,9 @@ TEST(PairCascadeTest, ConstructedEdgeCases) {
               repo),
           topic));
     }
-    ASSERT_EQ(tuples[4]->tuple->num_instances(), 1);
-    ASSERT_LT(tuples[4]->tuple->total_prob(), 1.0);
-    ASSERT_GT(tuples[6]->tuple->num_instances(), 1);
+    ASSERT_EQ(tuples[4].tuple.num_instances(), 1);
+    ASSERT_LT(tuples[4].tuple.total_prob(), 1.0);
+    ASSERT_GT(tuples[6].tuple.num_instances(), 1);
     const Tally tally = CheckAllPairs(*repo, tuples);
     if (HasFatalFailure()) {
       return;
@@ -419,7 +418,7 @@ TEST(PairCascadeTest, WideSchemaHasNoSignatureReject) {
   PivotSelector selector(&repo, popts);
   repo.AttachPivots(selector.SelectAll());
   const TopicQuery topic;
-  std::vector<std::shared_ptr<WindowTuple>> tuples;
+  std::vector<WindowTuple> tuples;
   for (int s = 0; s < 6; ++s) {
     tuples.push_back(MakeWindowTuple(
         ImputedTuple::FromComplete(

@@ -135,8 +135,8 @@ TEST_F(PipelineIntegrationTest, EvictionRemovesExpiredPairsFromResultSet) {
   // Every pair still in ES must reference tuples inside the live windows.
   std::vector<int64_t> live_rids;
   for (int s = 0; s < 2; ++s) {
-    for (const auto& wt : engine.window(s).tuples()) {
-      live_rids.push_back(wt->rid());
+    for (size_t slot = 0; slot < engine.window(s).size(); ++slot) {
+      live_rids.push_back(engine.window(s).at(slot).rid());
     }
   }
   std::sort(live_rids.begin(), live_rids.end());

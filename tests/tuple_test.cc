@@ -136,14 +136,17 @@ TEST(ImputedTupleTest, AggregatesCoverEveryInstance) {
       const double size = static_cast<double>(t.instance_tokens(m, k).size());
       EXPECT_GE(size, sizes.lo);
       EXPECT_LE(size, sizes.hi);
-      // Main-pivot coordinate of fixed and imputed attributes alike.
-      EXPECT_EQ(t.instance_pivot_dist(m, k, 0),
-                JaccardDistance(t.instance_tokens(m, k),
-                                world.repo->pivot_tokens(k, 0)));
       for (int p = 0; p < world.repo->num_pivots(k); ++p) {
-        const double dist = t.instance_pivot_dist(m, k, p);
-        EXPECT_GE(dist, t.pivot_dist_interval(k, p).lo - 1e-12);
-        EXPECT_LE(dist, t.pivot_dist_interval(k, p).hi + 1e-12);
+        const double dist = JaccardDistance(t.instance_tokens(m, k),
+                                            world.repo->pivot_tokens(k, p));
+        const Interval dists = t.pivot_dist_interval(k, p);
+        EXPECT_GE(dist, dists.lo - 1e-12);
+        EXPECT_LE(dist, dists.hi + 1e-12);
+        if (!t.IsAttrImputed(k)) {
+          // A fixed attribute's interval is the point [dist, dist].
+          EXPECT_EQ(dists.lo, dist);
+          EXPECT_EQ(dists.hi, dist);
+        }
       }
     }
   }
